@@ -24,7 +24,7 @@ from .compiler import (
     linear_system,
     params_from_assignment,
 )
-from .decompose import DecompositionError, bottom_up, solve_tree, top_down
+from .decompose import AlignmentError, DecompositionError, bottom_up, solve_tree, top_down
 from .detect import (
     CapExceeded,
     detection_report,
@@ -34,7 +34,7 @@ from .detect import (
     oracle_min_dependent_sets,
 )
 from .model import Model, model_from_json_dict, validate
-from .numeric import newton_solve, optimize_solve
+from .numeric import RANK_REL_TOL, newton_solve, optimize_solve
 from .structural import build_graphs, counting_state
 from .witness import characterize, generate_witness
 
@@ -44,7 +44,7 @@ EXIT = {"well": 0, "under": 3, "over": 4, "over-and-under": 5, "unstable": 6}
 @dataclass
 class RunConfig:
     residual_tol: float = 1e-9
-    rank_tol: float = 1e-8
+    rank_tol: float = RANK_REL_TOL
     seed: int = 0
     witnesses: int = 3
     fmt: str = "text"
@@ -119,7 +119,7 @@ def _characterize(model: Model, system, cfg: RunConfig) -> dict:
         rng = np.random.default_rng(cfg.seed)
         from .witness import characterize_at
         x = rng.uniform(-1.0, 1.0, size=system.n_variables)
-        wr = characterize_at(system, x, 0)
+        wr = characterize_at(system, x, 0, rank_tol=cfg.rank_tol)
         report["witness"] = wr.to_json_dict()
         return {"verdict": wr.verdict, "report": report}
     if cfg.mode in ("structural", "both"):
@@ -133,7 +133,8 @@ def _characterize(model: Model, system, cfg: RunConfig) -> dict:
         }
         verdict = cv.state
     if cfg.mode in ("witness", "both"):
-        wr = characterize(system, model, seed=cfg.seed, votes=cfg.witnesses)
+        wr = characterize(system, model, seed=cfg.seed, votes=cfg.witnesses,
+                          rank_tol=cfg.rank_tol)
         report["witness"] = wr.to_json_dict()
         verdict = wr.verdict
     return {"verdict": verdict, "report": report}
@@ -176,7 +177,8 @@ def cmd_detect(args, cfg: RunConfig) -> int:
             payload["oracle"]["maxWellPart"] = sorted(best.entities)
         except CapExceeded as err:
             payload["oracle"]["maxWellPart"] = f"skipped: {err}"
-        wr = characterize(system, model, seed=cfg.seed, votes=cfg.witnesses)
+        wr = characterize(system, model, seed=cfg.seed, votes=cfg.witnesses,
+                          rank_tol=cfg.rank_tol)
         payload["freeMotions"] = wr.free_motions
         payload["verdict"] = wr.verdict
         ill = not greedy and wr.verdict == "well"
@@ -190,7 +192,8 @@ def cmd_decompose(args, cfg: RunConfig) -> int:
     model, system = _load(args.model)
     if model is None:
         raise SystemExitError(1, "decompose needs a geometric model")
-    wr = characterize(system, model, seed=cfg.seed, votes=cfg.witnesses)
+    wr = characterize(system, model, seed=cfg.seed, votes=cfg.witnesses,
+                      rank_tol=cfg.rank_tol)
     try:
         tree = bottom_up(model, seed=cfg.seed) if args.strategy == "bottom-up" \
             else top_down(model)
@@ -228,7 +231,7 @@ def cmd_solve(args, cfg: RunConfig) -> int:
         try:
             tree = bottom_up(model, seed=cfg.seed)
             plan, solution, cert = solve_tree(model, tree)
-        except DecompositionError as err:
+        except (DecompositionError, AlignmentError) as err:
             raise SystemExitError(4, f"decomposed solve failed: {err}")
         result = cert
         params = solution
@@ -267,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "decomposition and solving.")
     parser.add_argument("--tolerance", type=float, default=1e-9,
                         help="residual tolerance (default 1e-9)")
-    parser.add_argument("--rank-tol", type=float, default=1e-8,
+    parser.add_argument("--rank-tol", type=float, default=RANK_REL_TOL,
                         help="relative rank tolerance (default 1e-8)")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     parser.add_argument("--witnesses", type=int, default=3,

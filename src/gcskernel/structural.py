@@ -12,6 +12,11 @@ nodes, i.e. the bipartite scheme).  On top of these:
   digraph, topologically sorted,
 * structural counting verdicts, either with the fixed frame dimension
   D = 3 (2D) / 6 (3D) or with a supplied degree-of-rigidity function.
+  Fixed-D counting is exact at any model size: a weighted pebble game (an
+  incremental flow in the spirit of Jacobs and Hendrickson's (2,3) game and
+  Hoffmann, Lomonosov and Sitharam's dense-subgraph search) finds a violating
+  connected subset in polynomial time.  The degree-of-rigidity mode
+  enumerates subsets and refuses models of more than 12 entities.
 
 The 3D fixed-D verdict is necessary but not sufficient (double-banana style
 counterexamples pass it while being geometrically under-constrained), so
@@ -274,6 +279,10 @@ def scc_plan(graph: EquationGraph, matching: dict[int, int]) -> SolvePlan:
     return SolvePlan(blocks)
 
 
+# dor-mode counting enumerates every connected entity subset up to this size
+DOR_MAX_ENTITIES = 12
+
+
 @dataclass(frozen=True)
 class CountingVerdict:
     state: str  # under | well | over
@@ -284,16 +293,22 @@ class CountingVerdict:
 
 
 def counting_state(cg: ConstraintGraph, dimension: int, mode: str = "fixed-D",
-                   dor_fn: Callable[[frozenset[str]], int] | None = None,
-                   size_cap: int = 12) -> CountingVerdict:
+                   dor_fn: Callable[[frozenset[str]], int] | None = None) -> CountingVerdict:
     """Structural verdict from DOF/DOC counting.
 
-    ``fixed-D`` compares against D = 3 (2D) / 6 (3D); ``dor`` replaces D by a
-    caller-supplied degree-of-rigidity function evaluated on entity subsets
-    (typically the witness-engine's motion-basis rank).  Subgraph search is
-    exhaustive over connected induced subsets up to ``size_cap`` entities;
-    beyond the cap only edge-induced subsets (constraint entity sets and their
-    pairwise unions) are sampled.
+    The model is over-constrained when the whole has DOF - DOC < D, or when a
+    connected subset S of at least two entities (three in 3D) has
+    DOF(S) - DOC(S) < D(S); the reported ``witness_subgraph`` is then an
+    inclusion-minimal such subset (the whole model when only the whole
+    violates).
+
+    ``fixed-D`` uses D = 3 (2D) / 6 (3D) and decides the subset condition
+    exactly, for any model size, with a weighted pebble game (see
+    :func:`_dense_subset`).  ``dor`` replaces D by a caller-supplied
+    degree-of-rigidity function evaluated on entity subsets (typically the
+    witness engine's motion-basis rank); the frame then depends on the subset,
+    so the search enumerates connected subsets exhaustively and refuses models
+    of more than ``DOR_MAX_ENTITIES`` entities with ``ValueError``.
     """
     if mode not in ("fixed-D", "dor"):
         raise ValueError(f"unknown counting mode {mode!r}")
@@ -301,68 +316,30 @@ def counting_state(cg: ConstraintGraph, dimension: int, mode: str = "fixed-D",
         raise ValueError("dor mode needs a dor_fn")
     D_whole = 3 if dimension == 2 else 6
     ids = list(cg.entity_ids)
-
-    def frame(subset: frozenset[str]) -> int:
-        if mode == "fixed-D":
-            return D_whole
-        return dor_fn(subset)
+    if mode == "dor" and len(ids) > DOR_MAX_ENTITIES:
+        raise ValueError(f"dor counting enumerates subsets; {len(ids)} entities exceed "
+                         f"the limit of {DOR_MAX_ENTITIES}")
 
     # Laman/Maxwell-style subgraph conditions are stated for n' >= 2 entities
     # in 2D and n' >= 3 in 3D; smaller 3D subsystems have a degenerate frame
     # (a point pair moves with 5 freedoms, not 6) and must not be flagged.
     min_sub = 2 if dimension == 2 else 3
 
-    def subsets() -> Iterable[frozenset[str]]:
-        if len(ids) <= size_cap:
-            adj = cg.neighbors()
-            for k in range(min_sub, len(ids) + 1):
-                for combo in combinations(ids, k):
-                    sub = set(combo)
-                    # connectivity filter: counting violations only matter on
-                    # connected pieces
-                    seen = {combo[0]}
-                    frontier = [combo[0]]
-                    while frontier:
-                        nxt = frontier.pop()
-                        for nb in adj[nxt]:
-                            if nb in sub and nb not in seen:
-                                seen.add(nb)
-                                frontier.append(nb)
-                    if seen == sub:
-                        yield frozenset(sub)
-        else:
-            seen_sets: set[frozenset[str]] = set()
-            pieces = [frozenset(ents) for _, ents, _ in cg.constraints]
-            for s in pieces:
-                if s not in seen_sets:
-                    seen_sets.add(s)
-                    yield s
-            for a, b in combinations(pieces, 2):
-                u = a | b
-                if u not in seen_sets:
-                    seen_sets.add(u)
-                    yield u
-
     advisory = dimension == 3
     if not ids:
         return CountingVerdict("well", mode, 0, None, advisory)
     whole = frozenset(ids)
     dof, doc, _ = cg.induced(whole)
-    D = frame(whole)
+    D = D_whole if mode == "fixed-D" else dor_fn(whole)
     deficit = dof - doc - D
 
-    witness: tuple[str, ...] | None = None
-    for sub in subsets():
-        if mode == "fixed-D" and len(sub) < min_sub:
-            continue
-        sdof, sdoc, _ = cg.induced(sub)
-        if mode == "fixed-D" and sdof < D_whole:
-            continue  # too small to span the frame
-        if sdof - sdoc < frame(sub):
-            witness = tuple(sorted(sub))
-            break
+    if mode == "fixed-D":
+        dense = _dense_subset(cg, D_whole, min_sub)
+    else:
+        dense = _first_dor_violation(cg, dor_fn, min_sub)
+    witness = tuple(sorted(dense)) if dense is not None else None
 
-    if witness is None and ids and deficit < 0:
+    if witness is None and deficit < 0:
         witness = tuple(sorted(whole))
     if witness is not None:
         return CountingVerdict("over", mode, deficit, witness, advisory)
@@ -372,3 +349,180 @@ def counting_state(cg: ConstraintGraph, dimension: int, mode: str = "fixed-D",
     if deficit == 0:
         return CountingVerdict("well", mode, deficit, None, advisory)
     return CountingVerdict("under", mode, deficit, None, advisory)
+
+
+def _first_dor_violation(cg: ConstraintGraph, dor_fn: Callable[[frozenset[str]], int],
+                         min_sub: int) -> frozenset[str] | None:
+    """Smallest connected subset (first in enumeration order) with DOF - DOC < dor."""
+    ids = list(cg.entity_ids)
+    adj = cg.neighbors()
+    for k in range(min_sub, len(ids) + 1):
+        for combo in combinations(ids, k):
+            sub = set(combo)
+            seen = {combo[0]}
+            frontier = [combo[0]]
+            while frontier:
+                nxt = frontier.pop()
+                for nb in adj[nxt]:
+                    if nb in sub and nb not in seen:
+                        seen.add(nb)
+                        frontier.append(nb)
+            if seen != sub:
+                continue  # counting violations only matter on connected pieces
+            sdof, sdoc, _ = cg.induced(sub)
+            if sdof - sdoc < dor_fn(frozenset(sub)):
+                return frozenset(sub)
+    return None
+
+
+def _dense_subset(cg: ConstraintGraph, D: int, min_sub: int) -> frozenset[str] | None:
+    """An inclusion-minimal connected subset of at least ``min_sub`` entities
+    with DOF - DOC < D, or None when there is none.
+
+    One pebble game decides whether such a subset exists.  Its witness is
+    shrunk by trying to drop each entity in reverse model order: whenever the
+    subsystem without the entity still holds a violating subset, the search
+    continues inside the subset the game found there.  An entity that stays
+    cannot be dropped from any later, smaller candidate either, so the result
+    is inclusion-minimal.
+    """
+    adj = cg.neighbors()
+    found = _pebble_game(cg, frozenset(cg.entity_ids), adj, D, min_sub)
+    if found is None:
+        return None
+    for e in reversed(cg.entity_ids):
+        if e in found:
+            smaller = _pebble_game(cg, found - {e}, adj, D, min_sub)
+            if smaller is not None:
+                found = smaller
+    return found
+
+
+class _Pebbles:
+    """Pebble state of the weighted pebble game (an incremental flow).
+
+    Every entity starts with ``dof`` free pebbles; a placed constraint is
+    covered by ``doc`` pebbles taken from its own entities.  A directed
+    pebble path from entity u through constraint k to entity w lets k release
+    its pebble on u by taking a free one from w, exactly like an augmenting
+    path in :func:`max_matching`.
+    """
+
+    def __init__(self, cg: ConstraintGraph, keep: frozenset[str]):
+        self.free = {e: cg.entity_dof[e] for e in cg.entity_ids if e in keep}
+        self.held: dict[str, dict[int, int]] = {e: {} for e in self.free}
+        self.ents = [tuple(dict.fromkeys(ents)) for _, ents, _ in cg.constraints]
+
+    def gather(self, hold: tuple[str, ...], target: int) -> frozenset[str] | None:
+        """Collect ``target`` free pebbles on ``hold``.
+
+        Returns None on success.  On failure returns the entities the search
+        reached: every constraint holding a pebble there lies inside that set
+        and all its free pebbles sit on ``hold``, so its DOF - DOC (placed
+        constraints only) equals the free pebbles gathered.
+        """
+        while sum(self.free[e] for e in hold) < target:
+            reached = self._pull_one(hold)
+            if reached is not None:
+                return reached
+        return None
+
+    def _pull_one(self, hold: tuple[str, ...]) -> frozenset[str] | None:
+        seen = set(hold)
+        parent: dict[str, tuple[str, int]] = {}
+        stack = list(reversed(hold))
+        while stack:
+            u = stack.pop()
+            for k in self.held[u]:
+                for w in self.ents[k]:
+                    if w in seen:
+                        continue
+                    seen.add(w)
+                    parent[w] = (u, k)
+                    if self.free[w]:
+                        self._shift(w, parent)
+                        return None
+                    stack.append(w)
+        return frozenset(seen)
+
+    def _shift(self, w: str, parent: dict[str, tuple[str, int]]) -> None:
+        # reverse the path: each constraint moves one pebble one step towards
+        # the free pebble, which leaves a free pebble on the hold entity
+        self.free[w] -= 1
+        while w in parent:
+            u, k = parent[w]
+            self.held[w][k] = self.held[w].get(k, 0) + 1
+            left = self.held[u][k] - 1
+            if left:
+                self.held[u][k] = left
+            else:
+                del self.held[u][k]
+            w = u
+        self.free[w] += 1
+
+    def place(self, k: int, doc: int) -> None:
+        for e in self.ents[k]:
+            take = min(self.free[e], doc)
+            if take:
+                self.free[e] -= take
+                self.held[e][k] = self.held[e].get(k, 0) + take
+                doc -= take
+
+
+def _pebble_game(cg: ConstraintGraph, keep: frozenset[str], adj: Mapping[str, set[str]],
+                 D: int, min_sub: int) -> frozenset[str] | None:
+    """Exact test for a violating subset inside the subsystem induced by ``keep``.
+
+    Returns a connected set R of at least ``min_sub`` entities with
+    DOF(R) - DOC(R) < D, or None when ``keep`` contains no such set.  Every
+    entity kind carries at least D / min_sub freedoms, so such a set always
+    spans the frame: the subset rule's DOF(S) >= D requirement holds.
+
+    Constraints are inserted in model order.  Before constraint c is placed,
+    its entities must gather doc(c) pebbles and every seed T (a connected set
+    of ``min_sub`` entities containing ents(c), or ents(c) itself when that is
+    large enough) must gather doc(c) + D.  If every seed succeeds, no subset
+    containing c violates; if one fails, the reached set violates.  A first
+    violating set S is always caught at the last constraint of S in model
+    order, through the seed that S contains.
+    """
+    pos = {e: i for i, e in enumerate(cg.entity_ids)}
+
+    def seeds(base: frozenset[str]) -> list[tuple[str, ...]]:
+        level = {base}
+        for _ in range(min_sub - len(base)):
+            level = {s | {x} for s in level for y in s for x in adj[y]
+                     if x in keep and x not in s}
+        return sorted((tuple(sorted(s, key=pos.__getitem__)) for s in level),
+                      key=lambda t: [pos[e] for e in t])
+
+    pebbles = _Pebbles(cg, keep)
+    for k, (_, ents, doc) in enumerate(cg.constraints):
+        if not keep.issuperset(ents):
+            continue
+        own = pebbles.ents[k]
+        reached = pebbles.gather(own, doc)
+        if reached is not None:
+            if len(reached) >= min_sub:
+                return reached
+            # The reached set (smaller than min_sub) carries more DOC than DOF
+            # once c counts.  Any connected set of min_sub entities around it
+            # then violates: each added entity brings its DOF (at most 3 in
+            # 2D, 4 in 3D) and at least one joining constraint, so at most
+            # one (2D) or two (3D) additions keep DOF - DOC below D.  Without
+            # such a set the component is too small for any subset condition
+            # and c is left out.
+            around = seeds(reached)
+            if not around:
+                continue
+            sdof, sdoc, _ = cg.induced(around[0])
+            if sdof - sdoc >= D:
+                raise RuntimeError("pebble game cannot place constraint "
+                                   f"{cg.constraints[k][0]!r}")
+            return frozenset(around[0])
+        for seed in seeds(frozenset(own)):
+            reached = pebbles.gather(seed, doc + D)
+            if reached is not None:
+                return reached
+        pebbles.place(k, doc)
+    return None

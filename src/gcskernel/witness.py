@@ -36,7 +36,7 @@ from .compiler import (
     params_from_assignment,
 )
 from .model import Entity, Model, PLANE3, HESSIAN, POINT_NORMAL, LINE3
-from .numeric import RankAnalysis, optimize_solve, rank_analyze
+from .numeric import RANK_REL_TOL, RankAnalysis, optimize_solve, rank_analyze
 
 WITNESS_TOL = 1e-9
 COINCIDENCE_TOL = 1e-6
@@ -167,15 +167,17 @@ def motion_basis(model: Model, system: ResidualSystem, assignment) -> RigidMotio
 
 
 def compute_dor(model: Model, system: ResidualSystem, assignment,
-                columns: Sequence[int] | None = None) -> DorResult:
+                columns: Sequence[int] | None = None,
+                rank_tol: float = RANK_REL_TOL) -> DorResult:
     """Degree of rigidity: numerical rank of the rigid-motion basis.
 
     ``columns`` restricts the basis to a variable subset (used for
-    per-subsystem DOR in counting and detection).
+    per-subsystem DOR in counting and detection); ``rank_tol`` is the relative
+    SVD threshold of :func:`rank_analyze`.
     """
     basis = motion_basis(model, system, assignment)
     M = basis.matrix if columns is None else basis.matrix[:, list(columns)]
-    analysis = rank_analyze(M)
+    analysis = rank_analyze(M, rank_tol)
     return DorResult(analysis.rank, analysis)
 
 
@@ -224,12 +226,13 @@ def _dependency_supports(analysis: RankAnalysis, tol: float = 1e-10) -> tuple[tu
 def characterize_at(system: ResidualSystem, assignment, dor: int,
                     rows: Sequence[int] | None = None,
                     columns: Sequence[int] | None = None,
-                    seeds: tuple[int, ...] = ()) -> WcmReport:
+                    seeds: tuple[int, ...] = (),
+                    rank_tol: float = RANK_REL_TOL) -> WcmReport:
     """Single-witness constraint-state report on the (sub)system Jacobian."""
     J = eval_jacobian(system, assignment, rows=rows)
     if columns is not None:
         J = J[:, list(columns)]
-    analysis = rank_analyze(J)
+    analysis = rank_analyze(J, rank_tol)
     m, n = analysis.shape
     over = analysis.rank < m
     under = (n - analysis.rank) > dor
@@ -257,22 +260,26 @@ def characterize_at(system: ResidualSystem, assignment, dor: int,
 
 
 def characterize(system: ResidualSystem, model: Model, seed: int = 0,
-                 votes: int = 3, max_attempts: int = 10) -> WcmReport:
+                 votes: int = 3, max_attempts: int = 10,
+                 rank_tol: float = RANK_REL_TOL) -> WcmReport:
     """Majority-vote characterization over independently seeded witnesses.
 
     Anchors are excluded: the criteria quantify rigid-motion freedom, which
     anchoring deliberately removes.  If no two witnesses agree on (rank, dor)
     the verdict is "unstable" and the individual reports are attached.
+    ``rank_tol`` is the relative SVD threshold of both rank decisions (the
+    Jacobian rank and the degree of rigidity).
     """
     base = system.without_anchors()
     if base.n_variables == 0:
-        return characterize_at(base, np.zeros(0), 0, seeds=(seed,))
+        return characterize_at(base, np.zeros(0), 0, seeds=(seed,), rank_tol=rank_tol)
     reports: list[WcmReport] = []
     for i in range(votes):
         wseed = seed + i
         wit = generate_witness(base, model, seed=wseed, max_attempts=max_attempts)
-        dor = compute_dor(model, base, wit.assignment).dor
-        reports.append(characterize_at(base, wit.assignment, dor, seeds=(wseed,)))
+        dor = compute_dor(model, base, wit.assignment, rank_tol=rank_tol).dor
+        reports.append(characterize_at(base, wit.assignment, dor, seeds=(wseed,),
+                                       rank_tol=rank_tol))
     keys = [(r.rank, r.dor) for r in reports]
     needed = 1 if votes == 1 else max(2, votes // 2 + 1)
     for i, key in enumerate(keys):

@@ -116,6 +116,28 @@ def test_solve_inconsistent_exit_4(capsys, corpus_dir):
     assert data["residualMax"] > 1e-3
 
 
+def test_solve_decomposed_refuses_inconsistent(capsys, corpus_dir):
+    # the bars have no real solution, so recombining the clusters fails; the
+    # failure is a refusal on stderr, not a traceback
+    code = main(["solve", "--strategy", "decomposed", str(corpus_dir / "inconsistent.json")])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("decomposed solve failed: ")
+
+
+def test_rank_tol_reaches_witness_rank_decisions(capsys, corpus_dir):
+    path = str(corpus_dir / "triangle.json")
+    code, default = run_json(capsys, "check", path)
+    assert (code, default["report"]["witness"]["rank"]) == (0, 7)
+    # a threshold of 10 % of the largest singular value drops one rank
+    code, loose = run_json(capsys, "--rank-tol", "0.1", "check", path)
+    assert code == 5
+    assert loose["report"]["witness"]["rank"] == 6
+    assert loose["report"]["witness"]["verdict"] == "over-and-under"
+    assert loose["report"]["structural"] == default["report"]["structural"]
+
+
 def test_solve_decomposed_agrees_with_direct(capsys, corpus_dir):
     _, direct = run_json(capsys, "solve", str(corpus_dir / "solve-braced-quad.json"))
     _, decomposed = run_json(capsys, "solve", str(corpus_dir / "solve-braced-quad.json"),

@@ -1,3 +1,5 @@
+from itertools import combinations, permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from gcskernel import (
     EquationGraph,
     add_anchors,
     build_graphs,
+    characterize,
     compile_model,
     counting_state,
     dm_decompose,
@@ -14,7 +17,7 @@ from gcskernel import (
     scc_plan,
 )
 from gcskernel import zoo
-from gcskernel.model import Model
+from gcskernel.model import CONSTRAINT_KINDS, Constraint, Entity, Model, load_model
 
 
 def graph_of(system) -> EquationGraph:
@@ -313,9 +316,9 @@ def test_counting_isomorphism_invariance():
         assert counting_of(renamed).state == counting_of(m).state
 
 
-def test_counting_beyond_cap_uses_edge_induced_sampling():
-    # a 14-point chain exceeds the exhaustive cap; the sampled verdict is
-    # still right, and a doubled edge is found through constraint pieces
+def test_counting_long_chain_and_doubled_edge():
+    # a 14-point chain is under; a doubled edge makes its two points a
+    # violating subset
     coords = {f"P{i:02d}": (float(i), 0.3 * (i % 2)) for i in range(14)}
     edges = [(f"P{i:02d}", f"P{i+1:02d}") for i in range(13)]
     chain = zoo.points_distances_model(coords, edges)
@@ -342,3 +345,174 @@ def test_counting_dor_mode():
     assert counting_state(cg, 2, mode="dor", dor_fn=dor_fn).state == "well"
     with pytest.raises(ValueError):
         counting_state(cg, 2, mode="dor")
+
+
+def test_counting_dor_mode_refuses_large_models():
+    # dor frames depend on the subset, so dor mode enumerates subsets; a model
+    # too large to enumerate is refused, so no cap changes a verdict silently
+    m = zoo.triangle_strip(11)
+    _, cg = build_graphs(compile_model(m), m)
+    assert len(cg.entity_ids) == 13
+    with pytest.raises(ValueError):
+        counting_state(cg, 2, mode="dor", dor_fn=lambda subset: 3)
+
+
+def test_counting_large_strip_is_well():
+    verdict = counting_of(zoo.triangle_strip(100))
+    assert verdict.state == "well"
+    assert verdict.deficit == 0
+
+
+def pendant_probe(corpus_dir, pendants: int) -> Model:
+    """Braced pentagon plus the surplus bar P2-P5 and a pendant chain off P3."""
+    base = load_model(corpus_dir / "solve-pentagon-fan.json")
+    entities = list(base.entities)
+    constraints = list(base.constraints) + [Constraint("s1", "distance-pp", ("P2", "P5"), 3.0)]
+    prev = "P3"
+    for i in range(1, pendants + 1):
+        entities.append(Entity(f"Q{i}", "point2", (float(i), 0.5 * (-1) ** i)))
+        constraints.append(Constraint(f"q{i}", "distance-pp", (prev, f"Q{i}"), 1.0))
+        prev = f"Q{i}"
+    return Model(2, tuple(entities), tuple(constraints))
+
+
+@pytest.mark.parametrize("pendants", [7, 8])
+def test_counting_pendant_probe_over_at_any_size(corpus_dir, pendants):
+    # 12 and 13 entities: the verdict must not flip with model size
+    model = pendant_probe(corpus_dir, pendants)
+    assert len(model.entities) == 5 + pendants
+    verdict = counting_of(model)
+    assert verdict.state == "over"
+    assert verdict.witness_subgraph == ("P1", "P2", "P3", "P4", "P5")
+
+
+# --- counting against a brute-force oracle -----------------------------------
+
+def brute_force_counting(cg, dimension):
+    """The fixed-D rules checked on every connected subset; returns the state and
+    the predicate "connected subset that violates the subset condition"."""
+    D, min_sub = (3, 2) if dimension == 2 else (6, 3)
+    adj = cg.neighbors()
+
+    def violating(sub) -> bool:
+        sub = set(sub)
+        seen, frontier = set(), [next(iter(sub))]
+        while frontier:
+            e = frontier.pop()
+            if e not in seen:
+                seen.add(e)
+                frontier.extend(adj[e] & sub)
+        dof, doc, _ = cg.induced(sub)
+        return len(sub) >= min_sub and seen == sub and dof >= D and dof - doc < D
+
+    ids = cg.entity_ids
+    dof, doc, _ = cg.induced(ids)
+    deficit = dof - doc - D
+    if deficit < 0 or any(violating(s) for k in range(min_sub, len(ids) + 1)
+                          for s in combinations(ids, k)):
+        return "over", violating
+    if dof < D or deficit > 0:
+        return "under", violating
+    return "well", violating
+
+
+ENTITY_KINDS = {
+    2: (("point2", None), ("line2", None)),
+    3: (("point3", None), ("line3", None), ("plane3", "hessian"), ("plane3", "point-normal")),
+}
+
+
+@st.composite
+def mixed_models(draw, dimension):
+    """Random valid models of at most 8 entities over every constraint kind."""
+    kinds = draw(st.lists(st.sampled_from(ENTITY_KINDS[dimension]), min_size=1, max_size=8))
+    entities = []
+    for i, (kind, rep) in enumerate(kinds):
+        size = Entity("x", kind, representation=rep).spec.raw_size
+        entities.append(Entity(f"E{i}", kind, tuple(0.1 * (i + j + 1) for j in range(size)), rep))
+    tag = {e.id: e.kind for e in entities}
+    options = [
+        (spec.tag, ents)
+        for spec in CONSTRAINT_KINDS.values()
+        for sig in spec.signatures.get(dimension, ())
+        for ents in permutations(tag, len(sig))
+        if tuple(tag[e] for e in ents) == sig
+    ]
+    picks = draw(st.lists(st.sampled_from(options), max_size=3 * len(entities))) if options else []
+    constraints, payloads = [], set()
+    for i, (kind, ents) in enumerate(picks):
+        value = 0.5 + 0.1 * i if CONSTRAINT_KINDS[kind].has_value else None
+        if (kind, frozenset(ents), value) not in payloads:
+            payloads.add((kind, frozenset(ents), value))
+            constraints.append(Constraint(f"c{i}", kind, ents, value))
+    return Model(dimension, tuple(entities), tuple(constraints))
+
+
+def assert_counting_matches_oracle(model):
+    _, cg = build_graphs(compile_model(model), model)
+    verdict = counting_state(cg, model.dimension)
+    expected, violating = brute_force_counting(cg, model.dimension)
+    assert verdict.state == expected
+    witness = verdict.witness_subgraph
+    if verdict.state == "over" and violating(witness):
+        assert not any(violating(s) for k in range(1, len(witness))
+                       for s in combinations(witness, k))
+    elif verdict.state == "over":
+        # only the whole model violates, through its own deficit
+        assert set(witness) == set(cg.entity_ids) and verdict.deficit < 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(mixed_models(2))
+def test_counting_matches_brute_force_2d(model):
+    assert_counting_matches_oracle(model)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(mixed_models(3))
+def test_counting_matches_brute_force_3d(model):
+    assert_counting_matches_oracle(model)
+
+
+def test_counting_pair_overfixed_beyond_its_pebbles():
+    # After a distance and a fix, the points P, Q keep 2 free pebbles, too few
+    # to cover the coincidence (DOC 3).  The pair is below the 3D subset size;
+    # the violating set is the pair plus its neighbour X, while the whole
+    # model has spare freedom (deficit 1)
+    P, Q = (Entity(e, "point3", (float(i), 1.0, 2.0)) for i, e in enumerate("PQ"))
+    X, Y = (Entity(e, "line3", (float(i), 0.0, 0.0, 1.0, 0.0, 0.0)) for i, e in enumerate("XY"))
+    model = Model(3, (P, Q, X, Y), (
+        Constraint("d", "distance-pp", ("P", "Q"), 1.0),
+        Constraint("f", "fix", ("P",)),
+        Constraint("c", "coincident", ("P", "Q")),
+        Constraint("px", "distance-pl", ("P", "X"), 1.0),
+        Constraint("xy", "distance-ll", ("X", "Y"), 1.0),
+    ))
+    verdict = counting_of(model)
+    assert verdict.deficit == 1
+    assert verdict.witness_subgraph == ("P", "Q", "X")
+    assert_counting_matches_oracle(model)
+
+
+@st.composite
+def bar_frameworks(draw):
+    """Generic 2D bar frameworks: 2-8 points, any simple edge set."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    coords = {f"P{i}": tuple(rng.uniform(-5.0, 5.0, size=2)) for i in range(n)}
+    edges = draw(st.lists(st.sampled_from(list(combinations(sorted(coords), 2))),
+                          unique=True, max_size=2 * n))
+    return zoo.points_distances_model(coords, edges)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(bar_frameworks())
+def test_counting_agrees_with_witness_on_bar_frameworks(model):
+    # Laman's theorem: on generic 2D bar frameworks exact counting decides
+    # rigidity and independence, so it must agree with the witness verdict
+    state = counting_of(model).state
+    verdict = characterize(compile_model(model), model).verdict
+    if state == "over":
+        assert verdict in ("over", "over-and-under")
+    else:
+        assert verdict == state
