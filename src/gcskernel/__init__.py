@@ -18,7 +18,7 @@ from .compiler import (
     dump_equations,
     eval_jacobian,
     eval_residuals,
-    induced_model,
+    induced,
     linear_system,
     params_from_assignment,
 )
@@ -41,6 +41,7 @@ from .detect import (
     is_well_part,
     oracle_max_well_part,
     oracle_min_dependent_sets,
+    witness_matrices,
 )
 from .model import (
     Constraint,
@@ -55,7 +56,14 @@ from .model import (
     save_model,
     validate,
 )
-from .numeric import RankAnalysis, SolveResult, newton_solve, optimize_solve, rank_analyze
+from .numeric import (
+    RankAnalysis,
+    SolveResult,
+    newton_solve,
+    optimize_solve,
+    rank_analyze,
+    solve,
+)
 from .structural import (
     ConstraintGraph,
     CountingVerdict,

@@ -1,9 +1,10 @@
 """Command-line front end: check | detect | decompose | solve.
 
 Exit codes: 0 well, 1 parse/validation error, 3 under, 4 over,
-5 over-and-under, 6 unstable.  Reports are deterministic for a fixed model
-and configuration; JSON output is byte-stable (sorted keys, fixed
-separators).  The environment variable GCS_SEED overrides --seed.
+5 over-and-under, 6 unstable, 7 decomposed solve refused (no 2D cluster
+tree, or a cluster failed to solve or align).  Reports are deterministic for
+a fixed model and configuration; JSON output is byte-stable (sorted keys,
+fixed separators).  The environment variable GCS_SEED overrides --seed.
 """
 
 from __future__ import annotations
@@ -34,11 +35,12 @@ from .detect import (
     oracle_min_dependent_sets,
 )
 from .model import Model, model_from_json_dict, validate
-from .numeric import RANK_REL_TOL, newton_solve, optimize_solve
+from .numeric import RANK_REL_TOL, solve
 from .structural import build_graphs, counting_state
 from .witness import characterize, generate_witness
 
 EXIT = {"well": 0, "under": 3, "over": 4, "over-and-under": 5, "unstable": 6}
+EXIT_REFUSED = 7
 
 
 @dataclass
@@ -157,23 +159,25 @@ def cmd_detect(args, cfg: RunConfig) -> int:
         wit = generate_witness(system.without_anchors(), model, seed=cfg.seed)
         x = wit.assignment
         system = system.without_anchors()
-    greedy = greedy_dependency_groups(system, x, seed_row=args.seed_row)
+    greedy = greedy_dependency_groups(system, x, seed_row=args.seed_row,
+                                      rank_tol=cfg.rank_tol)
     payload = {
         "command": "detect",
         "model": args.model,
         "greedy": detection_report(greedy, [], "greedy", cfg.seed),
     }
     try:
-        oracle = oracle_min_dependent_sets(system, x)
+        oracle = oracle_min_dependent_sets(system, x, rank_tol=cfg.rank_tol)
         payload["oracle"] = detection_report(oracle, [], "oracle", cfg.seed)
     except CapExceeded as err:
         payload["oracle"] = {"skipped": str(err)}
     if model is not None:
-        parts = greedy_well_parts(model, system, x, seed_entity=args.seed_entity)
+        parts = greedy_well_parts(model, system, x, seed_entity=args.seed_entity,
+                                  rank_tol=cfg.rank_tol)
         payload["greedy"]["wellParts"] = sorted(
             list(p.sorted_entities()) for p in parts)
         try:
-            best = oracle_max_well_part(model, system, x)
+            best = oracle_max_well_part(model, system, x, rank_tol=cfg.rank_tol)
             payload["oracle"]["maxWellPart"] = sorted(best.entities)
         except CapExceeded as err:
             payload["oracle"]["maxWellPart"] = f"skipped: {err}"
@@ -195,8 +199,8 @@ def cmd_decompose(args, cfg: RunConfig) -> int:
     wr = characterize(system, model, seed=cfg.seed, votes=cfg.witnesses,
                       rank_tol=cfg.rank_tol)
     try:
-        tree = bottom_up(model, seed=cfg.seed) if args.strategy == "bottom-up" \
-            else top_down(model)
+        tree = bottom_up(model, seed=cfg.seed, rank_tol=cfg.rank_tol) \
+            if args.strategy == "bottom-up" else top_down(model)
         payload = {
             "command": "decompose",
             "model": args.model,
@@ -229,10 +233,10 @@ def cmd_solve(args, cfg: RunConfig) -> int:
 
     if args.strategy == "decomposed":
         try:
-            tree = bottom_up(model, seed=cfg.seed)
+            tree = bottom_up(model, seed=cfg.seed, rank_tol=cfg.rank_tol)
             plan, solution, cert = solve_tree(model, tree)
         except (DecompositionError, AlignmentError) as err:
-            raise SystemExitError(4, f"decomposed solve failed: {err}")
+            raise SystemExitError(EXIT_REFUSED, f"decomposed solve failed: {err}")
         result = cert
         params = solution
     else:
@@ -240,10 +244,7 @@ def cmd_solve(args, cfg: RunConfig) -> int:
             anchored = add_anchors(system, model)
         except AnchorError:
             anchored = system  # no frame to pin; least-squares steps cope
-        result = newton_solve(anchored, start, max_iter=cfg.max_iter, tol=cfg.residual_tol)
-        if not result.converged:
-            result = optimize_solve(anchored, start, max_iter=cfg.max_iter,
-                                    tol=cfg.residual_tol)
+        result = solve(anchored, start, max_iter=cfg.max_iter, tol=cfg.residual_tol)
         params = params_from_assignment(model, anchored, result.assignment)
 
     payload = {

@@ -4,14 +4,16 @@ One variable is created per raw entity parameter (entity order, then component
 order), one residual per DOC unit of each constraint, followed by the
 normalization residuals of redundant parameterizations, followed by any frame
 anchors.  Compilation is deterministic: the same model always yields the same
-variable and residual ordering.
+variable and residual ordering.  :func:`induced` gives the constraints and
+residual rows that an entity subset induces; detection and bottom-up
+decomposition test rigidity on exactly those rows.
 
 Residual conventions:
 
 * point-point distances use the squared form ``|b - a|^2 - v^2``;
 * 2D line incidence uses the Hesse normal form ``x cos(phi) + y sin(phi) - rho``;
-* the 2D line-line angle compiles to ``(phi1 - phi2)^2 - (pi - v)^2`` by
-  default (``angle_form="linear"`` selects ``phi1 - phi2 - (pi - v)``);
+* the 2D line-line angle compiles to ``(phi1 - phi2)^2 - (pi - v)^2``, which
+  holds on both sign branches of ``phi1 - phi2 = +-(pi - v)``;
 * 3D angles use dot products, 3D parallelism and point-on-line use two
   components of the relevant cross product (the dropped component is the one
   aligned with the largest initial direction coordinate, so the two kept
@@ -168,7 +170,7 @@ def _direction_of(entity: Entity, v: list[ex.Expr]) -> tuple[list[ex.Expr], np.n
 
 
 def _emit_constraint(model: Model, c: Constraint, env: dict[str, list[ex.Expr]],
-                     angle_form: str, full_cross: bool = False) -> list[ex.Expr]:
+                     full_cross: bool = False) -> list[ex.Expr]:
     dim = model.dimension
     ents = [model.entity(eid) for eid in c.entities]
     v = [env[eid] for eid in c.entities]
@@ -213,17 +215,8 @@ def _emit_constraint(model: Model, c: Constraint, env: dict[str, list[ex.Expr]],
 
     if kind == "angle-ll":
         if dim == 2:
-            dphi = v[0][0] - v[1][0]
             target = math.pi - c.value
-            if angle_form == "squared":
-                return [ex.square(dphi) - target * target]
-            # the linear form must pick a sign branch; take the one nearest
-            # the sketch when initial parameters are available
-            sign = 1.0
-            if ents[0].params is not None and ents[1].params is not None:
-                if ents[0].params[0] < ents[1].params[0]:
-                    sign = -1.0
-            return [dphi - sign * target]
+            return [ex.square(v[0][0] - v[1][0]) - target * target]
         d1, d2 = v[0][3:6], v[1][3:6]
         return [ex.dot(d1, d2) - math.cos(c.value)]
 
@@ -277,8 +270,7 @@ def _emit_constraint(model: Model, c: Constraint, env: dict[str, list[ex.Expr]],
     raise CompileError(f"unsupported constraint kind {kind!r}")
 
 
-def compile_model(model: Model, angle_form: str = "squared",
-                  cross_mode: str = "reduced") -> ResidualSystem:
+def compile_model(model: Model, cross_mode: str = "reduced") -> ResidualSystem:
     """Compile a validated model into a residual system.
 
     ``cross_mode="full"`` emits all three components of cross-product
@@ -294,8 +286,6 @@ def compile_model(model: Model, angle_form: str = "squared",
     if problems:
         summary = "; ".join(f"{p.code}({p.subject})" for p in problems[:5])
         raise CompileError(f"model does not validate: {summary}")
-    if angle_form not in ("squared", "linear"):
-        raise CompileError(f"unknown angle form {angle_form!r}")
     if cross_mode not in ("reduced", "full"):
         raise CompileError(f"unknown cross mode {cross_mode!r}")
 
@@ -312,8 +302,7 @@ def compile_model(model: Model, angle_form: str = "squared",
 
     for c in model.constraints:
         spec = CONSTRAINT_KINDS[c.kind]
-        exprs = _emit_constraint(model, c, env, angle_form,
-                                 full_cross=(cross_mode == "full"))
+        exprs = _emit_constraint(model, c, env, full_cross=(cross_mode == "full"))
         for k, e_ in enumerate(exprs):
             suffix = "" if len(exprs) == 1 else f"[{k}]"
             push(e_, f"{c.id}{suffix}", "constraint", c.id, spec.singular)
@@ -438,12 +427,20 @@ def params_from_assignment(model: Model, system: ResidualSystem,
     return {k: tuple(vals) for k, vals in out.items()}
 
 
-def induced_model(model: Model, entity_ids: Iterable[str]) -> Model:
-    """Submodel on an entity subset with its induced constraints."""
+def induced(model: Model, system: ResidualSystem,
+            entity_ids: Iterable[str]) -> tuple[frozenset[str], list[int]]:
+    """Constraint ids and residual rows induced by an entity subset.
+
+    A constraint is induced when all of its entities are in the subset; its
+    rows are induced with it, as are the normalization rows of the subset's
+    entities.  Anchor rows never are.
+    """
     keep = set(entity_ids)
-    ents = tuple(e for e in model.entities if e.id in keep)
-    cons = tuple(c for c in model.constraints if set(c.entities) <= keep)
-    return Model(model.dimension, ents, cons)
+    cids = frozenset(c.id for c in model.constraints if set(c.entities) <= keep)
+    rows = [r.index for r in system.residuals
+            if (r.kind == "constraint" and r.source in cids)
+            or (r.kind == "normalization" and r.source in keep)]
+    return cids, rows
 
 
 def linear_system(coefficients, rhs, variable_names: Sequence[str] | None = None) -> ResidualSystem:

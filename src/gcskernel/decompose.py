@@ -15,10 +15,11 @@ receives a virtual distance bond whose value is measured from the first
 solved sibling.  Splitting recurses until triangles (or irreducible cores)
 remain, and the solve order is the reverse of the split order.
 
-Recombination solves each leaf with Newton on its anchored induced subsystem,
-started from the sketch re-expressed in the anchored frame so the solution
-keeps the sketch's chirality, then places child solutions by least-squares
-rigid alignment on shared entities.  Ternary one-point merges get their
+Recombination solves each leaf on its anchored induced subsystem with
+Newton, then damped Gauss-Newton (:func:`numeric.solve`), started from the
+sketch re-expressed in the anchored frame so the solution keeps the sketch's
+chirality, then places child solutions by least-squares rigid alignment on
+shared entities.  Ternary one-point merges get their
 closure point from the classical two-circle construction, with the mirror
 branch picked by the orientation of the initial sketch; merges whose shared
 elements are not points fall back to re-solving the node from the sketch.
@@ -39,11 +40,12 @@ from .compiler import (
     assignment_from_params,
     compile_model,
     eval_residuals,
+    induced,
     params_from_assignment,
 )
-from .detect import is_well_part
+from .detect import is_well_part, witness_matrices
 from .model import Constraint, Entity, Model, POINT2
-from .numeric import SolveResult, newton_solve, optimize_solve
+from .numeric import RANK_REL_TOL, SolveResult, solve
 from .witness import WitnessError, generate_witness
 
 ALIGN_TOL = 1e-6
@@ -119,22 +121,21 @@ class RecombinePlan:
     placements: tuple[Placement, ...]
 
 
-def _induced_cids(model: Model, subset: frozenset[str]) -> frozenset[str]:
-    return frozenset(c.id for c in model.constraints if set(c.entities) <= subset)
-
-
 # ---------------------------------------------------------------------------
 # bottom-up clustering
 
 
-def bottom_up(model: Model, seed: int = 0) -> ClusterTree:
-    """Merge rigid seed clusters into a cluster forest (partial trees allowed)."""
+def bottom_up(model: Model, seed: int = 0, rank_tol: float = RANK_REL_TOL) -> ClusterTree:
+    """Merge rigid seed clusters into a cluster forest (partial trees allowed).
+
+    ``rank_tol`` is the relative SVD threshold of every rigidity check.
+    """
     system = compile_model(model)
     try:
         witness = generate_witness(system, model, seed=seed)
     except WitnessError as err:
         raise DecompositionError(f"cannot build a witness for merge checks: {err}")
-    x = witness.assignment
+    J, M = witness_matrices(model, system, witness.assignment)
 
     counter = [0]
 
@@ -142,21 +143,20 @@ def bottom_up(model: Model, seed: int = 0) -> ClusterTree:
         counter[0] += 1
         ents = frozenset(entities)
         return ClusterNode(
-            counter[0], kind, ents, _induced_cids(model, ents),
-            tuple(children), tuple(shared))
+            counter[0], kind, ents, induced(model, system, ents)[0], tuple(children),
+            tuple(shared))
 
     def rigid(entity_set: Iterable[str]) -> bool:
-        return is_well_part(model, system, x, entity_set)
+        return is_well_part(model, system, J, M, entity_set, rank_tol)
 
     active: list[ClusterNode] = []
     ids = sorted(e.id for e in model.entities)
     for single in ids:
-        if _induced_cids(model, frozenset((single,))) and rigid((single,)):
+        if induced(model, system, (single,))[0] and rigid((single,)):
             active.append(new_node("seed", (single,)))
     for a, b in combinations(ids, 2):
-        pair = frozenset((a, b))
-        if _induced_cids(model, pair) and rigid(pair):
-            active.append(new_node("seed", pair))
+        if induced(model, system, (a, b))[0] and rigid((a, b)):
+            active.append(new_node("seed", (a, b)))
 
     redundant: set[str] = set()
     rejected: set[tuple] = set()
@@ -196,7 +196,7 @@ def bottom_up(model: Model, seed: int = 0) -> ClusterTree:
                 break
             rejected.add(key)
             covered = frozenset().union(*(c.constraints for c in group))
-            extra = _induced_cids(model, union) - covered
+            extra = induced(model, system, union)[0] - covered
             # surplus constraints of a failed rigid-check point at redundancy
             if extra:
                 redundant |= extra
@@ -374,24 +374,21 @@ def _sketch_solution(model: Model, entities: Iterable[str]) -> Solution:
 
 def _submodel(model: Model, entities: frozenset[str],
               constraint_ids: frozenset[str],
-              params: Solution) -> Model:
+              params: Solution, extra: Sequence[Constraint] = ()) -> Model:
     return Model(
         model.dimension,
         tuple(Entity(e.id, e.kind, params[e.id], e.representation)
               for e in model.entities if e.id in entities),
-        tuple(c for c in model.constraints if c.id in constraint_ids),
+        tuple(c for c in model.constraints if c.id in constraint_ids) + tuple(extra),
     )
 
 
 def _solve_subsystem(model: Model, entities: frozenset[str],
                      constraint_ids: frozenset[str],
-                     extra: Sequence[Constraint],
                      start_solution: Solution) -> Solution:
     sub = _submodel(model, entities, constraint_ids, start_solution)
-    sub = Model(sub.dimension, sub.entities, sub.constraints + tuple(extra))
     system = compile_model(sub)
-    start = assignment_from_params(sub, system)
-    result = optimize_solve(system, start, max_iter=300)
+    result = solve(system, assignment_from_params(sub, system))
     if not result.converged:
         raise DecompositionError(
             f"subsystem {sorted(entities)} failed to solve: {result.status}")
@@ -400,7 +397,7 @@ def _solve_subsystem(model: Model, entities: frozenset[str],
 
 def _solve_leaf(model: Model, node: ClusterNode,
                 bond_values: Mapping[tuple[str, str], float]) -> Solution:
-    """Newton on the anchored induced subsystem, started from the re-framed sketch."""
+    """Solve the anchored induced subsystem, started from the re-framed sketch."""
     extra = []
     for (a, b) in node.virtual_bonds:
         if (a, b) not in bond_values:
@@ -408,8 +405,7 @@ def _solve_leaf(model: Model, node: ClusterNode,
                 f"virtual bond {a}-{b} has no measured value; no rigid sibling solved first")
         extra.append(Constraint(f"vbond:{a}-{b}", "distance-pp", (a, b), bond_values[(a, b)]))
     sketch = _sketch_solution(model, node.entities)
-    sub = _submodel(model, node.entities, node.constraints, sketch)
-    sub = Model(sub.dimension, sub.entities, sub.constraints + tuple(extra))
+    sub = _submodel(model, node.entities, node.constraints, sketch, extra)
     system = compile_model(sub)
     points = _points_of(sub, node.entities)
     if len(points) >= 2:
@@ -428,15 +424,10 @@ def _solve_leaf(model: Model, node: ClusterNode,
                          e.representation) for e in sub.entities),
             sub.constraints,
         )
-        start = assignment_from_params(framed, anchored)
-        result = newton_solve(anchored, start)
-        if not result.converged:
-            result = optimize_solve(anchored, start, max_iter=300)
-        solve_sys = anchored
+        solve_sys, start = anchored, assignment_from_params(framed, anchored)
     else:
-        start = assignment_from_params(sub, system)
-        result = optimize_solve(system, start, max_iter=300)
-        solve_sys = system
+        solve_sys, start = system, assignment_from_params(sub, system)
+    result = solve(solve_sys, start)
     if not result.converged:
         raise DecompositionError(
             f"cluster {sorted(node.entities)} failed to solve: {result.status}")
@@ -523,7 +514,7 @@ def _solve_node(model: Model, node: ClusterNode,
             placements.append(Placement(child.node_id, tuple(sorted(sol)), R, t))
             for eid, params in moved.items():
                 merged.setdefault(eid, params)
-        return _solve_subsystem(model, node.entities, node.constraints, (), merged)
+        return _solve_subsystem(model, node.entities, node.constraints, merged)
 
     # bottom-up merge node
     solutions = [_solve_node(model, c, placements, bond_values) for c in node.children]
@@ -532,7 +523,7 @@ def _solve_node(model: Model, node: ClusterNode,
         # shared elements are not points (line-bearing merges); re-solve the
         # node from the sketch, which is a chirality-consistent global guess
         assembled = _sketch_solution(model, node.entities)
-    return _solve_subsystem(model, node.entities, node.constraints, (), assembled)
+    return _solve_subsystem(model, node.entities, node.constraints, assembled)
 
 
 def solve_tree(model: Model, tree: ClusterTree) -> tuple[RecombinePlan, Solution, SolveResult]:

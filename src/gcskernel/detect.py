@@ -8,6 +8,10 @@ realize the actual minimality definitions by subset enumeration, which is
 what exposes the documented greedy failures: greedy groups can be strictly
 larger than the true minimal dependent sets, and badly seeded well parts can
 be strictly smaller than the maximal ones.
+
+Well parts rest on one rigidity test, :func:`is_well_part`, which slices one
+witness Jacobian and one motion basis (:func:`witness_matrices`, evaluated
+once per search).  Every rank decision takes ``rank_tol``.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .compiler import ResidualSystem, eval_jacobian
+from .compiler import ResidualSystem, eval_jacobian, induced
 from .model import Model
-from .numeric import rank_analyze
-from .witness import characterize_at, compute_dor
+from .numeric import RANK_REL_TOL, rank_analyze
+from .witness import motion_basis
 
 SUPPORT_TOL = 1e-10
 
@@ -50,14 +54,14 @@ class WellPart:
         return tuple(sorted(self.entities))
 
 
-def _rank(rows: np.ndarray) -> int:
+def _rank(rows: np.ndarray, rank_tol: float) -> int:
     if rows.size == 0:
         return 0
-    return rank_analyze(rows).rank
+    return rank_analyze(rows, rank_tol).rank
 
 
-def greedy_dependency_groups(system: ResidualSystem, assignment,
-                             seed_row: int = 0) -> list[DependencyGroup]:
+def greedy_dependency_groups(system: ResidualSystem, assignment, seed_row: int = 0,
+                             rank_tol: float = RANK_REL_TOL) -> list[DependencyGroup]:
     """Dependency groups from a greedily grown maximal independent row set.
 
     Rows are scanned in ascending index order starting from ``seed_row``; each
@@ -77,7 +81,7 @@ def greedy_dependency_groups(system: ResidualSystem, assignment,
     excluded: list[int] = []
     for i in order:
         candidate = J[independent + [i]]
-        if _rank(candidate) == len(independent) + 1:
+        if _rank(candidate, rank_tol) == len(independent) + 1:
             independent.append(i)
         else:
             excluded.append(i)
@@ -100,8 +104,8 @@ def greedy_dependency_groups(system: ResidualSystem, assignment,
     return groups
 
 
-def oracle_min_dependent_sets(system: ResidualSystem, assignment,
-                              size_cap: int = 12) -> list[DependencyGroup]:
+def oracle_min_dependent_sets(system: ResidualSystem, assignment, size_cap: int = 12,
+                              rank_tol: float = RANK_REL_TOL) -> list[DependencyGroup]:
     """All inclusion-minimal linearly dependent row sets, by exhaustive enumeration.
 
     Enumeration is by increasing cardinality with superset pruning, so every
@@ -117,54 +121,43 @@ def oracle_min_dependent_sets(system: ResidualSystem, assignment,
             s = frozenset(combo)
             if any(prev <= s for prev in found):
                 continue
-            if _rank(J[list(combo)]) < k:
+            if _rank(J[list(combo)], rank_tol) < k:
                 found.append(s)
     return [DependencyGroup(rows=s, kind="oracle-minimal") for s in found]
 
 
-def _induced_rows(system: ResidualSystem, model: Model, entity_subset: set[str]) -> list[int]:
-    constraint_of = {c.id: c for c in model.constraints}
-    rows = []
-    for r in system.residuals:
-        if r.kind == "anchor":
-            continue
-        if r.kind == "normalization":
-            if r.source in entity_subset:
-                rows.append(r.index)
-        else:
-            c = constraint_of[r.source]
-            if set(c.entities) <= entity_subset:
-                rows.append(r.index)
-    return rows
+def witness_matrices(model: Model, system: ResidualSystem,
+                     assignment) -> tuple[np.ndarray, np.ndarray]:
+    """Witness Jacobian and rigid-motion basis that :func:`is_well_part` slices."""
+    return (eval_jacobian(system, assignment),
+            motion_basis(model, system, assignment).matrix)
 
 
-def _induced_constraints(model: Model, entity_subset: set[str]) -> frozenset[str]:
-    return frozenset(
-        c.id for c in model.constraints if set(c.entities) <= entity_subset)
+def is_well_part(model: Model, system: ResidualSystem, jacobian: np.ndarray,
+                 motions: np.ndarray, entity_subset: Iterable[str],
+                 rank_tol: float = RANK_REL_TOL) -> bool:
+    """Whether the induced subsystem is well-constrained at the witness.
 
-
-def is_well_part(model: Model, system: ResidualSystem, assignment,
-                 entity_subset: Iterable[str]) -> bool:
-    """Whether the induced subsystem characterizes as well-constrained at the witness.
-
-    A part with no induced constraints is never well (a lone free entity
-    satisfies the rank equalities vacuously but is not constrained at all).
+    The induced Jacobian block must have full row rank and a kernel no larger
+    than the rank of the motion block on its columns.  A part with no induced
+    constraints is never well (a lone free entity satisfies the rank
+    equalities vacuously but is not constrained at all).
     """
     subset = set(entity_subset)
     if not subset:
         return False
-    rows = _induced_rows(system, model, subset)
-    constraints = _induced_constraints(model, subset)
+    constraints, rows = induced(model, system, subset)
     if not constraints:
         return False
     columns = system.columns_of(subset)
-    dor = compute_dor(model, system, assignment, columns=columns).dor
-    report = characterize_at(system, assignment, dor, rows=rows, columns=columns)
-    return report.verdict == "well"
+    rank = _rank(jacobian[np.ix_(rows, columns)], rank_tol)
+    dor = _rank(motions[:, columns], rank_tol)
+    return rank == len(rows) and len(columns) - rank <= dor
 
 
 def greedy_well_parts(model: Model, system: ResidualSystem, assignment,
-                      seed_entity: str | None = None) -> list[WellPart]:
+                      seed_entity: str | None = None,
+                      rank_tol: float = RANK_REL_TOL) -> list[WellPart]:
     """Greedy maximal well-constrained parts, seed first, leftovers rescanned.
 
     A single ascending-id pass grows each part, adding an entity iff the
@@ -173,6 +166,7 @@ def greedy_well_parts(model: Model, system: ResidualSystem, assignment,
     design (that is the documented limitation), but deterministic for a fixed
     seed.
     """
+    J, M = witness_matrices(model, system, assignment)
     remaining = [e.id for e in model.entities]
     parts: list[WellPart] = []
     seed: str | None = seed_entity
@@ -183,10 +177,10 @@ def greedy_well_parts(model: Model, system: ResidualSystem, assignment,
         for eid in sorted(remaining):
             if eid == seed:
                 continue
-            if is_well_part(model, system, assignment, current | {eid}):
+            if is_well_part(model, system, J, M, current | {eid}, rank_tol):
                 current.add(eid)
-        if is_well_part(model, system, assignment, current):
-            parts.append(WellPart(frozenset(current), _induced_constraints(model, current)))
+        if is_well_part(model, system, J, M, current, rank_tol):
+            parts.append(WellPart(frozenset(current), induced(model, system, current)[0]))
             remaining = [i for i in remaining if i not in current]
         else:
             remaining.remove(seed)
@@ -195,7 +189,8 @@ def greedy_well_parts(model: Model, system: ResidualSystem, assignment,
 
 
 def oracle_max_well_part(model: Model, system: ResidualSystem, assignment,
-                         entity_cap: int = 10) -> WellPart:
+                         entity_cap: int = 10,
+                         rank_tol: float = RANK_REL_TOL) -> WellPart:
     """Largest well-constrained entity subset by exhaustive enumeration.
 
     Ties break by lexicographic entity-id order; when nothing qualifies the
@@ -204,11 +199,11 @@ def oracle_max_well_part(model: Model, system: ResidualSystem, assignment,
     ids = sorted(e.id for e in model.entities)
     if len(ids) > entity_cap:
         raise CapExceeded(f"{len(ids)} entities exceeds the oracle cap of {entity_cap}")
+    J, M = witness_matrices(model, system, assignment)
     for k in range(len(ids), 0, -1):
         for combo in combinations(ids, k):
-            if is_well_part(model, system, assignment, combo):
-                subset = set(combo)
-                return WellPart(frozenset(subset), _induced_constraints(model, subset))
+            if is_well_part(model, system, J, M, combo, rank_tol):
+                return WellPart(frozenset(combo), induced(model, system, combo)[0])
     return WellPart(frozenset(), frozenset())
 
 

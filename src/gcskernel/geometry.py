@@ -10,7 +10,6 @@ pivot-independent.
 2D actions:
   point (x, y):        translate by u; rotate velocity (-y, x)
   line (phi, rho):     translate -> rho += u . n(phi); rotate -> phi += theta
-  circle (cx, cy, r):  center moves like a point, radius is invariant
 
 3D actions:
   point p:                       p -> R p + t
@@ -26,7 +25,6 @@ import math
 import numpy as np
 
 from .model import (
-    CIRCLE2,
     HESSIAN,
     LINE2,
     LINE3,
@@ -77,10 +75,6 @@ def motion_rows(entity: Entity, params) -> np.ndarray:
         rows[0] = [0.0, math.cos(phi)]
         rows[1] = [0.0, math.sin(phi)]
         rows[2] = [1.0, 0.0]
-    elif entity.kind == CIRCLE2:
-        rows[0] = [1.0, 0.0, 0.0]
-        rows[1] = [0.0, 1.0, 0.0]
-        rows[2] = [-p[1], p[0], 0.0]
     elif entity.kind == POINT3:
         for i in range(3):
             rows[i, i] = 1.0
@@ -119,9 +113,6 @@ def apply_rigid(entity: Entity, params, rotation: np.ndarray, translation) -> np
 
     if entity.kind in (POINT2, POINT3):
         return R @ p + t
-    if entity.kind == CIRCLE2:
-        c = R @ p[0:2] + t
-        return np.array([c[0], c[1], p[2]])
     if entity.kind == LINE2:
         theta = math.atan2(R[1, 0], R[0, 0])
         phi = p[0] + theta

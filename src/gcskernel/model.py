@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping
 
-POINT2, LINE2, CIRCLE2 = "point2", "line2", "circle2"
+POINT2, LINE2 = "point2", "line2"
 POINT3, LINE3, PLANE3 = "point3", "line3", "plane3"
 
 HESSIAN = "hessian"
@@ -49,7 +49,6 @@ class KindSpec:
 KIND_SPECS: dict[tuple[str, str | None], KindSpec] = {
     (POINT2, None): KindSpec(POINT2, None, 2, ("x", "y")),
     (LINE2, None): KindSpec(LINE2, None, 2, ("phi", "rho")),
-    (CIRCLE2, None): KindSpec(CIRCLE2, None, 2, ("cx", "cy", "r")),
     (POINT3, None): KindSpec(POINT3, None, 3, ("x", "y", "z")),
     (LINE3, POINT_DIRECTION): KindSpec(
         LINE3, POINT_DIRECTION, 3, ("px", "py", "pz", "dx", "dy", "dz"),
@@ -67,7 +66,6 @@ KIND_SPECS: dict[tuple[str, str | None], KindSpec] = {
 DEFAULT_REPRESENTATION: dict[str, str | None] = {
     POINT2: None,
     LINE2: None,
-    CIRCLE2: None,
     POINT3: None,
     LINE3: POINT_DIRECTION,
     PLANE3: HESSIAN,

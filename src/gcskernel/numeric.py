@@ -4,8 +4,9 @@ Rank decisions use a scale-invariant SVD threshold tau = 1e-8 * sigma_max
 (1e-12 absolute for an all-zero matrix).  The Newton solver takes
 pseudo-inverse (least-squares) steps so consistently over-constrained or
 momentarily singular systems do not hard-fail; `optimize_solve` is a damped
-Gauss-Newton descent on the sum of squared residuals and doubles as the
-relaxation-style fallback for non-square and inconsistent systems.
+Gauss-Newton descent on the sum of squared residuals.  `solve` is the one
+solve policy of the direct and the decomposed solves: Newton, then damped
+Gauss-Newton from the same start when Newton does not converge.
 """
 
 from __future__ import annotations
@@ -169,3 +170,16 @@ def optimize_solve(system: ResidualSystem, start, max_iter: int = 100,
             return SolveResult(status, x, _max_abs(r), it, r)
     status = "converged" if _max_abs(r) <= tol else "max-iterations"
     return SolveResult(status, x, _max_abs(r), max_iter, r)
+
+
+def solve(system: ResidualSystem, start, max_iter: int = 100,
+          tol: float = RESIDUAL_TOL) -> SolveResult:
+    """Newton, then damped Gauss-Newton from the same start if Newton fails.
+
+    Both stages get ``max_iter`` iterations; the result is Newton's when it
+    converged, else Gauss-Newton's.
+    """
+    result = newton_solve(system, start, max_iter=max_iter, tol=tol)
+    if result.converged:
+        return result
+    return optimize_solve(system, start, max_iter=max_iter, tol=tol)

@@ -172,7 +172,7 @@ def compute_dor(model: Model, system: ResidualSystem, assignment,
     """Degree of rigidity: numerical rank of the rigid-motion basis.
 
     ``columns`` restricts the basis to a variable subset (used for
-    per-subsystem DOR in counting and detection); ``rank_tol`` is the relative
+    per-subsystem DOR in counting's ``dor`` mode); ``rank_tol`` is the relative
     SVD threshold of :func:`rank_analyze`.
     """
     basis = motion_basis(model, system, assignment)
@@ -224,15 +224,10 @@ def _dependency_supports(analysis: RankAnalysis, tol: float = 1e-10) -> tuple[tu
 
 
 def characterize_at(system: ResidualSystem, assignment, dor: int,
-                    rows: Sequence[int] | None = None,
-                    columns: Sequence[int] | None = None,
                     seeds: tuple[int, ...] = (),
                     rank_tol: float = RANK_REL_TOL) -> WcmReport:
-    """Single-witness constraint-state report on the (sub)system Jacobian."""
-    J = eval_jacobian(system, assignment, rows=rows)
-    if columns is not None:
-        J = J[:, list(columns)]
-    analysis = rank_analyze(J, rank_tol)
+    """Single-witness constraint-state report on the system Jacobian."""
+    analysis = rank_analyze(eval_jacobian(system, assignment), rank_tol)
     m, n = analysis.shape
     over = analysis.rank < m
     under = (n - analysis.rank) > dor

@@ -121,9 +121,19 @@ def test_solve_decomposed_refuses_inconsistent(capsys, corpus_dir):
     # failure is a refusal on stderr, not a traceback
     code = main(["solve", "--strategy", "decomposed", str(corpus_dir / "inconsistent.json")])
     captured = capsys.readouterr()
-    assert code == 4
+    assert code == 7
     assert captured.out == ""
     assert captured.err.startswith("decomposed solve failed: ")
+
+
+def test_solve_decomposed_refuses_3d_model(capsys, corpus_dir):
+    # the tetrahedron is well-constrained, but recombination covers 2D only:
+    # a refusal has its own exit code, not the "over" verdict's 4
+    code = main(["solve", "--strategy", "decomposed", str(corpus_dir / "tetrahedron.json")])
+    captured = capsys.readouterr()
+    assert code == 7
+    assert captured.out == ""
+    assert captured.err == "decomposed solve failed: cluster recombination covers the 2D scope\n"
 
 
 def test_rank_tol_reaches_witness_rank_decisions(capsys, corpus_dir):
@@ -136,6 +146,19 @@ def test_rank_tol_reaches_witness_rank_decisions(capsys, corpus_dir):
     assert loose["report"]["witness"]["rank"] == 6
     assert loose["report"]["witness"]["verdict"] == "over-and-under"
     assert loose["report"]["structural"] == default["report"]["structural"]
+
+
+def test_rank_tol_reaches_detection(capsys, corpus_dir):
+    path = str(corpus_dir / "triangle.json")
+    _, default = run_json(capsys, "detect", path)
+    assert default["greedy"]["dependencyGroups"] == []
+    assert default["oracle"]["maxWellPart"] == ["L1", "L2", "P1", "P2", "P3"]
+    # the loose threshold that makes the verdict over-and-under also drives
+    # the dependency search and the well-part rigidity checks
+    _, loose = run_json(capsys, "--rank-tol", "0.1", "detect", path)
+    assert loose["verdict"] == "over-and-under"
+    assert loose["greedy"]["dependencyGroups"] != []
+    assert len(loose["oracle"]["maxWellPart"]) < len(default["oracle"]["maxWellPart"])
 
 
 def test_solve_decomposed_agrees_with_direct(capsys, corpus_dir):

@@ -157,18 +157,14 @@ def test_jacobian_matches_finite_differences(builder):
         assert_jacobian_matches_fd(s, rng.uniform(-1, 1, size=s.n_variables))
 
 
-def test_angle_form_linear():
+def test_angle_form_squared():
     m = zoo.triangle_model()
-    squared = compile_model(m, angle_form="squared")
-    linear = compile_model(m, angle_form="linear")
+    squared = compile_model(m)
     x = assignment_from_params(m, squared)
-    # both forms vanish at the construction (the sketch sits on the branch
-    # phi1 - phi2 = pi - alpha)
+    # the squared form vanishes at the construction (the sketch sits on the
+    # branch phi1 - phi2 = pi - alpha)
     i = [r.index for r in squared.residuals if r.source == "alpha"][0]
     assert eval_residuals(squared, x)[i] == pytest.approx(0.0, abs=1e-9)
-    assert abs(eval_residuals(linear, x)[i]) == pytest.approx(0.0, abs=1e-9)
-    with pytest.raises(CompileError):
-        compile_model(m, angle_form="cubic")
 
 
 def test_dump_equations_listing():
@@ -190,14 +186,14 @@ def test_normalizations_are_singular_and_counted():
     assert len(norm) == 2 and all(r.singular for r in norm)
 
 
-def test_induced_model_subsets_constraints():
-    from gcskernel import induced_model
+def test_induced_subsets_constraints():
+    from gcskernel import induced
     m = zoo.braced_quad_model()
-    sub = induced_model(m, {"P1", "P2", "P4"})
-    assert {e.id for e in sub.entities} == {"P1", "P2", "P4"}
-    assert {c.id for c in sub.constraints} == {"e1", "e4", "e5"}
-    s = compile_model(sub)
-    assert s.n_variables == 6 and s.n_residuals == 3
+    s = compile_model(m)
+    constraints, rows = induced(m, s, {"P1", "P2", "P4"})
+    assert constraints == {"e1", "e4", "e5"}
+    assert [s.residuals[i].source for i in rows] == ["e1", "e4", "e5"]
+    assert len(s.columns_of({"P1", "P2", "P4"})) == 6 and len(rows) == 3
 
 
 def test_linear_system_shapes():

@@ -18,7 +18,7 @@ from gcskernel import (
 )
 from gcskernel import geometry, zoo
 from gcskernel.decompose import align_onto
-from gcskernel.model import Constraint, Model
+from gcskernel.model import Constraint, Entity, Model
 
 
 def direct_solution(m):
@@ -148,6 +148,32 @@ def test_solve_tree_matches_direct(strategy):
         assert cert.residual_norm <= 1e-9
         dev = aligned_max_deviation(m, direct_solution(m), solution)
         assert dev <= 1e-7, (name, dev)
+
+
+def jittered(m, rel, seed):
+    """The model with every sketch parameter moved by rel times its largest distance."""
+    rng = np.random.default_rng(seed)
+    scale = rel * max(c.value for c in m.constraints if c.kind == "distance-pp")
+    return Model(m.dimension, tuple(
+        Entity(e.id, e.kind, tuple(p + scale * rng.normal() for p in e.params),
+               e.representation) for e in m.entities), m.constraints)
+
+
+@pytest.mark.parametrize("strategy", [bottom_up, top_down])
+def test_solve_tree_from_jittered_sketch_keeps_chirality(strategy):
+    # the leaves start off the solution: the solve must converge to the
+    # sketch's branch, not its mirror (the rigid fit below admits no reflection)
+    models = zoo.solve_corpus()
+    if strategy is bottom_up:  # top-down takes points and distances only
+        models["carrier"] = zoo.triangle_model()
+    for name, m in models.items():
+        for seed in (1, 2):
+            sketch = jittered(m, 0.03, seed)
+            plan, solution, cert = solve_tree(sketch, strategy(sketch))
+            assert cert.status == "converged", (name, seed)
+            assert cert.residual_norm <= 1e-9
+            dev = aligned_max_deviation(m, direct_solution(m), solution)
+            assert dev <= 1e-7, (name, seed, dev)
 
 
 def test_one_cluster_tree_identity_placement():

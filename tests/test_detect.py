@@ -13,6 +13,7 @@ from gcskernel import (
     oracle_max_well_part,
     oracle_min_dependent_sets,
     rank_analyze,
+    witness_matrices,
 )
 from gcskernel import zoo
 from gcskernel.detect import detection_report
@@ -172,14 +173,14 @@ def test_parts_disjoint_and_well():
     for p in parts:
         assert not (p.entities & seen)
         seen |= p.entities
-        assert is_well_part(m, s, x, p.entities)
+        assert is_well_part(m, s, *witness_matrices(m, s, x), p.entities)
 
 
 def test_lone_entity_is_not_well():
     m = Model(2, (Entity("P1", "point2", (0.0, 0.0)),), ())
     s = compile_model(m)
     x = np.zeros(2)
-    assert not is_well_part(m, s, x, {"P1"})
+    assert not is_well_part(m, s, *witness_matrices(m, s, x), {"P1"})
     best = oracle_max_well_part(m, s, x)
     assert best.entities == frozenset()
 

@@ -9,6 +9,7 @@ from gcskernel import (
     compile_model,
     eval_residuals,
     is_well_part,
+    witness_matrices,
 )
 from gcskernel import geometry, zoo
 from gcskernel.decompose import bottom_up
@@ -74,7 +75,7 @@ def test_every_bottom_up_cluster_is_well_constrained():
     for m in [zoo.braced_quad_model(), zoo.triangle_model(), zoo.seed_demo_model()]:
         s = compile_model(m)
         from gcskernel import generate_witness
-        x = generate_witness(s, m, seed=0).assignment
+        J, M = witness_matrices(m, s, generate_witness(s, m, seed=0).assignment)
         tree = bottom_up(m)
 
         def nodes(n):
@@ -84,7 +85,7 @@ def test_every_bottom_up_cluster_is_well_constrained():
 
         for root in tree.roots:
             for node in nodes(root):
-                assert is_well_part(m, s, x, node.entities), sorted(node.entities)
+                assert is_well_part(m, s, J, M, node.entities), sorted(node.entities)
 
 
 def test_rotation_matrices():

@@ -19,7 +19,6 @@ from gcskernel import zoo
 def test_dof_table():
     assert dof_of("point2") == 2
     assert dof_of("line2") == 2
-    assert dof_of("circle2") == 3
     assert dof_of("point3") == 3
     assert dof_of("plane3", "hessian") == 3
     assert dof_of("plane3", "point-normal") == 5

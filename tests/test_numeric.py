@@ -13,6 +13,7 @@ from gcskernel import (
     newton_solve,
     optimize_solve,
     rank_analyze,
+    solve,
 )
 from gcskernel import zoo
 
@@ -128,6 +129,25 @@ def test_newton_quadratic_convergence():
     r1, r2, r3 = tail[-3], tail[-2], tail[-1]
     # quadratic: log-reduction at least ~1.5x the previous one
     assert math.log(r2 / r3) >= 1.5 * math.log(r1 / r2) or r3 <= 1e-10
+
+
+def test_solve_is_newton_then_gauss_newton_from_the_same_start():
+    m, s, x = _anchored_triangle()
+    start = x + 0.05 * np.random.default_rng(3).normal(size=x.shape)
+    newton = newton_solve(s, start)
+    res = solve(s, start)
+    assert newton.converged and res.iterations == newton.iterations
+    assert np.array_equal(res.assignment, newton.assignment)
+    # Newton stalls on the impossible triangle; Gauss-Newton restarts from
+    # the sketch, not from where Newton stopped
+    m = zoo.three_distances_model(10, 10, 25)
+    s = add_anchors(compile_model(m), m)
+    start = assignment_from_params(m, s)
+    assert not newton_solve(s, start, max_iter=7).converged
+    res = solve(s, start, max_iter=7)
+    gauss_newton = optimize_solve(s, start, max_iter=7)
+    assert (res.status, res.iterations) == (gauss_newton.status, gauss_newton.iterations)
+    assert np.array_equal(res.assignment, gauss_newton.assignment)
 
 
 def test_optimize_consistently_overconstrained():
