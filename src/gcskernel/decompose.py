@@ -8,6 +8,13 @@ engine so non-rigid unions (three lines under three angles) are rejected:
 * two clusters sharing two or more elements merge into one,
 * three clusters pairwise sharing a geometric element merge into one.
 
+Candidate groups wait in a priority queue and are tested in a fixed order:
+smallest union first, then fewer clusters, then lexicographic (sorted union,
+then sorted member sets).  Each group is tested once: a group enters the
+queue when its newest cluster is created, a rejected group never returns, and
+a group whose union an existing cluster covers is dropped.  The loop ends when
+the queue is empty.
+
 Top-down (2D point/distance scope): brute-force search for an articulation
 pair whose removal disconnects the constraint graph; the pair is duplicated
 into each side, and a child that cannot fix the pair's separation on its own
@@ -27,7 +34,9 @@ elements are not points fall back to re-solving the node from the sketch.
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
@@ -128,7 +137,11 @@ class RecombinePlan:
 def bottom_up(model: Model, seed: int = 0, rank_tol: float = RANK_REL_TOL) -> ClusterTree:
     """Merge rigid seed clusters into a cluster forest (partial trees allowed).
 
-    ``rank_tol`` is the relative SVD threshold of every rigidity check.
+    Merge candidates are tested smallest union first, then fewer clusters,
+    then lexicographically; each is tested once.  A merged cluster joins the
+    active clusters and queues the candidate groups it completes; the clusters
+    it covers stay active.  ``rank_tol`` is the relative SVD threshold of every
+    rigidity check.
     """
     system = compile_model(model)
     try:
@@ -150,58 +163,60 @@ def bottom_up(model: Model, seed: int = 0, rank_tol: float = RANK_REL_TOL) -> Cl
         return is_well_part(model, system, J, M, entity_set, rank_tol)
 
     active: list[ClusterNode] = []
+    holders: dict[str, list[ClusterNode]] = {}  # entity -> active clusters holding it
+    queue: list[tuple[tuple, frozenset[str], tuple[ClusterNode, ...]]] = []
+
+    def covered(union: frozenset[str]) -> bool:
+        return any(union <= c.entities for c in holders[next(iter(union))])
+
+    def push(group: tuple[ClusterNode, ...]) -> None:
+        union = frozenset().union(*(c.entities for c in group))
+        if covered(union):
+            return  # nothing new, now or later
+        # active entity sets are distinct, so the key orders groups totally
+        key = (len(union), len(group), tuple(sorted(union)),
+               tuple(sorted(tuple(sorted(c.entities)) for c in group)))
+        heapq.heappush(queue, (key, union, group))
+
+    def add(node: ClusterNode) -> None:
+        # queue every group whose newest member is node, members in active
+        # order, as combinations(active, k) yields them
+        overlap = Counter(c.node_id for e in node.entities for c in holders.get(e, ()))
+        near = [c for c in active if c.node_id in overlap]
+        active.append(node)
+        for e in node.entities:
+            holders.setdefault(e, []).append(node)
+        for c in near:
+            if overlap[c.node_id] >= 2:
+                push((c, node))
+        for i, c1 in enumerate(near):
+            for c2 in near[i + 1:]:
+                if c1.entities & c2.entities:
+                    push((c1, c2, node))
+
     ids = sorted(e.id for e in model.entities)
     for single in ids:
         if induced(model, system, (single,))[0] and rigid((single,)):
-            active.append(new_node("seed", (single,)))
+            add(new_node("seed", (single,)))
     for a, b in combinations(ids, 2):
         if induced(model, system, (a, b))[0] and rigid((a, b)):
-            active.append(new_node("seed", (a, b)))
+            add(new_node("seed", (a, b)))
 
     redundant: set[str] = set()
-    rejected: set[tuple] = set()
-
-    def candidates():
-        out = []
-        for c1, c2 in combinations(active, 2):
-            if len(c1.entities & c2.entities) >= 2:
-                out.append((c1, c2))
-        for c1, c2, c3 in combinations(active, 3):
-            if (c1.entities & c2.entities and c2.entities & c3.entities
-                    and c1.entities & c3.entities):
-                out.append((c1, c2, c3))
-        out.sort(key=lambda grp: (
-            len(frozenset().union(*(c.entities for c in grp))),
-            len(grp),
-            tuple(sorted(frozenset().union(*(c.entities for c in grp)))),
-            tuple(sorted(tuple(sorted(c.entities)) for c in grp)),
-        ))
-        return out
-
-    for _ in range(50 + 10 * len(model.entities)):
-        merged = False
-        for group in candidates():
-            union = frozenset().union(*(c.entities for c in group))
-            key = tuple(sorted((tuple(sorted(c.entities)) for c in group)))
-            if key in rejected:
-                continue
-            if any(union <= c.entities for c in active):
-                continue  # nothing new
-            if rigid(union):
-                shared = tuple(
-                    tuple(sorted(p.entities & q.entities))
-                    for p, q in combinations(group, 2))
-                active.append(new_node("merge", union, children=group, shared=shared))
-                merged = True
-                break
-            rejected.add(key)
-            covered = frozenset().union(*(c.constraints for c in group))
-            extra = induced(model, system, union)[0] - covered
-            # surplus constraints of a failed rigid-check point at redundancy
-            if extra:
-                redundant |= extra
-        if not merged:
-            break
+    while queue:
+        _, union, group = heapq.heappop(queue)
+        if covered(union):
+            continue
+        if rigid(union):
+            shared = tuple(
+                tuple(sorted(p.entities & q.entities))
+                for p, q in combinations(group, 2))
+            add(new_node("merge", union, children=group, shared=shared))
+            continue
+        held = frozenset().union(*(c.constraints for c in group))
+        extra = induced(model, system, union)[0] - held
+        # surplus constraints of a failed rigid-check point at redundancy
+        redundant |= extra
 
     maximal = [
         c for c in active

@@ -55,15 +55,27 @@ class WitnessConfiguration:
 
 
 def _entities_coincide(model: Model, params: dict[str, tuple[float, ...]]) -> bool:
-    by_kind: dict[tuple[str, str | None], list[np.ndarray]] = {}
+    """True iff two entities of one kind and representation have parameter
+    vectors within ``COINCIDENCE_TOL`` of each other in every component.
+
+    Rows sorted by their first column are compared at offsets d = 1, 2, ...
+    while some first-column gap at offset d is below the tolerance; a pair
+    further apart in that order differs by at least as much in that column.
+    A NaN component never coincides.
+    """
+    by_kind: dict[tuple[str, str | None], list[tuple[float, ...]]] = {}
     for e in model.entities:
         key = (e.kind, e.spec.representation)
-        by_kind.setdefault(key, []).append(np.asarray(params[e.id]))
-    for vals in by_kind.values():
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if np.max(np.abs(vals[i] - vals[j])) < COINCIDENCE_TOL:
-                    return True
+        by_kind.setdefault(key, []).append(params[e.id])
+    for rows in by_kind.values():
+        vals = np.asarray(rows, dtype=float)
+        vals = vals[np.argsort(vals[:, 0])]
+        first = vals[:, 0]
+        for d in range(1, len(vals)):
+            if not np.any(first[d:] - first[:-d] < COINCIDENCE_TOL):
+                break
+            if np.any(np.all(np.abs(vals[d:] - vals[:-d]) < COINCIDENCE_TOL, axis=1)):
+                return True
     return False
 
 

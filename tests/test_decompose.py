@@ -1,7 +1,10 @@
+import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcskernel import (
     AlignmentError,
@@ -16,9 +19,12 @@ from gcskernel import (
     solve_tree,
     top_down,
 )
-from gcskernel import geometry, zoo
-from gcskernel.decompose import align_onto
-from gcskernel.model import Constraint, Entity, Model
+from gcskernel import decompose, geometry, zoo
+from gcskernel.compiler import induced
+from gcskernel.decompose import ClusterNode, ClusterTree, align_onto
+from gcskernel.detect import is_well_part, witness_matrices
+from gcskernel.model import Constraint, Entity, Model, model_from_json_dict
+from gcskernel.witness import generate_witness
 
 
 def direct_solution(m):
@@ -91,6 +97,125 @@ def test_tree_json_shape():
     assert d["strategy"] == "bottom-up"
     assert d["roots"][0]["kind"] == "merge"
     assert sorted(d["roots"][0]["entities"]) == ["P1", "P2", "P3", "P4"]
+
+
+def restart_scan_bottom_up(model, seed=0):
+    """Reference bottom-up: after every merge, rebuild all candidate groups,
+    sort them and rescan from the top (the loop the worklist replaced)."""
+    system = compile_model(model)
+    witness = generate_witness(system, model, seed=seed)
+    J, M = witness_matrices(model, system, witness.assignment)
+    counter = [0]
+
+    def new_node(kind, entities, children=(), shared=()):
+        counter[0] += 1
+        ents = frozenset(entities)
+        return ClusterNode(counter[0], kind, ents, induced(model, system, ents)[0],
+                           tuple(children), tuple(shared))
+
+    def rigid(entity_set):
+        return is_well_part(model, system, J, M, entity_set)
+
+    active = []
+    ids = sorted(e.id for e in model.entities)
+    for single in ids:
+        if induced(model, system, (single,))[0] and rigid((single,)):
+            active.append(new_node("seed", (single,)))
+    for a, b in combinations(ids, 2):
+        if induced(model, system, (a, b))[0] and rigid((a, b)):
+            active.append(new_node("seed", (a, b)))
+
+    def candidates():
+        out = [(c1, c2) for c1, c2 in combinations(active, 2)
+               if len(c1.entities & c2.entities) >= 2]
+        out += [(c1, c2, c3) for c1, c2, c3 in combinations(active, 3)
+                if c1.entities & c2.entities and c2.entities & c3.entities
+                and c1.entities & c3.entities]
+        out.sort(key=lambda grp: (
+            len(frozenset().union(*(c.entities for c in grp))),
+            len(grp),
+            tuple(sorted(frozenset().union(*(c.entities for c in grp)))),
+            tuple(sorted(tuple(sorted(c.entities)) for c in grp)),
+        ))
+        return out
+
+    redundant, rejected = set(), set()
+    merged = True
+    while merged:
+        merged = False
+        for group in candidates():
+            union = frozenset().union(*(c.entities for c in group))
+            key = tuple(sorted(tuple(sorted(c.entities)) for c in group))
+            if key in rejected or any(union <= c.entities for c in active):
+                continue
+            if rigid(union):
+                shared = tuple(tuple(sorted(p.entities & q.entities))
+                               for p, q in combinations(group, 2))
+                active.append(new_node("merge", union, children=group, shared=shared))
+                merged = True
+                break
+            rejected.add(key)
+            held = frozenset().union(*(c.constraints for c in group))
+            redundant |= induced(model, system, union)[0] - held
+
+    maximal = [c for c in active
+               if not any(c is not o and c.entities < o.entities for o in active)]
+    roots = tuple(sorted(maximal, key=lambda c: (-len(c.entities), sorted(c.entities))))
+    covered_e = frozenset().union(*(r.entities for r in roots))
+    covered_c = frozenset().union(*(r.constraints for r in roots))
+    leftover = {c.id for c in model.constraints} - covered_c
+    return ClusterTree("bottom-up", roots, tuple(sorted(redundant | leftover)),
+                       tuple(sorted(set(ids) - covered_e)))
+
+
+def corpus_2d_models(corpus_dir):
+    for path in sorted(corpus_dir.glob("*.json")):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if data.get("dimension") == 2:
+            yield path.name, model_from_json_dict(data)
+
+
+def test_worklist_matches_restart_scan_on_corpus(corpus_dir):
+    for name, m in corpus_2d_models(corpus_dir):
+        assert bottom_up(m).to_json_dict() == restart_scan_bottom_up(m).to_json_dict(), name
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_worklist_matches_restart_scan_on_strips(n):
+    m = zoo.triangle_strip(n)
+    for seed in (0, 1, 7):
+        expected = restart_scan_bottom_up(m, seed).to_json_dict()
+        assert bottom_up(m, seed=seed).to_json_dict() == expected, seed
+
+
+@st.composite
+def small_bar_frameworks(draw):
+    """2D point-distance models: 2-7 points in general position, any edge set."""
+    n = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    coords = {f"P{i}": tuple(rng.uniform(-5.0, 5.0, size=2)) for i in range(n)}
+    edges = draw(st.lists(st.sampled_from(list(combinations(sorted(coords), 2))),
+                          unique=True, max_size=2 * n))
+    return zoo.points_distances_model(coords, edges)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(small_bar_frameworks())
+def test_worklist_matches_restart_scan_on_bar_frameworks(model):
+    assert bottom_up(model).to_json_dict() == restart_scan_bottom_up(model).to_json_dict()
+
+
+def test_bottom_up_rigidity_check_count_on_strip7(monkeypatch):
+    # each candidate group is tested once, as often as the restart scan tests it
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return is_well_part(*args, **kwargs)
+
+    monkeypatch.setattr(decompose, "is_well_part", counting)
+    bottom_up(zoo.triangle_strip(7))
+    assert calls[0] == 153
 
 
 # --- top-down -------------------------------------------------------------------

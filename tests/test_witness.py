@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,77 @@ from gcskernel import (
 )
 from gcskernel import geometry, zoo
 from gcskernel.model import Constraint, Entity
+from gcskernel.witness import COINCIDENCE_TOL, _entities_coincide
 
 
 # --- witness generation -------------------------------------------------------
+
+def pairwise_coincide(model, params):
+    """Reference: some same-kind pair has max |difference| below the tolerance."""
+    by_kind = {}
+    for e in model.entities:
+        by_kind.setdefault((e.kind, e.spec.representation), []).append(
+            np.asarray(params[e.id]))
+    return any(np.max(np.abs(a - b)) < COINCIDENCE_TOL
+               for vals in by_kind.values() for a, b in combinations(vals, 2))
+
+
+KINDS = {
+    2: (("point2", None), ("line2", None)),
+    # plane3 without a representation is a hessian plane: both land in one group
+    3: (("point3", None), ("line3", None), ("plane3", None), ("plane3", "hessian"),
+        ("plane3", "point-normal")),
+}
+
+
+def near_coincident_case(rng, dimension):
+    """Entities placed near a few shared base vectors, with per-component
+    offsets of 0, just under, just over and well over the tolerance."""
+    steps = COINCIDENCE_TOL * np.array([0.0, 0.0, 0.5, 0.999, 1.001, 2.0, 1e3])
+    bases = rng.uniform(-1.0, 1.0, size=(3, 6))
+    bases[1, 0] = bases[0, 0]  # a first-column tie between different bases
+    entities, params = [], {}
+    for i in range(int(rng.integers(2, 14))):
+        kind, rep = KINDS[dimension][rng.integers(len(KINDS[dimension]))]
+        e = Entity(f"E{i}", kind, None, rep)
+        size = e.spec.raw_size
+        offsets = rng.choice(steps, size=size) * rng.choice([-1.0, 1.0], size=size)
+        vals = bases[rng.integers(3), :size] + offsets
+        if rng.random() < 0.1:
+            vals[rng.integers(size)] = np.nan
+        entities.append(e)
+        params[e.id] = tuple(vals)
+    return Model(dimension, tuple(entities), ()), params
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_entities_coincide_matches_pairwise_reference(dimension):
+    rng = np.random.default_rng(dimension)
+    outcomes = set()
+    for _ in range(1500):
+        model, params = near_coincident_case(rng, dimension)
+        expected = pairwise_coincide(model, params)
+        assert _entities_coincide(model, params) == expected, params
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_entities_coincide_tolerance_edges_and_nan():
+    def coincide(*rows, kinds=("point2", "point2")):
+        model = Model(2, tuple(Entity(f"E{i}", k) for i, k in enumerate(kinds)), ())
+        return _entities_coincide(model, {f"E{i}": r for i, r in enumerate(rows)})
+
+    tol = COINCIDENCE_TOL
+    assert coincide((0.0, 0.0), (0.999 * tol, -0.999 * tol))
+    assert not coincide((0.0, 0.0), (1.001 * tol, 0.0))
+    assert not coincide((0.0, 0.0), (0.0, 1.001 * tol))   # first-column tie only
+    assert not coincide((0.0, 0.0), (0.0, 0.0), kinds=("point2", "line2"))
+    assert not coincide((np.nan, 0.0), (np.nan, 0.0))
+    assert not coincide((0.0, np.nan), (0.0, 0.0))
+    # the coincident pair is three apart in first-column order
+    assert coincide((0.0, 0.0), (0.2 * tol, 5.0), (0.4 * tol, 6.0), (0.6 * tol, 0.0),
+                    kinds=("point2",) * 4)
+
 
 def test_witness_satisfies_incidences():
     m = zoo.triangle_model()
