@@ -1,16 +1,30 @@
-"""Record the gcs JSON reports and exit codes on the corpus as a golden file.
+"""Record the gcs JSON reports on the corpus and library recombination results.
 
 Usage, from the root of the repository:
 
-    PYTHONPATH=src python scripts/make_golden.py [OUTPUT]
+    PYTHONPATH=src python scripts/make_golden.py [DIR]
 
-OUTPUT defaults to tests/golden/cli.json.  Each case runs
-``gcs --format json <command> corpus/<name>.json`` in-process, with GCS_SEED
-unset, and records its standard output and exit code.  The commands are
-``check``, ``detect``, ``decompose`` with both strategies and ``solve`` with
-both strategies.  tests/test_golden.py replays every case and compares the
-output byte for byte, so regenerate the file only for an intended change of
-output, and say which reports changed and why.
+DIR defaults to tests/golden.  Two files are written there.
+
+``cli.json``: each case runs ``gcs --format json <command> corpus/<name>.json``
+in-process, with GCS_SEED unset, and records its standard output and exit
+code.  The commands are ``check``, ``detect``, ``decompose`` with both
+strategies and ``solve`` with both strategies.
+
+``solve_tree.json``: each case builds a cluster tree with ``top_down`` or
+``bottom_up`` (seed 0) and recombines it with ``solve_tree``: top-down on
+triangle strips 12, 24 and 48, bottom-up on strips 3-6, and both strategies on
+every 2D corpus model and every model of ``zoo.solve_corpus``.  The exact
+sketches converge at iteration 0, so the solve-corpus models (both
+strategies) and top-down strip 12 run again with the sketch moved off the
+solution (``jittered``, seeds 1 and 2) and their clusters take Newton steps.
+Each case records the solution and placement floats as ``float.hex``
+strings, the certificate status and residual, or the type and message of the
+refusal.
+
+tests/test_golden.py replays every case and compares the results byte for
+byte and bit for bit, so regenerate the files only for an intended change of
+output, and say which results changed and why.
 """
 
 from __future__ import annotations
@@ -21,7 +35,18 @@ import json
 import os
 import sys
 
+import numpy as np
+
+from gcskernel import zoo
 from gcskernel.cli import main as gcs_main
+from gcskernel.decompose import (
+    AlignmentError,
+    DecompositionError,
+    bottom_up,
+    solve_tree,
+    top_down,
+)
+from gcskernel.model import Entity, Model, model_from_json_dict
 
 COMMANDS = (
     ["check"],
@@ -31,7 +56,8 @@ COMMANDS = (
     ["solve", "--strategy", "direct"],
     ["solve", "--strategy", "decomposed"],
 )
-DEFAULT_OUTPUT = os.path.join("tests", "golden", "cli.json")
+DEFAULT_DIR = os.path.join("tests", "golden")
+STRATEGIES = {"top-down": top_down, "bottom-up": bottom_up}
 
 
 def cases(corpus_dir: str = "corpus") -> list[list[str]]:
@@ -49,8 +75,58 @@ def run(argv: list[str]) -> tuple[str, int]:
     return out.getvalue(), code
 
 
+def solve_tree_cases(corpus_dir: str = "corpus") -> list[tuple[str, str, object]]:
+    """(strategy, model label, model) of every recombination case, in order."""
+    out = [("top-down", f"strip-{n}", zoo.triangle_strip(n)) for n in (12, 24, 48)]
+    out += [("bottom-up", f"strip-{n}", zoo.triangle_strip(n)) for n in (3, 4, 5, 6)]
+    models = []
+    for name in sorted(f for f in os.listdir(corpus_dir) if f.endswith(".json")):
+        with open(os.path.join(corpus_dir, name), "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        if data.get("dimension") == 2:  # raw linear systems have none
+            models.append((f"corpus/{name}", model_from_json_dict(data)))
+    models += [(f"zoo/{name}", m) for name, m in zoo.solve_corpus().items()]
+    out += [(strategy, label, m) for label, m in models for strategy in STRATEGIES]
+    for seed in (1, 2):
+        out.append(("top-down", f"jittered-{seed}/strip-12",
+                    jittered(zoo.triangle_strip(12), 0.03, seed)))
+        out += [(strategy, f"jittered-{seed}/zoo/{name}", jittered(m, 0.03, seed))
+                for name, m in zoo.solve_corpus().items() for strategy in STRATEGIES]
+    return out
+
+
+def jittered(model: Model, rel: float, seed: int) -> Model:
+    """The model with every sketch parameter moved by rel times its largest distance."""
+    rng = np.random.default_rng(seed)
+    scale = rel * max(c.value for c in model.constraints if c.kind == "distance-pp")
+    return Model(model.dimension, tuple(
+        Entity(e.id, e.kind, tuple(p + scale * rng.normal() for p in e.params),
+               e.representation) for e in model.entities), model.constraints)
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def solve_tree_record(strategy: str, model) -> dict:
+    """Recombination result of one case, floats as hex strings."""
+    try:
+        plan, solution, cert = solve_tree(model, STRATEGIES[strategy](model))
+    except (DecompositionError, AlignmentError) as err:
+        return {"refused": {"type": type(err).__name__, "message": str(err)}}
+    return {
+        "solution": {eid: _hex(params) for eid, params in sorted(solution.items())},
+        "placements": [
+            {"node": p.node_id, "entities": list(p.entities),
+             "rotation": _hex(p.rotation.ravel()), "translation": _hex(p.translation)}
+            for p in plan.placements],
+        "status": cert.status,
+        "residual": float(cert.residual_norm).hex(),
+    }
+
+
 def main(argv: list[str]) -> int:
-    path = argv[0] if argv else DEFAULT_OUTPUT
+    directory = argv[0] if argv else DEFAULT_DIR
     if "GCS_SEED" in os.environ:
         print("unset GCS_SEED: the golden reports use the default seed", file=sys.stderr)
         return 1
@@ -58,11 +134,14 @@ def main(argv: list[str]) -> int:
     for case in cases():
         stdout, code = run(case)
         records.append({"argv": case, "exit": code, "stdout": stdout})
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"cases": records}, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {len(records)} cases to {path}")
+    trees = [{"strategy": strategy, "model": label, **solve_tree_record(strategy, m)}
+             for strategy, label, m in solve_tree_cases()]
+    os.makedirs(directory, exist_ok=True)
+    for name, payload in (("cli.json", records), ("solve_tree.json", trees)):
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+            json.dump({"cases": payload}, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    print(f"wrote {len(records)} cli cases and {len(trees)} solve_tree cases to {directory}")
     return 0
 
 

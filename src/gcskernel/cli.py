@@ -37,7 +37,7 @@ from .detect import (
 from .model import Model, model_from_json_dict, validate
 from .numeric import RANK_REL_TOL, solve
 from .structural import build_graphs, counting_state
-from .witness import characterize, generate_witness
+from .witness import characterize, characterize_at, generate_witness
 
 EXIT = {"well": 0, "under": 3, "over": 4, "over-and-under": 5, "unstable": 6}
 EXIT_REFUSED = 7
@@ -119,7 +119,6 @@ def _characterize(model: Model, system, cfg: RunConfig) -> dict:
         # raw equation system: witness analysis degenerates to a rank check at
         # a random assignment, structural analysis is not applicable
         rng = np.random.default_rng(cfg.seed)
-        from .witness import characterize_at
         x = rng.uniform(-1.0, 1.0, size=system.n_variables)
         wr = characterize_at(system, x, 0, rank_tol=cfg.rank_tol)
         report["witness"] = wr.to_json_dict()
@@ -156,9 +155,8 @@ def cmd_detect(args, cfg: RunConfig) -> int:
         rng = np.random.default_rng(cfg.seed)
         x = rng.uniform(-1.0, 1.0, size=system.n_variables)
     else:
-        wit = generate_witness(system.without_anchors(), model, seed=cfg.seed)
+        wit = generate_witness(system, model, seed=cfg.seed)
         x = wit.assignment
-        system = system.without_anchors()
     greedy = greedy_dependency_groups(system, x, seed_row=args.seed_row,
                                       rank_tol=cfg.rank_tol)
     payload = {
@@ -234,7 +232,8 @@ def cmd_solve(args, cfg: RunConfig) -> int:
     if args.strategy == "decomposed":
         try:
             tree = bottom_up(model, seed=cfg.seed, rank_tol=cfg.rank_tol)
-            plan, solution, cert = solve_tree(model, tree)
+            plan, solution, cert = solve_tree(model, tree, max_iter=cfg.max_iter,
+                                              tol=cfg.residual_tol)
         except (DecompositionError, AlignmentError) as err:
             raise SystemExitError(EXIT_REFUSED, f"decomposed solve failed: {err}")
         result = cert

@@ -5,8 +5,8 @@ order), one residual per DOC unit of each constraint, followed by the
 normalization residuals of redundant parameterizations, followed by any frame
 anchors.  Compilation is deterministic: the same model always yields the same
 variable and residual ordering.  :func:`induced` gives the constraints and
-residual rows that an entity subset induces; detection and bottom-up
-decomposition test rigidity on exactly those rows.
+residual rows that an entity subset induces; detection, bottom-up
+decomposition and the decomposed solve's cluster slices use those rows.
 
 Residual conventions:
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -109,15 +109,12 @@ class ResidualSystem:
         return ResidualSystem(self.dimension, self.variables, kept)
 
 
-def _entity_vars(variables: list[Variable], counter: list[int], entity: Entity) -> list[ex.Expr]:
-    spec = entity.spec
-    out = []
-    for comp, pname in enumerate(spec.param_names):
-        idx = counter[0]
-        counter[0] += 1
-        variables.append(Variable(idx, entity.id, comp, f"{entity.id}.{pname}"))
-        out.append(ex.var(idx))
-    return out
+def _env(variables: Iterable[Variable]) -> dict[str, list[ex.Expr]]:
+    """Variable expressions of each entity, in component order."""
+    env: dict[str, list[ex.Expr]] = {}
+    for v in variables:
+        env.setdefault(v.entity_id, []).append(ex.var(v.index))
+    return env
 
 
 def _initial_direction(entity: Entity, group: tuple[int, ...]) -> np.ndarray:
@@ -290,40 +287,53 @@ def compile_model(model: Model, cross_mode: str = "reduced") -> ResidualSystem:
         raise CompileError(f"unknown cross mode {cross_mode!r}")
 
     variables: list[Variable] = []
-    counter = [0]
-    env: dict[str, list[ex.Expr]] = {}
     for e in model.entities:
-        env[e.id] = _entity_vars(variables, counter, e)
+        for comp, pname in enumerate(e.spec.param_names):
+            variables.append(Variable(len(variables), e.id, comp, f"{e.id}.{pname}"))
+    system = add_constraints(ResidualSystem(model.dimension, tuple(variables), ()),
+                             model, model.constraints, full_cross=(cross_mode == "full"))
+    env = _env(variables)
+    residuals = list(system.residuals)
+    for e in model.entities:
+        for group in e.spec.unit_groups:
+            vec = [env[e.id][i] for i in group]
+            residuals.append(Residual(len(residuals), f"unit:{e.id}", ex.dot(vec, vec) - 1.0,
+                                      "normalization", e.id, True))
+    return ResidualSystem(model.dimension, system.variables, tuple(residuals))
 
-    residuals: list[Residual] = []
 
-    def push(expression: ex.Expr, name: str, kind: str, source: str | None, singular: bool):
-        residuals.append(Residual(len(residuals), name, expression, kind, source, singular))
+def add_constraints(system: ResidualSystem, model: Model, constraints: Sequence[Constraint],
+                    full_cross: bool = False) -> ResidualSystem:
+    """Append the residual rows of constraints on the entities of ``model``.
 
-    for c in model.constraints:
-        spec = CONSTRAINT_KINDS[c.kind]
-        exprs = _emit_constraint(model, c, env, full_cross=(cross_mode == "full"))
+    :func:`compile_model` emits the model's own constraints this way, and
+    decomposition appends virtual distance bonds to a compiled system.
+    ``full_cross`` emits every cross-product component (``cross_mode="full"``).
+    """
+    named = {eid for c in constraints for eid in c.entities}
+    env = _env(v for v in system.variables if v.entity_id in named)
+    residuals = list(system.residuals)
+    for c in constraints:
+        exprs = _emit_constraint(model, c, env, full_cross=full_cross)
         for k, e_ in enumerate(exprs):
             suffix = "" if len(exprs) == 1 else f"[{k}]"
-            push(e_, f"{c.id}{suffix}", "constraint", c.id, spec.singular)
-
-    for e in model.entities:
-        for g, group in enumerate(e.spec.unit_groups):
-            vec = [env[e.id][i] for i in group]
-            push(ex.dot(vec, vec) - 1.0, f"unit:{e.id}", "normalization", e.id, True)
-
-    return ResidualSystem(model.dimension, tuple(variables), tuple(residuals))
+            residuals.append(Residual(len(residuals), f"{c.id}{suffix}", e_, "constraint", c.id,
+                                      CONSTRAINT_KINDS[c.kind].singular))
+    return ResidualSystem(system.dimension, system.variables, tuple(residuals))
 
 
-def add_anchors(system: ResidualSystem, model: Model) -> ResidualSystem:
+def add_anchors(system: ResidualSystem, model: Model,
+                entity_ids: Collection[str] | None = None) -> ResidualSystem:
     """Append residuals pinning the global frame (3 in 2D, 6 in 3D).
 
     2D: the first point is the origin and the first-to-second point vector is
     the x axis.  3D: first point at origin, second on the +x axis, third in
-    the xy plane.
+    the xy plane.  Points are taken in model order, from ``entity_ids`` only
+    when it is given.
     """
     point_tag = POINT2 if system.dimension == 2 else POINT3
-    points = [e for e in model.entities if e.kind == point_tag]
+    points = [e for e in model.entities
+              if e.kind == point_tag and (entity_ids is None or e.id in entity_ids)]
     need = 2 if system.dimension == 2 else 3
     if len(points) < need:
         raise AnchorError(
@@ -437,10 +447,16 @@ def induced(model: Model, system: ResidualSystem,
     """
     keep = set(entity_ids)
     cids = frozenset(c.id for c in model.constraints if set(c.entities) <= keep)
-    rows = [r.index for r in system.residuals
-            if (r.kind == "constraint" and r.source in cids)
-            or (r.kind == "normalization" and r.source in keep)]
-    return cids, rows
+    return cids, rows_of(system, cids, keep)
+
+
+def rows_of(system: ResidualSystem, constraint_ids: Collection[str],
+            entity_ids: Collection[str]) -> list[int]:
+    """Residual rows of the given constraints, then normalization rows of the
+    given entities, in system order; anchor rows never."""
+    return [r.index for r in system.residuals
+            if (r.kind == "constraint" and r.source in constraint_ids)
+            or (r.kind == "normalization" and r.source in entity_ids)]
 
 
 def linear_system(coefficients, rhs, variable_names: Sequence[str] | None = None) -> ResidualSystem:

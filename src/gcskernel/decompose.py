@@ -22,14 +22,15 @@ receives a virtual distance bond whose value is measured from the first
 solved sibling.  Splitting recurses until triangles (or irreducible cores)
 remain, and the solve order is the reverse of the split order.
 
-Recombination solves each leaf on its anchored induced subsystem with
-Newton, then damped Gauss-Newton (:func:`numeric.solve`), started from the
-sketch re-expressed in the anchored frame so the solution keeps the sketch's
-chirality, then places child solutions by least-squares rigid alignment on
-shared entities.  Ternary one-point merges get their
-closure point from the classical two-circle construction, with the mirror
-branch picked by the orientation of the initial sketch; merges whose shared
-elements are not points fall back to re-solving the node from the sketch.
+Recombination compiles the model once; every cluster solves a row/column
+slice of that system (:func:`numeric.solve`): the rows of its constraints and
+entity normalizations, plus a leaf's virtual bonds and anchors, over the
+columns of its entities.  A leaf starts from the sketch re-expressed in its
+anchored frame, so the solution keeps the sketch's chirality.  Child solutions
+are placed by least-squares rigid alignment on shared points and the node is
+re-solved from there; ternary one-point merges get their closure point from
+the two-circle construction, with the mirror branch picked by the orientation
+of the sketch, and merges that share no points re-solve from the sketch.
 """
 
 from __future__ import annotations
@@ -45,16 +46,17 @@ import numpy as np
 
 from . import geometry
 from .compiler import (
+    ResidualSystem,
     add_anchors,
-    assignment_from_params,
+    add_constraints,
     compile_model,
     eval_residuals,
     induced,
-    params_from_assignment,
+    rows_of,
 )
 from .detect import is_well_part, witness_matrices
-from .model import Constraint, Entity, Model, POINT2
-from .numeric import RANK_REL_TOL, SolveResult, solve
+from .model import Constraint, Model, POINT2
+from .numeric import RANK_REL_TOL, RESIDUAL_TOL, SolveResult, solve
 from .witness import WitnessError, generate_witness
 
 ALIGN_TOL = 1e-6
@@ -387,66 +389,55 @@ def _sketch_solution(model: Model, entities: Iterable[str]) -> Solution:
     return out
 
 
-def _submodel(model: Model, entities: frozenset[str],
-              constraint_ids: frozenset[str],
-              params: Solution, extra: Sequence[Constraint] = ()) -> Model:
-    return Model(
-        model.dimension,
-        tuple(Entity(e.id, e.kind, params[e.id], e.representation)
-              for e in model.entities if e.id in entities),
-        tuple(c for c in model.constraints if c.id in constraint_ids) + tuple(extra),
-    )
+def _solve_cluster(system: ResidualSystem, solve_sys: ResidualSystem, node: ClusterNode,
+                   start: Solution, max_iter: int, tol: float) -> Solution:
+    """Solve the node's row/column slice of the compiled model from ``start``.
 
-
-def _solve_subsystem(model: Model, entities: frozenset[str],
-                     constraint_ids: frozenset[str],
-                     start_solution: Solution) -> Solution:
-    sub = _submodel(model, entities, constraint_ids, start_solution)
-    system = compile_model(sub)
-    result = solve(system, assignment_from_params(sub, system))
+    Rows: the node's constraints, the normalizations of its entities, then
+    the rows ``solve_sys`` appends to ``system`` (a leaf's virtual bonds and
+    anchors).  Columns: the node's entities.  Every other column stays fixed.
+    """
+    rows = rows_of(system, node.constraints, node.entities)
+    rows += range(system.n_residuals, solve_sys.n_residuals)
+    cols = system.columns_of(node.entities)
+    x = np.zeros(system.n_variables)
+    for j in cols:
+        x[j] = start[system.variables[j].entity_id][system.variables[j].component]
+    result = solve(solve_sys, x, max_iter=max_iter, tol=tol, rows=rows, cols=cols)
     if not result.converged:
         raise DecompositionError(
-            f"subsystem {sorted(entities)} failed to solve: {result.status}")
-    return params_from_assignment(sub, system, result.assignment)
+            f"{'subsystem' if node.children else 'cluster'} {sorted(node.entities)} "
+            f"failed to solve: {result.status}")
+    out: dict[str, list[float]] = {}
+    for j in cols:
+        out.setdefault(system.variables[j].entity_id, []).append(float(result.assignment[j]))
+    return {eid: tuple(params) for eid, params in out.items()}
 
 
-def _solve_leaf(model: Model, node: ClusterNode,
-                bond_values: Mapping[tuple[str, str], float]) -> Solution:
-    """Solve the anchored induced subsystem, started from the re-framed sketch."""
-    extra = []
+def _solve_leaf(model: Model, system: ResidualSystem, node: ClusterNode,
+                bond_values: Mapping[tuple[str, str], float],
+                max_iter: int, tol: float) -> Solution:
+    """Solve the leaf's slice plus its bonds and anchors, from the re-framed sketch."""
+    bonds = []
     for (a, b) in node.virtual_bonds:
         if (a, b) not in bond_values:
             raise DecompositionError(
                 f"virtual bond {a}-{b} has no measured value; no rigid sibling solved first")
-        extra.append(Constraint(f"vbond:{a}-{b}", "distance-pp", (a, b), bond_values[(a, b)]))
+        bonds.append(Constraint(f"vbond:{a}-{b}", "distance-pp", (a, b), bond_values[(a, b)]))
     sketch = _sketch_solution(model, node.entities)
-    sub = _submodel(model, node.entities, node.constraints, sketch, extra)
-    system = compile_model(sub)
-    points = _points_of(sub, node.entities)
+    solve_sys = add_constraints(system, model, bonds)
+    points = _points_of(model, node.entities)
     if len(points) >= 2:
-        anchored = add_anchors(system, sub)
+        solve_sys = add_anchors(solve_sys, model, node.entities)
         # express the sketch in the anchored frame so Newton starts nearby and
         # keeps the sketch's chirality
-        p0 = np.asarray(sub.entity(points[0]).params[:2])
-        p1 = np.asarray(sub.entity(points[1]).params[:2])
-        theta = -math.atan2(p1[1] - p0[1], p1[0] - p0[0])
-        R = geometry.rotation_2d(theta)
+        p0 = np.asarray(sketch[points[0]][:2])
+        p1 = np.asarray(sketch[points[1]][:2])
+        R = geometry.rotation_2d(-math.atan2(p1[1] - p0[1], p1[0] - p0[0]))
         t = -(R @ p0)
-        framed = Model(
-            sub.dimension,
-            tuple(Entity(e.id, e.kind,
-                         tuple(geometry.apply_rigid(e, e.params, R, t)),
-                         e.representation) for e in sub.entities),
-            sub.constraints,
-        )
-        solve_sys, start = anchored, assignment_from_params(framed, anchored)
-    else:
-        solve_sys, start = system, assignment_from_params(sub, system)
-    result = solve(solve_sys, start)
-    if not result.converged:
-        raise DecompositionError(
-            f"cluster {sorted(node.entities)} failed to solve: {result.status}")
-    return params_from_assignment(sub, solve_sys, result.assignment)
+        sketch = {eid: tuple(geometry.apply_rigid(model.entity(eid), params, R, t))
+                  for eid, params in sketch.items()}
+    return _solve_cluster(system, solve_sys, node, sketch, max_iter, tol)
 
 
 def _assemble_merge(model: Model, node: ClusterNode,
@@ -505,62 +496,49 @@ def _assemble_merge(model: Model, node: ClusterNode,
     return merged
 
 
-def _solve_node(model: Model, node: ClusterNode,
-                placements: list[Placement],
-                bond_values: dict[tuple[str, str], float]) -> Solution:
-    if not node.children:
-        return _solve_leaf(model, node, bond_values)
-
-    if node.kind == "split":
-        a, b = node.pair
-        solutions: list[Solution] = []
-        for child in node.children:
-            sol = _solve_node(model, child, placements, bond_values)
-            if (a, b) not in bond_values:
-                # the first (bond-free) child fixes the pair's separation
-                bond_values[(a, b)] = float(np.linalg.norm(
-                    np.asarray(sol[b][:2]) - np.asarray(sol[a][:2])))
-            solutions.append(sol)
-        merged = dict(solutions[0])
-        placements.append(Placement(
-            node.children[0].node_id, tuple(sorted(solutions[0])), np.eye(2), np.zeros(2)))
-        for child, sol in zip(node.children[1:], solutions[1:]):
-            moved, R, t = align_onto(model, merged, sol, [a, b])
-            placements.append(Placement(child.node_id, tuple(sorted(sol)), R, t))
-            for eid, params in moved.items():
-                merged.setdefault(eid, params)
-        return _solve_subsystem(model, node.entities, node.constraints, merged)
-
-    # bottom-up merge node
-    solutions = [_solve_node(model, c, placements, bond_values) for c in node.children]
-    assembled = _assemble_merge(model, node, solutions, placements)
-    if assembled is None:
-        # shared elements are not points (line-bearing merges); re-solve the
-        # node from the sketch, which is a chirality-consistent global guess
-        assembled = _sketch_solution(model, node.entities)
-    return _solve_subsystem(model, node.entities, node.constraints, assembled)
-
-
-def solve_tree(model: Model, tree: ClusterTree) -> tuple[RecombinePlan, Solution, SolveResult]:
+def solve_tree(model: Model, tree: ClusterTree, max_iter: int = 100,
+               tol: float = RESIDUAL_TOL) -> tuple[RecombinePlan, Solution, SolveResult]:
     """Solve every cluster, recombine, and certify the final assignment.
 
-    Returns the recombination plan, per-entity solved parameters, and the
-    whole-system residual certificate (anchors excluded).
+    The model is compiled once; every cluster solve (``max_iter`` iterations
+    per stage, residual tolerance ``tol``) is a slice of that system, and the
+    certificate evaluates all of its rows.  Returns the recombination plan,
+    per-entity solved parameters, and the whole-system residual certificate
+    (anchors excluded), converged when its largest residual is within ``tol``.
     """
     if model.dimension != 2:
         raise DecompositionError("cluster recombination covers the 2D scope")
     if not tree.assembled:
         raise DecompositionError(
             f"cluster tree has {len(tree.roots)} roots; the model did not assemble")
+    system = compile_model(model)
     placements: list[Placement] = []
     bond_values: dict[tuple[str, str], float] = {}
-    solution = _solve_node(model, tree.roots[0], placements, bond_values)
-    system = compile_model(model)
+
+    def solve_node(node: ClusterNode) -> Solution:
+        if not node.children:
+            return _solve_leaf(model, system, node, bond_values, max_iter, tol)
+        solutions: list[Solution] = []
+        for child in node.children:
+            solutions.append(solve_node(child))
+            if node.pair and node.pair not in bond_values:
+                # the first (bond-free) child of a split fixes the pair's separation
+                a, b = node.pair
+                bond_values[node.pair] = float(np.linalg.norm(
+                    np.asarray(solutions[0][b][:2]) - np.asarray(solutions[0][a][:2])))
+        assembled = _assemble_merge(model, node, solutions, placements)
+        if assembled is None:
+            # shared elements are not points (line-bearing merges); re-solve the
+            # node from the sketch, which is a chirality-consistent global guess
+            assembled = _sketch_solution(model, node.entities)
+        return _solve_cluster(system, system, node, assembled, max_iter, tol)
+
+    solution = solve_node(tree.roots[0])
     x = np.zeros(system.n_variables)
     for v in system.variables:
         x[v.index] = solution[v.entity_id][v.component]
     residuals = eval_residuals(system, x)
     norm = float(np.max(np.abs(residuals))) if residuals.size else 0.0
-    status = "converged" if norm <= 1e-9 else "max-iterations"
+    status = "converged" if norm <= tol else "max-iterations"
     return (RecombinePlan(tuple(placements)), solution,
             SolveResult(status, x, norm, 0, residuals))

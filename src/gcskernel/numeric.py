@@ -7,6 +7,9 @@ momentarily singular systems do not hard-fail; `optimize_solve` is a damped
 Gauss-Newton descent on the sum of squared residuals.  `solve` is the one
 solve policy of the direct and the decomposed solves: Newton, then damped
 Gauss-Newton from the same start when Newton does not converge.
+
+Each solver takes an optional slice: ``rows`` to drive to zero and ``cols``
+to move, every other variable fixed (a decomposed solve's clusters).
 """
 
 from __future__ import annotations
@@ -75,16 +78,17 @@ def _max_abs(r: np.ndarray) -> float:
 
 
 def newton_solve(system: ResidualSystem, start, max_iter: int = 100,
-                 tol: float = RESIDUAL_TOL) -> SolveResult:
+                 tol: float = RESIDUAL_TOL, rows=None, cols=slice(None)) -> SolveResult:
     """Newton iteration x <- x - J^+ r with least-squares steps.
 
     Declares divergence after three consecutive residual-norm increases or an
     evaluation domain error; a stationary iterate with a residual above the
-    tolerance is reported as inconsistent.
+    tolerance is reported as inconsistent.  ``rows`` and ``cols`` slice the
+    system (all by default); the stall test uses the norm of the sliced x.
     """
     x = np.array(start, dtype=float)
     try:
-        r = eval_residuals(system, x)
+        r = eval_residuals(system, x, rows=rows)
     except EvaluationError:
         return SolveResult("diverged", x, float("inf"), 0, np.zeros(0))
     grew = 0
@@ -94,15 +98,15 @@ def newton_solve(system: ResidualSystem, start, max_iter: int = 100,
         if _max_abs(r) <= tol:
             return SolveResult("converged", x, _max_abs(r), it, r)
         try:
-            J = eval_jacobian(system, x)
+            J = eval_jacobian(system, x, rows=rows)[:, cols]
             step = np.linalg.lstsq(J, -r, rcond=None)[0]
         except (EvaluationError, np.linalg.LinAlgError):
             return SolveResult("diverged", x, _max_abs(r), it, r)
-        if np.linalg.norm(step) <= 1e-13 * (1.0 + np.linalg.norm(x)):
+        if np.linalg.norm(step) <= 1e-13 * (1.0 + np.linalg.norm(x[cols])):
             return SolveResult("inconsistent", x, _max_abs(r), it, r)
-        x = x + step
+        x[cols] += step
         try:
-            r = eval_residuals(system, x)
+            r = eval_residuals(system, x, rows=rows)
         except EvaluationError:
             return SolveResult("diverged", x, float("inf"), it + 1, np.zeros(0))
         cur = _max_abs(r)
@@ -124,14 +128,14 @@ def newton_solve(system: ResidualSystem, start, max_iter: int = 100,
 
 
 def optimize_solve(system: ResidualSystem, start, max_iter: int = 100,
-                   tol: float = RESIDUAL_TOL,
-                   rows=None) -> SolveResult:
+                   tol: float = RESIDUAL_TOL, rows=None, cols=slice(None)) -> SolveResult:
     """Damped Gauss-Newton minimization of sum r_i^2.
 
     Handles non-square, consistently over-constrained and under-constrained
     systems.  A stationary point with nonzero residual is reported as
-    inconsistent.  ``rows`` optionally restricts the residual subset (used for
-    witness projection onto the singular equations).
+    inconsistent.  ``rows`` optionally restricts the residual subset (witness
+    projection onto the singular equations, a cluster's rows) and ``cols``
+    the variables that move (a cluster's columns).
     """
     x = np.array(start, dtype=float)
     try:
@@ -144,7 +148,7 @@ def optimize_solve(system: ResidualSystem, start, max_iter: int = 100,
         if _max_abs(r) <= tol:
             return SolveResult("converged", x, _max_abs(r), it, r)
         try:
-            J = eval_jacobian(system, x, rows=rows)
+            J = eval_jacobian(system, x, rows=rows)[:, cols]
             step = np.linalg.lstsq(J, -r, rcond=None)[0]
         except (EvaluationError, np.linalg.LinAlgError):
             return SolveResult("diverged", x, _max_abs(r), it, r)
@@ -154,13 +158,15 @@ def optimize_solve(system: ResidualSystem, start, max_iter: int = 100,
         lam = 1.0
         accepted = False
         for _ in range(40):
+            trial = x.copy()
+            trial[cols] += lam * step
             try:
-                r_new = eval_residuals(system, x + lam * step, rows=rows)
+                r_new = eval_residuals(system, trial, rows=rows)
             except EvaluationError:
                 lam *= 0.5
                 continue
             if float(r_new @ r_new) < ssq:
-                x = x + lam * step
+                x = trial
                 r = r_new
                 accepted = True
                 break
@@ -173,13 +179,13 @@ def optimize_solve(system: ResidualSystem, start, max_iter: int = 100,
 
 
 def solve(system: ResidualSystem, start, max_iter: int = 100,
-          tol: float = RESIDUAL_TOL) -> SolveResult:
+          tol: float = RESIDUAL_TOL, rows=None, cols=slice(None)) -> SolveResult:
     """Newton, then damped Gauss-Newton from the same start if Newton fails.
 
-    Both stages get ``max_iter`` iterations; the result is Newton's when it
-    converged, else Gauss-Newton's.
+    Both stages get ``max_iter`` iterations and the same ``rows``/``cols``
+    slice; the result is Newton's when it converged, else Gauss-Newton's.
     """
-    result = newton_solve(system, start, max_iter=max_iter, tol=tol)
+    result = newton_solve(system, start, max_iter=max_iter, tol=tol, rows=rows, cols=cols)
     if result.converged:
         return result
-    return optimize_solve(system, start, max_iter=max_iter, tol=tol)
+    return optimize_solve(system, start, max_iter=max_iter, tol=tol, rows=rows, cols=cols)

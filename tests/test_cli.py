@@ -171,6 +171,24 @@ def test_solve_decomposed_agrees_with_direct(capsys, corpus_dir):
         assert decomposed["entities"][k] == pytest.approx(v, abs=1e-6)
 
 
+def test_solve_flags_reach_the_decomposed_solve(capsys, corpus_dir, tmp_path):
+    data = json.loads((corpus_dir / "solve-kite.json").read_text(encoding="utf-8"))
+    for k, e in enumerate(data["entities"]):  # move the sketch off the solution
+        e["params"] = [p + 0.1 * math.sin(3 * k + i + 1) for i, p in enumerate(e["params"])]
+    kite = tmp_path / "kite.json"
+    kite.write_text(json.dumps(data), encoding="utf-8")
+    for strategy in ("direct", "decomposed"):
+        code, report = run_json(capsys, "solve", str(kite), "--strategy", strategy)
+        assert (code, report["status"]) == (0, "converged"), strategy
+    for flag, direct_code in (("--tolerance", 4), ("--max-iter", 6)):
+        value = "1e-20" if flag == "--tolerance" else "1"
+        code, _ = run_cli(capsys, flag, value, "solve", str(kite))
+        assert code == direct_code, flag
+        code = main([flag, value, "solve", str(kite), "--strategy", "decomposed"])
+        err = capsys.readouterr().err
+        assert code == 7 and "failed to solve" in err, (flag, code, err)
+
+
 def test_json_reports_are_byte_identical(capsys, corpus_dir):
     _, out1 = run_cli(capsys, "--format", "json", "check", str(corpus_dir / "braced-quad.json"))
     _, out2 = run_cli(capsys, "--format", "json", "check", str(corpus_dir / "braced-quad.json"))

@@ -24,6 +24,7 @@ from gcskernel.compiler import induced
 from gcskernel.decompose import ClusterNode, ClusterTree, align_onto
 from gcskernel.detect import is_well_part, witness_matrices
 from gcskernel.model import Constraint, Entity, Model, model_from_json_dict
+from gcskernel.numeric import solve
 from gcskernel.witness import generate_witness
 
 
@@ -361,3 +362,132 @@ def test_solve_tree_with_carrier_lines():
     assert cert.converged
     dev = aligned_max_deviation(m, direct_solution(m), solution)
     assert dev <= 1e-7
+
+
+# --- one compiled system per solve_tree ------------------------------------------
+#
+# Reference: the per-node solve before the slicing, which built a sub-model
+# from explicit entity and constraint ids (re-framed for anchored leaves),
+# compiled it and solved it.  Kept here to pin the slices against it.
+
+def reference_submodel(model, entities, constraint_ids, params, extra=()):
+    return Model(
+        model.dimension,
+        tuple(Entity(e.id, e.kind, params[e.id], e.representation)
+              for e in model.entities if e.id in entities),
+        tuple(c for c in model.constraints if c.id in constraint_ids) + tuple(extra))
+
+
+def reference_solve_subsystem(model, entities, constraint_ids, start_solution):
+    sub = reference_submodel(model, entities, constraint_ids, start_solution)
+    system = compile_model(sub)
+    result = solve(system, assignment_from_params(sub, system))
+    assert result.converged
+    return params_from_assignment(sub, system, result.assignment)
+
+
+def reference_solve_leaf(model, node, bond_values):
+    extra = [Constraint(f"vbond:{a}-{b}", "distance-pp", (a, b), bond_values[(a, b)])
+             for a, b in node.virtual_bonds]
+    sketch = {eid: tuple(float(v) for v in model.entity(eid).params) for eid in node.entities}
+    sub = reference_submodel(model, node.entities, node.constraints, sketch, extra)
+    system = compile_model(sub)
+    points = sorted(e for e in node.entities if sub.entity(e).kind == "point2")
+    if len(points) >= 2:
+        anchored = add_anchors(system, sub)
+        p0 = np.asarray(sub.entity(points[0]).params[:2])
+        p1 = np.asarray(sub.entity(points[1]).params[:2])
+        R = geometry.rotation_2d(-math.atan2(p1[1] - p0[1], p1[0] - p0[0]))
+        t = -(R @ p0)
+        framed = Model(sub.dimension, tuple(
+            Entity(e.id, e.kind, tuple(geometry.apply_rigid(e, e.params, R, t)),
+                   e.representation) for e in sub.entities), sub.constraints)
+        solve_sys, start = anchored, assignment_from_params(framed, anchored)
+    else:
+        solve_sys, start = system, assignment_from_params(sub, system)
+    result = solve(solve_sys, start)
+    assert result.converged
+    return params_from_assignment(sub, solve_sys, result.assignment)
+
+
+def all_nodes(node):
+    yield node
+    for c in node.children:
+        yield from all_nodes(c)
+
+
+@pytest.fixture(scope="module")
+def slice_trees():
+    # the trees do not depend on the sketch, so the jittered copy, whose
+    # clusters start off their solutions and take Newton steps, reuses them
+    out = []
+    for name, m in (("braced-quad", zoo.braced_quad_model()),
+                    ("strip-12", zoo.triangle_strip(12))):
+        for strategy in (bottom_up, top_down):
+            tree = strategy(m)
+            out += [(name, m, tree), (f"{name} jittered", jittered(m, 0.03, 1), tree)]
+    return out
+
+
+def test_every_cluster_slice_matches_submodel_solve(slice_trees, monkeypatch):
+    real_leaf, real_cluster = decompose._solve_leaf, decompose._solve_cluster
+    for name, m, tree in slice_trees:
+        checked = []
+
+        def leaf(model, system, node, bond_values, max_iter, tol):
+            got = real_leaf(model, system, node, bond_values, max_iter, tol)
+            expected = reference_solve_leaf(m, node, bond_values)
+            assert list(got.items()) == list(expected.items()), (name, node.node_id)
+            checked.append(node.node_id)
+            return got
+
+        def cluster(system, solve_sys, node, start, max_iter, tol):
+            got = real_cluster(system, solve_sys, node, start, max_iter, tol)
+            if node.children:
+                expected = reference_solve_subsystem(m, node.entities, node.constraints, start)
+                assert list(got.items()) == list(expected.items()), (name, node.node_id)
+                checked.append(node.node_id)
+            return got
+
+        monkeypatch.setattr(decompose, "_solve_leaf", leaf)
+        monkeypatch.setattr(decompose, "_solve_cluster", cluster)
+        assert solve_tree(m, tree)[2].converged, name
+        assert sorted(checked) == sorted(n.node_id for n in all_nodes(tree.roots[0])), name
+
+
+def test_solve_tree_compiles_the_model_once(slice_trees, monkeypatch):
+    calls = []
+    real = decompose.compile_model
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(decompose, "compile_model", counting)
+    for name, m, tree in slice_trees:
+        del calls[:]
+        assert solve_tree(m, tree)[2].converged, name
+        assert len(calls) == 1, (name, tree.strategy, len(calls))
+
+
+@pytest.mark.parametrize("strategy", [bottom_up, top_down])
+def test_solve_tree_refuses_entity_without_sketch_parameters(strategy):
+    m = zoo.braced_quad_model()
+    m = Model(m.dimension, tuple(
+        Entity(e.id, e.kind, None if e.id == "P3" else e.params, e.representation)
+        for e in m.entities), m.constraints)
+    with pytest.raises(DecompositionError, match="'P3' has no sketch parameters"):
+        solve_tree(m, strategy(m))
+
+
+def test_solve_tree_tolerance_and_iteration_cap_reach_every_cluster():
+    m = jittered(zoo.braced_quad_model(), 0.03, 1)
+    tree = bottom_up(m)
+    assert solve_tree(m, tree)[2].converged
+    with pytest.raises(DecompositionError, match="failed to solve: max-iterations"):
+        solve_tree(m, tree, max_iter=1)
+    with pytest.raises(DecompositionError, match="failed to solve"):
+        solve_tree(m, tree, tol=1e-20)
+    # the certificate applies the same tolerance as the cluster solves
+    loose = solve_tree(m, tree, tol=1e-2)[2]
+    assert loose.converged and loose.residual_norm > 1e-9

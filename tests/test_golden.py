@@ -1,11 +1,15 @@
-"""Byte-for-byte replay of the recorded gcs reports on the corpus.
+"""Byte-for-byte replay of the recorded gcs reports and recombination results.
 
 tests/golden/cli.json holds the JSON standard output and the exit code of
 check, detect, both decompose strategies and both solve strategies on every
-corpus file; scripts/make_golden.py writes it.
+corpus file.  tests/golden/solve_tree.json holds the library ``solve_tree``
+results (solution and placement floats as hex, certificate or refusal) of
+top-down and bottom-up trees on strips, the 2D corpus and the solve corpus.
+scripts/make_golden.py writes both.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 from pathlib import Path
@@ -16,6 +20,16 @@ from gcskernel.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 CASES = json.loads((ROOT / "tests" / "golden" / "cli.json").read_text(encoding="utf-8"))["cases"]
+TREE_CASES = json.loads(
+    (ROOT / "tests" / "golden" / "solve_tree.json").read_text(encoding="utf-8"))["cases"]
+
+
+def make_golden():
+    spec = importlib.util.spec_from_file_location(
+        "make_golden", ROOT / "scripts" / "make_golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def command(case) -> str:
@@ -36,4 +50,18 @@ def test_cli_reports_match_golden(cmd, monkeypatch):
             mismatched.append(f"{case['argv'][3]}: exit {code}, expected {case['exit']}")
         if out.getvalue() != case["stdout"]:
             mismatched.append(f"{case['argv'][3]}: stdout differs")
+    assert not mismatched, mismatched
+
+
+@pytest.mark.parametrize("strategy", ["top-down", "bottom-up"])
+def test_solve_tree_results_match_golden(strategy, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    script = make_golden()
+    recorded = [c for c in TREE_CASES if c["strategy"] == strategy]
+    replayed = [(label, m) for s, label, m in script.solve_tree_cases() if s == strategy]
+    assert [c["model"] for c in recorded] == [label for label, _ in replayed]
+    mismatched = [
+        label for case, (label, m) in zip(recorded, replayed)
+        if {"strategy": strategy, "model": label, **script.solve_tree_record(strategy, m)}
+        != case]
     assert not mismatched, mismatched

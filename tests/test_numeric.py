@@ -182,3 +182,15 @@ def test_optimize_inconsistent_linear_pair():
     assert res.status == "inconsistent"
     assert float(res.residuals @ res.residuals) == pytest.approx(0.5, abs=1e-9)
     assert res.assignment[0] == pytest.approx(0.5, abs=1e-6)
+
+
+@pytest.mark.parametrize("solver", [newton_solve, optimize_solve, solve])
+def test_slice_moves_only_its_columns(solver):
+    # x0 + x1 = 3 is the only row solved; x1 and x2 are outside the slice.
+    # The huge fixed x2 must not enter the stall test (1e-13 * |x| would be
+    # 10 here, larger than the step, and read as inconsistent).
+    s = linear_system([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0]], [3.0, 9.0])
+    r = solver(s, [0.5, 2.0, 1e14], rows=[0], cols=[0])
+    assert r.converged, r.status
+    assert r.assignment[0] == pytest.approx(1.0, abs=1e-12)
+    assert (r.assignment[1], r.assignment[2]) == (2.0, 1e14)
