@@ -10,7 +10,6 @@ into clusters, and solves them numerically.
 from .compiler import (
     AnchorError,
     CompileError,
-    EvaluationError,
     ResidualSystem,
     add_anchors,
     assignment_from_params,

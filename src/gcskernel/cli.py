@@ -90,12 +90,11 @@ def _load(path: str):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         raise SystemExitError(1, f"cannot read {path}: {err}")
-    if "equations" in data:
-        rows = [eq["coeffs"] for eq in data["equations"]]
-        rhs = [eq.get("rhs", 0.0) for eq in data["equations"]]
-        names = data.get("variables")
-        return None, linear_system(rows, rhs, names)
     try:
+        if "equations" in data:
+            rows = [eq["coeffs"] for eq in data["equations"]]
+            rhs = [eq.get("rhs", 0.0) for eq in data["equations"]]
+            return None, linear_system(rows, rhs, data.get("variables"))
         model = model_from_json_dict(data)
     except (KeyError, TypeError, ValueError) as err:
         raise SystemExitError(1, f"malformed model {path}: {err}")

@@ -51,14 +51,6 @@ class AnchorError(ValueError):
     pass
 
 
-class EvaluationError(ValueError):
-    """Domain error during evaluation, tagged with the residual index."""
-
-    def __init__(self, residual_index: int, message: str):
-        super().__init__(f"residual {residual_index}: {message}")
-        self.residual_index = residual_index
-
-
 @dataclass(frozen=True)
 class Variable:
     index: int
@@ -381,10 +373,7 @@ def eval_residuals(system: ResidualSystem, assignment: Sequence[float],
     picked = system.residuals if rows is None else [system.residuals[i] for i in rows]
     out = np.empty(len(picked))
     for k, r in enumerate(picked):
-        try:
-            out[k] = ex.evaluate(r.expression, x)
-        except ex.DomainError as err:
-            raise EvaluationError(r.index, str(err)) from err
+        out[k] = ex.evaluate(r.expression, x)
     return out
 
 
@@ -397,10 +386,7 @@ def eval_jacobian(system: ResidualSystem, assignment: Sequence[float],
     picked = system.residuals if rows is None else [system.residuals[i] for i in rows]
     J = np.zeros((len(picked), system.n_variables))
     for k, r in enumerate(picked):
-        try:
-            _, grad = ex.eval_with_grad(r.expression, x)
-        except ex.DomainError as err:
-            raise EvaluationError(r.index, str(err)) from err
+        _, grad = ex.eval_with_grad(r.expression, x)
         for j, d in grad.items():
             J[k, j] = d
     return J
@@ -469,9 +455,13 @@ def linear_system(coefficients, rhs, variable_names: Sequence[str] | None = None
     b = np.asarray(rhs, dtype=float)
     if A.ndim != 2 or b.shape != (A.shape[0],):
         raise ValueError("need an m x n matrix and a length-m right-hand side")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise ValueError("coefficients and right-hand sides must be finite")
     m, n = A.shape
     if variable_names is None:
         variable_names = [f"x{j}" for j in range(n)]
+    if len(variable_names) != n:
+        raise ValueError(f"{n} coefficients per row but {len(variable_names)} variable names")
     variables = tuple(Variable(j, variable_names[j], 0, variable_names[j]) for j in range(n))
     residuals = []
     for i in range(m):

@@ -327,8 +327,7 @@ Solution = dict[str, tuple[float, ...]]
 
 
 def _points_of(model: Model, entity_ids: Iterable[str]) -> list[str]:
-    tag = POINT2 if model.dimension == 2 else "point3"
-    return sorted(e for e in entity_ids if model.entity(e).kind == tag)
+    return sorted(e for e in entity_ids if model.entity(e).kind == POINT2)
 
 
 def _coords(solution: Mapping[str, tuple[float, ...]], ids: Sequence[str]) -> np.ndarray:

@@ -54,12 +54,6 @@ class WellPart:
         return tuple(sorted(self.entities))
 
 
-def _rank(rows: np.ndarray, rank_tol: float) -> int:
-    if rows.size == 0:
-        return 0
-    return rank_analyze(rows, rank_tol).rank
-
-
 def greedy_dependency_groups(system: ResidualSystem, assignment, seed_row: int = 0,
                              rank_tol: float = RANK_REL_TOL) -> list[DependencyGroup]:
     """Dependency groups from a greedily grown maximal independent row set.
@@ -81,7 +75,7 @@ def greedy_dependency_groups(system: ResidualSystem, assignment, seed_row: int =
     excluded: list[int] = []
     for i in order:
         candidate = J[independent + [i]]
-        if _rank(candidate, rank_tol) == len(independent) + 1:
+        if rank_analyze(candidate, rank_tol).rank == len(independent) + 1:
             independent.append(i)
         else:
             excluded.append(i)
@@ -121,7 +115,7 @@ def oracle_min_dependent_sets(system: ResidualSystem, assignment, size_cap: int 
             s = frozenset(combo)
             if any(prev <= s for prev in found):
                 continue
-            if _rank(J[list(combo)], rank_tol) < k:
+            if rank_analyze(J[list(combo)], rank_tol).rank < k:
                 found.append(s)
     return [DependencyGroup(rows=s, kind="oracle-minimal") for s in found]
 
@@ -150,8 +144,8 @@ def is_well_part(model: Model, system: ResidualSystem, jacobian: np.ndarray,
     if not constraints:
         return False
     columns = system.columns_of(subset)
-    rank = _rank(jacobian[np.ix_(rows, columns)], rank_tol)
-    dor = _rank(motions[:, columns], rank_tol)
+    rank = rank_analyze(jacobian[np.ix_(rows, columns)], rank_tol).rank
+    dor = rank_analyze(motions[:, columns], rank_tol).rank
     return rank == len(rows) and len(columns) - rank <= dor
 
 

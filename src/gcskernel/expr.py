@@ -1,8 +1,8 @@
 """Scalar expression trees with exact forward-mode derivatives.
 
-Residual equations are represented as small immutable trees over constants,
-variable references, +, -, *, /, sin, cos and sqrt.  Evaluation returns plain
-floats; :func:`eval_with_grad` additionally accumulates partial derivatives
+Residual equations are represented as small immutable trees over the seven
+operations the compiler emits: ``const``, ``var``, ``add``, ``sub``, ``mul``,
+``sin`` and ``cos``.  Evaluation returns plain floats; :func:`eval_with_grad` additionally accumulates partial derivatives
 with respect to every referenced variable, which is what analytic Jacobian
 assembly consumes.  ``dot`` is provided as a vector helper that expands to
 scalar nodes at construction time, so the evaluator only ever sees scalars.
@@ -13,13 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-
-class DomainError(ValueError):
-    """Raised when evaluation hits sqrt of a negative or division by ~0."""
-
-
-_DIV_EPS = 1e-300
 
 
 def _coerce(value) -> "Expr":
@@ -57,12 +50,6 @@ class Expr:
     def __rmul__(self, other):
         return Expr("mul", (_coerce(other), self))
 
-    def __truediv__(self, other):
-        return Expr("div", (self, _coerce(other)))
-
-    def __rtruediv__(self, other):
-        return Expr("div", (_coerce(other), self))
-
     def __neg__(self):
         return Expr("sub", (const(0.0), self))
 
@@ -90,10 +77,6 @@ def sin(e) -> Expr:
 
 def cos(e) -> Expr:
     return Expr("cos", (_coerce(e),))
-
-
-def sqrt(e) -> Expr:
-    return Expr("sqrt", (_coerce(e),))
 
 
 def square(e) -> Expr:
@@ -124,21 +107,10 @@ def evaluate(e: Expr, x: Sequence[float]) -> float:
         return evaluate(e.args[0], x) - evaluate(e.args[1], x)
     if op == "mul":
         return evaluate(e.args[0], x) * evaluate(e.args[1], x)
-    if op == "div":
-        num = evaluate(e.args[0], x)
-        den = evaluate(e.args[1], x)
-        if abs(den) < _DIV_EPS:
-            raise DomainError("division by zero")
-        return num / den
     if op == "sin":
         return math.sin(evaluate(e.args[0], x))
     if op == "cos":
         return math.cos(evaluate(e.args[0], x))
-    if op == "sqrt":
-        v = evaluate(e.args[0], x)
-        if v < 0.0:
-            raise DomainError(f"sqrt of negative ({v})")
-        return math.sqrt(v)
     raise ValueError(f"unknown op {op!r}")
 
 
@@ -164,15 +136,6 @@ def eval_with_grad(e: Expr, x: Sequence[float]) -> tuple[float, dict[int, float]
         for i, d in gb.items():
             g[i] = g.get(i, 0.0) + d * va
         return va * vb, g
-    if op == "div":
-        va, ga = eval_with_grad(e.args[0], x)
-        vb, gb = eval_with_grad(e.args[1], x)
-        if abs(vb) < _DIV_EPS:
-            raise DomainError("division by zero")
-        g = {i: d / vb for i, d in ga.items()}
-        for i, d in gb.items():
-            g[i] = g.get(i, 0.0) - d * va / (vb * vb)
-        return va / vb, g
     if op == "sin":
         v, gi = eval_with_grad(e.args[0], x)
         c = math.cos(v)
@@ -181,14 +144,6 @@ def eval_with_grad(e: Expr, x: Sequence[float]) -> tuple[float, dict[int, float]
         v, gi = eval_with_grad(e.args[0], x)
         s = -math.sin(v)
         return math.cos(v), {i: d * s for i, d in gi.items()}
-    if op == "sqrt":
-        v, gi = eval_with_grad(e.args[0], x)
-        if v < 0.0:
-            raise DomainError(f"sqrt of negative ({v})")
-        r = math.sqrt(v)
-        if r < _DIV_EPS:
-            raise DomainError("sqrt derivative at zero")
-        return r, {i: d / (2.0 * r) for i, d in gi.items()}
     raise ValueError(f"unknown op {op!r}")
 
 
@@ -199,7 +154,7 @@ def render(e: Expr, names: Sequence[str]) -> str:
         return f"{e.value:g}"
     if op == "var":
         return names[e.index]
-    if op in ("add", "sub", "mul", "div"):
-        sym = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}[op]
+    if op in ("add", "sub", "mul"):
+        sym = {"add": " + ", "sub": " - ", "mul": "*"}[op]
         return f"({render(e.args[0], names)}{sym}{render(e.args[1], names)})"
     return f"{op}({render(e.args[0], names)})"

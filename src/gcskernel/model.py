@@ -15,6 +15,7 @@ the DOC and the singularity class.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -233,6 +234,8 @@ def validate(model: Model) -> list[Violation]:
             out.append(Violation(
                 "bad-params-length", e.id,
                 f"{e.kind} expects {spec.raw_size} parameters, got {len(e.params)}"))
+        if e.params is not None and not all(map(math.isfinite, e.params)):
+            out.append(Violation("non-finite", e.id, f"parameters must be finite, got {list(e.params)}"))
 
     seen_c: set[str] = set()
     seen_payload: set[tuple] = set()
@@ -261,6 +264,8 @@ def validate(model: Model) -> list[Violation]:
         if spec.has_value:
             if c.value is None:
                 out.append(Violation("missing-value", c.id, f"{c.kind} requires a parameter value"))
+            elif not math.isfinite(c.value):
+                out.append(Violation("non-finite", c.id, f"value must be finite, got {c.value}"))
             elif spec.value_kind == "distance" and not c.value > 0.0:
                 out.append(Violation("zero-distance", c.id,
                                      "distance must be > 0; use coincident for zero distance"))

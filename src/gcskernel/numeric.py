@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compiler import EvaluationError, ResidualSystem, eval_jacobian, eval_residuals
+from .compiler import ResidualSystem, eval_jacobian, eval_residuals
 
 RANK_REL_TOL = 1e-8
 RESIDUAL_TOL = 1e-9
@@ -81,34 +81,28 @@ def newton_solve(system: ResidualSystem, start, max_iter: int = 100,
                  tol: float = RESIDUAL_TOL, rows=None, cols=slice(None)) -> SolveResult:
     """Newton iteration x <- x - J^+ r with least-squares steps.
 
-    Declares divergence after three consecutive residual-norm increases or an
-    evaluation domain error; a stationary iterate with a residual above the
+    Declares divergence after three consecutive residual-norm increases or a
+    failed least-squares step; a stationary iterate with a residual above the
     tolerance is reported as inconsistent.  ``rows`` and ``cols`` slice the
     system (all by default); the stall test uses the norm of the sliced x.
     """
     x = np.array(start, dtype=float)
-    try:
-        r = eval_residuals(system, x, rows=rows)
-    except EvaluationError:
-        return SolveResult("diverged", x, float("inf"), 0, np.zeros(0))
+    r = eval_residuals(system, x, rows=rows)
     grew = 0
     stalled = 0
     prev = best = _max_abs(r)
     for it in range(max_iter):
         if _max_abs(r) <= tol:
             return SolveResult("converged", x, _max_abs(r), it, r)
+        J = eval_jacobian(system, x, rows=rows)[:, cols]
         try:
-            J = eval_jacobian(system, x, rows=rows)[:, cols]
             step = np.linalg.lstsq(J, -r, rcond=None)[0]
-        except (EvaluationError, np.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             return SolveResult("diverged", x, _max_abs(r), it, r)
         if np.linalg.norm(step) <= 1e-13 * (1.0 + np.linalg.norm(x[cols])):
             return SolveResult("inconsistent", x, _max_abs(r), it, r)
         x[cols] += step
-        try:
-            r = eval_residuals(system, x, rows=rows)
-        except EvaluationError:
-            return SolveResult("diverged", x, float("inf"), it + 1, np.zeros(0))
+        r = eval_residuals(system, x, rows=rows)
         cur = _max_abs(r)
         grew = grew + 1 if cur > prev else 0
         if grew >= 3:
@@ -138,19 +132,16 @@ def optimize_solve(system: ResidualSystem, start, max_iter: int = 100,
     the variables that move (a cluster's columns).
     """
     x = np.array(start, dtype=float)
-    try:
-        r = eval_residuals(system, x, rows=rows)
-    except EvaluationError:
-        return SolveResult("diverged", x, float("inf"), 0, np.zeros(0))
+    r = eval_residuals(system, x, rows=rows)
     if r.size == 0:
         return SolveResult("converged", x, 0.0, 0, r)
     for it in range(max_iter):
         if _max_abs(r) <= tol:
             return SolveResult("converged", x, _max_abs(r), it, r)
+        J = eval_jacobian(system, x, rows=rows)[:, cols]
         try:
-            J = eval_jacobian(system, x, rows=rows)[:, cols]
             step = np.linalg.lstsq(J, -r, rcond=None)[0]
-        except (EvaluationError, np.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             return SolveResult("diverged", x, _max_abs(r), it, r)
         ssq = float(r @ r)
         if np.linalg.norm(J.T @ r, np.inf) <= 1e-14 * (1.0 + ssq):
@@ -160,11 +151,7 @@ def optimize_solve(system: ResidualSystem, start, max_iter: int = 100,
         for _ in range(40):
             trial = x.copy()
             trial[cols] += lam * step
-            try:
-                r_new = eval_residuals(system, trial, rows=rows)
-            except EvaluationError:
-                lam *= 0.5
-                continue
+            r_new = eval_residuals(system, trial, rows=rows)
             if float(r_new @ r_new) < ssq:
                 x = trial
                 r = r_new

@@ -117,12 +117,12 @@ def generate_witness(system: ResidualSystem, model: Model, seed: int = 0,
     same-kind entities coincide are rejected as accidentally degenerate.
     """
     base = system.without_anchors()
-    rows = [r.index for r in base.residuals if r.singular]
+    rows = base.singular_rows()
     # project onto the exact singular variety: cross-product constraints use
     # all three components here, so the reduced system's spurious branch is
     # never satisfied by construction
     projection = compile_model(model, cross_mode="full") if rows else base
-    proj_rows = [r.index for r in projection.residuals if r.singular]
+    proj_rows = projection.singular_rows()
     rng = np.random.default_rng(seed)
     last_error = "no attempts made"
     for attempt in range(1, max_attempts + 1):

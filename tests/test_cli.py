@@ -52,6 +52,41 @@ def test_check_malformed_json(capsys, tmp_path):
     assert main(["check", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("where", ["params", "value"])
+def test_non_finite_numbers_exit_1(capsys, corpus_dir, tmp_path, command, where, bad):
+    data = json.loads((corpus_dir / "triangle.json").read_text())
+    target = data["entities"][0] if where == "params" else data["constraints"][0]
+    if where == "params":
+        target["params"][0] = float(bad)
+    else:
+        target["value"] = float(bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))  # writes the NaN/Infinity literals
+    assert bad in path.read_text()
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"non-finite[{target['id']}]" in captured.err
+
+
+@pytest.mark.parametrize("equations, names", [
+    ([{"coeffs": [1, math.nan], "rhs": 0}], ["x", "y"]),
+    ([{"coeffs": [1, 1], "rhs": 0}, {"coeffs": [1], "rhs": 0}], ["x", "y"]),
+    ([{"coeffs": [1, 1, 1], "rhs": 0}], ["x", "y"]),
+], ids=["nan-coefficient", "ragged-rows", "too-few-names"])
+def test_malformed_linear_system_exit_1(capsys, tmp_path, equations, names):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"variables": names, "equations": equations}))
+    code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"malformed model {path}: ")
+
+
 def test_detect_lindep2(capsys, corpus_dir):
     code, data = run_json(capsys, "detect", str(corpus_dir / "lindep2.json"))
     assert code == 0

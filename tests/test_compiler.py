@@ -6,7 +6,6 @@ import pytest
 from gcskernel import (
     AnchorError,
     CompileError,
-    EvaluationError,
     Model,
     add_anchors,
     assignment_from_params,
@@ -130,16 +129,6 @@ def test_constant_residual_zero_row():
                        (Residual(0, "c", ex.const(3.0), "constraint", None, False),))
     J = eval_jacobian(s, [1.0])
     assert J.tolist() == [[0.0]]
-
-
-def test_domain_error_carries_residual_index():
-    s = ResidualSystem(
-        2, (Variable(0, "x", 0, "x"),),
-        (Residual(0, "ok", ex.var(0), "constraint", None, False),
-         Residual(1, "bad", ex.sqrt(ex.var(0)), "constraint", None, False)))
-    with pytest.raises(EvaluationError) as err:
-        eval_residuals(s, [-1.0])
-    assert err.value.residual_index == 1
 
 
 @pytest.mark.parametrize("builder", [

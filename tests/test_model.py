@@ -87,6 +87,16 @@ def test_params_length_and_dimension_checks():
     assert any(v.code == "dimension-mismatch" for v in validate(m))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_params_and_values_rejected(bad):
+    ents = (Entity("P1", "point2", (0.0, bad)), Entity("P2", "point2", (1.0, 0.0)))
+    m = Model(2, ents, (Constraint("c", "distance-pp", ("P1", "P2"), 1.0),))
+    assert [(v.code, v.subject) for v in validate(m)] == [("non-finite", "P1")]
+    ents = (Entity("P1", "point2", (0.0, 0.0)), Entity("P2", "point2", (1.0, 0.0)))
+    m = Model(2, ents, (Constraint("c", "distance-pp", ("P1", "P2"), bad),))
+    assert [(v.code, v.subject) for v in validate(m)] == [("non-finite", "c")]
+
+
 def test_fix_requires_target_params():
     m = Model(2, (Entity("P1", "point2"),), (Constraint("f", "fix", ("P1",)),))
     assert any(v.code == "missing-params" for v in validate(m))

@@ -194,3 +194,13 @@ def test_slice_moves_only_its_columns(solver):
     assert r.converged, r.status
     assert r.assignment[0] == pytest.approx(1.0, abs=1e-12)
     assert (r.assignment[1], r.assignment[2]) == (2.0, 1e14)
+
+
+@pytest.mark.parametrize("solver", [newton_solve, optimize_solve, solve])
+def test_non_finite_start_diverges(solver):
+    # lstsq refuses a NaN Jacobian; that failure is "diverged", never a
+    # constraint state
+    m, s, x = _anchored_triangle()
+    x[3] = math.nan
+    res = solver(s, x)
+    assert res.status == "diverged"
