@@ -13,9 +13,9 @@ strategies and ``solve`` with both strategies.
 
 ``solve_tree.json``: each case builds a cluster tree with ``top_down`` or
 ``bottom_up`` (seed 0) and recombines it with ``solve_tree``: top-down on
-triangle strips 12, 24 and 48, bottom-up on strips 3-6, and both strategies on
-every 2D corpus model and every model of ``zoo.solve_corpus``.  The exact
-sketches converge at iteration 0, so the solve-corpus models (both
+triangle strips 12, 24, 48, 100 and 200, bottom-up on strips 3-6, and both
+strategies on every 2D corpus model and every model of ``zoo.solve_corpus``.
+The exact sketches converge at iteration 0, so the solve-corpus models (both
 strategies) and top-down strip 12 run again with the sketch moved off the
 solution (``jittered``, seeds 1 and 2) and their clusters take Newton steps.
 Each case records the solution and placement floats as ``float.hex``
@@ -77,7 +77,8 @@ def run(argv: list[str]) -> tuple[str, int]:
 
 def solve_tree_cases(corpus_dir: str = "corpus") -> list[tuple[str, str, object]]:
     """(strategy, model label, model) of every recombination case, in order."""
-    out = [("top-down", f"strip-{n}", zoo.triangle_strip(n)) for n in (12, 24, 48)]
+    out = [("top-down", f"strip-{n}", zoo.triangle_strip(n))
+           for n in (12, 24, 48, 100, 200)]
     out += [("bottom-up", f"strip-{n}", zoo.triangle_strip(n)) for n in (3, 4, 5, 6)]
     models = []
     for name in sorted(f for f in os.listdir(corpus_dir) if f.endswith(".json")):

@@ -15,12 +15,16 @@ queue when its newest cluster is created, a rejected group never returns, and
 a group whose union an existing cluster covers is dropped.  The loop ends when
 the queue is empty.
 
-Top-down (2D point/distance scope): brute-force search for an articulation
-pair whose removal disconnects the constraint graph; the pair is duplicated
-into each side, and a child that cannot fix the pair's separation on its own
-receives a virtual distance bond whose value is measured from the first
-solved sibling.  Splitting recurses until triangles (or irreducible cores)
-remain, and the solve order is the reverse of the split order.
+Top-down (2D point/distance scope): a node splits at the lexicographically
+first articulation pair, a pair (a, b) whose removal disconnects the
+constraint graph G.  For each first vertex a in sorted order, one low-link DFS
+over G - a yields the smallest b > a whose removal leaves two or more
+components, so a node with n entities and m constraints costs O(n(n + m)).
+The pair is duplicated into each side, and a child that cannot fix the
+pair's separation on its own receives a virtual distance bond whose value is
+measured from the first solved sibling.  Splitting recurses until triangles
+(or irreducible cores) remain, and the solve order is the reverse of the
+split order.
 
 Recombination compiles the model once; every cluster solves a row/column
 slice of that system (:func:`numeric.solve`): the rows of its constraints and
@@ -237,7 +241,14 @@ def bottom_up(model: Model, seed: int = 0, rank_tol: float = RANK_REL_TOL) -> Cl
 
 
 def top_down(model: Model) -> ClusterTree:
-    """Recursive articulation-pair splitting of a 2D point/distance model."""
+    """Recursive articulation-pair splitting of a 2D point/distance model.
+
+    A node splits at its lexicographically first articulation pair (a, b):
+    for each a in sorted order, one low-link DFS over the graph minus a gives
+    the smallest b > a that disconnects what is left, so a node with n
+    entities and m constraints costs O(n(n + m)).  Nodes of three entities
+    are triangles, and nodes without a pair are irreducible.
+    """
     if model.dimension != 2 or any(e.kind != POINT2 for e in model.entities):
         raise DecompositionError("top-down splitting covers the 2D point/distance scope")
     for c in model.constraints:
@@ -273,34 +284,79 @@ def top_down(model: Model) -> ClusterTree:
             comps.append(comp)
         return comps
 
+    def partner(a: str, order: Sequence[str], adj: Mapping[str, set[str]]) -> str | None:
+        """Smallest b > a in ``order`` such that G - {a, b} is disconnected.
+
+        One iterative low-link DFS over G - a counts, for every vertex b, the
+        pieces its own component falls into once b is removed: the DFS
+        children of a root, else one plus the children whose low-link does
+        not reach above b.  G - {a, b} then has components(G - a) - 1 +
+        pieces(b) components.
+        """
+        disc: dict[str, int] = {}
+        low: dict[str, int] = {}
+        pieces: dict[str, int] = {}
+        n_comps = 0
+        for root in order:
+            if root == a or root in disc:
+                continue
+            n_comps += 1
+            disc[root] = low[root] = len(disc)
+            pieces[root] = 0
+            stack = [(root, iter(adj[root]))]
+            while stack:
+                v, nbrs = stack[-1]
+                for w in nbrs:
+                    if w == a:
+                        continue
+                    if w not in disc:
+                        disc[w] = low[w] = len(disc)
+                        pieces[w] = 1
+                        stack.append((w, iter(adj[w])))
+                        break
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+                else:
+                    stack.pop()
+                    if stack:
+                        u = stack[-1][0]
+                        if low[v] < low[u]:
+                            low[u] = low[v]
+                        if low[v] >= disc[u]:
+                            pieces[u] += 1
+        return next((b for b in order if b > a and n_comps - 1 + pieces[b] >= 2), None)
+
     def split(entities: frozenset[str],
-              edges: list[tuple[str, frozenset[str]]]) -> ClusterNode:
-        cons = {eid for eid, _ in edges if not eid.startswith("vbond:")}
-        bonds_here = tuple(
-            tuple(sorted(epair)) for eid, epair in edges if eid.startswith("vbond:"))
+              edges: list[tuple[str, frozenset[str], bool]]) -> ClusterNode:
+        # an edge is (id, endpoints, is a virtual bond)
+        cons = {eid for eid, _, bond in edges if not bond}
+        bonds_here = tuple(tuple(sorted(epair)) for _, epair, bond in edges if bond)
         if len(entities) <= 3:
             return new_node("triangle", entities, cons, bonds=bonds_here)
         adj: dict[str, set[str]] = {e: set() for e in entities}
-        for _, epair in edges:
+        for _, epair, _ in edges:
             a, b = sorted(epair)
             adj[a].add(b)
             adj[b].add(a)
-        for a, b in combinations(sorted(entities), 2):
-            rest = set(entities) - {a, b}
-            comps = components(rest, adj)
-            if len(comps) < 2:
+        # the lexicographically first articulation pair
+        order = sorted(entities)
+        for a in order:
+            b = partner(a, order, adj)
+            if b is None:
                 continue
+            comps = components(set(entities) - {a, b}, adj)
             child_sets = [frozenset(comp | {a, b}) for comp in comps]
-            assigned: set[str] = set()
+            assigned: set[int] = set()
             jobs = []
             for cs in child_sets:
                 mine = []
-                for eid, epair in edges:
-                    if epair <= cs and eid not in assigned:
-                        mine.append((eid, epair))
-                        assigned.add(eid)
+                for k, edge in enumerate(edges):
+                    if k not in assigned and edge[1] <= cs:
+                        mine.append(edge)
+                        assigned.add(k)
                 count = 2 * len(cs) - len(mine)
-                needs_bond = count > 3 and not any(ep == frozenset((a, b)) for _, ep in mine)
+                needs_bond = count > 3 and not any(
+                    ep == frozenset((a, b)) for _, ep, _ in mine)
                 jobs.append((needs_bond, cs, mine))
             # bond-free children solve first; they fix the pair's separation
             jobs.sort(key=lambda j: (j[0], sorted(j[1])))
@@ -308,14 +364,14 @@ def top_down(model: Model) -> ClusterTree:
             node_bonds = []
             for needs_bond, cs, mine in jobs:
                 if needs_bond:
-                    mine = mine + [(f"vbond:{a}-{b}", frozenset((a, b)))]
+                    mine = mine + [(f"{a}-{b}", frozenset((a, b)), True)]
                     node_bonds.append((a, b))
                 children.append(split(cs, mine))
             return new_node("split", entities, cons, children=children,
                             pair=(a, b), bonds=tuple(node_bonds))
         return new_node("irreducible", entities, cons, bonds=bonds_here)
 
-    edges = [(c.id, frozenset(c.entities)) for c in model.constraints]
+    edges = [(c.id, frozenset(c.entities), False) for c in model.constraints]
     root = split(frozenset(e.id for e in model.entities), edges)
     return ClusterTree("top-down", (root,), (), ())
 

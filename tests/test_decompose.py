@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gcskernel import (
     AlignmentError,
@@ -261,6 +261,127 @@ def test_top_down_strip_recursion():
         for c in node.children:
             yield from leaves(c)
     assert all(leaf.kind == "triangle" for leaf in leaves(root))
+
+
+
+def test_top_down_model_constraint_named_like_a_virtual_bond():
+    # virtual bonds are flagged in the edges, not told apart by their id
+    m = zoo.braced_quad_model()
+    renamed = Model(m.dimension, m.entities, tuple(
+        Constraint("vbond:e1" if c.id == "e1" else c.id, c.kind, c.entities, c.value)
+        for c in m.constraints))
+
+    def rename(node):
+        node = dict(node)
+        node["constraints"] = sorted(
+            "vbond:e1" if cid == "e1" else cid for cid in node["constraints"])
+        if "children" in node:
+            node["children"] = [rename(c) for c in node["children"]]
+        return node
+
+    expected = top_down(m).to_json_dict()
+    expected["roots"] = [rename(r) for r in expected["roots"]]
+    tree = top_down(renamed)
+    assert tree.to_json_dict() == expected
+    plan, solution, cert = solve_tree(renamed, tree)
+    assert cert.converged
+
+
+def pair_scan_top_down(model):
+    """Reference top-down: try every entity pair of a node in sorted order and
+    search the rest of the graph for each (the scan the low-link pass replaced)."""
+    counter = [0]
+
+    def new_node(kind, entities, constraints, children=(), pair=None, bonds=()):
+        counter[0] += 1
+        return ClusterNode(counter[0], kind, frozenset(entities), frozenset(constraints),
+                           tuple(children), pair=pair, virtual_bonds=tuple(bonds))
+
+    def components(nodes, adj):
+        seen, comps = set(), []
+        for start in sorted(nodes):
+            if start in seen:
+                continue
+            comp, frontier = {start}, [start]
+            seen.add(start)
+            while frontier:
+                for nb in adj[frontier.pop()]:
+                    if nb in nodes and nb not in seen:
+                        seen.add(nb)
+                        comp.add(nb)
+                        frontier.append(nb)
+            comps.append(comp)
+        return comps
+
+    def split(entities, edges):
+        cons = {eid for eid, _ in edges if not eid.startswith("vbond:")}
+        bonds_here = tuple(
+            tuple(sorted(epair)) for eid, epair in edges if eid.startswith("vbond:"))
+        if len(entities) <= 3:
+            return new_node("triangle", entities, cons, bonds=bonds_here)
+        adj = {e: set() for e in entities}
+        for _, epair in edges:
+            a, b = sorted(epair)
+            adj[a].add(b)
+            adj[b].add(a)
+        for a, b in combinations(sorted(entities), 2):
+            comps = components(set(entities) - {a, b}, adj)
+            if len(comps) < 2:
+                continue
+            assigned, jobs = set(), []
+            for cs in (frozenset(comp | {a, b}) for comp in comps):
+                mine = []
+                for eid, epair in edges:
+                    if epair <= cs and eid not in assigned:
+                        mine.append((eid, epair))
+                        assigned.add(eid)
+                needs_bond = (2 * len(cs) - len(mine) > 3
+                              and not any(ep == frozenset((a, b)) for _, ep in mine))
+                jobs.append((needs_bond, cs, mine))
+            jobs.sort(key=lambda j: (j[0], sorted(j[1])))
+            children, node_bonds = [], []
+            for needs_bond, cs, mine in jobs:
+                if needs_bond:
+                    mine = mine + [(f"vbond:{a}-{b}", frozenset((a, b)))]
+                    node_bonds.append((a, b))
+                children.append(split(cs, mine))
+            return new_node("split", entities, cons, children=children,
+                            pair=(a, b), bonds=tuple(node_bonds))
+        return new_node("irreducible", entities, cons, bonds=bonds_here)
+
+    root = split(frozenset(e.id for e in model.entities),
+                 [(c.id, frozenset(c.entities)) for c in model.constraints])
+    return ClusterTree("top-down", (root,), (), ())
+
+
+@st.composite
+def small_distance_graphs(draw):
+    """2D point-distance models on 1-9 points; edges may repeat a pair."""
+    n = draw(st.integers(1, 9))
+    coords = {f"P{i}": (float(i), float(i * i % 7)) for i in range(n)}
+    pairs = list(combinations(sorted(coords), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * n)) if pairs else []
+    return zoo.points_distances_model(coords, edges)
+
+
+def graph(n, edges):
+    return zoo.points_distances_model(
+        {f"P{i}": (float(i), float(i * i % 7)) for i in range(n)},
+        [(f"P{a}", f"P{b}") for a, b in edges])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(small_distance_graphs())
+# two triangles apart, a triangle with two isolated points, two triangles on a
+# cut vertex, G - P0 split into a singleton and a triangle, and a braced quad
+# with its brace doubled
+@example(graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
+@example(graph(5, [(2, 3), (3, 4), (2, 4)]))
+@example(graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]))
+@example(graph(5, [(0, 1), (0, 2), (0, 3), (2, 3), (2, 4), (3, 4)]))
+@example(graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3), (1, 3)]))
+def test_low_link_split_matches_pair_scan(model):
+    assert top_down(model).to_json_dict() == pair_scan_top_down(model).to_json_dict()
 
 
 # --- solve/recombine -------------------------------------------------------------
