@@ -17,7 +17,8 @@ Residual conventions:
 * 3D angles use dot products, 3D parallelism and point-on-line use two
   components of the relevant cross product (the dropped component is the one
   aligned with the largest initial direction coordinate, so the two kept
-  equations are locally independent near the sketch).
+  equations are locally independent near the sketch), or all three with
+  ``full_cross``.
 """
 
 from __future__ import annotations
@@ -259,14 +260,14 @@ def _emit_constraint(model: Model, c: Constraint, env: dict[str, list[ex.Expr]],
     raise CompileError(f"unsupported constraint kind {kind!r}")
 
 
-def compile_model(model: Model, cross_mode: str = "reduced") -> ResidualSystem:
+def compile_model(model: Model, full_cross: bool = False) -> ResidualSystem:
     """Compile a validated model into a residual system.
 
-    ``cross_mode="full"`` emits all three components of cross-product
-    constraints (3D parallelism, point on 3D line) instead of the two
-    independent ones; the redundant variant over-counts DOC but describes the
-    exact singular variety, which is what witness projection needs.  Both
-    modes produce the identical variable layout.
+    ``full_cross`` emits all three components of cross-product constraints
+    (3D parallelism, point on 3D line) instead of the two independent ones;
+    the redundant variant over-counts DOC but describes the exact singular
+    variety, which is what witness projection needs.  Both variants produce
+    the identical variable layout.
 
     Raises :class:`CompileError` when validation reports violations or a
     constraint kind has no emitter.
@@ -275,15 +276,13 @@ def compile_model(model: Model, cross_mode: str = "reduced") -> ResidualSystem:
     if problems:
         summary = "; ".join(f"{p.code}({p.subject})" for p in problems[:5])
         raise CompileError(f"model does not validate: {summary}")
-    if cross_mode not in ("reduced", "full"):
-        raise CompileError(f"unknown cross mode {cross_mode!r}")
 
     variables: list[Variable] = []
     for e in model.entities:
         for comp, pname in enumerate(e.spec.param_names):
             variables.append(Variable(len(variables), e.id, comp, f"{e.id}.{pname}"))
     system = add_constraints(ResidualSystem(model.dimension, tuple(variables), ()),
-                             model, model.constraints, full_cross=(cross_mode == "full"))
+                             model, model.constraints, full_cross)
     env = _env(variables)
     residuals = list(system.residuals)
     for e in model.entities:
@@ -300,7 +299,8 @@ def add_constraints(system: ResidualSystem, model: Model, constraints: Sequence[
 
     :func:`compile_model` emits the model's own constraints this way, and
     decomposition appends virtual distance bonds to a compiled system.
-    ``full_cross`` emits every cross-product component (``cross_mode="full"``).
+    ``full_cross`` emits every cross-product component, as in
+    :func:`compile_model`.
     """
     named = {eid for c in constraints for eid in c.entities}
     env = _env(v for v in system.variables if v.entity_id in named)

@@ -472,7 +472,11 @@ def _solve_cluster(system: ResidualSystem, solve_sys: ResidualSystem, node: Clus
 def _solve_leaf(model: Model, system: ResidualSystem, node: ClusterNode,
                 bond_values: Mapping[tuple[str, str], float],
                 max_iter: int, tol: float) -> Solution:
-    """Solve the leaf's slice plus its bonds and anchors, from the re-framed sketch."""
+    """Solve the leaf's slice plus its bonds and anchors, from the re-framed sketch.
+
+    A leaf that holds a ``fix`` already has its frame: it gets no anchors and
+    solves from the raw sketch.
+    """
     bonds = []
     for (a, b) in node.virtual_bonds:
         if (a, b) not in bond_values:
@@ -482,7 +486,8 @@ def _solve_leaf(model: Model, system: ResidualSystem, node: ClusterNode,
     sketch = _sketch_solution(model, node.entities)
     solve_sys = add_constraints(system, model, bonds)
     points = _points_of(model, node.entities)
-    if len(points) >= 2:
+    fixed = any(c.kind == "fix" and c.id in node.constraints for c in model.constraints)
+    if len(points) >= 2 and not fixed:
         solve_sys = add_anchors(solve_sys, model, node.entities)
         # express the sketch in the anchored frame so Newton starts nearby and
         # keeps the sketch's chirality

@@ -10,15 +10,13 @@ nodes, i.e. the bipartite scheme).  On top of these:
   (canonical: independent of the particular maximum matching),
 * a solve plan from strongly connected components of the matching-oriented
   digraph, topologically sorted,
-* structural counting verdicts, either with the fixed frame dimension
-  D = 3 (2D) / 6 (3D) or with a supplied degree-of-rigidity function.
-  Fixed-D counting is exact at any model size: a weighted pebble game (an
-  incremental flow in the spirit of Jacobs and Hendrickson's (2,3) game and
-  Hoffmann, Lomonosov and Sitharam's dense-subgraph search) finds a violating
-  connected subset in polynomial time.  The degree-of-rigidity mode
-  enumerates subsets and refuses models of more than 12 entities.
+* structural counting verdicts with the fixed frame dimension D = 3 (2D) /
+  6 (3D), exact at any model size: a weighted pebble game (an incremental
+  flow in the spirit of Jacobs and Hendrickson's (2,3) game and Hoffmann,
+  Lomonosov and Sitharam's dense-subgraph search) finds a violating connected
+  subset in polynomial time.
 
-The 3D fixed-D verdict is necessary but not sufficient (double-banana style
+The 3D counting verdict is necessary but not sufficient (double-banana style
 counterexamples pass it while being geometrically under-constrained), so
 reports label it advisory.
 """
@@ -26,8 +24,7 @@ reports label it advisory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .compiler import ResidualSystem
 from .model import Model, doc_of
@@ -279,46 +276,26 @@ def scc_plan(graph: EquationGraph, matching: dict[int, int]) -> SolvePlan:
     return SolvePlan(blocks)
 
 
-# dor-mode counting enumerates every connected entity subset up to this size
-DOR_MAX_ENTITIES = 12
-
-
 @dataclass(frozen=True)
 class CountingVerdict:
     state: str  # under | well | over
-    mode: str
     deficit: int                       # DOF - DOC - D(whole)
     witness_subgraph: tuple[str, ...] | None
     advisory: bool  # 3D counting is necessary-but-not-sufficient
 
 
-def counting_state(cg: ConstraintGraph, dimension: int, mode: str = "fixed-D",
-                   dor_fn: Callable[[frozenset[str]], int] | None = None) -> CountingVerdict:
-    """Structural verdict from DOF/DOC counting.
+def counting_state(cg: ConstraintGraph, dimension: int) -> CountingVerdict:
+    """Structural verdict from DOF/DOC counting with D = 3 (2D) / 6 (3D).
 
     The model is over-constrained when the whole has DOF - DOC < D, or when a
     connected subset S of at least two entities (three in 3D) has
-    DOF(S) - DOC(S) < D(S); the reported ``witness_subgraph`` is then an
+    DOF(S) - DOC(S) < D; the reported ``witness_subgraph`` is then an
     inclusion-minimal such subset (the whole model when only the whole
-    violates).
-
-    ``fixed-D`` uses D = 3 (2D) / 6 (3D) and decides the subset condition
-    exactly, for any model size, with a weighted pebble game (see
-    :func:`_dense_subset`).  ``dor`` replaces D by a caller-supplied
-    degree-of-rigidity function evaluated on entity subsets (typically the
-    witness engine's motion-basis rank); the frame then depends on the subset,
-    so the search enumerates connected subsets exhaustively and refuses models
-    of more than ``DOR_MAX_ENTITIES`` entities with ``ValueError``.
+    violates).  The subset condition is decided exactly, for any model size,
+    with a weighted pebble game (see :func:`_dense_subset`).
     """
-    if mode not in ("fixed-D", "dor"):
-        raise ValueError(f"unknown counting mode {mode!r}")
-    if mode == "dor" and dor_fn is None:
-        raise ValueError("dor mode needs a dor_fn")
-    D_whole = 3 if dimension == 2 else 6
+    D = 3 if dimension == 2 else 6
     ids = list(cg.entity_ids)
-    if mode == "dor" and len(ids) > DOR_MAX_ENTITIES:
-        raise ValueError(f"dor counting enumerates subsets; {len(ids)} entities exceed "
-                         f"the limit of {DOR_MAX_ENTITIES}")
 
     # Laman/Maxwell-style subgraph conditions are stated for n' >= 2 entities
     # in 2D and n' >= 3 in 3D; smaller 3D subsystems have a degenerate frame
@@ -327,52 +304,24 @@ def counting_state(cg: ConstraintGraph, dimension: int, mode: str = "fixed-D",
 
     advisory = dimension == 3
     if not ids:
-        return CountingVerdict("well", mode, 0, None, advisory)
+        return CountingVerdict("well", 0, None, advisory)
     whole = frozenset(ids)
     dof, doc, _ = cg.induced(whole)
-    D = D_whole if mode == "fixed-D" else dor_fn(whole)
     deficit = dof - doc - D
 
-    if mode == "fixed-D":
-        dense = _dense_subset(cg, D_whole, min_sub)
-    else:
-        dense = _first_dor_violation(cg, dor_fn, min_sub)
+    dense = _dense_subset(cg, D, min_sub)
     witness = tuple(sorted(dense)) if dense is not None else None
 
     if witness is None and deficit < 0:
         witness = tuple(sorted(whole))
     if witness is not None:
-        return CountingVerdict("over", mode, deficit, witness, advisory)
-    if mode == "fixed-D" and dof < D_whole:
+        return CountingVerdict("over", deficit, witness, advisory)
+    if dof < D:
         # too small to span a frame; treat as under (a lone entity is free)
-        return CountingVerdict("under", mode, deficit, None, advisory)
+        return CountingVerdict("under", deficit, None, advisory)
     if deficit == 0:
-        return CountingVerdict("well", mode, deficit, None, advisory)
-    return CountingVerdict("under", mode, deficit, None, advisory)
-
-
-def _first_dor_violation(cg: ConstraintGraph, dor_fn: Callable[[frozenset[str]], int],
-                         min_sub: int) -> frozenset[str] | None:
-    """Smallest connected subset (first in enumeration order) with DOF - DOC < dor."""
-    ids = list(cg.entity_ids)
-    adj = cg.neighbors()
-    for k in range(min_sub, len(ids) + 1):
-        for combo in combinations(ids, k):
-            sub = set(combo)
-            seen = {combo[0]}
-            frontier = [combo[0]]
-            while frontier:
-                nxt = frontier.pop()
-                for nb in adj[nxt]:
-                    if nb in sub and nb not in seen:
-                        seen.add(nb)
-                        frontier.append(nb)
-            if seen != sub:
-                continue  # counting violations only matter on connected pieces
-            sdof, sdoc, _ = cg.induced(sub)
-            if sdof - sdoc < dor_fn(frozenset(sub)):
-                return frozenset(sub)
-    return None
+        return CountingVerdict("well", deficit, None, advisory)
+    return CountingVerdict("under", deficit, None, advisory)
 
 
 def _dense_subset(cg: ConstraintGraph, D: int, min_sub: int) -> frozenset[str] | None:

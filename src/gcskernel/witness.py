@@ -79,35 +79,6 @@ def _entities_coincide(model: Model, params: dict[str, tuple[float, ...]]) -> bo
     return False
 
 
-def _cross_constraints_hold(model: Model, params: dict[str, tuple[float, ...]]) -> bool:
-    # point-on-line (3D) and parallel (3D) compile to two of three cross
-    # components; re-check the full cross product so a witness cannot sit on
-    # the spurious branch where only the dropped component is violated.
-    if model.dimension != 3:
-        return True
-
-    def direction(e: Entity) -> np.ndarray:
-        p = np.asarray(params[e.id])
-        if e.kind == LINE3:
-            return p[3:6]
-        if e.spec.representation == HESSIAN:
-            return p[0:3]
-        return p[3:6]
-
-    for c in model.constraints:
-        if c.kind == "parallel":
-            u1 = direction(model.entity(c.entities[0]))
-            u2 = direction(model.entity(c.entities[1]))
-            if np.max(np.abs(np.cross(u1, u2))) > 1e-7:
-                return False
-        elif c.kind == "point-on-line":
-            p = np.asarray(params[c.entities[0]])
-            lv = np.asarray(params[c.entities[1]])
-            if np.max(np.abs(np.cross(p - lv[0:3], lv[3:6]))) > 1e-7:
-                return False
-    return True
-
-
 def generate_witness(system: ResidualSystem, model: Model, seed: int = 0,
                      max_attempts: int = 10) -> WitnessConfiguration:
     """Sample a witness: uniform in [-1, 1]^n projected onto the singular subsystem.
@@ -121,7 +92,7 @@ def generate_witness(system: ResidualSystem, model: Model, seed: int = 0,
     # project onto the exact singular variety: cross-product constraints use
     # all three components here, so the reduced system's spurious branch is
     # never satisfied by construction
-    projection = compile_model(model, cross_mode="full") if rows else base
+    projection = compile_model(model, full_cross=True) if rows else base
     proj_rows = projection.singular_rows()
     rng = np.random.default_rng(seed)
     last_error = "no attempts made"
@@ -137,9 +108,6 @@ def generate_witness(system: ResidualSystem, model: Model, seed: int = 0,
         params = params_from_assignment(model, base, x)
         if _entities_coincide(model, params):
             last_error = "coincident entities in sample"
-            continue
-        if not _cross_constraints_hold(model, params):
-            last_error = "spurious branch of a reduced cross-product constraint"
             continue
         return WitnessConfiguration(x, tuple(rows), seed, attempt)
     raise WitnessError(
@@ -179,17 +147,12 @@ def motion_basis(model: Model, system: ResidualSystem, assignment) -> RigidMotio
 
 
 def compute_dor(model: Model, system: ResidualSystem, assignment,
-                columns: Sequence[int] | None = None,
                 rank_tol: float = RANK_REL_TOL) -> DorResult:
-    """Degree of rigidity: numerical rank of the rigid-motion basis.
-
-    ``columns`` restricts the basis to a variable subset (used for
-    per-subsystem DOR in counting's ``dor`` mode); ``rank_tol`` is the relative
-    SVD threshold of :func:`rank_analyze`.
+    """Degree of rigidity: numerical rank of the rigid-motion basis of the
+    whole system; ``rank_tol`` is the relative SVD threshold of
+    :func:`rank_analyze`.
     """
-    basis = motion_basis(model, system, assignment)
-    M = basis.matrix if columns is None else basis.matrix[:, list(columns)]
-    analysis = rank_analyze(M, rank_tol)
+    analysis = rank_analyze(motion_basis(model, system, assignment).matrix, rank_tol)
     return DorResult(analysis.rank, analysis)
 
 
@@ -267,8 +230,7 @@ def characterize_at(system: ResidualSystem, assignment, dor: int,
 
 
 def characterize(system: ResidualSystem, model: Model, seed: int = 0,
-                 votes: int = 3, max_attempts: int = 10,
-                 rank_tol: float = RANK_REL_TOL) -> WcmReport:
+                 votes: int = 3, rank_tol: float = RANK_REL_TOL) -> WcmReport:
     """Majority-vote characterization over independently seeded witnesses.
 
     Anchors are excluded: the criteria quantify rigid-motion freedom, which
@@ -283,7 +245,7 @@ def characterize(system: ResidualSystem, model: Model, seed: int = 0,
     reports: list[WcmReport] = []
     for i in range(votes):
         wseed = seed + i
-        wit = generate_witness(base, model, seed=wseed, max_attempts=max_attempts)
+        wit = generate_witness(base, model, seed=wseed)
         dor = compute_dor(model, base, wit.assignment, rank_tol=rank_tol).dor
         reports.append(characterize_at(base, wit.assignment, dor, seeds=(wseed,),
                                        rank_tol=rank_tol))

@@ -3,7 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gcskernel import eval_jacobian, eval_residuals
+from gcskernel import eval_jacobian, eval_residuals, zoo
+from gcskernel.model import Constraint, Entity, Model
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -28,3 +29,24 @@ def assert_jacobian_matches_fd(system, x, tol=1e-6):
     F = finite_difference_jacobian(system, x)
     scale = np.maximum(1.0, np.abs(J))
     assert np.max(np.abs(J - F) / scale) <= tol
+
+
+def point_on_line_3d_model():
+    """Two points held on one 3D line (direction mostly along y) at a fixed gap."""
+    return Model(3, (
+        Entity("P1", "point3", (0.1, 1.0, 0.2)),
+        Entity("P2", "point3", (0.2, 3.0, 0.3)),
+        Entity("L", "line3", (0.0, 0.0, 0.1, 0.05, 1.0, 0.05)),
+    ), (
+        Constraint("on1", "point-on-line", ("P1", "L")),
+        Constraint("on2", "point-on-line", ("P2", "L")),
+        Constraint("gap", "distance-pp", ("P1", "P2"), 2.0),
+    ))
+
+
+def cross_product_models():
+    """3D models whose parallel and point-on-line constraints compile to two
+    of the three cross-product components."""
+    return [pytest.param(zoo.parallel_lines_model(), id="parallel_lines"),
+            pytest.param(zoo.plane_prism_model(), id="plane_prism"),
+            pytest.param(point_on_line_3d_model(), id="point_on_line")]

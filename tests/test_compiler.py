@@ -20,7 +20,7 @@ from gcskernel import expr as ex
 from gcskernel.compiler import Residual, ResidualSystem, Variable
 from gcskernel import zoo
 
-from conftest import assert_jacobian_matches_fd
+from conftest import assert_jacobian_matches_fd, cross_product_models
 
 
 def test_triangle_counts():
@@ -192,3 +192,29 @@ def test_linear_system_shapes():
     assert r == pytest.approx([0.5, -0.5])
     with pytest.raises(ValueError):
         linear_system([[1, 2]], [1, 2])
+
+
+@pytest.mark.parametrize("m", cross_product_models())
+def test_full_cross_adds_the_dropped_component(m):
+    reduced = compile_model(m)
+    full = compile_model(m, full_cross=True)
+    assert full.variables == reduced.variables
+    cross = [c for c in m.constraints if c.kind in ("parallel", "point-on-line")]
+    assert full.n_residuals == reduced.n_residuals + len(cross)
+    names = full.variable_names()
+
+    def rendered(system, cid):
+        return [ex.render(r.expression, names) for r in system.residuals if r.source == cid]
+
+    for c in cross:
+        kept, every = rendered(reduced, c.id), rendered(full, c.id)
+        assert len(every) == 3
+        # the reduced compile drops the component along the dominant axis of
+        # the (first) direction's sketch, the last axis when there is none
+        holder = m.entity(c.entities[0] if c.kind == "parallel" else c.entities[1])
+        if holder.params is None:
+            drop = 2
+        else:
+            d = holder.params[3:6] if holder.spec.representation != "hessian" else holder.params[0:3]
+            drop = int(np.argmax(np.abs(d)))
+        assert kept == [e for i, e in enumerate(every) if i != drop]

@@ -476,6 +476,20 @@ def test_solve_tree_refuses_forest():
         solve_tree(m, tree)
 
 
+def test_solve_tree_leaf_with_fix_keeps_the_fixed_point():
+    # a leaf holding a fix gets no anchors: they would pin its first point at
+    # the origin while the fix pins it at its sketch coordinates
+    m = zoo.triangle_strip(3)
+    m = Model(m.dimension, tuple(
+        Entity(e.id, e.kind, (0.3, 0.3) if e.id == "P1" else e.params, e.representation)
+        for e in m.entities), m.constraints + (Constraint("f1", "fix", ("P1",)),))
+    tree = bottom_up(m)
+    assert len(tree.roots) == 1
+    plan, solution, cert = solve_tree(m, tree)
+    assert cert.converged
+    assert solution["P1"] == pytest.approx((0.3, 0.3), abs=1e-9)
+
+
 def test_solve_tree_with_carrier_lines():
     m = zoo.triangle_model()
     tree = bottom_up(m)

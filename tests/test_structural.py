@@ -276,10 +276,10 @@ def test_plan_respects_dependencies():
 
 # --- counting ----------------------------------------------------------------
 
-def counting_of(model, mode="fixed-D", **kw):
+def counting_of(model):
     s = compile_model(model)
     _, cg = build_graphs(s, model)
-    return counting_state(cg, model.dimension, mode=mode, **kw)
+    return counting_state(cg, model.dimension)
 
 
 def test_laman_triple():
@@ -330,31 +330,6 @@ def test_counting_long_chain_and_doubled_edge():
     verdict = counting_of(doubled)
     assert verdict.state == "over"
     assert verdict.witness_subgraph == ("P00", "P01")
-
-
-def test_counting_dor_mode():
-    from gcskernel import compute_dor, generate_witness
-    m = zoo.braced_quad_model()
-    s = compile_model(m)
-    wit = generate_witness(s, m, seed=0)
-
-    def dor_fn(subset):
-        return compute_dor(m, s, wit.assignment, columns=s.columns_of(subset)).dor
-
-    _, cg = build_graphs(s, m)
-    assert counting_state(cg, 2, mode="dor", dor_fn=dor_fn).state == "well"
-    with pytest.raises(ValueError):
-        counting_state(cg, 2, mode="dor")
-
-
-def test_counting_dor_mode_refuses_large_models():
-    # dor frames depend on the subset, so dor mode enumerates subsets; a model
-    # too large to enumerate is refused, so no cap changes a verdict silently
-    m = zoo.triangle_strip(11)
-    _, cg = build_graphs(compile_model(m), m)
-    assert len(cg.entity_ids) == 13
-    with pytest.raises(ValueError):
-        counting_state(cg, 2, mode="dor", dor_fn=lambda subset: 3)
 
 
 def test_counting_large_strip_is_well():

@@ -22,6 +22,8 @@ from gcskernel import geometry, zoo
 from gcskernel.model import Constraint, Entity
 from gcskernel.witness import COINCIDENCE_TOL, _entities_coincide
 
+from conftest import cross_product_models
+
 
 # --- witness generation -------------------------------------------------------
 
@@ -115,6 +117,21 @@ def test_witness_projection_is_cheap_on_corpus():
         s = compile_model(m)
         wit = generate_witness(s, m, seed=0)
         assert wit.attempts == 1
+
+
+@pytest.mark.parametrize("m", cross_product_models())
+def test_witness_satisfies_every_cross_product_component(m):
+    # the projection runs on the full-cross compile, so a witness never sits
+    # on the reduced system's spurious branch where only the dropped
+    # component is violated
+    s = compile_model(m)
+    full = compile_model(m, full_cross=True)
+    cross = {c.id for c in m.constraints if c.kind in ("parallel", "point-on-line")}
+    rows = [r.index for r in full.residuals if r.source in cross]
+    assert len(rows) == 3 * len(cross)
+    for seed in range(50):
+        x = generate_witness(s, m, seed=seed).assignment
+        assert np.max(np.abs(eval_residuals(full, x, rows))) <= 1e-9
 
 
 def test_witness_generation_failure():
