@@ -1,8 +1,9 @@
 """Cluster decomposition of well-constrained systems and recombination.
 
-Bottom-up: seed clusters are entity pairs whose induced subsystem is already
-rigid (point pairs under a distance, a point on a line, two lines under an
-angle, ...).  Two merge rules apply, both validated against the witness
+Bottom-up: seed clusters are single entities and entity pairs whose induced
+subsystem is already rigid (point pairs under a distance, a point on a line,
+two lines under an angle, two fixed points, ...) and whose induced constraints
+name both entities.  Two merge rules apply, both validated against the witness
 engine so non-rigid unions (three lines under three angles) are rejected:
 
 * two clusters sharing two or more elements merge into one,
@@ -12,8 +13,24 @@ Candidate groups wait in a priority queue and are tested in a fixed order:
 smallest union first, then fewer clusters, then lexicographic (sorted union,
 then sorted member sets).  Each group is tested once: a group enters the
 queue when its newest cluster is created, a rejected group never returns, and
-a group whose union an existing cluster covers is dropped.  The loop ends when
-the queue is empty.
+a group whose union a live cluster covers is dropped.  The loop ends when the
+queue is empty.
+
+A successful merge rewrites the cluster set (Hoffmann, Lomonosov and Sitharam,
+"Decomposition plans for geometric constraint systems", 2001): it retires
+every cluster its union covers, and a queued group that holds a retired
+cluster is dropped.  This is exact where no row is dependent: if X is part of
+a rigid M and X + Y + Z is rigid, M + Y + Z is rigid, so the merge the
+retired X would have made is made with M.  The guard keeps over-constrained
+regions as they were: a merge whose union holds an entity of a constraint
+whose witness Jacobian rows take part in a row dependency (a nonzero cokernel
+row) retires nothing.  So bottom-up makes a linear number of rigidity checks
+on constructible sketches, and outside guarded regions every node has one
+parent.  A merge's children are ordered by the leaf their first-child descent
+reaches, earliest created first; recombination takes its frame from the first
+child, so that leaf fixes the frame.  A failed merge flags as redundant the
+constraints whose rows are dependent in its union's block, and nothing when
+the union failed because it is flexible.
 
 Top-down (2D point/distance scope): a node splits at the lexicographically
 first articulation pair, a pair (a, b) whose removal disconnects the
@@ -58,7 +75,7 @@ from .compiler import (
     induced,
     rows_of,
 )
-from .detect import is_well_part, witness_matrices
+from .detect import dependent_rows, is_well_part, witness_matrices
 from .model import Constraint, Model, POINT2
 from .numeric import RANK_REL_TOL, RESIDUAL_TOL, SolveResult, solve
 from .witness import WitnessError, generate_witness
@@ -144,10 +161,14 @@ def bottom_up(model: Model, seed: int = 0, rank_tol: float = RANK_REL_TOL) -> Cl
     """Merge rigid seed clusters into a cluster forest (partial trees allowed).
 
     Merge candidates are tested smallest union first, then fewer clusters,
-    then lexicographically; each is tested once.  A merged cluster joins the
-    active clusters and queues the candidate groups it completes; the clusters
-    it covers stay active.  ``rank_tol`` is the relative SVD threshold of every
-    rigidity check.
+    then lexicographically; each is tested once.  A merged cluster retires the
+    clusters its union covers and queues the candidate groups it completes;
+    queued groups that hold a retired cluster are dropped.  A merge whose
+    union holds an entity of a constraint in a row dependency of the witness
+    Jacobian retires nothing.  Merge children are ordered by the leaf their
+    first-child descent reaches, earliest created first.  A failed merge
+    flags the constraints in the cokernel support of its union's block.
+    ``rank_tol`` is the relative SVD threshold of every rank decision.
     """
     system = compile_model(model)
     try:
@@ -155,6 +176,19 @@ def bottom_up(model: Model, seed: int = 0, rank_tol: float = RANK_REL_TOL) -> Cl
     except WitnessError as err:
         raise DecompositionError(f"cannot build a witness for merge checks: {err}")
     J, M = witness_matrices(model, system, witness.assignment)
+
+    def dependent_constraints(entity_set: Iterable[str]) -> set[str]:
+        # the constraints whose rows take part in a row dependency of the block
+        rows = induced(model, system, entity_set)[1]
+        block = J[np.ix_(rows, system.columns_of(entity_set))]
+        return {system.residuals[rows[k]].source for k in dependent_rows(block, rank_tol)
+                if system.residuals[rows[k]].kind == "constraint"}
+
+    # where no row of J is dependent, a rigid union stays rigid when a cluster
+    # it covers part of is swapped for its cover, so covered clusters retire
+    ids = sorted(e.id for e in model.entities)
+    dependent = dependent_constraints(ids)
+    guarded = frozenset(e for cid in dependent for e in model.constraint(cid).entities)
 
     counter = [0]
 
@@ -168,30 +202,35 @@ def bottom_up(model: Model, seed: int = 0, rank_tol: float = RANK_REL_TOL) -> Cl
     def rigid(entity_set: Iterable[str]) -> bool:
         return is_well_part(model, system, J, M, entity_set, rank_tol)
 
-    active: list[ClusterNode] = []
-    holders: dict[str, list[ClusterNode]] = {}  # entity -> active clusters holding it
+    def lead(node: ClusterNode) -> int:
+        # the leaf a decomposed solve takes the node's frame from
+        while node.children:
+            node = node.children[0]
+        return node.node_id
+
+    active: dict[int, ClusterNode] = {}  # live clusters by id, in creation order
+    holders: dict[str, dict[int, ClusterNode]] = {}  # entity -> live clusters holding it
     queue: list[tuple[tuple, frozenset[str], tuple[ClusterNode, ...]]] = []
 
     def covered(union: frozenset[str]) -> bool:
-        return any(union <= c.entities for c in holders[next(iter(union))])
+        return any(union <= c.entities for c in holders[next(iter(union))].values())
 
     def push(group: tuple[ClusterNode, ...]) -> None:
         union = frozenset().union(*(c.entities for c in group))
         if covered(union):
             return  # nothing new, now or later
-        # active entity sets are distinct, so the key orders groups totally
+        # no two clusters share an entity set, so the key orders groups totally
         key = (len(union), len(group), tuple(sorted(union)),
                tuple(sorted(tuple(sorted(c.entities)) for c in group)))
         heapq.heappush(queue, (key, union, group))
 
     def add(node: ClusterNode) -> None:
-        # queue every group whose newest member is node, members in active
-        # order, as combinations(active, k) yields them
-        overlap = Counter(c.node_id for e in node.entities for c in holders.get(e, ()))
-        near = [c for c in active if c.node_id in overlap]
-        active.append(node)
+        # queue every group whose newest member is node, members in creation order
+        overlap = Counter(i for e in node.entities for i in holders.get(e, ()))
+        near = [active[i] for i in sorted(overlap)]
+        active[node.node_id] = node
         for e in node.entities:
-            holders.setdefault(e, []).append(node)
+            holders.setdefault(e, {})[node.node_id] = node
         for c in near:
             if overlap[c.node_id] >= 2:
                 push((c, node))
@@ -200,33 +239,51 @@ def bottom_up(model: Model, seed: int = 0, rank_tol: float = RANK_REL_TOL) -> Cl
                 if c1.entities & c2.entities:
                     push((c1, c2, node))
 
-    ids = sorted(e.id for e in model.entities)
+    def retire(node: ClusterNode) -> None:
+        del active[node.node_id]
+        for e in node.entities:
+            del holders[e][node.node_id]
+
     for single in ids:
         if induced(model, system, (single,))[0] and rigid((single,)):
             add(new_node("seed", (single,)))
-    for a, b in combinations(ids, 2):
-        if induced(model, system, (a, b))[0] and rigid((a, b)):
-            add(new_node("seed", (a, b)))
+    # a pair seed needs its induced constraints to name both of its entities:
+    # one constraint on the pair, or one on each entity alone
+    spans = {frozenset(c.entities) for c in model.constraints}
+    alone = [e for e in ids if frozenset((e,)) in spans]
+    pairs = {tuple(sorted(s)) for s in spans if len(s) == 2}
+    for pair in sorted(pairs.union(combinations(alone, 2))):
+        if rigid(pair):
+            add(new_node("seed", pair))
 
     redundant: set[str] = set()
     while queue:
         _, union, group = heapq.heappop(queue)
-        if covered(union):
+        # a retired member's cover queued the group's successor when it was added
+        if any(c.node_id not in active for c in group) or covered(union):
             continue
         if rigid(union):
+            children = sorted(group, key=lead)
             shared = tuple(
                 tuple(sorted(p.entities & q.entities))
-                for p, q in combinations(group, 2))
-            add(new_node("merge", union, children=group, shared=shared))
+                for p, q in combinations(children, 2))
+            node = new_node("merge", union, children=children, shared=shared)
+            if not union & guarded:
+                inside = {i: c for e in union for i, c in holders[e].items()
+                          if c.entities <= union}
+                for c in inside.values():
+                    retire(c)
+            add(node)
             continue
-        held = frozenset().union(*(c.constraints for c in group))
-        extra = induced(model, system, union)[0] - held
-        # surplus constraints of a failed rigid-check point at redundancy
-        redundant |= extra
+        # a failed union's dependent rows point at redundancy; a flexible
+        # union has none.  They are dependent in J too, so the block needs an
+        # SVD only while one of its constraints there is not yet flagged.
+        if (induced(model, system, union)[0] & dependent) - redundant:
+            redundant |= dependent_constraints(union)
 
     maximal = [
-        c for c in active
-        if not any(c is not o and c.entities < o.entities for o in active)
+        c for c in active.values()
+        if not any(c is not o and c.entities < o.entities for o in active.values())
     ]
     roots = tuple(sorted(maximal, key=lambda c: (-len(c.entities), sorted(c.entities))))
     covered_e = frozenset().union(*(r.entities for r in roots)) if roots else frozenset()

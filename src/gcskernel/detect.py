@@ -149,6 +149,16 @@ def is_well_part(model: Model, system: ResidualSystem, jacobian: np.ndarray,
     return rank == len(rows) and len(columns) - rank <= dor
 
 
+def dependent_rows(block: np.ndarray, rank_tol: float = RANK_REL_TOL) -> np.ndarray:
+    """Indices of the rows of ``block`` that take part in a row dependency.
+
+    A row does when its row of the cokernel basis has an entry above
+    :data:`SUPPORT_TOL`; a block of full row rank has none.
+    """
+    cokernel = rank_analyze(block, rank_tol).cokernel
+    return np.flatnonzero(np.any(np.abs(cokernel) > SUPPORT_TOL, axis=1))
+
+
 def greedy_well_parts(model: Model, system: ResidualSystem, assignment,
                       seed_entity: str | None = None,
                       rank_tol: float = RANK_REL_TOL) -> list[WellPart]:

@@ -112,8 +112,9 @@ def test_decompose_braced_quad_bottom_up(capsys, corpus_dir):
     assert code == 0
     root = data["tree"]["roots"][0]
     assert root["kind"] == "merge"
-    kids = sorted(tuple(c["entities"]) for c in root["children"])
-    assert kids == [("P1", "P2", "P4"), ("P2", "P3", "P4")]
+    # the triangle holds the earliest seed, so it comes first and sets the frame
+    kids = [tuple(c["entities"]) for c in root["children"]]
+    assert kids == [("P1", "P2", "P4"), ("P2", "P3"), ("P3", "P4")]
 
 
 def test_decompose_triangle_single_cluster(capsys, corpus_dir):

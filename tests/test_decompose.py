@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gcskernel import (
     AlignmentError,
@@ -22,7 +22,7 @@ from gcskernel import (
 from gcskernel import decompose, geometry, zoo
 from gcskernel.compiler import induced
 from gcskernel.decompose import ClusterNode, ClusterTree, align_onto
-from gcskernel.detect import is_well_part, witness_matrices
+from gcskernel.detect import dependent_rows, is_well_part, witness_matrices
 from gcskernel.model import Constraint, Entity, Model, model_from_json_dict
 from gcskernel.numeric import solve
 from gcskernel.witness import generate_witness
@@ -43,15 +43,25 @@ def aligned_max_deviation(m, a, b):
     return float(np.max(np.abs((B @ R.T) + t - A)))
 
 
+def all_nodes(node):
+    yield node
+    for c in node.children:
+        yield from all_nodes(c)
+
+
 # --- bottom-up ------------------------------------------------------------------
 
-def test_bottom_up_braced_quad_two_triangles_plus_merge():
+def test_bottom_up_braced_quad_triangle_plus_two_bars():
+    # the triangle P1P2P4 retires its seeds; the bars P2P3 and P3P4 close the
+    # quad in one ternary merge, and the triangle, which holds the earliest
+    # seed, is the first child
     tree = bottom_up(zoo.braced_quad_model())
     assert tree.assembled
     root = tree.roots[0]
     assert root.kind == "merge"
-    child_sets = sorted(sorted(c.entities) for c in root.children)
-    assert child_sets == [["P1", "P2", "P4"], ["P2", "P3", "P4"]]
+    assert [sorted(c.entities) for c in root.children] == [
+        ["P1", "P2", "P4"], ["P2", "P3"], ["P3", "P4"]]
+    assert [c.kind for c in root.children] == ["merge", "seed", "seed"]
     assert not tree.redundant_constraints and not tree.free_entities
 
 
@@ -176,38 +186,76 @@ def corpus_2d_models(corpus_dir):
             yield path.name, model_from_json_dict(data)
 
 
+def roots_and_free(tree):
+    return sorted(sorted(r.entities) for r in tree.roots), tree.free_entities
+
+
+# The restart scan keeps covered clusters and so builds other internal nodes;
+# retiring them must leave the root entity sets and the free entities as they are.
+
 def test_worklist_matches_restart_scan_on_corpus(corpus_dir):
     for name, m in corpus_2d_models(corpus_dir):
-        assert bottom_up(m).to_json_dict() == restart_scan_bottom_up(m).to_json_dict(), name
+        assert roots_and_free(bottom_up(m)) == roots_and_free(restart_scan_bottom_up(m)), name
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_worklist_matches_restart_scan_on_strips(n):
     m = zoo.triangle_strip(n)
     for seed in (0, 1, 7):
-        expected = restart_scan_bottom_up(m, seed).to_json_dict()
-        assert bottom_up(m, seed=seed).to_json_dict() == expected, seed
+        expected = roots_and_free(restart_scan_bottom_up(m, seed))
+        assert roots_and_free(bottom_up(m, seed=seed)) == expected, seed
 
 
 @st.composite
-def small_bar_frameworks(draw):
-    """2D point-distance models: 2-7 points in general position, any edge set."""
-    n = draw(st.integers(2, 7))
+def small_bar_frameworks(draw, max_edges=lambda n: 2 * n):
+    """2D point-distance models: 2-8 points in general position, any edge set
+    of at most ``max_edges(n)`` bars (2n allows over-braced frameworks)."""
+    n = draw(st.integers(2, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     coords = {f"P{i}": tuple(rng.uniform(-5.0, 5.0, size=2)) for i in range(n)}
     edges = draw(st.lists(st.sampled_from(list(combinations(sorted(coords), 2))),
-                          unique=True, max_size=2 * n))
+                          unique=True, max_size=max_edges(n)))
     return zoo.points_distances_model(coords, edges)
+
+
+def is_independent(model, seed=0):
+    """Whether no row of the model's witness Jacobian takes part in a dependency."""
+    system = compile_model(model)
+    J, _ = witness_matrices(model, system, generate_witness(system, model, seed=seed).assignment)
+    return dependent_rows(J).size == 0
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(small_bar_frameworks())
+@example(zoo.points_distances_model(  # K4: every row is in the one dependency
+    {"P0": (0.0, 0.0), "P1": (4.0, 0.3), "P2": (1.1, 3.7), "P3": (3.2, 2.9)},
+    list(combinations(["P0", "P1", "P2", "P3"], 2))))
 def test_worklist_matches_restart_scan_on_bar_frameworks(model):
-    assert bottom_up(model).to_json_dict() == restart_scan_bottom_up(model).to_json_dict()
+    assert roots_and_free(bottom_up(model)) == roots_and_free(restart_scan_bottom_up(model))
 
 
-def test_bottom_up_rigidity_check_count_on_strip7(monkeypatch):
-    # each candidate group is tested once, as often as the restart scan tests it
+def reachable_ids(tree):
+    return [n.node_id for r in tree.roots for n in all_nodes(r)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(small_bar_frameworks(max_edges=lambda n: 2 * n - 3))
+def test_independent_frameworks_flag_only_unheld_constraints(model):
+    assume(is_independent(model))
+    tree = bottom_up(model)
+    held = frozenset().union(*(r.constraints for r in tree.roots))
+    assert set(tree.redundant_constraints) == {c.id for c in model.constraints} - held
+    ids = reachable_ids(tree)
+    assert len(ids) == len(set(ids))  # every merge retired its children
+
+
+@pytest.mark.parametrize("n", [3, 7, 12, 48])
+def test_bottom_up_strip_is_a_tree(n):
+    ids = reachable_ids(bottom_up(zoo.triangle_strip(n)))
+    assert len(ids) == len(set(ids))
+
+
+def rigidity_checks(model, monkeypatch):
     calls = [0]
 
     def counting(*args, **kwargs):
@@ -215,8 +263,61 @@ def test_bottom_up_rigidity_check_count_on_strip7(monkeypatch):
         return is_well_part(*args, **kwargs)
 
     monkeypatch.setattr(decompose, "is_well_part", counting)
-    bottom_up(zoo.triangle_strip(7))
-    assert calls[0] == 153
+    bottom_up(model)
+    return calls[0]
+
+
+def test_bottom_up_rigidity_check_count_on_strip7(monkeypatch):
+    # a merge retires the clusters it covers, so the checks grow linearly
+    assert rigidity_checks(zoo.triangle_strip(7), monkeypatch) == 23
+
+
+def test_bottom_up_rigidity_check_count_on_strip48(monkeypatch):
+    assert rigidity_checks(zoo.triangle_strip(48), monkeypatch) == 152
+
+
+def test_bottom_up_flags_only_dependent_constraints(corpus_dir):
+    # a union that fails because it is flexible flags nothing; one that fails
+    # because its rows are dependent flags the constraints of those rows
+    expected = {
+        "seed-demo": [], "solve-seed-demo": [], "solve-strip3": [], "solve-strip4": [],
+        "solve-strip5": [], "solve-pentagon-fan": [], "triangle": [],
+        "two-triangles-bridge": [], "two-triangles-distance": [],
+        "three-lines-three-angles": ["a12", "a13", "a23"],
+        "k4": ["e1", "e2", "e3", "e4", "e5", "e6"],
+    }
+    for name, want in expected.items():
+        data = json.loads((corpus_dir / f"{name}.json").read_text(encoding="utf-8"))
+        tree = bottom_up(model_from_json_dict(data))
+        assert list(tree.redundant_constraints) == want, name
+
+
+def _with_fixes(m, *points):
+    fixes = tuple(Constraint(f"f{p[1:]}", "fix", (p,)) for p in points)
+    return Model(m.dimension, m.entities, m.constraints + fixes)
+
+
+@pytest.mark.parametrize("m, fixed", [
+    # a fix makes P7 rigid on its own, so without the rule P7 paired with any
+    # rigid point (P1) passed the rigidity test and the solve could not align
+    (_with_fixes(zoo.triangle_strip(5), "P7"), ("P7",)),
+    # two fixed points make a rigid pair that no constraint links; the model
+    # assembles only if that pair is seeded
+    (_with_fixes(zoo.points_distances_model(
+        {"P1": (0, 0), "P2": (4, 0), "P3": (1.5, 3)}, [("P1", "P3"), ("P2", "P3")]),
+        "P1", "P2"), ("P1", "P2")),
+], ids=["strip5-fix-P7", "two-anchor-triangle"])
+def test_bottom_up_pair_seeds_share_a_constraint(m, fixed):
+    tree = bottom_up(m)
+    seeds = [n for r in tree.roots for n in all_nodes(r) if n.kind == "seed"]
+    for s in seeds:
+        named = set().union(*(m.constraint(c).entities for c in s.constraints))
+        assert named == s.entities, sorted(s.entities)
+    assert tree.assembled
+    plan, solution, cert = solve_tree(m, tree)
+    assert cert.converged
+    for p in fixed:
+        assert solution[p] == pytest.approx(m.entity(p).params, abs=1e-9)
 
 
 # --- top-down -------------------------------------------------------------------
@@ -543,12 +644,6 @@ def reference_solve_leaf(model, node, bond_values):
     result = solve(solve_sys, start)
     assert result.converged
     return params_from_assignment(sub, solve_sys, result.assignment)
-
-
-def all_nodes(node):
-    yield node
-    for c in node.children:
-        yield from all_nodes(c)
 
 
 @pytest.fixture(scope="module")
