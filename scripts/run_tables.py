@@ -55,7 +55,7 @@ def verdict_table(seed):
     for name, m in models.items():
         s = compile_model(m)
         _, cg = build_graphs(s, m)
-        cv = counting_state(cg, m.dimension)
+        cv = counting_state(cg)
         wr = characterize(s, m, seed=seed)
         print(f"{name:26s} {cv.state:10s} {wr.verdict:16s} "
               f"{wr.rank}/{wr.rows:<8d} {wr.free_motions}")

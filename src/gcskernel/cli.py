@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,29 +34,12 @@ from .detect import (
     oracle_min_dependent_sets,
 )
 from .model import Model, model_from_json_dict, validate
-from .numeric import RANK_REL_TOL, solve
+from .numeric import RANK_REL_TOL, RESIDUAL_TOL, solve
 from .structural import build_graphs, counting_state
 from .witness import characterize, characterize_at, generate_witness
 
 EXIT = {"well": 0, "under": 3, "over": 4, "over-and-under": 5, "unstable": 6}
 EXIT_REFUSED = 7
-
-
-@dataclass
-class RunConfig:
-    residual_tol: float = 1e-9
-    rank_tol: float = RANK_REL_TOL
-    seed: int = 0
-    witnesses: int = 3
-    fmt: str = "text"
-    mode: str = "both"  # structural | witness | both
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if self.residual_tol <= 0 or self.rank_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.witnesses < 1:
-            raise ValueError("witness count must be >= 1")
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -111,20 +93,20 @@ class SystemExitError(Exception):
         self.code = code
 
 
-def _characterize(model: Model, system, cfg: RunConfig) -> dict:
+def _characterize(model: Model, system, args) -> dict:
     report = {}
     verdict = "well"
     if model is None:
         # raw equation system: witness analysis degenerates to a rank check at
         # a random assignment, structural analysis is not applicable
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(args.seed)
         x = rng.uniform(-1.0, 1.0, size=system.n_variables)
-        wr = characterize_at(system, x, 0, rank_tol=cfg.rank_tol)
+        wr = characterize_at(system, x, 0, rank_tol=args.rank_tol)
         report["witness"] = wr.to_json_dict()
         return {"verdict": wr.verdict, "report": report}
-    if cfg.mode in ("structural", "both"):
+    if args.mode in ("structural", "both"):
         _, cg = build_graphs(system, model)
-        cv = counting_state(cg, model.dimension)
+        cv = counting_state(cg)
         report["structural"] = {
             "state": cv.state,
             "deficit": cv.deficit,
@@ -132,71 +114,71 @@ def _characterize(model: Model, system, cfg: RunConfig) -> dict:
             "violatingSubgraph": list(cv.witness_subgraph) if cv.witness_subgraph else None,
         }
         verdict = cv.state
-    if cfg.mode in ("witness", "both"):
-        wr = characterize(system, model, seed=cfg.seed, votes=cfg.witnesses,
-                          rank_tol=cfg.rank_tol)
+    if args.mode in ("witness", "both"):
+        wr = characterize(system, model, seed=args.seed, votes=args.witnesses,
+                          rank_tol=args.rank_tol)
         report["witness"] = wr.to_json_dict()
         verdict = wr.verdict
     return {"verdict": verdict, "report": report}
 
 
-def cmd_check(args, cfg: RunConfig) -> int:
+def cmd_check(args) -> int:
     model, system = _load(args.model)
-    out = _characterize(model, system, cfg)
+    out = _characterize(model, system, args)
     payload = {"command": "check", "model": args.model, **out}
-    _emit(payload, cfg.fmt)
+    _emit(payload, args.format)
     return EXIT.get(out["verdict"], 6)
 
 
-def cmd_detect(args, cfg: RunConfig) -> int:
+def cmd_detect(args) -> int:
     model, system = _load(args.model)
     if model is None:
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(args.seed)
         x = rng.uniform(-1.0, 1.0, size=system.n_variables)
     else:
-        wit = generate_witness(system, model, seed=cfg.seed)
+        wit = generate_witness(system, model, seed=args.seed)
         x = wit.assignment
     greedy = greedy_dependency_groups(system, x, seed_row=args.seed_row,
-                                      rank_tol=cfg.rank_tol)
+                                      rank_tol=args.rank_tol)
     payload = {
         "command": "detect",
         "model": args.model,
-        "greedy": detection_report(greedy, [], "greedy", cfg.seed),
+        "greedy": detection_report(greedy, [], "greedy", args.seed),
     }
     try:
-        oracle = oracle_min_dependent_sets(system, x, rank_tol=cfg.rank_tol)
-        payload["oracle"] = detection_report(oracle, [], "oracle", cfg.seed)
+        oracle = oracle_min_dependent_sets(system, x, rank_tol=args.rank_tol)
+        payload["oracle"] = detection_report(oracle, [], "oracle", args.seed)
     except CapExceeded as err:
         payload["oracle"] = {"skipped": str(err)}
     if model is not None:
         parts = greedy_well_parts(model, system, x, seed_entity=args.seed_entity,
-                                  rank_tol=cfg.rank_tol)
+                                  rank_tol=args.rank_tol)
         payload["greedy"]["wellParts"] = sorted(
             list(p.sorted_entities()) for p in parts)
         try:
-            best = oracle_max_well_part(model, system, x, rank_tol=cfg.rank_tol)
+            best = oracle_max_well_part(model, system, x, rank_tol=args.rank_tol)
             payload["oracle"]["maxWellPart"] = sorted(best.entities)
         except CapExceeded as err:
             payload["oracle"]["maxWellPart"] = f"skipped: {err}"
-        wr = characterize(system, model, seed=cfg.seed, votes=cfg.witnesses,
-                          rank_tol=cfg.rank_tol)
+        wr = characterize(system, model, seed=args.seed, votes=args.witnesses,
+                          rank_tol=args.rank_tol)
         payload["freeMotions"] = wr.free_motions
         payload["verdict"] = wr.verdict
         ill = not greedy and wr.verdict == "well"
         payload["summary"] = ("no ill-constrained parts" if ill
                               else "ill-constrained parts listed")
-    _emit(payload, cfg.fmt)
+    _emit(payload, args.format)
     return 0
 
 
-def cmd_decompose(args, cfg: RunConfig) -> int:
+def cmd_decompose(args) -> int:
     model, system = _load(args.model)
     if model is None:
         raise SystemExitError(1, "decompose needs a geometric model")
-    wr = characterize(system, model, seed=cfg.seed, votes=cfg.witnesses,
-                      rank_tol=cfg.rank_tol)
+    wr = characterize(system, model, seed=args.seed, votes=args.witnesses,
+                      rank_tol=args.rank_tol)
     try:
-        tree = bottom_up(model, seed=cfg.seed, rank_tol=cfg.rank_tol) \
+        tree = bottom_up(model, seed=args.seed, rank_tol=args.rank_tol) \
             if args.strategy == "bottom-up" else top_down(model)
         payload = {
             "command": "decompose",
@@ -215,11 +197,11 @@ def cmd_decompose(args, cfg: RunConfig) -> int:
         }
     if wr.verdict != "well":
         payload["advice"] = "model is not well-constrained; run detect first"
-    _emit(payload, cfg.fmt)
+    _emit(payload, args.format)
     return EXIT.get(wr.verdict, 6)
 
 
-def cmd_solve(args, cfg: RunConfig) -> int:
+def cmd_solve(args) -> int:
     model, system = _load(args.model)
     if model is None:
         raise SystemExitError(1, "solve needs a geometric model")
@@ -230,9 +212,9 @@ def cmd_solve(args, cfg: RunConfig) -> int:
 
     if args.strategy == "decomposed":
         try:
-            tree = bottom_up(model, seed=cfg.seed, rank_tol=cfg.rank_tol)
-            plan, solution, cert = solve_tree(model, tree, max_iter=cfg.max_iter,
-                                              tol=cfg.residual_tol)
+            tree = bottom_up(model, seed=args.seed, rank_tol=args.rank_tol)
+            plan, solution, cert = solve_tree(model, tree, max_iter=args.max_iter,
+                                              tol=args.tolerance)
         except (DecompositionError, AlignmentError) as err:
             raise SystemExitError(EXIT_REFUSED, f"decomposed solve failed: {err}")
         result = cert
@@ -242,7 +224,7 @@ def cmd_solve(args, cfg: RunConfig) -> int:
             anchored = add_anchors(system, model)
         except AnchorError:
             anchored = system  # no frame to pin; least-squares steps cope
-        result = solve(anchored, start, max_iter=cfg.max_iter, tol=cfg.residual_tol)
+        result = solve(anchored, start, max_iter=args.max_iter, tol=args.tolerance)
         params = params_from_assignment(model, anchored, result.assignment)
 
     payload = {
@@ -254,7 +236,7 @@ def cmd_solve(args, cfg: RunConfig) -> int:
         "residualMax": result.residual_norm,
         "entities": {k: list(v) for k, v in sorted(params.items())},
     }
-    _emit(payload, cfg.fmt)
+    _emit(payload, args.format)
     if result.status == "converged":
         return 0
     if result.status == "inconsistent":
@@ -267,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gcs",
         description="Geometric constraint system characterization, detection, "
                     "decomposition and solving.")
-    parser.add_argument("--tolerance", type=float, default=1e-9,
+    parser.add_argument("--tolerance", type=float, default=RESIDUAL_TOL,
                         help="residual tolerance (default 1e-9)")
     parser.add_argument("--rank-tol", type=float, default=RANK_REL_TOL,
                         help="relative rank tolerance (default 1e-8)")
@@ -305,28 +287,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    seed = args.seed
     if "GCS_SEED" in os.environ:
         try:
-            seed = int(os.environ["GCS_SEED"])
+            args.seed = int(os.environ["GCS_SEED"])
         except ValueError:
             print("GCS_SEED must be an integer", file=sys.stderr)
             return 1
-    try:
-        cfg = RunConfig(
-            residual_tol=args.tolerance,
-            rank_tol=args.rank_tol,
-            seed=seed,
-            witnesses=args.witnesses,
-            fmt=args.format,
-            mode=args.mode,
-            max_iter=args.max_iter,
-        )
-    except ValueError as err:
-        print(str(err), file=sys.stderr)
+    if args.tolerance <= 0 or args.rank_tol <= 0:
+        print("tolerances must be positive", file=sys.stderr)
+        return 1
+    if args.witnesses < 1:
+        print("witness count must be >= 1", file=sys.stderr)
         return 1
     try:
-        return args.func(args, cfg)
+        return args.func(args)
     except SystemExitError as err:
         print(str(err), file=sys.stderr)
         return err.code

@@ -28,9 +28,9 @@ row) retires nothing.  So bottom-up makes a linear number of rigidity checks
 on constructible sketches, and outside guarded regions every node has one
 parent.  A merge's children are ordered by the leaf their first-child descent
 reaches, earliest created first; recombination takes its frame from the first
-child, so that leaf fixes the frame.  A failed merge flags as redundant the
-constraints whose rows are dependent in its union's block, and nothing when
-the union failed because it is flexible.
+child, so that leaf fixes the frame.  The redundant or conflicting constraints
+are those whose rows take part in a row dependency of the witness Jacobian
+(the cokernel support that ``check`` reports), plus those no root holds.
 
 Top-down (2D point/distance scope): a node splits at the lexicographically
 first articulation pair, a pair (a, b) whose removal disconnects the
@@ -166,9 +166,10 @@ def bottom_up(model: Model, seed: int = 0, rank_tol: float = RANK_REL_TOL) -> Cl
     queued groups that hold a retired cluster are dropped.  A merge whose
     union holds an entity of a constraint in a row dependency of the witness
     Jacobian retires nothing.  Merge children are ordered by the leaf their
-    first-child descent reaches, earliest created first.  A failed merge
-    flags the constraints in the cokernel support of its union's block.
-    ``rank_tol`` is the relative SVD threshold of every rank decision.
+    first-child descent reaches, earliest created first.  The constraints in
+    the cokernel support of the witness Jacobian, and those no root holds,
+    are flagged redundant or conflicting.  ``rank_tol`` is the relative SVD
+    threshold of every rank decision.
     """
     system = compile_model(model)
     try:
@@ -176,18 +177,12 @@ def bottom_up(model: Model, seed: int = 0, rank_tol: float = RANK_REL_TOL) -> Cl
     except WitnessError as err:
         raise DecompositionError(f"cannot build a witness for merge checks: {err}")
     J, M = witness_matrices(model, system, witness.assignment)
-
-    def dependent_constraints(entity_set: Iterable[str]) -> set[str]:
-        # the constraints whose rows take part in a row dependency of the block
-        rows = induced(model, system, entity_set)[1]
-        block = J[np.ix_(rows, system.columns_of(entity_set))]
-        return {system.residuals[rows[k]].source for k in dependent_rows(block, rank_tol)
-                if system.residuals[rows[k]].kind == "constraint"}
-
-    # where no row of J is dependent, a rigid union stays rigid when a cluster
-    # it covers part of is swapped for its cover, so covered clusters retire
+    # the constraints whose rows take part in a row dependency of J; where
+    # there is none, a rigid union stays rigid when a cluster it covers part
+    # of is swapped for its cover, so covered clusters retire
+    dependent = {system.residuals[r].source for r in dependent_rows(J, rank_tol)
+                 if system.residuals[r].kind == "constraint"}
     ids = sorted(e.id for e in model.entities)
-    dependent = dependent_constraints(ids)
     guarded = frozenset(e for cid in dependent for e in model.constraint(cid).entities)
 
     counter = [0]
@@ -256,7 +251,6 @@ def bottom_up(model: Model, seed: int = 0, rank_tol: float = RANK_REL_TOL) -> Cl
         if rigid(pair):
             add(new_node("seed", pair))
 
-    redundant: set[str] = set()
     while queue:
         _, union, group = heapq.heappop(queue)
         # a retired member's cover queued the group's successor when it was added
@@ -274,12 +268,6 @@ def bottom_up(model: Model, seed: int = 0, rank_tol: float = RANK_REL_TOL) -> Cl
                 for c in inside.values():
                     retire(c)
             add(node)
-            continue
-        # a failed union's dependent rows point at redundancy; a flexible
-        # union has none.  They are dependent in J too, so the block needs an
-        # SVD only while one of its constraints there is not yet flagged.
-        if (induced(model, system, union)[0] & dependent) - redundant:
-            redundant |= dependent_constraints(union)
 
     maximal = [
         c for c in active.values()
@@ -290,7 +278,7 @@ def bottom_up(model: Model, seed: int = 0, rank_tol: float = RANK_REL_TOL) -> Cl
     covered_c = frozenset().union(*(r.constraints for r in roots)) if roots else frozenset()
     free = tuple(sorted(set(ids) - covered_e))
     leftover = {c.id for c in model.constraints} - covered_c
-    return ClusterTree("bottom-up", roots, tuple(sorted(redundant | leftover)), free)
+    return ClusterTree("bottom-up", roots, tuple(sorted(dependent | leftover)), free)
 
 
 # ---------------------------------------------------------------------------

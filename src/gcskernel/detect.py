@@ -24,10 +24,8 @@ import numpy as np
 
 from .compiler import ResidualSystem, eval_jacobian, induced
 from .model import Model
-from .numeric import RANK_REL_TOL, rank_analyze
+from .numeric import RANK_REL_TOL, SUPPORT_TOL, rank_analyze
 from .witness import motion_basis
-
-SUPPORT_TOL = 1e-10
 
 
 class CapExceeded(ValueError):
@@ -153,7 +151,7 @@ def dependent_rows(block: np.ndarray, rank_tol: float = RANK_REL_TOL) -> np.ndar
     """Indices of the rows of ``block`` that take part in a row dependency.
 
     A row does when its row of the cokernel basis has an entry above
-    :data:`SUPPORT_TOL`; a block of full row rank has none.
+    :data:`numeric.SUPPORT_TOL`; a block of full row rank has none.
     """
     cokernel = rank_analyze(block, rank_tol).cokernel
     return np.flatnonzero(np.any(np.abs(cokernel) > SUPPORT_TOL, axis=1))

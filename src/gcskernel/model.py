@@ -185,17 +185,6 @@ class Model:
         return sum(doc_of(c.kind, self.dimension) for c in self.constraints)
 
 
-def model(dimension, entities, constraints) -> Model:
-    """Convenience constructor accepting iterables and loose tuples."""
-    ents = tuple(
-        e if isinstance(e, Entity) else Entity(*e) for e in entities
-    )
-    cons = tuple(
-        c if isinstance(c, Constraint) else Constraint(*c) for c in constraints
-    )
-    return Model(int(dimension), ents, cons)
-
-
 @dataclass(frozen=True)
 class Violation:
     code: str

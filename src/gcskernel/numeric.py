@@ -22,6 +22,7 @@ from .compiler import ResidualSystem, eval_jacobian, eval_residuals
 
 RANK_REL_TOL = 1e-8
 RESIDUAL_TOL = 1e-9
+SUPPORT_TOL = 1e-10  # a row dependency coefficient above it puts its row in the support
 
 
 @dataclass(frozen=True)

@@ -284,7 +284,7 @@ class CountingVerdict:
     advisory: bool  # 3D counting is necessary-but-not-sufficient
 
 
-def counting_state(cg: ConstraintGraph, dimension: int) -> CountingVerdict:
+def counting_state(cg: ConstraintGraph) -> CountingVerdict:
     """Structural verdict from DOF/DOC counting with D = 3 (2D) / 6 (3D).
 
     The model is over-constrained when the whole has DOF - DOC < D, or when a
@@ -294,15 +294,15 @@ def counting_state(cg: ConstraintGraph, dimension: int) -> CountingVerdict:
     violates).  The subset condition is decided exactly, for any model size,
     with a weighted pebble game (see :func:`_dense_subset`).
     """
-    D = 3 if dimension == 2 else 6
+    D = 3 if cg.dimension == 2 else 6
     ids = list(cg.entity_ids)
 
     # Laman/Maxwell-style subgraph conditions are stated for n' >= 2 entities
     # in 2D and n' >= 3 in 3D; smaller 3D subsystems have a degenerate frame
     # (a point pair moves with 5 freedoms, not 6) and must not be flagged.
-    min_sub = 2 if dimension == 2 else 3
+    min_sub = 2 if cg.dimension == 2 else 3
 
-    advisory = dimension == 3
+    advisory = cg.dimension == 3
     if not ids:
         return CountingVerdict("well", 0, None, advisory)
     whole = frozenset(ids)

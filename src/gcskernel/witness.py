@@ -36,7 +36,7 @@ from .compiler import (
     params_from_assignment,
 )
 from .model import Entity, Model, PLANE3, HESSIAN, POINT_NORMAL, LINE3
-from .numeric import RANK_REL_TOL, RankAnalysis, optimize_solve, rank_analyze
+from .numeric import RANK_REL_TOL, SUPPORT_TOL, RankAnalysis, optimize_solve, rank_analyze
 
 WITNESS_TOL = 1e-9
 COINCIDENCE_TOL = 1e-6
@@ -188,11 +188,11 @@ class WcmReport:
         }
 
 
-def _dependency_supports(analysis: RankAnalysis, tol: float = 1e-10) -> tuple[tuple[int, ...], ...]:
+def _dependency_supports(analysis: RankAnalysis) -> tuple[tuple[int, ...], ...]:
     groups = []
     for k in range(analysis.cokernel.shape[1]):
         vec = analysis.cokernel[:, k]
-        support = tuple(int(i) for i in np.flatnonzero(np.abs(vec) > tol))
+        support = tuple(int(i) for i in np.flatnonzero(np.abs(vec) > SUPPORT_TOL))
         if support:
             groups.append(support)
     return tuple(groups)

@@ -105,7 +105,7 @@ def test_criterion_03_laman_counting():
         ]
         for model, expected in cases:
             _, cg = build_graphs(compile_model(model), model)
-            assert counting_state(cg, 2).state == expected
+            assert counting_state(cg).state == expected
 
 
 def test_criterion_04_structural_vs_numerical_disagreement():
@@ -113,14 +113,14 @@ def test_criterion_04_structural_vs_numerical_disagreement():
         m = zoo.three_lines_three_angles()
         s = compile_model(m)
         _, cg = build_graphs(s, m)
-        assert counting_state(cg, 2).state == "well"
+        assert counting_state(cg).state == "well"
         report = characterize(s, m, seed=0)
         assert report.over  # the implicit angle-sum dependency
 
         banana = zoo.double_banana_model()
         sb = compile_model(banana)
         _, cgb = build_graphs(sb, banana)
-        assert counting_state(cgb, 3).state == "well"
+        assert counting_state(cgb).state == "well"
         rb = characterize(sb, banana, seed=0)
         assert rb.under and rb.free_motions >= 1
 

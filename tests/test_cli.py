@@ -246,6 +246,18 @@ def test_gcs_seed_env_override(capsys, corpus_dir, monkeypatch):
     assert main(["check", str(corpus_dir / "triangle.json")]) == 1
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--tolerance", "0"], "tolerances must be positive"),
+    (["--rank-tol", "-1"], "tolerances must be positive"),
+    (["--witnesses", "0"], "witness count must be >= 1"),
+], ids=["tolerance", "rank-tol", "witnesses"])
+def test_invalid_global_options_exit_1(capsys, corpus_dir, flags, message):
+    assert main([*flags, "check", str(corpus_dir / "triangle.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == message
+
+
 def test_check_3d_models(capsys, corpus_dir):
     code, data = run_json(capsys, "check", str(corpus_dir / "tetrahedron.json"))
     assert code == 0 and data["verdict"] == "well"

@@ -25,7 +25,7 @@ from gcskernel.decompose import ClusterNode, ClusterTree, align_onto
 from gcskernel.detect import dependent_rows, is_well_part, witness_matrices
 from gcskernel.model import Constraint, Entity, Model, model_from_json_dict
 from gcskernel.numeric import solve
-from gcskernel.witness import generate_witness
+from gcskernel.witness import characterize, characterize_at, generate_witness
 
 
 def direct_solution(m):
@@ -277,8 +277,8 @@ def test_bottom_up_rigidity_check_count_on_strip48(monkeypatch):
 
 
 def test_bottom_up_flags_only_dependent_constraints(corpus_dir):
-    # a union that fails because it is flexible flags nothing; one that fails
-    # because its rows are dependent flags the constraints of those rows
+    # the flagged constraints are those whose rows take part in a row
+    # dependency of the witness Jacobian; a flexible part flags nothing
     expected = {
         "seed-demo": [], "solve-seed-demo": [], "solve-strip3": [], "solve-strip4": [],
         "solve-strip5": [], "solve-pentagon-fan": [], "triangle": [],
@@ -290,6 +290,45 @@ def test_bottom_up_flags_only_dependent_constraints(corpus_dir):
         data = json.loads((corpus_dir / f"{name}.json").read_text(encoding="utf-8"))
         tree = bottom_up(model_from_json_dict(data))
         assert list(tree.redundant_constraints) == want, name
+
+
+def dependent_sources(system, groups):
+    """The constraints whose rows lie in one of the cokernel ``groups``."""
+    return {system.residuals[r].source for g in groups for r in g
+            if system.residuals[r].kind == "constraint"}
+
+
+def test_bottom_up_flags_a_dependency_across_clusters():
+    # two rigid 4-point strips joined by four bars: the one dependency runs
+    # through all 14 rows, but no tested union holds both strips, so a rule
+    # that looks only inside failed unions flagged nothing
+    coords = {"P1": (0.0, 0.0), "P2": (1.1, 1.9), "P3": (2.3, -0.2), "P4": (3.2, 2.1),
+              "P5": (0.4, 5.3), "P6": (1.7, 7.2), "P7": (2.9, 4.8), "P8": (4.1, 7.6)}
+    strip = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
+    edges = ([(f"P{a + 1}", f"P{b + 1}") for a, b in strip]
+             + [(f"P{a + 5}", f"P{b + 5}") for a, b in strip]
+             + [(f"P{i}", f"P{i + 4}") for i in range(1, 5)])
+    m = zoo.points_distances_model(coords, edges)
+    system = compile_model(m)
+    report = characterize(system, m)
+    assert report.verdict == "over"
+    tree = bottom_up(m)
+    assert tree.redundant_constraints
+    assert set(tree.redundant_constraints) == dependent_sources(system, report.dependent_groups)
+    assert set(tree.redundant_constraints) == {c.id for c in m.constraints}
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(small_bar_frameworks())
+def test_bottom_up_flags_the_witness_cokernel_support(model):
+    system = compile_model(model)
+    witness = generate_witness(system, model, seed=0)
+    # the degree of rigidity does not enter the cokernel
+    groups = characterize_at(system, witness.assignment, 0).dependent_groups
+    tree = bottom_up(model, seed=0)
+    held = frozenset().union(*(r.constraints for r in tree.roots))
+    unheld = {c.id for c in model.constraints} - held
+    assert set(tree.redundant_constraints) == dependent_sources(system, groups) | unheld
 
 
 def _with_fixes(m, *points):

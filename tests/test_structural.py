@@ -279,7 +279,7 @@ def test_plan_respects_dependencies():
 def counting_of(model):
     s = compile_model(model)
     _, cg = build_graphs(s, model)
-    return counting_state(cg, model.dimension)
+    return counting_state(cg)
 
 
 def test_laman_triple():
@@ -425,7 +425,7 @@ def mixed_models(draw, dimension):
 
 def assert_counting_matches_oracle(model):
     _, cg = build_graphs(compile_model(model), model)
-    verdict = counting_state(cg, model.dimension)
+    verdict = counting_state(cg)
     expected, violating = brute_force_counting(cg, model.dimension)
     assert verdict.state == expected
     witness = verdict.witness_subgraph
