@@ -6,7 +6,10 @@ normalization residuals of redundant parameterizations, followed by any frame
 anchors.  Compilation is deterministic: the same model always yields the same
 variable and residual ordering.  :func:`induced` gives the constraints and
 residual rows that an entity subset induces; detection, bottom-up
-decomposition and the decomposed solve's cluster slices use those rows.
+decomposition and the decomposed solve's cluster slices use those rows.  A
+system maps each entity to its columns and each (kind, source) to its rows
+on first use; the systems derived from it by :func:`add_constraints`,
+:func:`add_anchors` and ``without_anchors`` share its column map.
 
 Residual conventions:
 
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Collection, Iterable, Sequence
 
 import numpy as np
@@ -87,9 +91,31 @@ class ResidualSystem:
     def variable_names(self) -> list[str]:
         return [v.name for v in self.variables]
 
+    @cached_property
+    def _columns(self) -> dict[str, tuple[int, ...]]:
+        """Columns of each entity, in component order."""
+        columns: dict[str, list[int]] = {}
+        for v in self.variables:
+            columns.setdefault(v.entity_id, []).append(v.index)
+        return {eid: tuple(cols) for eid, cols in columns.items()}
+
+    @cached_property
+    def _rows(self) -> dict[tuple[str, str | None], tuple[int, ...]]:
+        """Rows of each (kind, source), in system order."""
+        rows: dict[tuple[str, str | None], list[int]] = {}
+        for r in self.residuals:
+            rows.setdefault((r.kind, r.source), []).append(r.index)
+        return {key: tuple(idx) for key, idx in rows.items()}
+
+    def _derive(self, residuals: Iterable[Residual]) -> "ResidualSystem":
+        """A system over the same variables; it shares this system's column map."""
+        derived = ResidualSystem(self.dimension, self.variables, tuple(residuals))
+        derived.__dict__["_columns"] = self._columns
+        return derived
+
     def columns_of(self, entity_ids: Iterable[str]) -> list[int]:
-        wanted = set(entity_ids)
-        return [v.index for v in self.variables if v.entity_id in wanted]
+        columns = self._columns
+        return sorted(j for eid in set(entity_ids) for j in columns.get(eid, ()))
 
     def singular_rows(self) -> list[int]:
         return [r.index for r in self.residuals if r.singular]
@@ -98,16 +124,7 @@ class ResidualSystem:
         return [r.index for r in self.residuals if r.kind == "anchor"]
 
     def without_anchors(self) -> "ResidualSystem":
-        kept = tuple(r for r in self.residuals if r.kind != "anchor")
-        return ResidualSystem(self.dimension, self.variables, kept)
-
-
-def _env(variables: Iterable[Variable]) -> dict[str, list[ex.Expr]]:
-    """Variable expressions of each entity, in component order."""
-    env: dict[str, list[ex.Expr]] = {}
-    for v in variables:
-        env.setdefault(v.entity_id, []).append(ex.var(v.index))
-    return env
+        return self._derive(r for r in self.residuals if r.kind != "anchor")
 
 
 def _initial_direction(entity: Entity, group: tuple[int, ...]) -> np.ndarray:
@@ -283,14 +300,14 @@ def compile_model(model: Model, full_cross: bool = False) -> ResidualSystem:
             variables.append(Variable(len(variables), e.id, comp, f"{e.id}.{pname}"))
     system = add_constraints(ResidualSystem(model.dimension, tuple(variables), ()),
                              model, model.constraints, full_cross)
-    env = _env(variables)
+    columns = system._columns
     residuals = list(system.residuals)
     for e in model.entities:
         for group in e.spec.unit_groups:
-            vec = [env[e.id][i] for i in group]
+            vec = [ex.var(columns[e.id][i]) for i in group]
             residuals.append(Residual(len(residuals), f"unit:{e.id}", ex.dot(vec, vec) - 1.0,
                                       "normalization", e.id, True))
-    return ResidualSystem(model.dimension, system.variables, tuple(residuals))
+    return system._derive(residuals)
 
 
 def add_constraints(system: ResidualSystem, model: Model, constraints: Sequence[Constraint],
@@ -302,8 +319,9 @@ def add_constraints(system: ResidualSystem, model: Model, constraints: Sequence[
     ``full_cross`` emits every cross-product component, as in
     :func:`compile_model`.
     """
+    columns = system._columns
     named = {eid for c in constraints for eid in c.entities}
-    env = _env(v for v in system.variables if v.entity_id in named)
+    env = {eid: [ex.var(j) for j in columns[eid]] for eid in named if eid in columns}
     residuals = list(system.residuals)
     for c in constraints:
         exprs = _emit_constraint(model, c, env, full_cross=full_cross)
@@ -311,7 +329,7 @@ def add_constraints(system: ResidualSystem, model: Model, constraints: Sequence[
             suffix = "" if len(exprs) == 1 else f"[{k}]"
             residuals.append(Residual(len(residuals), f"{c.id}{suffix}", e_, "constraint", c.id,
                                       CONSTRAINT_KINDS[c.kind].singular))
-    return ResidualSystem(system.dimension, system.variables, tuple(residuals))
+    return system._derive(residuals)
 
 
 def add_anchors(system: ResidualSystem, model: Model,
@@ -324,18 +342,22 @@ def add_anchors(system: ResidualSystem, model: Model,
     when it is given.
     """
     point_tag = POINT2 if system.dimension == 2 else POINT3
-    points = [e for e in model.entities
-              if e.kind == point_tag and (entity_ids is None or e.id in entity_ids)]
+    columns = system._columns
+    if entity_ids is None:
+        points = [e for e in model.entities if e.kind == point_tag]
+    else:
+        # the compiled columns follow model order
+        picked = sorted((columns[eid][0], eid) for eid in set(entity_ids) if eid in columns)
+        points = [e for e in (model.entity(eid) for _, eid in picked) if e.kind == point_tag]
     need = 2 if system.dimension == 2 else 3
     if len(points) < need:
         raise AnchorError(
             f"anchoring a {system.dimension}D system needs {need} point entities, "
             f"model has {len(points)}")
 
-    cols = {v.name: v.index for v in system.variables}
-
     def pv(entity_id: str, comp_name: str) -> ex.Expr:
-        return ex.var(cols[f"{entity_id}.{comp_name}"])
+        comp = model.entity(entity_id).spec.param_names.index(comp_name)
+        return ex.var(columns[entity_id][comp])
 
     residuals = list(system.residuals)
 
@@ -362,7 +384,7 @@ def add_anchors(system: ResidualSystem, model: Model,
             push(pv(p2, comp) - pv(p1, comp), f"anchor:{p2}.{comp}-{p1}.{comp}")
         push(pv(p3, "z") - pv(p1, "z"), f"anchor:{p3}.z-{p1}.z")
 
-    return ResidualSystem(system.dimension, system.variables, tuple(residuals))
+    return system._derive(residuals)
 
 
 def eval_residuals(system: ResidualSystem, assignment: Sequence[float],
@@ -405,9 +427,8 @@ def dump_equations(system: ResidualSystem) -> str:
 def assignment_from_params(model: Model, system: ResidualSystem) -> np.ndarray:
     """Initial assignment from entity params; raises if any are missing."""
     x = np.zeros(system.n_variables)
-    by_id = {e.id: e for e in model.entities}
     for v in system.variables:
-        ent = by_id[v.entity_id]
+        ent = model.entity(v.entity_id)
         if ent.params is None:
             raise ValueError(f"entity {ent.id!r} has no parameters for an initial guess")
         x[v.index] = ent.params[v.component]
@@ -432,7 +453,8 @@ def induced(model: Model, system: ResidualSystem,
     entities.  Anchor rows never are.
     """
     keep = set(entity_ids)
-    cids = frozenset(c.id for c in model.constraints if set(c.entities) <= keep)
+    cids = frozenset(c.id for eid in keep for c in model.constraints_on(eid)
+                     if keep.issuperset(c.entities))
     return cids, rows_of(system, cids, keep)
 
 
@@ -440,9 +462,11 @@ def rows_of(system: ResidualSystem, constraint_ids: Collection[str],
             entity_ids: Collection[str]) -> list[int]:
     """Residual rows of the given constraints, then normalization rows of the
     given entities, in system order; anchor rows never."""
-    return [r.index for r in system.residuals
-            if (r.kind == "constraint" and r.source in constraint_ids)
-            or (r.kind == "normalization" and r.source in entity_ids)]
+    rows = system._rows
+    picked = [i for cid in set(constraint_ids) for i in rows.get(("constraint", cid), ())]
+    picked += [i for eid in set(entity_ids) for i in rows.get(("normalization", eid), ())]
+    picked.sort()
+    return picked
 
 
 def linear_system(coefficients, rhs, variable_names: Sequence[str] | None = None) -> ResidualSystem:

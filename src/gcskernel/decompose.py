@@ -43,15 +43,21 @@ measured from the first solved sibling.  Splitting recurses until triangles
 (or irreducible cores) remain, and the solve order is the reverse of the
 split order.
 
-Recombination compiles the model once; every cluster solves a row/column
-slice of that system (:func:`numeric.solve`): the rows of its constraints and
-entity normalizations, plus a leaf's virtual bonds and anchors, over the
-columns of its entities.  A leaf starts from the sketch re-expressed in its
-anchored frame, so the solution keeps the sketch's chirality.  Child solutions
-are placed by least-squares rigid alignment on shared points and the node is
-re-solved from there; ternary one-point merges get their closure point from
-the two-circle construction, with the mirror branch picked by the orientation
-of the sketch, and merges that share no points re-solve from the sketch.
+Recombination compiles the model once; every leaf solves a row/column slice
+of that system (:func:`numeric.solve`): the rows of its constraints and
+entity normalizations, plus its virtual bonds and anchors, over the columns
+of its entities.  A leaf starts from the sketch re-expressed in its anchored
+frame, so the solution keeps the sketch's chirality.  Child solutions are
+placed by least-squares rigid alignment on shared points; ternary one-point
+merges get their closure point from the two-circle construction, with the
+mirror branch picked by the orientation of the sketch.  A child's solution
+holds its rows and a rigid motion keeps every row but a fix's, so the node
+then evaluates only the rows placement can leave off: its constraints that no
+child holds, those that name an entity two or more children share, every fix,
+and the normalizations of the shared entities.  When one of them exceeds the
+tolerance, the node's slice is re-solved from the placement.  Merges that
+share no points re-solve from the sketch.  The final certificate evaluates
+every row.
 """
 
 from __future__ import annotations
@@ -489,6 +495,22 @@ def _sketch_solution(model: Model, entities: Iterable[str]) -> Solution:
     return out
 
 
+def _assignment(system: ResidualSystem, cols: Sequence[int], solution: Solution) -> np.ndarray:
+    """The system's assignment with ``cols`` taken from ``solution``, other columns 0."""
+    x = np.zeros(system.n_variables)
+    for j in cols:
+        x[j] = solution[system.variables[j].entity_id][system.variables[j].component]
+    return x
+
+
+def _solution(system: ResidualSystem, cols: Sequence[int], x: np.ndarray) -> Solution:
+    """Per-entity parameters of ``cols`` in ``x``, in column order."""
+    out: dict[str, list[float]] = {}
+    for j in cols:
+        out.setdefault(system.variables[j].entity_id, []).append(float(x[j]))
+    return {eid: tuple(params) for eid, params in out.items()}
+
+
 def _solve_cluster(system: ResidualSystem, solve_sys: ResidualSystem, node: ClusterNode,
                    start: Solution, max_iter: int, tol: float) -> Solution:
     """Solve the node's row/column slice of the compiled model from ``start``.
@@ -500,18 +522,35 @@ def _solve_cluster(system: ResidualSystem, solve_sys: ResidualSystem, node: Clus
     rows = rows_of(system, node.constraints, node.entities)
     rows += range(system.n_residuals, solve_sys.n_residuals)
     cols = system.columns_of(node.entities)
-    x = np.zeros(system.n_variables)
-    for j in cols:
-        x[j] = start[system.variables[j].entity_id][system.variables[j].component]
-    result = solve(solve_sys, x, max_iter=max_iter, tol=tol, rows=rows, cols=cols)
+    result = solve(solve_sys, _assignment(system, cols, start),
+                   max_iter=max_iter, tol=tol, rows=rows, cols=cols)
     if not result.converged:
         raise DecompositionError(
             f"{'subsystem' if node.children else 'cluster'} {sorted(node.entities)} "
             f"failed to solve: {result.status}")
-    out: dict[str, list[float]] = {}
-    for j in cols:
-        out.setdefault(system.variables[j].entity_id, []).append(float(result.assignment[j]))
-    return {eid: tuple(params) for eid, params in out.items()}
+    return _solution(system, cols, result.assignment)
+
+
+def _open_rows(model: Model, system: ResidualSystem, node: ClusterNode) -> list[int]:
+    """Rows of a node that placing its solved children can leave off.
+
+    Each child's solution holds the child's rows, and a rigid motion keeps
+    every row but a fix's.  So these are the rows of the node's constraints
+    that no child holds, of those that name an entity two or more children
+    share (it takes the coordinates of the child placed first), of every
+    fix, and the normalizations of the shared entities.
+    """
+    held = frozenset().union(*(child.constraints for child in node.children))
+    seen: set[str] = set()
+    shared: set[str] = set()
+    for child in node.children:
+        shared |= seen & child.entities
+        seen |= child.entities
+    check = {cid for cid in node.constraints
+             if cid not in held or model.constraint(cid).kind == "fix"}
+    check.update(c.id for eid in shared for c in model.constraints_on(eid)
+                 if c.id in node.constraints)
+    return rows_of(system, check, shared)
 
 
 def _solve_leaf(model: Model, system: ResidualSystem, node: ClusterNode,
@@ -531,7 +570,7 @@ def _solve_leaf(model: Model, system: ResidualSystem, node: ClusterNode,
     sketch = _sketch_solution(model, node.entities)
     solve_sys = add_constraints(system, model, bonds)
     points = _points_of(model, node.entities)
-    fixed = any(c.kind == "fix" and c.id in node.constraints for c in model.constraints)
+    fixed = any(model.constraint(cid).kind == "fix" for cid in node.constraints)
     if len(points) >= 2 and not fixed:
         solve_sys = add_anchors(solve_sys, model, node.entities)
         # express the sketch in the anchored frame so Newton starts nearby and
@@ -603,11 +642,16 @@ def _assemble_merge(model: Model, node: ClusterNode,
 
 def solve_tree(model: Model, tree: ClusterTree, max_iter: int = 100,
                tol: float = RESIDUAL_TOL) -> tuple[RecombinePlan, Solution, SolveResult]:
-    """Solve every cluster, recombine, and certify the final assignment.
+    """Solve every leaf, recombine, and certify the final assignment.
 
     The model is compiled once; every cluster solve (``max_iter`` iterations
-    per stage, residual tolerance ``tol``) is a slice of that system, and the
-    certificate evaluates all of its rows.  Returns the recombination plan,
+    per stage, residual tolerance ``tol``) is a slice of that system.  A node
+    whose children place by alignment evaluates only the rows placement can
+    leave off (its constraints no child holds, those naming an entity two or
+    more children share, every fix, the shared entities' normalizations) and
+    re-solves its slice only when one exceeds ``tol``; a node whose children
+    share no points re-solves from the sketch.  The certificate evaluates
+    every row of the system.  Returns the recombination plan,
     per-entity solved parameters, and the whole-system residual certificate
     (anchors excluded), converged when its largest residual is within ``tol``.
     """
@@ -636,6 +680,12 @@ def solve_tree(model: Model, tree: ClusterTree, max_iter: int = 100,
             # shared elements are not points (line-bearing merges); re-solve the
             # node from the sketch, which is a chirality-consistent global guess
             assembled = _sketch_solution(model, node.entities)
+        else:
+            cols = system.columns_of(node.entities)
+            x = _assignment(system, cols, assembled)
+            rows = _open_rows(model, system, node)
+            if not rows or float(np.max(np.abs(eval_residuals(system, x, rows)))) <= tol:
+                return _solution(system, cols, x)
         return _solve_cluster(system, system, node, assembled, max_iter, tol)
 
     solution = solve_node(tree.roots[0])

@@ -1,11 +1,12 @@
 """Declarative model of geometric entities and constraints.
 
 A :class:`Model` is immutable value data: a dimension flag plus entity and
-constraint lists.  Entities carry their raw parameter vectors (optional, used
-as the initial guess); redundant parameterizations (hessian planes, 3D
-point-direction lines, point-normal planes) declare normalization equations
-that the compiler emits automatically, so the effective DOF of a kind is
-always ``raw parameter count - normalization count``.
+constraint lists, with id lookups and the constraints that name each entity
+built once at construction.  Entities carry their raw parameter vectors
+(optional, used as the initial guess); redundant parameterizations (hessian
+planes, 3D point-direction lines, point-normal planes) declare normalization
+equations that the compiler emits automatically, so the effective DOF of a
+kind is always ``raw parameter count - normalization count``.
 
 Angles are stored in radians, in (0, pi).  A distance of zero is rejected at
 validation; coincidence is its own constraint kind because it changes both
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 POINT2, LINE2 = "point2", "line2"
@@ -165,18 +166,35 @@ class Model:
     dimension: int
     entities: tuple[Entity, ...]
     constraints: tuple[Constraint, ...]
+    # lookups built once; the first of duplicate ids wins, as in a scan
+    _entities: dict[str, Entity] = field(init=False, repr=False, compare=False)
+    _constraints: dict[str, Constraint] = field(init=False, repr=False, compare=False)
+    _naming: dict[str, tuple[Constraint, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        naming: dict[str, list[Constraint]] = {}
+        for c in self.constraints:
+            for eid in dict.fromkeys(c.entities):
+                naming.setdefault(eid, []).append(c)
+        object.__setattr__(self, "_entities", {e.id: e for e in reversed(self.entities)})
+        object.__setattr__(self, "_constraints", {c.id: c for c in reversed(self.constraints)})
+        object.__setattr__(self, "_naming", {eid: tuple(cs) for eid, cs in naming.items()})
 
     def entity(self, eid: str) -> Entity:
-        for e in self.entities:
-            if e.id == eid:
-                return e
-        raise KeyError(f"no entity {eid!r}")
+        try:
+            return self._entities[eid]
+        except KeyError:
+            raise KeyError(f"no entity {eid!r}") from None
 
     def constraint(self, cid: str) -> Constraint:
-        for c in self.constraints:
-            if c.id == cid:
-                return c
-        raise KeyError(f"no constraint {cid!r}")
+        try:
+            return self._constraints[cid]
+        except KeyError:
+            raise KeyError(f"no constraint {cid!r}") from None
+
+    def constraints_on(self, eid: str) -> tuple[Constraint, ...]:
+        """Constraints that name entity ``eid``, in model order."""
+        return self._naming.get(eid, ())
 
     def total_dof(self) -> int:
         return sum(e.spec.dof for e in self.entities)

@@ -19,7 +19,7 @@ from gcskernel import (
     solve_tree,
     top_down,
 )
-from gcskernel import decompose, geometry, zoo
+from gcskernel import compiler, decompose, geometry, numeric, zoo
 from gcskernel.compiler import induced
 from gcskernel.decompose import ClusterNode, ClusterTree, align_onto
 from gcskernel.detect import dependent_rows, is_well_part, witness_matrices
@@ -698,16 +698,31 @@ def slice_trees():
     return out
 
 
+def hexed(solution):
+    return {eid: [float(v).hex() for v in params] for eid, params in solution.items()}
+
+
 def test_every_cluster_slice_matches_submodel_solve(slice_trees, monkeypatch):
+    # every leaf, and every node whose open rows are off after placement, solves
+    # its slice bit for bit like the submodel; every other node returns its
+    # aligned start bit for bit
     real_leaf, real_cluster = decompose._solve_leaf, decompose._solve_cluster
+    real_assemble, real_solve = decompose._assemble_merge, decompose.solve
     for name, m, tree in slice_trees:
-        checked = []
+        solved, iterations, starts, results = [], [], {}, {}
+
+        def counting_solve(*args, **kwargs):
+            result = real_solve(*args, **kwargs)
+            iterations.append(result.iterations)
+            return result
 
         def leaf(model, system, node, bond_values, max_iter, tol):
             got = real_leaf(model, system, node, bond_values, max_iter, tol)
             expected = reference_solve_leaf(m, node, bond_values)
             assert list(got.items()) == list(expected.items()), (name, node.node_id)
-            checked.append(node.node_id)
+            if "jittered" in name:
+                assert iterations[-1] > 0, (name, node.node_id)
+            solved.append(node.node_id)
             return got
 
         def cluster(system, solve_sys, node, start, max_iter, tol):
@@ -715,13 +730,98 @@ def test_every_cluster_slice_matches_submodel_solve(slice_trees, monkeypatch):
             if node.children:
                 expected = reference_solve_subsystem(m, node.entities, node.constraints, start)
                 assert list(got.items()) == list(expected.items()), (name, node.node_id)
-                checked.append(node.node_id)
+                solved.append(node.node_id)
             return got
 
+        def assemble(model, node, solutions, placements):
+            results.update((c.node_id, sol) for c, sol in zip(node.children, solutions))
+            starts[node.node_id] = real_assemble(model, node, solutions, placements)
+            return starts[node.node_id]
+
+        monkeypatch.setattr(decompose, "solve", counting_solve)
         monkeypatch.setattr(decompose, "_solve_leaf", leaf)
         monkeypatch.setattr(decompose, "_solve_cluster", cluster)
-        assert solve_tree(m, tree)[2].converged, name
-        assert sorted(checked) == sorted(n.node_id for n in all_nodes(tree.roots[0])), name
+        monkeypatch.setattr(decompose, "_assemble_merge", assemble)
+        _, solution, cert = solve_tree(m, tree)
+        assert cert.converged, name
+        root = tree.roots[0]
+        results[root.node_id] = solution
+        skipped = [n.node_id for n in all_nodes(root) if n.node_id not in solved]
+        for nid in skipped:
+            assert starts[nid] is not None, (name, nid)
+            assert hexed(results[nid]) == hexed(starts[nid]), (name, nid)
+        assert len(set(solved)) == len(solved), name
+        assert sorted(solved + skipped) == sorted(n.node_id for n in all_nodes(root)), name
+        if "jittered" not in name:
+            assert skipped, name
+
+
+def strip_solve_counts(n, monkeypatch):
+    """Nodes that reach _solve_cluster and residual rows evaluated by one
+    solve_tree of top-down triangle_strip(n)."""
+    clustered, rows = [], [0]
+    real_cluster, real_eval = decompose._solve_cluster, compiler.eval_residuals
+
+    def cluster(system, solve_sys, node, start, max_iter, tol):
+        clustered.append(node)
+        return real_cluster(system, solve_sys, node, start, max_iter, tol)
+
+    def evaluate(*args, **kwargs):
+        out = real_eval(*args, **kwargs)
+        rows[0] += len(out)
+        return out
+
+    monkeypatch.setattr(decompose, "_solve_cluster", cluster)
+    monkeypatch.setattr(decompose, "eval_residuals", evaluate)
+    monkeypatch.setattr(numeric, "eval_residuals", evaluate)
+    m = zoo.triangle_strip(n)
+    tree = top_down(m)
+    assert solve_tree(m, tree)[2].converged
+    return tree, clustered, rows[0]
+
+
+def test_exact_strip_solves_each_leaf_once_and_no_split_node(monkeypatch):
+    tree, clustered, _ = strip_solve_counts(48, monkeypatch)
+    leaves = [n for n in all_nodes(tree.roots[0]) if not n.children]
+    assert sorted(n.node_id for n in clustered) == sorted(n.node_id for n in leaves)
+    assert any(n.kind == "split" for n in all_nodes(tree.roots[0]))
+
+
+def test_strip_solve_rows_grow_linearly(monkeypatch):
+    # a split node that re-solved its whole entity set would make the count
+    # quadratic: about four times as many rows on the strip twice as long
+    rows = {n: strip_solve_counts(n, monkeypatch)[2] for n in (24, 48)}
+    assert rows[48] <= 2.2 * rows[24], rows
+
+
+def test_shared_point_moved_by_its_child_forces_the_parent_to_re_solve(monkeypatch):
+    # the second child places its copy of a shared point 1e-7 away: within the
+    # alignment tolerance, so placement passes, but the child's rows that name
+    # the point are off by more than tol, and only the shared-entity rule sees it
+    m = zoo.braced_quad_model()
+    tree = top_down(m)
+    root = tree.roots[0]
+    assert root.kind == "split" and len(root.children) == 2
+    shared = sorted(root.children[0].entities & root.children[1].entities)[-1]
+    real_leaf, real_cluster = decompose._solve_leaf, decompose._solve_cluster
+    clustered = []
+
+    def leaf(model, system, node, bond_values, max_iter, tol):
+        got = real_leaf(model, system, node, bond_values, max_iter, tol)
+        if node is root.children[1]:
+            x, y = got[shared]
+            got = {**got, shared: (x + 1e-7, y)}
+        return got
+
+    def cluster(system, solve_sys, node, start, max_iter, tol):
+        clustered.append(node.node_id)
+        return real_cluster(system, solve_sys, node, start, max_iter, tol)
+
+    monkeypatch.setattr(decompose, "_solve_leaf", leaf)
+    monkeypatch.setattr(decompose, "_solve_cluster", cluster)
+    _, _, cert = solve_tree(m, tree)
+    assert root.node_id in clustered
+    assert cert.converged
 
 
 def test_solve_tree_compiles_the_model_once(slice_trees, monkeypatch):
