@@ -9,7 +9,8 @@ residual rows that an entity subset induces; detection, bottom-up
 decomposition and the decomposed solve's cluster slices use those rows.  A
 system maps each entity to its columns and each (kind, source) to its rows
 on first use; the systems derived from it by :func:`add_constraints`,
-:func:`add_anchors` and ``without_anchors`` share its column map.
+:func:`add_anchors` and ``without_anchors`` share its column map and the
+variable lists (``adjacency``) of the rows they keep.
 
 Residual conventions:
 
@@ -107,10 +108,21 @@ class ResidualSystem:
             rows.setdefault((r.kind, r.source), []).append(r.index)
         return {key: tuple(idx) for key, idx in rows.items()}
 
-    def _derive(self, residuals: Iterable[Residual]) -> "ResidualSystem":
-        """A system over the same variables; it shares this system's column map."""
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted variable indices of each row: the equation graph's edges."""
+        base, shared = self.__dict__.get("_base", (None, 0))
+        head = base.adjacency[:shared] if base is not None else ()
+        return head + tuple(tuple(sorted(r.expression.variables()))
+                            for r in self.residuals[shared:])
+
+    def _derive(self, residuals: Iterable[Residual], shared: int) -> "ResidualSystem":
+        """A system over the same variables whose first ``shared`` rows are this
+        system's first rows; it shares this system's column map and, for those
+        rows, its adjacency."""
         derived = ResidualSystem(self.dimension, self.variables, tuple(residuals))
         derived.__dict__["_columns"] = self._columns
+        derived.__dict__["_base"] = (self, shared)
         return derived
 
     def columns_of(self, entity_ids: Iterable[str]) -> list[int]:
@@ -124,7 +136,10 @@ class ResidualSystem:
         return [r.index for r in self.residuals if r.kind == "anchor"]
 
     def without_anchors(self) -> "ResidualSystem":
-        return self._derive(r for r in self.residuals if r.kind != "anchor")
+        anchors = self._rows.get(("anchor", None), ())
+        # rows before the first anchor keep their places
+        return self._derive((r for r in self.residuals if r.kind != "anchor"),
+                            anchors[0] if anchors else self.n_residuals)
 
 
 def _initial_direction(entity: Entity, group: tuple[int, ...]) -> np.ndarray:
@@ -307,7 +322,7 @@ def compile_model(model: Model, full_cross: bool = False) -> ResidualSystem:
             vec = [ex.var(columns[e.id][i]) for i in group]
             residuals.append(Residual(len(residuals), f"unit:{e.id}", ex.dot(vec, vec) - 1.0,
                                       "normalization", e.id, True))
-    return system._derive(residuals)
+    return system._derive(residuals, system.n_residuals)
 
 
 def add_constraints(system: ResidualSystem, model: Model, constraints: Sequence[Constraint],
@@ -329,7 +344,7 @@ def add_constraints(system: ResidualSystem, model: Model, constraints: Sequence[
             suffix = "" if len(exprs) == 1 else f"[{k}]"
             residuals.append(Residual(len(residuals), f"{c.id}{suffix}", e_, "constraint", c.id,
                                       CONSTRAINT_KINDS[c.kind].singular))
-    return system._derive(residuals)
+    return system._derive(residuals, system.n_residuals)
 
 
 def add_anchors(system: ResidualSystem, model: Model,
@@ -384,7 +399,7 @@ def add_anchors(system: ResidualSystem, model: Model,
             push(pv(p2, comp) - pv(p1, comp), f"anchor:{p2}.{comp}-{p1}.{comp}")
         push(pv(p3, "z") - pv(p1, "z"), f"anchor:{p3}.z-{p1}.z")
 
-    return system._derive(residuals)
+    return system._derive(residuals, system.n_residuals)
 
 
 def eval_residuals(system: ResidualSystem, assignment: Sequence[float],

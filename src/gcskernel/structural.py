@@ -9,7 +9,8 @@ nodes, i.e. the bipartite scheme).  On top of these:
 * the coarse Dulmage-Mendelsohn partition into over/well/under sub-parts
   (canonical: independent of the particular maximum matching),
 * a solve plan from strongly connected components of the matching-oriented
-  digraph, topologically sorted,
+  digraph, topologically sorted; :func:`numeric.newton_solve` takes its
+  Newton steps block by block along it,
 * structural counting verdicts with the fixed frame dimension D = 3 (2D) /
   6 (3D), exact at any model size: a weighted pebble game (an incremental
   flow in the spirit of Jacobs and Hendrickson's (2,3) game and Hoffmann,
@@ -90,10 +91,7 @@ class ConstraintGraph:
 
 
 def build_graphs(system: ResidualSystem, model: Model) -> tuple[EquationGraph, ConstraintGraph]:
-    adjacency = tuple(
-        tuple(sorted(r.expression.variables())) for r in system.residuals
-    )
-    eg = EquationGraph(len(system.residuals), system.n_variables, adjacency)
+    eg = EquationGraph(system.n_residuals, system.n_variables, system.adjacency)
     cg = ConstraintGraph(
         model.dimension,
         tuple(e.id for e in model.entities),
@@ -106,26 +104,48 @@ def build_graphs(system: ResidualSystem, model: Model) -> tuple[EquationGraph, C
 def max_matching(graph: EquationGraph) -> dict[int, int]:
     """Maximum-cardinality matching {equation: variable} via augmenting paths.
 
-    Equations are processed in ascending index order and adjacency lists are
-    sorted, so the result is deterministic for a fixed graph.
+    A greedy pass gives each equation, fewest variables first, its first free
+    variable; each equation it leaves unmatched then searches for an
+    augmenting path, depth first and without recursion, so a path may be as
+    long as the graph.  Ties and searches go in ascending index order and
+    adjacency lists are sorted, so the result is deterministic for a fixed
+    graph.
     """
     match_var: dict[int, int] = {}   # variable -> equation
     match_eq: dict[int, int] = {}
-
-    def augment(e: int, seen: set[int]) -> bool:
-        for v in graph.adjacency[e]:
-            if v in seen:
-                continue
-            seen.add(v)
-            owner = match_var.get(v)
-            if owner is None or augment(owner, seen):
+    # fewest variables first: anchors and fixes take their own variables
+    # before wider equations can, which leaves few equations (at most one on
+    # the corpus and on anchored strips) to the augmenting search
+    adjacency = graph.adjacency
+    for e in sorted(range(graph.n_equations), key=lambda e: len(adjacency[e])):
+        for v in adjacency[e]:
+            if v not in match_var:
                 match_var[v] = e
                 match_eq[e] = v
-                return True
-        return False
+                break
 
-    for e in range(graph.n_equations):
-        augment(e, set())
+    for root in range(graph.n_equations):
+        if root in match_eq:
+            continue
+        seen: set[int] = set()
+        stack = [(root, iter(graph.adjacency[root]))]
+        taken: list[int] = []  # taken[i]: the variable stack[i] takes on the path
+        while stack:
+            v = next((v for v in stack[-1][1] if v not in seen), None)
+            if v is None:
+                stack.pop()
+                if taken:
+                    taken.pop()
+                continue
+            seen.add(v)
+            taken.append(v)
+            owner = match_var.get(v)
+            if owner is None:
+                for (e, _), w in zip(stack, taken):
+                    match_var[w] = e
+                    match_eq[e] = w
+                break
+            stack.append((owner, iter(graph.adjacency[owner])))
     return dict(sorted(match_eq.items()))
 
 
@@ -213,59 +233,49 @@ def scc_plan(graph: EquationGraph, matching: dict[int, int]) -> SolvePlan:
 
     # equation-level dependency digraph: e depends on the equation owning each
     # of its non-matched variables
-    deps: list[set[int]] = [set() for _ in range(graph.n_equations)]
-    for e in range(graph.n_equations):
-        for v in graph.adjacency[e]:
-            if v != matching[e]:
-                deps[e].add(owner[v])
+    deps = [sorted({owner[v] for v in graph.adjacency[e] if v != matching[e]})
+            for e in range(graph.n_equations)]
 
     # Tarjan, iterative, deterministic over ascending node order
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
+    index = [-1] * graph.n_equations
+    low = [0] * graph.n_equations
+    on_stack = [False] * graph.n_equations
     stack: list[int] = []
-    counter = [0]
     components: list[list[int]] = []
-
-    def strongconnect(root: int) -> None:
-        work = [(root, iter(sorted(deps[root])))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+    counter = 0
+    for root in range(graph.n_equations):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
+        work = [(root, iter(deps[root]))]
         while work:
-            node, it = work[-1]
-            advanced = False
-            for child in it:
-                if child not in index:
-                    index[child] = low[child] = counter[0]
-                    counter[0] += 1
+            node, children = work[-1]
+            for child in children:
+                if index[child] < 0:
+                    index[child] = low[child] = counter
+                    counter += 1
                     stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(sorted(deps[child]))))
-                    advanced = True
+                    on_stack[child] = True
+                    work.append((child, iter(deps[child])))
                     break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                components.append(sorted(comp))
-
-    for e in range(graph.n_equations):
-        if e not in index:
-            strongconnect(e)
+                if on_stack[child] and index[child] < low[node]:
+                    low[node] = index[child]
+            else:
+                work.pop()
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == node:
+                            break
+                    components.append(sorted(comp))
 
     # Tarjan emits components in reverse topological order of the dependency
     # digraph (dependencies first), which is exactly the solve order.

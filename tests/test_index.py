@@ -204,3 +204,17 @@ def test_derived_systems_share_the_compiled_column_map():
     anchored = add_anchors(bonded, model, ["P3", "P1", "P3"])
     for s in (bonded, anchored, anchored.without_anchors()):
         assert s._columns is system._columns
+
+
+def test_derived_systems_share_the_variable_lists_of_the_rows_they_keep():
+    # each row's variable list is walked once, on the system that adds it
+    model = zoo.triangle_strip(6)
+    system = compile_model(model)
+    bond = Constraint("vbond:P1-P3", "distance-pp", ("P1", "P3"), 1.0)
+    bonded = add_constraints(system, model, [bond])
+    anchored = add_anchors(bonded, model, ["P3", "P1", "P3"])
+    for s in (system, bonded, anchored, anchored.without_anchors()):
+        assert s.adjacency == tuple(tuple(sorted(r.expression.variables()))
+                                    for r in s.residuals)
+        assert all(a is b for a, b in zip(s.adjacency, system.adjacency))
+    assert anchored.adjacency[bonded.n_residuals - 1] is bonded.adjacency[-1]

@@ -1,4 +1,8 @@
+import contextlib
+import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +13,22 @@ from gcskernel import (
     assignment_from_params,
     compile_model,
     eval_jacobian,
+    eval_residuals,
     linear_system,
     newton_solve,
+    numeric,
     optimize_solve,
     rank_analyze,
     solve,
 )
 from gcskernel import zoo
+from gcskernel.cli import main as gcs_main
+from gcskernel.compiler import AnchorError, induced
+from gcskernel.model import load_model
+from gcskernel.numeric import RESIDUAL_TOL, SolveResult
+from gcskernel.structural import scc_plan
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_identity_rank():
@@ -204,3 +217,191 @@ def test_non_finite_start_diverges(solver):
     x[3] = math.nan
     res = solver(s, x)
     assert res.status == "diverged"
+
+
+# --- block steps ---------------------------------------------------------------
+
+def lstsq_newton(system, start, max_iter=100, tol=RESIDUAL_TOL):
+    """Newton with a dense lstsq step at every iteration, under the policy of
+    :func:`newton_solve`: the reference for the block step."""
+    def max_abs(r):
+        return float(np.max(np.abs(r))) if r.size else 0.0
+
+    x = np.array(start, dtype=float)
+    r = eval_residuals(system, x)
+    grew = stalled = 0
+    prev = best = max_abs(r)
+    for it in range(max_iter):
+        if max_abs(r) <= tol:
+            return SolveResult("converged", x, max_abs(r), it, r)
+        J = eval_jacobian(system, x)
+        try:
+            step = np.linalg.lstsq(J, -r, rcond=None)[0]
+        except np.linalg.LinAlgError:
+            return SolveResult("diverged", x, max_abs(r), it, r)
+        if np.linalg.norm(step) <= 1e-13 * (1.0 + np.linalg.norm(x)):
+            return SolveResult("inconsistent", x, max_abs(r), it, r)
+        x += step
+        r = eval_residuals(system, x)
+        cur = max_abs(r)
+        grew = grew + 1 if cur > prev else 0
+        if grew >= 3:
+            return SolveResult("diverged", x, cur, it + 1, r)
+        if cur < best * (1.0 - 1e-3):
+            best = cur
+            stalled = 0
+        else:
+            stalled += 1
+            if stalled >= 10:
+                return SolveResult("inconsistent", x, cur, it + 1, r)
+        prev = cur
+    status = "converged" if max_abs(r) <= tol else "max-iterations"
+    return SolveResult(status, x, max_abs(r), max_iter, r)
+
+
+def anchored(model):
+    system = compile_model(model)
+    try:
+        return add_anchors(system, model)
+    except AnchorError:
+        return system
+
+
+def jittered_start(model, system, seed, rel=0.01):
+    """The sketch moved by ``rel`` times the largest distance value."""
+    scale = rel * max((c.value for c in model.constraints if c.kind == "distance-pp"),
+                      default=1.0)
+    rng = np.random.default_rng(seed)
+    x = assignment_from_params(model, system)
+    return x + scale * rng.normal(size=x.shape)
+
+
+@st.composite
+def henneberg_frameworks(draw):
+    """Anchored minimally rigid 2D bar frameworks with a jittered start.
+
+    3-9 points in general position, grown from a triangle by Henneberg moves:
+    a new point on two old ones, or on three with one old bar removed.  The
+    second move gives solve plans with blocks of up to 15 rows.
+    """
+    n = draw(st.integers(3, 9))
+    edges = [(0, 1), (1, 2), (0, 2)]
+    for k in range(3, n):
+        if draw(st.booleans()):
+            a, b = edges.pop(draw(st.integers(0, len(edges) - 1)))
+            c = draw(st.sampled_from([i for i in range(k) if i not in (a, b)]))
+            edges += [(a, k), (b, k), (c, k)]
+        else:
+            a, b = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+            edges += [(a, k), (b, k)]
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    coords = {f"P{i}": tuple(rng.uniform(-5.0, 5.0, size=2)) for i in range(n)}
+    model = zoo.points_distances_model(coords, [(f"P{a}", f"P{b}") for a, b in edges])
+    system = add_anchors(compile_model(model), model)
+    return system, jittered_start(model, system, seed, rel=0.02), None, slice(None)
+
+
+@st.composite
+def strip_slices(draw):
+    """A jittered triangle strip, whole or as the anchored slice of its first
+    k triangles (a decomposed solve's leaf: the other columns stay fixed)."""
+    n = draw(st.integers(3, 60))
+    k = draw(st.integers(1, n))
+    model = zoo.triangle_strip(n)
+    system = compile_model(model)
+    x = jittered_start(model, system, draw(st.integers(0, 2**16)))
+    if k == n:
+        return add_anchors(system, model), x, None, slice(None)
+    ents = [f"P{i}" for i in range(1, k + 3)]
+    leaf = add_anchors(system, model, ents)
+    _, rows = induced(model, system, ents)
+    return leaf, x, rows + list(range(system.n_residuals, leaf.n_residuals)), \
+        system.columns_of(ents)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.one_of(henneberg_frameworks(), strip_slices()))
+def test_block_step_equals_lstsq_step(case):
+    system, x, rows, cols = case
+    J = eval_jacobian(system, x, rows=rows)[:, cols]
+    r = eval_residuals(system, x, rows=rows)
+    block_step = numeric._block_step(system, rows, cols)
+    assert block_step is not None  # rigid and anchored: a perfect matching
+    step = block_step(J, r)
+    assert step is not None  # generic: no singular block
+    expected = np.linalg.lstsq(J, -r, rcond=None)[0]
+    # two solves of J s = -r differ by about cond(J) * eps: up to 1e-12 at
+    # cond(J) = 1e4, which only near-degenerate draws exceed
+    bound = 1e-12 * max(1.0, np.linalg.cond(J) / 1e4)
+    assert np.linalg.norm(step - expected) <= bound * np.linalg.norm(expected)
+
+
+def corpus_models():
+    out = []
+    for path in sorted((ROOT / "corpus").glob("*.json")):
+        if json.loads(path.read_text(encoding="utf-8")).get("dimension"):
+            out.append(pytest.param(load_model(str(path)), id=path.stem))
+    return out
+
+
+def assert_same_newton(system, start):
+    got = newton_solve(system, start)
+    expected = lstsq_newton(system, start)
+    assert (got.status, got.iterations) == (expected.status, expected.iterations)
+    # a failed Newton's last iterate is no solution: ``solve`` restarts
+    # Gauss-Newton from the start (the jittered impossible triangle runs off
+    # to 1e10 on both paths)
+    if got.converged:
+        assert np.max(np.abs(got.assignment - expected.assignment)) <= 1e-9
+
+
+@pytest.mark.parametrize("model", corpus_models())
+def test_block_newton_matches_lstsq_newton_on_the_corpus(model, monkeypatch):
+    # every corpus model sits below BLOCK_STEP_MIN_ROWS: take block steps anyway
+    monkeypatch.setattr(numeric, "BLOCK_STEP_MIN_ROWS", 0)
+    system = anchored(model)
+    assert_same_newton(system, assignment_from_params(model, system))
+    for seed in (1, 2):
+        assert_same_newton(system, jittered_start(model, system, seed))
+
+
+@pytest.mark.parametrize("n", [12, 24, 48, 100, 200, 400])
+def test_block_newton_matches_lstsq_newton_on_jittered_strips(n, monkeypatch):
+    plans = []
+    monkeypatch.setattr(numeric, "scc_plan", lambda *a: plans.append(a) or scc_plan(*a))
+    monkeypatch.setattr(numeric, "BLOCK_STEP_MIN_ROWS", 0)
+    model = zoo.triangle_strip(n)
+    system = anchored(model)
+    assert_same_newton(system, jittered_start(model, system, seed=n))
+    assert len(plans) == 1
+
+
+def test_block_steps_start_at_the_row_threshold(monkeypatch):
+    plans = []
+    monkeypatch.setattr(numeric, "scc_plan", lambda *a: plans.append(a) or scc_plan(*a))
+    for n, built in ((12, 0), (24, 1)):  # 28 and 52 rows
+        model = zoo.triangle_strip(n)
+        system = anchored(model)
+        result = newton_solve(system, jittered_start(model, system, seed=1))
+        assert result.converged
+        # a solve that converges at iteration 0 builds no plan
+        assert newton_solve(system, result.assignment).iterations == 0
+        assert len(plans) == built, n
+        plans.clear()
+
+
+@pytest.mark.parametrize("name", ["k4", "square4", "double-banana",
+                                  "three-lines-three-angles", "parallel-lines",
+                                  "plane-prism"])
+def test_fallback_solves_report_as_before(name, monkeypatch):
+    # non-square, or with a singular block: the lstsq step, bit for bit
+    monkeypatch.setattr(numeric, "BLOCK_STEP_MIN_ROWS", 0)
+    monkeypatch.chdir(ROOT)
+    argv = ["--format", "json", "solve", f"corpus/{name}.json", "--strategy", "direct"]
+    cases = json.loads((ROOT / "tests" / "golden" / "cli.json").read_text(encoding="utf-8"))
+    case = next(c for c in cases["cases"] if c["argv"] == argv)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = gcs_main(argv)
+    assert (out.getvalue(), code) == (case["stdout"], case["exit"])

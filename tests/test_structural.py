@@ -143,6 +143,17 @@ def test_matching_with_duplicated_equation():
     assert len(unmatched) == 1
 
 
+@pytest.mark.parametrize("last", [(0,), (0, 1)])
+def test_matching_augments_along_a_path_as_long_as_the_graph(last):
+    # equations i -> (i, i+1) and a last one on the first variables: the
+    # perfect matching shifts every equation, and with ``(0, 1)`` the greedy
+    # pass leaves the last equation to an augmenting path through all 5000
+    n = 5000
+    g = EquationGraph(n, n, tuple((i, i + 1) for i in range(n - 1)) + (last,))
+    match = max_matching(g)
+    assert len(match) == n and len(set(match.values())) == n
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_matching_is_maximum(seed):
