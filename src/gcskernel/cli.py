@@ -299,6 +299,9 @@ def main(argv=None) -> int:
     if args.witnesses < 1:
         print("witness count must be >= 1", file=sys.stderr)
         return 1
+    if args.max_iter < 0:
+        print("max-iter must be >= 0", file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except SystemExitError as err:

@@ -129,6 +129,11 @@ class ResidualSystem:
         columns = self._columns
         return sorted(j for eid in set(entity_ids) for j in columns.get(eid, ()))
 
+    def entity_slice(self, entity_id: str) -> slice:
+        """The columns of one entity, which are consecutive."""
+        columns = self._columns[entity_id]
+        return slice(columns[0], columns[-1] + 1)
+
     def singular_rows(self) -> list[int]:
         return [r.index for r in self.residuals if r.singular]
 
@@ -347,23 +352,28 @@ def add_constraints(system: ResidualSystem, model: Model, constraints: Sequence[
     return system._derive(residuals, system.n_residuals)
 
 
+def points_of(system: ResidualSystem, model: Model,
+              entity_ids: Collection[str] | None = None) -> list[str]:
+    """Ids of the point entities in column order (which is model order), from
+    ``entity_ids`` only when it is given: the order :func:`add_anchors` pins."""
+    point_tag = POINT2 if system.dimension == 2 else POINT3
+    columns = system._columns
+    ids = columns if entity_ids is None else set(entity_ids).intersection(columns)
+    return sorted((eid for eid in ids if model.entity(eid).kind == point_tag),
+                  key=lambda eid: columns[eid][0])
+
+
 def add_anchors(system: ResidualSystem, model: Model,
                 entity_ids: Collection[str] | None = None) -> ResidualSystem:
     """Append residuals pinning the global frame (3 in 2D, 6 in 3D).
 
     2D: the first point is the origin and the first-to-second point vector is
     the x axis.  3D: first point at origin, second on the +x axis, third in
-    the xy plane.  Points are taken in model order, from ``entity_ids`` only
-    when it is given.
+    the xy plane.  Points are taken in column order (:func:`points_of`), from
+    ``entity_ids`` only when it is given.
     """
-    point_tag = POINT2 if system.dimension == 2 else POINT3
     columns = system._columns
-    if entity_ids is None:
-        points = [e for e in model.entities if e.kind == point_tag]
-    else:
-        # the compiled columns follow model order
-        picked = sorted((columns[eid][0], eid) for eid in set(entity_ids) if eid in columns)
-        points = [e for e in (model.entity(eid) for _, eid in picked) if e.kind == point_tag]
+    points = [model.entity(eid) for eid in points_of(system, model, entity_ids)]
     need = 2 if system.dimension == 2 else 3
     if len(points) < need:
         raise AnchorError(

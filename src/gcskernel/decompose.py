@@ -43,21 +43,26 @@ measured from the first solved sibling.  Splitting recurses until triangles
 (or irreducible cores) remain, and the solve order is the reverse of the
 split order.
 
-Recombination compiles the model once; every leaf solves a row/column slice
-of that system (:func:`numeric.solve`): the rows of its constraints and
-entity normalizations, plus its virtual bonds and anchors, over the columns
-of its entities.  A leaf starts from the sketch re-expressed in its anchored
-frame, so the solution keeps the sketch's chirality.  Child solutions are
-placed by least-squares rigid alignment on shared points; ternary one-point
-merges get their closure point from the two-circle construction, with the
-mirror branch picked by the orientation of the sketch.  A child's solution
-holds its rows and a rigid motion keeps every row but a fix's, so the node
-then evaluates only the rows placement can leave off: its constraints that no
-child holds, those that name an entity two or more children share, every fix,
-and the normalizations of the shared entities.  When one of them exceeds the
-tolerance, the node's slice is re-solved from the placement.  Merges that
-share no points re-solve from the sketch.  The final certificate evaluates
-every row.
+Recombination compiles the model and reads its sketch once; every cluster
+solution is an assignment of that system, meaningful on the cluster's
+columns.  A leaf solves a row/column slice (:func:`numeric.solve`): the rows
+of its constraints and entity normalizations, plus its virtual bonds and
+anchors, over its entities' columns.  The anchors pin its first two points in
+column order (:func:`compiler.points_of`), and it starts from the sketch
+re-expressed in the frame they pin, so an exact leaf starts at its solution
+and the solution keeps the sketch's chirality.  Every point choice of
+recombination takes points in column order.  Child solutions are placed by
+least-squares rigid alignment on shared points, a later child writing the
+columns no earlier child placed; ternary one-point merges get their closure
+point from the two-circle construction, with the mirror branch picked by the
+orientation of the sketch.  A child's solution holds its rows and a rigid
+motion keeps every row but a fix's, so the node then evaluates only the rows
+placement can leave off: its constraints that no child holds, those that
+name an entity two or more children share, every fix, and the normalizations
+of the shared entities.  When one of them exceeds the tolerance, the node's
+slice is re-solved from the placement.  Merges that share no points re-solve
+from the sketch.  The final certificate evaluates every row.  A tree whose
+root leaves an entity free is refused.
 """
 
 from __future__ import annotations
@@ -76,9 +81,12 @@ from .compiler import (
     ResidualSystem,
     add_anchors,
     add_constraints,
+    assignment_from_params,
     compile_model,
     eval_residuals,
     induced,
+    params_from_assignment,
+    points_of,
     rows_of,
 )
 from .detect import dependent_rows, is_well_part, witness_matrices
@@ -430,34 +438,33 @@ def top_down(model: Model) -> ClusterTree:
 # ---------------------------------------------------------------------------
 # recombination
 
-Solution = dict[str, tuple[float, ...]]
+def _moved(model: Model, system: ResidualSystem, x: np.ndarray,
+           entity_ids: Iterable[str], R: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """A copy of ``x`` with the columns of ``entity_ids`` moved by (R, t)."""
+    out = x.copy()
+    for eid in entity_ids:
+        cols = system.entity_slice(eid)
+        out[cols] = geometry.apply_rigid(model.entity(eid), x[cols], R, t)
+    return out
 
 
-def _points_of(model: Model, entity_ids: Iterable[str]) -> list[str]:
-    return sorted(e for e in entity_ids if model.entity(e).kind == POINT2)
+def align_onto(model: Model, system: ResidualSystem, placed: np.ndarray,
+               child: np.ndarray, entity_ids: Iterable[str],
+               shared_points: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rigidly map a child's entities onto already-placed shared points.
 
-
-def _coords(solution: Mapping[str, tuple[float, ...]], ids: Sequence[str]) -> np.ndarray:
-    return np.array([solution[i][:2] for i in ids], dtype=float)
-
-
-def align_onto(model: Model, placed: Mapping[str, tuple[float, ...]],
-               child: Mapping[str, tuple[float, ...]],
-               shared_points: Sequence[str]) -> tuple[Solution, np.ndarray, np.ndarray]:
-    """Rigidly map a child solution onto already-placed shared points.
-
-    Returns the transformed solution and the (R, t) used.  Raises
+    ``placed`` and ``child`` are assignments of ``system``; the fit uses the
+    shared points' columns.  Returns a copy of ``child`` with the columns of
+    ``entity_ids`` moved, and the (R, t) used.  Raises
     :class:`AlignmentError` when the shared geometry disagrees by more than
     the alignment tolerance after the best fit.
     """
-    R, t = geometry.fit_rigid_2d(_coords(child, shared_points),
-                                 _coords(placed, shared_points))
-    moved = {
-        eid: tuple(geometry.apply_rigid(model.entity(eid), params, R, t))
-        for eid, params in child.items()
-    }
-    for eid in shared_points:
-        err = np.max(np.abs(np.asarray(moved[eid][:2]) - np.asarray(placed[eid][:2])))
+    cols = [system.entity_slice(p) for p in shared_points]
+    R, t = geometry.fit_rigid_2d(np.array([child[c] for c in cols]),
+                                 np.array([placed[c] for c in cols]))
+    moved = _moved(model, system, child, entity_ids, R, t)
+    for eid, c in zip(shared_points, cols):
+        err = np.max(np.abs(moved[c] - placed[c]))
         if err > ALIGN_TOL:
             raise AlignmentError(
                 f"shared entity {eid!r} disagrees by {err:.3e} after alignment")
@@ -485,34 +492,8 @@ def _sketch_orientation(model: Model, p: str, q: str, r: str) -> float:
     return float(u[0] * v[1] - u[1] * v[0])
 
 
-def _sketch_solution(model: Model, entities: Iterable[str]) -> Solution:
-    out: Solution = {}
-    for eid in entities:
-        e = model.entity(eid)
-        if e.params is None:
-            raise DecompositionError(f"entity {eid!r} has no sketch parameters")
-        out[eid] = tuple(float(v) for v in e.params)
-    return out
-
-
-def _assignment(system: ResidualSystem, cols: Sequence[int], solution: Solution) -> np.ndarray:
-    """The system's assignment with ``cols`` taken from ``solution``, other columns 0."""
-    x = np.zeros(system.n_variables)
-    for j in cols:
-        x[j] = solution[system.variables[j].entity_id][system.variables[j].component]
-    return x
-
-
-def _solution(system: ResidualSystem, cols: Sequence[int], x: np.ndarray) -> Solution:
-    """Per-entity parameters of ``cols`` in ``x``, in column order."""
-    out: dict[str, list[float]] = {}
-    for j in cols:
-        out.setdefault(system.variables[j].entity_id, []).append(float(x[j]))
-    return {eid: tuple(params) for eid, params in out.items()}
-
-
 def _solve_cluster(system: ResidualSystem, solve_sys: ResidualSystem, node: ClusterNode,
-                   start: Solution, max_iter: int, tol: float) -> Solution:
+                   start: np.ndarray, max_iter: int, tol: float) -> np.ndarray:
     """Solve the node's row/column slice of the compiled model from ``start``.
 
     Rows: the node's constraints, the normalizations of its entities, then
@@ -521,14 +502,13 @@ def _solve_cluster(system: ResidualSystem, solve_sys: ResidualSystem, node: Clus
     """
     rows = rows_of(system, node.constraints, node.entities)
     rows += range(system.n_residuals, solve_sys.n_residuals)
-    cols = system.columns_of(node.entities)
-    result = solve(solve_sys, _assignment(system, cols, start),
-                   max_iter=max_iter, tol=tol, rows=rows, cols=cols)
+    result = solve(solve_sys, start, max_iter=max_iter, tol=tol, rows=rows,
+                   cols=system.columns_of(node.entities))
     if not result.converged:
         raise DecompositionError(
             f"{'subsystem' if node.children else 'cluster'} {sorted(node.entities)} "
             f"failed to solve: {result.status}")
-    return _solution(system, cols, result.assignment)
+    return result.assignment
 
 
 def _open_rows(model: Model, system: ResidualSystem, node: ClusterNode) -> list[int]:
@@ -553,9 +533,9 @@ def _open_rows(model: Model, system: ResidualSystem, node: ClusterNode) -> list[
     return rows_of(system, check, shared)
 
 
-def _solve_leaf(model: Model, system: ResidualSystem, node: ClusterNode,
+def _solve_leaf(model: Model, system: ResidualSystem, sketch: np.ndarray, node: ClusterNode,
                 bond_values: Mapping[tuple[str, str], float],
-                max_iter: int, tol: float) -> Solution:
+                max_iter: int, tol: float) -> np.ndarray:
     """Solve the leaf's slice plus its bonds and anchors, from the re-framed sketch.
 
     A leaf that holds a ``fix`` already has its frame: it gets no anchors and
@@ -567,71 +547,70 @@ def _solve_leaf(model: Model, system: ResidualSystem, node: ClusterNode,
             raise DecompositionError(
                 f"virtual bond {a}-{b} has no measured value; no rigid sibling solved first")
         bonds.append(Constraint(f"vbond:{a}-{b}", "distance-pp", (a, b), bond_values[(a, b)]))
-    sketch = _sketch_solution(model, node.entities)
     solve_sys = add_constraints(system, model, bonds)
-    points = _points_of(model, node.entities)
+    start = sketch
+    points = points_of(system, model, node.entities)
     fixed = any(model.constraint(cid).kind == "fix" for cid in node.constraints)
     if len(points) >= 2 and not fixed:
         solve_sys = add_anchors(solve_sys, model, node.entities)
-        # express the sketch in the anchored frame so Newton starts nearby and
-        # keeps the sketch's chirality
-        p0 = np.asarray(sketch[points[0]][:2])
-        p1 = np.asarray(sketch[points[1]][:2])
+        # express the sketch in the frame the anchors pin, so Newton starts
+        # nearby and keeps the sketch's chirality
+        p0, p1 = (sketch[system.entity_slice(p)] for p in points[:2])
         R = geometry.rotation_2d(-math.atan2(p1[1] - p0[1], p1[0] - p0[0]))
-        t = -(R @ p0)
-        sketch = {eid: tuple(geometry.apply_rigid(model.entity(eid), params, R, t))
-                  for eid, params in sketch.items()}
-    return _solve_cluster(system, solve_sys, node, sketch, max_iter, tol)
+        start = _moved(model, system, sketch, node.entities, R, -(R @ p0))
+    return _solve_cluster(system, solve_sys, node, start, max_iter, tol)
 
 
-def _assemble_merge(model: Model, node: ClusterNode,
-                    solutions: Sequence[Solution],
-                    placements: list[Placement]) -> Solution | None:
-    """Place child solutions by shared-point alignment; None if not applicable."""
-    merged: Solution = dict(solutions[0])
+def _assemble_merge(model: Model, system: ResidualSystem, node: ClusterNode,
+                    solutions: Sequence[np.ndarray],
+                    placements: list[Placement]) -> np.ndarray | None:
+    """Place child solutions by shared-point alignment; None if not applicable.
+
+    The first child keeps its frame; each later child writes the columns of
+    its entities that no earlier child placed.
+    """
+    merged = solutions[0].copy()
+    placed = set(node.children[0].entities)
     placements.append(Placement(
-        node.children[0].node_id, tuple(sorted(solutions[0])), np.eye(2), np.zeros(2)))
+        node.children[0].node_id, tuple(sorted(placed)), np.eye(2), np.zeros(2)))
     pending = list(range(1, len(node.children)))
     while pending:
         progress = False
         for idx in list(pending):
             child = node.children[idx]
             sol = solutions[idx]
-            shared_pts = [p for p in _points_of(model, child.entities) if p in merged]
+            shared_pts = [p for p in points_of(system, model, child.entities) if p in placed]
             if len(shared_pts) >= 2:
-                moved, R, t = align_onto(model, merged, sol, shared_pts[:2])
+                moved, R, t = align_onto(model, system, merged, sol, child.entities,
+                                         shared_pts[:2])
             elif len(shared_pts) == 1 and len(node.children) == 3 and len(pending) == 2:
                 # ternary one-point closure: fetch the unknown shared point from
                 # the two known radii
                 other_idx = next(i for i in pending if i != idx)
                 other = node.children[other_idx]
                 anchor = shared_pts[0]
-                q_candidates = [
-                    p for p in _points_of(model, child.entities & other.entities)
-                    if p not in merged
-                ]
-                r_candidates = [
-                    p for p in _points_of(model, other.entities) if p in merged
-                ]
+                both = child.entities & other.entities
+                q_candidates = [p for p in points_of(system, model, both) if p not in placed]
+                r_candidates = [p for p in points_of(system, model, other.entities) if p in placed]
                 if not q_candidates or not r_candidates:
                     return None
                 q, r = q_candidates[0], r_candidates[0]
-                ra = float(np.linalg.norm(
-                    np.asarray(sol[q][:2]) - np.asarray(sol[anchor][:2])))
-                rb = float(np.linalg.norm(
-                    np.asarray(solutions[other_idx][q][:2])
-                    - np.asarray(solutions[other_idx][r][:2])))
+                at = {p: system.entity_slice(p) for p in (anchor, q, r)}
+                ra = float(np.linalg.norm(sol[at[q]] - sol[at[anchor]]))
+                rb = float(np.linalg.norm(solutions[other_idx][at[q]]
+                                          - solutions[other_idx][at[r]]))
                 orient = _sketch_orientation(model, anchor, r, q)
-                q_pos = _circle_intersection(
-                    merged[anchor][:2], ra, merged[r][:2], rb, orient)
-                target = dict(merged)
-                target[q] = (float(q_pos[0]), float(q_pos[1]))
-                moved, R, t = align_onto(model, target, sol, [anchor, q])
+                target = merged.copy()
+                target[at[q]] = _circle_intersection(
+                    merged[at[anchor]], ra, merged[at[r]], rb, orient)
+                moved, R, t = align_onto(model, system, target, sol, child.entities,
+                                         [anchor, q])
             else:
                 continue
-            placements.append(Placement(child.node_id, tuple(sorted(sol)), R, t))
-            for eid, params in moved.items():
-                merged.setdefault(eid, params)
+            placements.append(Placement(child.node_id, tuple(sorted(child.entities)), R, t))
+            cols = system.columns_of(child.entities - placed)
+            merged[cols] = moved[cols]
+            placed |= child.entities
             pending.remove(idx)
             progress = True
             break
@@ -641,59 +620,61 @@ def _assemble_merge(model: Model, node: ClusterNode,
 
 
 def solve_tree(model: Model, tree: ClusterTree, max_iter: int = 100,
-               tol: float = RESIDUAL_TOL) -> tuple[RecombinePlan, Solution, SolveResult]:
+               tol: float = RESIDUAL_TOL
+               ) -> tuple[RecombinePlan, dict[str, tuple[float, ...]], SolveResult]:
     """Solve every leaf, recombine, and certify the final assignment.
 
-    The model is compiled once; every cluster solve (``max_iter`` iterations
-    per stage, residual tolerance ``tol``) is a slice of that system.  A node
-    whose children place by alignment evaluates only the rows placement can
-    leave off (its constraints no child holds, those naming an entity two or
-    more children share, every fix, the shared entities' normalizations) and
+    The model is compiled once; every cluster solution is an assignment of
+    that system and every cluster solve (``max_iter`` iterations per stage,
+    residual tolerance ``tol``) a slice of it.  A node whose children place
+    by alignment evaluates only the rows placement can leave off and
     re-solves its slice only when one exceeds ``tol``; a node whose children
     share no points re-solves from the sketch.  The certificate evaluates
-    every row of the system.  Returns the recombination plan,
-    per-entity solved parameters, and the whole-system residual certificate
-    (anchors excluded), converged when its largest residual is within ``tol``.
+    every row of the system.  Returns the recombination plan, per-entity
+    solved parameters, and the whole-system residual certificate (anchors
+    excluded), converged when its largest residual is within ``tol``.  A
+    tree whose root leaves an entity free is refused.
     """
     if model.dimension != 2:
         raise DecompositionError("cluster recombination covers the 2D scope")
     if not tree.assembled:
         raise DecompositionError(
             f"cluster tree has {len(tree.roots)} roots; the model did not assemble")
+    free = sorted({e.id for e in model.entities} - tree.roots[0].entities)
+    if free:
+        raise DecompositionError(f"cluster tree leaves entities {free} free")
+    missing = next((e.id for e in model.entities if e.params is None), None)
+    if missing is not None:
+        raise DecompositionError(f"entity {missing!r} has no sketch parameters")
     system = compile_model(model)
+    sketch = assignment_from_params(model, system)
     placements: list[Placement] = []
     bond_values: dict[tuple[str, str], float] = {}
 
-    def solve_node(node: ClusterNode) -> Solution:
+    def solve_node(node: ClusterNode) -> np.ndarray:
         if not node.children:
-            return _solve_leaf(model, system, node, bond_values, max_iter, tol)
-        solutions: list[Solution] = []
+            return _solve_leaf(model, system, sketch, node, bond_values, max_iter, tol)
+        solutions: list[np.ndarray] = []
         for child in node.children:
             solutions.append(solve_node(child))
             if node.pair and node.pair not in bond_values:
                 # the first (bond-free) child of a split fixes the pair's separation
-                a, b = node.pair
-                bond_values[node.pair] = float(np.linalg.norm(
-                    np.asarray(solutions[0][b][:2]) - np.asarray(solutions[0][a][:2])))
-        assembled = _assemble_merge(model, node, solutions, placements)
+                a, b = map(system.entity_slice, node.pair)
+                bond_values[node.pair] = float(np.linalg.norm(solutions[0][b] - solutions[0][a]))
+        assembled = _assemble_merge(model, system, node, solutions, placements)
         if assembled is None:
             # shared elements are not points (line-bearing merges); re-solve the
             # node from the sketch, which is a chirality-consistent global guess
-            assembled = _sketch_solution(model, node.entities)
+            assembled = sketch
         else:
-            cols = system.columns_of(node.entities)
-            x = _assignment(system, cols, assembled)
             rows = _open_rows(model, system, node)
-            if not rows or float(np.max(np.abs(eval_residuals(system, x, rows)))) <= tol:
-                return _solution(system, cols, x)
+            if not rows or float(np.max(np.abs(eval_residuals(system, assembled, rows)))) <= tol:
+                return assembled
         return _solve_cluster(system, system, node, assembled, max_iter, tol)
 
-    solution = solve_node(tree.roots[0])
-    x = np.zeros(system.n_variables)
-    for v in system.variables:
-        x[v.index] = solution[v.entity_id][v.component]
+    x = solve_node(tree.roots[0])
     residuals = eval_residuals(system, x)
     norm = float(np.max(np.abs(residuals))) if residuals.size else 0.0
     status = "converged" if norm <= tol else "max-iterations"
-    return (RecombinePlan(tuple(placements)), solution,
+    return (RecombinePlan(tuple(placements)), params_from_assignment(model, system, x),
             SolveResult(status, x, norm, 0, residuals))

@@ -9,10 +9,11 @@ lower triangular in that order, so each step solves one small diagonal block
 after another.  The step falls back to a dense pseudo-inverse (least-squares)
 step, so that consistently over-constrained or momentarily singular systems
 do not hard-fail, when the slice has no perfect matching (non-square or
-structurally singular), when a diagonal block is numerically singular under
-the rank threshold, when the step is not finite, and on slices of fewer than
-BLOCK_STEP_MIN_ROWS rows, where the dense step is cheaper.  `optimize_solve`
-is a damped Gauss-Newton descent on the sum of squared residuals.  `solve`
+structurally singular) and on slices of fewer than BLOCK_STEP_MIN_ROWS rows,
+where the dense step is cheaper.  From the first step at which a diagonal
+block is numerically singular under the rank threshold, or the block step is
+not finite, the solve keeps the dense step to its end.  `optimize_solve` is a
+damped Gauss-Newton descent on the sum of squared residuals.  `solve`
 is the one solve policy of the direct and the decomposed solves: Newton,
 then damped Gauss-Newton from the same start when Newton does not converge.
 
@@ -225,6 +226,7 @@ def newton_solve(system: ResidualSystem, start, max_iter: int = 100,
             block_step = _block_step(system, rows, cols)
         step = block_step(J, r) if block_step is not None else None
         if step is None:
+            block_step = None  # lstsq steps for the rest of the solve
             try:
                 step = np.linalg.lstsq(J, -r, rcond=None)[0]
             except np.linalg.LinAlgError:

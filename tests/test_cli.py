@@ -172,6 +172,23 @@ def test_solve_decomposed_refuses_3d_model(capsys, corpus_dir):
     assert captured.err == "decomposed solve failed: cluster recombination covers the 2D scope\n"
 
 
+def test_solve_decomposed_refuses_free_entities(capsys, corpus_dir, tmp_path):
+    # the triangle assembles into one root, and the unconstrained Q is in no
+    # cluster: a refusal on stderr, not a traceback
+    data = json.loads((corpus_dir / "solve-scalene.json").read_text(encoding="utf-8"))
+    data["entities"].append({"id": "Q", "kind": "point2", "params": [2.0, 8.0]})
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, decomposed = run_json(capsys, "decompose", str(path))
+    assert len(decomposed["tree"]["roots"]) == 1
+    assert decomposed["tree"]["freeEntities"] == ["Q"]
+    code = main(["solve", "--strategy", "decomposed", str(path)])
+    captured = capsys.readouterr()
+    assert code == 7
+    assert captured.out == ""
+    assert captured.err == "decomposed solve failed: cluster tree leaves entities ['Q'] free\n"
+
+
 def test_rank_tol_reaches_witness_rank_decisions(capsys, corpus_dir):
     path = str(corpus_dir / "triangle.json")
     code, default = run_json(capsys, "check", path)
@@ -250,7 +267,8 @@ def test_gcs_seed_env_override(capsys, corpus_dir, monkeypatch):
     (["--tolerance", "0"], "tolerances must be positive"),
     (["--rank-tol", "-1"], "tolerances must be positive"),
     (["--witnesses", "0"], "witness count must be >= 1"),
-], ids=["tolerance", "rank-tol", "witnesses"])
+    (["--max-iter", "-5"], "max-iter must be >= 0"),
+], ids=["tolerance", "rank-tol", "witnesses", "max-iter"])
 def test_invalid_global_options_exit_1(capsys, corpus_dir, flags, message):
     assert main([*flags, "check", str(corpus_dir / "triangle.json")]) == 1
     captured = capsys.readouterr()

@@ -599,14 +599,23 @@ def test_final_assignment_satisfies_all_constraints():
 
 def test_alignment_error_on_corrupted_local_solution():
     m = zoo.braced_quad_model()
-    placed = {"P2": (0.0, 0.0), "P4": (0.0, 4.0)}
-    good_child = {"P2": (1.0, 1.0), "P4": (1.0, 5.0), "P3": (3.0, 3.0)}
-    moved, R, t = align_onto(m, placed, good_child, ["P2", "P4"])
-    assert np.allclose(moved["P2"][:2], (0.0, 0.0), atol=1e-12)
-    corrupted = dict(good_child)
-    corrupted["P4"] = (1.0, 5.5)  # stretch the shared pair
+    system = compile_model(m)
+
+    def assignment(params):
+        x = np.zeros(system.n_variables)
+        for eid, p in params.items():
+            x[system.columns_of((eid,))] = p
+        return x
+
+    placed = assignment({"P2": (0.0, 0.0), "P4": (0.0, 4.0)})
+    good_child = assignment({"P2": (1.0, 1.0), "P4": (1.0, 5.0), "P3": (3.0, 3.0)})
+    child = ("P2", "P3", "P4")
+    moved, R, t = align_onto(m, system, placed, good_child, child, ["P2", "P4"])
+    assert np.allclose(moved[system.columns_of(("P2",))], (0.0, 0.0), atol=1e-12)
+    corrupted = good_child.copy()
+    corrupted[system.columns_of(("P4",))] = (1.0, 5.5)  # stretch the shared pair
     with pytest.raises(AlignmentError):
-        align_onto(m, placed, corrupted, ["P2", "P4"])
+        align_onto(m, system, placed, corrupted, child, ["P2", "P4"])
 
 
 def test_solve_tree_refuses_forest():
@@ -614,6 +623,66 @@ def test_solve_tree_refuses_forest():
     tree = bottom_up(m)
     with pytest.raises(DecompositionError):
         solve_tree(m, tree)
+
+
+def test_solve_tree_refuses_free_entities():
+    m = zoo.three_distances_model()
+    m = Model(m.dimension, m.entities + (Entity("Q", "point2", (2.0, 8.0)),), m.constraints)
+    tree = bottom_up(m)
+    assert tree.assembled and tree.free_entities == ("Q",)
+    with pytest.raises(DecompositionError, match=r"leaves entities \['Q'\] free"):
+        solve_tree(m, tree)
+
+
+def reversed_strip(n):
+    """``zoo.triangle_strip(n)`` with its entities, so its columns, in reverse."""
+    m = zoo.triangle_strip(n)
+    return Model(m.dimension, tuple(reversed(m.entities)), m.constraints)
+
+
+@pytest.mark.parametrize("n", [6, 24])
+@pytest.mark.parametrize("strategy", [bottom_up, top_down])
+def test_exact_leaves_start_in_the_frame_their_anchors_pin(n, strategy, monkeypatch):
+    # the anchors pin a leaf's first two points in column order, here the
+    # reverse of id order; the re-framed sketch puts the same two points at
+    # the origin and on the x axis, so an exact leaf starts at its solution
+    m = reversed_strip(n)
+    iterations, in_leaf = [], [False]
+    real_leaf, real_solve = decompose._solve_leaf, decompose.solve
+
+    def leaf(*args):
+        in_leaf[0] = True
+        try:
+            return real_leaf(*args)
+        finally:
+            in_leaf[0] = False
+
+    def counting_solve(*args, **kwargs):
+        result = real_solve(*args, **kwargs)
+        if in_leaf[0]:
+            iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(decompose, "_solve_leaf", leaf)
+    monkeypatch.setattr(decompose, "solve", counting_solve)
+    tree = strategy(m)
+    assert solve_tree(m, tree)[2].converged
+    leaves = [node for node in all_nodes(tree.roots[0]) if not node.children]
+    assert iterations == [0] * len(leaves)
+
+
+@pytest.mark.parametrize("n", [6, 24])
+@pytest.mark.parametrize("strategy", [bottom_up, top_down])
+def test_reversed_strip_from_jittered_sketch_matches_direct(n, strategy):
+    m = reversed_strip(n)
+    direct = direct_solution(m)
+    for seed in (1, 2):
+        sketch = jittered(m, 0.03, seed)
+        _, solution, cert = solve_tree(sketch, strategy(sketch))
+        assert cert.converged, seed
+        # the rigid fit admits no reflection: the sketch's chirality is kept
+        dev = aligned_max_deviation(m, direct, solution)
+        assert dev <= 1e-9, (seed, dev)
 
 
 def test_solve_tree_leaf_with_fix_keeps_the_fixed_point():
@@ -698,6 +767,12 @@ def slice_trees():
     return out
 
 
+def node_params(model, system, entities, x):
+    """Per-entity parameters of ``entities`` in the assignment ``x``, in model order."""
+    return {e.id: tuple(float(v) for v in x[system.columns_of((e.id,))])
+            for e in model.entities if e.id in entities}
+
+
 def hexed(solution):
     return {eid: [float(v).hex() for v in params] for eid, params in solution.items()}
 
@@ -716,10 +791,11 @@ def test_every_cluster_slice_matches_submodel_solve(slice_trees, monkeypatch):
             iterations.append(result.iterations)
             return result
 
-        def leaf(model, system, node, bond_values, max_iter, tol):
-            got = real_leaf(model, system, node, bond_values, max_iter, tol)
+        def leaf(model, system, sketch, node, bond_values, max_iter, tol):
+            got = real_leaf(model, system, sketch, node, bond_values, max_iter, tol)
             expected = reference_solve_leaf(m, node, bond_values)
-            assert list(got.items()) == list(expected.items()), (name, node.node_id)
+            got_params = node_params(m, system, node.entities, got)
+            assert list(got_params.items()) == list(expected.items()), (name, node.node_id)
             if "jittered" in name:
                 assert iterations[-1] > 0, (name, node.node_id)
             solved.append(node.node_id)
@@ -728,15 +804,21 @@ def test_every_cluster_slice_matches_submodel_solve(slice_trees, monkeypatch):
         def cluster(system, solve_sys, node, start, max_iter, tol):
             got = real_cluster(system, solve_sys, node, start, max_iter, tol)
             if node.children:
-                expected = reference_solve_subsystem(m, node.entities, node.constraints, start)
-                assert list(got.items()) == list(expected.items()), (name, node.node_id)
+                expected = reference_solve_subsystem(
+                    m, node.entities, node.constraints,
+                    node_params(m, system, node.entities, start))
+                got_params = node_params(m, system, node.entities, got)
+                assert list(got_params.items()) == list(expected.items()), (name, node.node_id)
                 solved.append(node.node_id)
             return got
 
-        def assemble(model, node, solutions, placements):
-            results.update((c.node_id, sol) for c, sol in zip(node.children, solutions))
-            starts[node.node_id] = real_assemble(model, node, solutions, placements)
-            return starts[node.node_id]
+        def assemble(model, system, node, solutions, placements):
+            results.update((c.node_id, node_params(m, system, c.entities, sol))
+                           for c, sol in zip(node.children, solutions))
+            start = real_assemble(model, system, node, solutions, placements)
+            starts[node.node_id] = (None if start is None
+                                    else node_params(m, system, node.entities, start))
+            return start
 
         monkeypatch.setattr(decompose, "solve", counting_solve)
         monkeypatch.setattr(decompose, "_solve_leaf", leaf)
@@ -806,11 +888,11 @@ def test_shared_point_moved_by_its_child_forces_the_parent_to_re_solve(monkeypat
     real_leaf, real_cluster = decompose._solve_leaf, decompose._solve_cluster
     clustered = []
 
-    def leaf(model, system, node, bond_values, max_iter, tol):
-        got = real_leaf(model, system, node, bond_values, max_iter, tol)
+    def leaf(model, system, sketch, node, bond_values, max_iter, tol):
+        got = real_leaf(model, system, sketch, node, bond_values, max_iter, tol)
         if node is root.children[1]:
-            x, y = got[shared]
-            got = {**got, shared: (x + 1e-7, y)}
+            got = got.copy()
+            got[system.columns_of((shared,))[0]] += 1e-7
         return got
 
     def cluster(system, solve_sys, node, start, max_iter, tol):

@@ -405,3 +405,34 @@ def test_fallback_solves_report_as_before(name, monkeypatch):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = gcs_main(argv)
     assert (out.getvalue(), code) == (case["stdout"], case["exit"])
+
+
+def test_singular_block_step_is_dropped_for_the_rest_of_the_solve(monkeypatch):
+    # double-banana's solve plan has a singular block at every step: the block
+    # step is tried at the first step only, and the solve takes the lstsq steps
+    # it takes below the row threshold
+    model = zoo.double_banana_model()
+    system = anchored(model)
+    starts = [assignment_from_params(model, system)]
+    starts += [jittered_start(model, system, seed) for seed in (1, 2)]
+    expected = [newton_solve(system, start) for start in starts]
+    calls = []
+    real = numeric._block_step
+
+    def counting(*args):
+        block_step = real(*args)
+        assert block_step is not None
+
+        def call(J, r):
+            calls.append(1)
+            return block_step(J, r)
+        return call
+
+    monkeypatch.setattr(numeric, "_block_step", counting)
+    monkeypatch.setattr(numeric, "BLOCK_STEP_MIN_ROWS", 0)
+    for start, reference in zip(starts, expected):
+        del calls[:]
+        got = newton_solve(system, start)
+        assert (got.status, got.iterations) == (reference.status, reference.iterations)
+        assert np.array_equal(got.assignment, reference.assignment)
+        assert reference.iterations > 1 and len(calls) == 1
