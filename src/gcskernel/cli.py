@@ -10,6 +10,7 @@ fixed separators).  The environment variable GCS_SEED overrides --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -284,9 +285,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call: every parse makes a fresh
+    namespace from the defaults, so one parser serves every call of main."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if "GCS_SEED" in os.environ:
         try:
             args.seed = int(os.environ["GCS_SEED"])

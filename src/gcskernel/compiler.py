@@ -8,9 +8,19 @@ variable and residual ordering.  :func:`induced` gives the constraints and
 residual rows that an entity subset induces; detection, bottom-up
 decomposition and the decomposed solve's cluster slices use those rows.  A
 system maps each entity to its columns and each (kind, source) to its rows
-on first use; the systems derived from it by :func:`add_constraints`,
-:func:`add_anchors` and ``without_anchors`` share its column map and the
-variable lists (``adjacency``) of the rows they keep.
+on first use.
+
+Rows are evaluated from a flat tape, not from their expression trees
+(:mod:`.expr`): :func:`compile_model`, :func:`add_constraints`,
+:func:`add_anchors` and :func:`linear_system` emit one :class:`~.expr.Tape`
+for the rows they add, as they add them.  The systems derived from a system
+(by those functions and ``without_anchors``) share its column map and the
+tapes of the rows they keep, so deriving a system costs only its own rows.
+:func:`eval_residuals` and :func:`eval_jacobian` run the tape of the rows
+they are asked for (all rows by default); a system keeps the evaluation plan
+of each row selection it has evaluated, so a solve's repeated evaluations
+of one slice gather its rows once.  ``adjacency`` (each row's variables)
+comes from the tape as well.
 
 Residual conventions:
 
@@ -27,10 +37,11 @@ Residual conventions:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,16 +68,14 @@ class AnchorError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     index: int
     entity_id: str
     component: int
     name: str  # e.g. "P1.x"
 
 
-@dataclass(frozen=True)
-class Residual:
+class Residual(NamedTuple):
     index: int
     name: str
     expression: ex.Expr
@@ -109,20 +118,67 @@ class ResidualSystem:
         return {key: tuple(idx) for key, idx in rows.items()}
 
     @cached_property
+    def _segments(self) -> tuple[tuple[ex.Tape, int], ...]:
+        """The tapes of this system's rows in order, each as (tape, rows used).
+        A derived system gets them from :meth:`_derive`; a system built
+        directly emits one tape for all its rows on first use."""
+        return (ex.Tape([r.expression for r in self.residuals]), self.n_residuals),
+
+    @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Sorted variable indices of each row: the equation graph's edges."""
-        base, shared = self.__dict__.get("_base", (None, 0))
-        head = base.adjacency[:shared] if base is not None else ()
-        return head + tuple(tuple(sorted(r.expression.variables()))
-                            for r in self.residuals[shared:])
+        return tuple(vs for tape, used in self._segments for vs in tape.variables[:used])
 
-    def _derive(self, residuals: Iterable[Residual], shared: int) -> "ResidualSystem":
-        """A system over the same variables whose first ``shared`` rows are this
-        system's first rows; it shares this system's column map and, for those
-        rows, its adjacency."""
-        derived = ResidualSystem(self.dimension, self.variables, tuple(residuals))
+    @cached_property
+    def _plans(self) -> dict:
+        return {}
+
+    def _plan(self, rows: Sequence[int] | None) -> ex.Plan:
+        """The evaluation plan of ``rows`` (all rows by default), built on first use."""
+        key = None if rows is None else tuple(rows)
+        plan = self._plans.get(key)
+        if plan is None:
+            if rows is None:
+                parts = [(tape, range(used)) for tape, used in self._segments]
+            else:
+                parts = self._parts(key)
+            plan = self._plans[key] = ex.Plan(parts, self.n_variables)
+        return plan
+
+    def _parts(self, rows: Sequence[int]) -> list[tuple[ex.Tape, list[int]]]:
+        """``rows`` as runs of rows of one tape: (tape, tape rows) pairs."""
+        firsts = [0]
+        for _, used in self._segments:
+            firsts.append(firsts[-1] + used)
+        parts: list[tuple[ex.Tape, list[int]]] = []
+        lo = hi = 0
+        for r in rows:
+            if not lo <= r < hi:
+                if not 0 <= r < firsts[-1]:
+                    raise IndexError(f"row {r} out of range for {firsts[-1]} rows")
+                k = bisect.bisect_right(firsts, r) - 1
+                lo, hi = firsts[k], firsts[k + 1]
+                parts.append((self._segments[k][0], []))
+            parts[-1][1].append(r - lo)
+        return parts
+
+    def _derive(self, shared: int, added: Iterable[Residual]) -> "ResidualSystem":
+        """A system over the same variables: this system's first ``shared``
+        rows, then ``added``.  It shares this system's column map and the
+        tapes of the rows it keeps, and emits a tape for the rows it adds."""
+        added = tuple(added)
+        derived = ResidualSystem(self.dimension, self.variables,
+                                 self.residuals[:shared] + added)
         derived.__dict__["_columns"] = self._columns
-        derived.__dict__["_base"] = (self, shared)
+        kept, left = [], shared
+        for tape, used in self._segments:
+            if left <= 0:
+                break
+            kept.append((tape, min(used, left)))
+            left -= used
+        if added:
+            kept.append((ex.Tape([r.expression for r in added]), len(added)))
+        derived.__dict__["_segments"] = tuple(kept)
         return derived
 
     def columns_of(self, entity_ids: Iterable[str]) -> list[int]:
@@ -142,9 +198,11 @@ class ResidualSystem:
 
     def without_anchors(self) -> "ResidualSystem":
         anchors = self._rows.get(("anchor", None), ())
+        if not anchors:
+            return self
         # rows before the first anchor keep their places
-        return self._derive((r for r in self.residuals if r.kind != "anchor"),
-                            anchors[0] if anchors else self.n_residuals)
+        return self._derive(anchors[0], (r for r in self.residuals[anchors[0]:]
+                                         if r.kind != "anchor"))
 
 
 def _initial_direction(entity: Entity, group: tuple[int, ...]) -> np.ndarray:
@@ -321,13 +379,13 @@ def compile_model(model: Model, full_cross: bool = False) -> ResidualSystem:
     system = add_constraints(ResidualSystem(model.dimension, tuple(variables), ()),
                              model, model.constraints, full_cross)
     columns = system._columns
-    residuals = list(system.residuals)
+    residuals = []
     for e in model.entities:
         for group in e.spec.unit_groups:
             vec = [ex.var(columns[e.id][i]) for i in group]
-            residuals.append(Residual(len(residuals), f"unit:{e.id}", ex.dot(vec, vec) - 1.0,
-                                      "normalization", e.id, True))
-    return system._derive(residuals, system.n_residuals)
+            residuals.append(Residual(system.n_residuals + len(residuals), f"unit:{e.id}",
+                                      ex.dot(vec, vec) - 1.0, "normalization", e.id, True))
+    return system._derive(system.n_residuals, residuals)
 
 
 def add_constraints(system: ResidualSystem, model: Model, constraints: Sequence[Constraint],
@@ -342,14 +400,15 @@ def add_constraints(system: ResidualSystem, model: Model, constraints: Sequence[
     columns = system._columns
     named = {eid for c in constraints for eid in c.entities}
     env = {eid: [ex.var(j) for j in columns[eid]] for eid in named if eid in columns}
-    residuals = list(system.residuals)
+    residuals = []
     for c in constraints:
         exprs = _emit_constraint(model, c, env, full_cross=full_cross)
         for k, e_ in enumerate(exprs):
             suffix = "" if len(exprs) == 1 else f"[{k}]"
-            residuals.append(Residual(len(residuals), f"{c.id}{suffix}", e_, "constraint", c.id,
+            residuals.append(Residual(system.n_residuals + len(residuals), f"{c.id}{suffix}", e_,
+                                      "constraint", c.id,
                                       CONSTRAINT_KINDS[c.kind].singular))
-    return system._derive(residuals, system.n_residuals)
+    return system._derive(system.n_residuals, residuals)
 
 
 def points_of(system: ResidualSystem, model: Model,
@@ -384,10 +443,11 @@ def add_anchors(system: ResidualSystem, model: Model,
         comp = model.entity(entity_id).spec.param_names.index(comp_name)
         return ex.var(columns[entity_id][comp])
 
-    residuals = list(system.residuals)
+    residuals: list[Residual] = []
 
     def push(expression: ex.Expr, name: str):
-        residuals.append(Residual(len(residuals), name, expression, "anchor", None, False))
+        residuals.append(Residual(system.n_residuals + len(residuals), name, expression,
+                                  "anchor", None, False))
 
     p1 = points[0].id
     p2 = points[1].id
@@ -409,34 +469,27 @@ def add_anchors(system: ResidualSystem, model: Model,
             push(pv(p2, comp) - pv(p1, comp), f"anchor:{p2}.{comp}-{p1}.{comp}")
         push(pv(p3, "z") - pv(p1, "z"), f"anchor:{p3}.z-{p1}.z")
 
-    return system._derive(residuals, system.n_residuals)
+    return system._derive(system.n_residuals, residuals)
+
+
+def _assignment(system: ResidualSystem, assignment: Sequence[float]) -> np.ndarray:
+    x = np.asarray(assignment, dtype=float)
+    if x.shape != (system.n_variables,):
+        raise ValueError(f"assignment must have length {system.n_variables}, got {x.shape}")
+    return x
 
 
 def eval_residuals(system: ResidualSystem, assignment: Sequence[float],
                    rows: Sequence[int] | None = None) -> np.ndarray:
-    x = np.asarray(assignment, dtype=float)
-    if x.shape != (system.n_variables,):
-        raise ValueError(f"assignment must have length {system.n_variables}, got {x.shape}")
-    picked = system.residuals if rows is None else [system.residuals[i] for i in rows]
-    out = np.empty(len(picked))
-    for k, r in enumerate(picked):
-        out[k] = ex.evaluate(r.expression, x)
-    return out
+    """Residual values of ``rows`` (all rows by default), in that order."""
+    return system._plan(rows).values(_assignment(system, assignment))
 
 
 def eval_jacobian(system: ResidualSystem, assignment: Sequence[float],
                   rows: Sequence[int] | None = None) -> np.ndarray:
-    """Analytic Jacobian, entry (i, j) = d r_i / d x_j."""
-    x = np.asarray(assignment, dtype=float)
-    if x.shape != (system.n_variables,):
-        raise ValueError(f"assignment must have length {system.n_variables}, got {x.shape}")
-    picked = system.residuals if rows is None else [system.residuals[i] for i in rows]
-    J = np.zeros((len(picked), system.n_variables))
-    for k, r in enumerate(picked):
-        _, grad = ex.eval_with_grad(r.expression, x)
-        for j, d in grad.items():
-            J[k, j] = d
-    return J
+    """Analytic Jacobian of ``rows`` (all rows by default), entry (i, j) =
+    d r_i / d x_j, scattered from the tape's derivative triplets."""
+    return system._plan(rows).jacobian(_assignment(system, assignment))
 
 
 def dump_equations(system: ResidualSystem) -> str:
@@ -519,4 +572,4 @@ def linear_system(coefficients, rhs, variable_names: Sequence[str] | None = None
             if A[i, j] != 0.0:
                 terms = terms + ex.const(A[i, j]) * ex.var(j)
         residuals.append(Residual(i, f"E{i + 1}", terms, "constraint", f"E{i + 1}", False))
-    return ResidualSystem(0, variables, tuple(residuals))
+    return ResidualSystem(0, variables, ())._derive(0, residuals)

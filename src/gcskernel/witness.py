@@ -79,20 +79,31 @@ def _entities_coincide(model: Model, params: dict[str, tuple[float, ...]]) -> bo
     return False
 
 
+def _projection(system: ResidualSystem, model: Model) -> ResidualSystem:
+    """The system a witness sample is projected with: the model compiled
+    with every cross-product component, so the projection lands on the exact
+    singular variety and the reduced system's spurious branch is never
+    satisfied by construction; ``system`` itself when it has no singular
+    rows."""
+    return compile_model(model, full_cross=True) if system.singular_rows() else system
+
+
 def generate_witness(system: ResidualSystem, model: Model, seed: int = 0,
-                     max_attempts: int = 10) -> WitnessConfiguration:
+                     max_attempts: int = 10,
+                     projection: ResidualSystem | None = None) -> WitnessConfiguration:
     """Sample a witness: uniform in [-1, 1]^n projected onto the singular subsystem.
 
     The singular subsystem (incidences, parallels, normalizations) is usually
     highly under-constrained and solves in one attempt; candidates where two
     same-kind entities coincide are rejected as accidentally degenerate.
+    ``projection`` is the unanchored system's projection system when the
+    caller already has it (:func:`characterize` compiles it once for all its
+    votes); it is compiled here otherwise.
     """
     base = system.without_anchors()
     rows = base.singular_rows()
-    # project onto the exact singular variety: cross-product constraints use
-    # all three components here, so the reduced system's spurious branch is
-    # never satisfied by construction
-    projection = compile_model(model, full_cross=True) if rows else base
+    if projection is None:
+        projection = _projection(base, model)
     proj_rows = projection.singular_rows()
     rng = np.random.default_rng(seed)
     last_error = "no attempts made"
@@ -243,9 +254,10 @@ def characterize(system: ResidualSystem, model: Model, seed: int = 0,
     if base.n_variables == 0:
         return characterize_at(base, np.zeros(0), 0, seeds=(seed,), rank_tol=rank_tol)
     reports: list[WcmReport] = []
+    projection = _projection(base, model)
     for i in range(votes):
         wseed = seed + i
-        wit = generate_witness(base, model, seed=wseed)
+        wit = generate_witness(base, model, seed=wseed, projection=projection)
         dor = compute_dor(model, base, wit.assignment, rank_tol=rank_tol).dor
         reports.append(characterize_at(base, wit.assignment, dor, seeds=(wseed,),
                                        rank_tol=rank_tol))

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,73 @@ CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 @pytest.fixture(scope="session")
 def corpus_dir() -> Path:
     return CORPUS
+
+
+# A copy of the recursive expression interpreter that the flat tape replaced:
+# the reference the tape's residuals, derivatives and variable lists are
+# checked against.
+
+
+def tree_evaluate(e, x) -> float:
+    op = e.op
+    if op == "const":
+        return e.value
+    if op == "var":
+        return float(x[e.index])
+    if op == "add":
+        return tree_evaluate(e.args[0], x) + tree_evaluate(e.args[1], x)
+    if op == "sub":
+        return tree_evaluate(e.args[0], x) - tree_evaluate(e.args[1], x)
+    if op == "mul":
+        return tree_evaluate(e.args[0], x) * tree_evaluate(e.args[1], x)
+    if op == "sin":
+        return math.sin(tree_evaluate(e.args[0], x))
+    if op == "cos":
+        return math.cos(tree_evaluate(e.args[0], x))
+    raise ValueError(f"unknown op {op!r}")
+
+
+def tree_eval_with_grad(e, x) -> tuple[float, dict[int, float]]:
+    """Evaluate and return (value, {var index: partial derivative})."""
+    op = e.op
+    if op == "const":
+        return e.value, {}
+    if op == "var":
+        return float(x[e.index]), {e.index: 1.0}
+    if op in ("add", "sub"):
+        va, ga = tree_eval_with_grad(e.args[0], x)
+        vb, gb = tree_eval_with_grad(e.args[1], x)
+        sign = 1.0 if op == "add" else -1.0
+        g = dict(ga)
+        for i, d in gb.items():
+            g[i] = g.get(i, 0.0) + sign * d
+        return va + sign * vb, g
+    if op == "mul":
+        va, ga = tree_eval_with_grad(e.args[0], x)
+        vb, gb = tree_eval_with_grad(e.args[1], x)
+        g = {i: d * vb for i, d in ga.items()}
+        for i, d in gb.items():
+            g[i] = g.get(i, 0.0) + d * va
+        return va * vb, g
+    if op == "sin":
+        v, gi = tree_eval_with_grad(e.args[0], x)
+        c = math.cos(v)
+        return math.sin(v), {i: d * c for i, d in gi.items()}
+    if op == "cos":
+        v, gi = tree_eval_with_grad(e.args[0], x)
+        s = -math.sin(v)
+        return math.cos(v), {i: d * s for i, d in gi.items()}
+    raise ValueError(f"unknown op {op!r}")
+
+
+def tree_variables(e) -> set[int]:
+    """Indices of all variables occurring in the tree."""
+    if e.op == "var":
+        return {e.index}
+    out: set[int] = set()
+    for a in e.args:
+        out |= tree_variables(a)
+    return out
 
 
 def finite_difference_jacobian(system, x, h=1e-6):

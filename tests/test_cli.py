@@ -316,3 +316,28 @@ def test_console_entry_point_installed(corpus_dir):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "verdict: well" in proc.stdout
+
+
+def test_main_reuses_one_parser_without_carrying_options_over(capsys, corpus_dir, tmp_path):
+    from gcskernel import cli
+
+    data = json.loads((corpus_dir / "solve-kite.json").read_text(encoding="utf-8"))
+    for k, e in enumerate(data["entities"]):  # move the sketch off the solution
+        e["params"] = [p + 0.1 * math.sin(3 * k + i + 1) for i, p in enumerate(e["params"])]
+    kite = tmp_path / "kite.json"
+    kite.write_text(json.dumps(data), encoding="utf-8")
+    triangle = str(corpus_dir / "triangle.json")
+    custom = ["--seed", "5", "--tolerance", "1e-20", "--format", "json", "solve", str(kite)]
+    plain = ["solve", str(kite)]
+    code, out = run_cli(capsys, *custom)
+    assert code == 4 and json.loads(out)["status"] == "inconsistent"
+    code, out = run_cli(capsys, *plain)
+    assert code == 0 and "status: converged" in out  # default tolerance and text format
+    code, report = run_json(capsys, "--seed", "5", "check", triangle)
+    assert report["report"]["witness"]["seeds"] == [5, 6, 7]
+    code, report = run_json(capsys, "check", triangle)
+    assert report["report"]["witness"]["seeds"] == [0, 1, 2]
+    assert cli._parser() is cli._parser()
+    for first, second in ((custom, plain), (plain, custom)):
+        cli._parser().parse_args(first)
+        assert vars(cli._parser().parse_args(second)) == vars(cli.build_parser().parse_args(second))

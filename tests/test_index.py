@@ -10,7 +10,7 @@ from gcskernel import add_anchors, compile_model, linear_system, zoo
 from gcskernel.compiler import add_constraints, induced, rows_of
 from gcskernel.model import Constraint, Entity, Model, model_from_json_dict
 
-from conftest import CORPUS
+from conftest import CORPUS, tree_variables
 
 
 # --- the scans, as they were before the maps -----------------------------------
@@ -155,7 +155,7 @@ def test_anchors_pick_the_first_points_in_model_order(name):
             anchored = add_anchors(system, model, ents)
         except ValueError:  # the first three 3D points are collinear
             continue
-        added = [(r.name, r.expression.variables())
+        added = [(r.name, tree_variables(r.expression))
                  for r in anchored.residuals[system.n_residuals:]]
         assert added == expected_anchors(points, model.dimension, column)
 
@@ -214,7 +214,7 @@ def test_derived_systems_share_the_variable_lists_of_the_rows_they_keep():
     bonded = add_constraints(system, model, [bond])
     anchored = add_anchors(bonded, model, ["P3", "P1", "P3"])
     for s in (system, bonded, anchored, anchored.without_anchors()):
-        assert s.adjacency == tuple(tuple(sorted(r.expression.variables()))
+        assert s.adjacency == tuple(tuple(sorted(tree_variables(r.expression)))
                                     for r in s.residuals)
         assert all(a is b for a, b in zip(s.adjacency, system.adjacency))
     assert anchored.adjacency[bonded.n_residuals - 1] is bonded.adjacency[-1]

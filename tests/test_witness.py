@@ -298,7 +298,7 @@ def test_unstable_when_witnesses_disagree(monkeypatch):
 
     import gcskernel.witness as w
 
-    def fake_generate(system, model, seed=0, max_attempts=10):
+    def fake_generate(system, model, seed=0, max_attempts=10, projection=None):
         return w.WitnessConfiguration(next(fakes), (), seed, 1)
 
     monkeypatch.setattr(w, "generate_witness", fake_generate)
