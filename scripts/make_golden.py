@@ -4,7 +4,7 @@ Usage, from the root of the repository:
 
     PYTHONPATH=src python scripts/make_golden.py [DIR]
 
-DIR defaults to tests/golden.  Two files are written there.
+DIR defaults to tests/golden.  Three files are written there.
 
 ``cli.json``: each case runs ``gcs --format json <command> corpus/<name>.json``
 in-process, with GCS_SEED unset, and records its standard output and exit
@@ -22,6 +22,14 @@ Each case records the solution and placement floats as ``float.hex``
 strings, the certificate status and residual, or the type and message of the
 refusal.
 
+``equations.json``: each case records the ``dump_equations`` listing of one
+compiled system: every corpus file as ``gcs`` loads it (the raw linear
+systems included), a 2D and a 3D model that hold every constraint kind on
+every entity signature and plane representation, the ``full_cross`` compile
+of every 3D model, the anchored ``zoo.triangle_strip(12)``, and that strip
+with virtual distance bonds added.  Together they hold every row shape the
+compiler emits.
+
 tests/test_golden.py replays every case and compares the results byte for
 byte and bit for bit, so regenerate the files only for an intended change of
 output, and say which results changed and why.
@@ -38,7 +46,9 @@ import sys
 import numpy as np
 
 from gcskernel import zoo
+from gcskernel.cli import _load
 from gcskernel.cli import main as gcs_main
+from gcskernel.compiler import add_anchors, add_constraints, compile_model, dump_equations
 from gcskernel.decompose import (
     AlignmentError,
     DecompositionError,
@@ -46,7 +56,7 @@ from gcskernel.decompose import (
     solve_tree,
     top_down,
 )
-from gcskernel.model import Entity, Model, model_from_json_dict
+from gcskernel.model import Constraint, Entity, Model, model_from_json_dict
 
 COMMANDS = (
     ["check"],
@@ -126,6 +136,81 @@ def solve_tree_record(strategy: str, model) -> dict:
     }
 
 
+def every_kind_models() -> list[tuple[str, Model]]:
+    """A 2D and a 3D model holding every constraint kind on every entity
+    signature, the 3D one on planes of both representations."""
+    plane = "plane3"
+    flat = Model(2, (
+        Entity("P1", "point2", (0.0, 0.0)), Entity("P2", "point2", (3.0, 0.0)),
+        Entity("P3", "point2", (1.0, 2.0)), Entity("L1", "line2", (0.3, 1.0)),
+        Entity("L2", "line2", (1.2, -0.5)),
+    ), (
+        Constraint("dpp", "distance-pp", ("P1", "P2"), 3.0),
+        Constraint("dpl", "distance-pl", ("P3", "L1"), 0.5),
+        Constraint("dll", "distance-ll", ("L1", "L2"), 1.5),
+        Constraint("all", "angle-ll", ("L1", "L2"), 1.0),
+        Constraint("pol", "point-on-line", ("P1", "L1")),
+        Constraint("par", "parallel", ("L1", "L2")),
+        Constraint("perp", "perpendicular", ("L1", "L2")),
+        Constraint("coi", "coincident", ("P2", "P3")),
+        Constraint("fix", "fix", ("P1",)),
+    ))
+    solid = Model(3, (
+        Entity("P1", "point3", (0.0, 0.0, 0.0)), Entity("P2", "point3", (1.0, 2.0, 3.0)),
+        Entity("P3", "point3", (0.5, -1.0, 2.0)),
+        Entity("L1", "line3", (0.0, 0.0, 0.0, 0.2, 1.0, 0.1)),
+        Entity("L2", "line3", (1.0, 0.0, 0.0, 1.0, 0.3, 0.2)),
+        Entity("H1", plane, (0.0, 0.0, 1.0, -1.0), "hessian"),
+        Entity("H2", plane, (0.1, 1.0, 0.0, 2.0), "hessian"),
+        Entity("N1", plane, (0.0, 0.0, 1.0, 1.0, 0.2, 0.1), "point-normal"),
+        Entity("N2", plane, (1.0, 1.0, 1.0, 0.0, 0.3, 1.0), "point-normal"),
+    ), (
+        Constraint("dpp", "distance-pp", ("P1", "P2"), 2.0),
+        Constraint("dpl", "distance-pl", ("P3", "L1"), 0.5),
+        Constraint("dpH", "distance-pplane", ("P1", "H1"), 1.0),
+        Constraint("dpN", "distance-pplane", ("P2", "N1"), 1.0),
+        Constraint("dll", "distance-ll", ("L1", "L2"), 1.0),
+        Constraint("dHH", "distance-planeplane", ("H1", "H2"), 1.0),
+        Constraint("dNN", "distance-planeplane", ("N1", "N2"), 2.0),
+        Constraint("dHN", "distance-planeplane", ("H1", "N1"), 0.5),
+        Constraint("all", "angle-ll", ("L1", "L2"), 1.0),
+        Constraint("aHN", "angle-planeplane", ("H1", "N2"), 1.2),
+        Constraint("pol", "point-on-line", ("P1", "L2")),
+        Constraint("poH", "point-on-plane", ("P3", "H2")),
+        Constraint("poN", "point-on-plane", ("P1", "N2")),
+        Constraint("parL", "parallel", ("L1", "L2")),
+        Constraint("parP", "parallel", ("H2", "N1")),
+        Constraint("perpL", "perpendicular", ("L1", "L2")),
+        Constraint("perpP", "perpendicular", ("H1", "H2")),
+        Constraint("coi", "coincident", ("P2", "P3")),
+        Constraint("fix", "fix", ("P1",)),
+    ))
+    return [("every-kind-2d", flat), ("every-kind-3d", solid)]
+
+
+def equations_cases(corpus_dir: str = "corpus") -> list[tuple[str, object]]:
+    """(label, system) of every equation listing case, in order."""
+    out = []
+    models = []
+    for name in sorted(f for f in os.listdir(corpus_dir) if f.endswith(".json")):
+        model, system = _load(f"{corpus_dir}/{name}")
+        out.append((f"corpus/{name}", system))
+        if model is not None:
+            models.append((f"corpus/{name}", model))
+    for label, model in every_kind_models():
+        out.append((label, compile_model(model)))
+        models.append((label, model))
+    out += [(f"full-cross/{label}", compile_model(model, full_cross=True))
+            for label, model in models if model.dimension == 3]
+    strip = zoo.triangle_strip(12)
+    system = compile_model(strip)
+    out.append(("anchored/strip-12", add_anchors(system, strip)))
+    bonds = [Constraint(f"vbond:{a}-{b}", "distance-pp", (a, b), 1.5)
+             for a, b in (("P1", "P4"), ("P3", "P7"))]
+    out.append(("bonded/strip-12", add_constraints(system, strip, bonds)))
+    return out
+
+
 def main(argv: list[str]) -> int:
     directory = argv[0] if argv else DEFAULT_DIR
     if "GCS_SEED" in os.environ:
@@ -137,12 +222,16 @@ def main(argv: list[str]) -> int:
         records.append({"argv": case, "exit": code, "stdout": stdout})
     trees = [{"strategy": strategy, "model": label, **solve_tree_record(strategy, m)}
              for strategy, label, m in solve_tree_cases()]
+    equations = [{"system": label, "equations": dump_equations(system)}
+                 for label, system in equations_cases()]
     os.makedirs(directory, exist_ok=True)
-    for name, payload in (("cli.json", records), ("solve_tree.json", trees)):
+    for name, payload in (("cli.json", records), ("solve_tree.json", trees),
+                          ("equations.json", equations)):
         with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
             json.dump({"cases": payload}, fh, indent=1, sort_keys=True)
             fh.write("\n")
-    print(f"wrote {len(records)} cli cases and {len(trees)} solve_tree cases to {directory}")
+    print(f"wrote {len(records)} cli cases, {len(trees)} solve_tree cases and "
+          f"{len(equations)} equation listings to {directory}")
     return 0
 
 

@@ -5,7 +5,9 @@ check, detect, both decompose strategies and both solve strategies on every
 corpus file.  tests/golden/solve_tree.json holds the library ``solve_tree``
 results (solution and placement floats as hex, certificate or refusal) of
 top-down and bottom-up trees on strips, the 2D corpus and the solve corpus.
-scripts/make_golden.py writes both.
+tests/golden/equations.json holds the ``dump_equations`` listing of compiled
+systems that together hold every row shape the compiler emits.
+scripts/make_golden.py writes all three.
 """
 
 import contextlib
@@ -17,11 +19,14 @@ from pathlib import Path
 import pytest
 
 from gcskernel.cli import main
+from gcskernel.compiler import dump_equations
 
 ROOT = Path(__file__).resolve().parents[1]
 CASES = json.loads((ROOT / "tests" / "golden" / "cli.json").read_text(encoding="utf-8"))["cases"]
 TREE_CASES = json.loads(
     (ROOT / "tests" / "golden" / "solve_tree.json").read_text(encoding="utf-8"))["cases"]
+EQUATION_CASES = json.loads(
+    (ROOT / "tests" / "golden" / "equations.json").read_text(encoding="utf-8"))["cases"]
 
 
 def make_golden():
@@ -64,4 +69,13 @@ def test_solve_tree_results_match_golden(strategy, monkeypatch):
         label for case, (label, m) in zip(recorded, replayed)
         if {"strategy": strategy, "model": label, **script.solve_tree_record(strategy, m)}
         != case]
+    assert not mismatched, mismatched
+
+
+def test_equation_listings_match_golden(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    replayed = make_golden().equations_cases()
+    assert [c["system"] for c in EQUATION_CASES] == [label for label, _ in replayed]
+    mismatched = [label for case, (label, system) in zip(EQUATION_CASES, replayed)
+                  if dump_equations(system) != case["equations"]]
     assert not mismatched, mismatched
