@@ -19,6 +19,7 @@ import numpy as np
 
 from .compiler import (
     AnchorError,
+    CompileError,
     add_anchors,
     assignment_from_params,
     compile_model,
@@ -34,7 +35,7 @@ from .detect import (
     oracle_max_well_part,
     oracle_min_dependent_sets,
 )
-from .model import Model, model_from_json_dict, validate
+from .model import Model, model_from_json_dict
 from .numeric import RANK_REL_TOL, RESIDUAL_TOL, solve
 from .structural import build_graphs, counting_state
 from .witness import characterize, characterize_at, generate_witness
@@ -81,11 +82,11 @@ def _load(path: str):
         model = model_from_json_dict(data)
     except (KeyError, TypeError, ValueError) as err:
         raise SystemExitError(1, f"malformed model {path}: {err}")
-    problems = validate(model)
-    if problems:
-        lines = "; ".join(f"{p.code}[{p.subject}]: {p.message}" for p in problems)
-        raise SystemExitError(1, f"model {path} does not validate: {lines}")
-    return model, compile_model(model)
+    try:
+        return model, compile_model(model)
+    except CompileError as err:
+        problems = "; ".join(map(str, err.violations))
+        raise SystemExitError(1, f"model {path} does not validate: {problems}")
 
 
 class SystemExitError(Exception):

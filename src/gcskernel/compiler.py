@@ -10,17 +10,15 @@ decomposition and the decomposed solve's cluster slices use those rows.  A
 system maps each entity to its columns and each (kind, source) to its rows
 on first use.
 
-Rows are evaluated from a flat tape, not from their expression trees
-(:mod:`.expr`): :func:`compile_model`, :func:`add_constraints`,
-:func:`add_anchors` and :func:`linear_system` emit one :class:`~.expr.Tape`
-for the rows they add, as they add them.  The systems derived from a system
-(by those functions and ``without_anchors``) share its column map and the
-tapes of the rows they keep, so deriving a system costs only its own rows.
-:func:`eval_residuals` and :func:`eval_jacobian` run the tape of the rows
-they are asked for (all rows by default); a system keeps the evaluation plan
-of each row selection it has evaluated, so a solve's repeated evaluations
-of one slice gather its rows once.  ``adjacency`` (each row's variables)
-comes from the tape as well.
+Each row is written once, straight onto a :class:`~.expr.Tape`:
+:func:`compile_model`, :func:`add_constraints`, :func:`add_anchors` and
+:func:`linear_system` write one tape for the rows they add.  A system holds
+the tape segments of its rows, and the systems derived from it share its
+column map and the tapes of the rows they keep, so deriving a system costs
+only its own rows.  :func:`eval_residuals` and :func:`eval_jacobian` run the
+tapes of the rows they are asked for (all rows by default) through an
+evaluation plan that the system keeps per row selection.  ``adjacency``
+(each row's variables) and :func:`dump_equations` read the tapes as well.
 
 Residual conventions:
 
@@ -39,9 +37,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,19 +47,23 @@ from . import expr as ex
 from .model import (
     CONSTRAINT_KINDS,
     HESSIAN,
-    LINE3,
-    PLANE3,
     POINT2,
     POINT3,
     Constraint,
     Entity,
     Model,
+    Violation,
     validate,
 )
 
 
 class CompileError(ValueError):
-    pass
+    """A model that does not compile; ``violations`` holds what
+    :func:`~.model.validate` found, when that is the cause."""
+
+    def __init__(self, message: str, violations: Sequence[Violation] = ()):
+        super().__init__(message)
+        self.violations = tuple(violations)
 
 
 class AnchorError(ValueError):
@@ -78,7 +80,6 @@ class Variable(NamedTuple):
 class Residual(NamedTuple):
     index: int
     name: str
-    expression: ex.Expr
     kind: str          # "constraint" | "normalization" | "anchor"
     source: str | None  # constraint id, entity id for normalizations, None for anchors
     singular: bool
@@ -86,9 +87,29 @@ class Residual(NamedTuple):
 
 @dataclass(frozen=True)
 class ResidualSystem:
+    """Residual rows over variables.
+
+    ``segments`` holds the tapes of the rows in order, each as (tape, the
+    tape rows used); ``columns`` maps each entity to its columns, in
+    component order.  A system starts empty (:meth:`over`), and each system
+    derived from it shares its column map and the tapes of the rows it
+    keeps.
+    """
+
     dimension: int
     variables: tuple[Variable, ...]
     residuals: tuple[Residual, ...]
+    segments: tuple[tuple[ex.Tape, Sequence[int]], ...]
+    columns: Mapping[str, tuple[int, ...]] = field(compare=False, repr=False)
+
+    @classmethod
+    def over(cls, dimension: int, variables: Sequence[Variable]) -> "ResidualSystem":
+        """The system of no rows over ``variables``."""
+        columns: dict[str, list[int]] = {}
+        for v in variables:
+            columns.setdefault(v.entity_id, []).append(v.index)
+        return cls(dimension, tuple(variables), (), (),
+                   {eid: tuple(cols) for eid, cols in columns.items()})
 
     @property
     def n_variables(self) -> int:
@@ -102,14 +123,6 @@ class ResidualSystem:
         return [v.name for v in self.variables]
 
     @cached_property
-    def _columns(self) -> dict[str, tuple[int, ...]]:
-        """Columns of each entity, in component order."""
-        columns: dict[str, list[int]] = {}
-        for v in self.variables:
-            columns.setdefault(v.entity_id, []).append(v.index)
-        return {eid: tuple(cols) for eid, cols in columns.items()}
-
-    @cached_property
     def _rows(self) -> dict[tuple[str, str | None], tuple[int, ...]]:
         """Rows of each (kind, source), in system order."""
         rows: dict[tuple[str, str | None], list[int]] = {}
@@ -118,16 +131,9 @@ class ResidualSystem:
         return {key: tuple(idx) for key, idx in rows.items()}
 
     @cached_property
-    def _segments(self) -> tuple[tuple[ex.Tape, int], ...]:
-        """The tapes of this system's rows in order, each as (tape, rows used).
-        A derived system gets them from :meth:`_derive`; a system built
-        directly emits one tape for all its rows on first use."""
-        return (ex.Tape([r.expression for r in self.residuals]), self.n_residuals),
-
-    @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Sorted variable indices of each row: the equation graph's edges."""
-        return tuple(vs for tape, used in self._segments for vs in tape.variables[:used])
+        return tuple(tape.variables[i] for tape, rows in self.segments for i in rows)
 
     @cached_property
     def _plans(self) -> dict:
@@ -138,18 +144,15 @@ class ResidualSystem:
         key = None if rows is None else tuple(rows)
         plan = self._plans.get(key)
         if plan is None:
-            if rows is None:
-                parts = [(tape, range(used)) for tape, used in self._segments]
-            else:
-                parts = self._parts(key)
+            parts = self.segments if rows is None else self._parts(key)
             plan = self._plans[key] = ex.Plan(parts, self.n_variables)
         return plan
 
     def _parts(self, rows: Sequence[int]) -> list[tuple[ex.Tape, list[int]]]:
         """``rows`` as runs of rows of one tape: (tape, tape rows) pairs."""
         firsts = [0]
-        for _, used in self._segments:
-            firsts.append(firsts[-1] + used)
+        for _, used in self.segments:
+            firsts.append(firsts[-1] + len(used))
         parts: list[tuple[ex.Tape, list[int]]] = []
         lo = hi = 0
         for r in rows:
@@ -158,36 +161,25 @@ class ResidualSystem:
                     raise IndexError(f"row {r} out of range for {firsts[-1]} rows")
                 k = bisect.bisect_right(firsts, r) - 1
                 lo, hi = firsts[k], firsts[k + 1]
-                parts.append((self._segments[k][0], []))
-            parts[-1][1].append(r - lo)
+                tape, used = self.segments[k]
+                parts.append((tape, []))
+            parts[-1][1].append(used[r - lo])
         return parts
 
-    def _derive(self, shared: int, added: Iterable[Residual]) -> "ResidualSystem":
-        """A system over the same variables: this system's first ``shared``
-        rows, then ``added``.  It shares this system's column map and the
-        tapes of the rows it keeps, and emits a tape for the rows it adds."""
-        added = tuple(added)
-        derived = ResidualSystem(self.dimension, self.variables,
-                                 self.residuals[:shared] + added)
-        derived.__dict__["_columns"] = self._columns
-        kept, left = [], shared
-        for tape, used in self._segments:
-            if left <= 0:
-                break
-            kept.append((tape, min(used, left)))
-            left -= used
-        if added:
-            kept.append((ex.Tape([r.expression for r in added]), len(added)))
-        derived.__dict__["_segments"] = tuple(kept)
-        return derived
+    def _extend(self, tape: ex.Tape, added: Sequence[tuple]) -> "ResidualSystem":
+        """This system's rows, then the rows of ``tape``: ``added`` holds their
+        (name, kind, source, singular)."""
+        residuals = (Residual(self.n_residuals + k, *row) for k, row in enumerate(added))
+        return ResidualSystem(self.dimension, self.variables, (*self.residuals, *residuals),
+                              self.segments + ((tape, range(len(added))),), self.columns)
 
     def columns_of(self, entity_ids: Iterable[str]) -> list[int]:
-        columns = self._columns
+        columns = self.columns
         return sorted(j for eid in set(entity_ids) for j in columns.get(eid, ()))
 
     def entity_slice(self, entity_id: str) -> slice:
         """The columns of one entity, which are consecutive."""
-        columns = self._columns[entity_id]
+        columns = self.columns[entity_id]
         return slice(columns[0], columns[-1] + 1)
 
     def singular_rows(self) -> list[int]:
@@ -200,62 +192,56 @@ class ResidualSystem:
         anchors = self._rows.get(("anchor", None), ())
         if not anchors:
             return self
-        # rows before the first anchor keep their places
-        return self._derive(anchors[0], (r for r in self.residuals[anchors[0]:]
-                                         if r.kind != "anchor"))
+        kept = [r for r in self.residuals if r.kind != "anchor"]
+        parts = self._parts([r.index for r in kept])
+        return ResidualSystem(self.dimension, self.variables,
+                              tuple(r._replace(index=k) for k, r in enumerate(kept)),
+                              tuple((tape, tuple(rows)) for tape, rows in parts), self.columns)
 
 
-def _initial_direction(entity: Entity, group: tuple[int, ...]) -> np.ndarray:
-    if entity.params is not None:
-        vec = np.array([entity.params[i] for i in group], dtype=float)
-        if np.linalg.norm(vec) > 1e-12:
-            return vec / np.linalg.norm(vec)
-    fallback = np.zeros(len(group))
-    fallback[-1] = 1.0
-    return fallback
+def _cross(a: Sequence[ex.Term], b: Sequence[ex.Term], i: int) -> ex.Term:
+    """Component ``i`` of the cross product a x b (``a`` is read at the other
+    two indices only)."""
+    j, k = (i + 1) % 3, (i + 2) % 3
+    return a[j] * b[k] - a[k] * b[j]
 
 
-def _cross_components(a: Sequence[ex.Expr], b: Sequence[ex.Expr]) -> list[ex.Expr]:
-    return [
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    ]
-
-
-def _drop_index(direction: np.ndarray) -> int:
-    # The cross product of near-parallel vectors is orthogonal to them, so the
-    # component along the dominant direction axis carries no information.
-    return int(np.argmax(np.abs(direction)))
-
-
-def _plane_normal_and_offset(entity: Entity, v: list[ex.Expr]):
-    """Return (normal exprs, signed-offset expr builder) for either plane scheme."""
+def _plane_normal_and_offset(entity: Entity, v: list[ex.Term]):
+    """Return (normal operands, signed-offset builder) for either plane scheme."""
     if entity.spec.representation == HESSIAN:
         n = v[0:3]
-        def offset(p: Sequence[ex.Expr]) -> ex.Expr:
+        def offset(p: Sequence[ex.Term]) -> ex.Term:
             return ex.dot(n, p) + v[3]
     else:  # point-normal: p0 (0..2), n (3..5)
         n = v[3:6]
         p0 = v[0:3]
-        def offset(p: Sequence[ex.Expr]) -> ex.Expr:
+        def offset(p: Sequence[ex.Term]) -> ex.Term:
             return ex.dot(n, [p[i] - p0[i] for i in range(3)])
     return n, offset
 
 
-def _direction_of(entity: Entity, v: list[ex.Expr]) -> tuple[list[ex.Expr], np.ndarray]:
-    """Direction-like expression triple and its initial value for 3D line/plane."""
-    if entity.kind == LINE3:
-        return v[3:6], _initial_direction(entity, (3, 4, 5))
-    if entity.kind == PLANE3:
-        if entity.spec.representation == HESSIAN:
-            return v[0:3], _initial_direction(entity, (0, 1, 2))
-        return v[3:6], _initial_direction(entity, (3, 4, 5))
-    raise CompileError(f"entity {entity.id!r} has no direction")
+def _direction_of(entity: Entity, v: list[ex.Term],
+                  full_cross: bool = True) -> tuple[list[ex.Term], Sequence[int]]:
+    """The direction operands of a 3D line or plane, and the cross-product
+    components a constraint on that direction emits: all three with
+    ``full_cross``, else all but the one along the dominant axis of the
+    sketch direction (the last axis without one).  The cross product of
+    near-parallel vectors is orthogonal to them, so that component carries
+    no information."""
+    lo = 0 if entity.spec.representation == HESSIAN else 3
+    if full_cross:
+        return v[lo:lo + 3], range(3)
+    d0 = np.array(entity.params[lo:lo + 3] if entity.params is not None else [0.0] * 3,
+                  dtype=float)
+    norm = np.linalg.norm(d0)
+    drop = int(np.argmax(np.abs(d0 / norm))) if norm > 1e-12 else 2
+    return v[lo:lo + 3], [i for i in range(3) if i != drop]
 
 
-def _emit_constraint(model: Model, c: Constraint, env: dict[str, list[ex.Expr]],
-                     full_cross: bool = False) -> list[ex.Expr]:
+def _emit_constraint(model: Model, c: Constraint, env: dict[str, list[ex.Term]],
+                     full_cross: bool = False) -> Iterator[ex.Term]:
+    """Write the constraint's rows and yield each root; the caller ends the
+    row before the next one is written."""
     dim = model.dimension
     ents = [model.entity(eid) for eid in c.entities]
     v = [env[eid] for eid in c.entities]
@@ -263,96 +249,95 @@ def _emit_constraint(model: Model, c: Constraint, env: dict[str, list[ex.Expr]],
 
     if kind == "distance-pp":
         diff = [v[1][i] - v[0][i] for i in range(dim)]
-        return [ex.dot(diff, diff) - c.value * c.value]
+        yield ex.dot(diff, diff) - c.value * c.value
 
-    if kind == "distance-pl":
-        if dim == 2:
-            p, (phi, rho) = v[0], v[1]
-            signed = p[0] * ex.cos(phi) + p[1] * ex.sin(phi) - rho
-            return [ex.square(signed) - c.value * c.value]
+    elif kind == "distance-pl":
         p, lv = v[0], v[1]
-        rel = [p[i] - lv[i] for i in range(3)]
-        cr = _cross_components(rel, lv[3:6])
-        return [ex.dot(cr, cr) - c.value * c.value]
-
-    if kind == "distance-pplane":
-        _, offset = _plane_normal_and_offset(ents[1], v[1])
-        return [ex.square(offset(v[0])) - c.value * c.value]
-
-    if kind == "distance-ll":
         if dim == 2:
-            return [ex.square(v[0][1] - v[1][1]) - c.value * c.value]
-        # distance from line 2's point to line 1 (lines held parallel by a
-        # separate constraint)
-        rel = [v[1][i] - v[0][i] for i in range(3)]
-        cr = _cross_components(rel, v[0][3:6])
-        return [ex.dot(cr, cr) - c.value * c.value]
+            phi, rho = lv
+            signed = p[0] * ex.cos(phi) + p[1] * ex.sin(phi) - rho
+            yield ex.square(signed) - c.value * c.value
+        else:
+            rel = [p[i] - lv[i] for i in range(3)]
+            cr = [_cross(rel, lv[3:6], i) for i in range(3)]
+            yield ex.dot(cr, cr) - c.value * c.value
 
-    if kind == "distance-planeplane":
-        n1, _ = _plane_normal_and_offset(ents[0], v[0])
+    elif kind == "distance-pplane":
+        _, offset = _plane_normal_and_offset(ents[1], v[1])
+        yield ex.square(offset(v[0])) - c.value * c.value
+
+    elif kind == "distance-ll":
+        if dim == 2:
+            yield ex.square(v[0][1] - v[1][1]) - c.value * c.value
+        else:
+            # distance from line 2's point to line 1 (lines held parallel by a
+            # separate constraint)
+            rel = [v[1][i] - v[0][i] for i in range(3)]
+            cr = [_cross(rel, v[0][3:6], i) for i in range(3)]
+            yield ex.dot(cr, cr) - c.value * c.value
+
+    elif kind == "distance-planeplane":
+        n1, offset1 = _plane_normal_and_offset(ents[0], v[0])
         if ents[0].spec.representation == HESSIAN and ents[1].spec.representation == HESSIAN:
             s = ex.dot(n1, v[1][0:3])
             delta = v[0][3] - s * v[1][3]
-            return [ex.square(delta) - c.value * c.value]
-        # in the point-normal scheme the offset of plane 2's point from plane 1
-        _, offset1 = _plane_normal_and_offset(ents[0], v[0])
-        return [ex.square(offset1(v[1][0:3])) - c.value * c.value]
+            yield ex.square(delta) - c.value * c.value
+        else:
+            # in the point-normal scheme the offset of plane 2's point from plane 1
+            yield ex.square(offset1(v[1][0:3])) - c.value * c.value
 
-    if kind == "angle-ll":
+    elif kind == "angle-ll":
         if dim == 2:
             target = math.pi - c.value
-            return [ex.square(v[0][0] - v[1][0]) - target * target]
-        d1, d2 = v[0][3:6], v[1][3:6]
-        return [ex.dot(d1, d2) - math.cos(c.value)]
+            yield ex.square(v[0][0] - v[1][0]) - target * target
+        else:
+            yield ex.dot(v[0][3:6], v[1][3:6]) - math.cos(c.value)
 
-    if kind == "angle-planeplane":
+    elif kind == "angle-planeplane":
         n1, _ = _plane_normal_and_offset(ents[0], v[0])
         n2, _ = _plane_normal_and_offset(ents[1], v[1])
-        return [ex.dot(n1, n2) - math.cos(c.value)]
+        yield ex.dot(n1, n2) - math.cos(c.value)
 
-    if kind == "point-on-line":
-        if dim == 2:
-            p, (phi, rho) = v[0], v[1]
-            return [p[0] * ex.cos(phi) + p[1] * ex.sin(phi) - rho]
+    elif kind == "point-on-line":
         p, lv = v[0], v[1]
-        rel = [p[i] - lv[i] for i in range(3)]
-        cr = _cross_components(rel, lv[3:6])
-        if full_cross:
-            return cr
-        _, d0 = _direction_of(ents[1], v[1])
-        drop = _drop_index(d0)
-        return [cr[i] for i in range(3) if i != drop]
+        if dim == 2:
+            phi, rho = lv
+            yield p[0] * ex.cos(phi) + p[1] * ex.sin(phi) - rho
+        else:
+            for i in _direction_of(ents[1], lv, full_cross)[1]:
+                # p - l, on this row, at the two indices component i reads
+                rel = {j: p[j] - lv[j] for j in ((i + 1) % 3, (i + 2) % 3)}
+                yield _cross(rel, lv[3:6], i)
 
-    if kind == "point-on-plane":
+    elif kind == "point-on-plane":
         _, offset = _plane_normal_and_offset(ents[1], v[1])
-        return [offset(v[0])]
+        yield offset(v[0])
 
-    if kind == "parallel":
+    elif kind == "parallel":
         if dim == 2:
-            return [ex.sin(v[0][0] - v[1][0])]
-        u1, d0 = _direction_of(ents[0], v[0])
-        u2, _ = _direction_of(ents[1], v[1])
-        cr = _cross_components(u1, u2)
-        if full_cross:
-            return cr
-        drop = _drop_index(d0)
-        return [cr[i] for i in range(3) if i != drop]
+            yield ex.sin(v[0][0] - v[1][0])
+        else:
+            u1, kept = _direction_of(ents[0], v[0], full_cross)
+            u2, _ = _direction_of(ents[1], v[1])
+            for i in kept:
+                yield _cross(u1, u2, i)
 
-    if kind == "perpendicular":
+    elif kind == "perpendicular":
         if dim == 2:
-            return [ex.cos(v[0][0] - v[1][0])]
-        u1, _ = _direction_of(ents[0], v[0])
-        u2, _ = _direction_of(ents[1], v[1])
-        return [ex.dot(u1, u2)]
+            yield ex.cos(v[0][0] - v[1][0])
+        else:
+            yield ex.dot(_direction_of(ents[0], v[0])[0], _direction_of(ents[1], v[1])[0])
 
-    if kind == "coincident":
-        return [v[0][i] - v[1][i] for i in range(dim)]
+    elif kind == "coincident":
+        for i in range(dim):
+            yield v[0][i] - v[1][i]
 
-    if kind == "fix":
-        ent = ents[0]
-        return [v[0][i] - float(ent.params[i]) for i in range(dim)]
+    elif kind == "fix":
+        for i in range(dim):
+            yield v[0][i] - float(ents[0].params[i])
 
-    raise CompileError(f"unsupported constraint kind {kind!r}")
+    else:
+        raise CompileError(f"unsupported constraint kind {kind!r}")
 
 
 def compile_model(model: Model, full_cross: bool = False) -> ResidualSystem:
@@ -364,28 +349,29 @@ def compile_model(model: Model, full_cross: bool = False) -> ResidualSystem:
     variety, which is what witness projection needs.  Both variants produce
     the identical variable layout.
 
-    Raises :class:`CompileError` when validation reports violations or a
-    constraint kind has no emitter.
+    Raises :class:`CompileError`, with the violations, when validation
+    reports any, or when a constraint kind has no emitter.
     """
     problems = validate(model)
     if problems:
-        summary = "; ".join(f"{p.code}({p.subject})" for p in problems[:5])
-        raise CompileError(f"model does not validate: {summary}")
+        raise CompileError(f"model does not validate: {'; '.join(map(str, problems))}",
+                           problems)
 
     variables: list[Variable] = []
     for e in model.entities:
         for comp, pname in enumerate(e.spec.param_names):
             variables.append(Variable(len(variables), e.id, comp, f"{e.id}.{pname}"))
-    system = add_constraints(ResidualSystem(model.dimension, tuple(variables), ()),
+    system = add_constraints(ResidualSystem.over(model.dimension, variables),
                              model, model.constraints, full_cross)
-    columns = system._columns
-    residuals = []
+    columns = system.columns
+    tape = ex.Tape()
+    rows = []
     for e in model.entities:
         for group in e.spec.unit_groups:
-            vec = [ex.var(columns[e.id][i]) for i in group]
-            residuals.append(Residual(system.n_residuals + len(residuals), f"unit:{e.id}",
-                                      ex.dot(vec, vec) - 1.0, "normalization", e.id, True))
-    return system._derive(system.n_residuals, residuals)
+            vec = [tape.var(columns[e.id][i]) for i in group]
+            tape.end_row(ex.dot(vec, vec) - 1.0)
+            rows.append((f"unit:{e.id}", "normalization", e.id, True))
+    return system._extend(tape, rows)
 
 
 def add_constraints(system: ResidualSystem, model: Model, constraints: Sequence[Constraint],
@@ -397,18 +383,20 @@ def add_constraints(system: ResidualSystem, model: Model, constraints: Sequence[
     ``full_cross`` emits every cross-product component, as in
     :func:`compile_model`.
     """
-    columns = system._columns
+    columns = system.columns
+    tape = ex.Tape()
     named = {eid for c in constraints for eid in c.entities}
-    env = {eid: [ex.var(j) for j in columns[eid]] for eid in named if eid in columns}
-    residuals = []
+    env = {eid: [tape.var(j) for j in columns[eid]] for eid in named if eid in columns}
+    rows = []
     for c in constraints:
-        exprs = _emit_constraint(model, c, env, full_cross=full_cross)
-        for k, e_ in enumerate(exprs):
-            suffix = "" if len(exprs) == 1 else f"[{k}]"
-            residuals.append(Residual(system.n_residuals + len(residuals), f"{c.id}{suffix}", e_,
-                                      "constraint", c.id,
-                                      CONSTRAINT_KINDS[c.kind].singular))
-    return system._derive(system.n_residuals, residuals)
+        before = len(tape.rows)
+        for root in _emit_constraint(model, c, env, full_cross=full_cross):
+            tape.end_row(root)
+        n = len(tape.rows) - before
+        singular = CONSTRAINT_KINDS[c.kind].singular
+        rows += [(c.id if n == 1 else f"{c.id}[{k}]", "constraint", c.id, singular)
+                 for k in range(n)]
+    return system._extend(tape, rows)
 
 
 def points_of(system: ResidualSystem, model: Model,
@@ -416,7 +404,7 @@ def points_of(system: ResidualSystem, model: Model,
     """Ids of the point entities in column order (which is model order), from
     ``entity_ids`` only when it is given: the order :func:`add_anchors` pins."""
     point_tag = POINT2 if system.dimension == 2 else POINT3
-    columns = system._columns
+    columns = system.columns
     ids = columns if entity_ids is None else set(entity_ids).intersection(columns)
     return sorted((eid for eid in ids if model.entity(eid).kind == point_tag),
                   key=lambda eid: columns[eid][0])
@@ -431,23 +419,24 @@ def add_anchors(system: ResidualSystem, model: Model,
     the xy plane.  Points are taken in column order (:func:`points_of`), from
     ``entity_ids`` only when it is given.
     """
-    columns = system._columns
+    columns = system.columns
     points = [model.entity(eid) for eid in points_of(system, model, entity_ids)]
     need = 2 if system.dimension == 2 else 3
     if len(points) < need:
         raise AnchorError(
             f"anchoring a {system.dimension}D system needs {need} point entities, "
             f"model has {len(points)}")
+    tape = ex.Tape()
 
-    def pv(entity_id: str, comp_name: str) -> ex.Expr:
+    def pv(entity_id: str, comp_name: str) -> ex.Term:
         comp = model.entity(entity_id).spec.param_names.index(comp_name)
-        return ex.var(columns[entity_id][comp])
+        return tape.var(columns[entity_id][comp])
 
-    residuals: list[Residual] = []
+    rows = []
 
-    def push(expression: ex.Expr, name: str):
-        residuals.append(Residual(system.n_residuals + len(residuals), name, expression,
-                                  "anchor", None, False))
+    def push(root: ex.Term, name: str):
+        tape.end_row(root)
+        rows.append((name, "anchor", None, False))
 
     p1 = points[0].id
     p2 = points[1].id
@@ -469,7 +458,7 @@ def add_anchors(system: ResidualSystem, model: Model,
             push(pv(p2, comp) - pv(p1, comp), f"anchor:{p2}.{comp}-{p1}.{comp}")
         push(pv(p3, "z") - pv(p1, "z"), f"anchor:{p3}.z-{p1}.z")
 
-    return system._derive(system.n_residuals, residuals)
+    return system._extend(tape, rows)
 
 
 def _assignment(system: ResidualSystem, assignment: Sequence[float]) -> np.ndarray:
@@ -495,11 +484,9 @@ def eval_jacobian(system: ResidualSystem, assignment: Sequence[float],
 def dump_equations(system: ResidualSystem) -> str:
     """Textual listing, one residual per line, deterministic order."""
     names = system.variable_names()
-    lines = [
-        f"{r.index:3d} {r.kind[:4]:4s} {r.name}: {ex.render(r.expression, names)} = 0"
-        for r in system.residuals
-    ]
-    return "\n".join(lines)
+    rendered = (tape.render(i, names) for tape, rows in system.segments for i in rows)
+    return "\n".join(f"{r.index:3d} {r.kind[:4]:4s} {r.name}: {text} = 0"
+                     for r, text in zip(system.residuals, rendered))
 
 
 def assignment_from_params(model: Model, system: ResidualSystem) -> np.ndarray:
@@ -564,12 +551,13 @@ def linear_system(coefficients, rhs, variable_names: Sequence[str] | None = None
         variable_names = [f"x{j}" for j in range(n)]
     if len(variable_names) != n:
         raise ValueError(f"{n} coefficients per row but {len(variable_names)} variable names")
-    variables = tuple(Variable(j, variable_names[j], 0, variable_names[j]) for j in range(n))
-    residuals = []
+    variables = [Variable(j, variable_names[j], 0, variable_names[j]) for j in range(n)]
+    tape = ex.Tape()
     for i in range(m):
-        terms = ex.const(-b[i])
+        terms = float(-b[i])
         for j in range(n):
             if A[i, j] != 0.0:
-                terms = terms + ex.const(A[i, j]) * ex.var(j)
-        residuals.append(Residual(i, f"E{i + 1}", terms, "constraint", f"E{i + 1}", False))
-    return ResidualSystem(0, variables, ())._derive(0, residuals)
+                terms = terms + float(A[i, j]) * tape.var(j)
+        tape.end_row(terms)
+    rows = [(f"E{i + 1}", "constraint", f"E{i + 1}", False) for i in range(m)]
+    return ResidualSystem.over(0, variables)._extend(tape, rows)

@@ -633,7 +633,10 @@ def solve_tree(model: Model, tree: ClusterTree, max_iter: int = 100,
     every row of the system.  Returns the recombination plan, per-entity
     solved parameters, and the whole-system residual certificate (anchors
     excluded), converged when its largest residual is within ``tol``.  A
-    tree whose root leaves an entity free is refused.
+    tree whose root leaves an entity free is refused, and so is a tree with
+    a leaf that cannot be rigid: a 2D cluster has at most 3 rigid motions,
+    so a leaf whose rows (its constraints, normalizations and virtual bonds)
+    are fewer than its columns - 3 is under-constrained.
     """
     if model.dimension != 2:
         raise DecompositionError("cluster recombination covers the 2D scope")
@@ -647,6 +650,18 @@ def solve_tree(model: Model, tree: ClusterTree, max_iter: int = 100,
     if missing is not None:
         raise DecompositionError(f"entity {missing!r} has no sketch parameters")
     system = compile_model(model)
+    stack = [tree.roots[0]]
+    while stack:
+        node = stack.pop()
+        stack += reversed(node.children)
+        if node.children:
+            continue
+        rows = len(rows_of(system, node.constraints, node.entities)) + len(node.virtual_bonds)
+        columns = len(system.columns_of(node.entities))
+        if rows < columns - 3:
+            raise DecompositionError(
+                f"cluster {sorted(node.entities)} cannot be rigid: {rows} rows "
+                f"for {columns} columns")
     sketch = assignment_from_params(model, system)
     placements: list[Placement] = []
     bond_values: dict[tuple[str, str], float] = {}

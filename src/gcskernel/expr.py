@@ -1,130 +1,40 @@
-"""Scalar expression trees and the flat tape that evaluates them.
+"""Residual rows written onto flat tapes, and their vectorised evaluation.
 
-Residual equations are written as small immutable trees over the seven
-operations the compiler emits: ``const``, ``var``, ``add``, ``sub``, ``mul``,
-``sin`` and ``cos``.  ``dot`` and ``square`` expand to scalar nodes at
-construction time, so a tree only ever holds scalars.  Trees are rendered
-(:func:`render`) but never walked to evaluate them: the compiler emits each
-batch of rows once into a :class:`Tape`.  A tape stores every row's ops
-contiguously in topological order (an operation shared within a row once)
-as opcode, argument-slot and depth arrays, interned so that rows of equal
-structure share them, plus each row's variables and constants.
+A residual row exists only as the ops of a :class:`Tape`.  The compiler
+writes each row through :class:`Term` handles, which keep the infix syntax
+of the equations (``a - b``, ``x * y``, :func:`sin`, :func:`cos`,
+:func:`square`, :func:`dot`) over the seven operations it emits: ``const``,
+``var``, ``add``, ``sub``, ``mul``, ``sin`` and ``cos``.  An operation is
+appended to the current row once, when it is written; a leaf (a variable or
+a number) is appended at each use.  So a row holds its ops in topological
+order, and it ends at its root.  A tape stores each row's opcode,
+argument-slot and depth arrays, interned so that rows of equal structure
+share them, plus the row's variables and constants.  :meth:`Tape.render`
+prints a row in infix.
 
 A :class:`Plan` gathers the ops of a selection of rows, from one tape or
 several, and orders them by depth and opcode.  It then runs them vectorised
 over the nodes of equal depth: :meth:`Plan.values` gives the rows' values,
 and :meth:`Plan.derivatives` their forward-mode derivatives, with one
 gradient slot per distinct variable of a row, as (row, column, value)
-triplets.  Every node performs the operations of a recursive tree walk in
-the same order (a product's derivative is ``da * b + db * a``, a sine's
-``da * cos(a)``, a cosine's ``da * -sin(a)``), so values and derivatives are
-those of the walk, with ``np.sin``/``np.cos`` in place of ``math.sin``/
-``math.cos``.  Griewank and Walther, "Evaluating Derivatives", 2nd ed.
-(SIAM, 2008), describe tapes and the forward mode.
+triplets.  Every node performs the operations of a scalar forward walk over
+its row in the same order (a product's derivative is ``da * b + db * a``, a
+sine's ``da * cos(a)``, a cosine's ``da * -sin(a)``), so values and
+derivatives are those of the walk, with ``np.sin``/``np.cos`` in place of
+``math.sin``/``math.cos``.  Griewank and Walther, "Evaluating Derivatives",
+2nd ed. (SIAM, 2008), describe tapes and the forward mode.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-
-def _coerce(value) -> "Expr":
-    if isinstance(value, Expr):
-        return value
-    if isinstance(value, (int, float)):
-        return const(float(value))
-    raise TypeError(f"cannot build expression from {type(value).__name__}")
-
-
-class Expr:
-    """One node of an expression tree."""
-
-    __slots__ = ("op", "args", "value", "index")
-
-    def __init__(self, op: str, args: tuple["Expr", ...] = (), value: float = 0.0,
-                 index: int = -1):
-        self.op = op
-        self.args = args
-        self.value = value  # payload for "const"
-        self.index = index  # payload for "var"
-
-    def __repr__(self) -> str:
-        return f"Expr({self.op!r}, {self.args!r}, value={self.value!r}, index={self.index!r})"
-
-    def __add__(self, other):
-        return Expr("add", (self, _coerce(other)))
-
-    def __radd__(self, other):
-        return Expr("add", (_coerce(other), self))
-
-    def __sub__(self, other):
-        return Expr("sub", (self, _coerce(other)))
-
-    def __rsub__(self, other):
-        return Expr("sub", (_coerce(other), self))
-
-    def __mul__(self, other):
-        return Expr("mul", (self, _coerce(other)))
-
-    def __rmul__(self, other):
-        return Expr("mul", (_coerce(other), self))
-
-    def __neg__(self):
-        return Expr("sub", (const(0.0), self))
-
-
-def const(value: float) -> Expr:
-    return Expr("const", value=float(value))
-
-
-def var(index: int) -> Expr:
-    return Expr("var", index=index)
-
-
-def sin(e) -> Expr:
-    return Expr("sin", (_coerce(e),))
-
-
-def cos(e) -> Expr:
-    return Expr("cos", (_coerce(e),))
-
-
-def square(e) -> Expr:
-    e = _coerce(e)
-    return e * e
-
-
-def dot(a: Sequence, b: Sequence) -> Expr:
-    """Inner product of two equal-length expression vectors."""
-    if len(a) != len(b):
-        raise ValueError("dot: length mismatch")
-    terms = [_coerce(x) * _coerce(y) for x, y in zip(a, b)]
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out
-
-
-def render(e: Expr, names: Sequence[str]) -> str:
-    """Deterministic infix rendering for debug listings."""
-    op = e.op
-    if op == "const":
-        return f"{e.value:g}"
-    if op == "var":
-        return names[e.index]
-    if op in ("add", "sub", "mul"):
-        sym = {"add": " + ", "sub": " - ", "mul": "*"}[op]
-        return f"({render(e.args[0], names)}{sym}{render(e.args[1], names)})"
-    return f"{op}({render(e.args[0], names)})"
-
-
 CONST, VAR, ADD, SUB, MUL, SIN, COS = range(7)
-OPCODES = {"const": CONST, "var": VAR, "add": ADD, "sub": SUB, "mul": MUL,
-           "sin": SIN, "cos": COS}
+_FORMATS = {ADD: "({} + {})", SUB: "({} - {})", MUL: "({}*{})", SIN: "sin({})", COS: "cos({})"}
 
 # Row structures, interned: the keys, first arguments and second arguments of
 # a row's nodes, concatenated -> id; _STRUCTURES[id] holds the three lists.
@@ -139,72 +49,155 @@ _STRUCTURES: dict[int, tuple[list[int], list[int], list[int]]] = {}
 _shape_ids = itertools.count()
 
 
-class Tape:
-    """The ops of a batch of rows, emitted once.
+def _operators(code: int):
+    """The methods ``a <op> b`` and its reflection ``b <op> a`` of an opcode."""
+    return (lambda a, b: a.tape.op(code, a, b)), (lambda a, b: a.tape.op(code, b, a))
 
-    Row ``i``'s ops are the nodes of its tree in topological order, the root
-    last (an operation shared within the row once, a leaf at each use).
-    They are stored as the
-    row's structure (the id of interned opcode and argument-slot arrays,
-    shared by every row of the same structure) and its payload: the
-    variable of each ``var`` node and the value of each ``const`` node, in
-    node order.  ``rows[i]`` is (structure, variables of the var nodes,
-    values of the const nodes, the row's distinct variables by first
-    appearance, one per gradient slot); ``variables[i]`` lists the distinct
-    variables in ascending order.
+
+class Term:
+    """An operand of a row being written on ``tape``: the op at position
+    ``at`` of the row whose keys are ``row``, or, when ``at`` is -1,
+    variable ``index``, which is appended at each use.  A number in its
+    place is a constant, appended the same way."""
+
+    __slots__ = ("tape", "at", "row", "index")
+
+    def __init__(self, tape: "Tape", at: int, row: list[int] | None, index: int):
+        self.tape = tape
+        self.at = at
+        self.row = row
+        self.index = index
+
+    __add__, __radd__ = _operators(ADD)
+    __sub__, __rsub__ = _operators(SUB)
+    __mul__, __rmul__ = _operators(MUL)
+
+
+def sin(e: Term) -> Term:
+    return e.tape.op(SIN, e)
+
+
+def cos(e: Term) -> Term:
+    return e.tape.op(COS, e)
+
+
+def square(e: Term) -> Term:
+    return e * e
+
+
+def dot(a: Sequence, b: Sequence) -> Term:
+    """Inner product of two equal-length operand vectors."""
+    if len(a) != len(b):
+        raise ValueError("dot: length mismatch")
+    terms = [x * y for x, y in zip(a, b)]
+    out = terms[0]
+    for t in terms[1:]:
+        out = out + t
+    return out
+
+
+class Tape:
+    """A batch of rows, each written once through :class:`Term` handles.
+
+    A row's ops are its nodes in the order they were written: operands
+    first, an operation once, a leaf at each use, the root last.  They are
+    stored as the row's structure (the id of interned opcode and
+    argument-slot arrays, shared by every row of the same structure) and its
+    payload: the variable of each ``var`` node and the value of each
+    ``const`` node, in node order.  ``rows[i]`` is (structure, variables of
+    the var nodes, values of the const nodes, the row's distinct variables
+    by first appearance, one per gradient slot); ``variables[i]`` lists the
+    distinct variables in ascending order.
     """
 
-    def __init__(self, roots: Sequence[Expr]):
+    def __init__(self):
         self.rows: list[tuple[int, list[int], list[float], tuple[int, ...]]] = []
         self.variables: list[tuple[int, ...]] = []
+        self._begin()
 
-        def node(e: Expr) -> int:
-            """Append e's unseen nodes, operands first; return e's position.
-            Leaves are appended at each use, operations once per row."""
-            op = e.op
-            if op == "var":
-                key.append(VAR)
-                arg0.append(0)
-                arg1.append(gradient_slot.setdefault(e.index, len(gradient_slot)))
-                var_index.append(e.index)
-                return len(key) - 1
-            if op == "const":
-                key.append(CONST)
-                arg0.append(0)
-                arg1.append(0)
-                const_value.append(e.value)
-                return len(key) - 1
-            slot = seen.get(e)
-            if slot is None:
-                args = e.args
-                a = node(args[0])
-                b = node(args[1]) if len(args) == 2 else a
-                ka, kb = key[a], key[b]
-                key.append(((ka if ka > kb else kb) | 7) + 1 + OPCODES[op])
-                arg0.append(a)
-                arg1.append(b)
-                slot = seen[e] = len(key) - 1
-            return slot
+    def _begin(self) -> None:
+        self._key: list[int] = []
+        self._arg0: list[int] = []
+        self._arg1: list[int] = []
+        self._var_index: list[int] = []
+        self._const_value: list[float] = []
+        self._slots: dict[int, int] = {}
 
-        for root in roots:
-            key: list[int] = []
-            arg0: list[int] = []
-            arg1: list[int] = []
-            var_index: list[int] = []
-            const_value: list[float] = []
-            seen: dict[Expr, int] = {}
-            gradient_slot: dict[int, int] = {}
-            node(root)
-            signature = (*key, *arg0, *arg1)
-            shape = _SHAPES.get(signature)
-            if shape is None:
-                # store the structure before publishing its id, so that two
-                # threads interning at once never pair an id with another row
-                shape = next(_shape_ids)
-                _STRUCTURES[shape] = (key, arg0, arg1)
-                shape = _SHAPES.setdefault(signature, shape)
-            self.rows.append((shape, var_index, const_value, tuple(gradient_slot)))
-            self.variables.append(tuple(sorted(gradient_slot)))
+    def var(self, index: int) -> Term:
+        """A handle on variable ``index`` for the rows of this tape."""
+        return Term(self, -1, None, index)
+
+    def _place(self, x) -> int:
+        """The position of operand ``x`` on the current row: an op's own; a
+        variable or a number is appended now."""
+        key = self._key
+        if type(x) is Term:
+            if x.at >= 0:
+                if x.row is not key:
+                    raise ValueError("operand of another row")
+                return x.at
+            slots = self._slots
+            self._arg1.append(slots.setdefault(x.index, len(slots)))
+            self._var_index.append(x.index)
+            key.append(VAR)
+        else:
+            self._arg1.append(0)
+            self._const_value.append(float(x))
+            key.append(CONST)
+        self._arg0.append(0)
+        return len(key) - 1
+
+    def op(self, code: int, a, b=None) -> Term:
+        """Append operation ``code`` of ``a`` (and ``b``) to the current row."""
+        key = self._key
+        i = a.at if type(a) is Term and a.row is key else self._place(a)
+        j = i if b is None else b.at if type(b) is Term and b.row is key else self._place(b)
+        ka, kb = key[i], key[j]
+        key.append(((ka if ka > kb else kb) | 7) + 1 + code)
+        self._arg0.append(i)
+        self._arg1.append(j)
+        return Term(self, len(key) - 1, key, -1)
+
+    def end_row(self, root) -> None:
+        """End the current row at ``root``, which must be its last op or a
+        leaf, appended now, and intern the row's structure."""
+        key = self._key
+        if self._place(root) != len(key) - 1:
+            raise ValueError("a row must end at its root")
+        signature = (*key, *self._arg0, *self._arg1)
+        shape = _SHAPES.get(signature)
+        if shape is None:
+            # store the structure before publishing its id, so that two
+            # threads interning at once never pair an id with another row
+            shape = next(_shape_ids)
+            _STRUCTURES[shape] = (key, self._arg0, self._arg1)
+            shape = _SHAPES.setdefault(signature, shape)
+        slots = self._slots
+        self.rows.append((shape, self._var_index, self._const_value, tuple(slots)))
+        self.variables.append(tuple(sorted(slots)))
+        self._begin()
+
+    def ops(self, i: int) -> Iterator[tuple[int, int, int, float | int | None]]:
+        """Row ``i``'s nodes in order, as (opcode, first operand, second
+        operand, leaf): a var's leaf is its variable, a const's its value,
+        an operation's None."""
+        shape, variables, constants, _ = self.rows[i]
+        leaves = (iter(constants), iter(variables))
+        for key, a, b in zip(*_STRUCTURES[shape]):
+            code = key & 7
+            yield code, a, b, next(leaves[code]) if code <= VAR else None
+
+    def render(self, i: int, names: Sequence[str]) -> str:
+        """Row ``i`` in infix, each operation in parentheses."""
+        text: list[str] = []
+        for code, a, b, leaf in self.ops(i):
+            if code == VAR:
+                text.append(names[leaf])
+            elif code == CONST:
+                text.append(f"{leaf:g}")
+            else:
+                text.append(_FORMATS[code].format(text[a], text[b]))
+        return text[-1]
 
 
 class _Schedule:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gcskernel import eval_jacobian, eval_residuals, zoo
+from gcskernel import expr as ex
 from gcskernel.model import Constraint, Entity, Model
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -15,71 +16,57 @@ def corpus_dir() -> Path:
     return CORPUS
 
 
-# A copy of the recursive expression interpreter that the flat tape replaced:
-# the reference the tape's residuals, derivatives and variable lists are
-# checked against.
+# The reference the tape's evaluation is checked against: a scalar forward
+# walk over one tape row's ops, with math.sin/math.cos and dict gradients.  It
+# shares no code with expr._Schedule or expr.Plan.
 
 
-def tree_evaluate(e, x) -> float:
-    op = e.op
-    if op == "const":
-        return e.value
-    if op == "var":
-        return float(x[e.index])
-    if op == "add":
-        return tree_evaluate(e.args[0], x) + tree_evaluate(e.args[1], x)
-    if op == "sub":
-        return tree_evaluate(e.args[0], x) - tree_evaluate(e.args[1], x)
-    if op == "mul":
-        return tree_evaluate(e.args[0], x) * tree_evaluate(e.args[1], x)
-    if op == "sin":
-        return math.sin(tree_evaluate(e.args[0], x))
-    if op == "cos":
-        return math.cos(tree_evaluate(e.args[0], x))
-    raise ValueError(f"unknown op {op!r}")
+def row_ops(system, i) -> list:
+    """The ops of row ``i`` of a system, read from its tape."""
+    for tape, rows in system.segments:
+        if i < len(rows):
+            return list(tape.ops(rows[i]))
+        i -= len(rows)
+    raise IndexError(i)
 
 
-def tree_eval_with_grad(e, x) -> tuple[float, dict[int, float]]:
-    """Evaluate and return (value, {var index: partial derivative})."""
-    op = e.op
-    if op == "const":
-        return e.value, {}
-    if op == "var":
-        return float(x[e.index]), {e.index: 1.0}
-    if op in ("add", "sub"):
-        va, ga = tree_eval_with_grad(e.args[0], x)
-        vb, gb = tree_eval_with_grad(e.args[1], x)
-        sign = 1.0 if op == "add" else -1.0
-        g = dict(ga)
-        for i, d in gb.items():
-            g[i] = g.get(i, 0.0) + sign * d
-        return va + sign * vb, g
-    if op == "mul":
-        va, ga = tree_eval_with_grad(e.args[0], x)
-        vb, gb = tree_eval_with_grad(e.args[1], x)
-        g = {i: d * vb for i, d in ga.items()}
-        for i, d in gb.items():
-            g[i] = g.get(i, 0.0) + d * va
-        return va * vb, g
-    if op == "sin":
-        v, gi = tree_eval_with_grad(e.args[0], x)
-        c = math.cos(v)
-        return math.sin(v), {i: d * c for i, d in gi.items()}
-    if op == "cos":
-        v, gi = tree_eval_with_grad(e.args[0], x)
-        s = -math.sin(v)
-        return math.cos(v), {i: d * s for i, d in gi.items()}
-    raise ValueError(f"unknown op {op!r}")
+def row_eval_with_grad(ops, x) -> tuple[float, dict[int, float]]:
+    """Evaluate a row's root and return (value, {var index: partial derivative})."""
+    vals: list[float] = []
+    grads: list[dict[int, float]] = []
+    for code, a, b, leaf in ops:
+        if code == ex.CONST:
+            v, g = leaf, {}
+        elif code == ex.VAR:
+            v, g = float(x[leaf]), {leaf: 1.0}
+        elif code in (ex.ADD, ex.SUB):
+            sign = 1.0 if code == ex.ADD else -1.0
+            v = vals[a] + sign * vals[b]
+            g = dict(grads[a])
+            for i, d in grads[b].items():
+                g[i] = g.get(i, 0.0) + sign * d
+        elif code == ex.MUL:
+            va, vb = vals[a], vals[b]
+            v = va * vb
+            g = {i: d * vb for i, d in grads[a].items()}
+            for i, d in grads[b].items():
+                g[i] = g.get(i, 0.0) + d * va
+        elif code == ex.SIN:
+            v, c = math.sin(vals[a]), math.cos(vals[a])
+            g = {i: d * c for i, d in grads[a].items()}
+        elif code == ex.COS:
+            v, s = math.cos(vals[a]), -math.sin(vals[a])
+            g = {i: d * s for i, d in grads[a].items()}
+        else:
+            raise ValueError(f"unknown opcode {code!r}")
+        vals.append(v)
+        grads.append(g)
+    return vals[-1], grads[-1]
 
 
-def tree_variables(e) -> set[int]:
-    """Indices of all variables occurring in the tree."""
-    if e.op == "var":
-        return {e.index}
-    out: set[int] = set()
-    for a in e.args:
-        out |= tree_variables(a)
-    return out
+def row_variables(ops) -> set[int]:
+    """Indices of all variables the row's var nodes hold."""
+    return {leaf for code, _, _, leaf in ops if code == ex.VAR}
 
 
 def finite_difference_jacobian(system, x, h=1e-6):

@@ -52,6 +52,18 @@ def test_check_malformed_json(capsys, tmp_path):
     assert main(["check", str(bad)]) == 1
 
 
+def test_invalid_model_reports_every_violation_once(capsys, corpus_dir, tmp_path):
+    data = json.loads((corpus_dir / "triangle.json").read_text())
+    data["constraints"][0]["value"] = 0.0
+    assert data["constraints"][0]["id"] == "d1"
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"model {path} does not validate: "
+        "zero-distance[d1]: distance must be > 0; use coincident for zero distance\n")
+
+
 @pytest.mark.parametrize("command", ["check", "solve"])
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
 @pytest.mark.parametrize("where", ["params", "value"])

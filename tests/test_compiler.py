@@ -125,8 +125,11 @@ def test_distance_jacobian_row_structure():
 
 
 def test_constant_residual_zero_row():
-    s = ResidualSystem(2, (Variable(0, "x", 0, "x"),),
-                       (Residual(0, "c", ex.const(3.0), "constraint", None, False),))
+    tape = ex.Tape()
+    tape.end_row(3.0)
+    s = ResidualSystem.over(2, (Variable(0, "x", 0, "x"),))._extend(
+        tape, [("c", "constraint", None, False)])
+    assert s.residuals == (Residual(0, "c", "constraint", None, False),)
     J = eval_jacobian(s, [1.0])
     assert J.tolist() == [[0.0]]
 
@@ -201,10 +204,11 @@ def test_full_cross_adds_the_dropped_component(m):
     assert full.variables == reduced.variables
     cross = [c for c in m.constraints if c.kind in ("parallel", "point-on-line")]
     assert full.n_residuals == reduced.n_residuals + len(cross)
-    names = full.variable_names()
 
     def rendered(system, cid):
-        return [ex.render(r.expression, names) for r in system.residuals if r.source == cid]
+        lines = dump_equations(system).splitlines()
+        return [line.split(": ", 1)[1] for line, r in zip(lines, system.residuals)
+                if r.source == cid]
 
     for c in cross:
         kept, every = rendered(reduced, c.id), rendered(full, c.id)

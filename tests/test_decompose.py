@@ -634,6 +634,19 @@ def test_solve_tree_refuses_free_entities():
         solve_tree(m, tree)
 
 
+def test_solve_tree_refuses_a_leaf_that_cannot_be_rigid():
+    # top-down splits at (P1, P2) into the triangle and a three-point leaf
+    # {P1, P2, Q} that holds only the virtual bond P1-P2: 1 row for 6 columns
+    m = zoo.three_distances_model()
+    m = Model(m.dimension, m.entities + (Entity("Q", "point2", (2.0, 8.0)),), m.constraints)
+    tree = top_down(m)
+    leaves = [c for c in tree.roots[0].children if not c.children]
+    assert {"P1", "P2", "Q"} in [set(c.entities) for c in leaves]
+    with pytest.raises(DecompositionError,
+                       match=r"cluster \['P1', 'P2', 'Q'\] cannot be rigid: 1 rows for 6 columns"):
+        solve_tree(m, tree)
+
+
 def reversed_strip(n):
     """``zoo.triangle_strip(n)`` with its entities, so its columns, in reverse."""
     m = zoo.triangle_strip(n)

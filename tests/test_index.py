@@ -10,7 +10,7 @@ from gcskernel import add_anchors, compile_model, linear_system, zoo
 from gcskernel.compiler import add_constraints, induced, rows_of
 from gcskernel.model import Constraint, Entity, Model, model_from_json_dict
 
-from conftest import CORPUS, tree_variables
+from conftest import CORPUS, row_ops, row_variables
 
 
 # --- the scans, as they were before the maps -----------------------------------
@@ -155,7 +155,7 @@ def test_anchors_pick_the_first_points_in_model_order(name):
             anchored = add_anchors(system, model, ents)
         except ValueError:  # the first three 3D points are collinear
             continue
-        added = [(r.name, tree_variables(r.expression))
+        added = [(r.name, row_variables(row_ops(anchored, r.index)))
                  for r in anchored.residuals[system.n_residuals:]]
         assert added == expected_anchors(points, model.dimension, column)
 
@@ -203,7 +203,7 @@ def test_derived_systems_share_the_compiled_column_map():
     bonded = add_constraints(system, model, [bond])
     anchored = add_anchors(bonded, model, ["P3", "P1", "P3"])
     for s in (bonded, anchored, anchored.without_anchors()):
-        assert s._columns is system._columns
+        assert s.columns is system.columns
 
 
 def test_derived_systems_share_the_variable_lists_of_the_rows_they_keep():
@@ -214,7 +214,7 @@ def test_derived_systems_share_the_variable_lists_of_the_rows_they_keep():
     bonded = add_constraints(system, model, [bond])
     anchored = add_anchors(bonded, model, ["P3", "P1", "P3"])
     for s in (system, bonded, anchored, anchored.without_anchors()):
-        assert s.adjacency == tuple(tuple(sorted(tree_variables(r.expression)))
+        assert s.adjacency == tuple(tuple(sorted(row_variables(row_ops(s, r.index))))
                                     for r in s.residuals)
         assert all(a is b for a, b in zip(s.adjacency, system.adjacency))
     assert anchored.adjacency[bonded.n_residuals - 1] is bonded.adjacency[-1]

@@ -19,13 +19,13 @@ from gcskernel import (
 from gcskernel import zoo
 from gcskernel.model import CONSTRAINT_KINDS, Constraint, Entity, Model, load_model
 
-from conftest import tree_variables
+from conftest import row_ops, row_variables
 
 
 def graph_of(system) -> EquationGraph:
     return EquationGraph(
         system.n_residuals, system.n_variables,
-        tuple(tuple(sorted(tree_variables(r.expression))) for r in system.residuals))
+        tuple(tuple(sorted(row_variables(row_ops(system, r.index)))) for r in system.residuals))
 
 
 def random_graph(rng, max_side=8) -> EquationGraph:

@@ -1,9 +1,13 @@
-"""The flat residual tape against a copy of the recursive interpreter it
-replaced: the same residuals and Jacobians, bit for bit, on the corpus,
-on strips, on drawn expression trees, on row slices and on derived systems.
-``np.sin``/``np.cos`` may differ from ``math.sin``/``math.cos`` in the last
-ulp on some platforms, so rows that hold a sine or cosine may differ by
-1e-15 relative; every other row must be equal."""
+"""The vectorised tape evaluation against a scalar forward walk over each
+row's ops: the same residuals and Jacobians, bit for bit, on the corpus, on
+strips, on rows drawn through the operand handle, on row slices and on
+derived systems.  ``np.sin``/``np.cos`` may differ from ``math.sin``/
+``math.cos`` in the last ulp on some platforms, so rows that hold a sine or
+cosine may differ by 1e-15 relative; every other row must be equal.  Every
+emitted row ends at its root and holds only ops its root reaches."""
+
+import operator
+
 
 import numpy as np
 import pytest
@@ -13,17 +17,16 @@ from gcskernel import add_anchors, compile_model, eval_jacobian, eval_residuals,
 from gcskernel import compiler, decompose
 from gcskernel import expr as ex
 from gcskernel.cli import _load
-from gcskernel.compiler import (AnchorError, Residual, ResidualSystem, Variable,
-                                add_constraints)
+from gcskernel.compiler import AnchorError, ResidualSystem, Variable, add_constraints
 from gcskernel.model import Constraint
 
-from conftest import CORPUS, tree_eval_with_grad, tree_variables
+from conftest import CORPUS, row_eval_with_grad, row_ops, row_variables
 
 CORPUS_FILES = sorted(CORPUS.glob("*.json"))
 
 
-def has_trig(e) -> bool:
-    return e.op in ("sin", "cos") or any(has_trig(a) for a in e.args)
+def has_trig(ops) -> bool:
+    return any(code in (ex.SIN, ex.COS) for code, _, _, _ in ops)
 
 
 def assert_equal(got, expected, trig: bool):
@@ -40,15 +43,15 @@ def assert_matches_interpreter(system, x, rows=None):
     assert residuals.shape == (len(picked),)
     assert jacobian.shape == (len(picked), system.n_variables)
     for k, i in enumerate(picked):
-        e = system.residuals[i].expression
-        value, grad = tree_eval_with_grad(e, x)
+        ops = row_ops(system, i)
+        value, grad = row_eval_with_grad(ops, x)
         row = np.zeros(system.n_variables)
         for j, d in grad.items():
             row[j] = d
-        trig = has_trig(e)
+        trig = has_trig(ops)
         assert_equal(residuals[k], value, trig)
         assert_equal(jacobian[k], row, trig)
-        assert system.adjacency[i] == tuple(sorted(tree_variables(e)))
+        assert system.adjacency[i] == tuple(sorted(row_variables(ops)))
 
 
 def slices(n, rng):
@@ -107,49 +110,100 @@ def test_derived_systems_match_the_interpreter(name):
 
 
 N_VARS = 3
+BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
 @st.composite
-def expression_rows(draw):
-    """Rows over the seven ops that share subtrees (within and across rows)
-    and use a variable in several slots, through two distinct var nodes of
-    one variable."""
+def drawn_rows(draw):
+    """A tape of rows over the seven ops, written through the operand handle.
+    Each row reuses its own ops as operands, uses a variable in several
+    slots through two var handles of one variable, and ends at the last
+    operand drawn (a leaf or the last op).  Returns the tape and its number
+    of rows."""
     values = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
-    pool = [ex.var(j) for j in range(N_VARS)]
-    pool.append(ex.var(draw(st.integers(0, N_VARS - 1))))
-    pool.append(ex.const(draw(values)))
-    for _ in range(draw(st.integers(0, 14))):
-        op = draw(st.sampled_from(["const", "var", "add", "sub", "mul", "sin", "cos"]))
-        if op == "const":
-            pool.append(ex.const(draw(values)))
-        elif op == "var":
-            pool.append(ex.var(draw(st.integers(0, N_VARS - 1))))
-        elif op in ("sin", "cos"):
-            pool.append(ex.Expr(op, (draw(st.sampled_from(pool)),)))
-        else:
-            pool.append(ex.Expr(op, (draw(st.sampled_from(pool)), draw(st.sampled_from(pool)))))
-    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    tape = ex.Tape()
+    n_rows = draw(st.integers(1, 5))
+    for _ in range(n_rows):
+        pool = [tape.var(j) for j in range(N_VARS)]
+        pool.append(tape.var(draw(st.integers(0, N_VARS - 1))))
+        pool.append(draw(values))
+        for _ in range(draw(st.integers(0, 14))):
+            op = draw(st.sampled_from(["const", "var", "add", "sub", "mul", "sin", "cos"]))
+            if op == "const":
+                pool.append(draw(values))
+            elif op == "var":
+                pool.append(tape.var(draw(st.integers(0, N_VARS - 1))))
+            elif op in ("sin", "cos"):
+                code = ex.SIN if op == "sin" else ex.COS
+                pool.append(tape.op(code, draw(st.sampled_from(pool))))
+            else:
+                pool.append(BINARY[op](draw(st.sampled_from(pool)), draw(st.sampled_from(pool))))
+        tape.end_row(pool[-1])
+    return tape, n_rows
 
 
 @settings(max_examples=150, deadline=None)
-@given(expression_rows(), st.lists(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
-                                   min_size=N_VARS, max_size=N_VARS), st.data())
-def test_drawn_trees_match_the_interpreter(roots, x, data):
+@given(drawn_rows(), st.lists(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+                              min_size=N_VARS, max_size=N_VARS), st.data())
+def test_drawn_rows_match_the_interpreter(drawn, x, data):
+    tape, n_rows = drawn
     x = np.array(x)
-    for e in roots:
-        value, grad = tree_eval_with_grad(e, x)
+    for i in range(n_rows):
+        value, grad = row_eval_with_grad(list(tape.ops(i)), x)
         assume(np.isfinite(value) and all(np.isfinite(d) for d in grad.values()))
     variables = tuple(Variable(j, f"x{j}", 0, f"x{j}") for j in range(N_VARS))
-    residuals = [Residual(i, f"E{i}", e, "constraint", f"E{i}", False)
-                 for i, e in enumerate(roots)]
-    system = ResidualSystem(0, variables, tuple(residuals))
+    names = [(f"E{i}", "constraint", f"E{i}", False) for i in range(n_rows)]
+    system = ResidualSystem.over(0, variables)._extend(tape, names)
     assert_matches_interpreter(system, x)
-    rows = data.draw(st.lists(st.integers(0, len(roots) - 1), max_size=6))
+    rows = data.draw(st.lists(st.integers(0, n_rows - 1), max_size=6))
     assert_matches_interpreter(system, x, rows)
-    # the same rows appended to a compiled prefix, as a derived system
-    derived = ResidualSystem(0, variables, ())._derive(0, residuals)._derive(
-        len(residuals), residuals[:1])
+    # the tape's first row again, as a second segment of a derived system
+    derived = system._extend(tape, names[:1])
     assert_matches_interpreter(derived, x)
+
+
+def test_rows_end_at_their_root_and_keep_their_operands():
+    tape = ex.Tape()
+    x = tape.var(0)
+    square = x * x
+    x + x
+    with pytest.raises(ValueError):
+        tape.end_row(square)  # the row's last op is x + x
+    tape = ex.Tape()
+    x = tape.var(0)
+    square = x * x
+    tape.end_row(square)
+    with pytest.raises(ValueError):
+        tape.var(1) + square  # an op of the ended row
+    with pytest.raises(ValueError):
+        ex.Tape().op(ex.SIN, square)  # an op of another tape
+
+
+def emitted_systems():
+    """The corpus as gcs loads it, and strips 3-400 compiled and anchored."""
+    for path in CORPUS_FILES:
+        yield _load(str(path))[1]
+    for n in range(3, 401):
+        model = zoo.triangle_strip(n)
+        yield add_anchors(compile_model(model), model)
+
+
+def test_emitted_rows_hold_only_what_their_root_reaches():
+    shapes = {}
+    for system in emitted_systems():
+        for tape, rows in system.segments:
+            for i in rows:
+                shapes.setdefault(tape.rows[i][0], (tape, i))
+    for tape, i in shapes.values():
+        ops = list(tape.ops(i))
+        reached = {len(ops) - 1}
+        for at in range(len(ops) - 1, -1, -1):
+            code, a, b, _ = ops[at]
+            if at in reached and code > ex.VAR:
+                reached |= {a, b}
+        assert reached == set(range(len(ops))), ops
+    # one structure per constraint kind and entity kinds, as many as before
+    assert len(shapes) <= 12
 
 
 def test_rows_of_equal_structure_share_one_schedule():
@@ -175,16 +229,17 @@ def test_solve_tree_emits_the_base_tape_once(monkeypatch):
     model = zoo.triangle_strip(48)
     tree = decompose.top_down(model)
     n_rows = compile_model(model).n_residuals
-    emitted: list[int] = []
+    tapes: list[ex.Tape] = []
     real_init = ex.Tape.__init__
 
-    def record(self, roots):
-        emitted.append(len(roots))
-        real_init(self, roots)
+    def record(self):
+        tapes.append(self)
+        real_init(self)
 
     monkeypatch.setattr(ex.Tape, "__init__", record)
     _, _, certificate = decompose.solve_tree(model, tree)
     assert certificate.converged
+    emitted = [len(tape.rows) for tape in tapes]
     leaves = sum(1 for _ in iter_leaves(tree.roots[0]))
     assert emitted.count(n_rows) == 1
     # every other tape is a leaf's bonds (at most one here) and anchors (three)
