@@ -87,14 +87,9 @@ class Residual(NamedTuple):
 
 @dataclass(frozen=True)
 class ResidualSystem:
-    """Residual rows over variables.
-
-    ``segments`` holds the tapes of the rows in order, each as (tape, the
-    tape rows used); ``columns`` maps each entity to its columns, in
-    component order.  A system starts empty (:meth:`over`), and each system
-    derived from it shares its column map and the tapes of the rows it
-    keeps.
-    """
+    """Residual rows over variables.  ``segments`` holds the tapes of the
+    rows in order, each as (tape, the tape rows used); ``columns`` maps each
+    entity to its columns, in component order."""
 
     dimension: int
     variables: tuple[Variable, ...]
@@ -189,8 +184,7 @@ class ResidualSystem:
         return [r.index for r in self.residuals if r.kind == "anchor"]
 
     def without_anchors(self) -> "ResidualSystem":
-        anchors = self._rows.get(("anchor", None), ())
-        if not anchors:
+        if ("anchor", None) not in self._rows:
             return self
         kept = [r for r in self.residuals if r.kind != "anchor"]
         parts = self._parts([r.index for r in kept])
@@ -206,18 +200,12 @@ def _cross(a: Sequence[ex.Term], b: Sequence[ex.Term], i: int) -> ex.Term:
     return a[j] * b[k] - a[k] * b[j]
 
 
-def _plane_normal_and_offset(entity: Entity, v: list[ex.Term]):
-    """Return (normal operands, signed-offset builder) for either plane scheme."""
-    if entity.spec.representation == HESSIAN:
-        n = v[0:3]
-        def offset(p: Sequence[ex.Term]) -> ex.Term:
-            return ex.dot(n, p) + v[3]
-    else:  # point-normal: p0 (0..2), n (3..5)
-        n = v[3:6]
-        p0 = v[0:3]
-        def offset(p: Sequence[ex.Term]) -> ex.Term:
-            return ex.dot(n, [p[i] - p0[i] for i in range(3)])
-    return n, offset
+def _offset(plane: Entity, v: list[ex.Term], p: Sequence[ex.Term]) -> ex.Term:
+    """The signed offset of point ``p`` from a plane in either scheme."""
+    if plane.spec.representation == HESSIAN:
+        return ex.dot(v[0:3], p) + v[3]
+    # point-normal: p0 (0..2), n (3..5)
+    return ex.dot(v[3:6], [p[i] - v[i] for i in range(3)])
 
 
 def _direction_of(entity: Entity, v: list[ex.Term],
@@ -251,90 +239,63 @@ def _emit_constraint(model: Model, c: Constraint, env: dict[str, list[ex.Term]],
         diff = [v[1][i] - v[0][i] for i in range(dim)]
         yield ex.dot(diff, diff) - c.value * c.value
 
-    elif kind == "distance-pl":
-        p, lv = v[0], v[1]
-        if dim == 2:
-            phi, rho = lv
-            signed = p[0] * ex.cos(phi) + p[1] * ex.sin(phi) - rho
-            yield ex.square(signed) - c.value * c.value
-        else:
-            rel = [p[i] - lv[i] for i in range(3)]
-            cr = [_cross(rel, lv[3:6], i) for i in range(3)]
-            yield ex.dot(cr, cr) - c.value * c.value
+    elif kind in ("distance-pl", "point-on-line") and dim == 2:
+        (px, py), (phi, rho) = v
+        signed = px * ex.cos(phi) + py * ex.sin(phi) - rho
+        yield signed if kind == "point-on-line" else ex.square(signed) - c.value * c.value
 
-    elif kind == "distance-pplane":
-        _, offset = _plane_normal_and_offset(ents[1], v[1])
-        yield ex.square(offset(v[0])) - c.value * c.value
+    elif kind in ("distance-pl", "distance-ll") and dim == 3:
+        # from the point to the line, or from line 2's point to line 1 (the
+        # lines held parallel by a separate constraint)
+        p, lv = v if kind == "distance-pl" else v[::-1]
+        rel = [p[i] - lv[i] for i in range(3)]
+        cr = [_cross(rel, lv[3:6], i) for i in range(3)]
+        yield ex.dot(cr, cr) - c.value * c.value
 
     elif kind == "distance-ll":
-        if dim == 2:
-            yield ex.square(v[0][1] - v[1][1]) - c.value * c.value
-        else:
-            # distance from line 2's point to line 1 (lines held parallel by a
-            # separate constraint)
-            rel = [v[1][i] - v[0][i] for i in range(3)]
-            cr = [_cross(rel, v[0][3:6], i) for i in range(3)]
-            yield ex.dot(cr, cr) - c.value * c.value
+        yield ex.square(v[0][1] - v[1][1]) - c.value * c.value
+
+    elif kind == "distance-pplane":
+        yield ex.square(_offset(ents[1], v[1], v[0])) - c.value * c.value
 
     elif kind == "distance-planeplane":
-        n1, offset1 = _plane_normal_and_offset(ents[0], v[0])
         if ents[0].spec.representation == HESSIAN and ents[1].spec.representation == HESSIAN:
-            s = ex.dot(n1, v[1][0:3])
-            delta = v[0][3] - s * v[1][3]
+            delta = v[0][3] - ex.dot(v[0][0:3], v[1][0:3]) * v[1][3]
             yield ex.square(delta) - c.value * c.value
         else:
             # in the point-normal scheme the offset of plane 2's point from plane 1
-            yield ex.square(offset1(v[1][0:3])) - c.value * c.value
+            yield ex.square(_offset(ents[0], v[0], v[1][0:3])) - c.value * c.value
 
-    elif kind == "angle-ll":
-        if dim == 2:
-            target = math.pi - c.value
-            yield ex.square(v[0][0] - v[1][0]) - target * target
-        else:
-            yield ex.dot(v[0][3:6], v[1][3:6]) - math.cos(c.value)
+    elif kind == "angle-ll" and dim == 2:
+        target = math.pi - c.value
+        yield ex.square(v[0][0] - v[1][0]) - target * target
 
-    elif kind == "angle-planeplane":
-        n1, _ = _plane_normal_and_offset(ents[0], v[0])
-        n2, _ = _plane_normal_and_offset(ents[1], v[1])
-        yield ex.dot(n1, n2) - math.cos(c.value)
+    elif kind in ("parallel", "perpendicular") and dim == 2:
+        yield (ex.sin if kind == "parallel" else ex.cos)(v[0][0] - v[1][0])
+
+    elif kind in ("angle-ll", "angle-planeplane", "perpendicular"):
+        cosine = ex.dot(_direction_of(ents[0], v[0])[0], _direction_of(ents[1], v[1])[0])
+        yield cosine if kind == "perpendicular" else cosine - math.cos(c.value)
 
     elif kind == "point-on-line":
-        p, lv = v[0], v[1]
-        if dim == 2:
-            phi, rho = lv
-            yield p[0] * ex.cos(phi) + p[1] * ex.sin(phi) - rho
-        else:
-            for i in _direction_of(ents[1], lv, full_cross)[1]:
-                # p - l, on this row, at the two indices component i reads
-                rel = {j: p[j] - lv[j] for j in ((i + 1) % 3, (i + 2) % 3)}
-                yield _cross(rel, lv[3:6], i)
+        p, lv = v
+        for i in _direction_of(ents[1], lv, full_cross)[1]:
+            # p - l, on this row, at the two indices component i reads
+            rel = {j: p[j] - lv[j] for j in ((i + 1) % 3, (i + 2) % 3)}
+            yield _cross(rel, lv[3:6], i)
 
     elif kind == "point-on-plane":
-        _, offset = _plane_normal_and_offset(ents[1], v[1])
-        yield offset(v[0])
+        yield _offset(ents[1], v[1], v[0])
 
     elif kind == "parallel":
-        if dim == 2:
-            yield ex.sin(v[0][0] - v[1][0])
-        else:
-            u1, kept = _direction_of(ents[0], v[0], full_cross)
-            u2, _ = _direction_of(ents[1], v[1])
-            for i in kept:
-                yield _cross(u1, u2, i)
+        u1, kept = _direction_of(ents[0], v[0], full_cross)
+        u2, _ = _direction_of(ents[1], v[1])
+        for i in kept:
+            yield _cross(u1, u2, i)
 
-    elif kind == "perpendicular":
-        if dim == 2:
-            yield ex.cos(v[0][0] - v[1][0])
-        else:
-            yield ex.dot(_direction_of(ents[0], v[0])[0], _direction_of(ents[1], v[1])[0])
-
-    elif kind == "coincident":
+    elif kind in ("coincident", "fix"):
         for i in range(dim):
-            yield v[0][i] - v[1][i]
-
-    elif kind == "fix":
-        for i in range(dim):
-            yield v[0][i] - float(ents[0].params[i])
+            yield v[0][i] - (v[1][i] if kind == "coincident" else float(ents[0].params[i]))
 
     else:
         raise CompileError(f"unsupported constraint kind {kind!r}")

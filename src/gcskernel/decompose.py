@@ -633,10 +633,9 @@ def solve_tree(model: Model, tree: ClusterTree, max_iter: int = 100,
     every row of the system.  Returns the recombination plan, per-entity
     solved parameters, and the whole-system residual certificate (anchors
     excluded), converged when its largest residual is within ``tol``.  A
-    tree whose root leaves an entity free is refused, and so is a tree with
-    a leaf that cannot be rigid: a 2D cluster has at most 3 rigid motions,
-    so a leaf whose rows (its constraints, normalizations and virtual bonds)
-    are fewer than its columns - 3 is under-constrained.
+    tree whose root leaves an entity free is refused, and so is one with a
+    leaf whose rows (constraints, normalizations and virtual bonds) are fewer
+    than its columns - 3: a 2D cluster has at most 3 rigid motions.
     """
     if model.dimension != 2:
         raise DecompositionError("cluster recombination covers the 2D scope")
@@ -650,10 +649,9 @@ def solve_tree(model: Model, tree: ClusterTree, max_iter: int = 100,
     if missing is not None:
         raise DecompositionError(f"entity {missing!r} has no sketch parameters")
     system = compile_model(model)
-    stack = [tree.roots[0]]
-    while stack:
-        node = stack.pop()
-        stack += reversed(node.children)
+    nodes = [tree.roots[0]]
+    for node in nodes:  # breadth first, as the list grows
+        nodes += node.children
         if node.children:
             continue
         rows = len(rows_of(system, node.constraints, node.entities)) + len(node.virtual_bonds)

@@ -1,34 +1,33 @@
 """Residual rows written onto flat tapes, and their vectorised evaluation.
 
 A residual row exists only as the ops of a :class:`Tape`.  The compiler
-writes each row through :class:`Term` handles, which keep the infix syntax
-of the equations (``a - b``, ``x * y``, :func:`sin`, :func:`cos`,
-:func:`square`, :func:`dot`) over the seven operations it emits: ``const``,
-``var``, ``add``, ``sub``, ``mul``, ``sin`` and ``cos``.  An operation is
-appended to the current row once, when it is written; a leaf (a variable or
-a number) is appended at each use.  So a row holds its ops in topological
-order, and it ends at its root.  A tape stores each row's opcode,
-argument-slot and depth arrays, interned so that rows of equal structure
-share them, plus the row's variables and constants.  :meth:`Tape.render`
-prints a row in infix.
+writes each row through :class:`Term` operand handles, in the infix syntax
+of its equations (``a - b``, ``x * y``, :func:`sin`, :func:`cos`,
+:func:`square`, :func:`dot`), over seven operations: ``const``, ``var``,
+``add``, ``sub``, ``mul``, ``sin`` and ``cos``.  An operation is appended to
+the row once, when it is written, and a leaf (a variable or a number) at
+each use, so a row holds its ops in topological order and ends at its root.
+A tape interns each row's opcode, argument-slot and depth arrays, so that
+rows of equal structure share them, and keeps the row's variables and
+constants.
 
 A :class:`Plan` gathers the ops of a selection of rows, from one tape or
-several, and orders them by depth and opcode.  It then runs them vectorised
-over the nodes of equal depth: :meth:`Plan.values` gives the rows' values,
-and :meth:`Plan.derivatives` their forward-mode derivatives, with one
-gradient slot per distinct variable of a row, as (row, column, value)
-triplets.  Every node performs the operations of a scalar forward walk over
-its row in the same order (a product's derivative is ``da * b + db * a``, a
-sine's ``da * cos(a)``, a cosine's ``da * -sin(a)``), so values and
-derivatives are those of the walk, with ``np.sin``/``np.cos`` in place of
-``math.sin``/``math.cos``.  Griewank and Walther, "Evaluating Derivatives",
-2nd ed. (SIAM, 2008), describe tapes and the forward mode.
+several, orders them by depth and opcode and runs them vectorised over the
+nodes of equal depth: :meth:`Plan.values` gives the rows' values and
+:meth:`Plan.derivatives` their forward-mode derivatives, one gradient slot
+per distinct variable of a row, as (row, column, value) triplets.  Every
+node performs the operations of a scalar forward walk over its row in the
+same order (a product's derivative is ``da * b + db * a``, a sine's
+``da * cos(a)``, a cosine's ``da * -sin(a)``), with ``np.sin``/``np.cos``
+in place of ``math.sin``/``math.cos``.  Griewank and Walther, "Evaluating
+Derivatives", 2nd ed. (SIAM, 2008), describe tapes and the forward mode.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -36,8 +35,9 @@ import numpy as np
 CONST, VAR, ADD, SUB, MUL, SIN, COS = range(7)
 _FORMATS = {ADD: "({} + {})", SUB: "({} - {})", MUL: "({}*{})", SIN: "sin({})", COS: "cos({})"}
 
-# Row structures, interned: the keys, first arguments and second arguments of
-# a row's nodes, concatenated -> id; _STRUCTURES[id] holds the three lists.
+# Row structures, interned: the (key, first argument, second argument) of each
+# of a row's nodes -> id; _STRUCTURES[id] holds the keys, first arguments and
+# second arguments as three lists.
 # A node's key is 8 * depth + opcode (depth 0 for const and var, else one
 # more than its deepest operand).  An operation's arguments are the row
 # positions of its operands (a unary op repeats its one operand); a var's
@@ -56,13 +56,13 @@ def _operators(code: int):
 
 class Term:
     """An operand of a row being written on ``tape``: the op at position
-    ``at`` of the row whose keys are ``row``, or, when ``at`` is -1,
+    ``at`` of the row whose nodes are ``row``, or, when ``at`` is -1,
     variable ``index``, which is appended at each use.  A number in its
     place is a constant, appended the same way."""
 
     __slots__ = ("tape", "at", "row", "index")
 
-    def __init__(self, tape: "Tape", at: int, row: list[int] | None, index: int):
+    def __init__(self, tape: "Tape", at: int, row: list | None, index: int):
         self.tape = tape
         self.at = at
         self.row = row
@@ -89,11 +89,7 @@ def dot(a: Sequence, b: Sequence) -> Term:
     """Inner product of two equal-length operand vectors."""
     if len(a) != len(b):
         raise ValueError("dot: length mismatch")
-    terms = [x * y for x, y in zip(a, b)]
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out
+    return functools.reduce(operator.add, [x * y for x, y in zip(a, b)])
 
 
 class Tape:
@@ -116,9 +112,7 @@ class Tape:
         self._begin()
 
     def _begin(self) -> None:
-        self._key: list[int] = []
-        self._arg0: list[int] = []
-        self._arg1: list[int] = []
+        self._nodes: list[tuple[int, int, int]] = []  # (key, first and second argument)
         self._var_index: list[int] = []
         self._const_value: list[float] = []
         self._slots: dict[int, int] = {}
@@ -130,47 +124,42 @@ class Tape:
     def _place(self, x) -> int:
         """The position of operand ``x`` on the current row: an op's own; a
         variable or a number is appended now."""
-        key = self._key
+        nodes = self._nodes
         if type(x) is Term:
             if x.at >= 0:
-                if x.row is not key:
+                if x.row is not nodes:
                     raise ValueError("operand of another row")
                 return x.at
             slots = self._slots
-            self._arg1.append(slots.setdefault(x.index, len(slots)))
+            nodes.append((VAR, 0, slots.setdefault(x.index, len(slots))))
             self._var_index.append(x.index)
-            key.append(VAR)
         else:
-            self._arg1.append(0)
+            nodes.append((CONST, 0, 0))
             self._const_value.append(float(x))
-            key.append(CONST)
-        self._arg0.append(0)
-        return len(key) - 1
+        return len(nodes) - 1
 
     def op(self, code: int, a, b=None) -> Term:
         """Append operation ``code`` of ``a`` (and ``b``) to the current row."""
-        key = self._key
-        i = a.at if type(a) is Term and a.row is key else self._place(a)
-        j = i if b is None else b.at if type(b) is Term and b.row is key else self._place(b)
-        ka, kb = key[i], key[j]
-        key.append(((ka if ka > kb else kb) | 7) + 1 + code)
-        self._arg0.append(i)
-        self._arg1.append(j)
-        return Term(self, len(key) - 1, key, -1)
+        nodes = self._nodes
+        i = a.at if type(a) is Term and a.row is nodes else self._place(a)
+        j = i if b is None else b.at if type(b) is Term and b.row is nodes else self._place(b)
+        ka, kb = nodes[i][0], nodes[j][0]
+        nodes.append((((ka if ka > kb else kb) | 7) + 1 + code, i, j))
+        return Term(self, len(nodes) - 1, nodes, -1)
 
     def end_row(self, root) -> None:
         """End the current row at ``root``, which must be its last op or a
         leaf, appended now, and intern the row's structure."""
-        key = self._key
-        if self._place(root) != len(key) - 1:
+        nodes = self._nodes
+        if self._place(root) != len(nodes) - 1:
             raise ValueError("a row must end at its root")
-        signature = (*key, *self._arg0, *self._arg1)
+        signature = tuple(nodes)
         shape = _SHAPES.get(signature)
         if shape is None:
             # store the structure before publishing its id, so that two
             # threads interning at once never pair an id with another row
             shape = next(_shape_ids)
-            _STRUCTURES[shape] = (key, self._arg0, self._arg1)
+            _STRUCTURES[shape] = tuple(map(list, zip(*nodes)))
             shape = _SHAPES.setdefault(signature, shape)
         slots = self._slots
         self.rows.append((shape, self._var_index, self._const_value, tuple(slots)))
