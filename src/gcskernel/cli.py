@@ -85,8 +85,7 @@ def _load(path: str):
     try:
         return model, compile_model(model)
     except CompileError as err:
-        problems = "; ".join(map(str, err.violations))
-        raise SystemExitError(1, f"model {path} does not validate: {problems}")
+        raise SystemExitError(1, f"model {path} does not validate: {err}")
 
 
 class SystemExitError(Exception):

@@ -58,8 +58,9 @@ from .model import (
 
 
 class CompileError(ValueError):
-    """A model that does not compile; ``violations`` holds what
-    :func:`~.model.validate` found, when that is the cause."""
+    """A model that does not compile.  When validation is the cause,
+    ``violations`` holds what :func:`~.model.validate` found and the message
+    lists them."""
 
     def __init__(self, message: str, violations: Sequence[Violation] = ()):
         super().__init__(message)
@@ -315,7 +316,7 @@ def compile_model(model: Model, full_cross: bool = False) -> ResidualSystem:
     """
     problems = validate(model)
     if problems:
-        raise CompileError(f"model does not validate: {'; '.join(map(str, problems))}",
+        raise CompileError("; ".join(f"{p.code}[{p.subject}]: {p.message}" for p in problems),
                            problems)
 
     variables: list[Variable] = []

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -44,7 +43,7 @@ _FORMATS = {ADD: "({} + {})", SUB: "({} - {})", MUL: "({}*{})", SIN: "sin({})", 
 # are 0 and its gradient slot (the rank of its variable's first appearance
 # in the row); a const's are 0 and 0.  Structures are few: a dozen serve the
 # corpus and the strips, one per constraint kind and entity kinds.
-_SHAPES: dict[tuple[int, ...], int] = {}
+_SHAPES: dict[tuple[tuple[int, int, int], ...], int] = {}
 _STRUCTURES: dict[int, tuple[list[int], list[int], list[int]]] = {}
 _shape_ids = itertools.count()
 
@@ -89,7 +88,11 @@ def dot(a: Sequence, b: Sequence) -> Term:
     """Inner product of two equal-length operand vectors."""
     if len(a) != len(b):
         raise ValueError("dot: length mismatch")
-    return functools.reduce(operator.add, [x * y for x, y in zip(a, b)])
+    terms = [x * y for x, y in zip(a, b)]
+    out = terms[0]
+    for t in terms[1:]:
+        out = out + t
+    return out
 
 
 class Tape:

@@ -209,9 +209,6 @@ class Violation:
     subject: str
     message: str
 
-    def __str__(self) -> str:
-        return f"{self.code}[{self.subject}]: {self.message}"
-
 
 def validate(model: Model) -> list[Violation]:
     """Check all model invariants; returns an empty list iff the model is sound.
