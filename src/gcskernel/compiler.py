@@ -274,7 +274,7 @@ def _emit_constraint(model: Model, c: Constraint, env: dict[str, list[ex.Term]],
     elif kind in ("parallel", "perpendicular") and dim == 2:
         yield (ex.sin if kind == "parallel" else ex.cos)(v[0][0] - v[1][0])
 
-    elif kind in ("angle-ll", "angle-planeplane", "perpendicular"):
+    elif kind in ("angle-ll", "angle-planeplane", "perpendicular"):  # 3D
         cosine = ex.dot(_direction_of(ents[0], v[0])[0], _direction_of(ents[1], v[1])[0])
         yield cosine if kind == "perpendicular" else cosine - math.cos(c.value)
 
