@@ -61,6 +61,7 @@ from .numeric import (
     newton_solve,
     optimize_solve,
     rank_analyze,
+    rank_of,
     solve,
 )
 from .structural import (

@@ -11,21 +11,31 @@ be strictly smaller than the maximal ones.
 
 Well parts rest on one rigidity test, :func:`is_well_part`, which slices one
 witness Jacobian and one motion basis (:func:`witness_matrices`, evaluated
-once per search).  Every rank decision takes ``rank_tol``.
+once per search).  It counts before it computes: a part of r induced rows on
+c columns can be well only when c - k <= r <= c, with k the number of rigid
+motions, so any other part is refused without an SVD.
+
+Every rank decision takes ``rank_tol``.  All of them read only the rank
+(:func:`numeric.rank_of`, singular values alone), except :func:`dependent_rows`,
+which reads the cokernel of :func:`numeric.rank_analyze`.  The minimal
+dependent set oracle ranks the unpruned row subsets of one size in stacked
+calls of at most ``ORACLE_CHUNK`` subsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .compiler import ResidualSystem, eval_jacobian, induced
 from .model import Model
-from .numeric import RANK_REL_TOL, SUPPORT_TOL, rank_analyze
+from .numeric import RANK_REL_TOL, SUPPORT_TOL, rank_analyze, rank_of
 from .witness import motion_basis
+
+ORACLE_CHUNK = 256  # row subsets per stacked SVD call: bounds the stack's memory
 
 
 class CapExceeded(ValueError):
@@ -73,7 +83,7 @@ def greedy_dependency_groups(system: ResidualSystem, assignment, seed_row: int =
     excluded: list[int] = []
     for i in order:
         candidate = J[independent + [i]]
-        if rank_analyze(candidate, rank_tol).rank == len(independent) + 1:
+        if rank_of(candidate, rank_tol) == len(independent) + 1:
             independent.append(i)
         else:
             excluded.append(i)
@@ -101,7 +111,10 @@ def oracle_min_dependent_sets(system: ResidualSystem, assignment, size_cap: int 
     """All inclusion-minimal linearly dependent row sets, by exhaustive enumeration.
 
     Enumeration is by increasing cardinality with superset pruning, so every
-    emitted set is minimal: each proper subset is independent.
+    emitted set is minimal: each proper subset is independent.  The unpruned
+    subsets of one cardinality are ranked in stacks of ``ORACLE_CHUNK``; no set
+    of that cardinality contains another, so ranking them together leaves the
+    pruning and the output order as they are.
     """
     J = eval_jacobian(system, assignment)
     m = J.shape[0]
@@ -109,12 +122,11 @@ def oracle_min_dependent_sets(system: ResidualSystem, assignment, size_cap: int 
         raise CapExceeded(f"{m} rows exceeds the oracle cap of {size_cap}")
     found: list[frozenset[int]] = []
     for k in range(1, m + 1):
-        for combo in combinations(range(m), k):
-            s = frozenset(combo)
-            if any(prev <= s for prev in found):
-                continue
-            if rank_analyze(J[list(combo)], rank_tol).rank < k:
-                found.append(s)
+        unpruned = (combo for combo in combinations(range(m), k)
+                    if not any(prev <= frozenset(combo) for prev in found))
+        while chunk := list(islice(unpruned, ORACLE_CHUNK)):
+            ranks = rank_of(J[np.array(chunk)], rank_tol)
+            found.extend(frozenset(combo) for combo, rank in zip(chunk, ranks) if rank < k)
     return [DependencyGroup(rows=s, kind="oracle-minimal") for s in found]
 
 
@@ -134,6 +146,11 @@ def is_well_part(model: Model, system: ResidualSystem, jacobian: np.ndarray,
     than the rank of the motion block on its columns.  A part with no induced
     constraints is never well (a lone free entity satisfies the rank
     equalities vacuously but is not constrained at all).
+
+    The rank of r rows is at most r and the motion rank at most
+    ``motions.shape[0]``, so unless c - motions.shape[0] <= r <= c for c
+    columns the part is refused by counting alone.  The motion block is ranked
+    only for a Jacobian block of full row rank with fewer rows than columns.
     """
     subset = set(entity_subset)
     if not subset:
@@ -142,9 +159,12 @@ def is_well_part(model: Model, system: ResidualSystem, jacobian: np.ndarray,
     if not constraints:
         return False
     columns = system.columns_of(subset)
-    rank = rank_analyze(jacobian[np.ix_(rows, columns)], rank_tol).rank
-    dor = rank_analyze(motions[:, columns], rank_tol).rank
-    return rank == len(rows) and len(columns) - rank <= dor
+    slack = len(columns) - len(rows)  # the kernel dimension at full row rank
+    if not 0 <= slack <= motions.shape[0]:
+        return False
+    if rank_of(jacobian[np.ix_(rows, columns)], rank_tol) < len(rows):
+        return False
+    return slack == 0 or slack <= rank_of(motions[:, columns], rank_tol)
 
 
 def dependent_rows(block: np.ndarray, rank_tol: float = RANK_REL_TOL) -> np.ndarray:

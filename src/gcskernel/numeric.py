@@ -1,7 +1,14 @@
 """Dense rank/kernel analysis and nonlinear solving.
 
 Rank decisions use a scale-invariant SVD threshold tau = 1e-8 * sigma_max
-(1e-12 absolute for an all-zero matrix).  The Newton solver's step solves
+(1e-12 absolute for an all-zero matrix), set in one place, `_rank_tolerance`.
+`rank_analyze` also returns the kernel and cokernel, for the callers that
+read them (`witness.characterize_at`, `detect.dependent_rows`).  `rank_of`
+computes singular values alone, for one matrix or a stack of them, for the
+callers that read only the rank (`witness.compute_dor`, `detect.is_well_part`,
+`detect.greedy_dependency_groups`, `detect.oracle_min_dependent_sets`).
+
+The Newton solver's step solves
 J step = -r by block back-substitution in the order of the structural solve
 plan (a perfect matching of the equation graph and its strongly connected
 components): the Jacobian of a square slice with a perfect matching is block
@@ -63,18 +70,42 @@ class RankAnalysis:
         return self.shape[0] - self.rank
 
 
+def _finite_matrix(matrix) -> np.ndarray:
+    J = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if not np.isfinite(J).all():
+        raise ValueError("matrix has non-finite entries")
+    return J
+
+
+def _rank_tolerance(smax: float, rel_tol: float) -> float:
+    """The rank threshold: rel_tol * sigma_max, 1e-12 absolute for a zero matrix."""
+    return rel_tol * smax if smax > 0.0 else 1e-12
+
+
+def rank_of(matrix, rel_tol: float = RANK_REL_TOL):
+    """Numerical rank of a matrix, or an array of the ranks of a stack of
+    matrices (..., m, n), by the threshold of :func:`rank_analyze`, from the
+    singular values alone; 0 for an empty shape."""
+    J = _finite_matrix(matrix)
+    if J.size == 0:
+        return 0 if J.ndim == 2 else np.zeros(J.shape[:-2], dtype=int)
+    s = np.linalg.svd(J, compute_uv=False)
+    if J.ndim == 2:
+        return int(np.count_nonzero(s > _rank_tolerance(s[0], rel_tol)))
+    smax = s[..., 0]
+    tol = [_rank_tolerance(v, rel_tol) for v in smax.ravel().tolist()]
+    return np.count_nonzero(s > np.reshape(tol, smax.shape + (1,)), axis=-1)
+
+
 def rank_analyze(matrix, rel_tol: float = RANK_REL_TOL) -> RankAnalysis:
     """SVD-based rank, kernel and cokernel of a dense matrix."""
-    J = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if not np.all(np.isfinite(J)):
-        raise ValueError("matrix has non-finite entries")
+    J = _finite_matrix(matrix)
     m, n = J.shape
     if m == 0 or n == 0:
         return RankAnalysis(
             (m, n), np.zeros(0), 0, 1e-12, np.eye(n), np.eye(m))
     U, s, Vt = np.linalg.svd(J)
-    smax = s[0] if s.size else 0.0
-    tol = rel_tol * smax if smax > 0.0 else 1e-12
+    tol = _rank_tolerance(s[0], rel_tol)
     rank = int(np.sum(s > tol))
     kernel = Vt[rank:].T.copy()
     cokernel = U[:, rank:].copy()

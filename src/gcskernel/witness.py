@@ -36,7 +36,14 @@ from .compiler import (
     params_from_assignment,
 )
 from .model import Entity, Model, PLANE3, HESSIAN, POINT_NORMAL, LINE3
-from .numeric import RANK_REL_TOL, SUPPORT_TOL, RankAnalysis, optimize_solve, rank_analyze
+from .numeric import (
+    RANK_REL_TOL,
+    SUPPORT_TOL,
+    RankAnalysis,
+    optimize_solve,
+    rank_analyze,
+    rank_of,
+)
 
 WITNESS_TOL = 1e-9
 COINCIDENCE_TOL = 1e-6
@@ -134,7 +141,6 @@ class RigidMotionBasis:
 @dataclass(frozen=True)
 class DorResult:
     dor: int
-    analysis: RankAnalysis
 
 
 def motion_basis(model: Model, system: ResidualSystem, assignment) -> RigidMotionBasis:
@@ -163,8 +169,7 @@ def compute_dor(model: Model, system: ResidualSystem, assignment,
     whole system; ``rank_tol`` is the relative SVD threshold of
     :func:`rank_analyze`.
     """
-    analysis = rank_analyze(motion_basis(model, system, assignment).matrix, rank_tol)
-    return DorResult(analysis.rank, analysis)
+    return DorResult(rank_of(motion_basis(model, system, assignment).matrix, rank_tol))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,6 @@
+import json
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -15,9 +18,10 @@ from gcskernel import (
     rank_analyze,
     witness_matrices,
 )
-from gcskernel import zoo
+from gcskernel import detect, zoo
+from gcskernel.compiler import induced
 from gcskernel.detect import detection_report
-from gcskernel.model import Entity, Model
+from gcskernel.model import Entity, Model, model_from_json_dict
 
 
 def names(system, rows):
@@ -206,3 +210,138 @@ def test_detection_report_shape():
         greedy_dependency_groups(s, x), [], "greedy", seed=0)
     assert rep["method"] == "greedy" and rep["seed"] == 0
     assert rep["dependencyGroups"] == [[0, 1, 2, 3], [0, 1, 2, 4]]
+
+
+# --- rank-only decisions against full rank analyses ---------------------------
+
+def corpus_systems(corpus_dir):
+    """(name, model or None, system, assignment) per corpus file: a seed-0
+    witness for a model, zeros for a raw linear system."""
+    for path in sorted(corpus_dir.glob("*.json")):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if "equations" in data:
+            s = linear_system([eq["coeffs"] for eq in data["equations"]],
+                              [eq.get("rhs", 0.0) for eq in data["equations"]])
+            yield path.stem, None, s, np.zeros(s.n_variables)
+        else:
+            m = model_from_json_dict(data)
+            s, x = witness_for(m)
+            yield path.stem, m, s, x
+
+
+def entity_subsets(model):
+    ids = sorted(e.id for e in model.entities)
+    for k in range(1, len(ids) + 1):
+        yield from combinations(ids, k)
+
+
+def reference_is_well_part(model, system, J, M, subset):
+    """The rigidity test as two full rank analyses, with no counting shortcut."""
+    constraints, rows = induced(model, system, subset)
+    if not constraints:
+        return False
+    columns = system.columns_of(subset)
+    rank = rank_analyze(J[np.ix_(rows, columns)]).rank
+    dor = rank_analyze(M[:, columns]).rank
+    return rank == len(rows) and len(columns) - rank <= dor
+
+
+def small_corpus_models(corpus_dir, max_entities=8):
+    for name, m, s, x in corpus_systems(corpus_dir):
+        if m is not None and len(m.entities) <= max_entities:
+            yield name, m, s, witness_matrices(m, s, x)
+
+
+def test_is_well_part_matches_full_rank_analyses_on_corpus(corpus_dir):
+    verdicts = []
+    for name, m, s, (J, M) in small_corpus_models(corpus_dir):
+        for subset in entity_subsets(m):
+            verdicts.append(is_well_part(m, s, J, M, subset))
+            assert verdicts[-1] == reference_is_well_part(m, s, J, M, subset), (name, subset)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_is_well_part_counts_before_any_svd(corpus_dir, monkeypatch):
+    # a part of r rows on c columns is refused without an SVD unless
+    # c - k <= r <= c (k rigid motions); the motion block of c columns is
+    # ranked only after an r x c Jacobian block of full row rank, r < c
+    cases = []  # (model, system, J, M, subset, expected SVD shapes)
+    refused_by_count = 0
+    for name, m, s, (J, M) in small_corpus_models(corpus_dir):
+        k = M.shape[0]
+        for subset in entity_subsets(m):
+            constraints, rows = induced(m, s, subset)
+            columns = s.columns_of(subset)
+            r, c = len(rows), len(columns)
+            if not constraints:
+                shapes = []
+            elif not c - k <= r <= c:
+                shapes = []
+                refused_by_count += 1
+            elif rank_analyze(J[np.ix_(rows, columns)]).rank < r or r == c:
+                shapes = [(r, c)]
+            else:
+                shapes = [(r, c), (k, c)]
+            cases.append((m, s, J, M, subset, shapes))
+    svd = np.linalg.svd
+    seen = []
+
+    def counting_svd(a, *args, **kwargs):
+        seen.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for m, s, J, M, subset, shapes in cases:
+        seen.clear()
+        is_well_part(m, s, J, M, subset)
+        assert seen == shapes, subset
+    assert 0 < refused_by_count < len(cases)
+    assert any(len(case[-1]) == 2 for case in cases)
+
+
+def reference_min_dependent_sets(J):
+    """The oracle's enumeration with one full rank analysis per subset."""
+    found = []
+    for k in range(1, J.shape[0] + 1):
+        for combo in combinations(range(J.shape[0]), k):
+            s = frozenset(combo)
+            if any(prev <= s for prev in found):
+                continue
+            if rank_analyze(J[list(combo)]).rank < k:
+                found.append(s)
+    return found
+
+
+def test_stacked_oracle_matches_per_subset_enumeration_on_corpus(corpus_dir):
+    checked = 0
+    for name, _, s, x in corpus_systems(corpus_dir):
+        if s.n_residuals <= 12:
+            got = [g.rows for g in oracle_min_dependent_sets(s, x)]
+            assert got == reference_min_dependent_sets(eval_jacobian(s, x)), name
+            checked += 1
+    assert checked >= 10
+
+
+def test_stacked_oracle_crosses_chunks_on_a_drawn_system(monkeypatch):
+    # 8 generic rows and 6 rows each a combination of 2-4 earlier rows: minimal
+    # dependent sets of several sizes, and more unpruned subsets of one size
+    # than one stack holds
+    rng = np.random.default_rng(14)
+    A = list(rng.normal(size=(8, 8)))
+    for _ in range(6):
+        picks = rng.choice(len(A), size=rng.integers(2, 5), replace=False)
+        A.append(rng.normal(size=len(picks)) @ np.array([A[i] for i in picks]))
+    s = linear_system(np.array(A), np.zeros(14))
+    stacks = []
+    rank_of = detect.rank_of
+
+    def counting_rank_of(matrices, *args):
+        stacks.append(matrices.shape[:2])
+        return rank_of(matrices, *args)
+
+    monkeypatch.setattr(detect, "rank_of", counting_rank_of)
+    got = [g.rows for g in oracle_min_dependent_sets(s, np.zeros(8), size_cap=14)]
+    assert got == reference_min_dependent_sets(np.array(A))
+    assert len({len(g) for g in got}) > 1
+    assert max(count for count, _ in stacks) == detect.ORACLE_CHUNK
+    assert len(stacks) > len({k for _, k in stacks})  # some size took several stacks

@@ -19,6 +19,7 @@ from gcskernel import (
     numeric,
     optimize_solve,
     rank_analyze,
+    rank_of,
     solve,
 )
 from gcskernel import zoo
@@ -93,6 +94,41 @@ def test_constructed_rank(seed, m, n, k):
     rng = np.random.default_rng(seed)
     J = rng.normal(size=(m, k)) @ rng.normal(size=(k, n))
     assert rank_analyze(J).rank == k
+
+
+@st.composite
+def planted_rank_stacks(draw):
+    """A stack of 1-6 matrices of one shape, each a random factor product of a
+    planted rank with its rows scaled by up to 1e6."""
+    count, m, n = draw(st.integers(1, 6)), draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    stack = []
+    for _ in range(count):
+        k = int(rng.integers(0, min(m, n) + 1))
+        J = rng.normal(size=(m, k)) @ rng.normal(size=(k, n))
+        stack.append(J * 10.0 ** rng.uniform(0.0, 6.0, size=(m, 1)))
+    return np.array(stack)
+
+
+@settings(max_examples=60)
+@given(planted_rank_stacks())
+def test_rank_of_matches_rank_analyze(stack):
+    ranks = [rank_of(J) for J in stack]
+    assert ranks == [rank_analyze(J).rank for J in stack]
+    assert rank_of(stack).tolist() == ranks
+
+
+def test_rank_of_empty_zero_and_nonfinite():
+    assert rank_of(np.zeros((0, 3))) == 0
+    assert rank_of(np.zeros((3, 0))) == 0
+    assert rank_of(np.zeros((4, 0, 3))).tolist() == [0, 0, 0, 0]
+    assert rank_of(np.zeros((2, 2))) == 0
+    assert rank_of([1.0, 2.0]) == 1  # a vector is one row, as in rank_analyze
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            rank_of(np.array([[bad, 1.0]]))
+        with pytest.raises(ValueError):
+            rank_of(np.array([np.eye(2), [[1.0, bad], [0.0, 1.0]]]))
 
 
 def _anchored_triangle():
