@@ -128,7 +128,7 @@ def solve_tree_record(strategy: str, model) -> dict:
     return {
         "solution": {eid: _hex(params) for eid, params in sorted(solution.items())},
         "placements": [
-            {"node": p.node_id, "entities": list(p.entities),
+            {"node": p.node_id, "entities": sorted(p.entities),
              "rotation": _hex(p.rotation.ravel()), "translation": _hex(p.translation)}
             for p in plan.placements],
         "status": cert.status,

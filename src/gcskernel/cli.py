@@ -23,6 +23,7 @@ from .compiler import (
     add_anchors,
     assignment_from_params,
     compile_model,
+    eval_jacobian,
     linear_system,
     params_from_assignment,
 )
@@ -34,6 +35,7 @@ from .detect import (
     greedy_well_parts,
     oracle_max_well_part,
     oracle_min_dependent_sets,
+    witness_matrices,
 )
 from .model import Model, model_from_json_dict
 from .numeric import RANK_REL_TOL, RESIDUAL_TOL, solve
@@ -46,25 +48,70 @@ EXIT_REFUSED = 7
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        sys.stdout.write(_json_text(payload) + "\n")
         return
-    def walk(obj, indent=0):
+    # an explicit stack of (text line | container, indent): a report may nest
+    # deeper than the recursion limit
+    stack: list = [(payload, 0)]
+    while stack:
+        obj, indent = stack.pop()
+        if isinstance(obj, str):
+            sys.stdout.write(obj)
+            continue
         pad = "  " * indent
+        todo: list = []
         if isinstance(obj, dict):
             for k in sorted(obj):
                 v = obj[k]
                 if isinstance(v, (dict, list)):
-                    sys.stdout.write(f"{pad}{k}:\n")
-                    walk(v, indent + 1)
+                    todo += [(f"{pad}{k}:\n", 0), (v, indent + 1)]
                 else:
-                    sys.stdout.write(f"{pad}{k}: {v}\n")
+                    todo.append((f"{pad}{k}: {v}\n", 0))
         elif isinstance(obj, list):
             for v in obj:
-                if isinstance(v, (dict, list)):
-                    walk(v, indent + 1)
-                else:
-                    sys.stdout.write(f"{pad}- {v}\n")
-    walk(payload)
+                todo.append((v, indent + 1) if isinstance(v, (dict, list))
+                            else (f"{pad}- {v}\n", 0))
+        stack.extend(reversed(todo))
+
+
+def _json_text(payload) -> str:
+    """``json.dumps`` with sorted keys and compact separators.  Its encoder
+    takes one interpreter recursion level per nested container, so a report
+    nested deeper than the recursion limit (the cluster tree of a long strip)
+    goes to :func:`_json_text_deep`, which writes the same text."""
+    try:
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    except RecursionError:
+        return _json_text_deep(payload)
+
+
+def _json_text_deep(payload) -> str:
+    """The text of :func:`_json_text` from an explicit stack of (items, closing
+    bracket); each item is (the text before the value, the value).  Keys are
+    strings, as in every report."""
+    parts: list[str] = []
+    stack = [(iter((("", payload),)), "")]
+    while stack:
+        items, closer = stack[-1]
+        item = next(items, None)
+        if item is None:
+            stack.pop()
+            parts.append(closer)
+            continue
+        before, value = item
+        parts.append(before)
+        if isinstance(value, dict):
+            parts.append("{")
+            pairs = ((("," if k else "") + json.dumps(key) + ":", v)
+                     for k, (key, v) in enumerate(sorted(value.items())))
+            stack.append((pairs, "}"))
+        elif isinstance(value, (list, tuple)):
+            parts.append("[")
+            elements = (("," if k else "", v) for k, v in enumerate(value))
+            stack.append((elements, "]"))
+        else:
+            parts.append(json.dumps(value))
+    return "".join(parts)
 
 
 def _load(path: str):
@@ -133,31 +180,35 @@ def cmd_check(args) -> int:
 
 def cmd_detect(args) -> int:
     model, system = _load(args.model)
+    # one Jacobian (and, for a model, one motion basis) at the one witness
     if model is None:
         rng = np.random.default_rng(args.seed)
         x = rng.uniform(-1.0, 1.0, size=system.n_variables)
+        J = eval_jacobian(system, x)
     else:
         wit = generate_witness(system, model, seed=args.seed)
         x = wit.assignment
+        J, M = witness_matrices(model, system, x)
     greedy = greedy_dependency_groups(system, x, seed_row=args.seed_row,
-                                      rank_tol=args.rank_tol)
+                                      rank_tol=args.rank_tol, jacobian=J)
     payload = {
         "command": "detect",
         "model": args.model,
         "greedy": detection_report(greedy, [], "greedy", args.seed),
     }
     try:
-        oracle = oracle_min_dependent_sets(system, x, rank_tol=args.rank_tol)
+        oracle = oracle_min_dependent_sets(system, x, rank_tol=args.rank_tol, jacobian=J)
         payload["oracle"] = detection_report(oracle, [], "oracle", args.seed)
     except CapExceeded as err:
         payload["oracle"] = {"skipped": str(err)}
     if model is not None:
         parts = greedy_well_parts(model, system, x, seed_entity=args.seed_entity,
-                                  rank_tol=args.rank_tol)
+                                  rank_tol=args.rank_tol, matrices=(J, M))
         payload["greedy"]["wellParts"] = sorted(
             list(p.sorted_entities()) for p in parts)
         try:
-            best = oracle_max_well_part(model, system, x, rank_tol=args.rank_tol)
+            best = oracle_max_well_part(model, system, x, rank_tol=args.rank_tol,
+                                        matrices=(J, M))
             payload["oracle"]["maxWellPart"] = sorted(best.entities)
         except CapExceeded as err:
             payload["oracle"]["maxWellPart"] = f"skipped: {err}"
@@ -179,7 +230,7 @@ def cmd_decompose(args) -> int:
     wr = characterize(system, model, seed=args.seed, votes=args.witnesses,
                       rank_tol=args.rank_tol)
     try:
-        tree = bottom_up(model, seed=args.seed, rank_tol=args.rank_tol) \
+        tree = bottom_up(model, seed=args.seed, rank_tol=args.rank_tol, system=system) \
             if args.strategy == "bottom-up" else top_down(model)
         payload = {
             "command": "decompose",
@@ -213,9 +264,9 @@ def cmd_solve(args) -> int:
 
     if args.strategy == "decomposed":
         try:
-            tree = bottom_up(model, seed=args.seed, rank_tol=args.rank_tol)
+            tree = bottom_up(model, seed=args.seed, rank_tol=args.rank_tol, system=system)
             plan, solution, cert = solve_tree(model, tree, max_iter=args.max_iter,
-                                              tol=args.tolerance)
+                                              tol=args.tolerance, system=system)
         except (DecompositionError, AlignmentError) as err:
             raise SystemExitError(EXIT_REFUSED, f"decomposed solve failed: {err}")
         result = cert

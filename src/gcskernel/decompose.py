@@ -39,30 +39,46 @@ over G - a yields the smallest b > a whose removal leaves two or more
 components, so a node with n entities and m constraints costs O(n(n + m)).
 The pair is duplicated into each side, and a child that cannot fix the
 pair's separation on its own receives a virtual distance bond whose value is
-measured from the first solved sibling.  Splitting recurses until triangles
-(or irreducible cores) remain, and the solve order is the reverse of the
-split order.
+measured from the first solved sibling.  Splitting goes on until triangles
+(or irreducible cores) remain; a node of k <= 3 points with fewer than
+2k - 3 rows (constraints and bonds) is labelled ``under``.  The solve order
+is the reverse of the split order.
 
-Recombination compiles the model and reads its sketch once; every cluster
-solution is an assignment of that system, meaningful on the cluster's
-columns.  A leaf solves a row/column slice (:func:`numeric.solve`): the rows
-of its constraints and entity normalizations, plus its virtual bonds and
-anchors, over its entities' columns.  The anchors pin its first two points in
-column order (:func:`compiler.points_of`), and it starts from the sketch
-re-expressed in the frame they pin, so an exact leaf starts at its solution
-and the solution keeps the sketch's chirality.  Every point choice of
-recombination takes points in column order.  Child solutions are placed by
-least-squares rigid alignment on shared points, a later child writing the
-columns no earlier child placed; ternary one-point merges get their closure
-point from the two-circle construction, with the mirror branch picked by the
-orientation of the sketch.  A child's solution holds its rows and a rigid
-motion keeps every row but a fix's, so the node then evaluates only the rows
-placement can leave off: its constraints that no child holds, those that
-name an entity two or more children share, every fix, and the normalizations
-of the shared entities.  When one of them exceeds the tolerance, the node's
-slice is re-solved from the placement.  Merges that share no points re-solve
-from the sketch.  The final certificate evaluates every row.  A tree whose
-root leaves an entity free is refused.
+Recombination builds clusters instead of solving them where it can (Owen,
+"Algebraic solution for geometry from dimensional constraints", 1991; Fudos
+and Hoffmann, "A graph-constructive approach to solving systems of
+geometric constraints", 1997).  The model is compiled and its sketch read
+once.  A leaf of two points and one distance row, or of three points and
+three (constraints or virtual bonds; no fix), is constructed in the frame
+its anchors would pin: its first point in column order
+(:func:`compiler.points_of`) at the origin, the second on the +x axis, the
+third by circle intersection on the side the sketch puts it.  It derives
+no system and takes no Newton step.  Any other leaf, and one whose
+construction fails (a zero base, circles that do not meet), solves a
+row/column slice of the system (:func:`numeric.solve`): the rows of its
+constraints and entity normalizations, plus its virtual bonds and anchors,
+over its entities' columns, from the sketch re-expressed in the frame the
+anchors pin, so the solution keeps the sketch's chirality.
+
+Each cluster keeps its solution in its own frame.  A merge fits each later
+child's placement, a rigid motion into the first child's frame, on the
+first two of its points that an earlier child placed (points in column
+order); ternary one-point merges get their closure point from the
+two-circle construction, with the mirror branch picked by the orientation
+of the sketch.  An entity takes the coordinates of the first placed child
+that holds it.  A merge keeps its children's bodies and placements, and
+computes the coordinates of only the entities it and its ancestors read,
+so it costs what its shared entities and open rows name, not its size.  A
+child's solution holds its rows and a rigid motion keeps every row but a
+fix's, so the node evaluates only the rows placement can leave off: its
+constraints that no child holds, those that name an entity two or more
+children share, every fix, and the normalizations of the shared entities.
+When one of them exceeds the tolerance, the node's slice is re-solved from
+the placement.  Merges that share no points re-solve from the sketch.  Each
+entity's final coordinates are written once, by composing placements from
+the root, and the final certificate evaluates every row.  A tree whose root
+leaves an entity free is refused.  Trees are walked with explicit stacks,
+so no depth reaches the recursion limit.
 """
 
 from __future__ import annotations
@@ -70,9 +86,9 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,7 +106,7 @@ from .compiler import (
     rows_of,
 )
 from .detect import dependent_rows, is_well_part, witness_matrices
-from .model import Constraint, Model, POINT2
+from .model import Constraint, Entity, Model, POINT2
 from .numeric import RANK_REL_TOL, RESIDUAL_TOL, SolveResult, solve
 from .witness import WitnessError, generate_witness
 
@@ -108,7 +124,7 @@ class AlignmentError(RuntimeError):
 @dataclass(frozen=True)
 class ClusterNode:
     node_id: int
-    kind: str  # seed | merge | split | triangle | irreducible
+    kind: str  # seed | merge | split | triangle | under | irreducible
     entities: frozenset[str]
     constraints: frozenset[str]
     children: tuple["ClusterNode", ...] = ()
@@ -117,21 +133,23 @@ class ClusterNode:
     virtual_bonds: tuple[tuple[str, str], ...] = ()  # bonds this node must honor
 
     def to_json_dict(self) -> dict:
-        d: dict = {
-            "id": self.node_id,
-            "kind": self.kind,
-            "entities": sorted(self.entities),
-            "constraints": sorted(self.constraints),
-        }
-        if self.pair:
-            d["pair"] = list(self.pair)
-        if self.virtual_bonds:
-            d["virtualBonds"] = [list(b) for b in self.virtual_bonds]
-        if self.shared:
-            d["shared"] = [sorted(s) for s in self.shared]
-        if self.children:
-            d["children"] = [c.to_json_dict() for c in self.children]
-        return d
+        # an explicit stack: a tree may be deeper than the recursion limit
+        out: dict = {}
+        stack = [(self, out)]
+        while stack:
+            node, d = stack.pop()
+            d.update(id=node.node_id, kind=node.kind, entities=sorted(node.entities),
+                     constraints=sorted(node.constraints))
+            if node.pair:
+                d["pair"] = list(node.pair)
+            if node.virtual_bonds:
+                d["virtualBonds"] = [list(b) for b in node.virtual_bonds]
+            if node.shared:
+                d["shared"] = [sorted(s) for s in node.shared]
+            if node.children:
+                d["children"] = [{} for _ in node.children]
+                stack.extend(zip(node.children, d["children"]))
+        return out
 
 
 @dataclass(frozen=True)
@@ -156,8 +174,9 @@ class ClusterTree:
 
 @dataclass(frozen=True)
 class Placement:
+    """A child's rigid transform into its parent's frame; ``entities`` is the child's entity set."""
     node_id: int
-    entities: tuple[str, ...]
+    entities: frozenset[str]
     rotation: np.ndarray
     translation: np.ndarray
 
@@ -171,7 +190,8 @@ class RecombinePlan:
 # bottom-up clustering
 
 
-def bottom_up(model: Model, seed: int = 0, rank_tol: float = RANK_REL_TOL) -> ClusterTree:
+def bottom_up(model: Model, seed: int = 0, rank_tol: float = RANK_REL_TOL,
+              system: ResidualSystem | None = None) -> ClusterTree:
     """Merge rigid seed clusters into a cluster forest (partial trees allowed).
 
     Merge candidates are tested smallest union first, then fewer clusters,
@@ -183,9 +203,11 @@ def bottom_up(model: Model, seed: int = 0, rank_tol: float = RANK_REL_TOL) -> Cl
     first-child descent reaches, earliest created first.  The constraints in
     the cokernel support of the witness Jacobian, and those no root holds,
     are flagged redundant or conflicting.  ``rank_tol`` is the relative SVD
-    threshold of every rank decision.
+    threshold of every rank decision.  ``system`` is the compiled ``model``
+    when the caller has it; it is compiled here otherwise.
     """
-    system = compile_model(model)
+    if system is None:
+        system = compile_model(model)
     try:
         witness = generate_witness(system, model, seed=seed)
     except WitnessError as err:
@@ -299,14 +321,28 @@ def bottom_up(model: Model, seed: int = 0, rank_tol: float = RANK_REL_TOL) -> Cl
 # top-down splitting
 
 
+@dataclass
+class _Split:
+    """A split node of ``top_down`` whose children are still being built:
+    ``jobs`` holds each child's (entities, edges) in solve order."""
+    entities: frozenset[str]
+    cons: set[str]
+    pair: tuple[str, str]
+    bonds: list[tuple[str, str]] = field(default_factory=list)
+    jobs: list[tuple[frozenset[str], list]] = field(default_factory=list)
+    children: list[ClusterNode] = field(default_factory=list)
+
+
 def top_down(model: Model) -> ClusterTree:
-    """Recursive articulation-pair splitting of a 2D point/distance model.
+    """Articulation-pair splitting of a 2D point/distance model.
 
     A node splits at its lexicographically first articulation pair (a, b):
     for each a in sorted order, one low-link DFS over the graph minus a gives
     the smallest b > a that disconnects what is left, so a node with n
-    entities and m constraints costs O(n(n + m)).  Nodes of three entities
-    are triangles, and nodes without a pair are irreducible.
+    entities and m constraints costs O(n(n + m)).  A node of k <= 3 entities
+    is a triangle when it holds at least 2k - 3 rows (constraints and virtual
+    bonds), and under-constrained (kind ``under``) otherwise; a larger node
+    without a pair is irreducible.
     """
     if model.dimension != 2 or any(e.kind != POINT2 for e in model.entities):
         raise DecompositionError("top-down splitting covers the 2D point/distance scope")
@@ -385,13 +421,15 @@ def top_down(model: Model) -> ClusterTree:
                             pieces[u] += 1
         return next((b for b in order if b > a and n_comps - 1 + pieces[b] >= 2), None)
 
-    def split(entities: frozenset[str],
-              edges: list[tuple[str, frozenset[str], bool]]) -> ClusterNode:
+    def expand(entities: frozenset[str],
+               edges: list[tuple[str, frozenset[str], bool]]) -> ClusterNode | _Split:
+        """The leaf node of ``entities``, or their split with its children still to build."""
         # an edge is (id, endpoints, is a virtual bond)
         cons = {eid for eid, _, bond in edges if not bond}
         bonds_here = tuple(tuple(sorted(epair)) for _, epair, bond in edges if bond)
         if len(entities) <= 3:
-            return new_node("triangle", entities, cons, bonds=bonds_here)
+            kind = "triangle" if len(edges) >= 2 * len(entities) - 3 else "under"
+            return new_node(kind, entities, cons, bonds=bonds_here)
         adj: dict[str, set[str]] = {e: set() for e in entities}
         for _, epair, _ in edges:
             a, b = sorted(epair)
@@ -419,24 +457,108 @@ def top_down(model: Model) -> ClusterTree:
                 jobs.append((needs_bond, cs, mine))
             # bond-free children solve first; they fix the pair's separation
             jobs.sort(key=lambda j: (j[0], sorted(j[1])))
-            children = []
-            node_bonds = []
+            split = _Split(entities, cons, (a, b))
             for needs_bond, cs, mine in jobs:
                 if needs_bond:
                     mine = mine + [(f"{a}-{b}", frozenset((a, b)), True)]
-                    node_bonds.append((a, b))
-                children.append(split(cs, mine))
-            return new_node("split", entities, cons, children=children,
-                            pair=(a, b), bonds=tuple(node_bonds))
+                    split.bonds.append((a, b))
+                split.jobs.append((cs, mine))
+            return split
         return new_node("irreducible", entities, cons, bonds=bonds_here)
 
+    # depth first with an explicit stack, children in job order; a split node
+    # is numbered after its children
     edges = [(c.id, frozenset(c.entities), False) for c in model.constraints]
-    root = split(frozenset(e.id for e in model.entities), edges)
-    return ClusterTree("top-down", (root,), (), ())
+    top = expand(frozenset(e.id for e in model.entities), edges)
+    stack = [top] if isinstance(top, _Split) else []
+    while stack:
+        split = stack[-1]
+        if len(split.children) < len(split.jobs):
+            item = expand(*split.jobs[len(split.children)])
+            if isinstance(item, _Split):
+                stack.append(item)
+            else:
+                split.children.append(item)
+            continue
+        stack.pop()
+        top = new_node("split", split.entities, split.cons, children=split.children,
+                       pair=split.pair, bonds=split.bonds)
+        if stack:
+            stack[-1].children.append(top)
+    return ClusterTree("top-down", (top,), (), ())
 
 
 # ---------------------------------------------------------------------------
 # recombination
+
+
+class _Motion(NamedTuple):
+    """A rigid motion of the plane: the rotation (c, s) = (cos, sin) of its
+    angle, then the translation (tx, ty)."""
+    c: float
+    s: float
+    tx: float
+    ty: float
+
+    @classmethod
+    def of(cls, R: np.ndarray, t: np.ndarray) -> "_Motion":
+        return cls(float(R[0, 0]), float(R[1, 0]), float(t[0]), float(t[1]))
+
+    def after(self, inner: "_Motion") -> "_Motion":
+        """This motion after ``inner``.  The rotation is rebuilt from its
+        angle, so a chain of compositions stays orthonormal to rounding."""
+        c, s = self.c, self.s
+        angle = math.atan2(s * inner.c + c * inner.s, c * inner.c - s * inner.s)
+        return _Motion(math.cos(angle), math.sin(angle),
+                       c * inner.tx - s * inner.ty + self.tx, s * inner.tx + c * inner.ty + self.ty)
+
+    def apply_point(self, x: float, y: float) -> tuple[float, float]:
+        return (self.c * x - self.s * y + self.tx, self.s * x + self.c * y + self.ty)
+
+    def apply(self, entity: Entity, params: Sequence[float]) -> tuple[float, ...]:
+        """The entity's parameters moved by this motion (a point in plain
+        floats, which recombination does for every placed entity)."""
+        if entity.kind == POINT2:
+            return self.apply_point(*params)
+        R = np.array([[self.c, -self.s], [self.s, self.c]])
+        return tuple(geometry.apply_rigid(entity, params, R, (self.tx, self.ty)).tolist())
+
+
+_IDENTITY = _Motion(1.0, 0.0, 0.0, 0.0)
+
+
+@dataclass
+class _Body:
+    """A solved cluster in its own frame.
+
+    A leaf, and a node solved as one slice, is solid: ``coords`` holds every
+    entity's parameters.  A placed node keeps ``parts``, its children's
+    bodies with their placements, in placement order, and ``coords`` only
+    for the entities its ancestors and its open rows read."""
+    coords: dict[str, tuple[float, ...]]
+    parts: tuple[tuple["_Body", _Motion], ...] = ()
+
+    def params(self, model: Model) -> dict[str, tuple[float, ...]]:
+        """Every entity's parameters in this frame, each from the first
+        placed child that holds it, composing placements down to the solid
+        bodies."""
+        out: dict[str, tuple[float, ...]] = {}
+        stack = [(self, _IDENTITY)]
+        while stack:
+            body, motion = stack.pop()
+            if body.parts:
+                stack.extend((part, motion.after(move)) for part, move in reversed(body.parts))
+                continue
+            for eid, params in body.coords.items():
+                if eid not in out:
+                    out[eid] = motion.apply(model.entity(eid), params)
+        return out
+
+
+def _entity_params(system: ResidualSystem, x: np.ndarray,
+                   entity_ids: Iterable[str]) -> dict[str, tuple[float, ...]]:
+    return {eid: tuple(x[system.entity_slice(eid)].tolist()) for eid in entity_ids}
+
 
 def _moved(model: Model, system: ResidualSystem, x: np.ndarray,
            entity_ids: Iterable[str], R: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -448,48 +570,47 @@ def _moved(model: Model, system: ResidualSystem, x: np.ndarray,
     return out
 
 
-def align_onto(model: Model, system: ResidualSystem, placed: np.ndarray,
-               child: np.ndarray, entity_ids: Iterable[str],
-               shared_points: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rigidly map a child's entities onto already-placed shared points.
+def align_onto(placed: Mapping[str, Sequence[float]], child: Mapping[str, Sequence[float]],
+               shared_points: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The rigid motion (R, t) that maps a child's shared points onto their placed copies.
 
-    ``placed`` and ``child`` are assignments of ``system``; the fit uses the
-    shared points' columns.  Returns a copy of ``child`` with the columns of
-    ``entity_ids`` moved, and the (R, t) used.  Raises
-    :class:`AlignmentError` when the shared geometry disagrees by more than
-    the alignment tolerance after the best fit.
+    ``placed`` and ``child`` hold each shared point's coordinates in the
+    parent's frame and in the child's.  Raises :class:`AlignmentError` when a
+    shared point disagrees by more than the alignment tolerance after the
+    best fit.
     """
-    cols = [system.entity_slice(p) for p in shared_points]
-    R, t = geometry.fit_rigid_2d(np.array([child[c] for c in cols]),
-                                 np.array([placed[c] for c in cols]))
-    moved = _moved(model, system, child, entity_ids, R, t)
-    for eid, c in zip(shared_points, cols):
-        err = np.max(np.abs(moved[c] - placed[c]))
+    source = [child[p] for p in shared_points]
+    target = [placed[p] for p in shared_points]
+    R, t = geometry.fit_rigid_2d(source, target)
+    motion = _Motion.of(R, t)
+    for eid, (ax, ay), (bx, by) in zip(shared_points, source, target):
+        mx, my = motion.apply_point(ax, ay)
+        err = max(abs(mx - bx), abs(my - by))
         if err > ALIGN_TOL:
             raise AlignmentError(
                 f"shared entity {eid!r} disagrees by {err:.3e} after alignment")
-    return moved, R, t
+    return R, t
 
 
-def _circle_intersection(ca, ra, cb, rb, orientation: float) -> np.ndarray:
-    ca, cb = np.asarray(ca, float), np.asarray(cb, float)
-    d = float(np.linalg.norm(cb - ca))
+def _circle_intersection(ca: Sequence[float], ra: float, cb: Sequence[float], rb: float,
+                         orientation: float) -> tuple[float, float]:
+    """The point at distance ``ra`` from ``ca`` and ``rb`` from ``cb`` on the
+    left of ca -> cb when ``orientation`` >= 0, else on the right."""
+    ux, uy = cb[0] - ca[0], cb[1] - ca[1]
+    d = math.hypot(ux, uy)
     if d < 1e-12 or d > ra + rb + 1e-9 or d < abs(ra - rb) - 1e-9:
         raise AlignmentError("closure circles do not intersect")
-    u = (cb - ca) / d
-    n = np.array([-u[1], u[0]])
+    ux, uy = ux / d, uy / d
     along = (ra * ra - rb * rb + d * d) / (2.0 * d)
     h = math.sqrt(max(ra * ra - along * along, 0.0))
-    sign = 1.0 if orientation >= 0.0 else -1.0
-    return ca + along * u + sign * h * n
+    if orientation < 0.0:
+        h = -h
+    return (ca[0] + along * ux - h * uy, ca[1] + along * uy + h * ux)
 
 
 def _sketch_orientation(model: Model, p: str, q: str, r: str) -> float:
-    a = np.asarray(model.entity(p).params[:2])
-    b = np.asarray(model.entity(q).params[:2])
-    c = np.asarray(model.entity(r).params[:2])
-    u, v = b - a, c - a
-    return float(u[0] * v[1] - u[1] * v[0])
+    (ax, ay), (bx, by), (cx, cy) = (model.entity(e).params[:2] for e in (p, q, r))
+    return float((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
 
 
 def _solve_cluster(system: ResidualSystem, solve_sys: ResidualSystem, node: ClusterNode,
@@ -511,43 +632,104 @@ def _solve_cluster(system: ResidualSystem, solve_sys: ResidualSystem, node: Clus
     return result.assignment
 
 
-def _open_rows(model: Model, system: ResidualSystem, node: ClusterNode) -> list[int]:
-    """Rows of a node that placing its solved children can leave off.
+def _open_rows(model: Model, system: ResidualSystem, node: ClusterNode,
+               fixes: Sequence[str]) -> tuple[list[int], set[str], set[str]]:
+    """Rows of a node that placing its solved children can leave off, the
+    entities two or more children share, and the entities the rows name.
 
     Each child's solution holds the child's rows, and a rigid motion keeps
     every row but a fix's.  So these are the rows of the node's constraints
-    that no child holds, of those that name an entity two or more children
-    share (it takes the coordinates of the child placed first), of every
-    fix, and the normalizations of the shared entities.
+    that no child holds, of those that name a shared entity (it takes the
+    coordinates of the child placed first), of every fix (``fixes`` lists
+    the model's), and the normalizations of the shared entities.  A
+    constraint that names only entities of the largest child is held by a
+    child (a bottom-up child holds every constraint it induces, and top-down
+    hands each constraint of a node to one child), so only the constraints on
+    the other children's entities are looked at.
     """
-    held = frozenset().union(*(child.constraints for child in node.children))
-    seen: set[str] = set()
-    shared: set[str] = set()
-    for child in node.children:
-        shared |= seen & child.entities
-        seen |= child.entities
-    check = {cid for cid in node.constraints
-             if cid not in held or model.constraint(cid).kind == "fix"}
-    check.update(c.id for eid in shared for c in model.constraints_on(eid)
-                 if c.id in node.constraints)
-    return rows_of(system, check, shared)
+    children = node.children
+    big = max(children, key=lambda child: len(child.entities))
+    count = Counter(e for child in children if child is not big for e in child.entities)
+    shared = {e for e, k in count.items() if k + (e in big.entities) >= 2}
+    check = {cid for cid in fixes if cid in node.constraints}
+    for eid in count:
+        for c in model.constraints_on(eid):
+            if c.id in node.constraints and c.id not in check and (
+                    eid in shared or not any(c.id in child.constraints for child in children)):
+                check.add(c.id)
+    named = shared.union(*(model.constraint(cid).entities for cid in check))
+    return rows_of(system, check, shared), shared, named
+
+
+def _construct_leaf(model: Model, system: ResidualSystem, node: ClusterNode,
+                    bonds: Sequence[tuple[str, str, float]],
+                    tol: float) -> dict[str, tuple[float, ...]] | None:
+    """Ruler-and-compass coordinates of a leaf of 2D points and distance rows:
+    two points and one row, or three points and three.
+
+    The leaf is placed in the frame its anchors would pin: its first point in
+    column order at the origin, the second on the +x axis, and the third by
+    circle intersection on the side the sketch puts it.  Returns None for
+    any other leaf, for a zero base, for circles that do not meet, and when a
+    row is left above ``tol``.
+    """
+    if len(node.entities) > 3:
+        return None
+    lengths: dict[frozenset[str], float] = {}
+    for cid in node.constraints:
+        c = model.constraint(cid)
+        if c.kind != "distance-pp":
+            return None
+        lengths[frozenset(c.entities)] = abs(c.value)
+    for a, b, value in bonds:
+        lengths[frozenset((a, b))] = abs(value)
+    points = points_of(system, model, node.entities)
+    n_rows = len(node.constraints) + len(bonds)
+    if (len(points) != len(node.entities) or (len(points), n_rows) not in ((2, 1), (3, 3))
+            or len(lengths) != n_rows or any(len(pair) != 2 for pair in lengths)):
+        return None
+    p0, p1 = points[:2]
+    base = lengths[frozenset((p0, p1))]
+    if base < 1e-12:
+        return None
+    coords = {p0: (0.0, 0.0), p1: (base, 0.0)}
+    if len(points) == 3:
+        p2 = points[2]
+        try:
+            coords[p2] = _circle_intersection(
+                coords[p0], lengths[frozenset((p0, p2))], coords[p1],
+                lengths[frozenset((p1, p2))], _sketch_orientation(model, p0, p1, p2))
+        except AlignmentError:
+            return None
+        for pair, length in lengths.items():
+            (ax, ay), (bx, by) = (coords[p] for p in pair)
+            if abs((bx - ax) ** 2 + (by - ay) ** 2 - length * length) > tol:
+                return None
+    return coords
 
 
 def _solve_leaf(model: Model, system: ResidualSystem, sketch: np.ndarray, node: ClusterNode,
                 bond_values: Mapping[tuple[str, str], float],
-                max_iter: int, tol: float) -> np.ndarray:
-    """Solve the leaf's slice plus its bonds and anchors, from the re-framed sketch.
+                max_iter: int, tol: float) -> dict[str, tuple[float, ...]]:
+    """The leaf's entity parameters in its own frame.
 
-    A leaf that holds a ``fix`` already has its frame: it gets no anchors and
-    solves from the raw sketch.
+    A triangle or a single bar is constructed (:func:`_construct_leaf`).
+    Any other leaf, and one whose construction fails, solves its slice plus
+    its bonds and anchors from the sketch re-expressed in the frame the
+    anchors pin.  A leaf that holds a ``fix`` already has its frame: it gets
+    no anchors and solves from the raw sketch.
     """
     bonds = []
     for (a, b) in node.virtual_bonds:
         if (a, b) not in bond_values:
             raise DecompositionError(
                 f"virtual bond {a}-{b} has no measured value; no rigid sibling solved first")
-        bonds.append(Constraint(f"vbond:{a}-{b}", "distance-pp", (a, b), bond_values[(a, b)]))
-    solve_sys = add_constraints(system, model, bonds)
+        bonds.append((a, b, bond_values[(a, b)]))
+    coords = _construct_leaf(model, system, node, bonds, tol)
+    if coords is not None:
+        return coords
+    solve_sys = add_constraints(system, model, [
+        Constraint(f"vbond:{a}-{b}", "distance-pp", (a, b), value) for a, b, value in bonds])
     start = sketch
     points = points_of(system, model, node.entities)
     fixed = any(model.constraint(cid).kind == "fix" for cid in node.constraints)
@@ -558,80 +740,101 @@ def _solve_leaf(model: Model, system: ResidualSystem, sketch: np.ndarray, node: 
         p0, p1 = (sketch[system.entity_slice(p)] for p in points[:2])
         R = geometry.rotation_2d(-math.atan2(p1[1] - p0[1], p1[0] - p0[0]))
         start = _moved(model, system, sketch, node.entities, R, -(R @ p0))
-    return _solve_cluster(system, solve_sys, node, start, max_iter, tol)
+    return _entity_params(system, _solve_cluster(system, solve_sys, node, start, max_iter, tol),
+                          node.entities)
 
 
 def _assemble_merge(model: Model, system: ResidualSystem, node: ClusterNode,
-                    solutions: Sequence[np.ndarray],
-                    placements: list[Placement]) -> np.ndarray | None:
-    """Place child solutions by shared-point alignment; None if not applicable.
+                    bodies: Sequence[_Body], placements: list[Placement],
+                    shared: Collection[str], read: Collection[str]) -> _Body | None:
+    """Place the children's bodies by shared-point alignment; None if not applicable.
 
-    The first child keeps its frame; each later child writes the columns of
-    its entities that no earlier child placed.
+    The first child keeps its frame.  Each later child's placement is fitted
+    on the first two of its ``shared`` points, in column order, that an
+    earlier child placed; an entity takes the coordinates of the first placed
+    child that holds it.  The node's body keeps the placed bodies, and the
+    coordinates of the entities in ``read`` (those its ancestors and its open
+    rows read), and of nothing else.
     """
-    merged = solutions[0].copy()
-    placed = set(node.children[0].entities)
-    placements.append(Placement(
-        node.children[0].node_id, tuple(sorted(placed)), np.eye(2), np.zeros(2)))
-    pending = list(range(1, len(node.children)))
+    children = node.children
+    columns = system.columns
+    moves = [_IDENTITY] * len(children)  # each child's placement
+    order: list[int] = []  # children in placement order
+
+    def place(i: int, R: np.ndarray, t: np.ndarray) -> None:
+        moves[i] = _Motion.of(R, t)
+        order.append(i)
+        placements.append(Placement(children[i].node_id, children[i].entities, R, t))
+
+    def merged(eid: str) -> tuple[float, ...]:
+        # a placed entity in the node's frame
+        i = next(i for i in order if eid in children[i].entities)
+        return moves[i].apply(model.entity(eid), bodies[i].coords[eid])
+
+    def placed(eid: str) -> bool:
+        return any(eid in children[j].entities for j in order)
+
+    def points(ids: Iterable[str]) -> list[str]:
+        return sorted((e for e in ids if model.entity(e).kind == POINT2),
+                      key=lambda e: columns[e][0])
+
+    def placed_points(i: int) -> list[str]:
+        return points(e for e in shared if e in children[i].entities and placed(e))
+
+    place(0, np.eye(2), np.zeros(2))
+    pending = list(range(1, len(children)))
     while pending:
-        progress = False
-        for idx in list(pending):
-            child = node.children[idx]
-            sol = solutions[idx]
-            shared_pts = [p for p in points_of(system, model, child.entities) if p in placed]
+        for i in pending:
+            child = bodies[i].coords
+            shared_pts = placed_points(i)
             if len(shared_pts) >= 2:
-                moved, R, t = align_onto(model, system, merged, sol, child.entities,
-                                         shared_pts[:2])
-            elif len(shared_pts) == 1 and len(node.children) == 3 and len(pending) == 2:
+                pts = shared_pts[:2]
+                R, t = align_onto({p: merged(p) for p in pts}, child, pts)
+            elif len(shared_pts) == 1 and len(children) == 3 and len(pending) == 2:
                 # ternary one-point closure: fetch the unknown shared point from
                 # the two known radii
-                other_idx = next(i for i in pending if i != idx)
-                other = node.children[other_idx]
+                other = next(j for j in pending if j != i)
                 anchor = shared_pts[0]
-                both = child.entities & other.entities
-                q_candidates = [p for p in points_of(system, model, both) if p not in placed]
-                r_candidates = [p for p in points_of(system, model, other.entities) if p in placed]
+                both = children[i].entities & children[other].entities
+                q_candidates = [p for p in points(both) if not placed(p)]
+                r_candidates = placed_points(other)
                 if not q_candidates or not r_candidates:
                     return None
                 q, r = q_candidates[0], r_candidates[0]
-                at = {p: system.entity_slice(p) for p in (anchor, q, r)}
-                ra = float(np.linalg.norm(sol[at[q]] - sol[at[anchor]]))
-                rb = float(np.linalg.norm(solutions[other_idx][at[q]]
-                                          - solutions[other_idx][at[r]]))
+                ra = math.dist(child[q], child[anchor])
+                rb = math.dist(bodies[other].coords[q], bodies[other].coords[r])
                 orient = _sketch_orientation(model, anchor, r, q)
-                target = merged.copy()
-                target[at[q]] = _circle_intersection(
-                    merged[at[anchor]], ra, merged[at[r]], rb, orient)
-                moved, R, t = align_onto(model, system, target, sol, child.entities,
-                                         [anchor, q])
+                target = {anchor: merged(anchor),
+                          q: _circle_intersection(merged(anchor), ra, merged(r), rb, orient)}
+                R, t = align_onto(target, child, [anchor, q])
             else:
                 continue
-            placements.append(Placement(child.node_id, tuple(sorted(child.entities)), R, t))
-            cols = system.columns_of(child.entities - placed)
-            merged[cols] = moved[cols]
-            placed |= child.entities
-            pending.remove(idx)
-            progress = True
+            place(i, R, t)
+            pending.remove(i)
             break
-        if not progress:
+        else:
             return None
-    return merged
+    return _Body({eid: merged(eid) for eid in read},
+                 tuple((bodies[i], moves[i]) for i in order))
 
 
 def solve_tree(model: Model, tree: ClusterTree, max_iter: int = 100,
-               tol: float = RESIDUAL_TOL
+               tol: float = RESIDUAL_TOL, system: ResidualSystem | None = None
                ) -> tuple[RecombinePlan, dict[str, tuple[float, ...]], SolveResult]:
     """Solve every leaf, recombine, and certify the final assignment.
 
-    The model is compiled once; every cluster solution is an assignment of
-    that system and every cluster solve (``max_iter`` iterations per stage,
-    residual tolerance ``tol``) a slice of it.  A node whose children place
-    by alignment evaluates only the rows placement can leave off and
-    re-solves its slice only when one exceeds ``tol``; a node whose children
-    share no points re-solves from the sketch.  The certificate evaluates
-    every row of the system.  Returns the recombination plan, per-entity
-    solved parameters, and the whole-system residual certificate (anchors
+    The model is compiled once (``system`` is the compiled ``model`` when the
+    caller has it); every Newton solve of a cluster (``max_iter`` iterations
+    per stage, residual tolerance ``tol``) is a slice of it.  Triangle and
+    bar leaves are constructed; other leaves are solved.  Each cluster keeps
+    its solution in its own frame, and a merge fits its children's placements
+    on their shared points.  A node whose children place by alignment
+    evaluates only the rows placement can leave off and re-solves its slice
+    only when one exceeds ``tol``; a node whose children share no points
+    re-solves from the sketch.  Each entity's final parameters are written
+    once, from the root's frame, and the certificate evaluates every row of
+    the system.  Returns the recombination plan, per-entity solved
+    parameters, and the whole-system residual certificate (anchors
     excluded), converged when its largest residual is within ``tol``.  A
     tree whose root leaves an entity free is refused, and so is one with a
     leaf whose rows (constraints, normalizations and virtual bonds) are fewer
@@ -642,14 +845,16 @@ def solve_tree(model: Model, tree: ClusterTree, max_iter: int = 100,
     if not tree.assembled:
         raise DecompositionError(
             f"cluster tree has {len(tree.roots)} roots; the model did not assemble")
-    free = sorted({e.id for e in model.entities} - tree.roots[0].entities)
+    root = tree.roots[0]
+    free = sorted({e.id for e in model.entities} - root.entities)
     if free:
         raise DecompositionError(f"cluster tree leaves entities {free} free")
     missing = next((e.id for e in model.entities if e.params is None), None)
     if missing is not None:
         raise DecompositionError(f"entity {missing!r} has no sketch parameters")
-    system = compile_model(model)
-    nodes = [tree.roots[0]]
+    if system is None:
+        system = compile_model(model)
+    nodes = [root]
     for node in nodes:  # breadth first, as the list grows
         nodes += node.children
         if node.children:
@@ -661,31 +866,68 @@ def solve_tree(model: Model, tree: ClusterTree, max_iter: int = 100,
                 f"cluster {sorted(node.entities)} cannot be rigid: {rows} rows "
                 f"for {columns} columns")
     sketch = assignment_from_params(model, system)
+    # the assignment rows are evaluated on: a node writes in the entities its
+    # rows name, and the root writes every entity at the end
+    x = sketch.copy()
+    fixes = [c.id for c in model.constraints if c.kind == "fix"]
     placements: list[Placement] = []
     bond_values: dict[tuple[str, str], float] = {}
 
-    def solve_node(node: ClusterNode) -> np.ndarray:
-        if not node.children:
-            return _solve_leaf(model, system, sketch, node, bond_values, max_iter, tol)
-        solutions: list[np.ndarray] = []
-        for child in node.children:
-            solutions.append(solve_node(child))
-            if node.pair and node.pair not in bond_values:
-                # the first (bond-free) child of a split fixes the pair's separation
-                a, b = map(system.entity_slice, node.pair)
-                bond_values[node.pair] = float(np.linalg.norm(solutions[0][b] - solutions[0][a]))
-        assembled = _assemble_merge(model, system, node, solutions, placements)
-        if assembled is None:
+    def write(coords: Mapping[str, Sequence[float]], entity_ids: Iterable[str]) -> None:
+        for eid in entity_ids:
+            x[system.entity_slice(eid)] = coords[eid]
+
+    def solve_merge(node: ClusterNode, bodies: Sequence[_Body], rows: list[int],
+                    shared: set[str], read: set[str]) -> _Body:
+        body = _assemble_merge(model, system, node, bodies, placements, shared, read)
+        if body is None:
             # shared elements are not points (line-bearing merges); re-solve the
             # node from the sketch, which is a chirality-consistent global guess
-            assembled = sketch
+            start = sketch
         else:
-            rows = _open_rows(model, system, node)
-            if not rows or float(np.max(np.abs(eval_residuals(system, assembled, rows)))) <= tol:
-                return assembled
-        return _solve_cluster(system, system, node, assembled, max_iter, tol)
+            write(body.coords, read)
+            if not rows or float(np.max(np.abs(eval_residuals(system, x, rows)))) <= tol:
+                return body
+            write(body.params(model), node.entities)
+            start = x
+        y = _solve_cluster(system, system, node, start, max_iter, tol)
+        return _Body(_entity_params(system, y, node.entities))
 
-    x = solve_node(tree.roots[0])
+    # depth first with an explicit stack.  An entry holds a node, what it
+    # reads (its open rows, its shared entities, and the entities it and its
+    # ancestors read; None for a leaf) and its children's bodies so far; a
+    # child is entered with the entities its parent reads from it.
+    stack: list[tuple[ClusterNode, tuple | None, list[_Body]]] = []
+
+    def enter(node: ClusterNode, exposed: set[str]) -> None:
+        reads = None
+        if node.children:
+            rows, shared, named = _open_rows(model, system, node, fixes)
+            reads = (rows, shared, exposed | named)
+        stack.append((node, reads, []))
+
+    enter(root, set())
+    while True:
+        node, reads, bodies = stack[-1]
+        if len(bodies) < len(node.children):
+            child = node.children[len(bodies)]
+            enter(child, {e for e in reads[2] if e in child.entities})
+            continue
+        stack.pop()
+        if node.children:
+            body = solve_merge(node, bodies, *reads)
+        else:
+            body = _Body(_solve_leaf(model, system, sketch, node, bond_values, max_iter, tol))
+        if not stack:
+            break
+        parent, _, siblings = stack[-1]
+        siblings.append(body)
+        if parent.pair and parent.pair not in bond_values:
+            # the first (bond-free) child of a split fixes the pair's separation
+            a, b = parent.pair
+            bond_values[parent.pair] = math.dist(body.coords[a], body.coords[b])
+    final = body.params(model)
+    write(final, final)
     residuals = eval_residuals(system, x)
     norm = float(np.max(np.abs(residuals))) if residuals.size else 0.0
     status = "converged" if norm <= tol else "max-iterations"

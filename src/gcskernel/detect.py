@@ -63,15 +63,17 @@ class WellPart:
 
 
 def greedy_dependency_groups(system: ResidualSystem, assignment, seed_row: int = 0,
-                             rank_tol: float = RANK_REL_TOL) -> list[DependencyGroup]:
+                             rank_tol: float = RANK_REL_TOL,
+                             jacobian: np.ndarray | None = None) -> list[DependencyGroup]:
     """Dependency groups from a greedily grown maximal independent row set.
 
     Rows are scanned in ascending index order starting from ``seed_row``; each
     row that keeps the set independent joins it.  Every excluded row r yields
     the group {r} union the independent set; ``support`` records the rows with
     nonzero coefficients in r's (unique) expansion over the set.
+    ``jacobian`` is the Jacobian at ``assignment`` when the caller has it.
     """
-    J = eval_jacobian(system, assignment)
+    J = eval_jacobian(system, assignment) if jacobian is None else jacobian
     m = J.shape[0]
     if m == 0:
         return []
@@ -107,16 +109,18 @@ def greedy_dependency_groups(system: ResidualSystem, assignment, seed_row: int =
 
 
 def oracle_min_dependent_sets(system: ResidualSystem, assignment, size_cap: int = 12,
-                              rank_tol: float = RANK_REL_TOL) -> list[DependencyGroup]:
+                              rank_tol: float = RANK_REL_TOL,
+                              jacobian: np.ndarray | None = None) -> list[DependencyGroup]:
     """All inclusion-minimal linearly dependent row sets, by exhaustive enumeration.
 
     Enumeration is by increasing cardinality with superset pruning, so every
     emitted set is minimal: each proper subset is independent.  The unpruned
     subsets of one cardinality are ranked in stacks of ``ORACLE_CHUNK``; no set
     of that cardinality contains another, so ranking them together leaves the
-    pruning and the output order as they are.
+    pruning and the output order as they are.  ``jacobian`` is the Jacobian
+    at ``assignment`` when the caller has it.
     """
-    J = eval_jacobian(system, assignment)
+    J = eval_jacobian(system, assignment) if jacobian is None else jacobian
     m = J.shape[0]
     if m > size_cap:
         raise CapExceeded(f"{m} rows exceeds the oracle cap of {size_cap}")
@@ -179,16 +183,18 @@ def dependent_rows(block: np.ndarray, rank_tol: float = RANK_REL_TOL) -> np.ndar
 
 def greedy_well_parts(model: Model, system: ResidualSystem, assignment,
                       seed_entity: str | None = None,
-                      rank_tol: float = RANK_REL_TOL) -> list[WellPart]:
+                      rank_tol: float = RANK_REL_TOL,
+                      matrices: tuple[np.ndarray, np.ndarray] | None = None) -> list[WellPart]:
     """Greedy maximal well-constrained parts, seed first, leftovers rescanned.
 
     A single ascending-id pass grows each part, adding an entity iff the
     induced subsystem stays well-constrained; the procedure repeats on the
     remaining entities until none are left.  Results are seed-dependent by
     design (that is the documented limitation), but deterministic for a fixed
-    seed.
+    seed.  ``matrices`` is :func:`witness_matrices` at ``assignment`` when the
+    caller has it.
     """
-    J, M = witness_matrices(model, system, assignment)
+    J, M = witness_matrices(model, system, assignment) if matrices is None else matrices
     remaining = [e.id for e in model.entities]
     parts: list[WellPart] = []
     seed: str | None = seed_entity
@@ -212,16 +218,18 @@ def greedy_well_parts(model: Model, system: ResidualSystem, assignment,
 
 def oracle_max_well_part(model: Model, system: ResidualSystem, assignment,
                          entity_cap: int = 10,
-                         rank_tol: float = RANK_REL_TOL) -> WellPart:
+                         rank_tol: float = RANK_REL_TOL,
+                         matrices: tuple[np.ndarray, np.ndarray] | None = None) -> WellPart:
     """Largest well-constrained entity subset by exhaustive enumeration.
 
     Ties break by lexicographic entity-id order; when nothing qualifies the
-    returned part is empty.
+    returned part is empty.  ``matrices`` is :func:`witness_matrices` at
+    ``assignment`` when the caller has it.
     """
     ids = sorted(e.id for e in model.entities)
     if len(ids) > entity_cap:
         raise CapExceeded(f"{len(ids)} entities exceeds the oracle cap of {entity_cap}")
-    J, M = witness_matrices(model, system, assignment)
+    J, M = witness_matrices(model, system, assignment) if matrices is None else matrices
     for k in range(len(ids), 0, -1):
         for combo in combinations(ids, k):
             if is_well_part(model, system, J, M, combo, rank_tol):

@@ -138,16 +138,20 @@ def fit_rigid_2d(source: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np
     dst = np.atleast_2d(np.asarray(target, dtype=float))
     if src.shape != dst.shape or src.shape[1] != 2:
         raise ValueError("need matching (k, 2) point arrays")
-    if src.shape[0] == 0:
+    k = src.shape[0]
+    if k == 0:
         return np.eye(2), np.zeros(2)
-    cs = src.mean(axis=0)
-    cd = dst.mean(axis=0)
-    a = src - cs
-    b = dst - cd
+    # scalar arithmetic: the fits of recombination take two or three points
+    src_pts, dst_pts = src.tolist(), dst.tolist()
+    sx, sy = (sum(col) / k for col in zip(*src_pts))
+    dx, dy = (sum(col) / k for col in zip(*dst_pts))
     # optimal angle from the cross/dot sums
-    num = float(np.sum(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]))
-    den = float(np.sum(a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]))
+    num = den = 0.0
+    for (px, py), (qx, qy) in zip(src_pts, dst_pts):
+        ax, ay, bx, by = px - sx, py - sy, qx - dx, qy - dy
+        num += ax * by - ay * bx
+        den += ax * bx + ay * by
     theta = 0.0 if (num == 0.0 and den == 0.0) else math.atan2(num, den)
-    R = rotation_2d(theta)
-    t = cd - R @ cs
-    return R, t
+    c, s = math.cos(theta), math.sin(theta)
+    return (np.array([[c, -s], [s, c]]),
+            np.array([dx - (c * sx - s * sy), dy - (s * sx + c * sy)]))

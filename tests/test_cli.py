@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from gcskernel import cli, decompose, detect, witness
 from gcskernel.cli import main
 
 
@@ -116,6 +117,39 @@ def test_detect_bridge_parts_and_free_motion(capsys, corpus_dir):
     code, data = run_json(capsys, "detect", str(corpus_dir / "two-triangles-bridge.json"))
     assert data["greedy"]["wellParts"] == [["P1", "P2", "P3"], ["P4", "P5"]]
     assert data["freeMotions"] == 1
+
+
+def counting(calls, name, real):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+    return wrapper
+
+
+def test_detect_evaluates_one_witness_jacobian(capsys, corpus_dir, monkeypatch):
+    # the greedy and oracle searches all read the Jacobian and the motion
+    # basis at the one detection witness (the witness votes of the verdict
+    # sample their own configurations)
+    calls = []
+    for module, name in ((cli, "eval_jacobian"), (detect, "eval_jacobian"),
+                         (detect, "motion_basis")):
+        monkeypatch.setattr(module, name, counting(calls, name, getattr(module, name)))
+    code, data = run_json(capsys, "detect", str(corpus_dir / "triangle.json"))
+    assert data["verdict"] == "well" and "maxWellPart" in data["oracle"]
+    assert sorted(calls) == ["eval_jacobian", "motion_basis"]
+
+
+@pytest.mark.parametrize("argv", [["solve", "--strategy", "decomposed"],
+                                  ["decompose", "--strategy", "bottom-up"]])
+def test_decomposition_compiles_the_model_once(argv, capsys, corpus_dir, monkeypatch):
+    calls = []
+    for module in (cli, decompose, witness):
+        monkeypatch.setattr(module, "compile_model",
+                            counting(calls, "compile_model", module.compile_model))
+    code = main([argv[0], str(corpus_dir / "solve-kite.json"), *argv[1:]])
+    capsys.readouterr()
+    assert code == 0
+    assert calls == ["compile_model"]
 
 
 def test_decompose_braced_quad_bottom_up(capsys, corpus_dir):
@@ -245,13 +279,45 @@ def test_solve_flags_reach_the_decomposed_solve(capsys, corpus_dir, tmp_path):
     for strategy in ("direct", "decomposed"):
         code, report = run_json(capsys, "solve", str(kite), "--strategy", strategy)
         assert (code, report["status"]) == (0, "converged"), strategy
-    for flag, direct_code in (("--tolerance", 4), ("--max-iter", 6)):
-        value = "1e-20" if flag == "--tolerance" else "1"
-        code, _ = run_cli(capsys, flag, value, "solve", str(kite))
-        assert code == direct_code, flag
-        code = main([flag, value, "solve", str(kite), "--strategy", "decomposed"])
-        err = capsys.readouterr().err
-        assert code == 7 and "failed to solve" in err, (flag, code, err)
+    code, _ = run_cli(capsys, "--tolerance", "1e-20", "solve", str(kite))
+    assert code == 4
+    code = main(["--tolerance", "1e-20", "solve", str(kite), "--strategy", "decomposed"])
+    err = capsys.readouterr().err
+    assert code == 7 and "failed to solve" in err, (code, err)
+    # the kite's clusters are bars and triangles, constructed and placed
+    # exactly: the decomposed solve takes no Newton step for --max-iter to stop
+    code, _ = run_cli(capsys, "--max-iter", "1", "solve", str(kite))
+    assert code == 6
+    code, report = run_json(capsys, "--max-iter", "1", "solve", str(kite),
+                            "--strategy", "decomposed")
+    assert (code, report["status"]) == (0, "converged")
+    # carrier lines: clusters that are not triangles or bars take Newton steps
+    data = json.loads((corpus_dir / "triangle.json").read_text(encoding="utf-8"))
+    for k, e in enumerate(data["entities"]):
+        e["params"] = [p + 0.1 * math.sin(3 * k + i + 1) for i, p in enumerate(e["params"])]
+    carrier = tmp_path / "carrier.json"
+    carrier.write_text(json.dumps(data), encoding="utf-8")
+    code, report = run_json(capsys, "solve", str(carrier), "--strategy", "decomposed")
+    assert (code, report["status"]) == (0, "converged")
+    code = main(["--max-iter", "1", "solve", str(carrier), "--strategy", "decomposed"])
+    err = capsys.readouterr().err
+    assert code == 7 and "failed to solve" in err, (code, err)
+
+
+def test_deep_reports_are_written_without_recursion():
+    # json's encoder takes an interpreter frame per nested container; a report
+    # nested deeper than the recursion limit gets the same text from a stack
+    deep: list = []
+    inner = deep
+    for _ in range(3 * sys.getrecursionlimit()):
+        inner.append({"c": []})
+        inner = inner[0]["c"]
+    depth = 3 * sys.getrecursionlimit()
+    assert cli._json_text(deep) == "[" + '{"c":[' * depth + "]}" * depth + "]"
+    report = {"b": [1, 2.5, None, True, {"é": 'q"', "a": float("nan")}], "a": {},
+              "c": [[], [float("inf")]]}
+    assert cli._json_text_deep(report) == json.dumps(report, sort_keys=True,
+                                                     separators=(",", ":"))
 
 
 def test_json_reports_are_byte_identical(capsys, corpus_dir):

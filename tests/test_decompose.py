@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -19,7 +20,7 @@ from gcskernel import (
     solve_tree,
     top_down,
 )
-from gcskernel import compiler, decompose, geometry, numeric, zoo
+from gcskernel import cli, compiler, decompose, geometry, numeric, zoo
 from gcskernel.compiler import induced
 from gcskernel.decompose import ClusterNode, ClusterTree, align_onto
 from gcskernel.detect import dependent_rows, is_well_part, witness_matrices
@@ -458,7 +459,8 @@ def pair_scan_top_down(model):
         bonds_here = tuple(
             tuple(sorted(epair)) for eid, epair in edges if eid.startswith("vbond:"))
         if len(entities) <= 3:
-            return new_node("triangle", entities, cons, bonds=bonds_here)
+            kind = "triangle" if len(edges) >= 2 * len(entities) - 3 else "under"
+            return new_node(kind, entities, cons, bonds=bonds_here)
         adj = {e: set() for e in entities}
         for _, epair in edges:
             a, b = sorted(epair)
@@ -598,24 +600,14 @@ def test_final_assignment_satisfies_all_constraints():
 
 
 def test_alignment_error_on_corrupted_local_solution():
-    m = zoo.braced_quad_model()
-    system = compile_model(m)
-
-    def assignment(params):
-        x = np.zeros(system.n_variables)
-        for eid, p in params.items():
-            x[system.columns_of((eid,))] = p
-        return x
-
-    placed = assignment({"P2": (0.0, 0.0), "P4": (0.0, 4.0)})
-    good_child = assignment({"P2": (1.0, 1.0), "P4": (1.0, 5.0), "P3": (3.0, 3.0)})
-    child = ("P2", "P3", "P4")
-    moved, R, t = align_onto(m, system, placed, good_child, child, ["P2", "P4"])
-    assert np.allclose(moved[system.columns_of(("P2",))], (0.0, 0.0), atol=1e-12)
-    corrupted = good_child.copy()
-    corrupted[system.columns_of(("P4",))] = (1.0, 5.5)  # stretch the shared pair
+    placed = {"P2": np.array([0.0, 0.0]), "P4": np.array([0.0, 4.0])}
+    good_child = {"P2": np.array([1.0, 1.0]), "P4": np.array([1.0, 5.0]),
+                  "P3": np.array([3.0, 3.0])}
+    R, t = align_onto(placed, good_child, ["P2", "P4"])
+    assert np.allclose(R @ good_child["P2"] + t, (0.0, 0.0), atol=1e-12)
+    corrupted = dict(good_child, P4=np.array([1.0, 5.5]))  # stretch the shared pair
     with pytest.raises(AlignmentError):
-        align_onto(m, system, placed, corrupted, child, ["P2", "P4"])
+        align_onto(placed, corrupted, ["P2", "P4"])
 
 
 def test_solve_tree_refuses_forest():
@@ -647,6 +639,16 @@ def test_solve_tree_refuses_a_leaf_that_cannot_be_rigid():
         solve_tree(m, tree)
 
 
+def test_top_down_labels_an_under_counted_leaf():
+    # {P1, P2, Q} holds only the virtual bond P1-P2: 1 row where a rigid
+    # three-point cluster needs 2 * 3 - 3
+    m = zoo.three_distances_model()
+    m = Model(m.dimension, m.entities + (Entity("Q", "point2", (2.0, 8.0)),), m.constraints)
+    kinds = {frozenset(c.entities): c.kind for c in top_down(m).roots[0].children}
+    assert kinds == {frozenset({"P1", "P2", "P3"}): "triangle",
+                     frozenset({"P1", "P2", "Q"}): "under"}
+
+
 def reversed_strip(n):
     """``zoo.triangle_strip(n)`` with its entities, so its columns, in reverse."""
     m = zoo.triangle_strip(n)
@@ -656,32 +658,43 @@ def reversed_strip(n):
 @pytest.mark.parametrize("n", [6, 24])
 @pytest.mark.parametrize("strategy", [bottom_up, top_down])
 def test_exact_leaves_start_in_the_frame_their_anchors_pin(n, strategy, monkeypatch):
-    # the anchors pin a leaf's first two points in column order, here the
-    # reverse of id order; the re-framed sketch puts the same two points at
-    # the origin and on the x axis, so an exact leaf starts at its solution
+    # the anchors would pin a leaf's first two points in column order, here
+    # the reverse of id order; a constructed leaf puts the same two points at
+    # the origin and on the +x axis, so an exact leaf is the sketch
+    # re-expressed in that frame, and no leaf takes a Newton step
     m = reversed_strip(n)
-    iterations, in_leaf = [], [False]
+    system = compile_model(m)
+    built, solves, in_leaf = [], [], [False]
     real_leaf, real_solve = decompose._solve_leaf, decompose.solve
 
     def leaf(*args):
         in_leaf[0] = True
         try:
-            return real_leaf(*args)
+            coords = real_leaf(*args)
         finally:
             in_leaf[0] = False
+        built.append((args[3], coords))
+        return coords
 
     def counting_solve(*args, **kwargs):
-        result = real_solve(*args, **kwargs)
         if in_leaf[0]:
-            iterations.append(result.iterations)
-        return result
+            solves.append(1)
+        return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(decompose, "_solve_leaf", leaf)
     monkeypatch.setattr(decompose, "solve", counting_solve)
     tree = strategy(m)
     assert solve_tree(m, tree)[2].converged
+    assert not solves
     leaves = [node for node in all_nodes(tree.roots[0]) if not node.children]
-    assert iterations == [0] * len(leaves)
+    assert [node.node_id for node, _ in built] == [node.node_id for node in leaves]
+    for node, coords in built:
+        p0, p1 = (np.asarray(m.entity(p).params) for p in compiler.points_of(
+            system, m, node.entities)[:2])
+        R = geometry.rotation_2d(-math.atan2(p1[1] - p0[1], p1[0] - p0[0]))
+        for eid in node.entities:
+            framed = R @ (np.asarray(m.entity(eid).params) - p0)
+            assert np.allclose(coords[eid], framed, rtol=0, atol=1e-12), (node.node_id, eid)
 
 
 @pytest.mark.parametrize("n", [6, 24])
@@ -777,6 +790,10 @@ def slice_trees():
         for strategy in (bottom_up, top_down):
             tree = strategy(m)
             out += [(name, m, tree), (f"{name} jittered", jittered(m, 0.03, 1), tree)]
+    # carrier lines: leaves that are not triangles or bars take Newton steps
+    m = zoo.triangle_model()
+    tree = bottom_up(m)
+    out += [("carrier", m, tree), ("carrier jittered", jittered(m, 0.03, 1), tree)]
     return out
 
 
@@ -790,10 +807,17 @@ def hexed(solution):
     return {eid: [float(v).hex() for v in params] for eid, params in solution.items()}
 
 
+def body_params(model, entities, body):
+    """Per-entity parameters of ``entities`` in the frame of a cluster body, in model order."""
+    params = body.params(model)
+    return {e.id: params[e.id] for e in model.entities if e.id in entities}
+
+
 def test_every_cluster_slice_matches_submodel_solve(slice_trees, monkeypatch):
-    # every leaf, and every node whose open rows are off after placement, solves
-    # its slice bit for bit like the submodel; every other node returns its
-    # aligned start bit for bit
+    # every leaf that is not constructed, and every node whose open rows are
+    # off after placement, solves its slice bit for bit like the submodel; a
+    # constructed leaf takes no Newton step and matches the submodel solve to
+    # its tolerance; every other node returns its aligned start bit for bit
     real_leaf, real_cluster = decompose._solve_leaf, decompose._solve_cluster
     real_assemble, real_solve = decompose._assemble_merge, decompose.solve
     for name, m, tree in slice_trees:
@@ -805,12 +829,21 @@ def test_every_cluster_slice_matches_submodel_solve(slice_trees, monkeypatch):
             return result
 
         def leaf(model, system, sketch, node, bond_values, max_iter, tol):
+            before = len(iterations)
             got = real_leaf(model, system, sketch, node, bond_values, max_iter, tol)
+            constructed = len(iterations) == before
             expected = reference_solve_leaf(m, node, bond_values)
-            got_params = node_params(m, system, node.entities, got)
-            assert list(got_params.items()) == list(expected.items()), (name, node.node_id)
-            if "jittered" in name:
-                assert iterations[-1] > 0, (name, node.node_id)
+            got_params = body_params(m, node.entities, decompose._Body(got))
+            assert list(got_params) == list(expected), (name, node.node_id)
+            if constructed:
+                deviation = max(abs(a - b) for eid in got_params
+                                for a, b in zip(got_params[eid], expected[eid]))
+                assert deviation <= 1e-9, (name, node.node_id, deviation)
+            else:
+                assert got_params == expected, (name, node.node_id)
+                assert "carrier" in name, (name, node.node_id)
+                if "jittered" in name:
+                    assert iterations[-1] > 0, (name, node.node_id)
             solved.append(node.node_id)
             return got
 
@@ -825,12 +858,12 @@ def test_every_cluster_slice_matches_submodel_solve(slice_trees, monkeypatch):
                 solved.append(node.node_id)
             return got
 
-        def assemble(model, system, node, solutions, placements):
-            results.update((c.node_id, node_params(m, system, c.entities, sol))
-                           for c, sol in zip(node.children, solutions))
-            start = real_assemble(model, system, node, solutions, placements)
+        def assemble(model, system, node, bodies, placements, *reads):
+            results.update((c.node_id, body_params(m, c.entities, body))
+                           for c, body in zip(node.children, bodies))
+            start = real_assemble(model, system, node, bodies, placements, *reads)
             starts[node.node_id] = (None if start is None
-                                    else node_params(m, system, node.entities, start))
+                                    else body_params(m, node.entities, start))
             return start
 
         monkeypatch.setattr(decompose, "solve", counting_solve)
@@ -847,19 +880,24 @@ def test_every_cluster_slice_matches_submodel_solve(slice_trees, monkeypatch):
             assert hexed(results[nid]) == hexed(starts[nid]), (name, nid)
         assert len(set(solved)) == len(solved), name
         assert sorted(solved + skipped) == sorted(n.node_id for n in all_nodes(root)), name
-        if "jittered" not in name:
+        if name in ("braced-quad", "strip-12"):
             assert skipped, name
 
 
 def strip_solve_counts(n, monkeypatch):
-    """Nodes that reach _solve_cluster and residual rows evaluated by one
-    solve_tree of top-down triangle_strip(n)."""
-    clustered, rows = [], [0]
+    """Nodes that reach _solve_cluster, residual rows evaluated and leaves
+    solved by one solve_tree of top-down triangle_strip(n)."""
+    clustered, rows, leaves = [], [0], []
     real_cluster, real_eval = decompose._solve_cluster, compiler.eval_residuals
+    real_leaf = decompose._solve_leaf
 
     def cluster(system, solve_sys, node, start, max_iter, tol):
         clustered.append(node)
         return real_cluster(system, solve_sys, node, start, max_iter, tol)
+
+    def leaf(*args):
+        leaves.append(args[3])
+        return real_leaf(*args)
 
     def evaluate(*args, **kwargs):
         out = real_eval(*args, **kwargs)
@@ -867,18 +905,22 @@ def strip_solve_counts(n, monkeypatch):
         return out
 
     monkeypatch.setattr(decompose, "_solve_cluster", cluster)
+    monkeypatch.setattr(decompose, "_solve_leaf", leaf)
     monkeypatch.setattr(decompose, "eval_residuals", evaluate)
     monkeypatch.setattr(numeric, "eval_residuals", evaluate)
     m = zoo.triangle_strip(n)
     tree = top_down(m)
     assert solve_tree(m, tree)[2].converged
-    return tree, clustered, rows[0]
+    return tree, clustered, rows[0], leaves
 
 
 def test_exact_strip_solves_each_leaf_once_and_no_split_node(monkeypatch):
-    tree, clustered, _ = strip_solve_counts(48, monkeypatch)
+    # every leaf is a triangle, built once; no leaf and no split node
+    # reaches a Newton solve
+    tree, clustered, _, solved = strip_solve_counts(48, monkeypatch)
     leaves = [n for n in all_nodes(tree.roots[0]) if not n.children]
-    assert sorted(n.node_id for n in clustered) == sorted(n.node_id for n in leaves)
+    assert sorted(n.node_id for n in solved) == sorted(n.node_id for n in leaves)
+    assert clustered == []
     assert any(n.kind == "split" for n in all_nodes(tree.roots[0]))
 
 
@@ -904,8 +946,8 @@ def test_shared_point_moved_by_its_child_forces_the_parent_to_re_solve(monkeypat
     def leaf(model, system, sketch, node, bond_values, max_iter, tol):
         got = real_leaf(model, system, sketch, node, bond_values, max_iter, tol)
         if node is root.children[1]:
-            got = got.copy()
-            got[system.columns_of((shared,))[0]] += 1e-7
+            got = dict(got)
+            got[shared] = got[shared] + np.array([1e-7, 0.0])
         return got
 
     def cluster(system, solve_sys, node, start, max_iter, tol):
@@ -948,10 +990,137 @@ def test_solve_tree_tolerance_and_iteration_cap_reach_every_cluster():
     m = jittered(zoo.braced_quad_model(), 0.03, 1)
     tree = bottom_up(m)
     assert solve_tree(m, tree)[2].converged
+    # its leaves are bars, constructed, and its merges place them exactly:
+    # no cluster takes a Newton step, so no iteration cap stops it
+    assert solve_tree(m, tree, max_iter=0)[2].converged
+    # carrier lines: leaves that are not triangles or bars take Newton steps
+    carrier = jittered(zoo.triangle_model(), 0.03, 1)
+    assert solve_tree(carrier, bottom_up(carrier))[2].converged
     with pytest.raises(DecompositionError, match="failed to solve: max-iterations"):
-        solve_tree(m, tree, max_iter=1)
+        solve_tree(carrier, bottom_up(carrier), max_iter=1)
     with pytest.raises(DecompositionError, match="failed to solve"):
         solve_tree(m, tree, tol=1e-20)
     # the certificate applies the same tolerance as the cluster solves
-    loose = solve_tree(m, tree, tol=1e-2)[2]
+    loose = solve_tree(carrier, bottom_up(carrier), tol=1e-2)[2]
     assert loose.converged and loose.residual_norm > 1e-9
+
+
+# --- constructive recombination ----------------------------------------------------
+
+@pytest.mark.parametrize("strategy, n", [(top_down, 48), (bottom_up, 6)])
+def test_exact_strip_leaves_derive_no_system_and_take_no_newton_step(strategy, n, monkeypatch):
+    # triangles and bars are built by ruler and compass, and their placements
+    # leave every open row within tol, so no cluster reaches Newton
+    m = zoo.triangle_strip(n)
+    tree = strategy(m)
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((decompose, "add_constraints"), (decompose, "add_anchors"),
+                         (numeric, "newton_solve")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    _, _, cert = solve_tree(m, tree)
+    assert cert.converged
+    assert calls == []
+
+
+def triangle_orientations(params, n):
+    """The sign of each triangle (P_i, P_i+1, P_i+2) of triangle_strip(n)."""
+    signs = []
+    for i in range(1, n + 1):
+        (ax, ay), (bx, by), (cx, cy) = (params[f"P{i + k}"][:2] for k in range(3))
+        signs.append((bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0)
+    return signs
+
+
+@pytest.mark.parametrize("rel", [0.3, 0.5])
+def test_decomposed_solve_from_poor_starts_keeps_every_triangle(rel):
+    # strip(48) from sketches moved by rel times its largest distance, 20
+    # seeds: the top-down decomposed solve converges at least as often as the
+    # direct anchored solve, and keeps every triangle on its sketch's side
+    m = zoo.triangle_strip(48)
+    tree = top_down(m)
+    direct_ok = decomposed_ok = 0
+    for seed in range(1, 21):
+        sketch = jittered(m, rel, seed)
+        anchored = add_anchors(compile_model(sketch), sketch)
+        direct_ok += solve(anchored, assignment_from_params(sketch, anchored)).converged
+        try:
+            _, solution, cert = solve_tree(sketch, tree)
+        except (DecompositionError, AlignmentError):
+            continue
+        if cert.converged:
+            decomposed_ok += 1
+            sides = {e.id: e.params for e in sketch.entities}
+            assert triangle_orientations(solution, 48) == triangle_orientations(sides, 48), seed
+    assert decomposed_ok >= direct_ok, (decomposed_ok, direct_ok)
+    assert decomposed_ok == 20
+
+
+def coordinate_writes(n, monkeypatch):
+    """Entity parameters moved into a frame by one solve_tree of top-down strip(n)."""
+    m = zoo.triangle_strip(n)
+    tree = top_down(m)
+    count = [0]
+    real = decompose._Motion.apply
+
+    def counting(self, entity, params):
+        count[0] += 1
+        return real(self, entity, params)
+
+    monkeypatch.setattr(decompose._Motion, "apply", counting)
+    assert solve_tree(m, tree)[2].converged
+    return count[0]
+
+
+def test_recombination_writes_grow_linearly(monkeypatch):
+    # moving every entity of a child at every level would grow as n^2: 16
+    # times as many writes on a strip four times as long
+    writes = {n: coordinate_writes(n, monkeypatch) for n in (100, 400)}
+    assert writes[400] <= 4.5 * writes[100], writes
+
+
+def stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def tree_depth(node):
+    depth, stack = 0, [(node, 1)]
+    while stack:
+        node, d = stack.pop()
+        depth = max(depth, d)
+        stack.extend((c, d + 1) for c in node.children)
+    return depth
+
+
+def test_tree_walks_take_no_frame_per_level(tmp_path, capsys):
+    # the top-down tree of strip(200) is more than 100 levels deep; with the
+    # recursion limit 100 frames above the current depth, a walk that takes a
+    # frame per level fails
+    m = zoo.triangle_strip(200)
+    path = tmp_path / "strip200.json"
+    path.write_text(json.dumps({"dimension": 2, "entities": [
+        {"id": e.id, "kind": e.kind, "params": list(e.params)} for e in m.entities],
+        "constraints": [{"id": c.id, "kind": c.kind, "entities": list(c.entities),
+                         "value": c.value} for c in m.constraints]}), encoding="utf-8")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 100)
+    try:
+        tree = top_down(m)
+        report = tree.to_json_dict()
+        _, _, cert = solve_tree(m, tree)
+        code = cli.main(["--format", "json", "decompose", str(path), "--strategy", "top-down"])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert tree_depth(tree.roots[0]) > 100
+    assert cert.converged
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["tree"] == report

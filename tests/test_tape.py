@@ -224,8 +224,9 @@ def test_row_index_errors():
 
 
 def test_solve_tree_emits_the_base_tape_once(monkeypatch):
-    """Each leaf derives a system with its bonds and anchors; it must emit a
-    tape for those rows only, never again for the compiled strip."""
+    """A leaf that derives a system with its bonds and anchors must emit a
+    tape for those rows only, never again for the compiled strip (the
+    strip's triangle leaves are constructed and derive none)."""
     model = zoo.triangle_strip(48)
     tree = decompose.top_down(model)
     n_rows = compile_model(model).n_residuals
