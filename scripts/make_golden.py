@@ -4,7 +4,7 @@ Usage, from the root of the repository:
 
     PYTHONPATH=src python scripts/make_golden.py [DIR]
 
-DIR defaults to tests/golden.  Three files are written there.
+DIR defaults to tests/golden.  Four files are written there.
 
 ``cli.json``: each case runs ``gcs --format json <command> corpus/<name>.json``
 in-process, with GCS_SEED unset, and records its standard output and exit
@@ -30,9 +30,13 @@ of every 3D model, the anchored ``zoo.triangle_strip(12)``, and that strip
 with virtual distance bonds added.  Together they hold every row shape the
 compiler emits.
 
+``tables.txt``: the standard output of ``scripts/run_tables.py`` at its
+default seed, which prints only integers and verdicts.
+
 tests/test_golden.py replays every case and compares the results byte for
-byte and bit for bit, so regenerate the files only for an intended change of
-output, and say which results changed and why.
+byte and bit for bit, and tests/test_scripts.py compares the tables, so
+regenerate the files only for an intended change of output, and say which
+results changed and why.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -67,6 +72,7 @@ COMMANDS = (
     ["solve", "--strategy", "decomposed"],
 )
 DEFAULT_DIR = os.path.join("tests", "golden")
+RUN_TABLES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "run_tables.py")
 STRATEGIES = {"top-down": top_down, "bottom-up": bottom_up}
 
 
@@ -211,6 +217,12 @@ def equations_cases(corpus_dir: str = "corpus") -> list[tuple[str, object]]:
     return out
 
 
+def tables() -> str:
+    """Standard output of ``run_tables.py`` at its default seed."""
+    return subprocess.run([sys.executable, RUN_TABLES], capture_output=True, text=True,
+                          check=True).stdout
+
+
 def main(argv: list[str]) -> int:
     directory = argv[0] if argv else DEFAULT_DIR
     if "GCS_SEED" in os.environ:
@@ -230,8 +242,10 @@ def main(argv: list[str]) -> int:
         with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
             json.dump({"cases": payload}, fh, indent=1, sort_keys=True)
             fh.write("\n")
-    print(f"wrote {len(records)} cli cases, {len(trees)} solve_tree cases and "
-          f"{len(equations)} equation listings to {directory}")
+    with open(os.path.join(directory, "tables.txt"), "w", encoding="utf-8") as fh:
+        fh.write(tables())
+    print(f"wrote {len(records)} cli cases, {len(trees)} solve_tree cases, "
+          f"{len(equations)} equation listings and the tables to {directory}")
     return 0
 
 

@@ -15,10 +15,12 @@ Each row is written once, straight onto a :class:`~.expr.Tape`:
 :func:`linear_system` write one tape for the rows they add.  A system holds
 the tape segments of its rows, and the systems derived from it share its
 column map and the tapes of the rows they keep, so deriving a system costs
-only its own rows.  :func:`eval_residuals` and :func:`eval_jacobian` run the
-tapes of the rows they are asked for (all rows by default) through an
-evaluation plan that the system keeps per row selection.  ``adjacency``
-(each row's variables) and :func:`dump_equations` read the tapes as well.
+only its own rows.  :meth:`ResidualSystem.select` derives the system of a
+row subset (a cluster's rows, the singular rows a witness is projected
+onto).  :func:`eval_residuals` and :func:`eval_jacobian` run a system's
+tapes through the one evaluation plan it builds on first use.
+``adjacency`` (each row's variables) and :func:`dump_equations` read the
+tapes as well.
 
 Residual conventions:
 
@@ -132,24 +134,18 @@ class ResidualSystem:
         return tuple(tape.variables[i] for tape, rows in self.segments for i in rows)
 
     @cached_property
-    def _plans(self) -> dict:
-        return {}
+    def plan(self) -> ex.Plan:
+        """The evaluation plan of every row, built on first use."""
+        return ex.Plan(self.segments, self.n_variables)
 
-    def _plan(self, rows: Sequence[int] | None) -> ex.Plan:
-        """The evaluation plan of ``rows`` (all rows by default), built on first use."""
-        key = None if rows is None else tuple(rows)
-        plan = self._plans.get(key)
-        if plan is None:
-            parts = self.segments if rows is None else self._parts(key)
-            plan = self._plans[key] = ex.Plan(parts, self.n_variables)
-        return plan
-
-    def _parts(self, rows: Sequence[int]) -> list[tuple[ex.Tape, list[int]]]:
-        """``rows`` as runs of rows of one tape: (tape, tape rows) pairs."""
+    def select(self, rows: Sequence[int]) -> "ResidualSystem":
+        """The system of just ``rows``, in that order and renumbered from 0,
+        over the same variables.  It shares the tapes of those rows; a row
+        out of range raises :class:`IndexError`."""
         firsts = [0]
         for _, used in self.segments:
             firsts.append(firsts[-1] + len(used))
-        parts: list[tuple[ex.Tape, list[int]]] = []
+        parts: list[tuple[ex.Tape, list[int]]] = []  # runs of rows of one tape
         lo = hi = 0
         for r in rows:
             if not lo <= r < hi:
@@ -160,7 +156,10 @@ class ResidualSystem:
                 tape, used = self.segments[k]
                 parts.append((tape, []))
             parts[-1][1].append(used[r - lo])
-        return parts
+        residuals = self.residuals
+        return ResidualSystem(self.dimension, self.variables,
+                              tuple(residuals[r]._replace(index=k) for k, r in enumerate(rows)),
+                              tuple((tape, tuple(used)) for tape, used in parts), self.columns)
 
     def _extend(self, tape: ex.Tape, added: Sequence[tuple]) -> "ResidualSystem":
         """This system's rows, then the rows of ``tape``: ``added`` holds their
@@ -187,11 +186,7 @@ class ResidualSystem:
     def without_anchors(self) -> "ResidualSystem":
         if ("anchor", None) not in self._rows:
             return self
-        kept = [r for r in self.residuals if r.kind != "anchor"]
-        parts = self._parts([r.index for r in kept])
-        return ResidualSystem(self.dimension, self.variables,
-                              tuple(r._replace(index=k) for k, r in enumerate(kept)),
-                              tuple((tape, tuple(rows)) for tape, rows in parts), self.columns)
+        return self.select([r.index for r in self.residuals if r.kind != "anchor"])
 
 
 def _cross(a: Sequence[ex.Term], b: Sequence[ex.Term], i: int) -> ex.Term:
@@ -430,17 +425,15 @@ def _assignment(system: ResidualSystem, assignment: Sequence[float]) -> np.ndarr
     return x
 
 
-def eval_residuals(system: ResidualSystem, assignment: Sequence[float],
-                   rows: Sequence[int] | None = None) -> np.ndarray:
-    """Residual values of ``rows`` (all rows by default), in that order."""
-    return system._plan(rows).values(_assignment(system, assignment))
+def eval_residuals(system: ResidualSystem, assignment: Sequence[float]) -> np.ndarray:
+    """Residual values of every row, in row order."""
+    return system.plan.values(_assignment(system, assignment))
 
 
-def eval_jacobian(system: ResidualSystem, assignment: Sequence[float],
-                  rows: Sequence[int] | None = None) -> np.ndarray:
-    """Analytic Jacobian of ``rows`` (all rows by default), entry (i, j) =
-    d r_i / d x_j, scattered from the tape's derivative triplets."""
-    return system._plan(rows).jacobian(_assignment(system, assignment))
+def eval_jacobian(system: ResidualSystem, assignment: Sequence[float]) -> np.ndarray:
+    """Analytic Jacobian, entry (i, j) = d r_i / d x_j, scattered from the
+    tape's derivative triplets."""
+    return system.plan.jacobian(_assignment(system, assignment))
 
 
 def dump_equations(system: ResidualSystem) -> str:

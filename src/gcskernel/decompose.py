@@ -617,13 +617,14 @@ def _solve_cluster(system: ResidualSystem, solve_sys: ResidualSystem, node: Clus
                    start: np.ndarray, max_iter: int, tol: float) -> np.ndarray:
     """Solve the node's row/column slice of the compiled model from ``start``.
 
-    Rows: the node's constraints, the normalizations of its entities, then
-    the rows ``solve_sys`` appends to ``system`` (a leaf's virtual bonds and
-    anchors).  Columns: the node's entities.  Every other column stays fixed.
+    Rows, selected from ``solve_sys``: the node's constraints, the
+    normalizations of its entities, then the rows ``solve_sys`` appends to
+    ``system`` (a leaf's virtual bonds and anchors).  Columns: the node's
+    entities.  Every other column stays fixed.
     """
     rows = rows_of(system, node.constraints, node.entities)
     rows += range(system.n_residuals, solve_sys.n_residuals)
-    result = solve(solve_sys, start, max_iter=max_iter, tol=tol, rows=rows,
+    result = solve(solve_sys.select(rows), start, max_iter=max_iter, tol=tol,
                    cols=system.columns_of(node.entities))
     if not result.converged:
         raise DecompositionError(
@@ -886,7 +887,7 @@ def solve_tree(model: Model, tree: ClusterTree, max_iter: int = 100,
             start = sketch
         else:
             write(body.coords, read)
-            if not rows or float(np.max(np.abs(eval_residuals(system, x, rows)))) <= tol:
+            if not rows or float(np.max(np.abs(eval_residuals(system.select(rows), x)))) <= tol:
                 return body
             write(body.params(model), node.entities)
             start = x

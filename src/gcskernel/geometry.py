@@ -40,14 +40,16 @@ def rotation_2d(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def skew(v) -> np.ndarray:
+    """The 3 x 3 matrix whose row i is e_i x v, so that ``skew(v) @ u`` is
+    v x u: row i is the velocity of v under a unit rotation about axis i."""
+    x, y, z = v
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
 def rotation_3d(axis: np.ndarray, theta: float) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    K = np.array([
-        [0.0, -axis[2], axis[1]],
-        [axis[2], 0.0, -axis[0]],
-        [-axis[1], axis[0], 0.0],
-    ])
+    K = skew(axis / np.linalg.norm(axis))
     return np.eye(3) + math.sin(theta) * K + (1.0 - math.cos(theta)) * (K @ K)
 
 
@@ -75,31 +77,14 @@ def motion_rows(entity: Entity, params) -> np.ndarray:
         rows[0] = [0.0, math.cos(phi)]
         rows[1] = [0.0, math.sin(phi)]
         rows[2] = [1.0, 0.0]
-    elif entity.kind == POINT3:
-        for i in range(3):
-            rows[i, i] = 1.0
-        for i, omega in enumerate(np.eye(3)):
-            rows[3 + i] = np.cross(omega, p)
-    elif entity.kind == LINE3:
-        pt, d = p[0:3], p[3:6]
-        for i in range(3):
-            rows[i, i] = 1.0
-        for i, omega in enumerate(np.eye(3)):
-            rows[3 + i, 0:3] = np.cross(omega, pt)
-            rows[3 + i, 3:6] = np.cross(omega, d)
     elif entity.kind == PLANE3 and spec.representation == HESSIAN:
-        n = p[0:3]
-        for i in range(3):
-            rows[i, 3] = -n[i]
-        for i, omega in enumerate(np.eye(3)):
-            rows[3 + i, 0:3] = np.cross(omega, n)
-    elif entity.kind == PLANE3:
-        pt, n = p[0:3], p[3:6]
-        for i in range(3):
-            rows[i, i] = 1.0
-        for i, omega in enumerate(np.eye(3)):
-            rows[3 + i, 0:3] = np.cross(omega, pt)
-            rows[3 + i, 3:6] = np.cross(omega, n)
+        rows[0:3, 3] = -p[0:3]
+        rows[3:6, 0:3] = skew(p[0:3])
+    elif entity.kind in (POINT3, LINE3, PLANE3):
+        # a point, or a (point, direction) pair: lines and point-normal planes
+        rows[0:3, 0:3] = np.eye(3)
+        for lo in range(0, spec.raw_size, 3):
+            rows[3:6, lo:lo + 3] = skew(p[lo:lo + 3])
     else:
         raise ValueError(f"no motion action for kind {entity.kind!r}")
     return rows

@@ -24,8 +24,10 @@ damped Gauss-Newton descent on the sum of squared residuals.  `solve`
 is the one solve policy of the direct and the decomposed solves: Newton,
 then damped Gauss-Newton from the same start when Newton does not converge.
 
-Each solver takes an optional slice: ``rows`` to drive to zero and ``cols``
-to move, every other variable fixed (a decomposed solve's clusters).
+Each solver drives every row of its system to zero (a caller that solves a
+row subset passes :meth:`~.compiler.ResidualSystem.select` of it) and takes
+an optional column slice ``cols`` to move, every other variable fixed (a
+decomposed solve's clusters).
 """
 
 from __future__ import annotations
@@ -209,13 +211,11 @@ class _BlockStep:
         return step if np.all(np.isfinite(step)) else None
 
 
-def _block_step(system: ResidualSystem, rows, cols) -> _BlockStep | None:
-    """The block step of a row/column slice, from the perfect matching of its
+def _block_step(system: ResidualSystem, cols) -> _BlockStep | None:
+    """The block step of a column slice, from the perfect matching of its
     equation graph and the SCC solve plan; None when there is no perfect
     matching (a non-square or structurally singular slice)."""
     adjacency = system.adjacency
-    if rows is not None:
-        adjacency = tuple(adjacency[i] for i in rows)
     col_ids = np.arange(system.n_variables)[cols].tolist()
     if len(adjacency) != len(col_ids):
         return None
@@ -231,7 +231,7 @@ def _block_step(system: ResidualSystem, rows, cols) -> _BlockStep | None:
 
 
 def newton_solve(system: ResidualSystem, start, max_iter: int = 100,
-                 tol: float = RESIDUAL_TOL, rows=None, cols=slice(None)) -> SolveResult:
+                 tol: float = RESIDUAL_TOL, cols=slice(None)) -> SolveResult:
     """Newton iteration x <- x + step with J step = -r.
 
     The step goes by blocks along the slice's solve plan, built at the first
@@ -239,11 +239,11 @@ def newton_solve(system: ResidualSystem, start, max_iter: int = 100,
     apply (see the module docstring).  Declares divergence after three
     consecutive residual-norm increases or a failed least-squares step; a
     stationary iterate with a residual above the tolerance is reported as
-    inconsistent.  ``rows`` and ``cols`` slice the system (all by default);
+    inconsistent.  ``cols`` are the variables that move (all by default);
     the stall test uses the norm of the sliced x.
     """
     x = np.array(start, dtype=float)
-    r = eval_residuals(system, x, rows=rows)
+    r = eval_residuals(system, x)
     grew = 0
     stalled = 0
     prev = best = _max_abs(r)
@@ -251,10 +251,10 @@ def newton_solve(system: ResidualSystem, start, max_iter: int = 100,
     for it in range(max_iter):
         if _max_abs(r) <= tol:
             return SolveResult("converged", x, _max_abs(r), it, r)
-        J = eval_jacobian(system, x, rows=rows)[:, cols]
+        J = eval_jacobian(system, x)[:, cols]
         if it == 0 and r.size >= BLOCK_STEP_MIN_ROWS:
             # built at the first step: a solve converged at once builds none
-            block_step = _block_step(system, rows, cols)
+            block_step = _block_step(system, cols)
         step = block_step(J, r) if block_step is not None else None
         if step is None:
             block_step = None  # lstsq steps for the rest of the solve
@@ -265,7 +265,7 @@ def newton_solve(system: ResidualSystem, start, max_iter: int = 100,
         if np.linalg.norm(step) <= 1e-13 * (1.0 + np.linalg.norm(x[cols])):
             return SolveResult("inconsistent", x, _max_abs(r), it, r)
         x[cols] += step
-        r = eval_residuals(system, x, rows=rows)
+        r = eval_residuals(system, x)
         cur = _max_abs(r)
         grew = grew + 1 if cur > prev else 0
         if grew >= 3:
@@ -285,23 +285,22 @@ def newton_solve(system: ResidualSystem, start, max_iter: int = 100,
 
 
 def optimize_solve(system: ResidualSystem, start, max_iter: int = 100,
-                   tol: float = RESIDUAL_TOL, rows=None, cols=slice(None)) -> SolveResult:
+                   tol: float = RESIDUAL_TOL, cols=slice(None)) -> SolveResult:
     """Damped Gauss-Newton minimization of sum r_i^2.
 
     Handles non-square, consistently over-constrained and under-constrained
     systems.  A stationary point with nonzero residual is reported as
-    inconsistent.  ``rows`` optionally restricts the residual subset (witness
-    projection onto the singular equations, a cluster's rows) and ``cols``
-    the variables that move (a cluster's columns).
+    inconsistent.  ``cols`` optionally restricts the variables that move (a
+    cluster's columns).
     """
     x = np.array(start, dtype=float)
-    r = eval_residuals(system, x, rows=rows)
+    r = eval_residuals(system, x)
     if r.size == 0:
         return SolveResult("converged", x, 0.0, 0, r)
     for it in range(max_iter):
         if _max_abs(r) <= tol:
             return SolveResult("converged", x, _max_abs(r), it, r)
-        J = eval_jacobian(system, x, rows=rows)[:, cols]
+        J = eval_jacobian(system, x)[:, cols]
         try:
             step = np.linalg.lstsq(J, -r, rcond=None)[0]
         except np.linalg.LinAlgError:
@@ -314,7 +313,7 @@ def optimize_solve(system: ResidualSystem, start, max_iter: int = 100,
         for _ in range(40):
             trial = x.copy()
             trial[cols] += lam * step
-            r_new = eval_residuals(system, trial, rows=rows)
+            r_new = eval_residuals(system, trial)
             if float(r_new @ r_new) < ssq:
                 x = trial
                 r = r_new
@@ -329,13 +328,13 @@ def optimize_solve(system: ResidualSystem, start, max_iter: int = 100,
 
 
 def solve(system: ResidualSystem, start, max_iter: int = 100,
-          tol: float = RESIDUAL_TOL, rows=None, cols=slice(None)) -> SolveResult:
+          tol: float = RESIDUAL_TOL, cols=slice(None)) -> SolveResult:
     """Newton, then damped Gauss-Newton from the same start if Newton fails.
 
-    Both stages get ``max_iter`` iterations and the same ``rows``/``cols``
-    slice; the result is Newton's when it converged, else Gauss-Newton's.
+    Both stages get ``max_iter`` iterations and the same ``cols`` slice; the
+    result is Newton's when it converged, else Gauss-Newton's.
     """
-    result = newton_solve(system, start, max_iter=max_iter, tol=tol, rows=rows, cols=cols)
+    result = newton_solve(system, start, max_iter=max_iter, tol=tol, cols=cols)
     if result.converged:
         return result
-    return optimize_solve(system, start, max_iter=max_iter, tol=tol, rows=rows, cols=cols)
+    return optimize_solve(system, start, max_iter=max_iter, tol=tol, cols=cols)

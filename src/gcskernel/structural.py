@@ -46,12 +46,6 @@ class EquationGraph:
                 out[v].append(e)
         return out
 
-    def dump(self) -> str:
-        lines = [f"equations {self.n_equations} variables {self.n_variables}"]
-        for e, vs in enumerate(self.adjacency):
-            lines.append(f"E{e}: " + " ".join(f"x{v}" for v in vs))
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class ConstraintGraph:
@@ -80,14 +74,6 @@ class ConstraintGraph:
                     if a != b:
                         adj[a].add(b)
         return adj
-
-    def dump(self) -> str:
-        lines = [f"entities {len(self.entity_ids)}"]
-        for e in self.entity_ids:
-            lines.append(f"{e}[dof={self.entity_dof[e]}]")
-        for cid, ents, d in self.constraints:
-            lines.append(f"{cid}[doc={d}]: " + " ".join(ents))
-        return "\n".join(lines)
 
 
 def build_graphs(system: ResidualSystem, model: Model) -> tuple[EquationGraph, ConstraintGraph]:

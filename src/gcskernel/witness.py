@@ -87,12 +87,14 @@ def _entities_coincide(model: Model, params: dict[str, tuple[float, ...]]) -> bo
 
 
 def _projection(system: ResidualSystem, model: Model) -> ResidualSystem:
-    """The system a witness sample is projected with: the model compiled
-    with every cross-product component, so the projection lands on the exact
-    singular variety and the reduced system's spurious branch is never
-    satisfied by construction; ``system`` itself when it has no singular
-    rows."""
-    return compile_model(model, full_cross=True) if system.singular_rows() else system
+    """The singular rows a witness sample is projected onto.  A 3D model with
+    singular rows is compiled with every cross-product component, so the
+    projection lands on the exact singular variety and the reduced system's
+    spurious branch is never satisfied by construction; ``full_cross``
+    changes no 2D row, so a 2D model keeps ``system``'s rows."""
+    if model.dimension == 3 and system.singular_rows():
+        system = compile_model(model, full_cross=True)
+    return system.select(system.singular_rows())
 
 
 def generate_witness(system: ResidualSystem, model: Model, seed: int = 0,
@@ -103,22 +105,21 @@ def generate_witness(system: ResidualSystem, model: Model, seed: int = 0,
     The singular subsystem (incidences, parallels, normalizations) is usually
     highly under-constrained and solves in one attempt; candidates where two
     same-kind entities coincide are rejected as accidentally degenerate.
-    ``projection`` is the unanchored system's projection system when the
-    caller already has it (:func:`characterize` compiles it once for all its
-    votes); it is compiled here otherwise.
+    ``projection`` is the selection of singular rows that samples are
+    projected onto, when the caller already has it (:func:`characterize`
+    derives it once for all its votes, so they share one evaluation plan);
+    it is derived here otherwise.
     """
     base = system.without_anchors()
     rows = base.singular_rows()
     if projection is None:
         projection = _projection(base, model)
-    proj_rows = projection.singular_rows()
     rng = np.random.default_rng(seed)
     last_error = "no attempts made"
     for attempt in range(1, max_attempts + 1):
         x = rng.uniform(-1.0, 1.0, size=base.n_variables)
         if rows:
-            result = optimize_solve(projection, x, max_iter=200, tol=WITNESS_TOL,
-                                    rows=proj_rows)
+            result = optimize_solve(projection, x, max_iter=200, tol=WITNESS_TOL)
             if not result.converged:
                 last_error = f"singular subsystem projection: {result.status}"
                 continue
@@ -146,16 +147,10 @@ class DorResult:
 def motion_basis(model: Model, system: ResidualSystem, assignment) -> RigidMotionBasis:
     """Rigid-motion generator velocities in the system's variable coordinates."""
     x = np.asarray(assignment, dtype=float)
-    k = geometry.generator_count(model.dimension)
-    M = np.zeros((k, system.n_variables))
-    params = params_from_assignment(model, system, x)
-    col: dict[tuple[str, int], int] = {
-        (v.entity_id, v.component): v.index for v in system.variables
-    }
+    M = np.zeros((geometry.generator_count(model.dimension), system.n_variables))
     for e in model.entities:
-        rows = geometry.motion_rows(e, params[e.id])
-        for comp in range(e.spec.raw_size):
-            M[:, col[(e.id, comp)]] = rows[:, comp]
+        s = system.entity_slice(e.id)
+        M[:, s] = geometry.motion_rows(e, x[s])
     names = (
         ("tx", "ty", "rot") if model.dimension == 2
         else ("tx", "ty", "tz", "rx", "ry", "rz")
@@ -183,7 +178,6 @@ class WcmReport:
     verdict: str  # well | under | over | over-and-under | unstable
     free_motions: int
     dependent_groups: tuple[tuple[int, ...], ...]
-    rank_analysis: RankAnalysis | None
     seeds: tuple[int, ...] = ()
     sub_reports: tuple["WcmReport", ...] = ()
 
@@ -240,7 +234,6 @@ def characterize_at(system: ResidualSystem, assignment, dor: int,
         verdict=verdict,
         free_motions=max(0, (n - analysis.rank) - dor),
         dependent_groups=_dependency_supports(analysis),
-        rank_analysis=analysis,
         seeds=seeds,
     )
 
@@ -281,7 +274,6 @@ def characterize(system: ResidualSystem, model: Model, seed: int = 0,
         verdict="unstable",
         free_motions=0,
         dependent_groups=(),
-        rank_analysis=None,
         seeds=tuple(r.seeds[0] for r in reports),
         sub_reports=tuple(reports),
     )

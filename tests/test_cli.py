@@ -152,6 +152,27 @@ def test_decomposition_compiles_the_model_once(argv, capsys, corpus_dir, monkeyp
     assert calls == ["compile_model"]
 
 
+@pytest.mark.parametrize("name, argv, compiles", [
+    ("triangle", ["check"], 1),
+    ("triangle", ["detect"], 1),
+    ("triangle", ["decompose"], 1),
+    ("triangle", ["solve", "--strategy", "decomposed"], 1),
+    # a 3D model with singular rows compiles once more for each witness
+    # projection (check: the verdict; detect: the verdict and its witness)
+    ("plane-prism", ["check"], 2),
+    ("plane-prism", ["detect"], 3),
+])
+def test_witness_projection_compiles_only_3d_models(name, argv, compiles, capsys, corpus_dir,
+                                                    monkeypatch):
+    calls = []
+    for module in (cli, decompose, witness):
+        monkeypatch.setattr(module, "compile_model",
+                            counting(calls, "compile_model", module.compile_model))
+    main([argv[0], str(corpus_dir / f"{name}.json"), *argv[1:]])
+    capsys.readouterr()
+    assert len(calls) == compiles
+
+
 def test_decompose_braced_quad_bottom_up(capsys, corpus_dir):
     code, data = run_json(capsys, "decompose", str(corpus_dir / "braced-quad.json"),
                           "--strategy", "bottom-up")

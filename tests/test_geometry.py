@@ -19,6 +19,13 @@ angles = st.floats(min_value=-3.1, max_value=3.1, allow_nan=False)
 shifts = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 
 
+@given(st.lists(shifts, min_size=3, max_size=3))
+def test_skew_rows_are_cross_products(v):
+    rows = geometry.skew(v)
+    for i, axis in enumerate(np.eye(3)):
+        assert (rows[i] == np.cross(axis, v)).all()
+
+
 @given(angles, shifts, shifts)
 def test_fit_rigid_recovers_random_motion(theta, tx, ty):
     rng = np.random.default_rng(0)

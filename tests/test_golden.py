@@ -7,7 +7,7 @@ results (solution and placement floats as hex, certificate or refusal) of
 top-down and bottom-up trees on strips, the 2D corpus and the solve corpus.
 tests/golden/equations.json holds the ``dump_equations`` listing of compiled
 systems that together hold every row shape the compiler emits.
-scripts/make_golden.py writes all three.
+scripts/make_golden.py writes all three, and tests/golden/tables.txt.
 """
 
 import contextlib

@@ -110,15 +110,6 @@ def test_three_distance_anchored_graph_edges():
     assert sum(len(vs) for vs in eg.adjacency) == 16
 
 
-def test_graph_dump_deterministic():
-    m = zoo.three_distances_model()
-    s = compile_model(m)
-    eg, cg = build_graphs(s, m)
-    assert eg.dump().splitlines()[0] == "equations 3 variables 6"
-    assert eg.dump() == eg.dump()
-    assert "e1[doc=1]: P1 P2" in cg.dump()
-
-
 # --- matching ----------------------------------------------------------------
 
 def test_matching_three_distance_perfect():

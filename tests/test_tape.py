@@ -1,13 +1,14 @@
 """The vectorised tape evaluation against a scalar forward walk over each
 row's ops: the same residuals and Jacobians, bit for bit, on the corpus, on
-strips, on rows drawn through the operand handle, on row slices and on
+strips, on rows drawn through the operand handle, on row selections and on
 derived systems.  ``np.sin``/``np.cos`` may differ from ``math.sin``/
 ``math.cos`` in the last ulp on some platforms, so rows that hold a sine or
 cosine may differ by 1e-15 relative; every other row must be equal.  Every
 emitted row ends at its root and holds only ops its root reaches."""
 
+import gc
 import operator
-
+import weakref
 
 import numpy as np
 import pytest
@@ -37,9 +38,12 @@ def assert_equal(got, expected, trig: bool):
 
 
 def assert_matches_interpreter(system, x, rows=None):
+    """Every row of ``system``, or of its selection of ``rows``, against the
+    interpreter on the same row of ``system``."""
     picked = range(system.n_residuals) if rows is None else rows
-    residuals = eval_residuals(system, x, rows)
-    jacobian = eval_jacobian(system, x, rows)
+    selected = system if rows is None else system.select(rows)
+    residuals = eval_residuals(selected, x)
+    jacobian = eval_jacobian(selected, x)
     assert residuals.shape == (len(picked),)
     assert jacobian.shape == (len(picked), system.n_variables)
     for k, i in enumerate(picked):
@@ -51,7 +55,7 @@ def assert_matches_interpreter(system, x, rows=None):
         trig = has_trig(ops)
         assert_equal(residuals[k], value, trig)
         assert_equal(jacobian[k], row, trig)
-        assert system.adjacency[i] == tuple(sorted(row_variables(ops)))
+        assert system.adjacency[i] == selected.adjacency[k] == tuple(sorted(row_variables(ops)))
 
 
 def slices(n, rng):
@@ -209,18 +213,64 @@ def test_emitted_rows_hold_only_what_their_root_reaches():
 def test_rows_of_equal_structure_share_one_schedule():
     model = zoo.triangle_strip(12)
     system = add_anchors(compile_model(model), model)
-    plans = [system._plan(rows) for rows in ([0, 1, 2], [3, 4, 5], [6, 8, 9])]
+    plans = [system.select(rows).plan for rows in ([0, 1, 2], [3, 4, 5], [6, 8, 9])]
     assert plans[0].schedule is plans[1].schedule is plans[2].schedule
-    assert system._plan([0, 1, 2]) is plans[0]
 
 
 def test_row_index_errors():
     system = compile_model(zoo.triangle_strip(3))
-    with pytest.raises(IndexError):
-        eval_residuals(system, np.zeros(system.n_variables), [system.n_residuals])
-    assert eval_residuals(system, np.zeros(system.n_variables), []).shape == (0,)
-    assert eval_jacobian(system, np.zeros(system.n_variables), []).shape == \
+    for row in (system.n_residuals, -1):
+        with pytest.raises(IndexError):
+            system.select([0, row])
+    empty = system.select([])
+    assert empty.n_residuals == 0 and empty.n_variables == system.n_variables
+    assert eval_residuals(empty, np.zeros(system.n_variables)).shape == (0,)
+    assert eval_jacobian(empty, np.zeros(system.n_variables)).shape == \
         (0, system.n_variables)
+
+
+def test_select_evaluates_the_parent_rows():
+    """A selection, in its own row order across the parent's segments,
+    evaluates bit for bit as the same rows of the parent, and keeps their
+    names, kinds and sources under indices renumbered from 0."""
+    model = zoo.triangle_model()
+    system = compile_model(model)
+    bonded = add_anchors(add_constraints(system, model, [
+        Constraint("vbond:P1-P3", "distance-pp", ("P1", "P3"), 1.5)]), model)
+    assert len(bonded.segments) == 4  # constraints, normalizations, bond, anchors
+    n = bonded.n_residuals
+    rows = [n - 1, 0, system.n_residuals, 3, n - 2, 1, system.n_residuals - 1]
+    selected = bonded.select(rows)
+    assert [r.index for r in selected.residuals] == list(range(len(rows)))
+    assert [r._replace(index=0) for r in selected.residuals] == \
+        [bonded.residuals[i]._replace(index=0) for i in rows]
+    assert selected.select(range(len(rows))).residuals == selected.residuals
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        x = rng.uniform(-2.0, 2.0, bonded.n_variables)
+        assert np.array_equal(eval_residuals(selected, x), eval_residuals(bonded, x)[rows])
+        assert np.array_equal(eval_jacobian(selected, x), eval_jacobian(bonded, x)[rows])
+
+
+def test_solve_tree_keeps_no_plan_alive(monkeypatch):
+    """The merge checks of a top-down strip evaluate selections of the
+    shared system; none of their plans outlives the solve."""
+    model = zoo.triangle_strip(100)
+    system = compile_model(model)
+    tree = decompose.top_down(model)
+    plans = []
+    real_init = ex.Plan.__init__
+
+    def record(self, *args):
+        plans.append(weakref.ref(self))
+        real_init(self, *args)
+
+    monkeypatch.setattr(ex.Plan, "__init__", record)
+    _, _, certificate = decompose.solve_tree(model, tree, system=system)
+    assert certificate.converged
+    gc.collect()
+    assert len(plans) > 1
+    assert sum(ref() is not None for ref in plans) <= 1
 
 
 def test_solve_tree_emits_the_base_tape_once(monkeypatch):
