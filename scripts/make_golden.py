@@ -25,10 +25,10 @@ refusal.
 ``equations.json``: each case records the ``dump_equations`` listing of one
 compiled system: every corpus file as ``gcs`` loads it (the raw linear
 systems included), a 2D and a 3D model that hold every constraint kind on
-every entity signature and plane representation, the ``full_cross`` compile
-of every 3D model, the anchored ``zoo.triangle_strip(12)``, and that strip
-with virtual distance bonds added.  Together they hold every row shape the
-compiler emits.
+every entity signature and plane representation, the ``compiler.full_cross``
+system of every 3D model (what a witness is projected onto), the anchored
+``zoo.triangle_strip(12)``, and that strip with virtual distance bonds added.
+Together they hold every row shape the compiler emits.
 
 ``tables.txt``: the standard output of ``scripts/run_tables.py`` at its
 default seed, which prints only integers and verdicts.
@@ -53,7 +53,13 @@ import numpy as np
 from gcskernel import zoo
 from gcskernel.cli import _load
 from gcskernel.cli import main as gcs_main
-from gcskernel.compiler import add_anchors, add_constraints, compile_model, dump_equations
+from gcskernel.compiler import (
+    add_anchors,
+    add_constraints,
+    compile_model,
+    dump_equations,
+    full_cross,
+)
 from gcskernel.decompose import (
     AlignmentError,
     DecompositionError,
@@ -206,7 +212,7 @@ def equations_cases(corpus_dir: str = "corpus") -> list[tuple[str, object]]:
     for label, model in every_kind_models():
         out.append((label, compile_model(model)))
         models.append((label, model))
-    out += [(f"full-cross/{label}", compile_model(model, full_cross=True))
+    out += [(f"full-cross/{label}", full_cross(compile_model(model), model))
             for label, model in models if model.dimension == 3]
     strip = zoo.triangle_strip(12)
     system = compile_model(strip)

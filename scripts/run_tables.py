@@ -23,6 +23,7 @@ from gcskernel import (  # noqa: E402
     compile_model,
     compute_dor,
     counting_state,
+    eval_jacobian,
     generate_witness,
     greedy_dependency_groups,
     greedy_well_parts,
@@ -98,9 +99,9 @@ def dependency_tables():
     header("Greedy vs exhaustive dependency groups (seed row E1)")
     for label, system in (("system 1", zoo.lindep1_system()),
                           ("system 2", zoo.lindep2_system())):
-        x = np.zeros(3)
-        greedy = greedy_dependency_groups(system, x, seed_row=0)
-        oracle = oracle_min_dependent_sets(system, x)
+        J = eval_jacobian(system, np.zeros(3))
+        greedy = greedy_dependency_groups(J, seed_row=0)
+        oracle = oracle_min_dependent_sets(J)
 
         def fmt(groups):
             return ", ".join(
@@ -115,12 +116,12 @@ def well_part_table(seed):
     header("Greedy well parts vs seed entity (brace-chain demo)")
     m = zoo.seed_demo_model()
     s = compile_model(m)
-    x = generate_witness(s, m, seed=seed).assignment
+    w = generate_witness(s, m, seed=seed)
     for entity in sorted(e.id for e in m.entities):
-        parts = greedy_well_parts(m, s, x, seed_entity=entity)
+        parts = greedy_well_parts(m, s, w.jacobian, w.motions, seed_entity=entity)
         shown = " + ".join("{" + ",".join(sorted(p.entities)) + "}" for p in parts)
         print(f"seed {entity}: {shown}")
-    best = oracle_max_well_part(m, s, x)
+    best = oracle_max_well_part(m, s, w.jacobian, w.motions)
     print("exhaustive maximum part: {" + ",".join(sorted(best.entities)) + "}")
 
 

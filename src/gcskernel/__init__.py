@@ -17,6 +17,7 @@ from .compiler import (
     dump_equations,
     eval_jacobian,
     eval_residuals,
+    full_cross,
     induced,
     linear_system,
     params_from_assignment,
@@ -40,7 +41,6 @@ from .detect import (
     is_well_part,
     oracle_max_well_part,
     oracle_min_dependent_sets,
-    witness_matrices,
 )
 from .model import (
     Constraint,
@@ -78,7 +78,6 @@ from .structural import (
 )
 from .witness import (
     DorResult,
-    RigidMotionBasis,
     SchemeRow,
     WcmReport,
     WitnessConfiguration,

@@ -35,12 +35,11 @@ from .detect import (
     greedy_well_parts,
     oracle_max_well_part,
     oracle_min_dependent_sets,
-    witness_matrices,
 )
 from .model import Model, model_from_json_dict
 from .numeric import RANK_REL_TOL, RESIDUAL_TOL, solve
 from .structural import build_graphs, counting_state
-from .witness import characterize, characterize_at, generate_witness
+from .witness import characterize, characterize_at
 
 EXIT = {"well": 0, "under": 3, "over": 4, "over-and-under": 5, "unstable": 6}
 EXIT_REFUSED = 7
@@ -141,15 +140,18 @@ class SystemExitError(Exception):
         self.code = code
 
 
+def _raw_sample(system, seed: int) -> np.ndarray:
+    """The assignment a raw equation system is ranked at: uniform in [-1, 1]^n."""
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, size=system.n_variables)
+
+
 def _characterize(model: Model, system, args) -> dict:
     report = {}
     verdict = "well"
     if model is None:
         # raw equation system: witness analysis degenerates to a rank check at
         # a random assignment, structural analysis is not applicable
-        rng = np.random.default_rng(args.seed)
-        x = rng.uniform(-1.0, 1.0, size=system.n_variables)
-        wr = characterize_at(system, x, 0, rank_tol=args.rank_tol)
+        wr = characterize_at(system, _raw_sample(system, args.seed), 0, rank_tol=args.rank_tol)
         report["witness"] = wr.to_json_dict()
         return {"verdict": wr.verdict, "report": report}
     if args.mode in ("structural", "both"):
@@ -180,40 +182,35 @@ def cmd_check(args) -> int:
 
 def cmd_detect(args) -> int:
     model, system = _load(args.model)
-    # one Jacobian (and, for a model, one motion basis) at the one witness
+    # the searches read the Jacobian (and, for a model, the motion basis) at
+    # the witness of the verdict's first vote, which is drawn at --seed
     if model is None:
-        rng = np.random.default_rng(args.seed)
-        x = rng.uniform(-1.0, 1.0, size=system.n_variables)
-        J = eval_jacobian(system, x)
+        J = eval_jacobian(system, _raw_sample(system, args.seed))
     else:
-        wit = generate_witness(system, model, seed=args.seed)
-        x = wit.assignment
-        J, M = witness_matrices(model, system, x)
-    greedy = greedy_dependency_groups(system, x, seed_row=args.seed_row,
-                                      rank_tol=args.rank_tol, jacobian=J)
+        wr = characterize(system, model, seed=args.seed, votes=args.witnesses,
+                          rank_tol=args.rank_tol)
+        J, M = wr.samples[0].jacobian, wr.samples[0].motions
+    greedy = greedy_dependency_groups(J, seed_row=args.seed_row, rank_tol=args.rank_tol)
     payload = {
         "command": "detect",
         "model": args.model,
         "greedy": detection_report(greedy, [], "greedy", args.seed),
     }
     try:
-        oracle = oracle_min_dependent_sets(system, x, rank_tol=args.rank_tol, jacobian=J)
+        oracle = oracle_min_dependent_sets(J, rank_tol=args.rank_tol)
         payload["oracle"] = detection_report(oracle, [], "oracle", args.seed)
     except CapExceeded as err:
         payload["oracle"] = {"skipped": str(err)}
     if model is not None:
-        parts = greedy_well_parts(model, system, x, seed_entity=args.seed_entity,
-                                  rank_tol=args.rank_tol, matrices=(J, M))
+        parts = greedy_well_parts(model, system, J, M, seed_entity=args.seed_entity,
+                                  rank_tol=args.rank_tol)
         payload["greedy"]["wellParts"] = sorted(
             list(p.sorted_entities()) for p in parts)
         try:
-            best = oracle_max_well_part(model, system, x, rank_tol=args.rank_tol,
-                                        matrices=(J, M))
+            best = oracle_max_well_part(model, system, J, M, rank_tol=args.rank_tol)
             payload["oracle"]["maxWellPart"] = sorted(best.entities)
         except CapExceeded as err:
             payload["oracle"]["maxWellPart"] = f"skipped: {err}"
-        wr = characterize(system, model, seed=args.seed, votes=args.witnesses,
-                          rank_tol=args.rank_tol)
         payload["freeMotions"] = wr.free_motions
         payload["verdict"] = wr.verdict
         ill = not greedy and wr.verdict == "well"

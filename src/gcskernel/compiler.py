@@ -31,8 +31,9 @@ Residual conventions:
 * 3D angles use dot products, 3D parallelism and point-on-line use two
   components of the relevant cross product (the dropped component is the one
   aligned with the largest initial direction coordinate, so the two kept
-  equations are locally independent near the sketch), or all three with
-  ``full_cross``.
+  equations are locally independent near the sketch).  :func:`full_cross`
+  derives the system that holds all three, which a witness is projected
+  onto.
 """
 
 from __future__ import annotations
@@ -297,14 +298,8 @@ def _emit_constraint(model: Model, c: Constraint, env: dict[str, list[ex.Term]],
         raise CompileError(f"unsupported constraint kind {kind!r}")
 
 
-def compile_model(model: Model, full_cross: bool = False) -> ResidualSystem:
+def compile_model(model: Model) -> ResidualSystem:
     """Compile a validated model into a residual system.
-
-    ``full_cross`` emits all three components of cross-product constraints
-    (3D parallelism, point on 3D line) instead of the two independent ones;
-    the redundant variant over-counts DOC but describes the exact singular
-    variety, which is what witness projection needs.  Both variants produce
-    the identical variable layout.
 
     Raises :class:`CompileError`, with the violations, when validation
     reports any, or when a constraint kind has no emitter.
@@ -319,7 +314,7 @@ def compile_model(model: Model, full_cross: bool = False) -> ResidualSystem:
         for comp, pname in enumerate(e.spec.param_names):
             variables.append(Variable(len(variables), e.id, comp, f"{e.id}.{pname}"))
     system = add_constraints(ResidualSystem.over(model.dimension, variables),
-                             model, model.constraints, full_cross)
+                             model, model.constraints)
     columns = system.columns
     tape = ex.Tape()
     rows = []
@@ -337,8 +332,7 @@ def add_constraints(system: ResidualSystem, model: Model, constraints: Sequence[
 
     :func:`compile_model` emits the model's own constraints this way, and
     decomposition appends virtual distance bonds to a compiled system.
-    ``full_cross`` emits every cross-product component, as in
-    :func:`compile_model`.
+    ``full_cross`` emits every cross-product component (:func:`full_cross`).
     """
     columns = system.columns
     tape = ex.Tape()
@@ -354,6 +348,23 @@ def add_constraints(system: ResidualSystem, model: Model, constraints: Sequence[
         rows += [(c.id if n == 1 else f"{c.id}[{k}]", "constraint", c.id, singular)
                  for k in range(n)]
     return system._extend(tape, rows)
+
+
+def full_cross(system: ResidualSystem, model: Model) -> ResidualSystem:
+    """``system``, compiled from ``model``, with all three cross-product rows of
+    each 3D ``parallel`` and ``point-on-line`` constraint in place of its two:
+    the exact singular variety that a witness is projected onto.  The rows
+    keep compile order (constraints in model order, then ``system``'s other
+    rows); a system with no such constraint is returned as it is."""
+    crossed = {c.id: c for c in model.constraints
+               if model.dimension == 3 and c.kind in ("parallel", "point-on-line")}
+    if not crossed:
+        return system
+    n = system.n_residuals
+    extended = add_constraints(system, model, list(crossed.values()), full_cross=True)
+    order = [r for c in model.constraints for r in extended._rows.get(("constraint", c.id), ())
+             if (r >= n) == (c.id in crossed)]
+    return extended.select(order + [r.index for r in system.residuals if r.kind != "constraint"])
 
 
 def points_of(system: ResidualSystem, model: Model,

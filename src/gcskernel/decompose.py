@@ -105,7 +105,7 @@ from .compiler import (
     points_of,
     rows_of,
 )
-from .detect import dependent_rows, is_well_part, witness_matrices
+from .detect import dependent_rows, is_well_part
 from .model import Constraint, Entity, Model, POINT2
 from .numeric import RANK_REL_TOL, RESIDUAL_TOL, SolveResult, solve
 from .witness import WitnessError, generate_witness
@@ -212,7 +212,7 @@ def bottom_up(model: Model, seed: int = 0, rank_tol: float = RANK_REL_TOL,
         witness = generate_witness(system, model, seed=seed)
     except WitnessError as err:
         raise DecompositionError(f"cannot build a witness for merge checks: {err}")
-    J, M = witness_matrices(model, system, witness.assignment)
+    J, M = witness.jacobian, witness.motions
     # the constraints whose rows take part in a row dependency of J; where
     # there is none, a rigid union stays rigid when a cluster it covers part
     # of is swapped for its cover, so covered clusters retire

@@ -9,11 +9,13 @@ what exposes the documented greedy failures: greedy groups can be strictly
 larger than the true minimal dependent sets, and badly seeded well parts can
 be strictly smaller than the maximal ones.
 
-Well parts rest on one rigidity test, :func:`is_well_part`, which slices one
-witness Jacobian and one motion basis (:func:`witness_matrices`, evaluated
-once per search).  It counts before it computes: a part of r induced rows on
-c columns can be well only when c - k <= r <= c, with k the number of rigid
-motions, so any other part is refused without an SVD.
+Every procedure takes the matrices it reads, as one witness sample carries
+them (:class:`~.witness.WitnessConfiguration`): the dependency searches take
+its Jacobian, the well-part searches its Jacobian and rigid-motion basis.
+Well parts rest on one rigidity test, :func:`is_well_part`, which slices the
+two.  It counts before it computes: a part of r induced rows on c columns can
+be well only when c - k <= r <= c, with k the number of rigid motions, so any
+other part is refused without an SVD.
 
 Every rank decision takes ``rank_tol``.  All of them read only the rank
 (:func:`numeric.rank_of`, singular values alone), except :func:`dependent_rows`,
@@ -30,10 +32,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .compiler import ResidualSystem, eval_jacobian, induced
+from .compiler import ResidualSystem, induced
 from .model import Model
 from .numeric import RANK_REL_TOL, SUPPORT_TOL, rank_analyze, rank_of
-from .witness import motion_basis
 
 ORACLE_CHUNK = 256  # row subsets per stacked SVD call: bounds the stack's memory
 
@@ -62,19 +63,17 @@ class WellPart:
         return tuple(sorted(self.entities))
 
 
-def greedy_dependency_groups(system: ResidualSystem, assignment, seed_row: int = 0,
-                             rank_tol: float = RANK_REL_TOL,
-                             jacobian: np.ndarray | None = None) -> list[DependencyGroup]:
-    """Dependency groups from a greedily grown maximal independent row set.
+def greedy_dependency_groups(jacobian: np.ndarray, seed_row: int = 0,
+                             rank_tol: float = RANK_REL_TOL) -> list[DependencyGroup]:
+    """Dependency groups of the rows of ``jacobian`` from a greedily grown
+    maximal independent row set.
 
     Rows are scanned in ascending index order starting from ``seed_row``; each
     row that keeps the set independent joins it.  Every excluded row r yields
     the group {r} union the independent set; ``support`` records the rows with
     nonzero coefficients in r's (unique) expansion over the set.
-    ``jacobian`` is the Jacobian at ``assignment`` when the caller has it.
     """
-    J = eval_jacobian(system, assignment) if jacobian is None else jacobian
-    m = J.shape[0]
+    m = jacobian.shape[0]
     if m == 0:
         return []
     if not 0 <= seed_row < m:
@@ -84,16 +83,16 @@ def greedy_dependency_groups(system: ResidualSystem, assignment, seed_row: int =
     independent: list[int] = []
     excluded: list[int] = []
     for i in order:
-        candidate = J[independent + [i]]
+        candidate = jacobian[independent + [i]]
         if rank_of(candidate, rank_tol) == len(independent) + 1:
             independent.append(i)
         else:
             excluded.append(i)
 
     groups = []
-    basis = J[independent]
+    basis = jacobian[independent]
     for r in excluded:
-        coeffs, *_ = np.linalg.lstsq(basis.T, J[r], rcond=None)
+        coeffs, *_ = np.linalg.lstsq(basis.T, jacobian[r], rcond=None)
         scale = max(1.0, float(np.max(np.abs(coeffs))) if coeffs.size else 1.0)
         support = {
             independent[k]
@@ -108,20 +107,18 @@ def greedy_dependency_groups(system: ResidualSystem, assignment, seed_row: int =
     return groups
 
 
-def oracle_min_dependent_sets(system: ResidualSystem, assignment, size_cap: int = 12,
-                              rank_tol: float = RANK_REL_TOL,
-                              jacobian: np.ndarray | None = None) -> list[DependencyGroup]:
-    """All inclusion-minimal linearly dependent row sets, by exhaustive enumeration.
+def oracle_min_dependent_sets(jacobian: np.ndarray, size_cap: int = 12,
+                              rank_tol: float = RANK_REL_TOL) -> list[DependencyGroup]:
+    """All inclusion-minimal linearly dependent row sets of ``jacobian``, by
+    exhaustive enumeration.
 
     Enumeration is by increasing cardinality with superset pruning, so every
     emitted set is minimal: each proper subset is independent.  The unpruned
     subsets of one cardinality are ranked in stacks of ``ORACLE_CHUNK``; no set
     of that cardinality contains another, so ranking them together leaves the
-    pruning and the output order as they are.  ``jacobian`` is the Jacobian
-    at ``assignment`` when the caller has it.
+    pruning and the output order as they are.
     """
-    J = eval_jacobian(system, assignment) if jacobian is None else jacobian
-    m = J.shape[0]
+    m = jacobian.shape[0]
     if m > size_cap:
         raise CapExceeded(f"{m} rows exceeds the oracle cap of {size_cap}")
     found: list[frozenset[int]] = []
@@ -129,16 +126,9 @@ def oracle_min_dependent_sets(system: ResidualSystem, assignment, size_cap: int 
         unpruned = (combo for combo in combinations(range(m), k)
                     if not any(prev <= frozenset(combo) for prev in found))
         while chunk := list(islice(unpruned, ORACLE_CHUNK)):
-            ranks = rank_of(J[np.array(chunk)], rank_tol)
+            ranks = rank_of(jacobian[np.array(chunk)], rank_tol)
             found.extend(frozenset(combo) for combo, rank in zip(chunk, ranks) if rank < k)
     return [DependencyGroup(rows=s, kind="oracle-minimal") for s in found]
-
-
-def witness_matrices(model: Model, system: ResidualSystem,
-                     assignment) -> tuple[np.ndarray, np.ndarray]:
-    """Witness Jacobian and rigid-motion basis that :func:`is_well_part` slices."""
-    return (eval_jacobian(system, assignment),
-            motion_basis(model, system, assignment).matrix)
 
 
 def is_well_part(model: Model, system: ResidualSystem, jacobian: np.ndarray,
@@ -181,20 +171,17 @@ def dependent_rows(block: np.ndarray, rank_tol: float = RANK_REL_TOL) -> np.ndar
     return np.flatnonzero(np.any(np.abs(cokernel) > SUPPORT_TOL, axis=1))
 
 
-def greedy_well_parts(model: Model, system: ResidualSystem, assignment,
-                      seed_entity: str | None = None,
-                      rank_tol: float = RANK_REL_TOL,
-                      matrices: tuple[np.ndarray, np.ndarray] | None = None) -> list[WellPart]:
+def greedy_well_parts(model: Model, system: ResidualSystem, jacobian: np.ndarray,
+                      motions: np.ndarray, seed_entity: str | None = None,
+                      rank_tol: float = RANK_REL_TOL) -> list[WellPart]:
     """Greedy maximal well-constrained parts, seed first, leftovers rescanned.
 
     A single ascending-id pass grows each part, adding an entity iff the
     induced subsystem stays well-constrained; the procedure repeats on the
     remaining entities until none are left.  Results are seed-dependent by
     design (that is the documented limitation), but deterministic for a fixed
-    seed.  ``matrices`` is :func:`witness_matrices` at ``assignment`` when the
-    caller has it.
+    seed.  ``jacobian`` and ``motions`` are those of :func:`is_well_part`.
     """
-    J, M = witness_matrices(model, system, assignment) if matrices is None else matrices
     remaining = [e.id for e in model.entities]
     parts: list[WellPart] = []
     seed: str | None = seed_entity
@@ -205,9 +192,9 @@ def greedy_well_parts(model: Model, system: ResidualSystem, assignment,
         for eid in sorted(remaining):
             if eid == seed:
                 continue
-            if is_well_part(model, system, J, M, current | {eid}, rank_tol):
+            if is_well_part(model, system, jacobian, motions, current | {eid}, rank_tol):
                 current.add(eid)
-        if is_well_part(model, system, J, M, current, rank_tol):
+        if is_well_part(model, system, jacobian, motions, current, rank_tol):
             parts.append(WellPart(frozenset(current), induced(model, system, current)[0]))
             remaining = [i for i in remaining if i not in current]
         else:
@@ -216,23 +203,21 @@ def greedy_well_parts(model: Model, system: ResidualSystem, assignment,
     return parts
 
 
-def oracle_max_well_part(model: Model, system: ResidualSystem, assignment,
-                         entity_cap: int = 10,
-                         rank_tol: float = RANK_REL_TOL,
-                         matrices: tuple[np.ndarray, np.ndarray] | None = None) -> WellPart:
+def oracle_max_well_part(model: Model, system: ResidualSystem, jacobian: np.ndarray,
+                         motions: np.ndarray, entity_cap: int = 10,
+                         rank_tol: float = RANK_REL_TOL) -> WellPart:
     """Largest well-constrained entity subset by exhaustive enumeration.
 
     Ties break by lexicographic entity-id order; when nothing qualifies the
-    returned part is empty.  ``matrices`` is :func:`witness_matrices` at
-    ``assignment`` when the caller has it.
+    returned part is empty.  ``jacobian`` and ``motions`` are those of
+    :func:`is_well_part`.
     """
     ids = sorted(e.id for e in model.entities)
     if len(ids) > entity_cap:
         raise CapExceeded(f"{len(ids)} entities exceeds the oracle cap of {entity_cap}")
-    J, M = witness_matrices(model, system, assignment) if matrices is None else matrices
     for k in range(len(ids), 0, -1):
         for combo in combinations(ids, k):
-            if is_well_part(model, system, J, M, combo, rank_tol):
+            if is_well_part(model, system, jacobian, motions, combo, rank_tol):
                 return WellPart(frozenset(combo), induced(model, system, combo)[0])
     return WellPart(frozenset(), frozenset())
 

@@ -3,9 +3,9 @@
 Rank decisions use a scale-invariant SVD threshold tau = 1e-8 * sigma_max
 (1e-12 absolute for an all-zero matrix), set in one place, `_rank_tolerance`.
 `rank_analyze` also returns the kernel and cokernel, for the callers that
-read them (`witness.characterize_at`, `detect.dependent_rows`).  `rank_of`
+read them (`witness.characterize`, `detect.dependent_rows`).  `rank_of`
 computes singular values alone, for one matrix or a stack of them, for the
-callers that read only the rank (`witness.compute_dor`, `detect.is_well_part`,
+callers that read only the rank (the degree of rigidity, `detect.is_well_part`,
 `detect.greedy_dependency_groups`, `detect.oracle_min_dependent_sets`).
 
 The Newton solver's step solves

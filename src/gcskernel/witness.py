@@ -18,12 +18,13 @@ can legitimately have n - rank < dor and still count as well.
 
 Random configurations can be accidentally singular, so characterization votes
 over three independently seeded witnesses and reports "unstable" when no two
-agree on (rank, dor).
+agree on (rank, dor).  A witness carries J and the motion basis at its
+sample, and every consumer reads them from there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +34,7 @@ from .compiler import (
     ResidualSystem,
     compile_model,
     eval_jacobian,
+    full_cross,
     params_from_assignment,
 )
 from .model import Entity, Model, PLANE3, HESSIAN, POINT_NORMAL, LINE3
@@ -59,6 +61,8 @@ class WitnessConfiguration:
     satisfied_rows: tuple[int, ...]  # singular + normalization residual indices
     seed: int
     attempts: int
+    jacobian: np.ndarray  # the unanchored Jacobian at the sample
+    motions: np.ndarray  # the rigid-motion basis at the sample (motion_basis)
 
 
 def _entities_coincide(model: Model, params: dict[str, tuple[float, ...]]) -> bool:
@@ -87,13 +91,11 @@ def _entities_coincide(model: Model, params: dict[str, tuple[float, ...]]) -> bo
 
 
 def _projection(system: ResidualSystem, model: Model) -> ResidualSystem:
-    """The singular rows a witness sample is projected onto.  A 3D model with
-    singular rows is compiled with every cross-product component, so the
-    projection lands on the exact singular variety and the reduced system's
-    spurious branch is never satisfied by construction; ``full_cross``
-    changes no 2D row, so a 2D model keeps ``system``'s rows."""
-    if model.dimension == 3 and system.singular_rows():
-        system = compile_model(model, full_cross=True)
+    """The singular rows a witness sample is projected onto, with every
+    cross-product component (:func:`compiler.full_cross`), so the projection
+    lands on the exact singular variety and the reduced system's spurious
+    branch is never satisfied by construction."""
+    system = full_cross(system, model)
     return system.select(system.singular_rows())
 
 
@@ -104,8 +106,9 @@ def generate_witness(system: ResidualSystem, model: Model, seed: int = 0,
 
     The singular subsystem (incidences, parallels, normalizations) is usually
     highly under-constrained and solves in one attempt; candidates where two
-    same-kind entities coincide are rejected as accidentally degenerate.
-    ``projection`` is the selection of singular rows that samples are
+    same-kind entities coincide are rejected as accidentally degenerate.  The
+    sample carries the Jacobian of ``system`` without anchors and the motion
+    basis.  ``projection`` is the selection of singular rows that samples are
     projected onto, when the caller already has it (:func:`characterize`
     derives it once for all its votes, so they share one evaluation plan);
     it is derived here otherwise.
@@ -128,15 +131,10 @@ def generate_witness(system: ResidualSystem, model: Model, seed: int = 0,
         if _entities_coincide(model, params):
             last_error = "coincident entities in sample"
             continue
-        return WitnessConfiguration(x, tuple(rows), seed, attempt)
+        return WitnessConfiguration(x, tuple(rows), seed, attempt, eval_jacobian(base, x),
+                                    motion_basis(model, base, x))
     raise WitnessError(
         f"witness generation failed after {max_attempts} attempts (seed {seed}): {last_error}")
-
-
-@dataclass(frozen=True)
-class RigidMotionBasis:
-    matrix: np.ndarray  # k x n, row i = parameter velocity of generator i
-    generators: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -144,18 +142,16 @@ class DorResult:
     dor: int
 
 
-def motion_basis(model: Model, system: ResidualSystem, assignment) -> RigidMotionBasis:
-    """Rigid-motion generator velocities in the system's variable coordinates."""
+def motion_basis(model: Model, system: ResidualSystem, assignment) -> np.ndarray:
+    """Rigid-motion generator velocities in the system's variable coordinates:
+    row i is the parameter velocity of generator i (the translations, then
+    the rotations)."""
     x = np.asarray(assignment, dtype=float)
     M = np.zeros((geometry.generator_count(model.dimension), system.n_variables))
     for e in model.entities:
         s = system.entity_slice(e.id)
         M[:, s] = geometry.motion_rows(e, x[s])
-    names = (
-        ("tx", "ty", "rot") if model.dimension == 2
-        else ("tx", "ty", "tz", "rx", "ry", "rz")
-    )
-    return RigidMotionBasis(M, names)
+    return M
 
 
 def compute_dor(model: Model, system: ResidualSystem, assignment,
@@ -164,7 +160,7 @@ def compute_dor(model: Model, system: ResidualSystem, assignment,
     whole system; ``rank_tol`` is the relative SVD threshold of
     :func:`rank_analyze`.
     """
-    return DorResult(rank_of(motion_basis(model, system, assignment).matrix, rank_tol))
+    return DorResult(rank_of(motion_basis(model, system, assignment), rank_tol))
 
 
 @dataclass(frozen=True)
@@ -180,6 +176,8 @@ class WcmReport:
     dependent_groups: tuple[tuple[int, ...], ...]
     seeds: tuple[int, ...] = ()
     sub_reports: tuple["WcmReport", ...] = ()
+    # the witnesses voted on, in seed order; not part of the report
+    samples: tuple[WitnessConfiguration, ...] = field(default=(), compare=False, repr=False)
 
     def matched(self) -> bool:
         """Whether kernel dimension matches the degree of rigidity."""
@@ -212,7 +210,13 @@ def characterize_at(system: ResidualSystem, assignment, dor: int,
                     seeds: tuple[int, ...] = (),
                     rank_tol: float = RANK_REL_TOL) -> WcmReport:
     """Single-witness constraint-state report on the system Jacobian."""
-    analysis = rank_analyze(eval_jacobian(system, assignment), rank_tol)
+    return _report(eval_jacobian(system, assignment), dor, seeds, rank_tol)
+
+
+def _report(jacobian: np.ndarray, dor: int, seeds: tuple[int, ...],
+            rank_tol: float) -> WcmReport:
+    """The constraint-state report of a witness Jacobian of degree of rigidity ``dor``."""
+    analysis = rank_analyze(jacobian, rank_tol)
     m, n = analysis.shape
     over = analysis.rank < m
     under = (n - analysis.rank) > dor
@@ -243,27 +247,27 @@ def characterize(system: ResidualSystem, model: Model, seed: int = 0,
     """Majority-vote characterization over independently seeded witnesses.
 
     Anchors are excluded: the criteria quantify rigid-motion freedom, which
-    anchoring deliberately removes.  If no two witnesses agree on (rank, dor)
-    the verdict is "unstable" and the individual reports are attached.
-    ``rank_tol`` is the relative SVD threshold of both rank decisions (the
-    Jacobian rank and the degree of rigidity).
+    anchoring deliberately removes.  Vote i draws the witness of seed
+    ``seed + i`` and reads its Jacobian and motion basis; the report keeps
+    the witnesses in ``samples``.  A system without variables has one
+    configuration, so it takes one vote.  If no two witnesses agree on
+    (rank, dor) the verdict is "unstable" and the individual reports are
+    attached.  ``rank_tol`` is the relative SVD threshold of both rank
+    decisions (the Jacobian rank and the degree of rigidity).
     """
     base = system.without_anchors()
     if base.n_variables == 0:
-        return characterize_at(base, np.zeros(0), 0, seeds=(seed,), rank_tol=rank_tol)
-    reports: list[WcmReport] = []
+        votes = 1
     projection = _projection(base, model)
-    for i in range(votes):
-        wseed = seed + i
-        wit = generate_witness(base, model, seed=wseed, projection=projection)
-        dor = compute_dor(model, base, wit.assignment, rank_tol=rank_tol).dor
-        reports.append(characterize_at(base, wit.assignment, dor, seeds=(wseed,),
-                                       rank_tol=rank_tol))
+    samples = tuple(generate_witness(base, model, seed=seed + i, projection=projection)
+                    for i in range(votes))
+    reports = [_report(w.jacobian, rank_of(w.motions, rank_tol), (w.seed,), rank_tol)
+               for w in samples]
     keys = [(r.rank, r.dor) for r in reports]
     needed = 1 if votes == 1 else max(2, votes // 2 + 1)
     for i, key in enumerate(keys):
         if keys.count(key) >= needed:
-            return replace(reports[i], seeds=tuple(r.seeds[0] for r in reports))
+            return replace(reports[i], seeds=tuple(w.seed for w in samples), samples=samples)
     return WcmReport(
         columns=reports[0].columns,
         rows=reports[0].rows,
@@ -274,8 +278,9 @@ def characterize(system: ResidualSystem, model: Model, seed: int = 0,
         verdict="unstable",
         free_motions=0,
         dependent_groups=(),
-        seeds=tuple(r.seeds[0] for r in reports),
+        seeds=tuple(w.seed for w in samples),
         sub_reports=tuple(reports),
+        samples=samples,
     )
 
 

@@ -126,17 +126,41 @@ def counting(calls, name, real):
     return wrapper
 
 
-def test_detect_evaluates_one_witness_jacobian(capsys, corpus_dir, monkeypatch):
-    # the greedy and oracle searches all read the Jacobian and the motion
-    # basis at the one detection witness (the witness votes of the verdict
-    # sample their own configurations)
+@pytest.mark.parametrize("witnesses", [1, 3])
+def test_detect_draws_one_witness_per_vote(witnesses, capsys, corpus_dir, monkeypatch):
+    # the greedy and oracle searches read the Jacobian and the motion basis
+    # that the verdict's first witness carries: gcs detect draws one witness
+    # per vote, and nothing outside a draw evaluates J or M
     calls = []
-    for module, name in ((cli, "eval_jacobian"), (detect, "eval_jacobian"),
-                         (detect, "motion_basis")):
-        monkeypatch.setattr(module, name, counting(calls, name, getattr(module, name)))
-    code, data = run_json(capsys, "detect", str(corpus_dir / "triangle.json"))
+    drawing = [False]
+
+    def draw(real):
+        def wrapper(*args, **kwargs):
+            calls.append("generate_witness")
+            drawing[0] = True
+            try:
+                return real(*args, **kwargs)
+            finally:
+                drawing[0] = False
+        return wrapper
+
+    def outside_a_draw(name, real):
+        def wrapper(*args, **kwargs):
+            if not drawing[0]:
+                calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module in (cli, decompose, detect, witness):
+        for name in ("eval_jacobian", "motion_basis"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, outside_a_draw(name, getattr(module, name)))
+        if hasattr(module, "generate_witness"):
+            monkeypatch.setattr(module, "generate_witness", draw(module.generate_witness))
+    code, data = run_json(capsys, "--witnesses", str(witnesses), "detect",
+                          str(corpus_dir / "triangle.json"))
     assert data["verdict"] == "well" and "maxWellPart" in data["oracle"]
-    assert sorted(calls) == ["eval_jacobian", "motion_basis"]
+    assert calls == ["generate_witness"] * witnesses
 
 
 @pytest.mark.parametrize("argv", [["solve", "--strategy", "decomposed"],
@@ -157,10 +181,10 @@ def test_decomposition_compiles_the_model_once(argv, capsys, corpus_dir, monkeyp
     ("triangle", ["detect"], 1),
     ("triangle", ["decompose"], 1),
     ("triangle", ["solve", "--strategy", "decomposed"], 1),
-    # a 3D model with singular rows compiles once more for each witness
-    # projection (check: the verdict; detect: the verdict and its witness)
-    ("plane-prism", ["check"], 2),
-    ("plane-prism", ["detect"], 3),
+    # a 3D model's projection takes its full cross-product rows from the
+    # loaded system
+    ("plane-prism", ["check"], 1),
+    ("plane-prism", ["detect"], 1),
 ])
 def test_witness_projection_compiles_only_3d_models(name, argv, compiles, capsys, corpus_dir,
                                                     monkeypatch):

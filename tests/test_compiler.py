@@ -6,6 +6,7 @@ import pytest
 from gcskernel import (
     AnchorError,
     CompileError,
+    Entity,
     Model,
     add_anchors,
     assignment_from_params,
@@ -13,6 +14,7 @@ from gcskernel import (
     dump_equations,
     eval_jacobian,
     eval_residuals,
+    full_cross,
     linear_system,
     rank_analyze,
 )
@@ -20,7 +22,7 @@ from gcskernel import expr as ex
 from gcskernel.compiler import Residual, ResidualSystem, Variable
 from gcskernel import zoo
 
-from conftest import assert_jacobian_matches_fd, cross_product_models
+from conftest import assert_jacobian_matches_fd, cross_product_models, point_on_line_3d_model
 
 
 def test_triangle_counts():
@@ -200,10 +202,16 @@ def test_linear_system_shapes():
 @pytest.mark.parametrize("m", cross_product_models())
 def test_full_cross_adds_the_dropped_component(m):
     reduced = compile_model(m)
-    full = compile_model(m, full_cross=True)
+    full = full_cross(reduced, m)
     assert full.variables == reduced.variables
     cross = [c for c in m.constraints if c.kind in ("parallel", "point-on-line")]
     assert full.n_residuals == reduced.n_residuals + len(cross)
+    # the rows keep compile order: constraints in model order, then the rest
+    order = [c.id for c in m.constraints]
+    sources = [r.source for r in full.residuals if r.kind == "constraint"]
+    assert sources == sorted(sources, key=order.index)
+    assert [r[1:] for r in full.residuals if r.kind != "constraint"] == \
+        [r[1:] for r in reduced.residuals if r.kind != "constraint"]
 
     def rendered(system, cid):
         lines = dump_equations(system).splitlines()
@@ -222,3 +230,19 @@ def test_full_cross_adds_the_dropped_component(m):
             d = holder.params[3:6] if holder.spec.representation != "hessian" else holder.params[0:3]
             drop = int(np.argmax(np.abs(d)))
         assert kept == [e for i, e in enumerate(every) if i != drop]
+
+
+def test_full_cross_keeps_anchor_rows_last():
+    m = point_on_line_3d_model()
+    m = Model(3, m.entities + (Entity("P3", "point3", (1.0, 0.0, 0.0)),), m.constraints)
+    s = compile_model(m)
+    full, anchored = full_cross(s, m), full_cross(add_anchors(s, m), m)
+    assert anchored.residuals[:full.n_residuals] == full.residuals
+    assert [r.kind for r in anchored.residuals[full.n_residuals:]] == ["anchor"] * 6
+
+
+@pytest.mark.parametrize("m", [zoo.triangle_model(), zoo.double_banana_model()],
+                         ids=["2d", "3d-no-cross-product"])
+def test_full_cross_keeps_a_system_without_cross_product_rows(m):
+    s = compile_model(m)
+    assert full_cross(s, m) is s

@@ -23,7 +23,7 @@ from gcskernel import (
 from gcskernel import cli, compiler, decompose, geometry, numeric, zoo
 from gcskernel.compiler import induced
 from gcskernel.decompose import ClusterNode, ClusterTree, align_onto
-from gcskernel.detect import dependent_rows, is_well_part, witness_matrices
+from gcskernel.detect import dependent_rows, is_well_part
 from gcskernel.model import Constraint, Entity, Model, model_from_json_dict
 from gcskernel.numeric import solve
 from gcskernel.witness import characterize, characterize_at, generate_witness
@@ -116,7 +116,7 @@ def restart_scan_bottom_up(model, seed=0):
     sort them and rescan from the top (the loop the worklist replaced)."""
     system = compile_model(model)
     witness = generate_witness(system, model, seed=seed)
-    J, M = witness_matrices(model, system, witness.assignment)
+    J, M = witness.jacobian, witness.motions
     counter = [0]
 
     def new_node(kind, entities, children=(), shared=()):
@@ -222,7 +222,7 @@ def small_bar_frameworks(draw, max_edges=lambda n: 2 * n):
 def is_independent(model, seed=0):
     """Whether no row of the model's witness Jacobian takes part in a dependency."""
     system = compile_model(model)
-    J, _ = witness_matrices(model, system, generate_witness(system, model, seed=seed).assignment)
+    J = generate_witness(system, model, seed=seed).jacobian
     return dependent_rows(J).size == 0
 
 

@@ -13,10 +13,10 @@ from gcskernel import (
     greedy_well_parts,
     is_well_part,
     linear_system,
+    motion_basis,
     oracle_max_well_part,
     oracle_min_dependent_sets,
     rank_analyze,
-    witness_matrices,
 )
 from gcskernel import detect, zoo
 from gcskernel.compiler import induced
@@ -28,8 +28,12 @@ def names(system, rows):
     return tuple(system.residuals[i].name for i in sorted(rows))
 
 
-def rank_of_rows(system, x, rows):
-    J = eval_jacobian(system, x)
+def jacobian(system):
+    """The Jacobian of a linear system, the same at every assignment."""
+    return eval_jacobian(system, np.zeros(system.n_variables))
+
+
+def rank_of_rows(J, rows):
     return rank_analyze(J[sorted(rows)]).rank
 
 
@@ -37,8 +41,7 @@ def rank_of_rows(system, x, rows):
 
 def test_greedy_groups_lindep1():
     s = zoo.lindep1_system()
-    x = np.zeros(3)
-    groups = greedy_dependency_groups(s, x, seed_row=0)
+    groups = greedy_dependency_groups(jacobian(s), seed_row=0)
     assert [names(s, g.rows) for g in groups] == [
         ("E1", "E2", "E3", "E4"), ("E1", "E2", "E3", "E5")]
     # E4 = 4 E1 - E3 exactly: its numerical support excludes E2
@@ -48,18 +51,17 @@ def test_greedy_groups_lindep1():
 
 def test_greedy_groups_lindep2_documented_failure():
     s = zoo.lindep2_system()
-    x = np.zeros(3)
-    groups = greedy_dependency_groups(s, x, seed_row=0)
+    groups = greedy_dependency_groups(jacobian(s), seed_row=0)
     assert [names(s, g.rows) for g in groups] == [
         ("E1", "E2", "E3", "E4"), ("E1", "E2", "E3", "E5")]
-    oracle = oracle_min_dependent_sets(s, x)
+    oracle = oracle_min_dependent_sets(jacobian(s))
     sizes = sorted(len(g.rows) for g in oracle)
     assert min(sizes) == 2 < min(len(g.rows) for g in groups)
 
 
 def test_greedy_alternative_seed():
     s = zoo.lindep2_system()
-    groups = greedy_dependency_groups(s, np.zeros(3), seed_row=3)
+    groups = greedy_dependency_groups(jacobian(s), seed_row=3)
     # seeded at E4, E5's numerical support shrinks to the proportional pair
     e5 = [g for g in groups if s.residuals[g.excluded_row].name == "E5"][0]
     assert names(s, e5.support) == ("E4", "E5")
@@ -67,16 +69,15 @@ def test_greedy_alternative_seed():
 
 def test_greedy_full_rank_no_groups():
     s = linear_system(np.eye(3), np.zeros(3))
-    assert greedy_dependency_groups(s, np.zeros(3)) == []
+    assert greedy_dependency_groups(jacobian(s)) == []
     with pytest.raises(ValueError):
-        greedy_dependency_groups(s, np.zeros(3), seed_row=7)
+        greedy_dependency_groups(jacobian(s), seed_row=7)
 
 
 def test_oracle_lindep1_and_lindep2():
     s1, s2 = zoo.lindep1_system(), zoo.lindep2_system()
-    x = np.zeros(3)
-    o1 = sorted(names(s1, g.rows) for g in oracle_min_dependent_sets(s1, x))
-    o2 = sorted(names(s2, g.rows) for g in oracle_min_dependent_sets(s2, x))
+    o1 = sorted(names(s1, g.rows) for g in oracle_min_dependent_sets(jacobian(s1)))
+    o2 = sorted(names(s2, g.rows) for g in oracle_min_dependent_sets(jacobian(s2)))
     assert o1 == [("E1", "E2", "E3", "E5"), ("E1", "E2", "E4", "E5"),
                   ("E1", "E3", "E4"), ("E2", "E3", "E4", "E5")]
     assert o2 == [("E1", "E3", "E4"), ("E1", "E3", "E5"), ("E4", "E5")]
@@ -85,48 +86,49 @@ def test_oracle_lindep1_and_lindep2():
 
 def test_oracle_identity_rows_empty():
     s = linear_system(np.eye(3), np.zeros(3))
-    assert oracle_min_dependent_sets(s, np.zeros(3)) == []
+    assert oracle_min_dependent_sets(jacobian(s)) == []
 
 
 def test_oracle_cap():
     s = linear_system(np.ones((13, 2)), np.zeros(13))
     with pytest.raises(CapExceeded):
-        oracle_min_dependent_sets(s, np.zeros(2), size_cap=12)
+        oracle_min_dependent_sets(jacobian(s), size_cap=12)
 
 
 def test_group_invariants():
     for sys_ in (zoo.lindep1_system(), zoo.lindep2_system()):
-        x = np.zeros(3)
-        for g in greedy_dependency_groups(sys_, x):
-            assert rank_of_rows(sys_, x, g.rows) < len(g.rows)
-        for g in oracle_min_dependent_sets(sys_, x):
+        J = jacobian(sys_)
+        for g in greedy_dependency_groups(J):
+            assert rank_of_rows(J, g.rows) < len(g.rows)
+        for g in oracle_min_dependent_sets(J):
             rows = sorted(g.rows)
-            assert rank_of_rows(sys_, x, rows) < len(rows)
+            assert rank_of_rows(J, rows) < len(rows)
             for drop in rows:
                 sub = [r for r in rows if r != drop]
                 if sub:
-                    assert rank_of_rows(sys_, x, sub) == len(sub)
+                    assert rank_of_rows(J, sub) == len(sub)
 
 
 def test_determinism():
-    s = zoo.lindep2_system()
-    x = np.zeros(3)
-    a = greedy_dependency_groups(s, x, seed_row=0)
-    b = greedy_dependency_groups(s, x, seed_row=0)
+    J = jacobian(zoo.lindep2_system())
+    a = greedy_dependency_groups(J, seed_row=0)
+    b = greedy_dependency_groups(J, seed_row=0)
     assert [g.rows for g in a] == [g.rows for g in b]
 
 
 # --- well parts ---------------------------------------------------------------
 
 def witness_for(m):
+    """The compiled model and the Jacobian and motion basis of its seed-0 witness."""
     s = compile_model(m)
-    return s, generate_witness(s, m, seed=0).assignment
+    w = generate_witness(s, m, seed=0)
+    return s, w.jacobian, w.motions
 
 
 def test_two_triangle_bridge_parts():
     m = zoo.two_triangles_bridge()
-    s, x = witness_for(m)
-    parts = greedy_well_parts(m, s, x, seed_entity="P1")
+    s, J, M = witness_for(m)
+    parts = greedy_well_parts(m, s, J, M, seed_entity="P1")
     assert sorted(sorted(p.entities) for p in parts) == [
         ["P1", "P2", "P3"], ["P4", "P5", "P6"]]
     # the bridge constraint belongs to neither part
@@ -136,8 +138,8 @@ def test_two_triangle_bridge_parts():
 
 def test_well_whole_single_part():
     m = zoo.three_distances_model()
-    s, x = witness_for(m)
-    parts = greedy_well_parts(m, s, x)
+    s, J, M = witness_for(m)
+    parts = greedy_well_parts(m, s, J, M)
     assert len(parts) == 1
     assert parts[0].entities == frozenset({"P1", "P2", "P3"})
 
@@ -146,68 +148,67 @@ def test_single_pass_order_dependence_on_braced_quad():
     # the ascending scan meets P3 before P4 and can never come back: the
     # classical greedy blind spot
     m = zoo.braced_quad_model()
-    s, x = witness_for(m)
-    parts = greedy_well_parts(m, s, x, seed_entity="P1")
+    s, J, M = witness_for(m)
+    parts = greedy_well_parts(m, s, J, M, seed_entity="P1")
     assert sorted(sorted(p.entities) for p in parts) == [["P1", "P2", "P4"]]
-    best = oracle_max_well_part(m, s, x)
+    best = oracle_max_well_part(m, s, J, M)
     assert best.entities == frozenset({"P1", "P2", "P3", "P4"})
 
 
 def test_seed_dependence_demo():
     m = zoo.seed_demo_model()
-    s, x = witness_for(m)
+    s, J, M = witness_for(m)
     sizes = {}
     for seed in ["A", "B", "C", "D", "E"]:
-        parts = greedy_well_parts(m, s, x, seed_entity=seed)
+        parts = greedy_well_parts(m, s, J, M, seed_entity=seed)
         sizes[seed] = sorted(len(p.entities) for p in parts)
     assert sizes["B"] == [5]
     assert sizes["E"] == [2, 3]
     assert len(set(map(tuple, sizes.values()))) > 1
-    best = oracle_max_well_part(m, s, x)
+    best = oracle_max_well_part(m, s, J, M)
     assert len(best.entities) == 5
-    worst = max(len(p.entities) for p in greedy_well_parts(m, s, x, seed_entity="E"))
+    worst = max(len(p.entities) for p in greedy_well_parts(m, s, J, M, seed_entity="E"))
     assert len(best.entities) > worst
 
 
 def test_parts_disjoint_and_well():
     m = zoo.two_triangles_shared_vertex()
-    s, x = witness_for(m)
-    parts = greedy_well_parts(m, s, x)
+    s, J, M = witness_for(m)
+    parts = greedy_well_parts(m, s, J, M)
     seen = set()
     for p in parts:
         assert not (p.entities & seen)
         seen |= p.entities
-        assert is_well_part(m, s, *witness_matrices(m, s, x), p.entities)
+        assert is_well_part(m, s, J, M, p.entities)
 
 
 def test_lone_entity_is_not_well():
     m = Model(2, (Entity("P1", "point2", (0.0, 0.0)),), ())
     s = compile_model(m)
     x = np.zeros(2)
-    assert not is_well_part(m, s, *witness_matrices(m, s, x), {"P1"})
-    best = oracle_max_well_part(m, s, x)
+    J, M = eval_jacobian(s, x), motion_basis(m, s, x)
+    assert not is_well_part(m, s, J, M, {"P1"})
+    best = oracle_max_well_part(m, s, J, M)
     assert best.entities == frozenset()
 
 
 def test_oracle_full_set_when_well():
     m = zoo.braced_quad_model()
-    s, x = witness_for(m)
-    best = oracle_max_well_part(m, s, x)
+    s, J, M = witness_for(m)
+    best = oracle_max_well_part(m, s, J, M)
     assert best.entities == frozenset({"P1", "P2", "P3", "P4"})
 
 
 def test_oracle_entity_cap():
     m = zoo.seed_demo_model()
-    s, x = witness_for(m)
+    s, J, M = witness_for(m)
     with pytest.raises(CapExceeded):
-        oracle_max_well_part(m, s, x, entity_cap=3)
+        oracle_max_well_part(m, s, J, M, entity_cap=3)
 
 
 def test_detection_report_shape():
-    s = zoo.lindep2_system()
-    x = np.zeros(3)
     rep = detection_report(
-        greedy_dependency_groups(s, x), [], "greedy", seed=0)
+        greedy_dependency_groups(jacobian(zoo.lindep2_system())), [], "greedy", seed=0)
     assert rep["method"] == "greedy" and rep["seed"] == 0
     assert rep["dependencyGroups"] == [[0, 1, 2, 3], [0, 1, 2, 4]]
 
@@ -215,18 +216,18 @@ def test_detection_report_shape():
 # --- rank-only decisions against full rank analyses ---------------------------
 
 def corpus_systems(corpus_dir):
-    """(name, model or None, system, assignment) per corpus file: a seed-0
-    witness for a model, zeros for a raw linear system."""
+    """(name, model or None, system, Jacobian, motion basis or None) per corpus
+    file: at the seed-0 witness for a model, for a raw linear system its
+    Jacobian and no motion basis."""
     for path in sorted(corpus_dir.glob("*.json")):
         data = json.loads(path.read_text(encoding="utf-8"))
         if "equations" in data:
             s = linear_system([eq["coeffs"] for eq in data["equations"]],
                               [eq.get("rhs", 0.0) for eq in data["equations"]])
-            yield path.stem, None, s, np.zeros(s.n_variables)
+            yield path.stem, None, s, jacobian(s), None
         else:
             m = model_from_json_dict(data)
-            s, x = witness_for(m)
-            yield path.stem, m, s, x
+            yield path.stem, m, *witness_for(m)
 
 
 def entity_subsets(model):
@@ -247,9 +248,9 @@ def reference_is_well_part(model, system, J, M, subset):
 
 
 def small_corpus_models(corpus_dir, max_entities=8):
-    for name, m, s, x in corpus_systems(corpus_dir):
+    for name, m, s, J, M in corpus_systems(corpus_dir):
         if m is not None and len(m.entities) <= max_entities:
-            yield name, m, s, witness_matrices(m, s, x)
+            yield name, m, s, (J, M)
 
 
 def test_is_well_part_matches_full_rank_analyses_on_corpus(corpus_dir):
@@ -314,10 +315,10 @@ def reference_min_dependent_sets(J):
 
 def test_stacked_oracle_matches_per_subset_enumeration_on_corpus(corpus_dir):
     checked = 0
-    for name, _, s, x in corpus_systems(corpus_dir):
+    for name, _, s, J, _ in corpus_systems(corpus_dir):
         if s.n_residuals <= 12:
-            got = [g.rows for g in oracle_min_dependent_sets(s, x)]
-            assert got == reference_min_dependent_sets(eval_jacobian(s, x)), name
+            got = [g.rows for g in oracle_min_dependent_sets(J)]
+            assert got == reference_min_dependent_sets(J), name
             checked += 1
     assert checked >= 10
 
@@ -340,7 +341,7 @@ def test_stacked_oracle_crosses_chunks_on_a_drawn_system(monkeypatch):
         return rank_of(matrices, *args)
 
     monkeypatch.setattr(detect, "rank_of", counting_rank_of)
-    got = [g.rows for g in oracle_min_dependent_sets(s, np.zeros(8), size_cap=14)]
+    got = [g.rows for g in oracle_min_dependent_sets(jacobian(s), size_cap=14)]
     assert got == reference_min_dependent_sets(np.array(A))
     assert len({len(g) for g in got}) > 1
     assert max(count for count, _ in stacks) == detect.ORACLE_CHUNK

@@ -8,8 +8,8 @@ from gcskernel import (
     assignment_from_params,
     compile_model,
     eval_residuals,
+    generate_witness,
     is_well_part,
-    witness_matrices,
 )
 from gcskernel import geometry, zoo
 from gcskernel.decompose import bottom_up
@@ -81,8 +81,8 @@ def test_rigid_transform_preserves_residuals_3d():
 def test_every_bottom_up_cluster_is_well_constrained():
     for m in [zoo.braced_quad_model(), zoo.triangle_model(), zoo.seed_demo_model()]:
         s = compile_model(m)
-        from gcskernel import generate_witness
-        J, M = witness_matrices(m, s, generate_witness(s, m, seed=0).assignment)
+        w = generate_witness(s, m, seed=0)
+        J, M = w.jacobian, w.motions
         tree = bottom_up(m)
 
         def nodes(n):

@@ -13,6 +13,7 @@ from gcskernel import (
     compute_dor,
     eval_jacobian,
     eval_residuals,
+    full_cross,
     generate_witness,
     motion_basis,
     rank_analyze,
@@ -125,13 +126,34 @@ def test_witness_satisfies_every_cross_product_component(m):
     # on the reduced system's spurious branch where only the dropped
     # component is violated
     s = compile_model(m)
-    full = compile_model(m, full_cross=True)
+    full = full_cross(s, m)
     cross = {c.id for c in m.constraints if c.kind in ("parallel", "point-on-line")}
     rows = [r.index for r in full.residuals if r.source in cross]
     assert len(rows) == 3 * len(cross)
     for seed in range(50):
         x = generate_witness(s, m, seed=seed).assignment
         assert np.max(np.abs(eval_residuals(full.select(rows), x))) <= 1e-9
+
+
+def test_witness_carries_its_jacobian_and_motion_basis():
+    m = zoo.triangle_model()
+    s = compile_model(m)
+    anchored = add_anchors(s, m)
+    wit = generate_witness(anchored, m, seed=3)
+    assert np.array_equal(wit.jacobian, eval_jacobian(s, wit.assignment))
+    assert np.array_equal(wit.motions, motion_basis(m, s, wit.assignment))
+
+
+def test_characterize_keeps_the_witnesses_it_voted_on():
+    m = zoo.plane_prism_model()
+    s = compile_model(m)
+    report = characterize(s, m, seed=5, votes=3)
+    assert [w.seed for w in report.samples] == [5, 6, 7]
+    for w in report.samples:
+        alone = generate_witness(s, m, seed=w.seed)
+        assert np.array_equal(w.assignment, alone.assignment)
+        assert np.array_equal(w.jacobian, alone.jacobian)
+    assert "samples" not in report.to_json_dict()
 
 
 def test_witness_generation_failure():
@@ -187,7 +209,7 @@ def test_motion_basis_matches_finite_differences():
     ), ())
     s = compile_model(m)
     x = assignment_from_params(m, s)
-    basis = motion_basis(m, s, x)
+    M = motion_basis(m, s, x)
     h = 1e-7
     generators = []
     eye = np.eye(3)
@@ -202,7 +224,7 @@ def test_motion_basis_matches_finite_differences():
             p0 = np.asarray(e.params, dtype=float)
             moved = geometry.apply_rigid(e, p0, R, t)
             fd[cols] = (np.asarray(moved) - p0) / h
-        assert np.max(np.abs(basis.matrix[k] - fd)) <= 1e-6
+        assert np.max(np.abs(M[k] - fd)) <= 1e-6
 
 
 def test_dor_pivot_independence():
@@ -211,14 +233,14 @@ def test_dor_pivot_independence():
         {"A": (3, 1), "B": (7, -2), "C": (4, 4)}, [])
     s = compile_model(m)
     x = assignment_from_params(m, s)
-    basis = motion_basis(m, s, x)
+    M = motion_basis(m, s, x)
     rng = np.random.default_rng(1)
     for _ in range(5):
         pivot = rng.normal(size=2)
-        shifted = basis.matrix.copy()
+        shifted = M.copy()
         # velocity about pivot p = velocity about origin - rotation of p
-        shifted[2] = basis.matrix[2] + pivot[1] * basis.matrix[0] - pivot[0] * basis.matrix[1]
-        assert rank_analyze(shifted).rank == rank_analyze(basis.matrix).rank
+        shifted[2] = M[2] + pivot[1] * M[0] - pivot[0] * M[1]
+        assert rank_analyze(shifted).rank == rank_analyze(M).rank
 
 
 # --- characterization -----------------------------------------------------------
@@ -299,7 +321,9 @@ def test_unstable_when_witnesses_disagree(monkeypatch):
     import gcskernel.witness as w
 
     def fake_generate(system, model, seed=0, max_attempts=10, projection=None):
-        return w.WitnessConfiguration(next(fakes), (), seed, 1)
+        x = next(fakes)
+        return w.WitnessConfiguration(x, (), seed, 1, eval_jacobian(system, x),
+                                      motion_basis(model, system, x))
 
     monkeypatch.setattr(w, "generate_witness", fake_generate)
     report = w.characterize(s, m, seed=0)
