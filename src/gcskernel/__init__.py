@@ -29,6 +29,7 @@ from .decompose import (
     DecompositionError,
     RecombinePlan,
     bottom_up,
+    bottom_up_at,
     solve_tree,
     top_down,
 )

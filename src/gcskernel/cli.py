@@ -1,10 +1,10 @@
 """Command-line front end: check | detect | decompose | solve.
 
 Exit codes: 0 well, 1 parse/validation error, 3 under, 4 over,
-5 over-and-under, 6 unstable, 7 decomposed solve refused (no 2D cluster
-tree, or a cluster failed to solve or align).  Reports are deterministic for
-a fixed model and configuration; JSON output is byte-stable (sorted keys,
-fixed separators).  The environment variable GCS_SEED overrides --seed.
+5 over-and-under, 6 unstable, 7 no witness sample could be drawn, or a
+decomposed solve refused (no 2D cluster tree, or a cluster failed to solve
+or align).  Reports are deterministic for a fixed model and configuration;
+JSON output is byte-stable (sorted keys, fixed separators).  The environment variable GCS_SEED overrides --seed.
 """
 
 from __future__ import annotations
@@ -27,7 +27,14 @@ from .compiler import (
     linear_system,
     params_from_assignment,
 )
-from .decompose import AlignmentError, DecompositionError, bottom_up, solve_tree, top_down
+from .decompose import (
+    AlignmentError,
+    DecompositionError,
+    bottom_up,
+    bottom_up_at,
+    solve_tree,
+    top_down,
+)
 from .detect import (
     CapExceeded,
     detection_report,
@@ -39,10 +46,10 @@ from .detect import (
 from .model import Model, model_from_json_dict
 from .numeric import RANK_REL_TOL, RESIDUAL_TOL, solve
 from .structural import build_graphs, counting_state
-from .witness import characterize, characterize_at
+from .witness import WitnessError, characterize, characterize_at
 
 EXIT = {"well": 0, "under": 3, "over": 4, "over-and-under": 5, "unstable": 6}
-EXIT_REFUSED = 7
+EXIT_REFUSED = 7  # no witness sample could be drawn, or a decomposed solve refused
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -189,7 +196,7 @@ def cmd_detect(args) -> int:
     else:
         wr = characterize(system, model, seed=args.seed, votes=args.witnesses,
                           rank_tol=args.rank_tol)
-        J, M = wr.samples[0].jacobian, wr.samples[0].motions
+        J, M = wr.witness.jacobian, wr.witness.motions
     greedy = greedy_dependency_groups(J, seed_row=args.seed_row, rank_tol=args.rank_tol)
     payload = {
         "command": "detect",
@@ -227,7 +234,8 @@ def cmd_decompose(args) -> int:
     wr = characterize(system, model, seed=args.seed, votes=args.witnesses,
                       rank_tol=args.rank_tol)
     try:
-        tree = bottom_up(model, seed=args.seed, rank_tol=args.rank_tol, system=system) \
+        # bottom-up's merge checks read the verdict's first witness
+        tree = bottom_up_at(model, system, wr.witness, args.rank_tol) \
             if args.strategy == "bottom-up" else top_down(model)
         payload = {
             "command": "decompose",
@@ -362,6 +370,9 @@ def main(argv=None) -> int:
     except SystemExitError as err:
         print(str(err), file=sys.stderr)
         return err.code
+    except WitnessError as err:
+        print(str(err), file=sys.stderr)
+        return EXIT_REFUSED
 
 
 if __name__ == "__main__":

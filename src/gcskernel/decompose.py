@@ -31,6 +31,9 @@ reaches, earliest created first; recombination takes its frame from the first
 child, so that leaf fixes the frame.  The redundant or conflicting constraints
 are those whose rows take part in a row dependency of the witness Jacobian
 (the cokernel support that ``check`` reports), plus those no root holds.
+Every check reads one witness sample: :func:`bottom_up_at` takes it from the
+caller (``gcs decompose`` hands over the verdict's first vote), and
+:func:`bottom_up` draws it at its seed.
 
 Top-down (2D point/distance scope): a node splits at the lexicographically
 first articulation pair, a pair (a, b) whose removal disconnects the
@@ -108,7 +111,7 @@ from .compiler import (
 from .detect import dependent_rows, is_well_part
 from .model import Constraint, Entity, Model, POINT2
 from .numeric import RANK_REL_TOL, RESIDUAL_TOL, SolveResult, solve
-from .witness import WitnessError, generate_witness
+from .witness import WitnessConfiguration, WitnessError, generate_witness
 
 ALIGN_TOL = 1e-6
 
@@ -192,8 +195,24 @@ class RecombinePlan:
 
 def bottom_up(model: Model, seed: int = 0, rank_tol: float = RANK_REL_TOL,
               system: ResidualSystem | None = None) -> ClusterTree:
+    """:func:`bottom_up_at` the witness drawn at ``seed``.  ``system`` is the
+    compiled ``model`` when the caller has it; it is compiled here otherwise.
+    A failed draw raises :class:`DecompositionError`."""
+    if system is None:
+        system = compile_model(model)
+    try:
+        witness = generate_witness(system, model, seed=seed)
+    except WitnessError as err:
+        raise DecompositionError(f"cannot build a witness for merge checks: {err}")
+    return bottom_up_at(model, system, witness, rank_tol)
+
+
+def bottom_up_at(model: Model, system: ResidualSystem, witness: WitnessConfiguration,
+                 rank_tol: float = RANK_REL_TOL) -> ClusterTree:
     """Merge rigid seed clusters into a cluster forest (partial trees allowed).
 
+    Every rigidity check reads the Jacobian and motion basis that
+    ``witness``, a sample of the compiled ``model`` ``system``, carries.
     Merge candidates are tested smallest union first, then fewer clusters,
     then lexicographically; each is tested once.  A merged cluster retires the
     clusters its union covers and queues the candidate groups it completes;
@@ -203,15 +222,8 @@ def bottom_up(model: Model, seed: int = 0, rank_tol: float = RANK_REL_TOL,
     first-child descent reaches, earliest created first.  The constraints in
     the cokernel support of the witness Jacobian, and those no root holds,
     are flagged redundant or conflicting.  ``rank_tol`` is the relative SVD
-    threshold of every rank decision.  ``system`` is the compiled ``model``
-    when the caller has it; it is compiled here otherwise.
+    threshold of every rank decision.
     """
-    if system is None:
-        system = compile_model(model)
-    try:
-        witness = generate_witness(system, model, seed=seed)
-    except WitnessError as err:
-        raise DecompositionError(f"cannot build a witness for merge checks: {err}")
     J, M = witness.jacobian, witness.motions
     # the constraints whose rows take part in a row dependency of J; where
     # there is none, a rigid union stays rigid when a cluster it covers part
@@ -352,6 +364,7 @@ def top_down(model: Model) -> ClusterTree:
                 f"top-down splitting covers the 2D point/distance scope; "
                 f"{c.id!r} has kind {c.kind!r}")
 
+    motions = geometry.generator_count(model.dimension)
     counter = [0]
 
     def new_node(kind, entities, constraints, children=(), pair=None, bonds=()):
@@ -428,7 +441,7 @@ def top_down(model: Model) -> ClusterTree:
         cons = {eid for eid, _, bond in edges if not bond}
         bonds_here = tuple(tuple(sorted(epair)) for _, epair, bond in edges if bond)
         if len(entities) <= 3:
-            kind = "triangle" if len(edges) >= 2 * len(entities) - 3 else "under"
+            kind = "triangle" if len(edges) >= 2 * len(entities) - motions else "under"
             return new_node(kind, entities, cons, bonds=bonds_here)
         adj: dict[str, set[str]] = {e: set() for e in entities}
         for _, epair, _ in edges:
@@ -452,7 +465,7 @@ def top_down(model: Model) -> ClusterTree:
                         mine.append(edge)
                         assigned.add(k)
                 count = 2 * len(cs) - len(mine)
-                needs_bond = count > 3 and not any(
+                needs_bond = count > motions and not any(
                     ep == frozenset((a, b)) for _, ep, _ in mine)
                 jobs.append((needs_bond, cs, mine))
             # bond-free children solve first; they fix the pair's separation
@@ -839,7 +852,7 @@ def solve_tree(model: Model, tree: ClusterTree, max_iter: int = 100,
     excluded), converged when its largest residual is within ``tol``.  A
     tree whose root leaves an entity free is refused, and so is one with a
     leaf whose rows (constraints, normalizations and virtual bonds) are fewer
-    than its columns - 3: a 2D cluster has at most 3 rigid motions.
+    than its columns minus its rigid motions (:func:`geometry.generator_count`).
     """
     if model.dimension != 2:
         raise DecompositionError("cluster recombination covers the 2D scope")
@@ -855,6 +868,7 @@ def solve_tree(model: Model, tree: ClusterTree, max_iter: int = 100,
         raise DecompositionError(f"entity {missing!r} has no sketch parameters")
     if system is None:
         system = compile_model(model)
+    motions = geometry.generator_count(model.dimension)
     nodes = [root]
     for node in nodes:  # breadth first, as the list grows
         nodes += node.children
@@ -862,7 +876,7 @@ def solve_tree(model: Model, tree: ClusterTree, max_iter: int = 100,
             continue
         rows = len(rows_of(system, node.constraints, node.entities)) + len(node.virtual_bonds)
         columns = len(system.columns_of(node.entities))
-        if rows < columns - 3:
+        if rows < columns - motions:
             raise DecompositionError(
                 f"cluster {sorted(node.entities)} cannot be rigid: {rows} rows "
                 f"for {columns} columns")

@@ -6,7 +6,8 @@ Rank decisions use a scale-invariant SVD threshold tau = 1e-8 * sigma_max
 read them (`witness.characterize`, `detect.dependent_rows`).  `rank_of`
 computes singular values alone, for one matrix or a stack of them, for the
 callers that read only the rank (the degree of rigidity, `detect.is_well_part`,
-`detect.greedy_dependency_groups`, `detect.oracle_min_dependent_sets`).
+`detect.greedy_dependency_groups`, `detect.oracle_min_dependent_sets`, the
+diagonal blocks of the Newton block step).
 
 The Newton solver's step solves
 J step = -r by block back-substitution in the order of the structural solve
@@ -18,11 +19,12 @@ step, so that consistently over-constrained or momentarily singular systems
 do not hard-fail, when the slice has no perfect matching (non-square or
 structurally singular) and on slices of fewer than BLOCK_STEP_MIN_ROWS rows,
 where the dense step is cheaper.  From the first step at which a diagonal
-block is numerically singular under the rank threshold, or the block step is
-not finite, the solve keeps the dense step to its end.  `optimize_solve` is a
-damped Gauss-Newton descent on the sum of squared residuals.  `solve`
-is the one solve policy of the direct and the decomposed solves: Newton,
-then damped Gauss-Newton from the same start when Newton does not converge.
+block is rank-deficient under the rank threshold (`rank_of`), or the block
+step is not finite, the solve keeps the dense step to its end.
+`optimize_solve` is a damped Gauss-Newton descent on the sum of squared
+residuals.  `solve` is the one solve policy of the direct and the decomposed
+solves: Newton, then damped Gauss-Newton from the same start when Newton does
+not converge.
 
 Each solver drives every row of its system to zero (a caller that solves a
 row subset passes :meth:`~.compiler.ResidualSystem.select` of it) and takes
@@ -79,9 +81,10 @@ def _finite_matrix(matrix) -> np.ndarray:
     return J
 
 
-def _rank_tolerance(smax: float, rel_tol: float) -> float:
-    """The rank threshold: rel_tol * sigma_max, 1e-12 absolute for a zero matrix."""
-    return rel_tol * smax if smax > 0.0 else 1e-12
+def _rank_tolerance(smax, rel_tol: float):
+    """The rank threshold: rel_tol * sigma_max, 1e-12 absolute for a zero
+    matrix; elementwise for an array of sigma_max."""
+    return rel_tol * smax + 1e-12 * (smax <= 0.0)
 
 
 def rank_of(matrix, rel_tol: float = RANK_REL_TOL):
@@ -94,9 +97,7 @@ def rank_of(matrix, rel_tol: float = RANK_REL_TOL):
     s = np.linalg.svd(J, compute_uv=False)
     if J.ndim == 2:
         return int(np.count_nonzero(s > _rank_tolerance(s[0], rel_tol)))
-    smax = s[..., 0]
-    tol = [_rank_tolerance(v, rel_tol) for v in smax.ravel().tolist()]
-    return np.count_nonzero(s > np.reshape(tol, smax.shape + (1,)), axis=-1)
+    return (s > _rank_tolerance(s[..., :1], rel_tol)).sum(axis=-1)
 
 
 def rank_analyze(matrix, rel_tol: float = RANK_REL_TOL) -> RankAnalysis:
@@ -170,22 +171,18 @@ class _BlockStep:
             for size, positions in sorted(sizes.items())]
 
     def __call__(self, J: np.ndarray, r: np.ndarray) -> np.ndarray | None:
-        """The step s with J s = -r, or None when a diagonal block is
-        numerically singular (the RANK_REL_TOL test, relative to the block's
-        largest singular value) or the step is not finite."""
+        """The step s with J s = -r, or None when a diagonal block is not
+        finite or rank-deficient (:func:`rank_of`), or the step is not
+        finite."""
         solvers: list = [None] * len(self.plan)
         for size, positions, E, V in self.groups:
             A = J[E, V]
+            if not np.isfinite(A).all() or (rank_of(A) < size).any():
+                return None
             if size == 1:  # divided directly
-                d = A[:, 0, 0]
-                if not np.all(np.isfinite(d) & (d != 0.0)):
-                    return None
-                inverses = d.tolist()
+                inverses = A[:, 0, 0].tolist()
             else:
                 try:
-                    s = np.linalg.svd(A, compute_uv=False)
-                    if not np.all(s[:, -1] > RANK_REL_TOL * s[:, 0]):
-                        return None
                     inverses = np.linalg.inv(A).tolist()
                 except np.linalg.LinAlgError:
                     return None

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .compiler import ResidualSystem
+from .geometry import generator_count
 from .model import Model, doc_of
 
 
@@ -290,7 +291,7 @@ def counting_state(cg: ConstraintGraph) -> CountingVerdict:
     violates).  The subset condition is decided exactly, for any model size,
     with a weighted pebble game (see :func:`_dense_subset`).
     """
-    D = 3 if cg.dimension == 2 else 6
+    D = generator_count(cg.dimension)
     ids = list(cg.entity_ids)
 
     # Laman/Maxwell-style subgraph conditions are stated for n' >= 2 entities

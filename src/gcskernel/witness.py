@@ -19,7 +19,9 @@ can legitimately have n - rank < dor and still count as well.
 Random configurations can be accidentally singular, so characterization votes
 over three independently seeded witnesses and reports "unstable" when no two
 agree on (rank, dor).  A witness carries J and the motion basis at its
-sample, and every consumer reads them from there.
+sample, and every consumer reads them from there: the report keeps the
+sample of its first vote, drawn at the run's seed, which detection and the
+bottom-up merge checks read, so a run draws each seed once.
 """
 
 from __future__ import annotations
@@ -65,17 +67,40 @@ class WitnessConfiguration:
     motions: np.ndarray  # the rigid-motion basis at the sample (motion_basis)
 
 
+def _tied(model: Model) -> set[str]:
+    """Every entity but one of each class that ``coincident`` constraints
+    tie together (transitively)."""
+    parent: dict[str, str] = {}  # a tied entity -> the entity it was tied to
+
+    def find(e: str) -> str:
+        while e in parent:
+            e = parent[e]
+        return e
+
+    for c in model.constraints:
+        if c.kind == "coincident":
+            a, b = (find(e) for e in c.entities)
+            if a != b:
+                parent[b] = a
+    return set(parent)
+
+
 def _entities_coincide(model: Model, params: dict[str, tuple[float, ...]]) -> bool:
     """True iff two entities of one kind and representation have parameter
     vectors within ``COINCIDENCE_TOL`` of each other in every component.
+    Entities that ``coincident`` constraints tie together are one entity
+    here (:func:`_tied`): the projection puts them on one point.
 
     Rows sorted by their first column are compared at offsets d = 1, 2, ...
     while some first-column gap at offset d is below the tolerance; a pair
     further apart in that order differs by at least as much in that column.
     A NaN component never coincides.
     """
+    tied = _tied(model)
     by_kind: dict[tuple[str, str | None], list[tuple[float, ...]]] = {}
     for e in model.entities:
+        if e.id in tied:
+            continue
         key = (e.kind, e.spec.representation)
         by_kind.setdefault(key, []).append(params[e.id])
     for rows in by_kind.values():
@@ -176,8 +201,8 @@ class WcmReport:
     dependent_groups: tuple[tuple[int, ...], ...]
     seeds: tuple[int, ...] = ()
     sub_reports: tuple["WcmReport", ...] = ()
-    # the witnesses voted on, in seed order; not part of the report
-    samples: tuple[WitnessConfiguration, ...] = field(default=(), compare=False, repr=False)
+    # the first vote's witness, drawn at the first seed; not part of the report
+    witness: WitnessConfiguration | None = field(default=None, compare=False, repr=False)
 
     def matched(self) -> bool:
         """Whether kernel dimension matches the degree of rigidity."""
@@ -248,26 +273,30 @@ def characterize(system: ResidualSystem, model: Model, seed: int = 0,
 
     Anchors are excluded: the criteria quantify rigid-motion freedom, which
     anchoring deliberately removes.  Vote i draws the witness of seed
-    ``seed + i`` and reads its Jacobian and motion basis; the report keeps
-    the witnesses in ``samples``.  A system without variables has one
-    configuration, so it takes one vote.  If no two witnesses agree on
-    (rank, dor) the verdict is "unstable" and the individual reports are
-    attached.  ``rank_tol`` is the relative SVD threshold of both rank
-    decisions (the Jacobian rank and the degree of rigidity).
+    ``seed + i`` and reads its Jacobian and motion basis; votes are drawn and
+    ranked one at a time, and the report keeps the first vote's witness in
+    ``witness``.  A system without variables has one configuration, so it
+    takes one vote.  If no two witnesses agree on (rank, dor) the verdict is
+    "unstable" and the individual reports are attached.  ``rank_tol`` is the
+    relative SVD threshold of both rank decisions (the Jacobian rank and the
+    degree of rigidity).
     """
     base = system.without_anchors()
     if base.n_variables == 0:
         votes = 1
     projection = _projection(base, model)
-    samples = tuple(generate_witness(base, model, seed=seed + i, projection=projection)
-                    for i in range(votes))
-    reports = [_report(w.jacobian, rank_of(w.motions, rank_tol), (w.seed,), rank_tol)
-               for w in samples]
+    seeds = tuple(range(seed, seed + votes))
+    reports = []
+    for s in seeds:
+        w = generate_witness(base, model, seed=s, projection=projection)
+        reports.append(_report(w.jacobian, rank_of(w.motions, rank_tol), (s,), rank_tol))
+        if s == seed:
+            first = w
     keys = [(r.rank, r.dor) for r in reports]
     needed = 1 if votes == 1 else max(2, votes // 2 + 1)
     for i, key in enumerate(keys):
         if keys.count(key) >= needed:
-            return replace(reports[i], seeds=tuple(w.seed for w in samples), samples=samples)
+            return replace(reports[i], seeds=seeds, witness=first)
     return WcmReport(
         columns=reports[0].columns,
         rows=reports[0].rows,
@@ -278,9 +307,9 @@ def characterize(system: ResidualSystem, model: Model, seed: int = 0,
         verdict="unstable",
         free_motions=0,
         dependent_groups=(),
-        seeds=tuple(w.seed for w in samples),
+        seeds=seeds,
         sub_reports=tuple(reports),
-        samples=samples,
+        witness=first,
     )
 
 

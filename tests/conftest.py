@@ -105,3 +105,20 @@ def cross_product_models():
     return [pytest.param(zoo.parallel_lines_model(), id="parallel_lines"),
             pytest.param(zoo.plane_prism_model(), id="plane_prism"),
             pytest.param(point_on_line_3d_model(), id="point_on_line")]
+
+
+def lines_through_two_points():
+    """Points P and Q both on lines L1 and L2: generic lines meet once, so
+    the projection forces P and Q together though no constraint says so."""
+    return Model(2, (Entity("P", "point2"), Entity("Q", "point2"),
+                     Entity("L1", "line2"), Entity("L2", "line2")),
+                 tuple(Constraint(f"i{k}", "point-on-line", pair) for k, pair in enumerate(
+                     (("P", "L1"), ("P", "L2"), ("Q", "L1"), ("Q", "L2")))))
+
+
+def triangle_with_coincident_point():
+    """Triangle A, B, C plus a point D that a ``coincident`` constraint ties to C."""
+    m = zoo.points_distances_model({"A": (0.0, 0.0), "B": (4.0, 0.0), "C": (1.0, 3.0)},
+                                   [("A", "B"), ("B", "C"), ("A", "C")])
+    return Model(2, m.entities + (Entity("D", "point2", (1.0, 3.0)),),
+                 m.constraints + (Constraint("c", "coincident", ("C", "D")),))

@@ -7,6 +7,9 @@ import pytest
 
 from gcskernel import cli, decompose, detect, witness
 from gcskernel.cli import main
+from gcskernel.model import model_to_json_dict
+
+from conftest import lines_through_two_points, triangle_with_coincident_point
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -126,11 +129,25 @@ def counting(calls, name, real):
     return wrapper
 
 
-@pytest.mark.parametrize("witnesses", [1, 3])
-def test_detect_draws_one_witness_per_vote(witnesses, capsys, corpus_dir, monkeypatch):
-    # the greedy and oracle searches read the Jacobian and the motion basis
-    # that the verdict's first witness carries: gcs detect draws one witness
-    # per vote, and nothing outside a draw evaluates J or M
+DRAWING_COMMANDS = {
+    # id prefix: (argv, draws with k votes); detect keeps its bare ids
+    "": (["detect"], lambda k: k),
+    "decompose-": (["decompose", "--strategy", "bottom-up"], lambda k: k),
+    "top-down-": (["decompose", "--strategy", "top-down"], lambda k: k),
+    "check-": (["check"], lambda k: k),
+    "solve-": (["solve", "--strategy", "decomposed"], lambda k: 1),
+}
+
+
+@pytest.mark.parametrize("argv, draws, witnesses", [
+    pytest.param(argv, draws, k, id=f"{label}{k}")
+    for label, (argv, draws) in DRAWING_COMMANDS.items() for k in (1, 3)])
+def test_detect_draws_one_witness_per_vote(argv, draws, witnesses, capsys, corpus_dir,
+                                           monkeypatch):
+    # the detection searches and the bottom-up merge checks read the Jacobian
+    # and the motion basis that the verdict's first witness carries: a run
+    # draws one witness per vote (a decomposed solve, which takes no vote,
+    # draws one), and nothing outside a draw evaluates J or M
     calls = []
     drawing = [False]
 
@@ -157,10 +174,35 @@ def test_detect_draws_one_witness_per_vote(witnesses, capsys, corpus_dir, monkey
                 monkeypatch.setattr(module, name, outside_a_draw(name, getattr(module, name)))
         if hasattr(module, "generate_witness"):
             monkeypatch.setattr(module, "generate_witness", draw(module.generate_witness))
-    code, data = run_json(capsys, "--witnesses", str(witnesses), "detect",
-                          str(corpus_dir / "triangle.json"))
-    assert data["verdict"] == "well" and "maxWellPart" in data["oracle"]
-    assert calls == ["generate_witness"] * witnesses
+    code, data = run_json(capsys, "--witnesses", str(witnesses), argv[0],
+                          str(corpus_dir / "triangle.json"), *argv[1:])
+    assert code == 0
+    assert calls == ["generate_witness"] * draws(witnesses)
+
+
+def write_model(tmp_path, model) -> str:
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_json_dict(model)), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["check", "detect", "decompose"])
+def test_a_failed_witness_draw_exits_7_without_a_traceback(command, capsys, tmp_path):
+    # P and Q on both lines L1 and L2: every sample puts them on one point
+    path = write_model(tmp_path, lines_through_two_points())
+    code = main([command, path])
+    captured = capsys.readouterr()
+    assert code == 7
+    assert captured.out == ""
+    assert captured.err == ("witness generation failed after 10 attempts (seed 0): "
+                            "coincident entities in sample\n")
+
+
+def test_check_a_triangle_with_a_coincident_point(capsys, tmp_path):
+    code, data = run_json(capsys, "check", write_model(tmp_path, triangle_with_coincident_point()))
+    assert code == 0
+    assert data["verdict"] == "well"
+    assert (data["report"]["witness"]["rank"], data["report"]["witness"]["dor"]) == (5, 3)
 
 
 @pytest.mark.parametrize("argv", [["solve", "--strategy", "decomposed"],

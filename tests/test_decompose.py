@@ -13,6 +13,7 @@ from gcskernel import (
     add_anchors,
     assignment_from_params,
     bottom_up,
+    bottom_up_at,
     compile_model,
     eval_residuals,
     newton_solve,
@@ -185,6 +186,22 @@ def corpus_2d_models(corpus_dir):
         data = json.loads(path.read_text(encoding="utf-8"))
         if data.get("dimension") == 2:
             yield path.name, model_from_json_dict(data)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bottom_up_at_the_verdicts_witness_is_bottom_up(seed, corpus_dir):
+    # gcs decompose hands bottom_up_at the sample of characterize's first
+    # vote; bottom_up draws it at the same seed
+    files = [(path.name, json.loads(path.read_text(encoding="utf-8")))
+             for path in sorted(corpus_dir.glob("*.json"))]
+    models = [(name, model_from_json_dict(data)) for name, data in files if "dimension" in data]
+    models += [(f"strip{n}", zoo.triangle_strip(n)) for n in range(3, 13)]
+    assert len(models) == 34
+    for name, m in models:
+        s = compile_model(m)
+        report = characterize(s, m, seed=seed)
+        at = bottom_up_at(m, s, report.witness)
+        assert at.to_json_dict() == bottom_up(m, seed=seed, system=s).to_json_dict(), name
 
 
 def roots_and_free(tree):

@@ -392,6 +392,73 @@ def assert_same_newton(system, start):
         assert np.max(np.abs(got.assignment - expected.assignment)) <= 1e-9
 
 
+def old_block_rule_singular(A: np.ndarray) -> bool:
+    """The block step's singularity test before it used ``rank_of``: a 1 x 1
+    block is singular when it is zero or not finite, a larger one when its
+    smallest singular value is not above 1e-8 times its largest."""
+    if not np.isfinite(A).all():
+        return True
+    if A.shape == (1, 1):
+        return A[0, 0] == 0.0
+    s = np.linalg.svd(A, compute_uv=False)
+    return not s[-1] > numeric.RANK_REL_TOL * s[0]
+
+
+@st.composite
+def diagonal_blocks(draw):
+    """Square blocks of sizes 1-4: generic, zero, scaled by 1e-300 to 1e300,
+    rank-deficient, with singular values a factor near 1e-8 apart, and
+    holding a non-finite entry."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    blocks = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 4))
+        kind = draw(st.sampled_from(["generic", "zero", "scaled", "deficient", "gap", "nan"]))
+        A = rng.normal(size=(n, n))
+        if kind == "zero":
+            A = np.zeros((n, n))
+        elif kind == "scaled":
+            A *= 10.0 ** draw(st.sampled_from([-300, -150, -8, 8, 150, 300]))
+        elif kind == "deficient" and n > 1:
+            A = rng.normal(size=(n, n - 1)) @ rng.normal(size=(n - 1, n))
+        elif kind == "gap":
+            U, _, Vt = np.linalg.svd(rng.normal(size=(n, n)))
+            ratio = 1e-8 * draw(st.sampled_from([0.5, 0.999, 1.001, 2.0]))
+            A = U @ np.diag([1.0] * (n - 1) + [ratio if n > 1 else 1.0]) @ Vt
+        elif kind == "nan":
+            A[tuple(rng.integers(n, size=2))] = draw(st.sampled_from([np.nan, np.inf]))
+        blocks.append(A)
+    return blocks
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(diagonal_blocks())
+def test_block_step_singularity_is_the_old_block_rule(blocks):
+    # a block-diagonal J: one plan block per diagonal block, each equation
+    # reading every variable of its block
+    n = sum(len(A) for A in blocks)
+    J = np.zeros((n, n))
+    adjacency, plan = [], []
+    start = 0
+    for A in blocks:
+        own = list(range(start, start + len(A)))
+        J[start:start + len(A), start:start + len(A)] = A
+        adjacency += [own] * len(A)
+        plan.append((own, own))
+        start += len(A)
+    r = np.ones(n)
+    with np.errstate(all="ignore"):
+        step = numeric._BlockStep(adjacency, plan)(J, r)
+        singular = any(old_block_rule_singular(A) for A in blocks)
+        if step is None and not singular:
+            # the old rule passed every block, and only a non-finite step
+            # (an inverse past the float range) returns None
+            expected = np.concatenate([np.linalg.solve(A, -np.ones(len(A))) for A in blocks])
+            assert not np.isfinite(expected).all()
+        else:
+            assert (step is None) == singular
+
+
 @pytest.mark.parametrize("model", corpus_models())
 def test_block_newton_matches_lstsq_newton_on_the_corpus(model, monkeypatch):
     # every corpus model sits below BLOCK_STEP_MIN_ROWS: take block steps anyway

@@ -19,11 +19,15 @@ from gcskernel import (
     rank_analyze,
     representation_sensitivity,
 )
-from gcskernel import geometry, zoo
+from gcskernel import geometry, witness, zoo
 from gcskernel.model import Constraint, Entity
-from gcskernel.witness import COINCIDENCE_TOL, _entities_coincide
+from gcskernel.witness import COINCIDENCE_TOL, _entities_coincide, _tied
 
-from conftest import cross_product_models
+from conftest import (
+    cross_product_models,
+    lines_through_two_points,
+    triangle_with_coincident_point,
+)
 
 
 # --- witness generation -------------------------------------------------------
@@ -144,25 +148,71 @@ def test_witness_carries_its_jacobian_and_motion_basis():
     assert np.array_equal(wit.motions, motion_basis(m, s, wit.assignment))
 
 
-def test_characterize_keeps_the_witnesses_it_voted_on():
+def test_characterize_keeps_the_witness_of_vote_zero():
     m = zoo.plane_prism_model()
     s = compile_model(m)
     report = characterize(s, m, seed=5, votes=3)
-    assert [w.seed for w in report.samples] == [5, 6, 7]
-    for w in report.samples:
-        alone = generate_witness(s, m, seed=w.seed)
-        assert np.array_equal(w.assignment, alone.assignment)
-        assert np.array_equal(w.jacobian, alone.jacobian)
-    assert "samples" not in report.to_json_dict()
+    alone = generate_witness(s, m, seed=5)
+    assert report.witness.seed == 5
+    assert np.array_equal(report.witness.assignment, alone.assignment)
+    assert np.array_equal(report.witness.jacobian, alone.jacobian)
+    assert np.array_equal(report.witness.motions, alone.motions)
+    assert set(report.to_json_dict()) == {
+        "columns", "rows", "rank", "dor", "verdict", "dependentGroups", "freeMotions", "seeds"}
+
+
+def test_an_unstable_report_keeps_the_witness_of_vote_zero(monkeypatch):
+    # every vote reads a different degree of rigidity, so no two agree
+    dors = iter(range(10))
+    monkeypatch.setattr(witness, "rank_of", lambda *args: next(dors))
+    m = zoo.triangle_model()
+    s = compile_model(m)
+    report = characterize(s, m, seed=4, votes=3)
+    assert report.verdict == "unstable" and report.seeds == (4, 5, 6)
+    assert np.array_equal(report.witness.assignment, generate_witness(s, m, seed=4).assignment)
+    assert all(r.witness is None for r in report.sub_reports)
 
 
 def test_witness_generation_failure():
-    # two points forced coincident: every projected sample is degenerate
-    m = Model(2, (Entity("P1", "point2"), Entity("P2", "point2")),
-              (Constraint("c", "coincident", ("P1", "P2")),))
+    # an implied coincidence: every projected sample is degenerate
+    m = lines_through_two_points()
     s = compile_model(m)
-    with pytest.raises(WitnessError):
+    with pytest.raises(WitnessError, match="coincident entities in sample"):
         generate_witness(s, m, seed=0, max_attempts=3)
+
+
+@pytest.mark.parametrize("m, rank, dor", [
+    (Model(2, (Entity("P1", "point2"), Entity("P2", "point2")),
+           (Constraint("c", "coincident", ("P1", "P2")),)), 2, 2),
+    (triangle_with_coincident_point(), 5, 3),
+    (Model(3, (Entity("A", "point3"), Entity("B", "point3"), Entity("C", "point3")),
+           (Constraint("c", "coincident", ("A", "B")),
+            Constraint("d", "distance-pp", ("B", "C"), 3.0))), 4, 5),
+])
+def test_entities_tied_by_coincident_constraints_are_one_entity(m, rank, dor):
+    # the projection puts tied entities on one point: they are not a
+    # degenerate sample
+    s = compile_model(m)
+    for seed in range(5):
+        assert generate_witness(s, m, seed=seed).attempts == 1
+    report = characterize(s, m)
+    assert (report.verdict, report.rank, report.dor) == ("well", rank, dor)
+
+
+def test_coincident_classes_are_transitive():
+    pts = tuple(Entity(f"P{i}", "point2") for i in range(5))
+    cons = (Constraint("a", "coincident", ("P3", "P1")),
+            Constraint("b", "coincident", ("P2", "P3")),
+            Constraint("c", "coincident", ("P4", "P0")))
+    m = Model(2, pts, cons)
+    tied = _tied(m)
+    assert len(tied) == 3
+    assert len({"P1", "P2", "P3"} - tied) == 1 and len({"P0", "P4"} - tied) == 1
+    # the two classes' representatives still may not coincide
+    same = {f"P{i}": (0.5, 0.5) for i in range(5)}
+    assert _entities_coincide(m, same)
+    first = next(iter({"P1", "P2", "P3"} - tied))
+    assert not _entities_coincide(m, {**same, first: (0.1, 0.2)})
 
 
 # --- degree of rigidity ---------------------------------------------------------
