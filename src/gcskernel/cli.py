@@ -197,7 +197,12 @@ def cmd_detect(args) -> int:
         wr = characterize(system, model, seed=args.seed, votes=args.witnesses,
                           rank_tol=args.rank_tol)
         J, M = wr.witness.jacobian, wr.witness.motions
-    greedy = greedy_dependency_groups(J, seed_row=args.seed_row, rank_tol=args.rank_tol)
+    try:
+        greedy = greedy_dependency_groups(J, seed_row=args.seed_row, rank_tol=args.rank_tol)
+        parts = None if model is None else greedy_well_parts(
+            model, system, J, M, seed_entity=args.seed_entity, rank_tol=args.rank_tol)
+    except ValueError as err:  # a seed row or seed entity the system does not have
+        raise SystemExitError(1, str(err))
     payload = {
         "command": "detect",
         "model": args.model,
@@ -209,8 +214,6 @@ def cmd_detect(args) -> int:
     except CapExceeded as err:
         payload["oracle"] = {"skipped": str(err)}
     if model is not None:
-        parts = greedy_well_parts(model, system, J, M, seed_entity=args.seed_entity,
-                                  rank_tol=args.rank_tol)
         payload["greedy"]["wellParts"] = sorted(
             list(p.sorted_entities()) for p in parts)
         try:
@@ -356,6 +359,9 @@ def main(argv=None) -> int:
         except ValueError:
             print("GCS_SEED must be an integer", file=sys.stderr)
             return 1
+    if args.seed < 0:
+        print("seed must be >= 0", file=sys.stderr)
+        return 1
     if args.tolerance <= 0 or args.rank_tol <= 0:
         print("tolerances must be positive", file=sys.stderr)
         return 1

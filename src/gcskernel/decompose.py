@@ -23,14 +23,15 @@ cluster is dropped.  This is exact where no row is dependent: if X is part of
 a rigid M and X + Y + Z is rigid, M + Y + Z is rigid, so the merge the
 retired X would have made is made with M.  The guard keeps over-constrained
 regions as they were: a merge whose union holds an entity of a constraint
-whose witness Jacobian rows take part in a row dependency (a nonzero cokernel
-row) retires nothing.  So bottom-up makes a linear number of rigidity checks
-on constructible sketches, and outside guarded regions every node has one
-parent.  A merge's children are ordered by the leaf their first-child descent
-reaches, earliest created first; recombination takes its frame from the first
-child, so that leaf fixes the frame.  The redundant or conflicting constraints
+whose witness Jacobian rows take part in a row dependency (a dependent row
+group of :func:`numeric.rank_analyze`) retires nothing.  So bottom-up makes a
+linear number of rigidity checks on constructible sketches, and outside
+guarded regions every node has one parent.  A merge's children are ordered by
+the leaf their first-child descent reaches, earliest created first;
+recombination takes its frame from the first child, so that leaf fixes the
+frame.  The redundant or conflicting constraints
 are those whose rows take part in a row dependency of the witness Jacobian
-(the cokernel support that ``check`` reports), plus those no root holds.
+(the dependent groups that ``check`` reports), plus those no root holds.
 Every check reads one witness sample: :func:`bottom_up_at` takes it from the
 caller (``gcs decompose`` hands over the verdict's first vote), and
 :func:`bottom_up` draws it at its seed.
@@ -108,9 +109,9 @@ from .compiler import (
     points_of,
     rows_of,
 )
-from .detect import dependent_rows, is_well_part
+from .detect import is_well_part
 from .model import Constraint, Entity, Model, POINT2
-from .numeric import RANK_REL_TOL, RESIDUAL_TOL, SolveResult, solve
+from .numeric import RANK_REL_TOL, RESIDUAL_TOL, SolveResult, rank_analyze, solve
 from .witness import WitnessConfiguration, WitnessError, generate_witness
 
 ALIGN_TOL = 1e-6
@@ -220,16 +221,16 @@ def bottom_up_at(model: Model, system: ResidualSystem, witness: WitnessConfigura
     union holds an entity of a constraint in a row dependency of the witness
     Jacobian retires nothing.  Merge children are ordered by the leaf their
     first-child descent reaches, earliest created first.  The constraints in
-    the cokernel support of the witness Jacobian, and those no root holds,
-    are flagged redundant or conflicting.  ``rank_tol`` is the relative SVD
-    threshold of every rank decision.
+    a dependent row group of the witness Jacobian (:func:`rank_analyze`),
+    and those no root holds, are flagged redundant or conflicting.
+    ``rank_tol`` is the relative SVD threshold of every rank decision.
     """
     J, M = witness.jacobian, witness.motions
     # the constraints whose rows take part in a row dependency of J; where
     # there is none, a rigid union stays rigid when a cluster it covers part
     # of is swapped for its cover, so covered clusters retire
-    dependent = {system.residuals[r].source for r in dependent_rows(J, rank_tol)
-                 if system.residuals[r].kind == "constraint"}
+    dependent = {system.residuals[r].source for g in rank_analyze(J, rank_tol).dependent_groups
+                 for r in g if system.residuals[r].kind == "constraint"}
     ids = sorted(e.id for e in model.entities)
     guarded = frozenset(e for cid in dependent for e in model.constraint(cid).entities)
 

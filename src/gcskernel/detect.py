@@ -17,9 +17,8 @@ two.  It counts before it computes: a part of r induced rows on c columns can
 be well only when c - k <= r <= c, with k the number of rigid motions, so any
 other part is refused without an SVD.
 
-Every rank decision takes ``rank_tol``.  All of them read only the rank
-(:func:`numeric.rank_of`, singular values alone), except :func:`dependent_rows`,
-which reads the cokernel of :func:`numeric.rank_analyze`.  The minimal
+Every rank decision takes ``rank_tol`` and reads only the rank
+(:func:`numeric.rank_of`, singular values alone).  The minimal
 dependent set oracle ranks the unpruned row subsets of one size in stacked
 calls of at most ``ORACLE_CHUNK`` subsets.
 """
@@ -34,7 +33,7 @@ import numpy as np
 
 from .compiler import ResidualSystem, induced
 from .model import Model
-from .numeric import RANK_REL_TOL, SUPPORT_TOL, rank_analyze, rank_of
+from .numeric import RANK_REL_TOL, SUPPORT_TOL, rank_of
 
 ORACLE_CHUNK = 256  # row subsets per stacked SVD call: bounds the stack's memory
 
@@ -161,16 +160,6 @@ def is_well_part(model: Model, system: ResidualSystem, jacobian: np.ndarray,
     return slack == 0 or slack <= rank_of(motions[:, columns], rank_tol)
 
 
-def dependent_rows(block: np.ndarray, rank_tol: float = RANK_REL_TOL) -> np.ndarray:
-    """Indices of the rows of ``block`` that take part in a row dependency.
-
-    A row does when its row of the cokernel basis has an entry above
-    :data:`numeric.SUPPORT_TOL`; a block of full row rank has none.
-    """
-    cokernel = rank_analyze(block, rank_tol).cokernel
-    return np.flatnonzero(np.any(np.abs(cokernel) > SUPPORT_TOL, axis=1))
-
-
 def greedy_well_parts(model: Model, system: ResidualSystem, jacobian: np.ndarray,
                       motions: np.ndarray, seed_entity: str | None = None,
                       rank_tol: float = RANK_REL_TOL) -> list[WellPart]:
@@ -180,13 +169,17 @@ def greedy_well_parts(model: Model, system: ResidualSystem, jacobian: np.ndarray
     induced subsystem stays well-constrained; the procedure repeats on the
     remaining entities until none are left.  Results are seed-dependent by
     design (that is the documented limitation), but deterministic for a fixed
-    seed.  ``jacobian`` and ``motions`` are those of :func:`is_well_part`.
+    seed.  The first part grows from ``seed_entity`` (the smallest id by
+    default); an id the model lacks raises ``ValueError``.  ``jacobian`` and
+    ``motions`` are those of :func:`is_well_part`.
     """
     remaining = [e.id for e in model.entities]
+    if seed_entity is not None and seed_entity not in remaining:
+        raise ValueError(f"seed entity {seed_entity!r} is not an entity of the model")
     parts: list[WellPart] = []
     seed: str | None = seed_entity
     while remaining:
-        if seed is None or seed not in remaining:
+        if seed is None:
             seed = min(remaining)
         current = {seed}
         for eid in sorted(remaining):

@@ -1,13 +1,13 @@
-"""Dense rank/kernel analysis and nonlinear solving.
+"""Dense rank analysis and nonlinear solving.
 
 Rank decisions use a scale-invariant SVD threshold tau = 1e-8 * sigma_max
-(1e-12 absolute for an all-zero matrix), set in one place, `_rank_tolerance`.
-`rank_analyze` also returns the kernel and cokernel, for the callers that
-read them (`witness.characterize`, `detect.dependent_rows`).  `rank_of`
-computes singular values alone, for one matrix or a stack of them, for the
-callers that read only the rank (the degree of rigidity, `detect.is_well_part`,
-`detect.greedy_dependency_groups`, `detect.oracle_min_dependent_sets`, the
-diagonal blocks of the Newton block step).
+(1e-12 absolute for an all-zero matrix), set in one place, `_rank_tolerance`,
+and made in one place, `rank_of`, from the singular values alone, for one
+matrix or a stack of them.  `rank_analyze` adds the dependent row groups,
+the rows each cokernel basis vector touches, for the callers that name
+dependencies (the witness report, bottom-up's retirement guard); it asks
+for singular vectors only when the rank falls below the row count, and it
+is the only code that asks for them.
 
 The Newton solver's step solves
 J step = -r by block back-substitution in the order of the structural solve
@@ -59,19 +59,8 @@ BLOCK_STEP_MIN_ROWS = 48
 @dataclass(frozen=True)
 class RankAnalysis:
     shape: tuple[int, int]
-    singular_values: np.ndarray  # descending
     rank: int
-    tolerance: float
-    kernel: np.ndarray    # n x (n - rank), orthonormal columns, J @ k ~ 0
-    cokernel: np.ndarray  # m x (m - rank), orthonormal columns, k^T @ J ~ 0
-
-    @property
-    def kernel_dim(self) -> int:
-        return self.shape[1] - self.rank
-
-    @property
-    def cokernel_dim(self) -> int:
-        return self.shape[0] - self.rank
+    dependent_groups: tuple[tuple[int, ...], ...]  # see rank_analyze; () at full row rank
 
 
 def _finite_matrix(matrix) -> np.ndarray:
@@ -89,8 +78,8 @@ def _rank_tolerance(smax, rel_tol: float):
 
 def rank_of(matrix, rel_tol: float = RANK_REL_TOL):
     """Numerical rank of a matrix, or an array of the ranks of a stack of
-    matrices (..., m, n), by the threshold of :func:`rank_analyze`, from the
-    singular values alone; 0 for an empty shape."""
+    matrices (..., m, n), by the threshold of :func:`_rank_tolerance`, from
+    the singular values alone; 0 for an empty shape."""
     J = _finite_matrix(matrix)
     if J.size == 0:
         return 0 if J.ndim == 2 else np.zeros(J.shape[:-2], dtype=int)
@@ -101,18 +90,19 @@ def rank_of(matrix, rel_tol: float = RANK_REL_TOL):
 
 
 def rank_analyze(matrix, rel_tol: float = RANK_REL_TOL) -> RankAnalysis:
-    """SVD-based rank, kernel and cokernel of a dense matrix."""
+    """The :func:`rank_of` rank of a dense matrix and its dependent row groups:
+    below full row rank, per cokernel basis vector (a left singular vector
+    past the rank; the identity's for a matrix without columns) the rows where
+    it exceeds :data:`SUPPORT_TOL`, empty groups skipped."""
     J = _finite_matrix(matrix)
     m, n = J.shape
-    if m == 0 or n == 0:
-        return RankAnalysis(
-            (m, n), np.zeros(0), 0, 1e-12, np.eye(n), np.eye(m))
-    U, s, Vt = np.linalg.svd(J)
-    tol = _rank_tolerance(s[0], rel_tol)
-    rank = int(np.sum(s > tol))
-    kernel = Vt[rank:].T.copy()
-    cokernel = U[:, rank:].copy()
-    return RankAnalysis((m, n), s, rank, tol, kernel, cokernel)
+    rank = rank_of(J, rel_tol)
+    if rank == m:
+        return RankAnalysis((m, n), rank, ())
+    U = np.linalg.svd(J)[0] if n else np.eye(m)
+    support = np.abs(U[:, rank:].T) > SUPPORT_TOL
+    groups = tuple(tuple(np.flatnonzero(rows).tolist()) for rows in support if rows.any())
+    return RankAnalysis((m, n), rank, groups)
 
 
 @dataclass(frozen=True)

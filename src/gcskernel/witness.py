@@ -14,7 +14,9 @@ where dor, the degree of rigidity, is the rank of the rigid-motion basis:
 translations and rotations translated to parameter-space velocities at the
 witness.  On rigid-motion-invariant systems "well" coincides with the
 equalities rank = m and n - rank = dor; systems containing fix constraints
-can legitimately have n - rank < dor and still count as well.
+can legitimately have n - rank < dor and still count as well.  A report
+names the dependent rows by the groups of :func:`numeric.rank_analyze`, which
+computes singular vectors only for a Jacobian below full row rank.
 
 Random configurations can be accidentally singular, so characterization votes
 over three independently seeded witnesses and reports "unstable" when no two
@@ -42,8 +44,6 @@ from .compiler import (
 from .model import Entity, Model, PLANE3, HESSIAN, POINT_NORMAL, LINE3
 from .numeric import (
     RANK_REL_TOL,
-    SUPPORT_TOL,
-    RankAnalysis,
     optimize_solve,
     rank_analyze,
     rank_of,
@@ -183,7 +183,7 @@ def compute_dor(model: Model, system: ResidualSystem, assignment,
                 rank_tol: float = RANK_REL_TOL) -> DorResult:
     """Degree of rigidity: numerical rank of the rigid-motion basis of the
     whole system; ``rank_tol`` is the relative SVD threshold of
-    :func:`rank_analyze`.
+    :func:`rank_of`.
     """
     return DorResult(rank_of(motion_basis(model, system, assignment), rank_tol))
 
@@ -221,16 +221,6 @@ class WcmReport:
         }
 
 
-def _dependency_supports(analysis: RankAnalysis) -> tuple[tuple[int, ...], ...]:
-    groups = []
-    for k in range(analysis.cokernel.shape[1]):
-        vec = analysis.cokernel[:, k]
-        support = tuple(int(i) for i in np.flatnonzero(np.abs(vec) > SUPPORT_TOL))
-        if support:
-            groups.append(support)
-    return tuple(groups)
-
-
 def characterize_at(system: ResidualSystem, assignment, dor: int,
                     seeds: tuple[int, ...] = (),
                     rank_tol: float = RANK_REL_TOL) -> WcmReport:
@@ -262,7 +252,7 @@ def _report(jacobian: np.ndarray, dor: int, seeds: tuple[int, ...],
         under=under,
         verdict=verdict,
         free_motions=max(0, (n - analysis.rank) - dor),
-        dependent_groups=_dependency_supports(analysis),
+        dependent_groups=analysis.dependent_groups,
         seeds=seeds,
     )
 
@@ -276,11 +266,14 @@ def characterize(system: ResidualSystem, model: Model, seed: int = 0,
     ``seed + i`` and reads its Jacobian and motion basis; votes are drawn and
     ranked one at a time, and the report keeps the first vote's witness in
     ``witness``.  A system without variables has one configuration, so it
-    takes one vote.  If no two witnesses agree on (rank, dor) the verdict is
-    "unstable" and the individual reports are attached.  ``rank_tol`` is the
-    relative SVD threshold of both rank decisions (the Jacobian rank and the
-    degree of rigidity).
+    takes one vote; ``votes`` below 1 raise ``ValueError``.  If no two
+    witnesses agree on (rank, dor) the verdict is "unstable" and the
+    individual reports are attached.  ``rank_tol`` is the relative SVD
+    threshold of both rank decisions (the Jacobian rank and the degree of
+    rigidity).
     """
+    if votes < 1:
+        raise ValueError(f"votes must be >= 1, got {votes}")
     base = system.without_anchors()
     if base.n_variables == 0:
         votes = 1

@@ -3,9 +3,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from gcskernel import cli, decompose, detect, witness
+from gcskernel import cli, decompose, detect, witness, zoo
 from gcskernel.cli import main
 from gcskernel.model import model_to_json_dict
 
@@ -184,6 +185,29 @@ def write_model(tmp_path, model) -> str:
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model_to_json_dict(model)), encoding="utf-8")
     return str(path)
+
+
+@pytest.mark.parametrize("argv, model, expected", [
+    (["check"], None, 0),  # strip(24), well: no vote computes a singular vector
+    (["decompose", "--strategy", "bottom-up"], "solve-kite.json", 0),
+    (["detect"], "solve-kite.json", 0),
+    (["check"], "k4.json", 3),  # over: one cokernel per vote names the groups
+], ids=["check-strip24", "decompose-kite", "detect-kite", "check-k4"])
+def test_singular_vectors_only_below_full_row_rank(argv, model, expected, capsys, corpus_dir,
+                                                    tmp_path, monkeypatch):
+    path = (write_model(tmp_path, zoo.triangle_strip(24)) if model is None
+            else str(corpus_dir / model))
+    with_vectors = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        if kwargs.get("compute_uv", args[1] if len(args) > 1 else True):
+            with_vectors.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    run_cli(capsys, argv[0], path, *argv[1:])
+    assert len(with_vectors) == expected
 
 
 @pytest.mark.parametrize("command", ["check", "detect", "decompose"])
@@ -426,6 +450,17 @@ def test_gcs_seed_env_override(capsys, corpus_dir, monkeypatch):
     assert data["report"]["witness"]["seeds"] == [7, 8, 9]
     monkeypatch.setenv("GCS_SEED", "pears")
     assert main(["check", str(corpus_dir / "triangle.json")]) == 1
+    capsys.readouterr()
+    monkeypatch.setenv("GCS_SEED", "-3")
+    assert main(["check", str(corpus_dir / "k4.json")]) == 1
+    assert_one_line_refusal(capsys, "seed must be >= 0")
+
+
+def assert_one_line_refusal(capsys, message):
+    """Nothing on stdout and exactly ``message`` as one line on stderr."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -433,12 +468,22 @@ def test_gcs_seed_env_override(capsys, corpus_dir, monkeypatch):
     (["--rank-tol", "-1"], "tolerances must be positive"),
     (["--witnesses", "0"], "witness count must be >= 1"),
     (["--max-iter", "-5"], "max-iter must be >= 0"),
-], ids=["tolerance", "rank-tol", "witnesses", "max-iter"])
+    (["--seed", "-5"], "seed must be >= 0"),
+], ids=["tolerance", "rank-tol", "witnesses", "max-iter", "seed"])
 def test_invalid_global_options_exit_1(capsys, corpus_dir, flags, message):
     assert main([*flags, "check", str(corpus_dir / "triangle.json")]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.strip() == message
+    assert_one_line_refusal(capsys, message)
+
+
+@pytest.mark.parametrize("model, flags, message", [
+    ("k4.json", ["--seed-row", "99"], "seed row 99 out of range"),
+    ("k4.json", ["--seed-row", "-1"], "seed row -1 out of range"),
+    ("lindep2.json", ["--seed-row", "9"], "seed row 9 out of range"),
+    ("k4.json", ["--seed-entity", "ZZZ"], "seed entity 'ZZZ' is not an entity of the model"),
+], ids=["row-99", "row-minus-1", "raw-row-9", "entity"])
+def test_detect_refuses_a_seed_the_system_lacks(capsys, corpus_dir, model, flags, message):
+    assert main(["detect", *flags, str(corpus_dir / model)]) == 1
+    assert_one_line_refusal(capsys, message)
 
 
 def test_check_3d_models(capsys, corpus_dir):

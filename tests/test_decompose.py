@@ -24,7 +24,7 @@ from gcskernel import (
 from gcskernel import cli, compiler, decompose, geometry, numeric, zoo
 from gcskernel.compiler import induced
 from gcskernel.decompose import ClusterNode, ClusterTree, align_onto
-from gcskernel.detect import dependent_rows, is_well_part
+from gcskernel.detect import is_well_part
 from gcskernel.model import Constraint, Entity, Model, model_from_json_dict
 from gcskernel.numeric import solve
 from gcskernel.witness import characterize, characterize_at, generate_witness
@@ -240,7 +240,7 @@ def is_independent(model, seed=0):
     """Whether no row of the model's witness Jacobian takes part in a dependency."""
     system = compile_model(model)
     J = generate_witness(system, model, seed=seed).jacobian
-    return dependent_rows(J).size == 0
+    return not numeric.rank_analyze(J).dependent_groups
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

@@ -34,9 +34,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_identity_rank():
     a = rank_analyze(np.eye(6))
+    assert a.shape == (6, 6)
     assert a.rank == 6
-    assert a.kernel.shape == (6, 0)
-    assert a.cokernel.shape == (6, 0)
+    assert a.dependent_groups == ()
 
 
 def test_collinear_three_distance_rank_five():
@@ -52,24 +52,26 @@ def test_lindep2_rank_and_cokernel():
     a = rank_analyze(J)
     assert a.shape == (5, 3)
     assert a.rank == 3
-    assert a.cokernel_dim == 2
+    assert len(a.dependent_groups) == 2  # one per cokernel basis vector
+    for group in a.dependent_groups:
+        assert rank_of(J[list(group)]) < len(group)
 
 
-def test_kernel_vectors_annihilate():
+def test_dependent_group_rows_are_dependent():
     rng = np.random.default_rng(0)
     J = rng.normal(size=(4, 7))
     J[3] = J[0] + 2 * J[1]  # force a row dependency
     a = rank_analyze(J)
-    smax = a.singular_values[0]
-    for k in range(a.kernel.shape[1]):
-        assert np.linalg.norm(J @ a.kernel[:, k]) <= 1e-8 * smax
-    for k in range(a.cokernel.shape[1]):
-        assert np.linalg.norm(a.cokernel[:, k] @ J) <= 1e-8 * smax
+    assert a.rank == 3
+    assert a.dependent_groups == ((0, 1, 3),)
 
 
 def test_empty_and_nonfinite():
     a = rank_analyze(np.zeros((0, 3)))
-    assert a.rank == 0 and a.kernel.shape == (3, 3)
+    assert a.rank == 0 and a.dependent_groups == ()
+    # a matrix without columns: every row is dependent on its own
+    a = rank_analyze(np.zeros((2, 0)))
+    assert a.rank == 0 and a.dependent_groups == ((0,), (1,))
     with pytest.raises(ValueError):
         rank_analyze(np.array([[np.inf, 1.0]]))
 
@@ -116,6 +118,42 @@ def test_rank_of_matches_rank_analyze(stack):
     ranks = [rank_of(J) for J in stack]
     assert ranks == [rank_analyze(J).rank for J in stack]
     assert rank_of(stack).tolist() == ranks
+
+
+def reference_rank_analysis(J):
+    """The rank and dependent row groups by one full SVD: the rank from its
+    own singular values, a group per column of U[:, rank:] (the rows above
+    SUPPORT_TOL), the identity's columns for a matrix without columns."""
+    m, n = J.shape
+    if m == 0 or n == 0:
+        return 0, tuple((i,) for i in range(m))
+    U, s, _ = np.linalg.svd(J)
+    rank = int(np.sum(s > numeric.RANK_REL_TOL * s[0] + 1e-12 * (s[0] <= 0.0)))
+    groups = (tuple(int(i) for i in np.flatnonzero(np.abs(U[:, k]) > numeric.SUPPORT_TOL))
+              for k in range(rank, m))
+    return rank, tuple(g for g in groups if g)
+
+
+@st.composite
+def gapped_matrices(draw):
+    """An m x n matrix (m, n in 0..7) of planted rank k, with its k singular
+    values in [1, 1e3] and the rest zero: rank-deficient, full-rank, zero,
+    empty and column-less shapes, all with a clear singular-value gap."""
+    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    k = draw(st.integers(0, min(m, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    U = np.linalg.qr(rng.normal(size=(m, m)))[0] if m else np.zeros((0, 0))
+    V = np.linalg.qr(rng.normal(size=(n, n)))[0] if n else np.zeros((0, 0))
+    s = rng.uniform(1.0, 1e3, size=k)
+    return (U[:, :k] * s) @ V[:, :k].T
+
+
+@settings(max_examples=80)
+@given(gapped_matrices())
+def test_rank_analyze_matches_one_full_svd(J):
+    a = rank_analyze(J)
+    assert a.shape == J.shape
+    assert (a.rank, a.dependent_groups) == reference_rank_analysis(J)
 
 
 def test_rank_of_empty_zero_and_nonfinite():

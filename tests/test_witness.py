@@ -1,7 +1,9 @@
+import math
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcskernel import (
     Model,
@@ -17,13 +19,15 @@ from gcskernel import (
     generate_witness,
     motion_basis,
     rank_analyze,
+    rank_of,
     representation_sensitivity,
 )
-from gcskernel import geometry, witness, zoo
+from gcskernel import cli, geometry, numeric, witness, zoo
 from gcskernel.model import Constraint, Entity
 from gcskernel.witness import COINCIDENCE_TOL, _entities_coincide, _tied
 
 from conftest import (
+    CORPUS,
     cross_product_models,
     lines_through_two_points,
     triangle_with_coincident_point,
@@ -327,9 +331,17 @@ def test_dependency_certificate_quality():
     s = compile_model(m)
     wit = generate_witness(s, m, seed=0)
     J = eval_jacobian(s, wit.assignment)
-    a = rank_analyze(J)
-    for k in range(a.cokernel.shape[1]):
-        assert np.linalg.norm(a.cokernel[:, k] @ J) <= 1e-8 * a.singular_values[0]
+    groups = rank_analyze(J).dependent_groups
+    assert groups
+    for g in groups:  # each group is a dependent row set
+        assert rank_of(J[list(g)]) < len(g)
+
+
+@pytest.mark.parametrize("votes", [0, -1])
+def test_characterize_refuses_fewer_than_one_vote(votes):
+    m = zoo.triangle_model()
+    with pytest.raises(ValueError, match="votes must be >= 1"):
+        characterize(compile_model(m), m, votes=votes)
 
 
 def test_verdict_stable_across_seeds():
@@ -350,12 +362,11 @@ def test_anchored_vs_unanchored_kernel_crosscheck():
         s = compile_model(m)
         wit = generate_witness(s, m, seed=0)
         dor = compute_dor(m, s, wit.assignment).dor
-        free = rank_analyze(eval_jacobian(s, wit.assignment)).kernel_dim
+        free = s.n_variables - rank_of(eval_jacobian(s, wit.assignment))
         assert free == dor
         anchored = add_anchors(s, m)
         x = assignment_from_params(m, anchored)
-        solved = rank_analyze(eval_jacobian(anchored, x))
-        assert solved.kernel_dim == 0
+        assert anchored.n_variables - rank_of(eval_jacobian(anchored, x)) == 0
 
 
 def test_unstable_when_witnesses_disagree(monkeypatch):
@@ -448,3 +459,107 @@ def test_plane_scheme_conversion_consistency():
         sign = 1.0 if n0 @ n1 > 0 else -1.0
         assert np.allclose(n0, sign * n1, atol=1e-12)
         assert e.params[3] == pytest.approx(sign * back.params[3], abs=1e-12)
+
+
+# --- rank decisions: margins on the corpus, an exact generic-rank oracle --------
+
+def default_run_matrices(path):
+    """The matrices a default ``gcs check`` ranks: per vote (seeds 0-2, one
+    vote for a model without variables) the witness Jacobian and motion
+    basis; for a raw system, its Jacobian at the seed-0 sample."""
+    model, system = cli._load(str(path))
+    if model is None:
+        return [("J", eval_jacobian(system, cli._raw_sample(system, 0)))]
+    votes = 1 if system.without_anchors().n_variables == 0 else 3
+    out = []
+    for seed in range(votes):
+        w = generate_witness(system, model, seed=seed)
+        out += [(f"J{seed}", w.jacobian), (f"M{seed}", w.motions)]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.json")))
+def test_corpus_rank_decisions_sit_far_from_the_threshold(name, corpus_dir):
+    # tau = RANK_REL_TOL * sigma_max: every kept singular value is at least
+    # 10 tau and every dropped one at most tau / 10, so the values-only and
+    # the full-SVD LAPACK drivers, which may differ in the last bits, decide
+    # the same rank
+    for label, X in default_run_matrices(corpus_dir / name):
+        if X.size == 0:
+            continue
+        s = np.linalg.svd(X, compute_uv=False)
+        tau = numeric._rank_tolerance(s[0], numeric.RANK_REL_TOL)
+        kept, dropped = s[s > tau], s[s <= tau]
+        if kept.size:
+            assert kept.min() >= 10.0 * tau, (label, kept.min() / tau)
+        if dropped.size:
+            assert 10.0 * dropped.max() <= tau, (label, tau / dropped.max())
+        full = np.linalg.svd(X)[1]
+        assert np.count_nonzero(full > numeric._rank_tolerance(full[0], numeric.RANK_REL_TOL)) \
+            == kept.size == rank_of(X), label
+
+
+GF_P = 2**31 - 1  # prime; a product of two residues fits in int64
+
+
+def gf_rank(A) -> int:
+    """Rank over GF(GF_P) of an integer matrix, by Gaussian elimination in int64."""
+    A = np.array(A, dtype=np.int64) % GF_P
+    rank = 0
+    for c in range(A.shape[1]):
+        nonzero = np.flatnonzero(A[rank:, c])
+        if not nonzero.size:
+            continue
+        pivot = rank + nonzero[0]
+        A[[rank, pivot]] = A[[pivot, rank]]
+        A[rank] = A[rank] * pow(int(A[rank, c]), GF_P - 2, GF_P) % GF_P
+        A[rank + 1:] = (A[rank + 1:] - A[rank + 1:, c:c + 1] * A[rank] % GF_P) % GF_P
+        rank += 1
+        if rank == A.shape[0]:
+            break
+    return rank
+
+
+def gf_generic_rank(model, seed=0) -> int:
+    """The generic rank of a distance-pp framework's rigidity matrix: its
+    rank over GF(p) at uniform random coordinates mod p.  The rank drops
+    below the generic one only on the zero set of a nonzero minor of degree
+    at most the rank, so a draw errs with probability at most rank / p
+    (Schwartz-Zippel)."""
+    d = model.dimension
+    index = {e.id: k for k, e in enumerate(model.entities)}
+    X = np.random.default_rng(seed).integers(0, GF_P, size=(len(index), d))
+    R = np.zeros((len(model.constraints), d * len(index)), dtype=np.int64)
+    for i, c in enumerate(model.constraints):
+        a, b = (index[e] for e in c.entities)
+        R[i, d * a:d * a + d] = X[a] - X[b]
+        R[i, d * b:d * b + d] = X[b] - X[a]
+    return gf_rank(R)
+
+
+@st.composite
+def distance_frameworks(draw):
+    """A 2D or 3D framework of 2-10 points with any set of distance bars, so
+    flexible and over-braced frameworks occur."""
+    d, n = draw(st.sampled_from([2, 3])), draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    coords = {f"P{i}": tuple(rng.uniform(-5.0, 5.0, size=d)) for i in range(n)}
+    pairs = list(combinations(sorted(coords), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    kind = f"point{d}"
+    return Model(d, tuple(Entity(k, kind, coords[k]) for k in sorted(coords)),
+                 tuple(Constraint(f"e{i}", "distance-pp", (a, b), math.dist(coords[a], coords[b]))
+                       for i, (a, b) in enumerate(edges, start=1)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(distance_frameworks())
+def test_witness_rank_is_the_exact_generic_rank(model):
+    assert characterize(compile_model(model), model).rank == gf_generic_rank(model)
+
+
+def test_gf_rank_of_the_double_banana():
+    # 18 bars of rank 17: the two rigid bananas still turn about the T1-T2 axis
+    m = zoo.double_banana_model()
+    assert gf_generic_rank(m) == 17 == characterize(compile_model(m), m).rank
+    assert gf_rank([[1, 2], [2, 4]]) == 1 and gf_rank([[0, 1], [1, 0]]) == 2
