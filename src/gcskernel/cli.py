@@ -32,6 +32,7 @@ from .decompose import (
     DecompositionError,
     bottom_up,
     bottom_up_at,
+    require_2d,
     solve_tree,
     top_down,
 )
@@ -192,6 +193,8 @@ def cmd_detect(args) -> int:
     # the searches read the Jacobian (and, for a model, the motion basis) at
     # the witness of the verdict's first vote, which is drawn at --seed
     if model is None:
+        if args.seed_entity is not None:
+            raise SystemExitError(1, "--seed-entity needs a geometric model")
         J = eval_jacobian(system, _raw_sample(system, args.seed))
     else:
         wr = characterize(system, model, seed=args.seed, votes=args.witnesses,
@@ -236,25 +239,15 @@ def cmd_decompose(args) -> int:
         raise SystemExitError(1, "decompose needs a geometric model")
     wr = characterize(system, model, seed=args.seed, votes=args.witnesses,
                       rank_tol=args.rank_tol)
+    payload = {"command": "decompose", "model": args.model, "strategy": args.strategy,
+               "verdict": wr.verdict}
     try:
         # bottom-up's merge checks read the verdict's first witness
         tree = bottom_up_at(model, system, wr.witness, args.rank_tol) \
             if args.strategy == "bottom-up" else top_down(model)
-        payload = {
-            "command": "decompose",
-            "model": args.model,
-            "strategy": args.strategy,
-            "verdict": wr.verdict,
-            "tree": tree.to_json_dict(),
-        }
+        payload["tree"] = tree.to_json_dict()
     except DecompositionError as err:
-        payload = {
-            "command": "decompose",
-            "model": args.model,
-            "strategy": args.strategy,
-            "verdict": wr.verdict,
-            "error": str(err),
-        }
+        payload["error"] = str(err)
     if wr.verdict != "well":
         payload["advice"] = "model is not well-constrained; run detect first"
     _emit(payload, args.format)
@@ -272,6 +265,7 @@ def cmd_solve(args) -> int:
 
     if args.strategy == "decomposed":
         try:
+            require_2d(model)  # refuse before the merge search, not after it
             tree = bottom_up(model, seed=args.seed, rank_tol=args.rank_tol, system=system)
             plan, solution, cert = solve_tree(model, tree, max_iter=args.max_iter,
                                               tol=args.tolerance, system=system)
@@ -297,11 +291,7 @@ def cmd_solve(args) -> int:
         "entities": {k: list(v) for k, v in sorted(params.items())},
     }
     _emit(payload, args.format)
-    if result.status == "converged":
-        return 0
-    if result.status == "inconsistent":
-        return 4
-    return 6
+    return {"converged": 0, "inconsistent": 4}.get(result.status, 6)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,10 +11,11 @@ engine so non-rigid unions (three lines under three angles) are rejected:
 
 Candidate groups wait in a priority queue and are tested in a fixed order:
 smallest union first, then fewer clusters, then lexicographic (sorted union,
-then sorted member sets).  Each group is tested once: a group enters the
-queue when its newest cluster is created, a rejected group never returns, and
-a group whose union a live cluster covers is dropped.  The loop ends when the
-queue is empty.
+then sorted member sets).  A rigidity check reads only the group's union,
+so each union is tested at most once: a group enters the queue when its
+newest cluster is created, a group whose union was found not rigid is
+dropped, and so is a group whose union a live cluster covers.  The loop ends
+when the queue is empty.
 
 A successful merge rewrites the cluster set (Hoffmann, Lomonosov and Sitharam,
 "Decomposition plans for geometric constraint systems", 2001): it retires
@@ -215,14 +216,15 @@ def bottom_up_at(model: Model, system: ResidualSystem, witness: WitnessConfigura
     Every rigidity check reads the Jacobian and motion basis that
     ``witness``, a sample of the compiled ``model`` ``system``, carries.
     Merge candidates are tested smallest union first, then fewer clusters,
-    then lexicographically; each is tested once.  A merged cluster retires the
-    clusters its union covers and queues the candidate groups it completes;
-    queued groups that hold a retired cluster are dropped.  A merge whose
-    union holds an entity of a constraint in a row dependency of the witness
-    Jacobian retires nothing.  Merge children are ordered by the leaf their
-    first-child descent reaches, earliest created first.  The constraints in
-    a dependent row group of the witness Jacobian (:func:`rank_analyze`),
-    and those no root holds, are flagged redundant or conflicting.
+    then lexicographically; each union is tested at most once.  A merged
+    cluster retires the clusters its union covers and queues the candidate
+    groups it completes; queued groups that hold a retired cluster are
+    dropped.  A merge whose union holds an entity of a constraint in a row
+    dependency of the witness Jacobian retires nothing.  Merge children are
+    ordered by the leaf their first-child descent reaches, earliest created
+    first.  The constraints in a dependent row group of the witness Jacobian
+    (:func:`rank_analyze`), and those no root holds, are flagged redundant or
+    conflicting.
     ``rank_tol`` is the relative SVD threshold of every rank decision.
     """
     J, M = witness.jacobian, witness.motions
@@ -255,13 +257,14 @@ def bottom_up_at(model: Model, system: ResidualSystem, witness: WitnessConfigura
     active: dict[int, ClusterNode] = {}  # live clusters by id, in creation order
     holders: dict[str, dict[int, ClusterNode]] = {}  # entity -> live clusters holding it
     queue: list[tuple[tuple, frozenset[str], tuple[ClusterNode, ...]]] = []
+    rejected: set[frozenset[str]] = set()  # unions found not rigid
 
     def covered(union: frozenset[str]) -> bool:
         return any(union <= c.entities for c in holders[next(iter(union))].values())
 
     def push(group: tuple[ClusterNode, ...]) -> None:
         union = frozenset().union(*(c.entities for c in group))
-        if covered(union):
+        if covered(union) or union in rejected:
             return  # nothing new, now or later
         # no two clusters share an entity set, so the key orders groups totally
         key = (len(union), len(group), tuple(sorted(union)),
@@ -303,9 +306,11 @@ def bottom_up_at(model: Model, system: ResidualSystem, witness: WitnessConfigura
     while queue:
         _, union, group = heapq.heappop(queue)
         # a retired member's cover queued the group's successor when it was added
-        if any(c.node_id not in active for c in group) or covered(union):
+        if any(c.node_id not in active for c in group) or covered(union) or union in rejected:
             continue
-        if rigid(union):
+        if not rigid(union):
+            rejected.add(union)
+        else:
             children = sorted(group, key=lead)
             shared = tuple(
                 tuple(sorted(p.entities & q.entities))
@@ -833,6 +838,12 @@ def _assemble_merge(model: Model, system: ResidualSystem, node: ClusterNode,
                  tuple((bodies[i], moves[i]) for i in order))
 
 
+def require_2d(model: Model) -> None:
+    """Refuse a model outside recombination's scope with :class:`DecompositionError`."""
+    if model.dimension != 2:
+        raise DecompositionError("cluster recombination covers the 2D scope")
+
+
 def solve_tree(model: Model, tree: ClusterTree, max_iter: int = 100,
                tol: float = RESIDUAL_TOL, system: ResidualSystem | None = None
                ) -> tuple[RecombinePlan, dict[str, tuple[float, ...]], SolveResult]:
@@ -855,8 +866,7 @@ def solve_tree(model: Model, tree: ClusterTree, max_iter: int = 100,
     leaf whose rows (constraints, normalizations and virtual bonds) are fewer
     than its columns minus its rigid motions (:func:`geometry.generator_count`).
     """
-    if model.dimension != 2:
-        raise DecompositionError("cluster recombination covers the 2D scope")
+    require_2d(model)
     if not tree.assembled:
         raise DecompositionError(
             f"cluster tree has {len(tree.roots)} roots; the model did not assemble")

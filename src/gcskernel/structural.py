@@ -275,10 +275,15 @@ def scc_plan(graph: EquationGraph, matching: dict[int, int]) -> SolvePlan:
 
 @dataclass(frozen=True)
 class CountingVerdict:
-    state: str  # under | well | over
     deficit: int                       # DOF - DOC - D(whole)
     witness_subgraph: tuple[str, ...] | None
     advisory: bool  # 3D counting is necessary-but-not-sufficient
+
+    @property
+    def state(self) -> str:
+        if self.witness_subgraph is not None:
+            return "over"
+        return "well" if self.deficit == 0 else "under"
 
 
 def counting_state(cg: ConstraintGraph) -> CountingVerdict:
@@ -289,7 +294,9 @@ def counting_state(cg: ConstraintGraph) -> CountingVerdict:
     DOF(S) - DOC(S) < D; the reported ``witness_subgraph`` is then an
     inclusion-minimal such subset (the whole model when only the whole
     violates).  The subset condition is decided exactly, for any model size,
-    with a weighted pebble game (see :func:`_dense_subset`).
+    with a weighted pebble game (see :func:`_dense_subset`).  The verdict
+    keeps the deficit DOF - DOC - D and that subset, and its ``state`` is
+    read off them: over with a subset, else well at deficit 0, else under.
     """
     D = generator_count(cg.dimension)
     ids = list(cg.entity_ids)
@@ -301,7 +308,7 @@ def counting_state(cg: ConstraintGraph) -> CountingVerdict:
 
     advisory = cg.dimension == 3
     if not ids:
-        return CountingVerdict("well", 0, None, advisory)
+        return CountingVerdict(0, None, advisory)
     whole = frozenset(ids)
     dof, doc, _ = cg.induced(whole)
     deficit = dof - doc - D
@@ -311,14 +318,7 @@ def counting_state(cg: ConstraintGraph) -> CountingVerdict:
 
     if witness is None and deficit < 0:
         witness = tuple(sorted(whole))
-    if witness is not None:
-        return CountingVerdict("over", deficit, witness, advisory)
-    if dof < D:
-        # too small to span a frame; treat as under (a lone entity is free)
-        return CountingVerdict("under", deficit, None, advisory)
-    if deficit == 0:
-        return CountingVerdict("well", deficit, None, advisory)
-    return CountingVerdict("under", deficit, None, advisory)
+    return CountingVerdict(deficit, witness, advisory)
 
 
 def _dense_subset(cg: ConstraintGraph, D: int, min_sub: int) -> frozenset[str] | None:

@@ -14,9 +14,11 @@ where dor, the degree of rigidity, is the rank of the rigid-motion basis:
 translations and rotations translated to parameter-space velocities at the
 witness.  On rigid-motion-invariant systems "well" coincides with the
 equalities rank = m and n - rank = dor; systems containing fix constraints
-can legitimately have n - rank < dor and still count as well.  A report
-names the dependent rows by the groups of :func:`numeric.rank_analyze`, which
-computes singular vectors only for a Jacobian below full row rank.
+can legitimately have n - rank < dor and still count as well; the free
+motions are max(0, n - rank - dor).  A :class:`WcmReport` stores the counts
+and reads these judgments off them.  It names the dependent rows by the
+groups of :func:`numeric.rank_analyze`, which computes singular vectors only
+for a Jacobian below full row rank.
 
 Random configurations can be accidentally singular, so characterization votes
 over three independently seeded witnesses and reports "unstable" when no two
@@ -190,23 +192,38 @@ def compute_dor(model: Model, system: ResidualSystem, assignment,
 
 @dataclass(frozen=True)
 class WcmReport:
+    """The counts a characterization measured; every judgment is read off them.
+    ``rank = dor = -1`` marks the report whose votes had no majority: it is
+    unstable, neither over nor under, and ``sub_reports`` holds the votes."""
     columns: int
     rows: int
     rank: int
     dor: int
-    over: bool
-    under: bool
-    verdict: str  # well | under | over | over-and-under | unstable
-    free_motions: int
     dependent_groups: tuple[tuple[int, ...], ...]
     seeds: tuple[int, ...] = ()
     sub_reports: tuple["WcmReport", ...] = ()
     # the first vote's witness, drawn at the first seed; not part of the report
     witness: WitnessConfiguration | None = field(default=None, compare=False, repr=False)
 
-    def matched(self) -> bool:
-        """Whether kernel dimension matches the degree of rigidity."""
-        return self.columns - self.rank == self.dor
+    @property
+    def over(self) -> bool:
+        return 0 <= self.rank < self.rows
+
+    @property
+    def under(self) -> bool:
+        return self.free_motions > 0
+
+    @property
+    def free_motions(self) -> int:
+        return max(0, self.columns - self.rank - self.dor) if self.rank >= 0 else 0
+
+    @property
+    def verdict(self) -> str:
+        """well | under | over | over-and-under | unstable"""
+        if self.rank < 0:
+            return "unstable"
+        parts = [name for name, holds in (("over", self.over), ("under", self.under)) if holds]
+        return "-and-".join(parts) or "well"
 
     def to_json_dict(self) -> dict:
         return {
@@ -233,28 +250,7 @@ def _report(jacobian: np.ndarray, dor: int, seeds: tuple[int, ...],
     """The constraint-state report of a witness Jacobian of degree of rigidity ``dor``."""
     analysis = rank_analyze(jacobian, rank_tol)
     m, n = analysis.shape
-    over = analysis.rank < m
-    under = (n - analysis.rank) > dor
-    if over and under:
-        verdict = "over-and-under"
-    elif over:
-        verdict = "over"
-    elif under:
-        verdict = "under"
-    else:
-        verdict = "well"
-    return WcmReport(
-        columns=n,
-        rows=m,
-        rank=analysis.rank,
-        dor=dor,
-        over=over,
-        under=under,
-        verdict=verdict,
-        free_motions=max(0, (n - analysis.rank) - dor),
-        dependent_groups=analysis.dependent_groups,
-        seeds=seeds,
-    )
+    return WcmReport(n, m, analysis.rank, dor, analysis.dependent_groups, seeds)
 
 
 def characterize(system: ResidualSystem, model: Model, seed: int = 0,
@@ -290,20 +286,7 @@ def characterize(system: ResidualSystem, model: Model, seed: int = 0,
     for i, key in enumerate(keys):
         if keys.count(key) >= needed:
             return replace(reports[i], seeds=seeds, witness=first)
-    return WcmReport(
-        columns=reports[0].columns,
-        rows=reports[0].rows,
-        rank=-1,
-        dor=-1,
-        over=False,
-        under=False,
-        verdict="unstable",
-        free_motions=0,
-        dependent_groups=(),
-        seeds=seeds,
-        sub_reports=tuple(reports),
-        witness=first,
-    )
+    return WcmReport(reports[0].columns, reports[0].rows, -1, -1, (), seeds, tuple(reports), first)
 
 
 _SCHEME_TAGS = {HESSIAN: PLANE3, POINT_NORMAL: PLANE3, "point-direction": LINE3}
@@ -333,8 +316,12 @@ class SchemeRow:
     columns: int
     rank: int
     dor: int
-    matched: bool
     verdict: str
+
+    @property
+    def matched(self) -> bool:
+        """Whether the kernel dimension matches the degree of rigidity."""
+        return self.columns - self.rank == self.dor
 
 
 def representation_sensitivity(model: Model, schemes: Sequence[str],
@@ -358,10 +345,8 @@ def representation_sensitivity(model: Model, schemes: Sequence[str],
         )
         system = compile_model(converted)
         if not converted.entities:
-            out.append(SchemeRow(scheme, 0, 0, 0, True, "well"))
+            out.append(SchemeRow(scheme, 0, 0, 0, "well"))
             continue
         report = characterize(system, converted, seed=seed)
-        out.append(SchemeRow(
-            scheme, report.columns, report.rank, report.dor,
-            report.matched(), report.verdict))
+        out.append(SchemeRow(scheme, report.columns, report.rank, report.dor, report.verdict))
     return out

@@ -329,6 +329,20 @@ def test_solve_decomposed_refuses_3d_model(capsys, corpus_dir):
     assert captured.err == "decomposed solve failed: cluster recombination covers the 2D scope\n"
 
 
+def test_solve_decomposed_refuses_3d_model_before_decomposing(capsys, corpus_dir, monkeypatch):
+    # recombination covers 2D only, so a 3D model is refused before the merge
+    # search: no witness draw and no rigidity check
+    def fail(*args, **kwargs):
+        raise AssertionError("a refused model was decomposed")
+
+    monkeypatch.setattr(decompose, "generate_witness", fail)
+    monkeypatch.setattr(decompose, "is_well_part", fail)
+    code = main(["solve", "--strategy", "decomposed", str(corpus_dir / "tetrahedron.json")])
+    captured = capsys.readouterr()
+    assert code == 7
+    assert captured.err == "decomposed solve failed: cluster recombination covers the 2D scope\n"
+
+
 def test_solve_decomposed_refuses_free_entities(capsys, corpus_dir, tmp_path):
     # the triangle assembles into one root, and the unconstrained Q is in no
     # cluster: a refusal on stderr, not a traceback
@@ -480,7 +494,8 @@ def test_invalid_global_options_exit_1(capsys, corpus_dir, flags, message):
     ("k4.json", ["--seed-row", "-1"], "seed row -1 out of range"),
     ("lindep2.json", ["--seed-row", "9"], "seed row 9 out of range"),
     ("k4.json", ["--seed-entity", "ZZZ"], "seed entity 'ZZZ' is not an entity of the model"),
-], ids=["row-99", "row-minus-1", "raw-row-9", "entity"])
+    ("lindep2.json", ["--seed-entity", "ZZZ"], "--seed-entity needs a geometric model"),
+], ids=["row-99", "row-minus-1", "raw-row-9", "entity", "raw-entity"])
 def test_detect_refuses_a_seed_the_system_lacks(capsys, corpus_dir, model, flags, message):
     assert main(["detect", *flags, str(corpus_dir / model)]) == 1
     assert_one_line_refusal(capsys, message)

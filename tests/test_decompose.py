@@ -294,6 +294,13 @@ def test_bottom_up_rigidity_check_count_on_strip48(monkeypatch):
     assert rigidity_checks(zoo.triangle_strip(48), monkeypatch) == 152
 
 
+@pytest.mark.parametrize("make, checks", [(zoo.k4_model, 11), (zoo.double_banana_model, 137)])
+def test_bottom_up_tests_each_union_at_most_once(make, checks, monkeypatch):
+    # in a guarded region nothing retires, so many queued groups share one
+    # union; a union found not rigid is not tested again
+    assert rigidity_checks(make(), monkeypatch) == checks
+
+
 def test_bottom_up_flags_only_dependent_constraints(corpus_dir):
     # the flagged constraints are those whose rows take part in a row
     # dependency of the witness Jacobian; a flexible part flags nothing

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations, permutations
 
 import numpy as np
@@ -17,6 +18,7 @@ from gcskernel import (
     scc_plan,
 )
 from gcskernel import zoo
+from gcskernel.structural import CountingVerdict
 from gcskernel.model import CONSTRAINT_KINDS, Constraint, Entity, Model, load_model
 
 from conftest import row_ops, row_variables
@@ -495,3 +497,32 @@ def test_counting_agrees_with_witness_on_bar_frameworks(model):
         assert verdict in ("over", "over-and-under")
     else:
         assert verdict == state
+
+
+def reference_state(deficit, subgraph, doc, dimension):
+    """The state by the returns ``counting_state`` chose it with before it was
+    read off the verdict's counts, dof = deficit + doc + D.  The empty
+    model's return (well, deficit 0, no subgraph) is the deficit-0 branch."""
+    D = 3 if dimension == 2 else 6
+    if subgraph is not None:
+        return "over"
+    if deficit + doc + D < D:
+        return "under"
+    if deficit == 0:
+        return "well"
+    return "under"
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(-20, 20), st.booleans(), st.integers(0, 40), st.sampled_from([2, 3]))
+def test_counting_state_is_read_off_the_counts(deficit, named, doc, dimension):
+    # counting_state names the whole model as the subgraph when the deficit
+    # is negative and no smaller subset violates
+    subgraph = ("P", "Q") if named or deficit < 0 else None
+    verdict = CountingVerdict(deficit, subgraph, dimension == 3)
+    assert verdict.state == reference_state(deficit, subgraph, doc, dimension)
+
+
+def test_counting_verdict_stores_no_state():
+    assert [f.name for f in dataclasses.fields(CountingVerdict)] == \
+        ["deficit", "witness_subgraph", "advisory"]

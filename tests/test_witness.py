@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import combinations
 
@@ -24,7 +25,7 @@ from gcskernel import (
 )
 from gcskernel import cli, geometry, numeric, witness, zoo
 from gcskernel.model import Constraint, Entity
-from gcskernel.witness import COINCIDENCE_TOL, _entities_coincide, _tied
+from gcskernel.witness import COINCIDENCE_TOL, SchemeRow, WcmReport, _entities_coincide, _tied
 
 from conftest import (
     CORPUS,
@@ -417,6 +418,53 @@ def test_report_json_shape():
     assert set(d) == {"columns", "rows", "rank", "dor", "verdict",
                       "dependentGroups", "freeMotions", "seeds"}
     assert d["seeds"] == [0, 1, 2]
+
+
+def reference_judgments(columns, rows, rank, dor, unstable):
+    """(verdict, over, under, free motions) by the branch chain a report was
+    built with before its judgments were read off its counts."""
+    if unstable:
+        return "unstable", False, False, 0
+    over = rank < rows
+    under = (columns - rank) > dor
+    if over and under:
+        verdict = "over-and-under"
+    elif over:
+        verdict = "over"
+    elif under:
+        verdict = "under"
+    else:
+        verdict = "well"
+    return verdict, over, under, max(0, (columns - rank) - dor)
+
+
+@st.composite
+def report_counts(draw):
+    columns = draw(st.integers(0, 30))
+    rows = draw(st.integers(0, 30))
+    return (columns, rows, draw(st.integers(0, min(rows, columns))),
+            draw(st.integers(0, 6)), draw(st.booleans()))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(report_counts())
+def test_report_judgments_are_read_off_the_counts(counts):
+    columns, rows, rank, dor, unstable = counts
+    vote = WcmReport(columns, rows, rank, dor, ())
+    report = WcmReport(columns, rows, -1, -1, (), (0, 1, 2), (vote,) * 3) if unstable else vote
+    assert (report.verdict, report.over, report.under, report.free_motions) == \
+        reference_judgments(columns, rows, rank, dor, unstable)
+    assert SchemeRow("hessian", columns, rank, dor, vote.verdict).matched == \
+        (columns - rank == dor)
+
+
+def test_reports_store_no_judgment():
+    def fields(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert fields(WcmReport) == ["columns", "rows", "rank", "dor", "dependent_groups",
+                                 "seeds", "sub_reports", "witness"]
+    assert fields(SchemeRow) == ["scheme", "columns", "rank", "dor", "verdict"]
 
 
 # --- representation sensitivity ----------------------------------------------
