@@ -38,16 +38,20 @@ caller (``gcs decompose`` hands over the verdict's first vote), and
 :func:`bottom_up` draws it at its seed.
 
 Top-down (2D point/distance scope): a node splits at the lexicographically
-first articulation pair, a pair (a, b) whose removal disconnects the
-constraint graph G.  For each first vertex a in sorted order, one low-link DFS
-over G - a yields the smallest b > a whose removal leaves two or more
-components, so a node with n entities and m constraints costs O(n(n + m)).
-The pair is duplicated into each side, and a child that cannot fix the
-pair's separation on its own receives a virtual distance bond whose value is
-measured from the first solved sibling.  Splitting goes on until triangles
-(or irreducible cores) remain; a node of k <= 3 points with fewer than
-2k - 3 rows (constraints and bonds) is labelled ``under``.  The solve order
-is the reverse of the split order.
+first separation pair (a, b), whose removal disconnects its constraint graph.
+One triconnected decomposition of the root (Hopcroft and Tarjan's path
+search, :func:`structural.triconnectivity`) yields every pair in linear time.
+When a 2-connected node splits at (a, b), a child that holds the edge ab, or
+a virtual bond in its place, has exactly the node's pairs inside it, minus
+(a, b); so children inherit their pairs, and only a child of a node with a
+cut vertex, or one with neither, is decomposed anew.  Each child comes from a
+search that stops once only the largest piece is left, which keeps the
+node's graph.  The pair is duplicated into each side, and a child that
+cannot fix the pair's separation on its own receives a virtual distance bond
+whose value is measured from the first solved sibling.  Splitting goes on
+until triangles (or irreducible cores) remain; a node of k <= 3 points with
+fewer than 2k - 3 rows (constraints and bonds) is labelled ``under``.  The
+solve order is the reverse of the split order.
 
 Recombination builds clusters instead of solving them where it can (Owen,
 "Algebraic solution for geometry from dimensional constraints", 1991; Fudos
@@ -91,13 +95,13 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import geometry
+from . import geometry, structural
 from .compiler import (
     ResidualSystem,
     add_anchors,
@@ -134,7 +138,7 @@ class ClusterNode:
     constraints: frozenset[str]
     children: tuple["ClusterNode", ...] = ()
     shared: tuple[tuple[str, ...], ...] = ()   # shared entity sets between children
-    pair: tuple[str, str] | None = None        # articulation pair of a split node
+    pair: tuple[str, str] | None = None        # separation pair of a split node
     virtual_bonds: tuple[tuple[str, str], ...] = ()  # bonds this node must honor
 
     def to_json_dict(self) -> dict:
@@ -340,25 +344,27 @@ def bottom_up_at(model: Model, system: ResidualSystem, witness: WitnessConfigura
 
 
 @dataclass
-class _Split:
-    """A split node of ``top_down`` whose children are still being built:
-    ``jobs`` holds each child's (entities, edges) in solve order."""
-    entities: frozenset[str]
+class _Part:
+    """A top-down node's constraint graph: entities, neighbours with the edges
+    to each, constraint ids, edge count, a heap of entity ranks, and the
+    separation pairs it inherits with its heap of them."""
+    verts: set[str]
+    adj: dict[str, dict[str, list[int]]]
     cons: set[str]
-    pair: tuple[str, str]
-    bonds: list[tuple[str, str]] = field(default_factory=list)
-    jobs: list[tuple[frozenset[str], list]] = field(default_factory=list)
-    children: list[ClusterNode] = field(default_factory=list)
+    n_edges: int
+    ranks: list[int]
+    pairs: tuple[structural.SeparationPairs, list] | None = None
 
 
 def top_down(model: Model) -> ClusterTree:
-    """Articulation-pair splitting of a 2D point/distance model.
+    """Separation-pair splitting of a 2D point/distance model.
 
-    A node splits at its lexicographically first articulation pair (a, b):
-    for each a in sorted order, one low-link DFS over the graph minus a gives
-    the smallest b > a that disconnects what is left, so a node with n
-    entities and m constraints costs O(n(n + m)).  A node of k <= 3 entities
-    is a triangle when it holds at least 2k - 3 rows (constraints and virtual
+    A node splits at its lexicographically first separation pair (a, b).
+    The pairs come from one triconnected decomposition that the descendants
+    inherit (:class:`structural.SeparationPairs`); only the root, a child of
+    a node with a cut vertex, and a child that holds neither the edge ab nor
+    a bond for it are decomposed anew.  A node of k <= 3 entities is a
+    triangle when it holds at least 2k - 3 rows (constraints and virtual
     bonds), and under-constrained (kind ``under``) otherwise; a larger node
     without a pair is irreducible.
     """
@@ -372,6 +378,9 @@ def top_down(model: Model) -> ClusterTree:
 
     motions = geometry.generator_count(model.dimension)
     counter = [0]
+    names = sorted(e.id for e in model.entities)
+    rank = {e: i for i, e in enumerate(names)}
+    labels: list[str | None] = [c.id for c in model.constraints]  # None: a virtual bond
 
     def new_node(kind, entities, constraints, children=(), pair=None, bonds=()):
         counter[0] += 1
@@ -379,131 +388,121 @@ def top_down(model: Model) -> ClusterTree:
             counter[0], kind, frozenset(entities), frozenset(constraints),
             tuple(children), pair=pair, virtual_bonds=tuple(bonds))
 
-    def components(nodes: set[str], adj: Mapping[str, set[str]]) -> list[set[str]]:
-        seen: set[str] = set()
-        comps = []
-        for start in sorted(nodes):
-            if start in seen:
-                continue
-            comp = {start}
-            frontier = [start]
-            seen.add(start)
-            while frontier:
-                cur = frontier.pop()
-                for nb in adj[cur]:
-                    if nb in nodes and nb not in seen:
-                        seen.add(nb)
-                        comp.add(nb)
-                        frontier.append(nb)
-            comps.append(comp)
-        return comps
+    def join(part: _Part, a: str, b: str, edges: list[int]) -> None:
+        # give the node the edges between a and b
+        part.adj[a][b] = part.adj[b][a] = edges
+        part.n_edges += len(edges)
+        part.cons.update(labels[k] for k in edges if labels[k] is not None)
 
-    def partner(a: str, order: Sequence[str], adj: Mapping[str, set[str]]) -> str | None:
-        """Smallest b > a in ``order`` such that G - {a, b} is disconnected.
+    def bonds_of(part: _Part) -> list[tuple[str, str]]:
+        # a node's virtual bonds, oldest first
+        return [pair for _, pair in sorted(
+            (k, (a, b)) for a, nbrs in part.adj.items() for b, edges in nbrs.items()
+            if rank[a] < rank[b] for k in edges if labels[k] is None)]
 
-        One iterative low-link DFS over G - a counts, for every vertex b, the
-        pieces its own component falls into once b is removed: the DFS
-        children of a root, else one plus the children whose low-link does
-        not reach above b.  G - {a, b} then has components(G - a) - 1 +
-        pieces(b) components.
-        """
-        disc: dict[str, int] = {}
-        low: dict[str, int] = {}
-        pieces: dict[str, int] = {}
-        n_comps = 0
-        for root in order:
-            if root == a or root in disc:
-                continue
-            n_comps += 1
-            disc[root] = low[root] = len(disc)
-            pieces[root] = 0
-            stack = [(root, iter(adj[root]))]
-            while stack:
-                v, nbrs = stack[-1]
-                for w in nbrs:
-                    if w == a:
-                        continue
-                    if w not in disc:
-                        disc[w] = low[w] = len(disc)
-                        pieces[w] = 1
-                        stack.append((w, iter(adj[w])))
-                        break
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-                else:
-                    stack.pop()
-                    if stack:
-                        u = stack[-1][0]
-                        if low[v] < low[u]:
-                            low[u] = low[v]
-                        if low[v] >= disc[u]:
-                            pieces[u] += 1
-        return next((b for b in order if b > a and n_comps - 1 + pieces[b] >= 2), None)
+    def least(part: _Part, a: str, b: str) -> int:
+        # the first rank among the node's entities other than a and b
+        heap, held = part.ranks, []
+        while names[heap[0]] not in part.verts or names[heap[0]] in (a, b):
+            r = heapq.heappop(heap)
+            if names[r] in part.verts:
+                held.append(r)
+        r = heap[0]
+        for h in held:
+            heapq.heappush(heap, h)
+        return r
 
-    def expand(entities: frozenset[str],
-               edges: list[tuple[str, frozenset[str], bool]]) -> ClusterNode | _Split:
-        """The leaf node of ``entities``, or their split with its children still to build."""
-        # an edge is (id, endpoints, is a virtual bond)
-        cons = {eid for eid, _, bond in edges if not bond}
-        bonds_here = tuple(tuple(sorted(epair)) for _, epair, bond in edges if bond)
-        if len(entities) <= 3:
-            kind = "triangle" if len(edges) >= 2 * len(entities) - motions else "under"
-            return new_node(kind, entities, cons, bonds=bonds_here)
-        adj: dict[str, set[str]] = {e: set() for e in entities}
-        for _, epair, _ in edges:
-            a, b = sorted(epair)
-            adj[a].add(b)
-            adj[b].add(a)
-        # the lexicographically first articulation pair
-        order = sorted(entities)
-        for a in order:
-            b = partner(a, order, adj)
-            if b is None:
-                continue
-            comps = components(set(entities) - {a, b}, adj)
-            child_sets = [frozenset(comp | {a, b}) for comp in comps]
-            assigned: set[int] = set()
-            jobs = []
-            for cs in child_sets:
-                mine = []
-                for k, edge in enumerate(edges):
-                    if k not in assigned and edge[1] <= cs:
-                        mine.append(edge)
-                        assigned.add(k)
-                count = 2 * len(cs) - len(mine)
-                needs_bond = count > motions and not any(
-                    ep == frozenset((a, b)) for _, ep, _ in mine)
-                jobs.append((needs_bond, cs, mine))
-            # bond-free children solve first; they fix the pair's separation
-            jobs.sort(key=lambda j: (j[0], sorted(j[1])))
-            split = _Split(entities, cons, (a, b))
-            for needs_bond, cs, mine in jobs:
-                if needs_bond:
-                    mine = mine + [(f"{a}-{b}", frozenset((a, b)), True)]
-                    split.bonds.append((a, b))
-                split.jobs.append((cs, mine))
-            return split
-        return new_node("irreducible", entities, cons, bonds=bonds_here)
+    def split(part: _Part, a: str, b: str, loose: Sequence[str]) -> tuple:
+        # the node's entities, constraints, pair and bonds, and its children's
+        # graphs in solve order: the pieces of the graph minus a and b, each
+        # with a and b; the largest keeps the node's graph
+        entities, cons = frozenset(part.verts), frozenset(part.cons)
+        inherited = part.pairs
+        # each piece touches a or b, or holds a vertex of ``loose`` (one per
+        # component); in a 2-connected graph it touches both
+        ends = [min(a, b, key=lambda e: len(part.adj[e]))] if inherited else [a, b]
+        done, growing = structural.pieces_apart(part.adj, a, b, [
+            w for w in [*loose, *(w for e in ends for w in part.adj[e])] if w != a and w != b])
+        ab = part.adj[a].pop(b, [])
+        part.adj[b].pop(a, None)
+        part.n_edges -= len(ab)
+        part.cons.difference_update(labels[k] for k in ab)
+        children = []   # (first rank, members unless the largest piece, graph)
+        for members, adj, edges in done:
+            own = {labels[k] for k in edges} - {None}
+            part.verts.difference_update(members)
+            part.n_edges -= len(edges)
+            part.cons -= own
+            verts = {a, b, *members}
+            children.append((min(map(rank.__getitem__, members)), members, _Part(
+                verts, adj, own, len(edges), sorted(map(rank.__getitem__, verts)))))
+        if growing:
+            children.append((least(part, a, b), None, part))
+        children.sort(key=lambda c: c[0])
+        first = children[0][2]
+        if ab:
+            join(first, a, b, ab)
+        jobs = []
+        for r, members, child in children:
+            holds = child is first and bool(ab)
+            needs_bond = 2 * len(child.verts) - child.n_edges > motions and not holds
+            if needs_bond:
+                labels.append(None)
+                join(child, a, b, [len(labels) - 1])
+            if not (inherited and (holds or needs_bond)):
+                child.pairs = None
+            elif members is not None and len(child.verts) > 3:
+                child.pairs = (inherited[0], inherited[0].heap(set(members), child.verts))
+            jobs.append((needs_bond, r, child))
+        # bond-free children solve first; they fix the pair's separation
+        jobs.sort(key=lambda j: j[:2])
+        return (entities, cons, (a, b), [(a, b) for needs_bond, _, _ in jobs if needs_bond],
+                [child for _, _, child in jobs])
 
-    # depth first with an explicit stack, children in job order; a split node
-    # is numbered after its children
-    edges = [(c.id, frozenset(c.entities), False) for c in model.constraints]
-    top = expand(frozenset(e.id for e in model.entities), edges)
-    stack = [top] if isinstance(top, _Split) else []
-    while stack:
-        split = stack[-1]
-        if len(split.children) < len(split.jobs):
-            item = expand(*split.jobs[len(split.children)])
-            if isinstance(item, _Split):
-                stack.append(item)
+    def expand(part: _Part) -> ClusterNode | tuple:
+        """The leaf node of ``part``, or its split with its children still to build."""
+        if len(part.verts) <= 3:
+            kind = "triangle" if part.n_edges >= 2 * len(part.verts) - motions else "under"
+            return new_node(kind, part.verts, part.cons, bonds=bonds_of(part))
+        loose: Sequence[str] = ()
+        if part.pairs:
+            pair = part.pairs[0].pop(part.pairs[1], part.verts)
+        else:
+            tri = structural.triconnectivity(list(part.verts), [
+                (a, b) for a in part.adj for b in part.adj[a] if rank[a] < rank[b]])
+            if tri.biconnected:
+                found = structural.SeparationPairs(tri, rank)
+                part.pairs = (found, found.heap(part.verts, part.verts))
+                pair = found.pop(part.pairs[1], part.verts)
             else:
-                split.children.append(item)
+                pair = tri.first_pair(sorted(part.verts, key=rank.__getitem__))
+                loose = tri.roots
+        if pair is None:
+            return new_node("irreducible", part.verts, part.cons, bonds=bonds_of(part))
+        return split(part, *pair, loose)
+
+    adj: dict[str, dict[str, list[int]]] = {e: {} for e in names}
+    for k, c in enumerate(model.constraints):
+        a, b = c.entities
+        adj[b][a] = adj[a].setdefault(b, [])
+        adj[a][b].append(k)
+    # depth first with an explicit stack of (split, its children so far),
+    # children in job order; a split node is numbered after its children
+    top = expand(_Part(set(names), adj, set(labels), len(labels), list(range(len(names)))))
+    stack = [(top, [])] if isinstance(top, tuple) else []
+    while stack:
+        (entities, cons, pair, bonds, jobs), children = stack[-1]
+        if len(children) < len(jobs):
+            item = expand(jobs[len(children)])
+            if isinstance(item, tuple):
+                stack.append((item, []))
+            else:
+                children.append(item)
             continue
         stack.pop()
-        top = new_node("split", split.entities, split.cons, children=split.children,
-                       pair=split.pair, bonds=split.bonds)
+        top = new_node("split", entities, cons, children=children, pair=pair, bonds=bonds)
         if stack:
-            stack[-1].children.append(top)
+            stack[-1][1].append(top)
     return ClusterTree("top-down", (top,), (), ())
 
 

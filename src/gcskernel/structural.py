@@ -11,6 +11,10 @@ nodes, i.e. the bipartite scheme).  On top of these:
 * a solve plan from strongly connected components of the matching-oriented
   digraph, topologically sorted; :func:`numeric.newton_solve` takes its
   Newton steps block by block along it,
+* the triconnected (SPQR) decomposition of a multigraph (Hopcroft and
+  Tarjan's path search, with Gutwenger and Mutzel's corrections), its cut
+  vertices and separation pairs, in one linear pass; top-down splitting
+  reads every split off it and hands the pairs down to its children,
 * structural counting verdicts with the fixed frame dimension D = 3 (2D) /
   6 (3D), exact at any model size: a weighted pebble game (an incremental
   flow in the spirit of Jacobs and Hendrickson's (2,3) game and Hoffmann,
@@ -24,8 +28,9 @@ reports label it advisory.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .compiler import ResidualSystem
 from .geometry import generator_count
@@ -271,6 +276,723 @@ def scc_plan(graph: EquationGraph, matching: dict[int, int]) -> SolvePlan:
         for comp in components
     )
     return SolvePlan(blocks)
+
+
+# ---------------------------------------------------------------------------
+# triconnected components
+
+
+@dataclass(frozen=True)
+class Triconnectivity:
+    """Where a multigraph falls apart when one or two vertices are removed.
+
+    ``component`` numbers each vertex's connected component; ``sizes``
+    holds their sizes and ``roots`` a vertex of each.  ``pieces[v]`` counts
+    the components that v's component falls into without v, and ``lone[v]``
+    holds the one-vertex pieces of a vertex that leaves exactly two, if any.
+    ``pairs`` are the separation pairs that the virtual edges of the blocks'
+    triconnected components name, and ``polygons`` the cycles (S-nodes) of
+    four or more vertices, in cycle order; two vertices of a polygon that are
+    not next to each other on it separate their block too, and a block has
+    no other separation pair.
+    """
+    component: Mapping[str, int]
+    sizes: tuple[int, ...]
+    roots: tuple[str, ...]
+    pieces: Mapping[str, int]
+    lone: Mapping[str, frozenset[str]]
+    pairs: frozenset[frozenset[str]]
+    polygons: tuple[tuple[str, ...], ...]
+
+    @property
+    def biconnected(self) -> bool:
+        return len(self.sizes) == 1 and all(k <= 1 for k in self.pieces.values())
+
+    def separates(self, a: str, b: str) -> bool:
+        """Whether the graph minus a and b has two or more components."""
+        ka, kb = self.component[a], self.component[b]
+        others = len(self.sizes) - 1   # the components that hold neither
+        if ka != kb:
+            return others - 1 + self.pieces[a] + self.pieces[b] >= 2
+        if self.sizes[ka] == 2:
+            return others >= 2
+        if others:
+            return True
+        return (self._cuts(a, b) or self._cuts(b, a) or frozenset((a, b)) in self.pairs
+                or any(a in ring and b in ring and not _adjacent(ring, a, b)
+                       for ring in self.polygons))
+
+    def first_pair(self, order: Sequence[str]) -> tuple[str, str] | None:
+        """The first pair (a, b), a before b in ``order``, that separates."""
+        return next(((a, b) for i, a in enumerate(order) for b in order[i + 1:]
+                     if self.separates(a, b)), None)
+
+    def _cuts(self, v: str, other: str) -> bool:
+        # removing v leaves a piece that does not fall away with ``other``
+        k = self.pieces[v]
+        return k >= 3 or (k == 2 and other not in self.lone.get(v, ()))
+
+
+def _adjacent(ring: Sequence[str], a: str, b: str) -> bool:
+    i, j = ring.index(a), ring.index(b)
+    return (i - j) % len(ring) in (1, len(ring) - 1)
+
+
+def triconnectivity(vertices: Sequence[str],
+                    edges: Iterable[tuple[str, str]]) -> Triconnectivity:
+    """The :class:`Triconnectivity` of a multigraph, in time linear in its size.
+
+    One depth-first search gives the components, the cut vertices with the
+    pieces they leave, and the blocks.  A 2-connected graph of four or more
+    vertices, and each such block, is then divided into its triconnected
+    components by path search on that search's palm tree (Hopcroft and
+    Tarjan, "Dividing a graph into triconnected components", 1973, with the
+    corrections of Gutwenger and Mutzel, "A linear time implementation of
+    SPQR-trees", 2001); their virtual edges and polygons give the separation
+    pairs.  Separation pairs do not depend on edge multiplicity, so parallel
+    edges count once, and loops are ignored.
+    """
+    index = {v: i for i, v in enumerate(vertices)}
+    n = len(vertices)
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for a, b in edges:
+        i, j = index[a], index[b]
+        if i != j:
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+    palm = _Palm(n, [(i, j) for i in range(n) for j in nbrs[i] if i < j])
+    number, father, lowpt1, nd = palm.number, palm.father, palm.lowpt1, palm.nd
+    pieces = [0] * n
+    apart = [0] * n        # the size of the pieces a vertex cuts off below it
+    lone: dict[int, list[int]] = {}
+    for w in palm.order:
+        v = father[w]
+        if v >= 0 and lowpt1[w] >= number[v]:
+            pieces[v] += 1
+            apart[v] += nd[w]
+            if nd[w] == 1:
+                lone.setdefault(v, []).append(w)
+    sizes = [nd[r] for r in palm.order if father[r] < 0]
+    for v in palm.order:
+        if father[v] >= 0:
+            pieces[v] += 1   # the piece that holds the father
+            if pieces[v] == 2 and sizes[palm.component[v]] - 1 - apart[v] == 1:
+                lone.setdefault(v, []).append(father[v])
+    found: list[tuple[list[int], list[tuple[int, int]], list[list[int]]]] = []
+    if len(sizes) == 1 and n >= 4 and max(pieces) <= 1:
+        found.append((list(range(n)), *_split_components(palm)))
+    else:
+        # a block is entered by the tree arc into a vertex whose subtree
+        # reaches no higher than its father; a frond lies in the block of
+        # the tree arc into its source
+        block = [-1] * n
+        members: list[list[int]] = []
+        for w in palm.order:
+            v = father[w]
+            if v >= 0 and lowpt1[w] >= number[v]:
+                block[w] = len(members)
+                members.append([v])
+            elif v >= 0:
+                block[w] = block[v]
+            if v >= 0:
+                members[block[w]].append(w)
+        inside: list[list[int]] = [[] for _ in members]
+        for e, (x, y) in enumerate(zip(palm.src, palm.dst)):
+            inside[block[y] if palm.etype[e] == _TREE else block[x]].append(e)
+        for verts, es in zip(members, inside):
+            if len(verts) >= 4:
+                local = {v: i for i, v in enumerate(verts)}
+                found.append((verts, *_split_components(_Palm(len(verts), [
+                    (local[palm.src[e]], local[palm.dst[e]]) for e in es]))))
+    pairs = frozenset(frozenset((vertices[verts[u]], vertices[verts[v]]))
+                      for verts, twos, _ in found for u, v in twos)
+    polygons = tuple(tuple(vertices[verts[v]] for v in ring)
+                     for verts, _, rings in found for ring in rings)
+    return Triconnectivity(
+        dict(zip(vertices, palm.component)), tuple(sizes),
+        tuple(vertices[r] for r in palm.order if father[r] < 0),
+        dict(zip(vertices, pieces)),
+        {vertices[v]: frozenset(vertices[j] for j in js)
+         for v, js in lone.items() if pieces[v] == 2},
+        pairs, polygons)
+
+
+_TREE, _FROND = 1, 2
+
+
+class _Palm:
+    """A depth-first search of a simple graph on 0..n-1, started at each
+    unvisited vertex in turn: its palm tree in Hopcroft and Tarjan's words.
+
+    Edges are oriented away from the start (``src`` -> ``dst``) and typed
+    tree arc or frond; each vertex gets its number (from 1, in ``order``),
+    father (-1 at a start), first and second low points, descendant count
+    (itself included), tree arc in, and component.
+    """
+
+    def __init__(self, n: int, ends: list[tuple[int, int]]):
+        self.src = src = [u for u, _ in ends]
+        self.dst = dst = [v for _, v in ends]
+        self.etype = etype = [0] * len(ends)
+        self.number = number = [0] * n
+        self.father = father = [-1] * n
+        self.lowpt1 = lowpt1 = [0] * n
+        self.lowpt2 = lowpt2 = [0] * n
+        self.nd = nd = [1] * n
+        self.tree_arc = tree_arc = [-1] * n
+        self.component = component = [0] * n
+        self.order = order = []
+        inc: list[list[int]] = [[] for _ in range(n)]
+        for e, (u, v) in enumerate(ends):
+            inc[u].append(e)
+            inc[v].append(e)
+        self.degree = [len(x) for x in inc]
+        roots = 0
+        for root in range(n):
+            if number[root]:
+                continue
+            order.append(root)
+            number[root] = lowpt1[root] = lowpt2[root] = len(order)
+            component[root] = roots
+            roots += 1
+            stack = [(root, iter(inc[root]))]
+            while stack:
+                v, arcs = stack[-1]
+                for e in arcs:
+                    if etype[e]:
+                        continue
+                    w = src[e] + dst[e] - v
+                    src[e], dst[e] = v, w
+                    if not number[w]:
+                        etype[e] = _TREE
+                        tree_arc[w] = e
+                        father[w] = v
+                        component[w] = component[v]
+                        order.append(w)
+                        number[w] = lowpt1[w] = lowpt2[w] = len(order)
+                        stack.append((w, iter(inc[w])))
+                        break
+                    etype[e] = _FROND
+                    if number[w] < lowpt1[v]:
+                        lowpt2[v] = lowpt1[v]
+                        lowpt1[v] = number[w]
+                    elif number[w] > lowpt1[v]:
+                        lowpt2[v] = min(lowpt2[v], number[w])
+                else:
+                    stack.pop()
+                    if stack:
+                        u = stack[-1][0]
+                        if lowpt1[v] < lowpt1[u]:
+                            lowpt2[u] = min(lowpt1[u], lowpt2[v])
+                            lowpt1[u] = lowpt1[v]
+                        elif lowpt1[v] == lowpt1[u]:
+                            lowpt2[u] = min(lowpt2[u], lowpt2[v])
+                        else:
+                            lowpt2[u] = min(lowpt2[u], lowpt1[v])
+                        nd[u] += nd[v]
+
+
+def _split_components(palm: _Palm) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """Separation pairs and polygons of a 2-connected simple graph from its
+    palm tree (one search, from vertex 0).
+
+    The split components are found by path search (Hopcroft and Tarjan, as
+    corrected by Gutwenger and Mutzel), with explicit stacks instead of
+    recursion; see :func:`_assemble` for what is read off them.
+    """
+    n = len(palm.number)
+    src, dst, etype = palm.src, palm.dst, palm.etype
+    number, lowpt1, lowpt2, nd = palm.number, palm.lowpt1, palm.lowpt2, palm.nd
+    real = len(src)
+
+    # outgoing arcs in the order the path search needs
+    def phi(e: int) -> int:
+        w = dst[e]
+        if etype[e] == _FROND:
+            return 3 * number[w] + 1
+        return 3 * lowpt1[w] + (0 if lowpt2[w] < number[src[e]] else 2)
+
+    out: list[list[int]] = [[] for _ in range(n)]
+    for e in sorted(range(real), key=phi):
+        out[src[e]].append(e)
+
+    # second search: the vertices renumbered so that each subtree's first
+    # visited child gets the highest numbers; the arcs that start a path,
+    # and the fronds into each vertex, first visited first
+    newnum = [0] * n
+    starts: set[int] = set()
+    high: list[list[list[int]]] = [[] for _ in range(n + 1)]   # [number, alive], first last
+    in_high: dict[int, list[int]] = {}
+    count = n
+    fresh = True
+    newnum[0] = 1
+    walk = [(0, iter(out[0]))]
+    while walk:
+        v, arcs = walk[-1]
+        for e in arcs:
+            w = dst[e]
+            if fresh:
+                fresh = False
+                starts.add(e)
+            if etype[e] == _TREE:
+                newnum[w] = count - nd[w] + 1
+                walk.append((w, iter(out[w])))
+                break
+            in_high[e] = entry = [newnum[v], 1]
+            high[newnum[w]].append(entry)
+            fresh = True
+        else:
+            walk.pop()
+            if walk:
+                count -= 1
+    for h in high:
+        h.reverse()
+
+    # from here on a vertex is its new number, 1..n
+    old2new = [0] * (n + 1)
+    vertex_of = [0] * (n + 1)
+    for v in range(n):
+        old2new[number[v]] = newnum[v]
+        vertex_of[newnum[v]] = v
+    src[:] = [newnum[u] for u in src]
+    dst[:] = [newnum[u] for u in dst]
+    father = [0] * (n + 1)
+    low1 = [0] * (n + 1)
+    low2 = [0] * (n + 1)
+    desc = [0] * (n + 1)
+    tree_arc = [-1] * (n + 1)
+    degree = [0] * (n + 1)
+    adj: list[list[int | None]] = [[]] * (n + 1)
+    where: dict[int, tuple[int, int]] = {}   # arc -> (vertex, position) in adj
+    for v in range(n):
+        x = newnum[v]
+        father[x] = newnum[palm.father[v]] if palm.father[v] >= 0 else 0
+        low1[x] = old2new[lowpt1[v]]
+        low2[x] = old2new[lowpt2[v]]
+        desc[x] = nd[v]
+        tree_arc[x] = palm.tree_arc[v]
+        degree[x] = palm.degree[v]
+        adj[x] = out[v]
+        for i, e in enumerate(out[v]):
+            where[e] = (x, i)
+
+    comps: list[list[int]] = []
+    bonds: set[int] = set()   # the components that are bonds
+
+    def new_edge(u: int, v: int) -> int:
+        src.append(u)
+        dst.append(v)
+        etype.append(0)
+        return len(src) - 1
+
+    def bond(edges: list[int]) -> None:
+        bonds.add(len(comps))
+        comps.append(edges)
+
+    def highpt(v: int) -> int:
+        h = high[v]
+        while h and not h[-1][1]:
+            h.pop()
+        return h[-1][0] if h else 0
+
+    def del_high(e: int) -> None:
+        entry = in_high.pop(e, None)
+        if entry is not None:
+            entry[1] = 0
+
+    def del_adj(e: int) -> None:
+        if e in where:
+            u, i = where.pop(e)
+            adj[u][i] = None
+
+    def leads_down(w: int) -> bool:
+        # w has degree two and its first outgoing arc goes to its child
+        if degree[w] != 2:
+            return False
+        first = next((e for e in adj[w] if e is not None), None)
+        return first is not None and dst[first] > w
+
+    ts = [(-1, 0, 0)]   # the triple stack of (a, b, h); a = -1 marks an end of stack
+    estack: list[int] = []
+
+    def open_path(v: int, low: int, h0: int) -> None:
+        # a path that starts at v and reaches down to ``low``
+        if ts[-1][0] > low:
+            y = 0
+            while ts[-1][0] > low:
+                _, b, h = ts.pop()
+                y = max(y, h)
+            ts.append((low, b, y))
+        else:
+            ts.append((low, v, h0))
+
+    frames = [[1, 0, len(adj[1]), -1]]   # vertex, position, arcs left, tree arc taken
+    while frames:
+        frame = frames[-1]
+        v, i, outv, e = frame
+        if e >= 0:
+            # back from the tree arc at position i - 1
+            frame[3] = -1
+            idx = i - 1
+            w = dst[e]
+            estack.append(tree_arc[w])
+            # type-2 pairs (v, b)
+            while v != 1 and (ts[-1][0] == v or leads_down(w)):
+                a, b, h = ts[-1]
+                if a == v and father[b] == a:
+                    ts.pop()
+                    continue
+                e_ab = -1
+                if leads_down(w):
+                    e1 = estack.pop()
+                    e2 = estack.pop()
+                    del_adj(e2)
+                    x = dst[e2]
+                    ev = new_edge(v, x)
+                    degree[x] -= 1
+                    degree[v] -= 1
+                    comps.append([e1, e2, ev])
+                    if estack and src[estack[-1]] == x and dst[estack[-1]] == v:
+                        e_ab = estack.pop()
+                        del_adj(e_ab)
+                        del_high(e_ab)
+                else:
+                    ts.pop()
+                    comp = []
+                    while estack:
+                        xy = estack[-1]
+                        xn, yn = src[xy], dst[xy]
+                        if not (a <= xn <= h and a <= yn <= h):
+                            break
+                        estack.pop()
+                        if (xn, yn) in ((a, b), (b, a)):
+                            e_ab = xy
+                            del_adj(xy)
+                            del_high(xy)
+                        else:
+                            if where.get(xy) != (v, idx):
+                                del_adj(xy)
+                                del_high(xy)
+                            comp.append(xy)
+                            degree[xn] -= 1
+                            degree[yn] -= 1
+                    ev = new_edge(a, b)
+                    comps.append(comp + [ev])
+                    x = b
+                if e_ab >= 0:
+                    ev2 = new_edge(v, x)
+                    bond([e_ab, ev, ev2])
+                    ev = ev2
+                    degree[x] -= 1
+                    degree[v] -= 1
+                estack.append(ev)
+                adj[v][idx] = ev
+                where[ev] = (v, idx)
+                degree[x] += 1
+                degree[v] += 1
+                father[x] = v
+                tree_arc[x] = ev
+                etype[ev] = _TREE
+                w = x
+            # a type-1 pair (lowpt1(w), v)
+            if low2[w] >= v and low1[w] < v and (father[v] != 1 or outv >= 2):
+                comp = []
+                while estack:
+                    xy = estack[-1]
+                    xn, yn = src[xy], dst[xy]
+                    if not (w <= xn < w + desc[w] or w <= yn < w + desc[w]):
+                        break
+                    estack.pop()
+                    comp.append(xy)
+                    del_high(xy)
+                    degree[xn] -= 1
+                    degree[yn] -= 1
+                lw = low1[w]
+                ev = new_edge(v, lw)
+                comps.append(comp + [ev])
+                if estack and {src[estack[-1]], dst[estack[-1]]} == {v, lw}:
+                    eh = estack.pop()
+                    if where.get(eh) != (v, idx):
+                        del_adj(eh)
+                    ev2 = new_edge(v, lw)
+                    bond([eh, ev, ev2])
+                    if eh in in_high:
+                        in_high[ev2] = in_high.pop(eh)
+                    ev = ev2
+                    degree[v] -= 1
+                    degree[lw] -= 1
+                if lw != father[v]:
+                    estack.append(ev)
+                    adj[v][idx] = ev
+                    where[ev] = (v, idx)
+                    etype[ev] = _FROND
+                    if ev not in in_high and highpt(lw) < v:
+                        in_high[ev] = entry = [v, 1]
+                        high[lw].append(entry)
+                    degree[v] += 1
+                    degree[lw] += 1
+                else:
+                    adj[v][idx] = None
+                    ev2 = new_edge(lw, v)
+                    eh = tree_arc[v]
+                    bond([ev, ev2, eh])
+                    tree_arc[v] = ev2
+                    etype[ev2] = _TREE
+                    u, j = where[ev2] = where.pop(eh)
+                    adj[u][j] = ev2
+            if e in starts:
+                while ts[-1][0] != -1:
+                    ts.pop()
+                ts.pop()
+            while ts[-1][0] != -1 and ts[-1][1] != v and highpt(v) > ts[-1][2]:
+                ts.pop()
+            frame[2] = outv - 1
+            continue
+        if i == len(adj[v]):
+            frames.pop()
+            continue
+        frame[1] = i + 1
+        e = adj[v][i]
+        if e is None:
+            continue
+        w = dst[e]
+        if etype[e] == _TREE:
+            if e in starts:
+                open_path(v, low1[w], w + desc[w] - 1)
+                ts.append((-1, 0, 0))
+            frame[3] = e
+            frames.append([w, 0, sum(f is not None for f in adj[w]), -1])
+        else:
+            if e in starts:
+                open_path(v, w, v)
+            estack.append(e)
+            frame[2] = outv - 1
+    if estack:
+        comps.append(estack)
+    pairs, rings = _assemble(comps, bonds, src, dst, real)
+    return ([(vertex_of[x], vertex_of[y]) for x, y in pairs],
+            [[vertex_of[x] for x in ring] for ring in rings])
+
+
+def _assemble(comps: list[list[int]], bonds: set[int], src: list[int], dst: list[int],
+              real: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """The separation pairs and the polygons of four or more vertices of the
+    triconnected components that the split components ``comps`` assemble
+    into.
+
+    Edges from ``real`` on are virtual; each lies in two split components.
+    Bonds sharing a virtual edge merge into one bond, and polygons into one
+    polygon.  A separation pair is then the poles of a bond with two or more
+    virtual edges, or a virtual edge between two components neither of which
+    is a bond.
+    """
+    def kind(i: int) -> int:   # 0 bond, 1 polygon, 2 triconnected
+        if i in bonds:
+            return 0
+        return 1 if len({x for e in comps[i] for x in (src[e], dst[e])}) == len(comps[i]) else 2
+
+    kinds = [kind(i) for i in range(len(comps))]
+    holders: dict[int, list[int]] = {}
+    for i, comp in enumerate(comps):
+        for e in comp:
+            if e >= real:
+                holders.setdefault(e, []).append(i)
+    up = list(range(len(comps)))
+
+    def find(i: int) -> int:
+        while up[i] != i:
+            up[i] = up[up[i]]
+            i = up[i]
+        return i
+
+    for i, j in holders.values():
+        if kinds[i] == kinds[j] != 2:
+            up[find(i)] = find(j)
+    pairs = []
+    poles: dict[int, list[int]] = {}   # bond -> its virtual edges
+    for e, (i, j) in holders.items():
+        gi, gj = find(i), find(j)
+        if gi == gj:
+            continue
+        if kinds[i] and kinds[j]:
+            pairs.append((src[e], dst[e]))
+        for g in (gi, gj):
+            if not kinds[g]:
+                poles.setdefault(g, []).append(e)
+    pairs += [(src[es[0]], dst[es[0]]) for es in poles.values() if len(es) >= 2]
+    sides: dict[int, list[int]] = {}   # polygon -> its edges
+    for i, comp in enumerate(comps):
+        if kinds[i] == 1:
+            g = find(i)
+            sides.setdefault(g, []).extend(
+                e for e in comp if e < real or find(holders[e][0]) != find(holders[e][1]))
+    rings = []
+    for edges in sides.values():
+        if len(edges) >= 4:
+            nbrs: dict[int, list[int]] = {}
+            for e in edges:
+                nbrs.setdefault(src[e], []).append(dst[e])
+                nbrs.setdefault(dst[e], []).append(src[e])
+            ring = [src[edges[0]], dst[edges[0]]]
+            while len(ring) < len(edges):
+                x, y = nbrs[ring[-1]]
+                ring.append(y if x == ring[-2] else x)
+            rings.append(ring)
+    return pairs, rings
+
+
+class SeparationPairs:
+    """The separation pairs of a 2-connected graph, handed down its top-down splits.
+
+    Take a 2-connected graph split at a separation pair (a, b), and a child
+    (a piece of the graph minus a and b, plus a and b) that holds the edge
+    ab or gets a virtual one.  The child's separation pairs are exactly the
+    parent's pairs that lie inside it, minus (a, b).  So one
+    :class:`Triconnectivity` serves every such descendant: its explicit pairs
+    are kept, with those already split at, and a split at two vertices of a
+    polygon cuts the polygon into the two halves that close with ab.
+
+    A node holds a heap of (rank of a, rank of b, polygon or -1, a, b)
+    entries, lexicographically first on top; ``rank`` orders the vertices.
+    The largest child keeps its parent's heap, whose entries outside it are
+    dropped as they surface, and a smaller child gathers its own from its
+    vertices, so a vertex joins O(log n) heaps.
+    """
+
+    def __init__(self, tri: Triconnectivity, rank: Mapping[str, int]):
+        self.rank = rank
+        self.partners: dict[str, list[str]] = {}
+        for x, y in tri.pairs:
+            self.partners.setdefault(x, []).append(y)
+            self.partners.setdefault(y, []).append(x)
+        self.used: set[tuple[int, int]] = set()
+        self.polygons: list[tuple | None] = []   # each live polygon's heap entry
+        self.rings: dict[str, set[int]] = {}     # vertex -> its live polygons
+        for ring in tri.polygons:
+            self._add(list(ring))
+
+    def _add(self, ring: list[str]) -> tuple | None:
+        if len(ring) < 4:
+            return None
+        p = len(self.polygons)
+        i = min(range(len(ring)), key=lambda j: self.rank[ring[j]])
+        turned = ring[i:] + ring[:i]
+        b = min(turned[2:-1], key=self.rank.__getitem__)
+        entry = (self.rank[turned[0]], self.rank[b], p, turned[0], b, turned)
+        self.polygons.append(entry)
+        for v in ring:
+            self.rings.setdefault(v, set()).add(p)
+        return entry
+
+    def heap(self, members: Collection[str], vertices: Collection[str]) -> list[tuple]:
+        """The heap of a child with ``vertices``: ``members`` and the pair it was split at."""
+        rank = self.rank
+        out = []
+        seen: set[int] = set()
+        for v in members:
+            for u in self.partners.get(v, ()):
+                if u in vertices and (u not in members or rank[v] < rank[u]):
+                    x, y = (v, u) if rank[v] < rank[u] else (u, v)
+                    if (rank[x], rank[y]) not in self.used:
+                        out.append((rank[x], rank[y], -1, x, y))
+            for p in self.rings.get(v, ()):
+                if p not in seen:
+                    seen.add(p)
+                    out.append(self.polygons[p])
+        heapq.heapify(out)
+        return out
+
+    def pop(self, heap: list[tuple], vertices: Collection[str]) -> tuple[str, str] | None:
+        """Take the lexicographically first pair inside ``vertices`` off ``heap``."""
+        while heap:
+            entry = heapq.heappop(heap)
+            ra, rb, p, a, b = entry[:5]
+            if a not in vertices or b not in vertices:
+                continue
+            if p < 0:
+                if (ra, rb) in self.used:
+                    continue
+                self.used.add((ra, rb))
+            else:
+                if self.polygons[p] is not entry:
+                    continue
+                ring = entry[5]
+                self.polygons[p] = None
+                for v in ring:
+                    self.rings[v].discard(p)
+                j = ring.index(b)
+                for half in (ring[:j + 1], ring[j:] + ring[:1]):
+                    new = self._add(half)
+                    if new is not None:
+                        heapq.heappush(heap, new)
+            return a, b
+        return None
+
+
+Adjacency = dict[str, dict[str, list[int]]]   # vertex -> neighbour -> edge ids
+
+
+def pieces_apart(adj: Adjacency, a: str, b: str, seeds: Iterable[str]
+                 ) -> tuple[list[tuple[list[str], Adjacency, list[int]]], bool]:
+    """Take the components of a graph minus a and b out of it, all but the
+    last one that a search finds.
+
+    ``adj`` maps each vertex to its neighbours and the edges to each.  A piece
+    starts at each seed; every piece grows by one vertex a round, pieces that
+    meet merge, and the search stops once at most one piece still grows.  So
+    it costs about what it takes out, however large the piece left is.  Each
+    finished piece leaves ``adj`` as its vertices, its own adjacency (a and b
+    included, with their edges into the piece) and its edges.  Returns those
+    and whether a piece was left growing.  Every component must hold a seed.
+    """
+    owner: dict[str, list] = {}    # vertex -> piece [frontier, members, edges, merged into]
+    expanded: set[str] = set()
+    live = []
+    for s in seeds:
+        if s not in owner:
+            owner[s] = piece = [[s], [s], [], None]
+            live.append(piece)
+    done = []
+    while len(live) > 1:
+        grown = {}
+        for piece in live:
+            if piece[3] is not None:
+                continue
+            if not piece[0]:
+                done.append(piece)
+                continue
+            v = piece[0].pop()
+            expanded.add(v)
+            for w, edges in adj[v].items():
+                if w == a or w == b or w in expanded:
+                    piece[2].extend(edges)
+                    continue
+                other = owner.get(w)
+                if other is None:
+                    owner[w] = piece
+                    piece[0].append(w)
+                    piece[1].append(w)
+                    continue
+                while other[3] is not None:
+                    other = other[3]
+                if other is not piece:
+                    big, small = sorted((piece, other), key=lambda p: -len(p[1]))
+                    for k in range(3):
+                        big[k] += small[k]
+                    small[3] = big
+                    piece = big
+            grown[id(piece)] = piece
+        live = [p for p in grown.values() if p[3] is None]
+    out = []
+    for _, members, edges, _ in done:
+        own: Adjacency = {a: {}, b: {}}
+        for v in members:
+            own[v] = adj.pop(v)
+            for end in (a, b):
+                if v in adj[end]:
+                    own[end][v] = adj[end].pop(v)
+        out.append((members, own, edges))
+    return out, bool(live)
 
 
 @dataclass(frozen=True)

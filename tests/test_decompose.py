@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -21,13 +22,15 @@ from gcskernel import (
     solve_tree,
     top_down,
 )
-from gcskernel import cli, compiler, decompose, geometry, numeric, zoo
+from gcskernel import cli, compiler, decompose, geometry, numeric, structural, zoo
 from gcskernel.compiler import induced
 from gcskernel.decompose import ClusterNode, ClusterTree, align_onto
 from gcskernel.detect import is_well_part
-from gcskernel.model import Constraint, Entity, Model, model_from_json_dict
+from gcskernel.model import Constraint, Entity, Model, load_model, model_from_json_dict
 from gcskernel.numeric import solve
 from gcskernel.witness import characterize, characterize_at, generate_witness
+
+from conftest import CORPUS
 
 
 def direct_solution(m):
@@ -454,7 +457,8 @@ def test_top_down_model_constraint_named_like_a_virtual_bond():
 
 def pair_scan_top_down(model):
     """Reference top-down: try every entity pair of a node in sorted order and
-    search the rest of the graph for each (the scan the low-link pass replaced)."""
+    search the rest of the graph for each (the scan that a per-level low-link
+    pass, and then one inherited triconnected decomposition, replaced)."""
     counter = [0]
 
     def new_node(kind, entities, constraints, children=(), pair=None, bonds=()):
@@ -548,6 +552,65 @@ def graph(n, edges):
 @example(graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3), (1, 3)]))
 def test_low_link_split_matches_pair_scan(model):
     assert top_down(model).to_json_dict() == pair_scan_top_down(model).to_json_dict()
+
+
+@st.composite
+def henneberg_graphs(draw):
+    """Henneberg-I graphs of 6-14 points (each new point barred to two earlier
+    ones), labelled so that sorted order differs from build order, with 0-2
+    bars then added or removed.  Their split trees run several levels deep."""
+    n = draw(st.integers(6, 14))
+    labels = draw(st.permutations([f"P{i}" for i in range(n)]))
+    bars = [(0, 1)]
+    for k in range(2, n):
+        bars += [(i, k) for i in draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2,
+                                                unique=True))]
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            bars.pop(draw(st.integers(0, len(bars) - 1)))
+        else:
+            bars.append(tuple(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                            unique=True))))
+    return zoo.points_distances_model(
+        {labels[i]: (float(i), float(i * i % 7)) for i in range(n)},
+        [(labels[i], labels[j]) for i, j in bars])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(henneberg_graphs())
+# split at (P0, P1): the child {P0, P1, P2, P3} holds neither the edge P0-P1
+# nor a bond (five bars fix it), and (P2, P3) separates it but not its
+# parent; a triangle and a braced quad on the cut vertex P2; an unbraced
+# 4-cycle
+@example(graph(5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (1, 4)]))
+@example(graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 2), (3, 5)]))
+@example(graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+def test_inherited_split_matches_pair_scan_on_deep_trees(model):
+    assert top_down(model).to_json_dict() == pair_scan_top_down(model).to_json_dict()
+
+
+# top_down(zoo.triangle_strip(400)) as the per-level low-link pass built it
+STRIP_400_TREE_SHA256 = "787beb4572cf9fe2d5cbfc77eaf53b1ee496b66e847d2bc8fee5ed7a477bb115"
+
+
+def test_top_down_strip_400_tree_is_unchanged():
+    tree = top_down(zoo.triangle_strip(400)).to_json_dict()
+    digest = hashlib.sha256(json.dumps(tree, sort_keys=True).encode()).hexdigest()
+    assert digest == STRIP_400_TREE_SHA256
+
+
+@pytest.mark.parametrize(
+    "source", ["strip-200", *sorted(p.name for p in CORPUS.glob("solve-strip*.json"))])
+def test_top_down_decomposes_a_strip_once(monkeypatch, source):
+    # every child of a strip inherits its separation pairs
+    model = (zoo.triangle_strip(200) if source == "strip-200"
+             else load_model(CORPUS / source))
+    calls = []
+    decompose_graph = structural.triconnectivity
+    monkeypatch.setattr(structural, "triconnectivity",
+                        lambda *args: calls.append(args) or decompose_graph(*args))
+    top_down(model)
+    assert len(calls) == 1
 
 
 # --- solve/recombine -------------------------------------------------------------

@@ -18,7 +18,7 @@ from gcskernel import (
     scc_plan,
 )
 from gcskernel import zoo
-from gcskernel.structural import CountingVerdict
+from gcskernel.structural import CountingVerdict, pieces_apart, triconnectivity
 from gcskernel.model import CONSTRAINT_KINDS, Constraint, Entity, Model, load_model
 
 from conftest import row_ops, row_variables
@@ -526,3 +526,122 @@ def test_counting_state_is_read_off_the_counts(deficit, named, doc, dimension):
 def test_counting_verdict_stores_no_state():
     assert [f.name for f in dataclasses.fields(CountingVerdict)] == \
         ["deficit", "witness_subgraph", "advisory"]
+
+
+# --- triconnectivity ----------------------------------------------------------------
+
+def pieces_without(vertices, edges, removed):
+    """The components of the graph minus ``removed``, by plain search: the
+    reference every separation-pair test below is checked against."""
+    adj = {v: set() for v in vertices if v not in removed}
+    for a, b in edges:
+        if a in adj and b in adj and a != b:
+            adj[a].add(b)
+            adj[b].add(a)
+    seen, out = set(), []
+    for start in adj:
+        if start not in seen:
+            piece, frontier = {start}, [start]
+            while frontier:
+                for w in adj[frontier.pop()] - piece:
+                    piece.add(w)
+                    frontier.append(w)
+            seen |= piece
+            out.append(piece)
+    return out
+
+
+def separation_pairs(vertices, edges):
+    return {frozenset(p) for p in combinations(vertices, 2)
+            if len(pieces_without(vertices, edges, set(p))) >= 2}
+
+
+@st.composite
+def multigraphs(draw, min_size=1, max_size=10):
+    """Labelled multigraphs (edges may repeat) whose label order is not their
+    build order."""
+    n = draw(st.integers(min_size, max_size))
+    vertices = draw(st.permutations([f"v{i}" for i in range(n)]))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * n)) if pairs else []
+    return vertices, [(vertices[a], vertices[b]) for a, b in edges]
+
+
+@st.composite
+def biconnected_graphs(draw, max_size=12):
+    """2-connected multigraphs of 4 or more vertices: a cycle, then ears
+    (paths between two vertices already placed), then repeated or new chords."""
+    n = draw(st.integers(4, max_size))
+    vertices = draw(st.permutations([f"v{i}" for i in range(n)]))
+    k = draw(st.integers(3, n))
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    while k < n:
+        a, b = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        inner = list(range(k, k + draw(st.integers(1, min(3, n - k)))))
+        path = [a, *inner, b]
+        edges += list(zip(path, path[1:]))
+        k += len(inner)
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1]), max_size=n))
+    return vertices, [(vertices[a], vertices[b]) for a, b in edges]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(multigraphs())
+def test_triconnectivity_separates_exactly_the_pairs_a_search_splits(graph):
+    vertices, edges = graph
+    tri = triconnectivity(vertices, edges)
+    for a, b in combinations(vertices, 2):
+        assert tri.separates(a, b) == (len(pieces_without(vertices, edges, {a, b})) >= 2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(biconnected_graphs(max_size=16))
+def test_triconnected_components_name_every_separation_pair(graph):
+    # a 2-connected graph's pairs are its explicit pairs, plus every two
+    # vertices not next to each other on a polygon
+    vertices, edges = graph
+    tri = triconnectivity(vertices, edges)
+    assert tri.biconnected
+    found = set(tri.pairs)
+    for ring in tri.polygons:
+        for i, j in combinations(range(len(ring)), 2):
+            if (j - i) % len(ring) not in (1, len(ring) - 1):
+                found.add(frozenset((ring[i], ring[j])))
+    assert found == separation_pairs(vertices, edges)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(biconnected_graphs())
+def test_a_child_with_the_split_edge_inherits_its_parents_pairs(graph):
+    # the rule top-down splitting relies on, checked by the reference search
+    # alone: split a 2-connected graph at any separation pair (a, b); a piece
+    # plus a and b, with the edge ab (held or a virtual bond), has exactly its
+    # parent's pairs inside it, minus (a, b)
+    vertices, edges = graph
+    pairs = separation_pairs(vertices, edges)
+    for pair in pairs:
+        for piece in pieces_without(vertices, edges, pair):
+            inside = piece | pair
+            child = [e for e in edges if set(e) <= inside and set(e) != pair] + [tuple(pair)]
+            assert separation_pairs(sorted(inside), child) == {
+                p for p in pairs if p <= inside} - {pair}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(multigraphs(min_size=3), st.data())
+def test_pieces_apart_takes_out_all_components_but_the_last(graph, data):
+    vertices, edges = graph
+    a, b = data.draw(st.lists(st.sampled_from(vertices), min_size=2, max_size=2, unique=True))
+    adj = {v: {} for v in vertices}
+    for k, (u, v) in enumerate(edges):
+        adj[v][u] = adj[u].setdefault(v, [])
+        adj[u][v].append(k)
+    done, growing = pieces_apart(adj, a, b, [v for v in vertices if v not in (a, b)])
+    components = pieces_without(vertices, edges, {a, b})
+    assert len(done) == len(components) - growing
+    for members, own, taken in done:
+        assert set(members) in components
+        assert set(own) == set(members) | {a, b}
+        assert not set(members) & set(adj)
+        assert sorted(taken) == [k for k, e in enumerate(edges) if set(e) & set(members)]
