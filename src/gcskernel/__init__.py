@@ -59,6 +59,7 @@ from .model import (
 from .numeric import (
     RankAnalysis,
     SolveResult,
+    cokernel_groups,
     newton_solve,
     optimize_solve,
     rank_analyze,

@@ -305,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="relative rank tolerance (default 1e-8)")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     parser.add_argument("--witnesses", type=int, default=3,
-                        help="witness votes per characterization (default 3)")
+                        help="witness votes per characterization; drawing stops once a "
+                             "majority agrees (default 3)")
     parser.add_argument("--mode", choices=["structural", "witness", "both"],
                         default="both")
     parser.add_argument("--format", choices=["text", "json"], default="text")

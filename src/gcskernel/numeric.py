@@ -3,11 +3,12 @@
 Rank decisions use a scale-invariant SVD threshold tau = 1e-8 * sigma_max
 (1e-12 absolute for an all-zero matrix), set in one place, `_rank_tolerance`,
 and made in one place, `rank_of`, from the singular values alone, for one
-matrix or a stack of them.  `rank_analyze` adds the dependent row groups,
-the rows each cokernel basis vector touches, for the callers that name
-dependencies (the witness report, bottom-up's retirement guard); it asks
-for singular vectors only when the rank falls below the row count, and it
-is the only code that asks for them.
+matrix or a stack of them.  `cokernel_groups` names the dependent row
+groups of a ranked matrix, the rows each cokernel basis vector touches, for
+the callers that name dependencies (the witness report, bottom-up's
+retirement guard, through `rank_analyze`, which ranks and names at once);
+it asks for singular vectors only when the rank falls below the row count,
+and it is the only code that asks for them.
 
 The Newton solver's step solves
 J step = -r by block back-substitution in the order of the structural solve
@@ -60,7 +61,7 @@ BLOCK_STEP_MIN_ROWS = 48
 class RankAnalysis:
     shape: tuple[int, int]
     rank: int
-    dependent_groups: tuple[tuple[int, ...], ...]  # see rank_analyze; () at full row rank
+    dependent_groups: tuple[tuple[int, ...], ...]  # see cokernel_groups; () at full row rank
 
 
 def _finite_matrix(matrix) -> np.ndarray:
@@ -89,20 +90,27 @@ def rank_of(matrix, rel_tol: float = RANK_REL_TOL):
     return (s > _rank_tolerance(s[..., :1], rel_tol)).sum(axis=-1)
 
 
-def rank_analyze(matrix, rel_tol: float = RANK_REL_TOL) -> RankAnalysis:
-    """The :func:`rank_of` rank of a dense matrix and its dependent row groups:
-    below full row rank, per cokernel basis vector (a left singular vector
-    past the rank; the identity's for a matrix without columns) the rows where
-    it exceeds :data:`SUPPORT_TOL`, empty groups skipped."""
-    J = _finite_matrix(matrix)
+def cokernel_groups(matrix, rank: int) -> tuple[tuple[int, ...], ...]:
+    """The dependent row groups of a finite 2D matrix whose :func:`rank_of`
+    rank is ``rank``: below full row rank, per cokernel basis vector (a left
+    singular vector past the rank; the identity's for a matrix without
+    columns) the rows where it exceeds :data:`SUPPORT_TOL`, empty groups
+    skipped; () at full row rank, without an SVD."""
+    J = np.asarray(matrix, dtype=float)
     m, n = J.shape
-    rank = rank_of(J, rel_tol)
     if rank == m:
-        return RankAnalysis((m, n), rank, ())
+        return ()
     U = np.linalg.svd(J)[0] if n else np.eye(m)
     support = np.abs(U[:, rank:].T) > SUPPORT_TOL
-    groups = tuple(tuple(np.flatnonzero(rows).tolist()) for rows in support if rows.any())
-    return RankAnalysis((m, n), rank, groups)
+    return tuple(tuple(np.flatnonzero(rows).tolist()) for rows in support if rows.any())
+
+
+def rank_analyze(matrix, rel_tol: float = RANK_REL_TOL) -> RankAnalysis:
+    """The :func:`rank_of` rank of a dense matrix and its
+    :func:`cokernel_groups`."""
+    J = _finite_matrix(matrix)
+    rank = rank_of(J, rel_tol)
+    return RankAnalysis(J.shape, rank, cokernel_groups(J, rank))
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,19 @@ equalities rank = m and n - rank = dor; systems containing fix constraints
 can legitimately have n - rank < dor and still count as well; the free
 motions are max(0, n - rank - dor).  A :class:`WcmReport` stores the counts
 and reads these judgments off them.  It names the dependent rows by the
-groups of :func:`numeric.rank_analyze`, which computes singular vectors only
-for a Jacobian below full row rank.
+groups of :func:`numeric.cokernel_groups`, which computes singular vectors
+only for a Jacobian below full row rank.
 
 Random configurations can be accidentally singular, so characterization votes
-over three independently seeded witnesses and reports "unstable" when no two
-agree on (rank, dor).  A witness carries J and the motion basis at its
-sample, and every consumer reads them from there: the report keeps the
-sample of its first vote, drawn at the run's seed, which detection and the
-bottom-up merge checks read, so a run draws each seed once.
+over a ballot of three independently seeded witnesses and reports "unstable"
+when no two agree on (rank, dor).  Votes are drawn in seed order and stop at
+the majority: when the first two agree, the third is never drawn, since it
+cannot change the result.  Every vote is ranked from singular values alone,
+and only the reported vote names its dependent rows.  A witness carries J
+and the motion basis at its sample, and every consumer reads them from
+there: the report keeps the sample of its first vote, drawn at the run's
+seed, which detection and the bottom-up merge checks read, so a run draws
+each seed at most once.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ from .compiler import (
 from .model import Entity, Model, PLANE3, HESSIAN, POINT_NORMAL, LINE3
 from .numeric import (
     RANK_REL_TOL,
+    cokernel_groups,
     optimize_solve,
-    rank_analyze,
     rank_of,
 )
 
@@ -194,7 +198,9 @@ def compute_dor(model: Model, system: ResidualSystem, assignment,
 class WcmReport:
     """The counts a characterization measured; every judgment is read off them.
     ``rank = dor = -1`` marks the report whose votes had no majority: it is
-    unstable, neither over nor under, and ``sub_reports`` holds the votes."""
+    unstable, neither over nor under, and ``sub_reports`` holds the votes.
+    ``seeds`` are the ballot's seeds; later ones are drawn only while the
+    majority is open."""
     columns: int
     rows: int
     rank: int
@@ -242,15 +248,15 @@ def characterize_at(system: ResidualSystem, assignment, dor: int,
                     seeds: tuple[int, ...] = (),
                     rank_tol: float = RANK_REL_TOL) -> WcmReport:
     """Single-witness constraint-state report on the system Jacobian."""
-    return _report(eval_jacobian(system, assignment), dor, seeds, rank_tol)
+    jacobian = eval_jacobian(system, assignment)
+    return _report(jacobian, rank_of(jacobian, rank_tol), dor, seeds)
 
 
-def _report(jacobian: np.ndarray, dor: int, seeds: tuple[int, ...],
-            rank_tol: float) -> WcmReport:
-    """The constraint-state report of a witness Jacobian of degree of rigidity ``dor``."""
-    analysis = rank_analyze(jacobian, rank_tol)
-    m, n = analysis.shape
-    return WcmReport(n, m, analysis.rank, dor, analysis.dependent_groups, seeds)
+def _report(jacobian: np.ndarray, rank: int, dor: int, seeds: tuple[int, ...]) -> WcmReport:
+    """The constraint-state report of a witness Jacobian of numerical rank
+    ``rank`` and degree of rigidity ``dor``, naming its dependent rows."""
+    m, n = jacobian.shape
+    return WcmReport(n, m, rank, dor, cokernel_groups(jacobian, rank), seeds)
 
 
 def characterize(system: ResidualSystem, model: Model, seed: int = 0,
@@ -259,14 +265,18 @@ def characterize(system: ResidualSystem, model: Model, seed: int = 0,
 
     Anchors are excluded: the criteria quantify rigid-motion freedom, which
     anchoring deliberately removes.  Vote i draws the witness of seed
-    ``seed + i`` and reads its Jacobian and motion basis; votes are drawn and
-    ranked one at a time, and the report keeps the first vote's witness in
-    ``witness``.  A system without variables has one configuration, so it
-    takes one vote; ``votes`` below 1 raise ``ValueError``.  If no two
-    witnesses agree on (rank, dor) the verdict is "unstable" and the
-    individual reports are attached.  ``rank_tol`` is the relative SVD
-    threshold of both rank decisions (the Jacobian rank and the degree of
-    rigidity).
+    ``seed + i`` and ranks its Jacobian and motion basis (singular values
+    alone); votes are drawn and ranked one at a time, and drawing stops as
+    soon as one (rank, dor) key has a majority of ``votes``, which no later
+    vote can take from it.  The report is the first vote with that key, and
+    only it names its dependent rows; it keeps the first vote's witness in
+    ``witness`` and the whole ballot, ``seed`` to ``seed + votes - 1``, in
+    ``seeds``.  A system without variables has one configuration, so it
+    takes one vote; ``votes`` below 1 raise ``ValueError``.  If no key
+    reaches a majority, every vote has been drawn, the verdict is
+    "unstable" and the individual reports are attached.  ``rank_tol`` is
+    the relative SVD threshold of both rank decisions (the Jacobian rank and
+    the degree of rigidity).
     """
     if votes < 1:
         raise ValueError(f"votes must be >= 1, got {votes}")
@@ -275,18 +285,18 @@ def characterize(system: ResidualSystem, model: Model, seed: int = 0,
         votes = 1
     projection = _projection(base, model)
     seeds = tuple(range(seed, seed + votes))
-    reports = []
+    needed = 1 if votes == 1 else max(2, votes // 2 + 1)
+    drawn: list[tuple[WitnessConfiguration, tuple[int, int]]] = []
     for s in seeds:
         w = generate_witness(base, model, seed=s, projection=projection)
-        reports.append(_report(w.jacobian, rank_of(w.motions, rank_tol), (s,), rank_tol))
-        if s == seed:
-            first = w
-    keys = [(r.rank, r.dor) for r in reports]
-    needed = 1 if votes == 1 else max(2, votes // 2 + 1)
-    for i, key in enumerate(keys):
-        if keys.count(key) >= needed:
-            return replace(reports[i], seeds=seeds, witness=first)
-    return WcmReport(reports[0].columns, reports[0].rows, -1, -1, (), seeds, tuple(reports), first)
+        key = (rank_of(w.jacobian, rank_tol), rank_of(w.motions, rank_tol))
+        drawn.append((w, key))
+        if sum(k == key for _, k in drawn) == needed:
+            winner = next(v for v, k in drawn if k == key)
+            return replace(_report(winner.jacobian, *key, seeds), witness=drawn[0][0])
+    votes_cast = tuple(_report(w.jacobian, *key, (w.seed,)) for w, key in drawn)
+    m, n = drawn[0][0].jacobian.shape
+    return WcmReport(n, m, -1, -1, (), seeds, votes_cast, drawn[0][0])
 
 
 _SCHEME_TAGS = {HESSIAN: PLANE3, POINT_NORMAL: PLANE3, "point-direction": LINE3}

@@ -130,12 +130,17 @@ def counting(calls, name, real):
     return wrapper
 
 
+def majority(k: int) -> int:
+    """The votes that agree on a well model before a ballot of k stops."""
+    return 1 if k == 1 else max(2, k // 2 + 1)
+
+
 DRAWING_COMMANDS = {
     # id prefix: (argv, draws with k votes); detect keeps its bare ids
-    "": (["detect"], lambda k: k),
-    "decompose-": (["decompose", "--strategy", "bottom-up"], lambda k: k),
-    "top-down-": (["decompose", "--strategy", "top-down"], lambda k: k),
-    "check-": (["check"], lambda k: k),
+    "": (["detect"], majority),
+    "decompose-": (["decompose", "--strategy", "bottom-up"], majority),
+    "top-down-": (["decompose", "--strategy", "top-down"], majority),
+    "check-": (["check"], majority),
     "solve-": (["solve", "--strategy", "decomposed"], lambda k: 1),
 }
 
@@ -147,8 +152,9 @@ def test_detect_draws_one_witness_per_vote(argv, draws, witnesses, capsys, corpu
                                            monkeypatch):
     # the detection searches and the bottom-up merge checks read the Jacobian
     # and the motion basis that the verdict's first witness carries: a run
-    # draws one witness per vote (a decomposed solve, which takes no vote,
-    # draws one), and nothing outside a draw evaluates J or M
+    # draws one witness per vote cast, and the vote on a well model stops at
+    # its majority (2 of 3; a decomposed solve, which takes no vote, draws
+    # one), and nothing outside a draw evaluates J or M
     calls = []
     drawing = [False]
 
@@ -191,7 +197,7 @@ def write_model(tmp_path, model) -> str:
     (["check"], None, 0),  # strip(24), well: no vote computes a singular vector
     (["decompose", "--strategy", "bottom-up"], "solve-kite.json", 0),
     (["detect"], "solve-kite.json", 0),
-    (["check"], "k4.json", 3),  # over: one cokernel per vote names the groups
+    (["check"], "k4.json", 1),  # over: only the reported vote names its groups
 ], ids=["check-strip24", "decompose-kite", "detect-kite", "check-k4"])
 def test_singular_vectors_only_below_full_row_rank(argv, model, expected, capsys, corpus_dir,
                                                     tmp_path, monkeypatch):
@@ -220,6 +226,32 @@ def test_a_failed_witness_draw_exits_7_without_a_traceback(command, capsys, tmp_
     assert captured.out == ""
     assert captured.err == ("witness generation failed after 10 attempts (seed 0): "
                             "coincident entities in sample\n")
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["agreed", "split"])
+def test_a_failed_third_draw_matters_only_while_the_majority_is_open(split, capsys, corpus_dir,
+                                                                     monkeypatch):
+    # the draw at seed + 2 fails: after two agreeing votes it is never made;
+    # after two disagreeing ones the run is refused, not given a verdict
+    real = witness.generate_witness
+
+    def draw(system, model, seed=0, **kwargs):
+        if seed == 2:
+            raise witness.WitnessError("witness generation failed at seed 2")
+        return real(system, model, seed=seed, **kwargs)
+
+    monkeypatch.setattr(witness, "generate_witness", draw)
+    if split:
+        values = iter([7, 3, 6, 3])  # (rank, dor) of vote 0, then of vote 1
+        monkeypatch.setattr(witness, "rank_of", lambda *args: next(values))
+    code = main(["--format", "json", "check", str(corpus_dir / "triangle.json")])
+    captured = capsys.readouterr()
+    if split:
+        assert (code, captured.out) == (7, "")
+        assert captured.err == "witness generation failed at seed 2\n"
+    else:
+        assert code == 0 and json.loads(captured.out)["verdict"] == "well"
+        assert captured.err == ""
 
 
 def test_check_a_triangle_with_a_coincident_point(capsys, tmp_path):

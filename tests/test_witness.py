@@ -178,6 +178,111 @@ def test_an_unstable_report_keeps_the_witness_of_vote_zero(monkeypatch):
     assert all(r.witness is None for r in report.sub_reports)
 
 
+# --- the vote stops at its majority -------------------------------------------
+
+def reference_characterize(system, model, seed, votes, witnesses):
+    """The all-votes majority rule: rank every vote of the ballot, then report
+    the first vote whose (rank, dor) key at least ``needed`` votes share, with
+    the witness of vote 0, or an unstable report of every vote."""
+    if system.without_anchors().n_variables == 0:
+        votes = 1
+    seeds = tuple(range(seed, seed + votes))
+    reports = []
+    for s in seeds:
+        a = rank_analyze(witnesses[s].jacobian)
+        m, n = a.shape
+        reports.append(WcmReport(n, m, a.rank, rank_of(witnesses[s].motions),
+                                 a.dependent_groups, (s,)))
+    keys = [(r.rank, r.dor) for r in reports]
+    needed = 1 if votes == 1 else max(2, votes // 2 + 1)
+    for i, key in enumerate(keys):
+        if keys.count(key) >= needed:
+            return dataclasses.replace(reports[i], seeds=seeds)
+    return WcmReport(reports[0].columns, reports[0].rows, -1, -1, (), seeds, tuple(reports))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.json")))
+def test_early_stopping_matches_the_all_votes_rule(name, corpus_dir):
+    model, system = cli._load(str(corpus_dir / name))
+    if model is None:  # a raw system takes no vote
+        return
+    witnesses = [generate_witness(system, model, seed=s) for s in range(9)]
+    for votes in range(1, 6):
+        for seed in range(5):
+            report = characterize(system, model, seed=seed, votes=votes)
+            ref = reference_characterize(system, model, seed, votes, witnesses)
+            label = (name, votes, seed)
+            # equality compares the counts, the dependent groups, the seeds
+            # and the sub-reports
+            assert report == ref, label
+            assert report.to_json_dict() == ref.to_json_dict(), label
+            assert np.array_equal(report.witness.assignment, witnesses[seed].assignment), label
+
+
+def counting_draws(monkeypatch):
+    """Record the seed of every witness draw."""
+    seeds = []
+    real = witness.generate_witness
+
+    def draw(system, model, seed=0, **kwargs):
+        seeds.append(seed)
+        return real(system, model, seed=seed, **kwargs)
+
+    monkeypatch.setattr(witness, "generate_witness", draw)
+    return seeds
+
+
+def ranks_read(monkeypatch, keys):
+    """Make the votes read the (rank, dor) keys given, in vote order."""
+    values = iter([v for key in keys for v in key])
+    monkeypatch.setattr(witness, "rank_of", lambda *args: next(values))
+
+
+def test_a_well_model_draws_two_witnesses(monkeypatch):
+    m = zoo.triangle_model()
+    s = compile_model(m)
+    seeds = counting_draws(monkeypatch)
+    report = characterize(s, m, seed=4)
+    assert seeds == [4, 5]
+    assert report.verdict == "well" and report.seeds == (4, 5, 6)
+
+
+@pytest.mark.parametrize("winner", [0, 1])
+def test_a_split_first_pair_draws_the_third_witness(winner, monkeypatch):
+    # votes 0 and 1 disagree; vote 2 sides with vote ``winner``, whose
+    # report is kept, with the witness of vote 0; only the kept vote names
+    # its dependent rows
+    m = zoo.triangle_model()
+    s = compile_model(m)
+    expected = characterize(s, m, seed=4)
+    key = (expected.rank, expected.dor)
+    other = (expected.rank - 1, expected.dor)
+    seeds = counting_draws(monkeypatch)
+    ranks_read(monkeypatch, [key, other, key] if winner == 0 else [other, key, key])
+    named = []
+    monkeypatch.setattr(witness, "cokernel_groups",
+                        lambda J, rank: named.append(J) or numeric.cokernel_groups(J, rank))
+    report = characterize(s, m, seed=4)
+    assert seeds == [4, 5, 6]
+    assert report == expected and report.to_json_dict() == expected.to_json_dict()
+    assert report.witness.seed == 4
+    assert len(named) == 1
+    assert np.array_equal(named[0], generate_witness(s, m, seed=4 + winner).jacobian)
+
+
+@pytest.mark.parametrize("votes", [2, 3, 4, 5])
+def test_an_unstable_run_draws_and_keeps_every_vote(votes, monkeypatch):
+    m = zoo.triangle_model()
+    s = compile_model(m)
+    seeds = counting_draws(monkeypatch)
+    ranks_read(monkeypatch, [(7, d) for d in range(votes)])
+    report = characterize(s, m, seed=2, votes=votes)
+    assert seeds == list(range(2, 2 + votes))
+    assert report.verdict == "unstable" and report.seeds == tuple(seeds)
+    assert [(r.rank, r.dor, r.seeds) for r in report.sub_reports] \
+        == [(7, d, (2 + d,)) for d in range(votes)]
+
+
 def test_witness_generation_failure():
     # an implied coincidence: every projected sample is degenerate
     m = lines_through_two_points()
