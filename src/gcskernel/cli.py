@@ -242,8 +242,10 @@ def cmd_decompose(args) -> int:
     payload = {"command": "decompose", "model": args.model, "strategy": args.strategy,
                "verdict": wr.verdict}
     try:
-        # bottom-up's merge checks read the verdict's first witness
-        tree = bottom_up_at(model, system, wr.witness, args.rank_tol) \
+        # bottom-up's merge checks read the verdict's first witness, and the
+        # report's dependent groups when the report is that witness's vote
+        tree = bottom_up_at(model, system, wr.witness, args.rank_tol,
+                            wr.dependent_groups if wr.names_witness else None) \
             if args.strategy == "bottom-up" else top_down(model)
         payload["tree"] = tree.to_json_dict()
     except DecompositionError as err:

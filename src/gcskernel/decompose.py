@@ -34,8 +34,9 @@ frame.  The redundant or conflicting constraints
 are those whose rows take part in a row dependency of the witness Jacobian
 (the dependent groups that ``check`` reports), plus those no root holds.
 Every check reads one witness sample: :func:`bottom_up_at` takes it from the
-caller (``gcs decompose`` hands over the verdict's first vote), and
-:func:`bottom_up` draws it at its seed.
+caller (``gcs decompose`` hands over the verdict's first vote, and that
+vote's dependent groups when it is the reported vote), and :func:`bottom_up`
+draws it at its seed.
 
 Top-down (2D point/distance scope): a node splits at the lexicographically
 first separation pair (a, b), whose removal disconnects its constraint graph.
@@ -214,7 +215,8 @@ def bottom_up(model: Model, seed: int = 0, rank_tol: float = RANK_REL_TOL,
 
 
 def bottom_up_at(model: Model, system: ResidualSystem, witness: WitnessConfiguration,
-                 rank_tol: float = RANK_REL_TOL) -> ClusterTree:
+                 rank_tol: float = RANK_REL_TOL,
+                 dependent_groups: Sequence[Sequence[int]] | None = None) -> ClusterTree:
     """Merge rigid seed clusters into a cluster forest (partial trees allowed).
 
     Every rigidity check reads the Jacobian and motion basis that
@@ -228,14 +230,18 @@ def bottom_up_at(model: Model, system: ResidualSystem, witness: WitnessConfigura
     ordered by the leaf their first-child descent reaches, earliest created
     first.  The constraints in a dependent row group of the witness Jacobian
     (:func:`rank_analyze`), and those no root holds, are flagged redundant or
-    conflicting.
+    conflicting.  ``dependent_groups`` are those groups when the caller has
+    them (the report of the vote that drew ``witness``); they are ranked
+    here otherwise.
     ``rank_tol`` is the relative SVD threshold of every rank decision.
     """
     J, M = witness.jacobian, witness.motions
+    if dependent_groups is None:
+        dependent_groups = rank_analyze(J, rank_tol).dependent_groups
     # the constraints whose rows take part in a row dependency of J; where
     # there is none, a rigid union stays rigid when a cluster it covers part
     # of is swapped for its cover, so covered clusters retire
-    dependent = {system.residuals[r].source for g in rank_analyze(J, rank_tol).dependent_groups
+    dependent = {system.residuals[r].source for g in dependent_groups
                  for r in g if system.residuals[r].kind == "constraint"}
     ids = sorted(e.id for e in model.entities)
     guarded = frozenset(e for cid in dependent for e in model.constraint(cid).entities)

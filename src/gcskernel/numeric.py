@@ -3,12 +3,18 @@
 Rank decisions use a scale-invariant SVD threshold tau = 1e-8 * sigma_max
 (1e-12 absolute for an all-zero matrix), set in one place, `_rank_tolerance`,
 and made in one place, `rank_of`, from the singular values alone, for one
-matrix or a stack of them.  `cokernel_groups` names the dependent row
-groups of a ranked matrix, the rows each cokernel basis vector touches, for
-the callers that name dependencies (the witness report, bottom-up's
-retirement guard, through `rank_analyze`, which ranks and names at once);
-it asks for singular vectors only when the rank falls below the row count,
-and it is the only code that asks for them.
+matrix or a stack of them.  One rule decides full rank without ranking the
+whole matrix: a square matrix in block-triangular form along a solve plan
+(below) is nonsingular when every diagonal block's smallest singular value
+exceeds RANK_GAP times that block's own threshold (`_BlockStep.margins`).
+The witness votes certify full row rank with it (`witness.characterize`);
+where a block falls under that margin, `rank_of` of the whole matrix
+decides.  `cokernel_groups` names the dependent row groups of a ranked
+matrix, the rows each cokernel basis vector touches, for the callers that
+name dependencies (the witness report, bottom-up's retirement guard,
+through `rank_analyze`, which ranks and names at once); it asks for
+singular vectors only when the rank falls below the row count, and it is
+the only code that asks for them.
 
 The Newton solver's step solves
 J step = -r by block back-substitution in the order of the structural solve
@@ -55,6 +61,10 @@ SUPPORT_TOL = 1e-10  # a row dependency coefficient above it puts its row in the
 # +0.0 to +1.6 ms.  So the corpus and strip(12) (28 rows) take lstsq steps,
 # and strip(24) (52 rows) and larger take block steps.
 BLOCK_STEP_MIN_ROWS = 48
+# A diagonal block certifies its own nonsingularity only when its smallest
+# singular value exceeds its rank_of threshold by this factor: the margin
+# that keeps a block decision clear of the threshold's last-bit drift.
+RANK_GAP = 100.0
 
 
 @dataclass(frozen=True)
@@ -168,6 +178,20 @@ class _BlockStep:
              np.array([blocks[p][1] for p in positions], dtype=np.intp)[:, None, :])
             for size, positions in sorted(sizes.items())]
 
+    def margins(self, J: np.ndarray, cols: np.ndarray,
+                rel_tol: float = RANK_REL_TOL) -> np.ndarray:
+        """Each diagonal block's smallest singular value over its own
+        :func:`rank_of` threshold, gathered by size group, for the plan's
+        columns at ``J``'s columns ``cols`` (gathered without copying the
+        slice); all 0 when ``J`` has a non-finite entry."""
+        if not np.isfinite(J).all():
+            return np.zeros(len(self.plan))
+        out = [np.zeros(0)]
+        for _, _, E, V in self.groups:
+            s = np.linalg.svd(J[E, cols[V]], compute_uv=False)
+            out.append(s[:, -1] / _rank_tolerance(s[:, 0], rel_tol))
+        return np.concatenate(out)
+
     def __call__(self, J: np.ndarray, r: np.ndarray) -> np.ndarray | None:
         """The step s with J s = -r, or None when a diagonal block is not
         finite or rank-deficient (:func:`rank_of`), or the step is not
@@ -209,7 +233,8 @@ class _BlockStep:
 def _block_step(system: ResidualSystem, cols) -> _BlockStep | None:
     """The block step of a column slice, from the perfect matching of its
     equation graph and the SCC solve plan; None when there is no perfect
-    matching (a non-square or structurally singular slice)."""
+    matching (a non-square or structurally singular slice).  Its diagonal
+    blocks also certify full row rank (:meth:`_BlockStep.margins`)."""
     adjacency = system.adjacency
     col_ids = np.arange(system.n_variables)[cols].tolist()
     if len(adjacency) != len(col_ids):

@@ -25,17 +25,29 @@ over a ballot of three independently seeded witnesses and reports "unstable"
 when no two agree on (rank, dor).  Votes are drawn in seed order and stop at
 the majority: when the first two agree, the third is never drawn, since it
 cannot change the result.  Every vote is ranked from singular values alone,
-and only the reported vote names its dependent rows.  A witness carries J
-and the motion basis at its sample, and every consumer reads them from
-there: the report keeps the sample of its first vote, drawn at the run's
-seed, which detection and the bottom-up merge checks read, so a run draws
-each seed at most once.
+of J or of its diagonal blocks (below), and only the reported vote names its
+dependent rows.
+
+A large rigid vote ranks no dense J.  When J has at least
+``numeric.BLOCK_STEP_MIN_ROWS`` rows and rows + dor = columns, a frame of
+dor columns on which the motion basis has rank dor is set aside; the square
+rest of J is nonsingular, so J is of full row rank with no free motion,
+when every diagonal block of its block-triangular form clears its own rank
+threshold by ``RANK_GAP`` (:func:`full_row_rank_certificate`).  A vote that
+fails it, a smaller one, and one with rows + dor != columns are ranked by
+``rank_of`` of the whole J.
+
+A witness carries J and the motion basis at its sample, and every consumer
+reads them from there: the report keeps the sample of its first vote, drawn
+at the run's seed, which detection and the bottom-up merge checks read, so
+a run draws each seed at most once.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,13 +59,17 @@ from .compiler import (
     full_cross,
     params_from_assignment,
 )
-from .model import Entity, Model, PLANE3, HESSIAN, POINT_NORMAL, LINE3
+from .model import Entity, Model, PLANE3, HESSIAN, POINT2, POINT3, POINT_NORMAL, LINE3
 from .numeric import (
+    BLOCK_STEP_MIN_ROWS,
+    RANK_GAP,
     RANK_REL_TOL,
+    _block_step,
     cokernel_groups,
     optimize_solve,
     rank_of,
 )
+from .structural import EquationGraph
 
 WITNESS_TOL = 1e-9
 COINCIDENCE_TOL = 1e-6
@@ -179,9 +195,27 @@ def motion_basis(model: Model, system: ResidualSystem, assignment) -> np.ndarray
     the rotations)."""
     x = np.asarray(assignment, dtype=float)
     M = np.zeros((geometry.generator_count(model.dimension), system.n_variables))
+    points = []  # the columns of each point, filled below with array slices
     for e in model.entities:
-        s = system.entity_slice(e.id)
-        M[:, s] = geometry.motion_rows(e, x[s])
+        if e.kind in (POINT2, POINT3):
+            points.append(system.columns[e.id])
+        else:
+            s = system.entity_slice(e.id)
+            M[:, s] = geometry.motion_rows(e, x[s])
+    if not points:
+        return M
+    P = np.array(points)  # one row per point: its coordinate columns
+    for axis in range(P.shape[1]):  # the translations
+        M[axis, P[:, axis]] = 1.0
+    if P.shape[1] == 2:  # the rotation's velocity (-y, x)
+        X, Y = P.T
+        M[2, X] = -x[Y]
+        M[2, Y] = x[X]
+    else:  # the rotation about axis i moves p by e_i x p (geometry.skew)
+        X, Y, Z = P.T
+        M[3, Y], M[3, Z] = -x[Z], x[Y]
+        M[4, X], M[4, Z] = x[Z], -x[X]
+        M[5, X], M[5, Y] = -x[Y], x[X]
     return M
 
 
@@ -210,6 +244,9 @@ class WcmReport:
     sub_reports: tuple["WcmReport", ...] = ()
     # the first vote's witness, drawn at the first seed; not part of the report
     witness: WitnessConfiguration | None = field(default=None, compare=False, repr=False)
+    # whether the report is the first vote's, so that dependent_groups are
+    # those of witness.jacobian; not part of the report
+    names_witness: bool = field(default=False, compare=False, repr=False)
 
     @property
     def over(self) -> bool:
@@ -259,6 +296,60 @@ def _report(jacobian: np.ndarray, rank: int, dor: int, seeds: tuple[int, ...]) -
     return WcmReport(n, m, rank, dor, cokernel_groups(jacobian, rank), seeds)
 
 
+def _frame(system: ResidualSystem, motions: np.ndarray, dor: int,
+           rank_tol: float = RANK_REL_TOL) -> list[int] | None:
+    """``dor`` columns on which the motion basis ``motions`` has rank
+    ``dor``: the columns in breadth-first order of the equation graph from
+    row 0, each kept when it raises the rank of the columns kept before it;
+    None when the rows that row 0 reaches do not give ``dor``."""
+    if dor == 0:
+        return []
+    adjacency = system.adjacency
+    column_rows = EquationGraph(len(adjacency), system.n_variables,
+                                adjacency).variable_adjacency()
+    frame: list[int] = []
+    seen_rows, seen_cols = {0}, set()
+    queue = deque([0] if adjacency else [])
+    while queue:
+        for v in adjacency[queue.popleft()]:
+            if v in seen_cols:
+                continue
+            seen_cols.add(v)
+            if rank_of(motions[:, frame + [v]], rank_tol) > len(frame):
+                frame.append(v)
+                if len(frame) == dor:
+                    return frame
+            for e in column_rows[v]:
+                if e not in seen_rows:
+                    seen_rows.add(e)
+                    queue.append(e)
+    return None
+
+
+def full_row_rank_certificate(system: ResidualSystem, motions: np.ndarray, dor: int,
+                              rank_tol: float = RANK_REL_TOL) -> Callable[[np.ndarray], bool]:
+    """A test of full row rank for the Jacobians of ``system`` (m rows,
+    m + ``dor`` columns) at samples whose motion basis is like ``motions``.
+
+    A frame F of ``dor`` columns (:func:`_frame`) is set aside and the square
+    rest J[:, not F] is put in block-triangular form along the solve plan of
+    its equation graph (:func:`numeric._block_step`: a perfect matching and
+    its strongly connected components).  A Jacobian passes when every
+    diagonal block's smallest singular value exceeds ``RANK_GAP`` times the
+    block's own rank threshold (``rank_tol`` times its largest): then
+    J[:, not F] is nonsingular, so rank J = m.  Every Jacobian fails when
+    there is no frame or no perfect matching.
+    """
+    frame = _frame(system, motions, dor, rank_tol)
+    if frame is None:
+        return lambda jacobian: False
+    cols = np.setdiff1d(np.arange(system.n_variables), frame)
+    plan = _block_step(system, cols)
+    if plan is None:
+        return lambda jacobian: False
+    return lambda jacobian: bool((plan.margins(jacobian, cols, rank_tol) > RANK_GAP).all())
+
+
 def characterize(system: ResidualSystem, model: Model, seed: int = 0,
                  votes: int = 3, rank_tol: float = RANK_REL_TOL) -> WcmReport:
     """Majority-vote characterization over independently seeded witnesses.
@@ -266,12 +357,17 @@ def characterize(system: ResidualSystem, model: Model, seed: int = 0,
     Anchors are excluded: the criteria quantify rigid-motion freedom, which
     anchoring deliberately removes.  Vote i draws the witness of seed
     ``seed + i`` and ranks its Jacobian and motion basis (singular values
-    alone); votes are drawn and ranked one at a time, and drawing stops as
+    alone).  A Jacobian of at least ``BLOCK_STEP_MIN_ROWS`` rows whose rows
+    and degree of rigidity add up to its columns is first offered to
+    :func:`full_row_rank_certificate`, built at the first such vote and
+    shared by the later ones; when its blocks pass, the vote's rank is its
+    row count without an SVD of J, and otherwise J is ranked as any other.
+    Votes are drawn and ranked one at a time, and drawing stops as
     soon as one (rank, dor) key has a majority of ``votes``, which no later
     vote can take from it.  The report is the first vote with that key, and
     only it names its dependent rows; it keeps the first vote's witness in
-    ``witness`` and the whole ballot, ``seed`` to ``seed + votes - 1``, in
-    ``seeds``.  A system without variables has one configuration, so it
+    ``witness``, whether it is that vote's report in ``names_witness``, and
+    the whole ballot, ``seed`` to ``seed + votes - 1``, in ``seeds``.  A system without variables has one configuration, so it
     takes one vote; ``votes`` below 1 raise ``ValueError``.  If no key
     reaches a majority, every vote has been drawn, the verdict is
     "unstable" and the individual reports are attached.  ``rank_tol`` is
@@ -287,13 +383,23 @@ def characterize(system: ResidualSystem, model: Model, seed: int = 0,
     seeds = tuple(range(seed, seed + votes))
     needed = 1 if votes == 1 else max(2, votes // 2 + 1)
     drawn: list[tuple[WitnessConfiguration, tuple[int, int]]] = []
+    certificate = None  # built at the first vote it can serve, then shared
     for s in seeds:
         w = generate_witness(base, model, seed=s, projection=projection)
-        key = (rank_of(w.jacobian, rank_tol), rank_of(w.motions, rank_tol))
+        m, n = w.jacobian.shape
+        if m >= BLOCK_STEP_MIN_ROWS:
+            dor = rank_of(w.motions, rank_tol)
+            if m + dor == n and certificate is None:
+                certificate = full_row_rank_certificate(base, w.motions, dor, rank_tol)
+            certified = m + dor == n and certificate(w.jacobian)
+            key = (m if certified else rank_of(w.jacobian, rank_tol), dor)
+        else:
+            key = (rank_of(w.jacobian, rank_tol), rank_of(w.motions, rank_tol))
         drawn.append((w, key))
         if sum(k == key for _, k in drawn) == needed:
             winner = next(v for v, k in drawn if k == key)
-            return replace(_report(winner.jacobian, *key, seeds), witness=drawn[0][0])
+            return replace(_report(winner.jacobian, *key, seeds), witness=drawn[0][0],
+                           names_witness=winner is drawn[0][0])
     votes_cast = tuple(_report(w.jacobian, *key, (w.seed,)) for w, key in drawn)
     m, n = drawn[0][0].jacobian.shape
     return WcmReport(n, m, -1, -1, (), seeds, votes_cast, drawn[0][0])

@@ -2,13 +2,14 @@ import json
 import math
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from gcskernel import cli, decompose, detect, witness, zoo
+from gcskernel import cli, decompose, detect, numeric, witness, zoo
 from gcskernel.cli import main
-from gcskernel.model import model_to_json_dict
+from gcskernel.model import Constraint, Model, model_to_json_dict
 
 from conftest import lines_through_two_points, triangle_with_coincident_point
 
@@ -203,17 +204,88 @@ def test_singular_vectors_only_below_full_row_rank(argv, model, expected, capsys
                                                     tmp_path, monkeypatch):
     path = (write_model(tmp_path, zoo.triangle_strip(24)) if model is None
             else str(corpus_dir / model))
-    with_vectors = []
+    calls = recording_svd(monkeypatch)
+    run_cli(capsys, argv[0], path, *argv[1:])
+    assert sum(with_vectors for _, with_vectors in calls) == expected
+
+
+def recording_svd(monkeypatch) -> list[tuple[tuple[int, ...], bool]]:
+    """Record the shape of every ``np.linalg.svd`` call and whether it
+    computes singular vectors."""
+    calls = []
     svd = np.linalg.svd
 
-    def counting_svd(a, *args, **kwargs):
-        if kwargs.get("compute_uv", args[1] if len(args) > 1 else True):
-            with_vectors.append(np.shape(a))
+    def recording(a, *args, **kwargs):
+        calls.append((np.shape(a), bool(kwargs.get("compute_uv",
+                                                   args[1] if len(args) > 1 else True))))
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    run_cli(capsys, argv[0], path, *argv[1:])
-    assert len(with_vectors) == expected
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return calls
+
+
+def dense_check(capsys, monkeypatch, path) -> tuple[int, str]:
+    """``gcs --format json check`` with every vote ranked by a dense SVD."""
+    with monkeypatch.context() as m:
+        m.setattr(witness, "BLOCK_STEP_MIN_ROWS", math.inf)
+        return run_cli(capsys, "--format", "json", "check", path)
+
+
+def test_check_certifies_a_large_rigid_strip_without_a_dense_svd(capsys, tmp_path,
+                                                                monkeypatch):
+    path = write_model(tmp_path, zoo.triangle_strip(200))
+    calls = recording_svd(monkeypatch)
+    code, out = run_cli(capsys, "--format", "json", "check", path)
+    assert (code, json.loads(out)["verdict"]) == (0, "well")
+    assert calls and max(shape[-2] for shape, _ in calls) < 48  # blocks and motions only
+    assert dense_check(capsys, monkeypatch, path) == (code, out)
+    assert calls.count(((401, 404), False)) == 2
+
+
+def test_check_k4_ranks_its_jacobian_densely(capsys, corpus_dir, monkeypatch):
+    calls = recording_svd(monkeypatch)
+    run_cli(capsys, "check", str(corpus_dir / "k4.json"))
+    assert Counter(c for c in calls if c[0] == (6, 8)) == {((6, 8), False): 2, ((6, 8), True): 1}
+
+
+def strip_variant(change: str) -> Model:
+    """strip(200) with one bar more (P1-P202), one bar less (P1-P2) or a fix on P1."""
+    model = zoo.triangle_strip(200)
+    p1, p202 = model.entity("P1"), model.entity("P202")
+    if change == "bar":
+        extra = Constraint("extra", "distance-pp", ("P1", "P202"), math.dist(p1.params, p202.params))
+        return Model(2, model.entities, model.constraints + (extra,))
+    if change == "no-bar":
+        return Model(2, model.entities, tuple(c for c in model.constraints
+                                              if set(c.entities) != {"P1", "P2"}))
+    return Model(2, model.entities, model.constraints + (Constraint("pin", "fix", ("P1",)),))
+
+
+@pytest.mark.parametrize("change, verdict", [("bar", "over"), ("no-bar", "under"),
+                                             ("fix", "well")])
+def test_strip_variants_that_no_block_certifies_keep_the_dense_report(change, verdict, capsys,
+                                                                      tmp_path, monkeypatch):
+    # rows + DOR differs from the columns: every vote is ranked densely
+    path = write_model(tmp_path, strip_variant(change))
+    code, out = run_cli(capsys, "--format", "json", "check", path)
+    assert json.loads(out)["report"]["witness"]["verdict"] == verdict
+    assert dense_check(capsys, monkeypatch, path) == (code, out)
+
+
+def test_a_thin_block_margin_falls_back_to_the_dense_rank(capsys, tmp_path, monkeypatch):
+    path = write_model(tmp_path, zoo.triangle_strip(48))
+    expected = run_cli(capsys, "--format", "json", "check", path)
+    margins = numeric._BlockStep.margins
+
+    def one_thin_block(self, *args):
+        out = margins(self, *args)
+        out[len(out) // 2] = numeric.RANK_GAP / 2
+        return out
+
+    monkeypatch.setattr(numeric._BlockStep, "margins", one_thin_block)
+    calls = recording_svd(monkeypatch)
+    assert run_cli(capsys, "--format", "json", "check", path) == expected
+    assert calls.count(((97, 100), False)) == 2
 
 
 @pytest.mark.parametrize("command", ["check", "detect", "decompose"])
@@ -304,6 +376,34 @@ def test_decompose_braced_quad_bottom_up(capsys, corpus_dir):
     # the triangle holds the earliest seed, so it comes first and sets the frame
     kids = [tuple(c["entities"]) for c in root["children"]]
     assert kids == [("P1", "P2", "P4"), ("P2", "P3"), ("P3", "P4")]
+
+
+def test_bottom_up_decompose_ranks_the_jacobian_of_vote_zero_once(capsys, corpus_dir,
+                                                                   monkeypatch):
+    # two votes, then the whole kite's rigidity check; the retirement guard
+    # reads the report's dependent groups
+    calls = recording_svd(monkeypatch)
+    run_cli(capsys, "decompose", str(corpus_dir / "solve-kite.json"), "--strategy", "bottom-up")
+    assert calls.count(((5, 8), False)) == 3
+
+
+@pytest.mark.parametrize("keys, ranked", [
+    ([(5, 3), (5, 3)], 0),          # vote 0 wins: its report names the groups
+    ([(4, 3), (5, 3), (5, 3)], 1),  # vote 0 lost: its Jacobian is ranked again
+    ([(5, 3), (4, 3), (3, 3)], 1),  # unstable: no vote's report
+], ids=["vote0-won", "vote0-lost", "unstable"])
+def test_bottom_up_decompose_ranks_again_only_without_vote_zeros_groups(keys, ranked, capsys,
+                                                                         corpus_dir,
+                                                                         monkeypatch):
+    path = str(corpus_dir / "k4.json")
+    expected = run_json(capsys, "decompose", path, "--strategy", "bottom-up")[1]["tree"]
+    values = iter([v for key in keys for v in key])
+    monkeypatch.setattr(witness, "rank_of", lambda *args: next(values))
+    analyses = []
+    monkeypatch.setattr(decompose, "rank_analyze",
+                        lambda *args: analyses.append(args) or numeric.rank_analyze(*args))
+    assert run_json(capsys, "decompose", path, "--strategy", "bottom-up")[1]["tree"] == expected
+    assert len(analyses) == ranked
 
 
 def test_decompose_triangle_single_cluster(capsys, corpus_dir):

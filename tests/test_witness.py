@@ -387,6 +387,44 @@ def test_motion_basis_matches_finite_differences():
         assert np.max(np.abs(M[k] - fd)) <= 1e-6
 
 
+def per_entity_motion_basis(model, system, x):
+    """Reference: one ``geometry.motion_rows`` call per entity."""
+    M = np.zeros((geometry.generator_count(model.dimension), system.n_variables))
+    for e in model.entities:
+        s = system.entity_slice(e.id)
+        M[:, s] = geometry.motion_rows(e, x[s])
+    return M
+
+
+ZOO_MODELS = [zoo.triangle_model, zoo.double_banana_model, zoo.parallel_lines_model,
+              zoo.plane_prism_model, zoo.tetrahedron_model, zoo.seed_demo_model,
+              zoo.single_point_3d, lambda: zoo.collinear_points_model(3, 3),
+              lambda: zoo.triangle_strip(12)]
+
+
+def motion_basis_cases():
+    for path in sorted(CORPUS.glob("*.json")):
+        model, system = cli._load(str(path))
+        if model is not None:  # a raw system has no motions
+            yield path.name, model, system
+    for k, make in enumerate(ZOO_MODELS):
+        model = make()
+        yield f"zoo{k}", model, compile_model(model)
+
+
+def test_motion_basis_matches_the_per_entity_reference():
+    # points are filled by array slices, lines and planes by motion_rows; the
+    # result is bit-identical, including the sign of every zero
+    dimensions = set()
+    for label, model, system in motion_basis_cases():
+        dimensions.add(model.dimension)
+        for seed in range(3):
+            x = np.random.default_rng(seed).uniform(-2.0, 2.0, system.n_variables)
+            M = motion_basis(model, system, x)
+            assert M.tobytes() == per_entity_motion_basis(model, system, x).tobytes(), label
+    assert dimensions == {2, 3}
+
+
 def test_dor_pivot_independence():
     # rotating about any pivot only adds translation-row combinations
     m = zoo.points_distances_model(
@@ -568,7 +606,7 @@ def test_reports_store_no_judgment():
         return [f.name for f in dataclasses.fields(cls)]
 
     assert fields(WcmReport) == ["columns", "rows", "rank", "dor", "dependent_groups",
-                                 "seeds", "sub_reports", "witness"]
+                                 "seeds", "sub_reports", "witness", "names_witness"]
     assert fields(SchemeRow) == ["scheme", "columns", "rank", "dor", "verdict"]
 
 
@@ -716,3 +754,71 @@ def test_gf_rank_of_the_double_banana():
     m = zoo.double_banana_model()
     assert gf_generic_rank(m) == 17 == characterize(compile_model(m), m).rank
     assert gf_rank([[1, 2], [2, 4]]) == 1 and gf_rank([[0, 1], [1, 0]]) == 2
+
+
+# --- full row rank certified from the block-triangular form ---------------------
+
+def certificate_at(model, seed=0):
+    """Whether the block certificate, called without the row gate, passes the
+    witness Jacobian of ``model`` at ``seed``, and that Jacobian."""
+    system = compile_model(model)
+    w = generate_witness(system, model, seed=seed)
+    dor = rank_of(w.motions)
+    m, n = w.jacobian.shape
+    assert m + dor == n
+    return witness.full_row_rank_certificate(system, w.motions, dor)(w.jacobian), w.jacobian
+
+
+def dense_margin(J) -> float:
+    """The smallest of J's m singular values over J's rank_of threshold."""
+    s = np.linalg.svd(J, compute_uv=False)
+    return s[J.shape[0] - 1] / numeric._rank_tolerance(s[0], numeric.RANK_REL_TOL)
+
+
+@st.composite
+def henneberg_frameworks(draw):
+    """A 2D or 3D bar framework with rows + DOR = columns: Henneberg-I steps
+    from a bar (2D) or a triangle (3D), each a new point with d bars to
+    earlier points, then 0-3 swaps of a bar for a missing one, which often
+    leave a flexible part beside an over-braced one."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(d, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    bars = set(combinations(range(d), 2))
+    for i in range(d, n):
+        bars.update((int(j), i) for j in rng.choice(i, size=d, replace=False))
+    for _ in range(draw(st.integers(0, 3))):
+        missing = sorted(set(combinations(range(n), 2)) - bars)
+        if missing:
+            bars.remove(sorted(bars)[rng.integers(len(bars))])
+            bars.add(missing[rng.integers(len(missing))])
+    coords = rng.uniform(-5.0, 5.0, size=(n, d))
+    kind = f"point{d}"
+    return Model(d, tuple(Entity(f"P{i}", kind, tuple(coords[i])) for i in range(n)),
+                 tuple(Constraint(f"e{k}", "distance-pp", (f"P{a}", f"P{b}"),
+                                  math.dist(coords[a], coords[b]))
+                       for k, (a, b) in enumerate(sorted(bars))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(henneberg_frameworks(), st.integers(0, 19))
+def test_the_block_certificate_agrees_with_the_generic_rank(model, seed):
+    passed, J = certificate_at(model, seed)
+    m = J.shape[0]
+    if gf_generic_rank(model) < m:  # a flexible framework is never certified
+        assert not passed
+    if passed:  # and a certified one is of full row rank by the dense rule too
+        assert rank_of(J) == m or dense_margin(J) < numeric.RANK_GAP
+
+
+def test_the_double_banana_is_never_certified():
+    # 18 bars and 6 rigid motions on 24 columns, but the generic rank is 17
+    for seed in range(10):
+        assert not certificate_at(zoo.double_banana_model(), seed)[0]
+
+
+def test_strips_are_certified():
+    for n in range(3, 49):
+        model = zoo.triangle_strip(n)
+        for seed in range(20):
+            assert certificate_at(model, seed)[0], (n, seed)
