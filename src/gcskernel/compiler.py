@@ -18,7 +18,10 @@ column map and the tapes of the rows they keep, so deriving a system costs
 only its own rows.  :meth:`ResidualSystem.select` derives the system of a
 row subset (a cluster's rows, the singular rows a witness is projected
 onto).  :func:`eval_residuals` and :func:`eval_jacobian` run a system's
-tapes through the one evaluation plan it builds on first use.
+tapes through the one evaluation plan it builds on first use;
+:func:`eval_blocks` evaluates blocks of rows, each at its own entity
+parameters, through one plan of their own (the open rows of every merge of
+a decomposed solve).
 ``adjacency`` (each row's variables) and :func:`dump_equations` read the
 tapes as well.
 
@@ -139,14 +142,13 @@ class ResidualSystem:
         """The evaluation plan of every row, built on first use."""
         return ex.Plan(self.segments, self.n_variables)
 
-    def select(self, rows: Sequence[int]) -> "ResidualSystem":
-        """The system of just ``rows``, in that order and renumbered from 0,
-        over the same variables.  It shares the tapes of those rows; a row
-        out of range raises :class:`IndexError`."""
+    def _tape_rows(self, rows: Sequence[int]) -> list[tuple[ex.Tape, list[int]]]:
+        """``rows`` as runs of rows of one tape, in order; a row out of range
+        raises :class:`IndexError`."""
         firsts = [0]
         for _, used in self.segments:
             firsts.append(firsts[-1] + len(used))
-        parts: list[tuple[ex.Tape, list[int]]] = []  # runs of rows of one tape
+        parts: list[tuple[ex.Tape, list[int]]] = []
         lo = hi = 0
         for r in rows:
             if not lo <= r < hi:
@@ -157,6 +159,13 @@ class ResidualSystem:
                 tape, used = self.segments[k]
                 parts.append((tape, []))
             parts[-1][1].append(used[r - lo])
+        return parts
+
+    def select(self, rows: Sequence[int]) -> "ResidualSystem":
+        """The system of just ``rows``, in that order and renumbered from 0,
+        over the same variables.  It shares the tapes of those rows; a row
+        out of range raises :class:`IndexError`."""
+        parts = self._tape_rows(rows)
         residuals = self.residuals
         return ResidualSystem(self.dimension, self.variables,
                               tuple(residuals[r]._replace(index=k) for k, r in enumerate(rows)),
@@ -439,6 +448,36 @@ def _assignment(system: ResidualSystem, assignment: Sequence[float]) -> np.ndarr
 def eval_residuals(system: ResidualSystem, assignment: Sequence[float]) -> np.ndarray:
     """Residual values of every row, in row order."""
     return system.plan.values(_assignment(system, assignment))
+
+
+def eval_blocks(system: ResidualSystem,
+                blocks: Iterable[tuple[Sequence[int], Mapping[str, Sequence[float]]]]
+                ) -> np.ndarray:
+    """Residual values of blocks of rows, each at its own entity parameters.
+
+    ``blocks`` holds (rows, parameters of each entity they name), and the
+    values follow in block order, then row order.  One plan evaluates every
+    block, over a compact assignment that holds each block's columns in
+    turn, so the work and memory grow with the rows, not with the blocks
+    times the variables.
+    """
+    variables = system.variables
+    parts: list[tuple[ex.Tape, list[int]]] = []
+    reads: list[int] = []    # each var node's position in the assignment
+    values: list[float] = []
+    for rows, params in blocks:
+        at: dict[int, int] = {}  # a column of this block -> its position
+        for tape, used in system._tape_rows(rows):
+            parts.append((tape, used))
+            for i in used:
+                for j in tape.rows[i][1]:
+                    k = at.get(j)
+                    if k is None:
+                        k = at[j] = len(values)
+                        v = variables[j]
+                        values.append(params[v.entity_id][v.component])
+                    reads.append(k)
+    return ex.Plan(parts, len(values), reads).values(np.array(values, dtype=float))
 
 
 def eval_jacobian(system: ResidualSystem, assignment: Sequence[float]) -> np.ndarray:

@@ -76,19 +76,24 @@ first two of its points that an earlier child placed (points in column
 order); ternary one-point merges get their closure point from the
 two-circle construction, with the mirror branch picked by the orientation
 of the sketch.  An entity takes the coordinates of the first placed child
-that holds it.  A merge keeps its children's bodies and placements, and
-computes the coordinates of only the entities it and its ancestors read,
-so it costs what its shared entities and open rows name, not its size.  A
-child's solution holds its rows and a rigid motion keeps every row but a
-fix's, so the node evaluates only the rows placement can leave off: its
-constraints that no child holds, those that name an entity two or more
-children share, every fix, and the normalizations of the shared entities.
-When one of them exceeds the tolerance, the node's slice is re-solved from
-the placement.  Merges that share no points re-solve from the sketch.  Each
-entity's final coordinates are written once, by composing placements from
-the root, and the final certificate evaluates every row.  A tree whose root
-leaves an entity free is refused.  Trees are walked with explicit stacks,
-so no depth reaches the recursion limit.
+that holds it.  Fits and moves are plain float arithmetic.  A merge keeps
+its children's bodies and placements, and computes the coordinates of only
+the entities it and its ancestors read, so it costs what its shared
+entities and open rows name, not its size.  A child's solution holds its
+rows and a rigid motion keeps every row but a fix's, so placement can leave
+off only the node's open rows: its constraints that no child holds, those
+that name an entity two or more children share, every fix, and the
+normalizations of the shared entities.  One sweep places every node and
+records each merge's open rows with the node's coordinates of the entities
+they name; after it, one evaluation (:func:`compiler.eval_blocks`) computes
+every recorded row at its own node's coordinates.  Only when one exceeds
+the tolerance does the sweep run again with a check at each merge, which
+re-solves the node's slice from the placement where a row fails.  Merges
+that share no points re-solve from the sketch.  Each entity's final
+coordinates are written once, by composing placements from the root, and
+the final certificate evaluates every row.  A tree whose root leaves an
+entity free is refused.  Trees are walked with explicit stacks, so no depth
+reaches the recursion limit.
 """
 
 from __future__ import annotations
@@ -109,6 +114,7 @@ from .compiler import (
     add_constraints,
     assignment_from_params,
     compile_model,
+    eval_blocks,
     eval_residuals,
     induced,
     params_from_assignment,
@@ -524,10 +530,6 @@ class _Motion(NamedTuple):
     tx: float
     ty: float
 
-    @classmethod
-    def of(cls, R: np.ndarray, t: np.ndarray) -> "_Motion":
-        return cls(float(R[0, 0]), float(R[1, 0]), float(t[0]), float(t[1]))
-
     def after(self, inner: "_Motion") -> "_Motion":
         """This motion after ``inner``.  The rotation is rebuilt from its
         angle, so a chain of compositions stays orthonormal to rounding."""
@@ -538,6 +540,10 @@ class _Motion(NamedTuple):
 
     def apply_point(self, x: float, y: float) -> tuple[float, float]:
         return (self.c * x - self.s * y + self.tx, self.s * x + self.c * y + self.ty)
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rotation matrix and the translation vector."""
+        return np.array([[self.c, -self.s], [self.s, self.c]]), np.array([self.tx, self.ty])
 
     def apply(self, entity: Entity, params: Sequence[float]) -> tuple[float, ...]:
         """The entity's parameters moved by this motion (a point in plain
@@ -594,6 +600,21 @@ def _moved(model: Model, system: ResidualSystem, x: np.ndarray,
     return out
 
 
+def _fit(placed: Mapping[str, Sequence[float]], child: Mapping[str, Sequence[float]],
+         shared_points: Sequence[str]) -> _Motion:
+    """:func:`align_onto` as a :class:`_Motion`."""
+    source = [child[p] for p in shared_points]
+    target = [placed[p] for p in shared_points]
+    motion = _Motion(*geometry.fit_rigid_2d_floats(source, target))
+    for eid, (ax, ay), (bx, by) in zip(shared_points, source, target):
+        mx, my = motion.apply_point(ax, ay)
+        err = max(abs(mx - bx), abs(my - by))
+        if err > ALIGN_TOL:
+            raise AlignmentError(
+                f"shared entity {eid!r} disagrees by {err:.3e} after alignment")
+    return motion
+
+
 def align_onto(placed: Mapping[str, Sequence[float]], child: Mapping[str, Sequence[float]],
                shared_points: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """The rigid motion (R, t) that maps a child's shared points onto their placed copies.
@@ -603,17 +624,7 @@ def align_onto(placed: Mapping[str, Sequence[float]], child: Mapping[str, Sequen
     shared point disagrees by more than the alignment tolerance after the
     best fit.
     """
-    source = [child[p] for p in shared_points]
-    target = [placed[p] for p in shared_points]
-    R, t = geometry.fit_rigid_2d(source, target)
-    motion = _Motion.of(R, t)
-    for eid, (ax, ay), (bx, by) in zip(shared_points, source, target):
-        mx, my = motion.apply_point(ax, ay)
-        err = max(abs(mx - bx), abs(my - by))
-        if err > ALIGN_TOL:
-            raise AlignmentError(
-                f"shared entity {eid!r} disagrees by {err:.3e} after alignment")
-    return R, t
+    return _fit(placed, child, shared_points).arrays()
 
 
 def _circle_intersection(ca: Sequence[float], ra: float, cb: Sequence[float], rb: float,
@@ -779,34 +790,40 @@ def _assemble_merge(model: Model, system: ResidualSystem, node: ClusterNode,
     earlier child placed; an entity takes the coordinates of the first placed
     child that holds it.  The node's body keeps the placed bodies, and the
     coordinates of the entities in ``read`` (those its ancestors and its open
-    rows read), and of nothing else.
+    rows read, ``shared`` among them), and of nothing else.  The fits and
+    moves are plain float arithmetic.
     """
     children = node.children
     columns = system.columns
     moves = [_IDENTITY] * len(children)  # each child's placement
     order: list[int] = []  # children in placement order
+    owner: dict[str, int] = {}  # an entity of ``read`` -> the first placed child holding it
 
-    def place(i: int, R: np.ndarray, t: np.ndarray) -> None:
-        moves[i] = _Motion.of(R, t)
+    def place(i: int, motion: _Motion) -> None:
+        # the first child's identity keeps its zeros; arrays() writes -0.0
+        R, t = motion.arrays() if order else (np.eye(2), np.zeros(2))
+        moves[i] = motion
         order.append(i)
-        placements.append(Placement(children[i].node_id, children[i].entities, R, t))
+        held = children[i].entities
+        for eid in read:
+            if eid in held and eid not in owner:
+                owner[eid] = i
+        placements.append(Placement(children[i].node_id, held, R, t))
 
     def merged(eid: str) -> tuple[float, ...]:
         # a placed entity in the node's frame
-        i = next(i for i in order if eid in children[i].entities)
+        i = owner[eid]
         return moves[i].apply(model.entity(eid), bodies[i].coords[eid])
-
-    def placed(eid: str) -> bool:
-        return any(eid in children[j].entities for j in order)
 
     def points(ids: Iterable[str]) -> list[str]:
         return sorted((e for e in ids if model.entity(e).kind == POINT2),
                       key=lambda e: columns[e][0])
 
     def placed_points(i: int) -> list[str]:
-        return points(e for e in shared if e in children[i].entities and placed(e))
+        held = children[i].entities
+        return points(e for e in shared if e in owner and e in held)
 
-    place(0, np.eye(2), np.zeros(2))
+    place(0, _IDENTITY)
     pending = list(range(1, len(children)))
     while pending:
         for i in pending:
@@ -814,14 +831,14 @@ def _assemble_merge(model: Model, system: ResidualSystem, node: ClusterNode,
             shared_pts = placed_points(i)
             if len(shared_pts) >= 2:
                 pts = shared_pts[:2]
-                R, t = align_onto({p: merged(p) for p in pts}, child, pts)
+                motion = _fit({p: merged(p) for p in pts}, child, pts)
             elif len(shared_pts) == 1 and len(children) == 3 and len(pending) == 2:
                 # ternary one-point closure: fetch the unknown shared point from
                 # the two known radii
                 other = next(j for j in pending if j != i)
                 anchor = shared_pts[0]
                 both = children[i].entities & children[other].entities
-                q_candidates = [p for p in points(both) if not placed(p)]
+                q_candidates = [p for p in points(both) if p not in owner]
                 r_candidates = placed_points(other)
                 if not q_candidates or not r_candidates:
                     return None
@@ -831,10 +848,10 @@ def _assemble_merge(model: Model, system: ResidualSystem, node: ClusterNode,
                 orient = _sketch_orientation(model, anchor, r, q)
                 target = {anchor: merged(anchor),
                           q: _circle_intersection(merged(anchor), ra, merged(r), rb, orient)}
-                R, t = align_onto(target, child, [anchor, q])
+                motion = _fit(target, child, [anchor, q])
             else:
                 continue
-            place(i, R, t)
+            place(i, motion)
             pending.remove(i)
             break
         else:
@@ -859,15 +876,17 @@ def solve_tree(model: Model, tree: ClusterTree, max_iter: int = 100,
     per stage, residual tolerance ``tol``) is a slice of it.  Triangle and
     bar leaves are constructed; other leaves are solved.  Each cluster keeps
     its solution in its own frame, and a merge fits its children's placements
-    on their shared points.  A node whose children place by alignment
-    evaluates only the rows placement can leave off and re-solves its slice
-    only when one exceeds ``tol``; a node whose children share no points
-    re-solves from the sketch.  Each entity's final parameters are written
-    once, from the root's frame, and the certificate evaluates every row of
-    the system.  Returns the recombination plan, per-entity solved
-    parameters, and the whole-system residual certificate (anchors
-    excluded), converged when its largest residual is within ``tol``.  A
-    tree whose root leaves an entity free is refused, and so is one with a
+    on their shared points.  One sweep places every node; after it, one
+    evaluation checks the rows placement can leave off at every merge, each
+    at its own node's coordinates.  Only when one exceeds ``tol`` does the
+    sweep run again with a check at each merge, which re-solves its slice
+    where a row fails; a node whose children share no points re-solves from
+    the sketch.  Each entity's final parameters are written once, from the
+    root's frame, and the certificate evaluates every row of the system.
+    Returns the recombination plan, per-entity solved parameters, and the
+    whole-system residual certificate (anchors excluded), converged when
+    its largest residual is within ``tol``.  A tree whose root leaves an
+    entity free is refused, and so is one with a
     leaf whose rows (constraints, normalizations and virtual bonds) are fewer
     than its columns minus its rigid motions (:func:`geometry.generator_count`).
     """
@@ -897,68 +916,97 @@ def solve_tree(model: Model, tree: ClusterTree, max_iter: int = 100,
                 f"cluster {sorted(node.entities)} cannot be rigid: {rows} rows "
                 f"for {columns} columns")
     sketch = assignment_from_params(model, system)
-    # the assignment rows are evaluated on: a node writes in the entities its
-    # rows name, and the root writes every entity at the end
-    x = sketch.copy()
     fixes = [c.id for c in model.constraints if c.kind == "fix"]
-    placements: list[Placement] = []
-    bond_values: dict[tuple[str, str], float] = {}
 
-    def write(coords: Mapping[str, Sequence[float]], entity_ids: Iterable[str]) -> None:
+    def write(x: np.ndarray, coords: Mapping[str, Sequence[float]],
+              entity_ids: Iterable[str]) -> None:
         for eid in entity_ids:
             x[system.entity_slice(eid)] = coords[eid]
 
-    def solve_merge(node: ClusterNode, bodies: Sequence[_Body], rows: list[int],
-                    shared: set[str], read: set[str]) -> _Body:
-        body = _assemble_merge(model, system, node, bodies, placements, shared, read)
-        if body is None:
-            # shared elements are not points (line-bearing merges); re-solve the
-            # node from the sketch, which is a chirality-consistent global guess
-            start = sketch
-        else:
-            write(body.coords, read)
-            if not rows or float(np.max(np.abs(eval_residuals(system.select(rows), x)))) <= tol:
+    def sweep(checks: list | None) -> tuple[_Body, list[Placement]]:
+        """Solve the leaves and place the merges, depth first; return the
+        root's body and the placements.  A placed merge appends its open rows
+        to ``checks``, with the coordinates its body holds of the entities
+        they name.  With ``checks`` None, it evaluates them itself instead,
+        and re-solves its slice when one exceeds ``tol``."""
+        x = sketch.copy()  # the assignment a merge's own check writes and reads
+        placements: list[Placement] = []
+        bond_values: dict[tuple[str, str], float] = {}
+
+        def solve_merge(node: ClusterNode, bodies: Sequence[_Body], rows: list[int],
+                        shared: set[str], read: set[str]) -> _Body:
+            body = _assemble_merge(model, system, node, bodies, placements, shared, read)
+            if body is None:
+                # shared elements are not points (line-bearing merges); re-solve
+                # the node from the sketch, a chirality-consistent global guess
+                start = sketch
+            elif not rows:
                 return body
-            write(body.params(model), node.entities)
-            start = x
-        y = _solve_cluster(system, system, node, start, max_iter, tol)
-        return _Body(_entity_params(system, y, node.entities))
+            elif checks is not None:
+                checks.append((rows, body.coords))
+                return body
+            else:
+                write(x, body.coords, read)
+                if float(np.max(np.abs(eval_residuals(system.select(rows), x)))) <= tol:
+                    return body
+                write(x, body.params(model), node.entities)
+                start = x
+            y = _solve_cluster(system, system, node, start, max_iter, tol)
+            return _Body(_entity_params(system, y, node.entities))
 
-    # depth first with an explicit stack.  An entry holds a node, what it
-    # reads (its open rows, its shared entities, and the entities it and its
-    # ancestors read; None for a leaf) and its children's bodies so far; a
-    # child is entered with the entities its parent reads from it.
-    stack: list[tuple[ClusterNode, tuple | None, list[_Body]]] = []
+        # an explicit stack.  An entry holds a node, what it reads (its open
+        # rows, its shared entities, and the entities it and its ancestors
+        # read; None for a leaf) and its children's bodies so far; a child is
+        # entered with the entities its parent reads from it.
+        stack: list[tuple[ClusterNode, tuple | None, list[_Body]]] = []
 
-    def enter(node: ClusterNode, exposed: set[str]) -> None:
-        reads = None
-        if node.children:
-            rows, shared, named = _open_rows(model, system, node, fixes)
-            reads = (rows, shared, exposed | named)
-        stack.append((node, reads, []))
+        def enter(node: ClusterNode, exposed: set[str]) -> None:
+            reads = None
+            if node.children:
+                rows, shared, named = _open_rows(model, system, node, fixes)
+                reads = (rows, shared, exposed | named)
+            stack.append((node, reads, []))
 
-    enter(root, set())
-    while True:
-        node, reads, bodies = stack[-1]
-        if len(bodies) < len(node.children):
-            child = node.children[len(bodies)]
-            enter(child, {e for e in reads[2] if e in child.entities})
-            continue
-        stack.pop()
-        if node.children:
-            body = solve_merge(node, bodies, *reads)
-        else:
-            body = _Body(_solve_leaf(model, system, sketch, node, bond_values, max_iter, tol))
-        if not stack:
-            break
-        parent, _, siblings = stack[-1]
-        siblings.append(body)
-        if parent.pair and parent.pair not in bond_values:
-            # the first (bond-free) child of a split fixes the pair's separation
-            a, b = parent.pair
-            bond_values[parent.pair] = math.dist(body.coords[a], body.coords[b])
+        enter(root, set())
+        while True:
+            node, reads, bodies = stack[-1]
+            if len(bodies) < len(node.children):
+                child = node.children[len(bodies)]
+                enter(child, {e for e in reads[2] if e in child.entities})
+                continue
+            stack.pop()
+            if node.children:
+                body = solve_merge(node, bodies, *reads)
+            else:
+                body = _Body(_solve_leaf(model, system, sketch, node, bond_values, max_iter, tol))
+            if not stack:
+                return body, placements
+            parent, _, siblings = stack[-1]
+            siblings.append(body)
+            if parent.pair and parent.pair not in bond_values:
+                # the first (bond-free) child of a split fixes the pair's separation
+                a, b = parent.pair
+                bond_values[parent.pair] = math.dist(body.coords[a], body.coords[b])
+
+    def held(checks: list) -> bool:
+        # every recorded row within tol, each at its own node's coordinates
+        return not checks or float(np.max(np.abs(eval_blocks(system, checks)))) <= tol
+
+    # every merge's open rows in one evaluation after the sweep.  If one is
+    # off, sweep again with a check at each merge, which re-solves where it
+    # fails; so does a sweep that failed after a merge whose rows are off.
+    checks: list = []
+    try:
+        body, placements = sweep(checks)
+    except (AlignmentError, DecompositionError):
+        if held(checks):
+            raise  # a check at each merge reaches the same failure
+        body = None
+    if body is None or not held(checks):
+        body, placements = sweep(None)
     final = body.params(model)
-    write(final, final)
+    x = sketch.copy()
+    write(x, final, final)
     residuals = eval_residuals(system, x)
     norm = float(np.max(np.abs(residuals))) if residuals.size else 0.0
     status = "converged" if norm <= tol else "max-iterations"

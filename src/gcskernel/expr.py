@@ -276,10 +276,16 @@ class Plan:
     in that order, over ``n_columns`` variables.  Its schedule depends only
     on the rows' structures, so plans of rows of equal structure share one.
     ``rows`` and ``cols`` are the (row, column) pairs of the derivative
-    triplets: each row's distinct variables by first appearance.
+    triplets: each row's distinct variables by first appearance.  ``reads``,
+    when given, are the positions of the assignment that the var nodes read,
+    one per node in row order, in place of the variables the tapes name: so
+    rows can read different values of one variable from one assignment,
+    whose length is then ``n_columns``; ``cols`` still names the tapes'
+    variables, so such a plan serves :meth:`values` only.
     """
 
-    def __init__(self, parts: Sequence[tuple[Tape, Sequence[int]]], n_columns: int):
+    def __init__(self, parts: Sequence[tuple[Tape, Sequence[int]]], n_columns: int,
+                 reads: Sequence[int] | None = None):
         shapes: list[int] = []
         var_index: list[int] = []
         const_value: list[float] = []
@@ -295,7 +301,7 @@ class Plan:
         self.schedule = _schedule(tuple(shapes))
         self.n_rows = len(shapes)
         self.n_columns = n_columns
-        self._var_index = np.array(var_index, dtype=np.intp)
+        self._var_index = np.array(var_index if reads is None else reads, dtype=np.intp)
         self._const_value = np.array(const_value, dtype=float)
         self._cols = cols
 

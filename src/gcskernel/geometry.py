@@ -21,6 +21,7 @@ pivot-independent.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -123,20 +124,31 @@ def fit_rigid_2d(source: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np
     dst = np.atleast_2d(np.asarray(target, dtype=float))
     if src.shape != dst.shape or src.shape[1] != 2:
         raise ValueError("need matching (k, 2) point arrays")
-    k = src.shape[0]
-    if k == 0:
+    if src.shape[0] == 0:
         return np.eye(2), np.zeros(2)
-    # scalar arithmetic: the fits of recombination take two or three points
-    src_pts, dst_pts = src.tolist(), dst.tolist()
-    sx, sy = (sum(col) / k for col in zip(*src_pts))
-    dx, dy = (sum(col) / k for col in zip(*dst_pts))
+    c, s, tx, ty = fit_rigid_2d_floats(src.tolist(), dst.tolist())
+    return np.array([[c, -s], [s, c]]), np.array([tx, ty])
+
+
+def fit_rigid_2d_floats(source: Sequence[Sequence[float]],
+                        target: Sequence[Sequence[float]]) -> tuple[float, float, float, float]:
+    """:func:`fit_rigid_2d` in plain floats, for one or more matching (x, y)
+    pairs: the rotation's (cos, sin), then the translation (tx, ty).
+    Recombination fits on two or three points, so scalar arithmetic serves."""
+    k = len(source)
+    sx = sy = dx = dy = 0.0
+    for (px, py), (qx, qy) in zip(source, target):
+        sx += px
+        sy += py
+        dx += qx
+        dy += qy
+    sx, sy, dx, dy = sx / k, sy / k, dx / k, dy / k
     # optimal angle from the cross/dot sums
     num = den = 0.0
-    for (px, py), (qx, qy) in zip(src_pts, dst_pts):
+    for (px, py), (qx, qy) in zip(source, target):
         ax, ay, bx, by = px - sx, py - sy, qx - dx, qy - dy
         num += ax * by - ay * bx
         den += ax * bx + ay * by
     theta = 0.0 if (num == 0.0 and den == 0.0) else math.atan2(num, den)
     c, s = math.cos(theta), math.sin(theta)
-    return (np.array([[c, -s], [s, c]]),
-            np.array([dx - (c * sx - s * sy), dy - (s * sx + c * sy)]))
+    return c, s, dx - (c * sx - s * sy), dy - (s * sx + c * sy)

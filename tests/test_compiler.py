@@ -18,7 +18,7 @@ from gcskernel import (
     linear_system,
     rank_analyze,
 )
-from gcskernel import expr as ex
+from gcskernel import compiler, expr as ex
 from gcskernel.compiler import Residual, ResidualSystem, Variable
 from gcskernel import zoo
 
@@ -246,3 +246,31 @@ def test_full_cross_keeps_anchor_rows_last():
 def test_full_cross_keeps_a_system_without_cross_product_rows(m):
     s = compile_model(m)
     assert full_cross(s, m) is s
+
+
+@pytest.mark.parametrize("m", [zoo.triangle_model(), zoo.triangle_strip(6)])
+def test_eval_blocks_matches_each_block_on_its_own(m):
+    # blocks that share rows and entities read their own parameters: each
+    # block's values are those of its rows selected and evaluated at an
+    # assignment that holds its parameters, bit for bit
+    system = compile_model(m)
+    sketch = assignment_from_params(m, system)
+    rng = np.random.default_rng(3)
+    n = system.n_residuals
+    blocks = []
+    for size in (1, n // 2, n, 3):
+        rows = sorted(rng.choice(n, size=size, replace=False).tolist())
+        params = {e.id: tuple((np.asarray(e.params) + rng.normal(size=len(e.params))).tolist())
+                  for e in m.entities}
+        blocks.append((rows, params))
+    got = compiler.eval_blocks(system, blocks)
+    expected = []
+    for rows, params in blocks:
+        x = sketch.copy()
+        for eid, p in params.items():
+            x[system.entity_slice(eid)] = p
+        expected += eval_residuals(system.select(rows), x).tolist()
+    assert got.tolist() == expected
+    assert compiler.eval_blocks(system, []).size == 0
+    with pytest.raises(IndexError):
+        compiler.eval_blocks(system, [([n], blocks[0][1])])

@@ -22,7 +22,7 @@ from gcskernel import (
     solve_tree,
     top_down,
 )
-from gcskernel import cli, compiler, decompose, geometry, numeric, structural, zoo
+from gcskernel import cli, compiler, decompose, expr, geometry, numeric, structural, zoo
 from gcskernel.compiler import induced
 from gcskernel.decompose import ClusterNode, ClusterTree, align_onto
 from gcskernel.detect import is_well_part
@@ -971,12 +971,14 @@ def test_every_cluster_slice_matches_submodel_solve(slice_trees, monkeypatch):
             assert skipped, name
 
 
-def strip_solve_counts(n, monkeypatch):
-    """Nodes that reach _solve_cluster, residual rows evaluated and leaves
-    solved by one solve_tree of top-down triangle_strip(n)."""
+def strip_solve_counts(n, monkeypatch, batches=None):
+    """Nodes that reach _solve_cluster, residual rows evaluated (one by one
+    and in blocks) and leaves solved by one solve_tree of top-down
+    triangle_strip(n).  ``batches``, when given, receives the row blocks of
+    each batched evaluation."""
     clustered, rows, leaves = [], [0], []
     real_cluster, real_eval = decompose._solve_cluster, compiler.eval_residuals
-    real_leaf = decompose._solve_leaf
+    real_leaf, real_blocks = decompose._solve_leaf, compiler.eval_blocks
 
     def cluster(system, solve_sys, node, start, max_iter, tol):
         clustered.append(node)
@@ -991,9 +993,17 @@ def strip_solve_counts(n, monkeypatch):
         rows[0] += len(out)
         return out
 
+    def evaluate_blocks(system, blocks):
+        if batches is not None:
+            batches.append([list(block_rows) for block_rows, _ in blocks])
+        out = real_blocks(system, blocks)
+        rows[0] += len(out)
+        return out
+
     monkeypatch.setattr(decompose, "_solve_cluster", cluster)
     monkeypatch.setattr(decompose, "_solve_leaf", leaf)
     monkeypatch.setattr(decompose, "eval_residuals", evaluate)
+    monkeypatch.setattr(decompose, "eval_blocks", evaluate_blocks)
     monkeypatch.setattr(numeric, "eval_residuals", evaluate)
     m = zoo.triangle_strip(n)
     tree = top_down(m)
@@ -1011,11 +1021,62 @@ def test_exact_strip_solves_each_leaf_once_and_no_split_node(monkeypatch):
     assert any(n.kind == "split" for n in all_nodes(tree.roots[0]))
 
 
+def test_exact_strip_checks_every_merge_in_one_batched_evaluation(monkeypatch):
+    # one batched call evaluates each merge's open rows once, in the order
+    # the sweep places the merges; the certificate adds the system's rows,
+    # and no merge evaluates its rows on its own, so no second sweep runs
+    batches = []
+    tree, clustered, rows, solved = strip_solve_counts(48, monkeypatch, batches)
+    m = zoo.triangle_strip(48)
+    system = compile_model(m)
+    post_order, stack = [], [(tree.roots[0], False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            post_order.append(node)
+        elif node.children:
+            stack.append((node, True))
+            stack.extend((c, False) for c in reversed(node.children))
+    opened = [decompose._open_rows(m, system, node, [])[0] for node in post_order]
+    assert len(batches) == 1
+    assert batches[0] == [r for r in opened if r]
+    assert rows == sum(map(len, opened)) + system.n_residuals
+    assert len(solved) == len({n.node_id for n in solved}) == 48  # each triangle once
+    assert clustered == []
+
+
 def test_strip_solve_rows_grow_linearly(monkeypatch):
     # a split node that re-solved its whole entity set would make the count
     # quadratic: about four times as many rows on the strip twice as long
     rows = {n: strip_solve_counts(n, monkeypatch)[2] for n in (24, 48)}
     assert rows[48] <= 2.2 * rows[24], rows
+
+
+def moved_copy_solve(m, tree, moved, point, monkeypatch, offset=1e-7):
+    """solve_tree of ``tree`` when the leaf numbered ``moved`` places its
+    copy of ``point`` ``offset`` away along x: the ids of the nodes that
+    reach _solve_cluster, in order, and the sha256 of the hexed solution."""
+    real_leaf, real_cluster = decompose._solve_leaf, decompose._solve_cluster
+    clustered = []
+
+    def leaf(model, system, sketch, node, bond_values, max_iter, tol):
+        got = real_leaf(model, system, sketch, node, bond_values, max_iter, tol)
+        if node.node_id == moved:
+            got = dict(got)
+            got[point] = got[point] + np.array([offset, 0.0])
+        return got
+
+    def cluster(system, solve_sys, node, start, max_iter, tol):
+        clustered.append(node.node_id)
+        return real_cluster(system, solve_sys, node, start, max_iter, tol)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(decompose, "_solve_leaf", leaf)
+        patched.setattr(decompose, "_solve_cluster", cluster)
+        _, solution, cert = solve_tree(m, tree)
+    assert cert.converged
+    digest = hashlib.sha256(json.dumps(hexed(solution), sort_keys=True).encode()).hexdigest()
+    return clustered, digest
 
 
 def test_shared_point_moved_by_its_child_forces_the_parent_to_re_solve(monkeypatch):
@@ -1027,25 +1088,52 @@ def test_shared_point_moved_by_its_child_forces_the_parent_to_re_solve(monkeypat
     root = tree.roots[0]
     assert root.kind == "split" and len(root.children) == 2
     shared = sorted(root.children[0].entities & root.children[1].entities)[-1]
-    real_leaf, real_cluster = decompose._solve_leaf, decompose._solve_cluster
-    clustered = []
+    clustered, digest = moved_copy_solve(m, tree, root.children[1].node_id, shared, monkeypatch)
+    assert clustered == [root.node_id]
+    # the nodes that re-solve and the solution's bits are those the check of
+    # each merge in turn gave, recorded before the open rows were batched:
+    # here, at a split node deep inside a strip, and at a bottom-up merge
+    assert digest == "810b183cea0c27ae37e87a5c58086229bdae050d94c4dbfb4e3ebd885119cac6"
+    strip = zoo.triangle_strip(12)
+    tree = top_down(strip)
+    deep = {n.node_id: n for n in all_nodes(tree.roots[0])}[8]
+    assert deep.kind == "split" and deep.pair == ("P6", "P7") and deep is not tree.roots[0]
+    assert deep.children[1].node_id == 7
+    assert moved_copy_solve(strip, tree, 7, "P6", monkeypatch) == (
+        [8], "344d36e6551c44fc0f06e908158dfc4146003191522cf84e3f9fc45357a47500")
+    # P5 moved by 1.0: only node 8's rows see it, and the bond of its
+    # parent's other child is measured on it, so every node above 8 is off
+    # until 8 re-solves
+    assert moved_copy_solve(strip, tree, 7, "P5", monkeypatch, offset=1.0) == (
+        [8], "9a528abf65ea208055e34ba8bb1ba0d381ec9a45a1410b3fa993a0d6a5d305f8")
+    tree = bottom_up(m)
+    merge = tree.roots[0].children[0]
+    assert merge.kind == "merge" and [c.node_id for c in merge.children] == [1, 2, 4]
+    assert moved_copy_solve(m, tree, 4, "P4", monkeypatch) == (
+        [6], "f65a3699b9c35355ba6ce96784655ceffd15ebaa7c1ea9ac92553417e41702a2")
 
-    def leaf(model, system, sketch, node, bond_values, max_iter, tol):
-        got = real_leaf(model, system, sketch, node, bond_values, max_iter, tol)
-        if node is root.children[1]:
-            got = dict(got)
-            got[shared] = got[shared] + np.array([1e-7, 0.0])
-        return got
 
-    def cluster(system, solve_sys, node, start, max_iter, tol):
-        clustered.append(node.node_id)
-        return real_cluster(system, solve_sys, node, start, max_iter, tol)
+def test_a_sweep_that_fails_after_an_off_merge_runs_again_per_merge(monkeypatch):
+    # the root of bottom-up braced-quad refuses a first child that was placed
+    # rather than re-solved.  When that child's rows are off (its seed 4
+    # moved P4 by 1e-7), a check at each merge re-solves it first, so the
+    # root succeeds as it did with that check; when every row holds, the
+    # failure is the root's own and is raised
+    m = zoo.braced_quad_model()
+    tree = bottom_up(m)
+    root = tree.roots[0]
+    real_assemble = decompose._assemble_merge
 
-    monkeypatch.setattr(decompose, "_solve_leaf", leaf)
-    monkeypatch.setattr(decompose, "_solve_cluster", cluster)
-    _, _, cert = solve_tree(m, tree)
-    assert root.node_id in clustered
-    assert cert.converged
+    def assemble(model, system, node, bodies, *rest):
+        if node is root and bodies[0].parts:
+            raise AlignmentError("placed first child")
+        return real_assemble(model, system, node, bodies, *rest)
+
+    monkeypatch.setattr(decompose, "_assemble_merge", assemble)
+    assert moved_copy_solve(m, tree, 4, "P4", monkeypatch) == (
+        [6], "f65a3699b9c35355ba6ce96784655ceffd15ebaa7c1ea9ac92553417e41702a2")
+    with pytest.raises(AlignmentError, match="placed first child"):
+        solve_tree(m, tree)
 
 
 def test_solve_tree_compiles_the_model_once(slice_trees, monkeypatch):
@@ -1150,17 +1238,24 @@ def test_decomposed_solve_from_poor_starts_keeps_every_triangle(rel):
 
 
 def coordinate_writes(n, monkeypatch):
-    """Entity parameters moved into a frame by one solve_tree of top-down strip(n)."""
+    """Entity parameters moved into a frame by one solve_tree of top-down
+    strip(n): every point moved, and every other entity."""
     m = zoo.triangle_strip(n)
     tree = top_down(m)
     count = [0]
-    real = decompose._Motion.apply
+    real_point, real_apply = decompose._Motion.apply_point, decompose._Motion.apply
 
-    def counting(self, entity, params):
+    def point(self, x, y):
         count[0] += 1
-        return real(self, entity, params)
+        return real_point(self, x, y)
 
-    monkeypatch.setattr(decompose._Motion, "apply", counting)
+    def apply(self, entity, params):
+        # a point is moved, and counted, by apply_point
+        count[0] += entity.kind != "point2"
+        return real_apply(self, entity, params)
+
+    monkeypatch.setattr(decompose._Motion, "apply_point", point)
+    monkeypatch.setattr(decompose._Motion, "apply", apply)
     assert solve_tree(m, tree)[2].converged
     return count[0]
 
@@ -1170,6 +1265,36 @@ def test_recombination_writes_grow_linearly(monkeypatch):
     # times as many writes on a strip four times as long
     writes = {n: coordinate_writes(n, monkeypatch) for n in (100, 400)}
     assert writes[400] <= 4.5 * writes[100], writes
+
+
+def batched_assignment_size(n, monkeypatch):
+    """Length of the assignment the batched open-row check of one solve_tree
+    of top-down strip(n) evaluates on."""
+    sizes = []
+    real_blocks, real_values = decompose.eval_blocks, expr.Plan.values
+
+    def values(plan, x):
+        sizes.append(len(x))
+        return real_values(plan, x)
+
+    def blocks(*args):
+        with monkeypatch.context() as inner:
+            inner.setattr(expr.Plan, "values", values)
+            return real_blocks(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(decompose, "eval_blocks", blocks)
+        m = zoo.triangle_strip(n)
+        assert solve_tree(m, top_down(m))[2].converged
+    assert len(sizes) == 1
+    return sizes[0]
+
+
+def test_batched_check_memory_grows_linearly(monkeypatch):
+    # a stack of one assignment per merge would grow as n^2: 16 times as
+    # long on a strip four times as long
+    sizes = {n: batched_assignment_size(n, monkeypatch) for n in (100, 400)}
+    assert 0 < sizes[400] <= 4.5 * sizes[100], sizes
 
 
 def stack_depth():

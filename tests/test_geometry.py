@@ -38,6 +38,35 @@ def test_fit_rigid_recovers_random_motion(theta, tx, ty):
     assert np.allclose(t2, t, atol=1e-7)
 
 
+def reference_fit(source, target):
+    """The fit as fit_rigid_2d computed it in plain floats before it wrapped
+    fit_rigid_2d_floats: each centroid by sum() over its column."""
+    k = len(source)
+    sx, sy = (sum(col) / k for col in zip(*source))
+    dx, dy = (sum(col) / k for col in zip(*target))
+    num = den = 0.0
+    for (px, py), (qx, qy) in zip(source, target):
+        ax, ay, bx, by = px - sx, py - sy, qx - dx, qy - dy
+        num += ax * by - ay * bx
+        den += ax * bx + ay * by
+    theta = 0.0 if (num == 0.0 and den == 0.0) else math.atan2(num, den)
+    c, s = math.cos(theta), math.sin(theta)
+    return c, s, dx - (c * sx - s * sy), dy - (s * sx + c * sy)
+
+
+@given(angles, shifts, shifts, st.integers(1, 4))
+def test_fit_rigid_floats_matches_the_reference_bit_for_bit(theta, tx, ty, k):
+    # recombination fits in plain floats; the array fit wraps the same core
+    pts = np.random.default_rng(k).normal(size=(k, 2)) * 4.0
+    moved = pts @ geometry.rotation_2d(theta).T + np.array([tx, ty])
+    got = geometry.fit_rigid_2d_floats(pts.tolist(), moved.tolist())
+    assert got == reference_fit(pts.tolist(), moved.tolist())
+    assert all(type(v) is float for v in got)
+    R, t = geometry.fit_rigid_2d(pts, moved)
+    c, s, fx, fy = got
+    assert R.tolist() == [[c, -s], [s, c]] and t.tolist() == [fx, fy]
+
+
 def test_fit_rigid_single_point_is_translation():
     R, t = geometry.fit_rigid_2d([[1.0, 2.0]], [[4.0, -1.0]])
     assert np.allclose(R, np.eye(2))
