@@ -40,14 +40,16 @@ draws it at its seed.
 
 Top-down (2D point/distance scope): a node splits at the lexicographically
 first separation pair (a, b), whose removal disconnects its constraint graph.
-One triconnected decomposition of the root (Hopcroft and Tarjan's path
-search, :func:`structural.triconnectivity`) yields every pair in linear time.
-When a 2-connected node splits at (a, b), a child that holds the edge ab, or
-a virtual bond in its place, has exactly the node's pairs inside it, minus
-(a, b); so children inherit their pairs, and only a child of a node with a
-cut vertex, or one with neither, is decomposed anew.  Each child comes from a
-search that stops once only the largest piece is left, which keeps the
-node's graph.  The pair is duplicated into each side, and a child that
+One triconnected decomposition of a 2-connected node (Hopcroft and Tarjan's
+path search, :func:`structural.triconnectivity`) yields every pair in linear
+time.  When a 2-connected node splits at (a, b), a child that holds the edge
+ab, or a virtual bond in its place, has exactly the node's pairs inside it,
+minus (a, b); so children inherit their pairs, and only a child of a node
+with a cut vertex, or one with neither, is decomposed anew.  A node that is
+not 2-connected gets only its first pair, from at most two searches of its
+graph, so a chain of blocks is decomposed once per level.  Each child comes
+from a search that stops once only the largest piece is left, which keeps
+the node's graph.  The pair is duplicated into each side, and a child that
 cannot fix the pair's separation on its own receives a virtual distance bond
 whose value is measured from the first solved sibling.  Splitting goes on
 until triangles (or irreducible cores) remain; a node of k <= 3 points with
@@ -375,7 +377,9 @@ def top_down(model: Model) -> ClusterTree:
     The pairs come from one triconnected decomposition that the descendants
     inherit (:class:`structural.SeparationPairs`); only the root, a child of
     a node with a cut vertex, and a child that holds neither the edge ab nor
-    a bond for it are decomposed anew.  A node of k <= 3 entities is a
+    a bond for it are decomposed anew.  A node that is not 2-connected has
+    only its first pair found (:func:`structural.triconnectivity`), at the
+    cost of at most two linear searches.  A node of k <= 3 entities is a
     triangle when it holds at least 2k - 3 rows (constraints and virtual
     bonds), and under-constrained (kind ``under``) otherwise; a larger node
     without a pair is irreducible.
@@ -480,15 +484,14 @@ def top_down(model: Model) -> ClusterTree:
         if part.pairs:
             pair = part.pairs[0].pop(part.pairs[1], part.verts)
         else:
-            tri = structural.triconnectivity(list(part.verts), [
+            tri = structural.triconnectivity(sorted(part.verts, key=rank.__getitem__), [
                 (a, b) for a in part.adj for b in part.adj[a] if rank[a] < rank[b]])
             if tri.biconnected:
                 found = structural.SeparationPairs(tri, rank)
                 part.pairs = (found, found.heap(part.verts, part.verts))
                 pair = found.pop(part.pairs[1], part.verts)
             else:
-                pair = tri.first_pair(sorted(part.verts, key=rank.__getitem__))
-                loose = tri.roots
+                pair, loose = tri.first, tri.roots
         if pair is None:
             return new_node("irreducible", part.verts, part.cons, bonds=bonds_of(part))
         return split(part, *pair, loose)

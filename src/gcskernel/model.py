@@ -264,6 +264,8 @@ def validate(model: Model) -> list[Violation]:
             out.append(Violation("unresolved-reference", c.id, f"references unknown entity {eid!r}"))
         if missing:
             continue
+        if len(set(c.entities)) < len(c.entities):
+            out.append(Violation("repeated-entity", c.id, f"names an entity twice: {list(c.entities)}"))
         tags = tuple(by_id[eid].kind for eid in c.entities)
         if tags not in sigs:
             out.append(Violation("bad-signature", c.id,

@@ -71,6 +71,18 @@ def test_invalid_model_reports_every_violation_once(capsys, corpus_dir, tmp_path
 
 
 @pytest.mark.parametrize("command", ["check", "solve"])
+def test_constraint_naming_one_entity_twice_exits_1(capsys, corpus_dir, tmp_path, command):
+    data = json.loads((corpus_dir / "triangle.json").read_text())
+    data["constraints"][0]["entities"] = [data["entities"][0]["id"]] * 2
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(data))
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"model {path} does not validate: repeated-entity[d1]: ")
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
 @pytest.mark.parametrize("where", ["params", "value"])
 def test_non_finite_numbers_exit_1(capsys, corpus_dir, tmp_path, command, where, bad):

@@ -585,6 +585,11 @@ def henneberg_graphs(draw):
 @example(graph(5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (1, 4)]))
 @example(graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 2), (3, 5)]))
 @example(graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+# P0 has no partner, so the first pair starts at P1: P0 isolated beside a K4,
+# and P0 hanging from one vertex of it; then three components
+@example(graph(5, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]))
+@example(graph(5, [(0, 1), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]))
+@example(graph(6, [(1, 2), (3, 4), (4, 5), (3, 5)]))
 def test_inherited_split_matches_pair_scan_on_deep_trees(model):
     assert top_down(model).to_json_dict() == pair_scan_top_down(model).to_json_dict()
 

@@ -80,6 +80,12 @@ def test_duplicate_constraint_and_ids():
     assert any(v.code == "duplicate-entity-id" for v in validate(Model(2, dup, ())))
 
 
+@pytest.mark.parametrize("kind, value", [("distance-pp", 1.0), ("coincident", None)])
+def test_constraint_naming_one_entity_twice_rejected(kind, value):
+    m = Model(2, (Entity("D", "point2", (0.0, 0.0)),), (Constraint("c", kind, ("D", "D"), value),))
+    assert [(v.code, v.subject) for v in validate(m)] == [("repeated-entity", "c")]
+
+
 def test_params_length_and_dimension_checks():
     m = Model(2, (Entity("P1", "point2", (1.0,)),), ())
     assert any(v.code == "bad-params-length" for v in validate(m))

@@ -17,7 +17,7 @@ from gcskernel import (
     max_matching,
     scc_plan,
 )
-from gcskernel import zoo
+from gcskernel import structural, zoo
 from gcskernel.structural import CountingVerdict, pieces_apart, triconnectivity
 from gcskernel.model import CONSTRAINT_KINDS, Constraint, Entity, Model, load_model
 
@@ -588,11 +588,30 @@ def biconnected_graphs(draw, max_size=12):
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(multigraphs())
-def test_triconnectivity_separates_exactly_the_pairs_a_search_splits(graph):
+def test_triconnectivity_finds_the_first_pair_a_search_splits(graph):
     vertices, edges = graph
     tri = triconnectivity(vertices, edges)
-    for a, b in combinations(vertices, 2):
-        assert tri.separates(a, b) == (len(pieces_without(vertices, edges, {a, b})) >= 2)
+    components = pieces_without(vertices, edges, set())
+    assert sorted(map(components.index, (c for r in tri.roots for c in components if r in c))) \
+        == list(range(len(components)))
+    assert tri.biconnected == (len(components) == 1 and all(
+        len(pieces_without(vertices, edges, {v})) <= 1 for v in vertices))
+    splits = [(a, b) for a, b in combinations(vertices, 2)
+              if len(pieces_without(vertices, edges, {a, b})) >= 2]
+    assert tri.first == (None if tri.biconnected or not splits else splits[0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(multigraphs(min_size=4))
+def test_triconnectivity_searches_a_graph_at_most_twice(graph):
+    # one search from the first vertex, and one from the second when the
+    # graph is not 2-connected and the first vertex has no partner
+    searches = []
+    palm = structural._Palm
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(structural, "_Palm", lambda *args: searches.append(args) or palm(*args))
+        tri = triconnectivity(*graph)
+    assert len(searches) <= (1 if tri.biconnected else 2)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
