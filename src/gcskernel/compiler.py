@@ -12,7 +12,10 @@ on first use.
 
 Each row is written once, straight onto a :class:`~.expr.Tape`:
 :func:`compile_model`, :func:`add_constraints`, :func:`add_anchors` and
-:func:`linear_system` write one tape for the rows they add.  A system holds
+:func:`linear_system` write one tape for the rows they add, and
+:func:`add_constraints` writes only the first constraint of each signature
+through terms: it keeps that constraint's rows as a template and stamps
+every later one from it (:meth:`~.expr.Tape.stamp`).  A system holds
 the tape segments of its rows, and the systems derived from it share its
 column map and the tapes of the rows they keep, so deriving a system costs
 only its own rows.  :meth:`ResidualSystem.select` derives the system of a
@@ -214,28 +217,36 @@ def _offset(plane: Entity, v: list[ex.Term], p: Sequence[ex.Term]) -> ex.Term:
     return ex.dot(v[3:6], [p[i] - v[i] for i in range(3)])
 
 
-def _direction_of(entity: Entity, v: list[ex.Term],
-                  full_cross: bool = True) -> tuple[list[ex.Term], Sequence[int]]:
-    """The direction operands of a 3D line or plane, and the cross-product
-    components a constraint on that direction emits: all three with
-    ``full_cross``, else all but the one along the dominant axis of the
-    sketch direction (the last axis without one).  The cross product of
-    near-parallel vectors is orthogonal to them, so that component carries
-    no information."""
+def _dropped_axis(entity: Entity) -> int:
+    """The dominant axis of a 3D line's or plane's sketch direction (the last
+    axis without one): the cross product of near-parallel vectors is
+    orthogonal to them, so that component carries no information."""
     lo = 0 if entity.spec.representation == HESSIAN else 3
-    if full_cross:
-        return v[lo:lo + 3], range(3)
     d0 = np.array(entity.params[lo:lo + 3] if entity.params is not None else [0.0] * 3,
                   dtype=float)
     norm = np.linalg.norm(d0)
-    drop = int(np.argmax(np.abs(d0 / norm))) if norm > 1e-12 else 2
+    return int(np.argmax(np.abs(d0 / norm))) if norm > 1e-12 else 2
+
+
+def _direction_of(entity: Entity, v: list[ex.Term],
+                  drop: int | None = None) -> tuple[list[ex.Term], Sequence[int]]:
+    """The direction operands of a 3D line or plane, and the cross-product
+    components a constraint on that direction emits: all but ``drop``."""
+    lo = 0 if entity.spec.representation == HESSIAN else 3
     return v[lo:lo + 3], [i for i in range(3) if i != drop]
 
 
+# 3D kinds whose rows are cross-product components -> the entity whose
+# sketch direction picks the component left out (:func:`_dropped_axis`)
+_CROSSED = {"parallel": 0, "point-on-line": 1}
+
+
 def _emit_constraint(model: Model, c: Constraint, env: dict[str, list[ex.Term]],
-                     full_cross: bool = False) -> Iterator[ex.Term]:
-    """Write the constraint's rows and yield each root; the caller ends the
-    row before the next one is written."""
+                     drop: int | None) -> Iterator[ex.Term]:
+    """Write the left side of each of the constraint's rows (less
+    :func:`_constants`) and yield its root; the caller ends the row before
+    the next one is written.  A 3D ``_CROSSED`` kind leaves out component
+    ``drop``, or none when it is None."""
     dim = model.dimension
     ents = [model.entity(eid) for eid in c.entities]
     v = [env[eid] for eid in c.entities]
@@ -243,12 +254,12 @@ def _emit_constraint(model: Model, c: Constraint, env: dict[str, list[ex.Term]],
 
     if kind == "distance-pp":
         diff = [v[1][i] - v[0][i] for i in range(dim)]
-        yield ex.dot(diff, diff) - c.value * c.value
+        yield ex.dot(diff, diff)
 
     elif kind in ("distance-pl", "point-on-line") and dim == 2:
         (px, py), (phi, rho) = v
         signed = px * ex.cos(phi) + py * ex.sin(phi) - rho
-        yield signed if kind == "point-on-line" else ex.square(signed) - c.value * c.value
+        yield signed if kind == "point-on-line" else ex.square(signed)
 
     elif kind in ("distance-pl", "distance-ll") and dim == 3:
         # from the point to the line, or from line 2's point to line 1 (the
@@ -256,36 +267,33 @@ def _emit_constraint(model: Model, c: Constraint, env: dict[str, list[ex.Term]],
         p, lv = v if kind == "distance-pl" else v[::-1]
         rel = [p[i] - lv[i] for i in range(3)]
         cr = [_cross(rel, lv[3:6], i) for i in range(3)]
-        yield ex.dot(cr, cr) - c.value * c.value
+        yield ex.dot(cr, cr)
 
     elif kind == "distance-ll":
-        yield ex.square(v[0][1] - v[1][1]) - c.value * c.value
+        yield ex.square(v[0][1] - v[1][1])
 
     elif kind == "distance-pplane":
-        yield ex.square(_offset(ents[1], v[1], v[0])) - c.value * c.value
+        yield ex.square(_offset(ents[1], v[1], v[0]))
 
     elif kind == "distance-planeplane":
         if ents[0].spec.representation == HESSIAN and ents[1].spec.representation == HESSIAN:
-            delta = v[0][3] - ex.dot(v[0][0:3], v[1][0:3]) * v[1][3]
-            yield ex.square(delta) - c.value * c.value
+            yield ex.square(v[0][3] - ex.dot(v[0][0:3], v[1][0:3]) * v[1][3])
         else:
             # in the point-normal scheme the offset of plane 2's point from plane 1
-            yield ex.square(_offset(ents[0], v[0], v[1][0:3])) - c.value * c.value
+            yield ex.square(_offset(ents[0], v[0], v[1][0:3]))
 
     elif kind == "angle-ll" and dim == 2:
-        target = math.pi - c.value
-        yield ex.square(v[0][0] - v[1][0]) - target * target
+        yield ex.square(v[0][0] - v[1][0])
 
     elif kind in ("parallel", "perpendicular") and dim == 2:
         yield (ex.sin if kind == "parallel" else ex.cos)(v[0][0] - v[1][0])
 
-    elif kind in ("angle-ll", "angle-planeplane", "perpendicular"):  # 3D
-        cosine = ex.dot(_direction_of(ents[0], v[0])[0], _direction_of(ents[1], v[1])[0])
-        yield cosine if kind == "perpendicular" else cosine - math.cos(c.value)
+    elif kind in ("angle-ll", "angle-planeplane", "perpendicular"):  # 3D: the cosine
+        yield ex.dot(_direction_of(ents[0], v[0])[0], _direction_of(ents[1], v[1])[0])
 
     elif kind == "point-on-line":
         p, lv = v
-        for i in _direction_of(ents[1], lv, full_cross)[1]:
+        for i in _direction_of(ents[1], lv, drop)[1]:
             # p - l, on this row, at the two indices component i reads
             rel = {j: p[j] - lv[j] for j in ((i + 1) % 3, (i + 2) % 3)}
             yield _cross(rel, lv[3:6], i)
@@ -294,17 +302,31 @@ def _emit_constraint(model: Model, c: Constraint, env: dict[str, list[ex.Term]],
         yield _offset(ents[1], v[1], v[0])
 
     elif kind == "parallel":
-        u1, kept = _direction_of(ents[0], v[0], full_cross)
+        u1, kept = _direction_of(ents[0], v[0], drop)
         u2, _ = _direction_of(ents[1], v[1])
         for i in kept:
             yield _cross(u1, u2, i)
 
     elif kind in ("coincident", "fix"):
         for i in range(dim):
-            yield v[0][i] - (v[1][i] if kind == "coincident" else float(ents[0].params[i]))
+            yield v[0][i] - v[1][i] if kind == "coincident" else v[0][i]
 
     else:
         raise CompileError(f"unsupported constraint kind {kind!r}")
+
+
+def _constants(model: Model, c: Constraint) -> tuple[float, ...]:
+    """The number each row of ``c`` subtracts from the left side that
+    :func:`_emit_constraint` writes, or none: a distance's square, (pi - v)^2
+    for a 2D angle, cos v for a 3D one, a ``fix``'s sketch coordinates."""
+    if c.kind == "fix":
+        return tuple(map(float, model.entity(c.entities[0]).params[:model.dimension]))
+    value_kind = getattr(CONSTRAINT_KINDS.get(c.kind), "value_kind", None)
+    if value_kind == "distance":
+        return (c.value * c.value,)
+    if value_kind == "angle" and model.dimension == 2:
+        return ((math.pi - c.value) * (math.pi - c.value),)
+    return (math.cos(c.value),) if value_kind == "angle" else ()
 
 
 def compile_model(model: Model) -> ResidualSystem:
@@ -335,6 +357,14 @@ def compile_model(model: Model) -> ResidualSystem:
     return system._extend(tape, rows)
 
 
+# The rows of each constraint signature: every input the emitter branches on
+# (kind, dimension, the dropped cross-product component or None, and each
+# entity's kind and representation) -> per row, its structure, each var
+# node's position among the columns of the constraint's entities, and the
+# constants of its left side.  A template is complete when it is stored.
+_TEMPLATES: dict[tuple, tuple[tuple[int, tuple[int, ...], tuple[float, ...]], ...]] = {}
+
+
 def add_constraints(system: ResidualSystem, model: Model, constraints: Sequence[Constraint],
                     full_cross: bool = False) -> ResidualSystem:
     """Append the residual rows of constraints on the entities of ``model``.
@@ -342,17 +372,41 @@ def add_constraints(system: ResidualSystem, model: Model, constraints: Sequence[
     :func:`compile_model` emits the model's own constraints this way, and
     decomposition appends virtual distance bonds to a compiled system.
     ``full_cross`` emits every cross-product component (:func:`full_cross`).
+    The first constraint of a signature is emitted through terms, and the
+    others stamp its rows with their own columns and constants.  A
+    constraint that names an entity twice raises :class:`CompileError`.
     """
     columns = system.columns
+    dim = model.dimension
     tape = ex.Tape()
-    named = {eid for c in constraints for eid in c.entities}
-    env = {eid: [tape.var(j) for j in columns[eid]] for eid in named if eid in columns}
+    kinds: dict[str, tuple] = {}  # each entity's part of the key
     rows = []
     for c in constraints:
-        before = len(tape.rows)
-        for root in _emit_constraint(model, c, env, full_cross=full_cross):
-            tape.end_row(root)
-        n = len(tape.rows) - before
+        if len(set(c.entities)) < len(c.entities):
+            raise CompileError(f"constraint {c.id!r} names an entity twice: {list(c.entities)}")
+        for eid in c.entities:
+            if eid not in kinds:
+                e = model.entity(eid)
+                kinds[eid] = (e.kind, e.representation)
+        crossed = _CROSSED.get(c.kind) if dim == 3 and not full_cross else None
+        drop = None if crossed is None else _dropped_axis(model.entity(c.entities[crossed]))
+        key = (c.kind, dim, drop, *[kinds[eid] for eid in c.entities])
+        flat = [j for eid in c.entities for j in columns[eid]]
+        constants = _constants(model, c)
+        template = _TEMPLATES.get(key)
+        if template is None:
+            env = {eid: [tape.var(j) for j in columns[eid]] for eid in c.entities}
+            for k, lhs in enumerate(_emit_constraint(model, c, env, drop)):
+                tape.end_row(lhs - constants[k] if constants else lhs)
+            at = {j: k for k, j in enumerate(flat)}
+            _TEMPLATES[key] = tuple(
+                (shape, tuple(at[j] for j in reads), tuple(values[:-1] if constants else values))
+                for shape, reads, values, _ in tape.rows[len(rows):])
+        else:
+            for k, (shape, offsets, values) in enumerate(template):
+                tape.stamp(shape, [flat[o] for o in offsets],
+                           [*values, float(constants[k])] if constants else list(values))
+        n = len(tape.rows) - len(rows)
         singular = CONSTRAINT_KINDS[c.kind].singular
         rows += [(c.id if n == 1 else f"{c.id}[{k}]", "constraint", c.id, singular)
                  for k in range(n)]
@@ -366,7 +420,7 @@ def full_cross(system: ResidualSystem, model: Model) -> ResidualSystem:
     keep compile order (constraints in model order, then ``system``'s other
     rows); a system with no such constraint is returned as it is."""
     crossed = {c.id: c for c in model.constraints
-               if model.dimension == 3 and c.kind in ("parallel", "point-on-line")}
+               if model.dimension == 3 and c.kind in _CROSSED}
     if not crossed:
         return system
     n = system.n_residuals

@@ -9,7 +9,8 @@ the row once, when it is written, and a leaf (a variable or a number) at
 each use, so a row holds its ops in topological order and ends at its root.
 A tape interns each row's opcode, argument-slot and depth arrays, so that
 rows of equal structure share them, and keeps the row's variables and
-constants.
+constants; a row of a structure already interned can be stamped from those
+alone, without its terms.
 
 A :class:`Plan` gathers the ops of a selection of rows, from one tape or
 several, orders them by depth and opcode and runs them vectorised over the
@@ -106,7 +107,8 @@ class Tape:
     ``const`` node, in node order.  ``rows[i]`` is (structure, variables of
     the var nodes, values of the const nodes, the row's distinct variables
     by first appearance, one per gradient slot); ``variables[i]`` lists the
-    distinct variables in ascending order.
+    distinct variables in ascending order.  :meth:`stamp` appends a row
+    from its structure and payload alone.
     """
 
     def __init__(self):
@@ -168,6 +170,15 @@ class Tape:
         self.rows.append((shape, self._var_index, self._const_value, tuple(slots)))
         self.variables.append(tuple(sorted(slots)))
         self._begin()
+
+    def stamp(self, shape: int, variables: list[int], constants: list[float]) -> None:
+        """Append a row of the interned structure ``shape`` whose var nodes
+        read ``variables`` and whose const nodes hold ``constants``, in node
+        order: the row its terms would write, when equal variables fall on
+        equal gradient slots of the structure."""
+        slots = tuple(dict.fromkeys(variables))
+        self.rows.append((shape, variables, constants, slots))
+        self.variables.append(tuple(sorted(slots)))
 
     def ops(self, i: int) -> Iterator[tuple[int, int, int, float | int | None]]:
         """Row ``i``'s nodes in order, as (opcode, first operand, second

@@ -278,7 +278,7 @@ def validate(model: Model) -> list[Violation]:
             elif spec.value_kind == "distance" and not c.value > 0.0:
                 out.append(Violation("zero-distance", c.id,
                                      "distance must be > 0; use coincident for zero distance"))
-            elif spec.value_kind == "angle" and not (0.0 < c.value < 3.14159265358979 + 1e-12):
+            elif spec.value_kind == "angle" and not 0.0 < c.value < math.pi:
                 out.append(Violation("bad-angle", c.id, "angle must lie in (0, pi)"))
         elif c.value is not None:
             out.append(Violation("unexpected-value", c.id, f"{c.kind} takes no parameter value"))

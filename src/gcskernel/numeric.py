@@ -42,6 +42,7 @@ decomposed solve's clusters).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import mul
 
 import numpy as np
@@ -147,17 +148,34 @@ class _BlockStep:
     (equations, variables) pairs in solve order, both as positions in the
     sliced Jacobian.  A step solves the diagonal blocks in plan order,
     ``J[e, v] step[v] = -r[e] - J[e, :] @ step``, where only the variables of
-    earlier blocks are set yet.  The index arrays are built once and serve
-    every step of a solve.
+    earlier blocks are set yet.  The index arrays that only a step reads
+    are built at the first step and serve every step of a solve.
     """
 
     def __init__(self, adjacency, blocks):
         self.n = len(adjacency)
-        self.plan = []  # per block: its variables and, per equation, (row, lo, hi)
-        dep_rows: list[int] = []  # entries lo..hi-1: the equation's earlier-block columns
-        dep_cols: list[int] = []
+        self.adjacency = adjacency
+        self.blocks = blocks
         sizes: dict[int, list[int]] = {}  # block size -> positions in the plan
-        for position, (eqs, vs) in enumerate(blocks):
+        for position, (_, vs) in enumerate(blocks):
+            sizes.setdefault(len(vs), []).append(position)
+        # the blocks of one size are gathered, checked and inverted in one call
+        self.groups = [
+            (size, positions,
+             np.array([blocks[p][0] for p in positions], dtype=np.intp)[:, :, None],
+             np.array([blocks[p][1] for p in positions], dtype=np.intp)[:, None, :])
+            for size, positions in sorted(sizes.items())]
+
+    @cached_property
+    def _substitution(self):
+        """Per block, its variables and, per equation, (row, lo, hi); the
+        off-block (rows, columns) index arrays; and those columns as a list.
+        Entries lo..hi-1 are the equation's earlier-block columns."""
+        adjacency = self.adjacency
+        plan = []
+        dep_rows: list[int] = []
+        dep_cols: list[int] = []
+        for eqs, vs in self.blocks:
             own = set(vs)
             spans = []
             for e in eqs:
@@ -167,16 +185,8 @@ class _BlockStep:
                         dep_rows.append(e)
                         dep_cols.append(v)
                 spans.append((e, lo, len(dep_rows)))
-            self.plan.append((vs, spans))
-            sizes.setdefault(len(vs), []).append(position)
-        self.dep_vars = dep_cols
-        self.dep = (np.array(dep_rows, dtype=np.intp), np.array(dep_cols, dtype=np.intp))
-        # the blocks of one size are gathered, checked and inverted in one call
-        self.groups = [
-            (size, positions,
-             np.array([blocks[p][0] for p in positions], dtype=np.intp)[:, :, None],
-             np.array([blocks[p][1] for p in positions], dtype=np.intp)[:, None, :])
-            for size, positions in sorted(sizes.items())]
+            plan.append((vs, spans))
+        return plan, np.array([dep_rows, dep_cols], dtype=np.intp), dep_cols
 
     def margins(self, J: np.ndarray, cols: np.ndarray,
                 rel_tol: float = RANK_REL_TOL) -> np.ndarray:
@@ -185,7 +195,7 @@ class _BlockStep:
         columns at ``J``'s columns ``cols`` (gathered without copying the
         slice); all 0 when ``J`` has a non-finite entry."""
         if not np.isfinite(J).all():
-            return np.zeros(len(self.plan))
+            return np.zeros(len(self.blocks))
         out = [np.zeros(0)]
         for _, _, E, V in self.groups:
             s = np.linalg.svd(J[E, cols[V]], compute_uv=False)
@@ -196,7 +206,8 @@ class _BlockStep:
         """The step s with J s = -r, or None when a diagonal block is not
         finite or rank-deficient (:func:`rank_of`), or the step is not
         finite."""
-        solvers: list = [None] * len(self.plan)
+        plan, dep, dep_vars = self._substitution
+        solvers: list = [None] * len(plan)
         for size, positions, E, V in self.groups:
             A = J[E, V]
             if not np.isfinite(A).all() or (rank_of(A) < size).any():
@@ -210,11 +221,10 @@ class _BlockStep:
                     return None
             for p, inverse in zip(positions, inverses):
                 solvers[p] = inverse
-        off = J[self.dep].tolist()
+        off = J[dep[0], dep[1]].tolist()
         rhs0 = (-r).tolist()
-        dep_vars = self.dep_vars
         y = [0.0] * self.n
-        for (vs, spans), solver in zip(self.plan, solvers):
+        for (vs, spans), solver in zip(plan, solvers):
             rhs = []
             for e, lo, hi in spans:
                 acc = rhs0[e]

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gcskernel import eval_jacobian, eval_residuals, zoo
+from gcskernel import compiler, eval_jacobian, eval_residuals, zoo
 from gcskernel import expr as ex
 from gcskernel.model import Constraint, Entity, Model
 
@@ -14,6 +14,14 @@ CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 @pytest.fixture(scope="session")
 def corpus_dir() -> Path:
     return CORPUS
+
+
+@pytest.fixture
+def empty_templates(monkeypatch):
+    """An empty constraint-row template cache for one test: its first
+    constraint of each signature is emitted through terms, whatever ran
+    before it."""
+    monkeypatch.setattr(compiler, "_TEMPLATES", {})
 
 
 # The reference the tape's evaluation is checked against: a scalar forward

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcskernel import (
     AnchorError,
     CompileError,
+    Constraint,
     Entity,
     Model,
     add_anchors,
@@ -19,7 +21,8 @@ from gcskernel import (
     rank_analyze,
 )
 from gcskernel import compiler, expr as ex
-from gcskernel.compiler import Residual, ResidualSystem, Variable
+from gcskernel.compiler import Residual, ResidualSystem, Variable, add_constraints
+from gcskernel.model import CONSTRAINT_KINDS
 from gcskernel import zoo
 
 from conftest import assert_jacobian_matches_fd, cross_product_models, point_on_line_3d_model
@@ -274,3 +277,113 @@ def test_eval_blocks_matches_each_block_on_its_own(m):
     assert compiler.eval_blocks(system, []).size == 0
     with pytest.raises(IndexError):
         compiler.eval_blocks(system, [([n], blocks[0][1])])
+
+
+class _Forgetful(dict):
+    """A template cache that stores nothing, so every constraint is emitted
+    through terms."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _direction(draw, axis):
+    """Three components whose largest magnitude is at ``axis``; all zero,
+    which drops the last axis, when ``axis`` is None."""
+    if axis is None:
+        return [0.0, 0.0, 0.0]
+    d = [draw(st.floats(-0.9, 0.9)) for _ in range(3)]
+    d[axis] = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.0, 3.0))
+    return d
+
+
+@st.composite
+def every_signature_models(draw):
+    """A valid model holding one to three constraints of every kind on every
+    entity signature of its dimension, over entity pools of every kind and
+    plane representation, each 3D direction dominant along a drawn axis."""
+    dim = draw(st.sampled_from([2, 3]))
+    coord = st.floats(-5.0, 5.0)
+    pools: dict[str, list[Entity]] = {}
+
+    def add(tag, entity):
+        pools.setdefault(tag, []).append(entity)
+
+    for k in range(4):
+        add(f"point{dim}", Entity(f"P{k}", f"point{dim}", tuple(draw(coord) for _ in range(dim))))
+        if dim == 2:
+            add("line2", Entity(f"L{k}", "line2", (draw(st.floats(-3.0, 3.0)), draw(coord))))
+            continue
+        axis = draw(st.sampled_from([0, 1, 2, None]))
+        add("line3", Entity(f"N{k}", "line3",
+                            (*[draw(coord) for _ in range(3)], *_direction(draw, axis))))
+        axis = draw(st.sampled_from([0, 1, 2, None]))
+        add("plane3", Entity(f"H{k}", "plane3", (*_direction(draw, axis), draw(coord)),
+                             "hessian") if k % 2 else
+            Entity(f"Q{k}", "plane3", (*[draw(coord) for _ in range(3)],
+                                       *_direction(draw, axis)), "point-normal"))
+    constraints = []
+    payloads = set()
+    for kind, spec in sorted(CONSTRAINT_KINDS.items()):
+        for signature in spec.signatures.get(dim, ()):
+            for _ in range(draw(st.integers(1, 3))):
+                ids: list[str] = []
+                for tag in signature:
+                    ids.append(draw(st.sampled_from([e.id for e in pools[tag]
+                                                     if e.id not in ids])))
+                value = None
+                if spec.value_kind == "distance":
+                    value = draw(st.floats(0.1, 10.0))
+                elif spec.value_kind == "angle":
+                    value = draw(st.floats(0.05, 3.0))
+                if (kind, frozenset(ids), value) not in payloads:
+                    payloads.add((kind, frozenset(ids), value))
+                    constraints.append(Constraint(f"c{len(constraints)}", kind, tuple(ids), value))
+    entities = tuple(e for pool in pools.values() for e in pool)
+    return Model(dim, entities, tuple(constraints))
+
+
+def _listing(system):
+    """Everything a system's rows hold: tape rows, their variables, residual
+    names and the equation listing."""
+    return ([(tape.rows[i], tape.variables[i]) for tape, rows in system.segments for i in rows],
+            [r.name for r in system.residuals], dump_equations(system))
+
+
+def _both_cross_modes(m):
+    system = compile_model(m)
+    return _listing(system), _listing(add_constraints(system, m, m.constraints, full_cross=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(every_signature_models())
+def test_stamped_rows_equal_direct_emission(m):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compiler, "_TEMPLATES", _Forgetful())
+        direct = _both_cross_modes(m)
+        mp.setattr(compiler, "_TEMPLATES", {})
+        cold = _both_cross_modes(m)  # the first of each signature emitted, the rest stamped
+        warm = _both_cross_modes(m)  # every row stamped
+    assert cold == direct
+    assert warm == direct
+
+
+def test_a_strip_runs_the_emitter_once(empty_templates, monkeypatch):
+    calls = []
+    real = compiler._emit_constraint
+
+    def counting(model, c, *args, **kwargs):
+        calls.append(c.id)
+        return real(model, c, *args, **kwargs)
+
+    monkeypatch.setattr(compiler, "_emit_constraint", counting)
+    compile_model(zoo.triangle_strip(200))
+    assert len(calls) == 1
+
+
+def test_add_constraints_refuses_a_constraint_naming_an_entity_twice():
+    m = zoo.triangle_strip(2)
+    system = compile_model(m)
+    with pytest.raises(CompileError, match="names an entity twice"):
+        add_constraints(system, m, [Constraint("bond", "distance-pp", ("P1", "P1"), 1.0)])
+

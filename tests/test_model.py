@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -69,6 +70,17 @@ def test_bad_angle_and_missing_value():
     assert any(v.code == "bad-angle" for v in validate(m))
     m = Model(2, ents, (Constraint("a", "angle-ll", ("L1", "L2")),))
     assert any(v.code == "missing-value" for v in validate(m))
+
+
+@pytest.mark.parametrize("value, codes", [
+    (math.pi, ["bad-angle"]),
+    (math.pi + 5e-13, ["bad-angle"]),
+    (math.nextafter(math.pi, 0.0), []),
+])
+def test_angle_must_lie_below_pi(value, codes):
+    ents = (Entity("L1", "line2", (0.0, 0.0)), Entity("L2", "line2", (1.0, 0.0)))
+    m = Model(2, ents, (Constraint("a", "angle-ll", ("L1", "L2"), value),))
+    assert [v.code for v in validate(m)] == codes
 
 
 def test_duplicate_constraint_and_ids():

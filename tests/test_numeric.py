@@ -518,6 +518,20 @@ def test_block_newton_matches_lstsq_newton_on_jittered_strips(n, monkeypatch):
     assert len(plans) == 1
 
 
+def test_margins_leave_the_substitution_arrays_to_the_first_step():
+    # a witness certificate reads only the diagonal blocks
+    model = zoo.triangle_strip(24)
+    system = anchored(model)
+    x = jittered_start(model, system, seed=1)
+    cols = np.arange(system.n_variables)
+    block_step = numeric._block_step(system, cols)
+    J = eval_jacobian(system, x)
+    assert (block_step.margins(J, cols) > numeric.RANK_GAP).all()
+    assert "_substitution" not in vars(block_step)
+    assert block_step(J, eval_residuals(system, x)) is not None
+    assert "_substitution" in vars(block_step)
+
+
 def test_block_steps_start_at_the_row_threshold(monkeypatch):
     plans = []
     monkeypatch.setattr(numeric, "scc_plan", lambda *a: plans.append(a) or scc_plan(*a))
