@@ -15,7 +15,9 @@ Each row is written once, straight onto a :class:`~.expr.Tape`:
 :func:`linear_system` write one tape for the rows they add, and
 :func:`add_constraints` writes only the first constraint of each signature
 through terms: it keeps that constraint's rows as a template and stamps
-every later one from it (:meth:`~.expr.Tape.stamp`).  A system holds
+every later one from it (:meth:`~.expr.Tape.stamp`).  :func:`compile_model`
+does the same for the normalization rows of each entity kind and
+representation.  A system holds
 the tape segments of its rows, and the systems derived from it share its
 column map and the tapes of the rows they keep, so deriving a system costs
 only its own rows.  :meth:`ResidualSystem.select` derives the system of a
@@ -350,10 +352,23 @@ def compile_model(model: Model) -> ResidualSystem:
     tape = ex.Tape()
     rows = []
     for e in model.entities:
-        for group in e.spec.unit_groups:
-            vec = [tape.var(columns[e.id][i]) for i in group]
-            tape.end_row(ex.dot(vec, vec) - 1.0)
-            rows.append((f"unit:{e.id}", "normalization", e.id, True))
+        groups = e.spec.unit_groups
+        if not groups:
+            continue
+        flat = columns[e.id]
+        key = ("unit", e.kind, e.representation)
+        template = _TEMPLATES.get(key)
+        if template is None:
+            for group in groups:
+                vec = [tape.var(flat[i]) for i in group]
+                tape.end_row(ex.dot(vec, vec) - 1.0)
+            at = {j: k for k, j in enumerate(flat)}
+            _TEMPLATES[key] = tuple((shape, tuple(at[j] for j in reads), tuple(values))
+                                    for shape, reads, values, _ in tape.rows[-len(groups):])
+        else:
+            for shape, offsets, values in template:
+                tape.stamp(shape, [flat[o] for o in offsets], list(values))
+        rows += [(f"unit:{e.id}", "normalization", e.id, True)] * len(groups)
     return system._extend(tape, rows)
 
 
@@ -361,7 +376,9 @@ def compile_model(model: Model) -> ResidualSystem:
 # (kind, dimension, the dropped cross-product component or None, and each
 # entity's kind and representation) -> per row, its structure, each var
 # node's position among the columns of the constraint's entities, and the
-# constants of its left side.  A template is complete when it is stored.
+# constants of its left side; and the normalization rows of each entity
+# kind and representation, keyed ("unit", kind, representation), with
+# their constants.  A template is complete when it is stored.
 _TEMPLATES: dict[tuple, tuple[tuple[int, tuple[int, ...], tuple[float, ...]], ...]] = {}
 
 
@@ -505,32 +522,32 @@ def eval_residuals(system: ResidualSystem, assignment: Sequence[float]) -> np.nd
 
 
 def eval_blocks(system: ResidualSystem,
-                blocks: Iterable[tuple[Sequence[int], Mapping[str, Sequence[float]]]]
-                ) -> np.ndarray:
+                blocks: Iterable[tuple[Sequence[int], Sequence[str],
+                                       Mapping[str, Sequence[float]]]]) -> np.ndarray:
     """Residual values of blocks of rows, each at its own entity parameters.
 
-    ``blocks`` holds (rows, parameters of each entity they name), and the
-    values follow in block order, then row order.  One plan evaluates every
-    block, over a compact assignment that holds each block's columns in
-    turn, so the work and memory grow with the rows, not with the blocks
-    times the variables.
+    ``blocks`` holds (rows, the entities they name, parameters of at least
+    those entities), and the values follow in block order, then row order.
+    One plan evaluates every block, over a compact assignment that holds
+    each block's entities' parameters in turn, so the work and memory grow
+    with the rows, not with the blocks times the variables.
     """
-    variables = system.variables
-    parts: list[tuple[ex.Tape, list[int]]] = []
+    columns = system.columns
+    blocks = list(blocks)
+    # the rows of every block, as runs of rows of one tape, and each row's
+    # var nodes' columns
+    parts = system._tape_rows([r for rows, _, _ in blocks for r in rows])
+    variables = iter([tape.rows[i][1] for tape, used in parts for i in used])
     reads: list[int] = []    # each var node's position in the assignment
     values: list[float] = []
-    for rows, params in blocks:
+    for rows, entity_ids, params in blocks:
         at: dict[int, int] = {}  # a column of this block -> its position
-        for tape, used in system._tape_rows(rows):
-            parts.append((tape, used))
-            for i in used:
-                for j in tape.rows[i][1]:
-                    k = at.get(j)
-                    if k is None:
-                        k = at[j] = len(values)
-                        v = variables[j]
-                        values.append(params[v.entity_id][v.component])
-                    reads.append(k)
+        for eid in entity_ids:
+            for j, v in zip(columns[eid], params[eid]):
+                at[j] = len(values)
+                values.append(v)
+        for _ in rows:
+            reads += map(at.__getitem__, next(variables))
     return ex.Plan(parts, len(values), reads).values(np.array(values, dtype=float))
 
 

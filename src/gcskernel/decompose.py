@@ -60,9 +60,14 @@ Recombination builds clusters instead of solving them where it can (Owen,
 "Algebraic solution for geometry from dimensional constraints", 1991; Fudos
 and Hoffmann, "A graph-constructive approach to solving systems of
 geometric constraints", 1997).  The model is compiled and its sketch read
-once.  A leaf of two points and one distance row, or of three points and
-three (constraints or virtual bonds; no fix), is constructed in the frame
-its anchors would pin: its first point in column order
+once.  As in Hoffmann, Lomonosov and Sitharam's plans, recombination is a
+schedule and its numerical execution: one pass over the tree records, from
+the tree, the model and the system alone, how each leaf is built, how each
+merge places its children and which of its rows it leaves open; a sweep
+then does only the arithmetic, in schedule order.  A leaf of two points
+and one distance row, or of three points and three (constraints or
+virtual bonds; no fix), is constructed in the frame its anchors would pin:
+its first point in column order
 (:func:`compiler.points_of`) at the origin, the second on the +x axis, the
 third by circle intersection on the side the sketch puts it.  It derives
 no system and takes no Newton step.  Any other leaf, and one whose
@@ -89,9 +94,10 @@ normalizations of the shared entities.  One sweep places every node and
 records each merge's open rows with the node's coordinates of the entities
 they name; after it, one evaluation (:func:`compiler.eval_blocks`) computes
 every recorded row at its own node's coordinates.  Only when one exceeds
-the tolerance does the sweep run again with a check at each merge, which
-re-solves the node's slice from the placement where a row fails.  Merges
-that share no points re-solve from the sketch.  Each entity's final
+the tolerance does the sweep run again on the same schedule with a check at
+each merge, which re-solves the node's slice from the placement where a row
+fails; a leaf whose virtual bond values are unchanged keeps its body.
+Merges that share no points re-solve from the sketch.  Each entity's final
 coordinates are written once, by composing placements from the root, and
 the final certificate evaluates every row.  A tree whose root leaves an
 entity free is refused.  Trees are walked with explicit stacks, so no depth
@@ -105,7 +111,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -546,7 +552,8 @@ class _Motion(NamedTuple):
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The rotation matrix and the translation vector."""
-        return np.array([[self.c, -self.s], [self.s, self.c]]), np.array([self.tx, self.ty])
+        c, s = self.c, self.s
+        return np.array((c, -s, s, c)).reshape(2, 2), np.array((self.tx, self.ty))
 
     def apply(self, entity: Entity, params: Sequence[float]) -> tuple[float, ...]:
         """The entity's parameters moved by this motion (a point in plain
@@ -558,6 +565,7 @@ class _Motion(NamedTuple):
 
 
 _IDENTITY = _Motion(1.0, 0.0, 0.0, 0.0)
+_EYE, _ZERO = np.eye(2), np.zeros(2)  # the first child's placement, copied for each
 
 
 @dataclass
@@ -671,86 +679,260 @@ def _solve_cluster(system: ResidualSystem, solve_sys: ResidualSystem, node: Clus
     return result.assignment
 
 
-def _open_rows(model: Model, system: ResidualSystem, node: ClusterNode,
-               fixes: Sequence[str]) -> tuple[list[int], set[str], set[str]]:
-    """Rows of a node that placing its solved children can leave off, the
-    entities two or more children share, and the entities the rows name.
+class _Leaf(NamedTuple):
+    """A leaf's recipe.
 
+    A constructible leaf (two points and one distance row, or three points
+    and three) lists its ``points`` in column order, and for each pair of
+    them, (p0, p1) and then (p0, p2) and (p1, p2), the |value| of its
+    distance constraint; ``bonded`` names the pairs whose length is a
+    virtual bond's instead, as (pair, bond), the bond by its index in the
+    node's ``virtual_bonds``.  ``orientation`` is the sketch's orientation
+    of the triangle.  ``points`` is empty for a leaf that is solved.
+    ``measures`` is the separation pair the leaf's body fixes, or None."""
+    node: ClusterNode
+    points: tuple[str, ...] = ()
+    lengths: tuple[float, ...] = ()
+    bonded: tuple[tuple[int, int], ...] = ()
+    orientation: float = 0.0
+    measures: tuple[str, str] | None = None
+
+
+class _Merge(NamedTuple):
+    """A merge's recipe.
+
+    ``steps`` places its children in order, each step as (child, on,
+    closure, points, others).  The first child keeps its frame (``on`` is
+    empty); a later one is fitted on the two points ``on``, and a ternary
+    one-point closure fits it on its anchor and on q, which ``closure`` =
+    (r, the other pending child, the sketch's orientation) places by circle
+    intersection from the placed point r.  ``points`` and ``others`` are the
+    entities whose coordinates the node's body keeps and that the child
+    places first: the points by id, the others as entities.  The node
+    re-solves from the sketch unless it is ``complete``.  ``rows`` are its
+    open rows and ``named`` the entities they name; ``measures`` is the
+    separation pair its body fixes, or None."""
+    node: ClusterNode
+    steps: tuple[tuple, ...]
+    complete: bool
+    rows: list[int]
+    named: tuple[str, ...]
+    measures: tuple[str, str] | None
+
+
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def _leaf_recipe(model: Model, system: ResidualSystem, node: ClusterNode,
+                 point_ids: frozenset[str], measures: tuple[str, str] | None) -> _Leaf:
+    """The recipe of a leaf: constructible when it holds two 2D points and one
+    distance row, or three and three (constraints and virtual bonds, one to
+    each pair), else solved.  ``point_ids`` lists the model's 2D points."""
+    n_rows = len(node.constraints) + len(node.virtual_bonds)
+    if ((len(node.entities), n_rows) not in ((2, 1), (3, 3))
+            or not point_ids.issuperset(node.entities)):
+        return _Leaf(node, measures=measures)
+    points = sorted(node.entities, key=system.columns.__getitem__)  # column order
+    # the pair of points i < j is _PAIRS[i + j - 1]
+    rank = {p: k for k, p in enumerate(points)}
+    lengths: list[float | None] = [None] * n_rows
+    bonded = []
+    for c in map(model.constraint, node.constraints):
+        k = rank[c.entities[0]] + rank[c.entities[1]] - 1 if c.kind == "distance-pp" else None
+        if k is None or lengths[k] is not None:
+            return _Leaf(node, measures=measures)
+        lengths[k] = abs(c.value)
+    for j, (a, b) in enumerate(node.virtual_bonds):
+        k = rank[a] + rank[b] - 1
+        if lengths[k] is not None:
+            return _Leaf(node, measures=measures)
+        lengths[k] = 0.0
+        bonded.append((k, j))
+    orientation = _sketch_orientation(model, *points) if n_rows == 3 else 0.0
+    return _Leaf(node, tuple(points), tuple(lengths), tuple(bonded), orientation, measures)
+
+
+def _merge_recipe(model: Model, system: ResidualSystem, node: ClusterNode,
+                  exposed: Iterable[str], fixes: Sequence[str], point_ids: frozenset[str],
+                  measures: tuple[str, str] | None) -> tuple[_Merge, list[list[str]]]:
+    """The recipe of a merge whose parent reads the entities ``exposed`` from
+    its body, and the entities it reads from each child's body.  ``fixes``
+    and ``point_ids`` list the model's fixes and 2D points.
+
+    Its open rows are the rows placing its solved children can leave off.
     Each child's solution holds the child's rows, and a rigid motion keeps
     every row but a fix's.  So these are the rows of the node's constraints
-    that no child holds, of those that name a shared entity (it takes the
-    coordinates of the child placed first), of every fix (``fixes`` lists
-    the model's), and the normalizations of the shared entities.  A
-    constraint that names only entities of the largest child is held by a
-    child (a bottom-up child holds every constraint it induces, and top-down
-    hands each constraint of a node to one child), so only the constraints on
-    the other children's entities are looked at.
+    that no child holds, of those that name an entity two or more children
+    share (it takes the coordinates of the child placed first), of every fix
+    (``fixes`` lists the model's), and the normalizations of the shared
+    entities.  A constraint that names only entities of the largest child is
+    held by a child (a bottom-up child holds every constraint it induces,
+    and top-down hands each constraint of a node to one child), so only the
+    constraints on the other children's entities are looked at.
+
+    The first child keeps its frame.  Each later child is fitted on the
+    first two of its shared points, in column order, that an earlier child
+    placed; a ternary merge whose next child has one such point places it by
+    a one-point closure.  A merge where neither applies is not complete: it
+    re-solves from the sketch after placing what it can, and computes only
+    the coordinates its fits read.  A complete merge's body keeps the
+    coordinates of the exposed entities and of those its open rows name.
     """
     children = node.children
+    constraints = node.constraints
     big = max(children, key=lambda child: len(child.entities))
-    count = Counter(e for child in children if child is not big for e in child.entities)
-    shared = {e for e, k in count.items() if k + (e in big.entities) >= 2}
-    check = {cid for cid in fixes if cid in node.constraints}
-    for eid in count:
+    home: dict[str, ClusterNode | None] = {}  # an entity -> the child other than big
+    for child in children:                    # that holds it, or None if two do
+        if child is not big:
+            for e in child.entities:
+                home[e] = None if e in home else child
+    shared = {e for e, child in home.items() if child is None or e in big.entities}
+    check: dict[str, Constraint] = {}
+    named = set(shared)
+    for c in map(model.constraint, fixes):
+        if c.id in constraints:
+            check[c.id] = c
+            named.update(c.entities)
+    for eid, child in home.items():
+        # a child holds only constraints on its own entities, so one on an
+        # entity that only ``child`` holds is held if ``child`` holds it
+        held = () if eid in shared else child.constraints
         for c in model.constraints_on(eid):
-            if c.id in node.constraints and c.id not in check and (
-                    eid in shared or not any(c.id in child.constraints for child in children)):
-                check.add(c.id)
-    named = shared.union(*(model.constraint(cid).entities for cid in check))
-    return rows_of(system, check, shared), shared, named
+            cid = c.id
+            if cid in constraints and cid not in held and cid not in check:
+                check[cid] = c
+                named.update(c.entities)
+    points = sorted(point_ids.intersection(shared), key=system.columns.__getitem__)
+    reads: list[list[str]] = [[] for _ in children]
+    if node.pair:
+        reads[0] += node.pair  # the first child's body fixes the pair's separation
+    order = [(0, (), None)]  # each placed child, with its fit
+    placed = children[0].entities.intersection(points)  # the shared points placed so far
+    pending = list(range(1, len(children)))
+    while pending:
+        found = None
+        for i in pending:
+            held = children[i].entities
+            on = [p for p in points if p in placed and p in held]
+            if len(on) >= 2:
+                found = i, (on[0], on[1]), None
+            elif len(on) == 1 and len(children) == 3 and len(pending) == 2:
+                # ternary one-point closure: the unknown shared point q comes
+                # from the two known radii
+                j = pending[0] + pending[1] - i  # the other pending child
+                held_j = children[j].entities
+                q = next((p for p in points if p in held and p in held_j and p not in placed),
+                         None)
+                r = next((p for p in points if p in held_j and p in placed), None)
+                if q is None or r is None:
+                    break  # the merge cannot complete
+                reads[j] += (q, r)
+                found = i, (on[0], q), (r, j, _sketch_orientation(model, on[0], r, q))
+            else:
+                continue
+            break
+        if found is None:
+            break
+        order.append(found)
+        pending.remove(found[0])
+        reads[found[0]] += found[1]
+        placed = placed.union(children[found[0]].entities.intersection(points))
+    # the entities whose coordinates placement computes: those the body keeps,
+    # or, when the node re-solves, the shared points the fits read
+    rest = set(points) if pending else named.union(exposed)
+    steps = []
+    for i, on, closure in order:
+        mine = rest.intersection(children[i].entities)
+        rest -= mine
+        reads[i] += mine
+        others = mine - point_ids
+        if others:
+            steps.append((i, on, closure, tuple(mine - others), tuple(map(model.entity, others))))
+        else:
+            steps.append((i, on, closure, tuple(mine), ()))
+    merge = _Merge(node, tuple(steps), not pending, rows_of(system, check, shared),
+                   tuple(named), measures)
+    return merge, reads
 
 
-def _construct_leaf(model: Model, system: ResidualSystem, node: ClusterNode,
-                    bonds: Sequence[tuple[str, str, float]],
+def _schedule(model: Model, system: ResidualSystem, root: ClusterNode) -> list:
+    """The recombination schedule of a tree: the recipe of every node, in the
+    order the sweep builds them (children first, in order).
+
+    One pass from the root hands each node the entities its parent reads
+    from its body.  A tree with a leaf whose rows (constraints,
+    normalizations and virtual bonds) are fewer than its columns minus its
+    rigid motions is refused, naming the first such leaf breadth first.
+    """
+    fixes = [c.id for c in model.constraints if c.kind == "fix"]
+    point_ids = frozenset(e.id for e in model.entities if e.kind == POINT2)
+    motions = geometry.generator_count(model.dimension)
+    recipes: list = []
+    thin = set()  # the ids of the leaves with too few rows
+    stack: list[tuple[ClusterNode, Iterable[str], tuple[str, str] | None]] = [(root, (), None)]
+    while stack:
+        node, exposed, measures = stack.pop()
+        if not node.children:
+            leaf = _leaf_recipe(model, system, node, point_ids, measures)
+            # a constructible leaf has as many rows as columns minus motions
+            if not leaf.points and len(rows_of(system, node.constraints, node.entities)) + len(
+                    node.virtual_bonds) < len(system.columns_of(node.entities)) - motions:
+                thin.add(id(node))
+            recipes.append(leaf)
+            continue
+        merge, reads = _merge_recipe(model, system, node, exposed, fixes, point_ids, measures)
+        recipes.append(merge)
+        stack += zip(node.children, reads, [node.pair] + [None] * (len(reads) - 1))
+    if thin:
+        nodes = [root]
+        for node in nodes:  # breadth first, as the list grows
+            nodes += node.children
+        node = next(node for node in nodes if id(node) in thin)
+        raise DecompositionError(
+            f"cluster {sorted(node.entities)} cannot be rigid: "
+            f"{len(rows_of(system, node.constraints, node.entities)) + len(node.virtual_bonds)}"
+            f" rows for {len(system.columns_of(node.entities))} columns")
+    recipes.reverse()
+    return recipes
+
+
+def _construct_leaf(leaf: _Leaf, bonds: Sequence[float],
                     tol: float) -> dict[str, tuple[float, ...]] | None:
-    """Ruler-and-compass coordinates of a leaf of 2D points and distance rows:
-    two points and one row, or three points and three.
+    """Ruler-and-compass coordinates of a constructible leaf, given the
+    measured values of its virtual bonds.
 
     The leaf is placed in the frame its anchors would pin: its first point in
     column order at the origin, the second on the +x axis, and the third by
-    circle intersection on the side the sketch puts it.  Returns None for
-    any other leaf, for a zero base, for circles that do not meet, and when a
-    row is left above ``tol``.
+    circle intersection on the side the sketch puts it.  Returns None for a
+    zero base, for circles that do not meet, and when a row is left above
+    ``tol``.
     """
-    if len(node.entities) > 3:
-        return None
-    lengths: dict[frozenset[str], float] = {}
-    for cid in node.constraints:
-        c = model.constraint(cid)
-        if c.kind != "distance-pp":
-            return None
-        lengths[frozenset(c.entities)] = abs(c.value)
-    for a, b, value in bonds:
-        lengths[frozenset((a, b))] = abs(value)
-    points = points_of(system, model, node.entities)
-    n_rows = len(node.constraints) + len(bonds)
-    if (len(points) != len(node.entities) or (len(points), n_rows) not in ((2, 1), (3, 3))
-            or len(lengths) != n_rows or any(len(pair) != 2 for pair in lengths)):
-        return None
-    p0, p1 = points[:2]
-    base = lengths[frozenset((p0, p1))]
+    lengths = leaf.lengths
+    if leaf.bonded:
+        lengths = list(lengths)
+        for k, j in leaf.bonded:
+            lengths[k] = abs(bonds[j])
+    base = lengths[0]
     if base < 1e-12:
         return None
-    coords = {p0: (0.0, 0.0), p1: (base, 0.0)}
-    if len(points) == 3:
-        p2 = points[2]
+    placed = ((0.0, 0.0), (base, 0.0))
+    if len(lengths) == 3:
         try:
-            coords[p2] = _circle_intersection(
-                coords[p0], lengths[frozenset((p0, p2))], coords[p1],
-                lengths[frozenset((p1, p2))], _sketch_orientation(model, p0, p1, p2))
+            placed += (_circle_intersection(
+                placed[0], lengths[1], placed[1], lengths[2], leaf.orientation),)
         except AlignmentError:
             return None
-        for pair, length in lengths.items():
-            (ax, ay), (bx, by) = (coords[p] for p in pair)
+        for (a, b), length in zip(_PAIRS, lengths):
+            (ax, ay), (bx, by) = placed[a], placed[b]
             if abs((bx - ax) ** 2 + (by - ay) ** 2 - length * length) > tol:
                 return None
-    return coords
+    return dict(zip(leaf.points, placed))
 
 
-def _solve_leaf(model: Model, system: ResidualSystem, sketch: np.ndarray, node: ClusterNode,
-                bond_values: Mapping[tuple[str, str], float],
-                max_iter: int, tol: float) -> dict[str, tuple[float, ...]]:
-    """The leaf's entity parameters in its own frame.
+def _solve_leaf(model: Model, system: ResidualSystem, sketch: np.ndarray, leaf: _Leaf,
+                bonds: Sequence[float], max_iter: int, tol: float) -> dict[str, tuple[float, ...]]:
+    """The leaf's entity parameters in its own frame, given the measured
+    values of its virtual bonds.
 
     A triangle or a single bar is constructed (:func:`_construct_leaf`).
     Any other leaf, and one whose construction fails, solves its slice plus
@@ -758,17 +940,14 @@ def _solve_leaf(model: Model, system: ResidualSystem, sketch: np.ndarray, node: 
     anchors pin.  A leaf that holds a ``fix`` already has its frame: it gets
     no anchors and solves from the raw sketch.
     """
-    bonds = []
-    for (a, b) in node.virtual_bonds:
-        if (a, b) not in bond_values:
-            raise DecompositionError(
-                f"virtual bond {a}-{b} has no measured value; no rigid sibling solved first")
-        bonds.append((a, b, bond_values[(a, b)]))
-    coords = _construct_leaf(model, system, node, bonds, tol)
-    if coords is not None:
-        return coords
+    if leaf.points:
+        coords = _construct_leaf(leaf, bonds, tol)
+        if coords is not None:
+            return coords
+    node = leaf.node
     solve_sys = add_constraints(system, model, [
-        Constraint(f"vbond:{a}-{b}", "distance-pp", (a, b), value) for a, b, value in bonds])
+        Constraint(f"vbond:{a}-{b}", "distance-pp", (a, b), value)
+        for (a, b), value in zip(node.virtual_bonds, bonds)]) if bonds else system
     start = sketch
     points = points_of(system, model, node.entities)
     fixed = any(model.constraint(cid).kind == "fix" for cid in node.constraints)
@@ -783,84 +962,43 @@ def _solve_leaf(model: Model, system: ResidualSystem, sketch: np.ndarray, node: 
                           node.entities)
 
 
-def _assemble_merge(model: Model, system: ResidualSystem, node: ClusterNode,
-                    bodies: Sequence[_Body], placements: list[Placement],
-                    shared: Collection[str], read: Collection[str]) -> _Body | None:
-    """Place the children's bodies by shared-point alignment; None if not applicable.
+def _assemble_merge(model: Model, merge: _Merge, bodies: Sequence[_Body],
+                    placements: list[Placement]) -> _Body | None:
+    """Place the children's bodies by the merge's steps; None when the merge
+    is not complete, after placing the children its steps reach.
 
-    The first child keeps its frame.  Each later child's placement is fitted
-    on the first two of its ``shared`` points, in column order, that an
-    earlier child placed; an entity takes the coordinates of the first placed
-    child that holds it.  The node's body keeps the placed bodies, and the
-    coordinates of the entities in ``read`` (those its ancestors and its open
-    rows read, ``shared`` among them), and of nothing else.  The fits and
-    moves are plain float arithmetic.
+    The first child keeps its frame, and each later child's placement is
+    fitted as its step says.  An entity takes the coordinates of the first
+    placed child that holds it.  The node's body keeps the placed bodies, and
+    the coordinates of the entities its ancestors and its open rows read.
+    The fits and moves are plain float arithmetic.
     """
-    children = node.children
-    columns = system.columns
-    moves = [_IDENTITY] * len(children)  # each child's placement
-    order: list[int] = []  # children in placement order
-    owner: dict[str, int] = {}  # an entity of ``read`` -> the first placed child holding it
-
-    def place(i: int, motion: _Motion) -> None:
-        # the first child's identity keeps its zeros; arrays() writes -0.0
-        R, t = motion.arrays() if order else (np.eye(2), np.zeros(2))
-        moves[i] = motion
-        order.append(i)
-        held = children[i].entities
-        for eid in read:
-            if eid in held and eid not in owner:
-                owner[eid] = i
-        placements.append(Placement(children[i].node_id, held, R, t))
-
-    def merged(eid: str) -> tuple[float, ...]:
-        # a placed entity in the node's frame
-        i = owner[eid]
-        return moves[i].apply(model.entity(eid), bodies[i].coords[eid])
-
-    def points(ids: Iterable[str]) -> list[str]:
-        return sorted((e for e in ids if model.entity(e).kind == POINT2),
-                      key=lambda e: columns[e][0])
-
-    def placed_points(i: int) -> list[str]:
-        held = children[i].entities
-        return points(e for e in shared if e in owner and e in held)
-
-    place(0, _IDENTITY)
-    pending = list(range(1, len(children)))
-    while pending:
-        for i in pending:
-            child = bodies[i].coords
-            shared_pts = placed_points(i)
-            if len(shared_pts) >= 2:
-                pts = shared_pts[:2]
-                motion = _fit({p: merged(p) for p in pts}, child, pts)
-            elif len(shared_pts) == 1 and len(children) == 3 and len(pending) == 2:
-                # ternary one-point closure: fetch the unknown shared point from
-                # the two known radii
-                other = next(j for j in pending if j != i)
-                anchor = shared_pts[0]
-                both = children[i].entities & children[other].entities
-                q_candidates = [p for p in points(both) if p not in owner]
-                r_candidates = placed_points(other)
-                if not q_candidates or not r_candidates:
-                    return None
-                q, r = q_candidates[0], r_candidates[0]
+    children = merge.node.children
+    coords: dict[str, tuple[float, ...]] = {}
+    parts = []
+    for i, on, closure, points, others in merge.steps:
+        child = bodies[i].coords
+        if not on:
+            # the first child's identity keeps its zeros; arrays() writes -0.0
+            motion, R, t = _IDENTITY, _EYE.copy(), _ZERO.copy()
+        else:
+            if closure is None:
+                motion = _fit(coords, child, on)
+            else:
+                (anchor, q), (r, other, orientation) = on, closure
                 ra = math.dist(child[q], child[anchor])
                 rb = math.dist(bodies[other].coords[q], bodies[other].coords[r])
-                orient = _sketch_orientation(model, anchor, r, q)
-                target = {anchor: merged(anchor),
-                          q: _circle_intersection(merged(anchor), ra, merged(r), rb, orient)}
-                motion = _fit(target, child, [anchor, q])
-            else:
-                continue
-            place(i, motion)
-            pending.remove(i)
-            break
-        else:
-            return None
-    return _Body({eid: merged(eid) for eid in read},
-                 tuple((bodies[i], moves[i]) for i in order))
+                target = {anchor: coords[anchor], q: _circle_intersection(
+                    coords[anchor], ra, coords[r], rb, orientation)}
+                motion = _fit(target, child, on)
+            R, t = motion.arrays()
+        placements.append(Placement(children[i].node_id, children[i].entities, R, t))
+        for eid in points:
+            coords[eid] = motion.apply_point(*child[eid])
+        for entity in others:
+            coords[entity.id] = motion.apply(entity, child[entity.id])
+        parts.append((bodies[i], motion))
+    return _Body(coords, tuple(parts)) if merge.complete else None
 
 
 def require_2d(model: Model) -> None:
@@ -876,22 +1014,28 @@ def solve_tree(model: Model, tree: ClusterTree, max_iter: int = 100,
 
     The model is compiled once (``system`` is the compiled ``model`` when the
     caller has it); every Newton solve of a cluster (``max_iter`` iterations
-    per stage, residual tolerance ``tol``) is a slice of it.  Triangle and
-    bar leaves are constructed; other leaves are solved.  Each cluster keeps
-    its solution in its own frame, and a merge fits its children's placements
-    on their shared points.  One sweep places every node; after it, one
-    evaluation checks the rows placement can leave off at every merge, each
-    at its own node's coordinates.  Only when one exceeds ``tol`` does the
-    sweep run again with a check at each merge, which re-solves its slice
-    where a row fails; a node whose children share no points re-solves from
-    the sketch.  Each entity's final parameters are written once, from the
-    root's frame, and the certificate evaluates every row of the system.
-    Returns the recombination plan, per-entity solved parameters, and the
-    whole-system residual certificate (anchors excluded), converged when
-    its largest residual is within ``tol``.  A tree whose root leaves an
-    entity free is refused, and so is one with a
-    leaf whose rows (constraints, normalizations and virtual bonds) are fewer
-    than its columns minus its rigid motions (:func:`geometry.generator_count`).
+    per stage, residual tolerance ``tol``) is a slice of it.  One pass over
+    the tree builds its schedule from the tree, the model and the system
+    alone: each leaf's construction recipe, or that it is solved, and each
+    merge's placement order, the points each child is fitted on, the child
+    that places each entity the node reads, and its open rows.  A sweep then
+    does only the arithmetic.  Triangle and bar leaves are constructed;
+    other leaves are solved.  Each cluster keeps its solution in its own
+    frame, and a merge fits its children's placements on their shared
+    points.  After the sweep, one evaluation checks the rows placement can
+    leave off at every merge, each at its own node's coordinates.  Only when
+    one exceeds ``tol`` does the sweep run again on the same schedule, with
+    a check at each merge, which re-solves its slice where a row fails; it
+    reuses each leaf whose bond values are unchanged.  A node whose children
+    share no points re-solves from the sketch.  Each entity's final
+    parameters are written once, from the root's frame, and the certificate
+    evaluates every row of the system.  Returns the recombination plan,
+    per-entity solved parameters, and the whole-system residual certificate
+    (anchors excluded), converged when its largest residual is within
+    ``tol``.  A tree whose root leaves an entity free is refused, and so is
+    one with a leaf whose rows (constraints, normalizations and virtual
+    bonds) are fewer than its columns minus its rigid motions
+    (:func:`geometry.generator_count`).
     """
     require_2d(model)
     if not tree.assembled:
@@ -906,20 +1050,13 @@ def solve_tree(model: Model, tree: ClusterTree, max_iter: int = 100,
         raise DecompositionError(f"entity {missing!r} has no sketch parameters")
     if system is None:
         system = compile_model(model)
-    motions = geometry.generator_count(model.dimension)
-    nodes = [root]
-    for node in nodes:  # breadth first, as the list grows
-        nodes += node.children
-        if node.children:
-            continue
-        rows = len(rows_of(system, node.constraints, node.entities)) + len(node.virtual_bonds)
-        columns = len(system.columns_of(node.entities))
-        if rows < columns - motions:
-            raise DecompositionError(
-                f"cluster {sorted(node.entities)} cannot be rigid: {rows} rows "
-                f"for {columns} columns")
+    schedule = _schedule(model, system, root)
+    # the batched check: the open rows of each merge placed with some, and
+    # the entities they name, in sweep order
+    blocks = [(step.rows, step.named) for step in schedule
+              if type(step) is _Merge and step.complete and step.rows]
     sketch = assignment_from_params(model, system)
-    fixes = [c.id for c in model.constraints if c.kind == "fix"]
+    built: dict[int, tuple[tuple[float, ...], _Body]] = {}  # a leaf's step -> bonds, body
 
     def write(x: np.ndarray, coords: Mapping[str, Sequence[float]],
               entity_ids: Iterable[str]) -> None:
@@ -927,73 +1064,65 @@ def solve_tree(model: Model, tree: ClusterTree, max_iter: int = 100,
             x[system.entity_slice(eid)] = coords[eid]
 
     def sweep(checks: list | None) -> tuple[_Body, list[Placement]]:
-        """Solve the leaves and place the merges, depth first; return the
-        root's body and the placements.  A placed merge appends its open rows
-        to ``checks``, with the coordinates its body holds of the entities
-        they name.  With ``checks`` None, it evaluates them itself instead,
-        and re-solves its slice when one exceeds ``tol``."""
+        """Build the leaves and place the merges in schedule order; return the
+        root's body and the placements.  A placed merge with open rows
+        appends its body's coordinates to ``checks``.  With ``checks`` None,
+        it evaluates its rows itself instead, and re-solves its slice when
+        one exceeds ``tol``."""
         x = sketch.copy()  # the assignment a merge's own check writes and reads
         placements: list[Placement] = []
         bond_values: dict[tuple[str, str], float] = {}
+        done: list[_Body] = []  # the bodies of built nodes whose parent waits
 
-        def solve_merge(node: ClusterNode, bodies: Sequence[_Body], rows: list[int],
-                        shared: set[str], read: set[str]) -> _Body:
-            body = _assemble_merge(model, system, node, bodies, placements, shared, read)
+        def solve_merge(merge: _Merge, bodies: Sequence[_Body]) -> _Body:
+            body = _assemble_merge(model, merge, bodies, placements)
             if body is None:
                 # shared elements are not points (line-bearing merges); re-solve
                 # the node from the sketch, a chirality-consistent global guess
                 start = sketch
-            elif not rows:
+            elif not merge.rows:
                 return body
             elif checks is not None:
-                checks.append((rows, body.coords))
+                checks.append(body.coords)
                 return body
             else:
-                write(x, body.coords, read)
-                if float(np.max(np.abs(eval_residuals(system.select(rows), x)))) <= tol:
+                write(x, body.coords, body.coords)
+                if float(np.max(np.abs(eval_residuals(system.select(merge.rows), x)))) <= tol:
                     return body
-                write(x, body.params(model), node.entities)
+                write(x, body.params(model), merge.node.entities)
                 start = x
-            y = _solve_cluster(system, system, node, start, max_iter, tol)
-            return _Body(_entity_params(system, y, node.entities))
+            y = _solve_cluster(system, system, merge.node, start, max_iter, tol)
+            return _Body(_entity_params(system, y, merge.node.entities))
 
-        # an explicit stack.  An entry holds a node, what it reads (its open
-        # rows, its shared entities, and the entities it and its ancestors
-        # read; None for a leaf) and its children's bodies so far; a child is
-        # entered with the entities its parent reads from it.
-        stack: list[tuple[ClusterNode, tuple | None, list[_Body]]] = []
-
-        def enter(node: ClusterNode, exposed: set[str]) -> None:
-            reads = None
-            if node.children:
-                rows, shared, named = _open_rows(model, system, node, fixes)
-                reads = (rows, shared, exposed | named)
-            stack.append((node, reads, []))
-
-        enter(root, set())
-        while True:
-            node, reads, bodies = stack[-1]
-            if len(bodies) < len(node.children):
-                child = node.children[len(bodies)]
-                enter(child, {e for e in reads[2] if e in child.entities})
-                continue
-            stack.pop()
-            if node.children:
-                body = solve_merge(node, bodies, *reads)
+        for k, step in enumerate(schedule):
+            if type(step) is _Leaf:
+                try:
+                    bonds = tuple(map(bond_values.__getitem__, step.node.virtual_bonds))
+                except KeyError as missing:
+                    a, b = missing.args[0]
+                    raise DecompositionError(
+                        f"virtual bond {a}-{b} has no measured value; "
+                        "no rigid sibling solved first") from None
+                kept = built.get(k)
+                if kept is not None and kept[0] == bonds:
+                    body = kept[1]
+                else:
+                    body = _Body(_solve_leaf(model, system, sketch, step, bonds, max_iter, tol))
+                    built[k] = (bonds, body)
             else:
-                body = _Body(_solve_leaf(model, system, sketch, node, bond_values, max_iter, tol))
-            if not stack:
-                return body, placements
-            parent, _, siblings = stack[-1]
-            siblings.append(body)
-            if parent.pair and parent.pair not in bond_values:
-                # the first (bond-free) child of a split fixes the pair's separation
-                a, b = parent.pair
-                bond_values[parent.pair] = math.dist(body.coords[a], body.coords[b])
+                n = len(step.node.children)
+                body = solve_merge(step, done[-n:])
+                del done[-n:]
+            pair = step.measures
+            if pair is not None and pair not in bond_values:
+                bond_values[pair] = math.dist(body.coords[pair[0]], body.coords[pair[1]])
+            done.append(body)
+        return done[0], placements
 
     def held(checks: list) -> bool:
         # every recorded row within tol, each at its own node's coordinates
-        return not checks or float(np.max(np.abs(eval_blocks(system, checks)))) <= tol
+        return not checks or float(np.max(np.abs(eval_blocks(system, [
+            (rows, named, coords) for (rows, named), coords in zip(blocks, checks)])))) <= tol
 
     # every merge's open rows in one evaluation after the sweep.  If one is
     # off, sweep again with a check at each merge, which re-solves where it

@@ -255,7 +255,8 @@ def test_full_cross_keeps_a_system_without_cross_product_rows(m):
 def test_eval_blocks_matches_each_block_on_its_own(m):
     # blocks that share rows and entities read their own parameters: each
     # block's values are those of its rows selected and evaluated at an
-    # assignment that holds its parameters, bit for bit
+    # assignment that holds its parameters, bit for bit, whatever the order
+    # of the entities a block lists, and whatever else its parameters hold
     system = compile_model(m)
     sketch = assignment_from_params(m, system)
     rng = np.random.default_rng(3)
@@ -265,10 +266,11 @@ def test_eval_blocks_matches_each_block_on_its_own(m):
         rows = sorted(rng.choice(n, size=size, replace=False).tolist())
         params = {e.id: tuple((np.asarray(e.params) + rng.normal(size=len(e.params))).tolist())
                   for e in m.entities}
-        blocks.append((rows, params))
+        named = {system.variables[j].entity_id for r in rows for j in system.adjacency[r]}
+        blocks.append((rows, rng.permutation(sorted(named)).tolist(), params))
     got = compiler.eval_blocks(system, blocks)
     expected = []
-    for rows, params in blocks:
+    for rows, _, params in blocks:
         x = sketch.copy()
         for eid, p in params.items():
             x[system.entity_slice(eid)] = p
@@ -276,7 +278,7 @@ def test_eval_blocks_matches_each_block_on_its_own(m):
     assert got.tolist() == expected
     assert compiler.eval_blocks(system, []).size == 0
     with pytest.raises(IndexError):
-        compiler.eval_blocks(system, [([n], blocks[0][1])])
+        compiler.eval_blocks(system, [([n], blocks[0][1], blocks[0][2])])
 
 
 class _Forgetful(dict):

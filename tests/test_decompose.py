@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import sys
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -16,6 +17,7 @@ from gcskernel import (
     bottom_up,
     bottom_up_at,
     compile_model,
+    eval_jacobian,
     eval_residuals,
     newton_solve,
     params_from_assignment,
@@ -555,17 +557,18 @@ def test_low_link_split_matches_pair_scan(model):
 
 
 @st.composite
-def henneberg_graphs(draw):
+def henneberg_graphs(draw, edits=2):
     """Henneberg-I graphs of 6-14 points (each new point barred to two earlier
-    ones), labelled so that sorted order differs from build order, with 0-2
-    bars then added or removed.  Their split trees run several levels deep."""
+    ones), labelled so that sorted order differs from build order, with 0 to
+    ``edits`` bars then added or removed.  Their split trees run several
+    levels deep."""
     n = draw(st.integers(6, 14))
     labels = draw(st.permutations([f"P{i}" for i in range(n)]))
     bars = [(0, 1)]
     for k in range(2, n):
         bars += [(i, k) for i in draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2,
                                                 unique=True))]
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, edits))):
         if draw(st.booleans()):
             bars.pop(draw(st.integers(0, len(bars) - 1)))
         else:
@@ -602,6 +605,60 @@ def test_top_down_strip_400_tree_is_unchanged():
     tree = top_down(zoo.triangle_strip(400)).to_json_dict()
     digest = hashlib.sha256(json.dumps(tree, sort_keys=True).encode()).hexdigest()
     assert digest == STRIP_400_TREE_SHA256
+
+
+def infinitesimally_rigid(model):
+    """The Jacobian at the sketch has full row rank: the solutions near it
+    are isolated up to a rigid motion."""
+    system = compile_model(model)
+    jacobian = eval_jacobian(system, assignment_from_params(model, system))
+    return np.linalg.matrix_rank(jacobian) == system.n_residuals
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(henneberg_graphs(edits=0))
+def test_solve_tree_of_henneberg_frameworks_matches_the_direct_solve(model):
+    # minimally rigid frameworks whose split trees run several levels deep;
+    # a sketch with collinear triples is flexible to first order, so its
+    # solutions near the sketch are not isolated and it is left out.  The
+    # rigid fit admits no reflection, so a match with the sketch, which
+    # holds every distance, keeps its chirality
+    assume(infinitesimally_rigid(model))
+    _, solution, cert = solve_tree(model, top_down(model))
+    assert cert.converged
+    assert aligned_max_deviation(model, direct_solution(model), solution) <= 1e-9
+    sketch = {e.id: e.params for e in model.entities}
+    assert aligned_max_deviation(model, sketch, solution) <= 1e-9
+
+
+def solve_tree_digest(m, tree):
+    """sha256 of the float-hexed solution, placements and certificate of
+    one solve_tree."""
+    def hexes(values):
+        return [float(v).hex() for v in values]
+    plan, solution, cert = solve_tree(m, tree)
+    record = {
+        "solution": {eid: hexes(params) for eid, params in sorted(solution.items())},
+        "placements": [{"node": p.node_id, "entities": sorted(p.entities),
+                        "rotation": hexes(p.rotation.ravel()),
+                        "translation": hexes(p.translation)} for p in plan.placements],
+        "certificate": {"status": cert.status, "residual": float(cert.residual_norm).hex(),
+                        "residuals": hexes(cert.residuals),
+                        "assignment": hexes(cert.assignment)}}
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+
+
+def test_solve_tree_bits_at_sizes_the_golden_file_lacks():
+    # recorded before recombination was split into a schedule and a sweep
+    strip_7 = zoo.triangle_strip(7)
+    assert solve_tree_digest(strip_7, bottom_up(strip_7)) == (
+        "c99d59e3eeb4888a3e58bf118500e5d2453cad945fe34611d6e0757497778a82")
+    strip_400 = zoo.triangle_strip(400)
+    assert solve_tree_digest(strip_400, top_down(strip_400)) == (
+        "6fc6f7d318b3245e4b38f12cd6671a912f2a34efe773ae78187a27059ad22d36")
+    sketch = jittered(zoo.triangle_strip(48), 0.01, 1)
+    assert solve_tree_digest(sketch, top_down(sketch)) == (
+        "1b556fd48e94fc5455df1a1c533a3a9a00f3259e2eb62e55efb2c6ad6b3933f6")
 
 
 @pytest.mark.parametrize(
@@ -765,7 +822,7 @@ def test_exact_leaves_start_in_the_frame_their_anchors_pin(n, strategy, monkeypa
             coords = real_leaf(*args)
         finally:
             in_leaf[0] = False
-        built.append((args[3], coords))
+        built.append((args[3].node, coords))
         return coords
 
     def counting_solve(*args, **kwargs):
@@ -920,11 +977,12 @@ def test_every_cluster_slice_matches_submodel_solve(slice_trees, monkeypatch):
             iterations.append(result.iterations)
             return result
 
-        def leaf(model, system, sketch, node, bond_values, max_iter, tol):
+        def leaf(model, system, sketch, recipe, bonds, max_iter, tol):
             before = len(iterations)
-            got = real_leaf(model, system, sketch, node, bond_values, max_iter, tol)
+            got = real_leaf(model, system, sketch, recipe, bonds, max_iter, tol)
             constructed = len(iterations) == before
-            expected = reference_solve_leaf(m, node, bond_values)
+            node = recipe.node
+            expected = reference_solve_leaf(m, node, dict(zip(node.virtual_bonds, bonds)))
             got_params = body_params(m, node.entities, decompose._Body(got))
             assert list(got_params) == list(expected), (name, node.node_id)
             if constructed:
@@ -950,10 +1008,11 @@ def test_every_cluster_slice_matches_submodel_solve(slice_trees, monkeypatch):
                 solved.append(node.node_id)
             return got
 
-        def assemble(model, system, node, bodies, placements, *reads):
+        def assemble(model, merge, bodies, placements):
+            node = merge.node
             results.update((c.node_id, body_params(m, c.entities, body))
                            for c, body in zip(node.children, bodies))
-            start = real_assemble(model, system, node, bodies, placements, *reads)
+            start = real_assemble(model, merge, bodies, placements)
             starts[node.node_id] = (None if start is None
                                     else body_params(m, node.entities, start))
             return start
@@ -990,7 +1049,7 @@ def strip_solve_counts(n, monkeypatch, batches=None):
         return real_cluster(system, solve_sys, node, start, max_iter, tol)
 
     def leaf(*args):
-        leaves.append(args[3])
+        leaves.append(args[3].node)
         return real_leaf(*args)
 
     def evaluate(*args, **kwargs):
@@ -1000,7 +1059,7 @@ def strip_solve_counts(n, monkeypatch, batches=None):
 
     def evaluate_blocks(system, blocks):
         if batches is not None:
-            batches.append([list(block_rows) for block_rows, _ in blocks])
+            batches.append([list(block_rows) for block_rows, *_ in blocks])
         out = real_blocks(system, blocks)
         rows[0] += len(out)
         return out
@@ -1026,6 +1085,52 @@ def test_exact_strip_solves_each_leaf_once_and_no_split_node(monkeypatch):
     assert any(n.kind == "split" for n in all_nodes(tree.roots[0]))
 
 
+def open_rows_reference(m, system, node):
+    """The rows of a merge that placing its solved children can leave off,
+    from the tree and the model alone: its constraints that no child holds,
+    those that name an entity two children share, every fix, and the
+    normalizations of the shared entities; in system order."""
+    held = Counter(e for child in node.children for e in child.entities)
+    shared = {e for e, k in held.items() if k >= 2}
+    opened = {c.id for c in m.constraints if c.id in node.constraints and (
+        c.kind == "fix" or shared.intersection(c.entities)
+        or not any(c.id in child.constraints for child in node.children))}
+    return [r.index for r in system.residuals
+            if (r.kind, r.source in opened, r.source in shared) in (
+                ("constraint", True, False), ("normalization", False, True))]
+
+
+def test_open_rows_reference_sees_fixes_unheld_constraints_and_normalizations():
+    # a merge of two children sharing the 3D line L: the fix on P, the angle
+    # on L (it names the shared line), the distance no child holds and L's
+    # normalization are open, and the distance inside one child is not; the
+    # merge's recipe opens the same rows
+    m = model_from_json_dict({
+        "dimension": 3,
+        "entities": [{"id": "P", "kind": "point3", "params": [0, 0, 0]},
+                     {"id": "Q", "kind": "point3", "params": [1, 0, 0]},
+                     {"id": "R", "kind": "point3", "params": [0, 1, 0]},
+                     {"id": "L", "kind": "line3", "params": [0, 0, 0, 1, 0, 0]},
+                     {"id": "K", "kind": "line3", "params": [0, 1, 0, 0, 1, 0]}],
+        "constraints": [{"id": "fixP", "kind": "fix", "entities": ["P"]},
+                        {"id": "near", "kind": "distance-pp", "entities": ["P", "Q"],
+                         "value": 1.0},
+                        {"id": "angle", "kind": "angle-ll", "entities": ["L", "K"],
+                         "value": 1.0},
+                        {"id": "far", "kind": "distance-pp", "entities": ["Q", "R"],
+                         "value": 1.0}]})
+    system = compile_model(m)
+    left = ClusterNode(1, "seed", frozenset("PQL"), frozenset({"fixP", "near"}))
+    right = ClusterNode(2, "seed", frozenset("RLK"), frozenset({"angle"}))
+    merge = ClusterNode(3, "merge", frozenset("PQRLK"),
+                        frozenset({"fixP", "near", "angle", "far"}), (left, right))
+    rows = open_rows_reference(m, system, merge)
+    assert [system.residuals[r].name for r in rows] == [
+        "fixP[0]", "fixP[1]", "fixP[2]", "angle", "far", "unit:L"]
+    recipe, _ = decompose._merge_recipe(m, system, merge, (), ["fixP"], frozenset(), None)
+    assert recipe.rows == rows
+
+
 def test_exact_strip_checks_every_merge_in_one_batched_evaluation(monkeypatch):
     # one batched call evaluates each merge's open rows once, in the order
     # the sweep places the merges; the certificate adds the system's rows,
@@ -1042,7 +1147,7 @@ def test_exact_strip_checks_every_merge_in_one_batched_evaluation(monkeypatch):
         elif node.children:
             stack.append((node, True))
             stack.extend((c, False) for c in reversed(node.children))
-    opened = [decompose._open_rows(m, system, node, [])[0] for node in post_order]
+    opened = [open_rows_reference(m, system, node) for node in post_order]
     assert len(batches) == 1
     assert batches[0] == [r for r in opened if r]
     assert rows == sum(map(len, opened)) + system.n_residuals
@@ -1057,16 +1162,20 @@ def test_strip_solve_rows_grow_linearly(monkeypatch):
     assert rows[48] <= 2.2 * rows[24], rows
 
 
-def moved_copy_solve(m, tree, moved, point, monkeypatch, offset=1e-7):
+def moved_copy_solve(m, tree, moved, point, monkeypatch, offset=1e-7, builds=None):
     """solve_tree of ``tree`` when the leaf numbered ``moved`` places its
     copy of ``point`` ``offset`` away along x: the ids of the nodes that
-    reach _solve_cluster, in order, and the sha256 of the hexed solution."""
+    reach _solve_cluster, in order, and the sha256 of the hexed solution.
+    ``builds``, when given, receives each leaf built, as (node id, the
+    values of its virtual bonds)."""
     real_leaf, real_cluster = decompose._solve_leaf, decompose._solve_cluster
     clustered = []
 
-    def leaf(model, system, sketch, node, bond_values, max_iter, tol):
-        got = real_leaf(model, system, sketch, node, bond_values, max_iter, tol)
-        if node.node_id == moved:
+    def leaf(model, system, sketch, recipe, bonds, max_iter, tol):
+        if builds is not None:
+            builds.append((recipe.node.node_id, tuple(bonds)))
+        got = real_leaf(model, system, sketch, recipe, bonds, max_iter, tol)
+        if recipe.node.node_id == moved:
             got = dict(got)
             got[point] = got[point] + np.array([offset, 0.0])
         return got
@@ -1129,16 +1238,39 @@ def test_a_sweep_that_fails_after_an_off_merge_runs_again_per_merge(monkeypatch)
     root = tree.roots[0]
     real_assemble = decompose._assemble_merge
 
-    def assemble(model, system, node, bodies, *rest):
-        if node is root and bodies[0].parts:
+    def assemble(model, merge, bodies, placements):
+        if merge.node is root and bodies[0].parts:
             raise AlignmentError("placed first child")
-        return real_assemble(model, system, node, bodies, *rest)
+        return real_assemble(model, merge, bodies, placements)
 
     monkeypatch.setattr(decompose, "_assemble_merge", assemble)
     assert moved_copy_solve(m, tree, 4, "P4", monkeypatch) == (
         [6], "f65a3699b9c35355ba6ce96784655ceffd15ebaa7c1ea9ac92553417e41702a2")
     with pytest.raises(AlignmentError, match="placed first child"):
         solve_tree(m, tree)
+
+
+def test_a_second_sweep_rebuilds_only_leaves_whose_bonds_changed(monkeypatch):
+    # leaf 7 of top-down strip(12) moves its copy of P6 by 1e-7, so node 8
+    # re-solves in the second sweep; a leaf is built again only when the
+    # values of its virtual bonds differ from the first sweep's, and the
+    # solution keeps its bits
+    strip = zoo.triangle_strip(12)
+    tree = top_down(strip)
+    leaves = {n.node_id for n in all_nodes(tree.roots[0]) if not n.children}
+    assert len(leaves) == 12
+    builds = []
+    assert moved_copy_solve(strip, tree, 7, "P6", monkeypatch, builds=builds) == (
+        [8], "344d36e6551c44fc0f06e908158dfc4146003191522cf84e3f9fc45357a47500")
+    first: dict[int, tuple] = {}
+    changed = set()
+    for nid, bonds in builds:
+        if nid in first:
+            assert nid not in changed and bonds != first[nid], nid
+            changed.add(nid)
+        first[nid] = bonds
+    assert set(first) == leaves
+    assert len(builds) <= 12 + len(changed) < 24
 
 
 def test_solve_tree_compiles_the_model_once(slice_trees, monkeypatch):
