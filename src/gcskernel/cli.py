@@ -242,10 +242,9 @@ def cmd_decompose(args) -> int:
     payload = {"command": "decompose", "model": args.model, "strategy": args.strategy,
                "verdict": wr.verdict}
     try:
-        # bottom-up's merge checks read the verdict's first witness, and the
-        # report's dependent groups when the report is that witness's vote
-        tree = bottom_up_at(model, system, wr.witness, args.rank_tol,
-                            wr.dependent_groups if wr.names_witness else None) \
+        # bottom-up's merge checks read the verdict's first witness and the
+        # dependent groups of its Jacobian
+        tree = bottom_up_at(model, system, wr.witness, wr.witness_groups(), args.rank_tol) \
             if args.strategy == "bottom-up" else top_down(model)
         payload["tree"] = tree.to_json_dict()
     except DecompositionError as err:

@@ -12,12 +12,12 @@ on first use.
 
 Each row is written once, straight onto a :class:`~.expr.Tape`:
 :func:`compile_model`, :func:`add_constraints`, :func:`add_anchors` and
-:func:`linear_system` write one tape for the rows they add, and
-:func:`add_constraints` writes only the first constraint of each signature
-through terms: it keeps that constraint's rows as a template and stamps
-every later one from it (:meth:`~.expr.Tape.stamp`).  :func:`compile_model`
-does the same for the normalization rows of each entity kind and
-representation.  A system holds
+:func:`linear_system` write one tape for the rows they add.  The rows of a
+constraint, and the normalization rows of an entity, go through one writer,
+``_write_rows``: only the first of each signature (a constraint's kind,
+dimension and entity kinds; an entity's kind and representation) is written
+through terms, and its rows are kept as a template that every later one
+stamps (:meth:`~.expr.Tape.stamp`).  A system holds
 the tape segments of its rows, and the systems derived from it share its
 column map and the tapes of the rows they keep, so deriving a system costs
 only its own rows.  :meth:`ResidualSystem.select` derives the system of a
@@ -50,7 +50,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -356,30 +356,42 @@ def compile_model(model: Model) -> ResidualSystem:
         if not groups:
             continue
         flat = columns[e.id]
-        key = ("unit", e.kind, e.representation)
-        template = _TEMPLATES.get(key)
-        if template is None:
-            for group in groups:
-                vec = [tape.var(flat[i]) for i in group]
-                tape.end_row(ex.dot(vec, vec) - 1.0)
-            at = {j: k for k, j in enumerate(flat)}
-            _TEMPLATES[key] = tuple((shape, tuple(at[j] for j in reads), tuple(values))
-                                    for shape, reads, values, _ in tape.rows[-len(groups):])
-        else:
-            for shape, offsets, values in template:
-                tape.stamp(shape, [flat[o] for o in offsets], list(values))
+        _write_rows(tape, ("unit", e.kind, e.representation), flat, (1.0,) * len(groups),
+                    lambda: (ex.dot(vec, vec) for vec in (
+                        [tape.var(flat[i]) for i in group] for group in groups)))
         rows += [(f"unit:{e.id}", "normalization", e.id, True)] * len(groups)
     return system._extend(tape, rows)
 
 
-# The rows of each constraint signature: every input the emitter branches on
-# (kind, dimension, the dropped cross-product component or None, and each
-# entity's kind and representation) -> per row, its structure, each var
-# node's position among the columns of the constraint's entities, and the
-# constants of its left side; and the normalization rows of each entity
-# kind and representation, keyed ("unit", kind, representation), with
-# their constants.  A template is complete when it is stored.
+# The rows of each signature -> per row, its structure, each var node's
+# position among the signature's columns and its left side's constants.  A
+# constraint's signature is every input the emitter branches on (kind,
+# dimension, the dropped cross-product component or None, each entity's kind
+# and representation); an entity's normalization rows are keyed ("unit",
+# kind, representation).  A template is complete when it is stored.
 _TEMPLATES: dict[tuple, tuple[tuple[int, tuple[int, ...], tuple[float, ...]], ...]] = {}
+
+
+def _write_rows(tape: ex.Tape, key: tuple, flat: Sequence[int], constants: Sequence[float],
+                emit: Callable[[], Iterable[ex.Term]]) -> int:
+    """Append the rows of signature ``key`` over the columns ``flat`` to
+    ``tape``, each left side less its number in ``constants`` if any, and
+    return how many: stamped from the stored template, or else written from
+    the left sides that ``emit`` yields (unended) and stored as it."""
+    template = _TEMPLATES.get(key)
+    if template is None:
+        first = len(tape.rows)
+        for k, lhs in enumerate(emit()):
+            tape.end_row(lhs - constants[k] if constants else lhs)
+        at = {j: k for k, j in enumerate(flat)}
+        template = _TEMPLATES[key] = tuple(
+            (shape, tuple(at[j] for j in reads), tuple(values[:-1] if constants else values))
+            for shape, reads, values, _ in tape.rows[first:])
+    else:
+        for k, (shape, offsets, values) in enumerate(template):
+            tape.stamp(shape, [flat[o] for o in offsets],
+                       [*values, float(constants[k])] if constants else list(values))
+    return len(template)
 
 
 def add_constraints(system: ResidualSystem, model: Model, constraints: Sequence[Constraint],
@@ -408,22 +420,9 @@ def add_constraints(system: ResidualSystem, model: Model, constraints: Sequence[
         crossed = _CROSSED.get(c.kind) if dim == 3 and not full_cross else None
         drop = None if crossed is None else _dropped_axis(model.entity(c.entities[crossed]))
         key = (c.kind, dim, drop, *[kinds[eid] for eid in c.entities])
-        flat = [j for eid in c.entities for j in columns[eid]]
-        constants = _constants(model, c)
-        template = _TEMPLATES.get(key)
-        if template is None:
-            env = {eid: [tape.var(j) for j in columns[eid]] for eid in c.entities}
-            for k, lhs in enumerate(_emit_constraint(model, c, env, drop)):
-                tape.end_row(lhs - constants[k] if constants else lhs)
-            at = {j: k for k, j in enumerate(flat)}
-            _TEMPLATES[key] = tuple(
-                (shape, tuple(at[j] for j in reads), tuple(values[:-1] if constants else values))
-                for shape, reads, values, _ in tape.rows[len(rows):])
-        else:
-            for k, (shape, offsets, values) in enumerate(template):
-                tape.stamp(shape, [flat[o] for o in offsets],
-                           [*values, float(constants[k])] if constants else list(values))
-        n = len(tape.rows) - len(rows)
+        n = _write_rows(tape, key, [j for eid in c.entities for j in columns[eid]],
+                        _constants(model, c), lambda: _emit_constraint(model, c, {
+                            eid: [tape.var(j) for j in columns[eid]] for eid in c.entities}, drop))
         singular = CONSTRAINT_KINDS[c.kind].singular
         rows += [(c.id if n == 1 else f"{c.id}[{k}]", "constraint", c.id, singular)
                  for k in range(n)]

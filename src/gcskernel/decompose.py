@@ -25,7 +25,7 @@ a rigid M and X + Y + Z is rigid, M + Y + Z is rigid, so the merge the
 retired X would have made is made with M.  The guard keeps over-constrained
 regions as they were: a merge whose union holds an entity of a constraint
 whose witness Jacobian rows take part in a row dependency (a dependent row
-group of :func:`numeric.rank_analyze`) retires nothing.  So bottom-up makes a
+group that the witness vote names) retires nothing.  So bottom-up makes a
 linear number of rigidity checks on constructible sketches, and outside
 guarded regions every node has one parent.  A merge's children are ordered by
 the leaf their first-child descent reaches, earliest created first;
@@ -33,10 +33,10 @@ recombination takes its frame from the first child, so that leaf fixes the
 frame.  The redundant or conflicting constraints
 are those whose rows take part in a row dependency of the witness Jacobian
 (the dependent groups that ``check`` reports), plus those no root holds.
-Every check reads one witness sample: :func:`bottom_up_at` takes it from the
-caller (``gcs decompose`` hands over the verdict's first vote, and that
-vote's dependent groups when it is the reported vote), and :func:`bottom_up`
-draws it at its seed.
+Every check reads one witness sample, and the dependent groups come only
+from the vote that drew it: :func:`bottom_up_at` takes both from the caller
+(``gcs decompose`` hands over the verdict's first vote), and
+:func:`bottom_up` from a one-vote :func:`witness.characterize` at its seed.
 
 Top-down (2D point/distance scope): a node splits at the lexicographically
 first separation pair (a, b), whose removal disconnects its constraint graph.
@@ -95,8 +95,9 @@ records each merge's open rows with the node's coordinates of the entities
 they name; after it, one evaluation (:func:`compiler.eval_blocks`) computes
 every recorded row at its own node's coordinates.  Only when one exceeds
 the tolerance does the sweep run again on the same schedule with a check at
-each merge, which re-solves the node's slice from the placement where a row
-fails; a leaf whose virtual bond values are unchanged keeps its body.
+each merge, the same evaluation of its rows alone, which re-solves the
+node's slice from the placement where a row fails; a leaf whose virtual
+bond values are unchanged keeps its body.
 Merges that share no points re-solve from the sketch.  Each entity's final
 coordinates are written once, by composing placements from the root, and
 the final certificate evaluates every row.  A tree whose root leaves an
@@ -131,8 +132,8 @@ from .compiler import (
 )
 from .detect import is_well_part
 from .model import Constraint, Entity, Model, POINT2
-from .numeric import RANK_REL_TOL, RESIDUAL_TOL, SolveResult, rank_analyze, solve
-from .witness import WitnessConfiguration, WitnessError, generate_witness
+from .numeric import RANK_REL_TOL, RESIDUAL_TOL, SolveResult, solve
+from .witness import WitnessConfiguration, WitnessError, characterize
 
 ALIGN_TOL = 1e-6
 
@@ -216,21 +217,22 @@ class RecombinePlan:
 
 def bottom_up(model: Model, seed: int = 0, rank_tol: float = RANK_REL_TOL,
               system: ResidualSystem | None = None) -> ClusterTree:
-    """:func:`bottom_up_at` the witness drawn at ``seed``.  ``system`` is the
+    """:func:`bottom_up_at` the witness of a one-vote :func:`characterize`
+    at ``seed``, and that vote's dependent groups.  ``system`` is the
     compiled ``model`` when the caller has it; it is compiled here otherwise.
     A failed draw raises :class:`DecompositionError`."""
     if system is None:
         system = compile_model(model)
     try:
-        witness = generate_witness(system, model, seed=seed)
+        report = characterize(system, model, seed=seed, votes=1, rank_tol=rank_tol)
     except WitnessError as err:
         raise DecompositionError(f"cannot build a witness for merge checks: {err}")
-    return bottom_up_at(model, system, witness, rank_tol)
+    return bottom_up_at(model, system, report.witness, report.dependent_groups, rank_tol)
 
 
 def bottom_up_at(model: Model, system: ResidualSystem, witness: WitnessConfiguration,
-                 rank_tol: float = RANK_REL_TOL,
-                 dependent_groups: Sequence[Sequence[int]] | None = None) -> ClusterTree:
+                 dependent_groups: Sequence[Sequence[int]],
+                 rank_tol: float = RANK_REL_TOL) -> ClusterTree:
     """Merge rigid seed clusters into a cluster forest (partial trees allowed).
 
     Every rigidity check reads the Jacobian and motion basis that
@@ -242,16 +244,12 @@ def bottom_up_at(model: Model, system: ResidualSystem, witness: WitnessConfigura
     dropped.  A merge whose union holds an entity of a constraint in a row
     dependency of the witness Jacobian retires nothing.  Merge children are
     ordered by the leaf their first-child descent reaches, earliest created
-    first.  The constraints in a dependent row group of the witness Jacobian
-    (:func:`rank_analyze`), and those no root holds, are flagged redundant or
-    conflicting.  ``dependent_groups`` are those groups when the caller has
-    them (the report of the vote that drew ``witness``); they are ranked
-    here otherwise.
+    first.  The constraints in a ``dependent_groups`` row group of the
+    witness Jacobian (as the vote that drew ``witness`` names them), and
+    those no root holds, are flagged redundant or conflicting.
     ``rank_tol`` is the relative SVD threshold of every rank decision.
     """
     J, M = witness.jacobian, witness.motions
-    if dependent_groups is None:
-        dependent_groups = rank_analyze(J, rank_tol).dependent_groups
     # the constraints whose rows take part in a row dependency of J; where
     # there is none, a rigid union stays rigid when a cluster it covers part
     # of is swapped for its cover, so covered clusters retire
@@ -613,7 +611,9 @@ def _moved(model: Model, system: ResidualSystem, x: np.ndarray,
 
 def _fit(placed: Mapping[str, Sequence[float]], child: Mapping[str, Sequence[float]],
          shared_points: Sequence[str]) -> _Motion:
-    """:func:`align_onto` as a :class:`_Motion`."""
+    """The rigid motion that maps a child's shared points, given in its own
+    frame, onto their placed copies; :class:`AlignmentError` when one is off
+    by more than ``ALIGN_TOL`` after the best fit."""
     source = [child[p] for p in shared_points]
     target = [placed[p] for p in shared_points]
     motion = _Motion(*geometry.fit_rigid_2d_floats(source, target))
@@ -624,18 +624,6 @@ def _fit(placed: Mapping[str, Sequence[float]], child: Mapping[str, Sequence[flo
             raise AlignmentError(
                 f"shared entity {eid!r} disagrees by {err:.3e} after alignment")
     return motion
-
-
-def align_onto(placed: Mapping[str, Sequence[float]], child: Mapping[str, Sequence[float]],
-               shared_points: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The rigid motion (R, t) that maps a child's shared points onto their placed copies.
-
-    ``placed`` and ``child`` hold each shared point's coordinates in the
-    parent's frame and in the child's.  Raises :class:`AlignmentError` when a
-    shared point disagrees by more than the alignment tolerance after the
-    best fit.
-    """
-    return _fit(placed, child, shared_points).arrays()
 
 
 def _circle_intersection(ca: Sequence[float], ra: float, cb: Sequence[float], rb: float,
@@ -1051,10 +1039,6 @@ def solve_tree(model: Model, tree: ClusterTree, max_iter: int = 100,
     if system is None:
         system = compile_model(model)
     schedule = _schedule(model, system, root)
-    # the batched check: the open rows of each merge placed with some, and
-    # the entities they name, in sweep order
-    blocks = [(step.rows, step.named) for step in schedule
-              if type(step) is _Merge and step.complete and step.rows]
     sketch = assignment_from_params(model, system)
     built: dict[int, tuple[tuple[float, ...], _Body]] = {}  # a leaf's step -> bonds, body
 
@@ -1063,13 +1047,17 @@ def solve_tree(model: Model, tree: ClusterTree, max_iter: int = 100,
         for eid in entity_ids:
             x[system.entity_slice(eid)] = coords[eid]
 
+    def held(checks: list) -> bool:
+        # every (open rows, entities they name, node coordinates) block
+        # within tol, each at its own node's coordinates
+        return not checks or float(np.max(np.abs(eval_blocks(system, checks)))) <= tol
+
     def sweep(checks: list | None) -> tuple[_Body, list[Placement]]:
         """Build the leaves and place the merges in schedule order; return the
         root's body and the placements.  A placed merge with open rows
-        appends its body's coordinates to ``checks``.  With ``checks`` None,
-        it evaluates its rows itself instead, and re-solves its slice when
-        one exceeds ``tol``."""
-        x = sketch.copy()  # the assignment a merge's own check writes and reads
+        appends them, the entities they name and its body's coordinates to
+        ``checks``.  With ``checks`` None, it checks that block itself
+        instead, and re-solves its slice when a row exceeds ``tol``."""
         placements: list[Placement] = []
         bond_values: dict[tuple[str, str], float] = {}
         done: list[_Body] = []  # the bodies of built nodes whose parent waits
@@ -1082,15 +1070,17 @@ def solve_tree(model: Model, tree: ClusterTree, max_iter: int = 100,
                 start = sketch
             elif not merge.rows:
                 return body
-            elif checks is not None:
-                checks.append(body.coords)
-                return body
             else:
-                write(x, body.coords, body.coords)
-                if float(np.max(np.abs(eval_residuals(system.select(merge.rows), x)))) <= tol:
+                block = (merge.rows, merge.named, body.coords)
+                if checks is not None:
+                    checks.append(block)
                     return body
-                write(x, body.params(model), merge.node.entities)
-                start = x
+                if held([block]):
+                    return body
+                # the node's rows read only its columns: the rest of the
+                # sketch stays as it is
+                start = sketch.copy()
+                write(start, body.params(model), merge.node.entities)
             y = _solve_cluster(system, system, merge.node, start, max_iter, tol)
             return _Body(_entity_params(system, y, merge.node.entities))
 
@@ -1118,11 +1108,6 @@ def solve_tree(model: Model, tree: ClusterTree, max_iter: int = 100,
                 bond_values[pair] = math.dist(body.coords[pair[0]], body.coords[pair[1]])
             done.append(body)
         return done[0], placements
-
-    def held(checks: list) -> bool:
-        # every recorded row within tol, each at its own node's coordinates
-        return not checks or float(np.max(np.abs(eval_blocks(system, [
-            (rows, named, coords) for (rows, named), coords in zip(blocks, checks)])))) <= tol
 
     # every merge's open rows in one evaluation after the sweep.  If one is
     # off, sweep again with a check at each merge, which re-solves where it

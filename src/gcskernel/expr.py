@@ -291,8 +291,8 @@ class Plan:
     when given, are the positions of the assignment that the var nodes read,
     one per node in row order, in place of the variables the tapes name: so
     rows can read different values of one variable from one assignment,
-    whose length is then ``n_columns``; ``cols`` still names the tapes'
-    variables, so such a plan serves :meth:`values` only.
+    whose length is then ``n_columns``.  Such a plan serves :meth:`values`
+    only: it gathers neither the tapes' variables nor ``cols``.
     """
 
     def __init__(self, parts: Sequence[tuple[Tape, Sequence[int]]], n_columns: int,
@@ -306,9 +306,10 @@ class Plan:
             for r in local:
                 shape, variables, constants, columns = rows[r]
                 shapes.append(shape)
-                var_index += variables
                 const_value += constants
-                cols += columns
+                if reads is None:
+                    var_index += variables
+                    cols += columns
         self.schedule = _schedule(tuple(shapes))
         self.n_rows = len(shapes)
         self.n_columns = n_columns

@@ -118,7 +118,9 @@ def fit_rigid_2d(source: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np
     """Least-squares rotation + translation mapping source points onto target.
 
     Reflections are excluded.  With a single point pair the rotation is the
-    identity.  Returns (R, t) with R 2x2.
+    identity.  Returns (R, t) with R 2x2.  The numpy reference that
+    ``tests/test_geometry.py`` checks :func:`fit_rigid_2d_floats` against and
+    acceptance criterion 9 aligns a decomposed solve with.
     """
     src = np.atleast_2d(np.asarray(source, dtype=float))
     dst = np.atleast_2d(np.asarray(target, dtype=float))

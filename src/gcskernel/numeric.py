@@ -10,11 +10,11 @@ exceeds RANK_GAP times that block's own threshold (`_BlockStep.margins`).
 The witness votes certify full row rank with it (`witness.characterize`);
 where a block falls under that margin, `rank_of` of the whole matrix
 decides.  `cokernel_groups` names the dependent row groups of a ranked
-matrix, the rows each cokernel basis vector touches, for the callers that
-name dependencies (the witness report, bottom-up's retirement guard,
-through `rank_analyze`, which ranks and names at once); it asks for
+matrix, the rows each cokernel basis vector touches, for the witness
+report, whose groups bottom-up's retirement guard reads too; it asks for
 singular vectors only when the rank falls below the row count, and it is
-the only code that asks for them.
+the only code that asks for them.  `rank_analyze`, which ranks and names
+at once, has no production caller: it is the tests' dense reference.
 
 The Newton solver's step solves
 J step = -r by block back-substitution in the order of the structural solve
@@ -118,7 +118,8 @@ def cokernel_groups(matrix, rank: int) -> tuple[tuple[int, ...], ...]:
 
 def rank_analyze(matrix, rel_tol: float = RANK_REL_TOL) -> RankAnalysis:
     """The :func:`rank_of` rank of a dense matrix and its
-    :func:`cokernel_groups`."""
+    :func:`cokernel_groups`: the dense reference of the tests; no
+    production path calls it."""
     J = _finite_matrix(matrix)
     rank = rank_of(J, rel_tol)
     return RankAnalysis(J.shape, rank, cokernel_groups(J, rank))

@@ -40,7 +40,9 @@ fails it, a smaller one, and one with rows + dor != columns are ranked by
 A witness carries J and the motion basis at its sample, and every consumer
 reads them from there: the report keeps the sample of its first vote, drawn
 at the run's seed, which detection and the bottom-up merge checks read, so
-a run draws each seed at most once.
+a run draws each seed at most once.  Bottom-up's dependent rows come from
+the vote too: those of the first vote's J (:meth:`WcmReport.witness_groups`),
+or of a one-vote :func:`characterize`.
 """
 
 from __future__ import annotations
@@ -242,11 +244,10 @@ class WcmReport:
     dependent_groups: tuple[tuple[int, ...], ...]
     seeds: tuple[int, ...] = ()
     sub_reports: tuple["WcmReport", ...] = ()
-    # the first vote's witness, drawn at the first seed; not part of the report
+    # the first vote's witness, drawn at the first seed, and that vote's
+    # (rank, dor); not part of the report
     witness: WitnessConfiguration | None = field(default=None, compare=False, repr=False)
-    # whether the report is the first vote's, so that dependent_groups are
-    # those of witness.jacobian; not part of the report
-    names_witness: bool = field(default=False, compare=False, repr=False)
+    witness_key: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
     @property
     def over(self) -> bool:
@@ -267,6 +268,16 @@ class WcmReport:
             return "unstable"
         parts = [name for name, holds in (("over", self.over), ("under", self.under)) if holds]
         return "-and-".join(parts) or "well"
+
+    def witness_groups(self) -> tuple[tuple[int, ...], ...]:
+        """The dependent row groups of ``witness.jacobian``: the first vote's
+        report's, or, when it is not kept, that vote's cokernel at its rank
+        (:func:`numeric.cokernel_groups`), taken on each call."""
+        if self.sub_reports:
+            return self.sub_reports[0].dependent_groups
+        if self.witness_key == (self.rank, self.dor):
+            return self.dependent_groups
+        return cokernel_groups(self.witness.jacobian, self.witness_key[0])
 
     def to_json_dict(self) -> dict:
         return {
@@ -365,14 +376,14 @@ def characterize(system: ResidualSystem, model: Model, seed: int = 0,
     Votes are drawn and ranked one at a time, and drawing stops as
     soon as one (rank, dor) key has a majority of ``votes``, which no later
     vote can take from it.  The report is the first vote with that key, and
-    only it names its dependent rows; it keeps the first vote's witness in
-    ``witness``, whether it is that vote's report in ``names_witness``, and
-    the whole ballot, ``seed`` to ``seed + votes - 1``, in ``seeds``.  A system without variables has one configuration, so it
-    takes one vote; ``votes`` below 1 raise ``ValueError``.  If no key
-    reaches a majority, every vote has been drawn, the verdict is
-    "unstable" and the individual reports are attached.  ``rank_tol`` is
-    the relative SVD threshold of both rank decisions (the Jacobian rank and
-    the degree of rigidity).
+    only it names its dependent rows; it keeps the first vote's witness and
+    (rank, dor) in ``witness`` and ``witness_key``, and the whole ballot,
+    ``seed`` to ``seed + votes - 1``, in ``seeds``.  A system without
+    variables has one configuration, so it takes one vote; ``votes`` below
+    1 raise ``ValueError``.  If no key reaches a majority, every vote has
+    been drawn, the verdict is "unstable" and the individual reports are
+    attached.  ``rank_tol`` is the relative SVD threshold of both rank
+    decisions (the Jacobian rank and the degree of rigidity).
     """
     if votes < 1:
         raise ValueError(f"votes must be >= 1, got {votes}")
@@ -399,7 +410,7 @@ def characterize(system: ResidualSystem, model: Model, seed: int = 0,
         if sum(k == key for _, k in drawn) == needed:
             winner = next(v for v, k in drawn if k == key)
             return replace(_report(winner.jacobian, *key, seeds), witness=drawn[0][0],
-                           names_witness=winner is drawn[0][0])
+                           witness_key=drawn[0][1])
     votes_cast = tuple(_report(w.jacobian, *key, (w.seed,)) for w, key in drawn)
     m, n = drawn[0][0].jacobian.shape
     return WcmReport(n, m, -1, -1, (), seeds, votes_cast, drawn[0][0])

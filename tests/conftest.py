@@ -24,6 +24,22 @@ def empty_templates(monkeypatch):
     monkeypatch.setattr(compiler, "_TEMPLATES", {})
 
 
+@pytest.fixture
+def recording_svd(monkeypatch) -> list[tuple[tuple[int, ...], bool]]:
+    """For one test, the shape of every ``np.linalg.svd`` call and whether it
+    computes singular vectors, in call order."""
+    calls = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        calls.append((np.shape(a), bool(kwargs.get("compute_uv",
+                                                   args[1] if len(args) > 1 else True))))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return calls
+
+
 # The reference the tape's evaluation is checked against: a scalar forward
 # walk over one tape row's ops, with math.sin/math.cos and dict gradients.  It
 # shares no code with expr._Schedule or expr.Plan.

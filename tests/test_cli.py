@@ -4,7 +4,6 @@ import subprocess
 import sys
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from gcskernel import cli, decompose, detect, numeric, witness, zoo
@@ -213,27 +212,12 @@ def write_model(tmp_path, model) -> str:
     (["check"], "k4.json", 1),  # over: only the reported vote names its groups
 ], ids=["check-strip24", "decompose-kite", "detect-kite", "check-k4"])
 def test_singular_vectors_only_below_full_row_rank(argv, model, expected, capsys, corpus_dir,
-                                                    tmp_path, monkeypatch):
+                                                    tmp_path, recording_svd):
     path = (write_model(tmp_path, zoo.triangle_strip(24)) if model is None
             else str(corpus_dir / model))
-    calls = recording_svd(monkeypatch)
+    calls = recording_svd
     run_cli(capsys, argv[0], path, *argv[1:])
     assert sum(with_vectors for _, with_vectors in calls) == expected
-
-
-def recording_svd(monkeypatch) -> list[tuple[tuple[int, ...], bool]]:
-    """Record the shape of every ``np.linalg.svd`` call and whether it
-    computes singular vectors."""
-    calls = []
-    svd = np.linalg.svd
-
-    def recording(a, *args, **kwargs):
-        calls.append((np.shape(a), bool(kwargs.get("compute_uv",
-                                                   args[1] if len(args) > 1 else True))))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording)
-    return calls
 
 
 def dense_check(capsys, monkeypatch, path) -> tuple[int, str]:
@@ -244,9 +228,9 @@ def dense_check(capsys, monkeypatch, path) -> tuple[int, str]:
 
 
 def test_check_certifies_a_large_rigid_strip_without_a_dense_svd(capsys, tmp_path,
-                                                                monkeypatch):
+                                                                monkeypatch, recording_svd):
     path = write_model(tmp_path, zoo.triangle_strip(200))
-    calls = recording_svd(monkeypatch)
+    calls = recording_svd
     code, out = run_cli(capsys, "--format", "json", "check", path)
     assert (code, json.loads(out)["verdict"]) == (0, "well")
     assert calls and max(shape[-2] for shape, _ in calls) < 48  # blocks and motions only
@@ -254,8 +238,8 @@ def test_check_certifies_a_large_rigid_strip_without_a_dense_svd(capsys, tmp_pat
     assert calls.count(((401, 404), False)) == 2
 
 
-def test_check_k4_ranks_its_jacobian_densely(capsys, corpus_dir, monkeypatch):
-    calls = recording_svd(monkeypatch)
+def test_check_k4_ranks_its_jacobian_densely(capsys, corpus_dir, recording_svd):
+    calls = recording_svd
     run_cli(capsys, "check", str(corpus_dir / "k4.json"))
     assert Counter(c for c in calls if c[0] == (6, 8)) == {((6, 8), False): 2, ((6, 8), True): 1}
 
@@ -284,9 +268,12 @@ def test_strip_variants_that_no_block_certifies_keep_the_dense_report(change, ve
     assert dense_check(capsys, monkeypatch, path) == (code, out)
 
 
-def test_a_thin_block_margin_falls_back_to_the_dense_rank(capsys, tmp_path, monkeypatch):
+def test_a_thin_block_margin_falls_back_to_the_dense_rank(capsys, tmp_path, monkeypatch,
+                                                          recording_svd):
     path = write_model(tmp_path, zoo.triangle_strip(48))
     expected = run_cli(capsys, "--format", "json", "check", path)
+    calls = recording_svd
+    calls.clear()
     margins = numeric._BlockStep.margins
 
     def one_thin_block(self, *args):
@@ -295,7 +282,6 @@ def test_a_thin_block_margin_falls_back_to_the_dense_rank(capsys, tmp_path, monk
         return out
 
     monkeypatch.setattr(numeric._BlockStep, "margins", one_thin_block)
-    calls = recording_svd(monkeypatch)
     assert run_cli(capsys, "--format", "json", "check", path) == expected
     assert calls.count(((97, 100), False)) == 2
 
@@ -391,31 +377,37 @@ def test_decompose_braced_quad_bottom_up(capsys, corpus_dir):
 
 
 def test_bottom_up_decompose_ranks_the_jacobian_of_vote_zero_once(capsys, corpus_dir,
-                                                                   monkeypatch):
+                                                                   recording_svd):
     # two votes, then the whole kite's rigidity check; the retirement guard
     # reads the report's dependent groups
-    calls = recording_svd(monkeypatch)
+    calls = recording_svd
     run_cli(capsys, "decompose", str(corpus_dir / "solve-kite.json"), "--strategy", "bottom-up")
     assert calls.count(((5, 8), False)) == 3
 
 
-@pytest.mark.parametrize("keys, ranked", [
-    ([(5, 3), (5, 3)], 0),          # vote 0 wins: its report names the groups
-    ([(4, 3), (5, 3), (5, 3)], 1),  # vote 0 lost: its Jacobian is ranked again
-    ([(5, 3), (4, 3), (3, 3)], 1),  # unstable: no vote's report
+@pytest.mark.parametrize("keys", [
+    [(5, 3), (5, 3)],          # vote 0 wins: its report names the groups
+    [(4, 3), (5, 3), (5, 3)],  # vote 0 lost: its cokernel at its own rank
+    [(5, 3), (4, 3), (3, 3)],  # unstable: vote 0's report names them
 ], ids=["vote0-won", "vote0-lost", "unstable"])
-def test_bottom_up_decompose_ranks_again_only_without_vote_zeros_groups(keys, ranked, capsys,
-                                                                         corpus_dir,
-                                                                         monkeypatch):
+def test_bottom_up_decompose_takes_vote_zeros_cokernel_once(keys, capsys, corpus_dir,
+                                                            monkeypatch):
+    # the retirement guard reads the dependent groups of vote 0's Jacobian,
+    # which no code path ranks again
     path = str(corpus_dir / "k4.json")
     expected = run_json(capsys, "decompose", path, "--strategy", "bottom-up")[1]["tree"]
     values = iter([v for key in keys for v in key])
     monkeypatch.setattr(witness, "rank_of", lambda *args: next(values))
-    analyses = []
-    monkeypatch.setattr(decompose, "rank_analyze",
-                        lambda *args: analyses.append(args) or numeric.rank_analyze(*args))
+    drawn, taken = [], []
+    real_draw, real_cokernel = witness.generate_witness, witness.cokernel_groups
+    monkeypatch.setattr(witness, "generate_witness",
+                        lambda *args, **kwargs: drawn.append(real_draw(*args, **kwargs))
+                        or drawn[-1])
+    monkeypatch.setattr(witness, "cokernel_groups",
+                        lambda J, rank: taken.append(J) or real_cokernel(J, rank))
     assert run_json(capsys, "decompose", path, "--strategy", "bottom-up")[1]["tree"] == expected
-    assert len(analyses) == ranked
+    assert len(drawn) == len(keys)
+    assert sum(J is drawn[0].jacobian for J in taken) == 1
 
 
 def test_decompose_triangle_single_cluster(capsys, corpus_dir):
@@ -479,7 +471,7 @@ def test_solve_decomposed_refuses_3d_model_before_decomposing(capsys, corpus_dir
     def fail(*args, **kwargs):
         raise AssertionError("a refused model was decomposed")
 
-    monkeypatch.setattr(decompose, "generate_witness", fail)
+    monkeypatch.setattr(witness, "generate_witness", fail)
     monkeypatch.setattr(decompose, "is_well_part", fail)
     code = main(["solve", "--strategy", "decomposed", str(corpus_dir / "tetrahedron.json")])
     captured = capsys.readouterr()

@@ -24,11 +24,12 @@ from gcskernel import (
     solve_tree,
     top_down,
 )
-from gcskernel import cli, compiler, decompose, expr, geometry, numeric, structural, zoo
+from gcskernel import cli, compiler, decompose, expr, geometry, numeric, structural, witness, zoo
 from gcskernel.compiler import induced
-from gcskernel.decompose import ClusterNode, ClusterTree, align_onto
+from gcskernel.decompose import ClusterNode, ClusterTree, _fit
 from gcskernel.detect import is_well_part
-from gcskernel.model import Constraint, Entity, Model, load_model, model_from_json_dict
+from gcskernel.model import (
+    Constraint, Entity, Model, load_model, model_from_json_dict, model_to_json_dict)
 from gcskernel.numeric import solve
 from gcskernel.witness import characterize, characterize_at, generate_witness
 
@@ -205,8 +206,45 @@ def test_bottom_up_at_the_verdicts_witness_is_bottom_up(seed, corpus_dir):
     for name, m in models:
         s = compile_model(m)
         report = characterize(s, m, seed=seed)
-        at = bottom_up_at(m, s, report.witness)
+        at = bottom_up_at(m, s, report.witness, report.witness_groups())
         assert at.to_json_dict() == bottom_up(m, seed=seed, system=s).to_json_dict(), name
+
+
+def test_bottom_up_of_a_certified_strip_ranks_no_whole_jacobian(tmp_path, capsys, monkeypatch,
+                                                               recording_svd):
+    # strip(48)'s vote is certified from its blocks, so its 97 x 100
+    # Jacobian is never ranked: the one SVD of that shape is the root's
+    # rigidity check of its slice.  A dense vote ranks it once more.
+    m = zoo.triangle_strip(48)
+    path = tmp_path / "strip48.json"
+    path.write_text(json.dumps(model_to_json_dict(m)), encoding="utf-8")
+    tree = bottom_up(m).to_json_dict()
+    assert recording_svd.count(((97, 100), False)) == 1
+    recording_svd.clear()
+    assert cli.main(["solve", "--strategy", "decomposed", str(path)]) == 0
+    capsys.readouterr()
+    assert recording_svd.count(((97, 100), False)) == 1
+    recording_svd.clear()
+    monkeypatch.setattr(witness, "BLOCK_STEP_MIN_ROWS", math.inf)
+    assert bottom_up(m).to_json_dict() == tree
+    assert recording_svd.count(((97, 100), False)) == 2
+
+
+def test_no_decomposition_path_calls_rank_analyze(capsys, corpus_dir, monkeypatch):
+    # bottom-up's dependent rows come from the witness vote alone
+    def fail(*args, **kwargs):
+        raise AssertionError("rank_analyze called")
+
+    for module in (numeric, decompose):
+        monkeypatch.setattr(module, "rank_analyze", fail, raising=False)
+    models = dict(corpus_2d_models(corpus_dir))
+    assert "k4.json" in models  # over-constrained: its vote names dependent rows
+    for name, m in models.items():
+        bottom_up(m)
+    for argv in (["decompose", "--strategy", "bottom-up"], ["solve", "--strategy", "decomposed"]):
+        for name in ("k4.json", "solve-kite.json"):
+            cli.main([argv[0], str(corpus_dir / name), *argv[1:]])
+            capsys.readouterr()
 
 
 def roots_and_free(tree):
@@ -752,11 +790,11 @@ def test_alignment_error_on_corrupted_local_solution():
     placed = {"P2": np.array([0.0, 0.0]), "P4": np.array([0.0, 4.0])}
     good_child = {"P2": np.array([1.0, 1.0]), "P4": np.array([1.0, 5.0]),
                   "P3": np.array([3.0, 3.0])}
-    R, t = align_onto(placed, good_child, ["P2", "P4"])
+    R, t = _fit(placed, good_child, ["P2", "P4"]).arrays()
     assert np.allclose(R @ good_child["P2"] + t, (0.0, 0.0), atol=1e-12)
     corrupted = dict(good_child, P4=np.array([1.0, 5.5]))  # stretch the shared pair
     with pytest.raises(AlignmentError):
-        align_onto(placed, corrupted, ["P2", "P4"])
+        _fit(placed, corrupted, ["P2", "P4"])
 
 
 def test_solve_tree_refuses_forest():
@@ -1036,10 +1074,11 @@ def test_every_cluster_slice_matches_submodel_solve(slice_trees, monkeypatch):
 
 
 def strip_solve_counts(n, monkeypatch, batches=None):
-    """Nodes that reach _solve_cluster, residual rows evaluated (one by one
-    and in blocks) and leaves solved by one solve_tree of top-down
-    triangle_strip(n).  ``batches``, when given, receives the row blocks of
-    each batched evaluation."""
+    """Nodes that reach _solve_cluster, residual rows evaluated (whole
+    systems, such as the certificate and Newton's, and open-row blocks) and
+    leaves solved by one solve_tree of top-down triangle_strip(n).
+    ``batches``, when given, receives the row blocks of each evaluation of
+    open rows: one for the batched check, one per merge in a second sweep."""
     clustered, rows, leaves = [], [0], []
     real_cluster, real_eval = decompose._solve_cluster, compiler.eval_residuals
     real_leaf, real_blocks = decompose._solve_leaf, compiler.eval_blocks

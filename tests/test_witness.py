@@ -606,7 +606,7 @@ def test_reports_store_no_judgment():
         return [f.name for f in dataclasses.fields(cls)]
 
     assert fields(WcmReport) == ["columns", "rows", "rank", "dor", "dependent_groups",
-                                 "seeds", "sub_reports", "witness", "names_witness"]
+                                 "seeds", "sub_reports", "witness", "witness_key"]
     assert fields(SchemeRow) == ["scheme", "columns", "rank", "dor", "verdict"]
 
 
