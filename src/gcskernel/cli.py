@@ -1,9 +1,10 @@
 """Command-line front end: check | detect | decompose | solve.
 
 Exit codes: 0 well, 1 parse/validation error, 3 under, 4 over,
-5 over-and-under, 6 unstable, 7 no witness sample could be drawn, or a
-decomposed solve refused (no 2D cluster tree, or a cluster failed to solve
-or align).  Reports are deterministic for a fixed model and configuration;
+5 over-and-under, 6 unstable, 7 no witness sample could be drawn (the
+projection onto the singular rows did not converge), or a decomposed solve
+refused (no 2D cluster tree, or a cluster failed to solve or align).
+Reports are deterministic for a fixed model and configuration;
 JSON output is byte-stable (sorted keys, fixed separators).  The environment variable GCS_SEED overrides --seed.
 """
 

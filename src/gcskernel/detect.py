@@ -166,10 +166,11 @@ def greedy_well_parts(model: Model, system: ResidualSystem, jacobian: np.ndarray
     """Greedy maximal well-constrained parts, seed first, leftovers rescanned.
 
     A single ascending-id pass grows each part, adding an entity iff the
-    induced subsystem stays well-constrained; the procedure repeats on the
-    remaining entities until none are left.  Results are seed-dependent by
-    design (that is the documented limitation), but deterministic for a fixed
-    seed.  The first part grows from ``seed_entity`` (the smallest id by
+    induced subsystem stays well-constrained; a part that grew is kept, and
+    a seed that took no entity is kept iff it is well alone.  The procedure
+    repeats on the remaining entities until none are left.  Results are
+    seed-dependent by design (that is the documented limitation), but
+    deterministic for a fixed seed.  The first part grows from ``seed_entity`` (the smallest id by
     default); an id the model lacks raises ``ValueError``.  ``jacobian`` and
     ``motions`` are those of :func:`is_well_part`.
     """
@@ -187,7 +188,8 @@ def greedy_well_parts(model: Model, system: ResidualSystem, jacobian: np.ndarray
                 continue
             if is_well_part(model, system, jacobian, motions, current | {eid}, rank_tol):
                 current.add(eid)
-        if is_well_part(model, system, jacobian, motions, current, rank_tol):
+        # a part that grew is the set its last addition tested well
+        if len(current) > 1 or is_well_part(model, system, jacobian, motions, current, rank_tol):
             parts.append(WellPart(frozenset(current), induced(model, system, current)[0]))
             remaining = [i for i in remaining if i not in current]
         else:

@@ -3,7 +3,10 @@ and the rank-based constraint-state criteria.
 
 A witness is a generic variable assignment at which every singular
 (incidence-type) residual and every normalization holds; at such a point the
-Jacobian has the same rank structure as at actual solutions.  The verdict
+Jacobian has the same rank structure as at actual solutions.  Any point the
+projection of a uniform sample onto those rows reaches is one, coincidences
+the rows force included; a draw fails (:class:`WitnessError`) only when the
+projection does not converge.  The verdict
 logic on the unanchored Jacobian J (m rows, n columns) is
 
     over   iff  rank(J) < m            (dependent rows, kernel of J^T nonempty)
@@ -59,7 +62,6 @@ from .compiler import (
     compile_model,
     eval_jacobian,
     full_cross,
-    params_from_assignment,
 )
 from .model import Entity, Model, PLANE3, HESSIAN, POINT2, POINT3, POINT_NORMAL, LINE3
 from .numeric import (
@@ -74,7 +76,6 @@ from .numeric import (
 from .structural import EquationGraph
 
 WITNESS_TOL = 1e-9
-COINCIDENCE_TOL = 1e-6
 
 
 class WitnessError(RuntimeError):
@@ -89,54 +90,6 @@ class WitnessConfiguration:
     attempts: int
     jacobian: np.ndarray  # the unanchored Jacobian at the sample
     motions: np.ndarray  # the rigid-motion basis at the sample (motion_basis)
-
-
-def _tied(model: Model) -> set[str]:
-    """Every entity but one of each class that ``coincident`` constraints
-    tie together (transitively)."""
-    parent: dict[str, str] = {}  # a tied entity -> the entity it was tied to
-
-    def find(e: str) -> str:
-        while e in parent:
-            e = parent[e]
-        return e
-
-    for c in model.constraints:
-        if c.kind == "coincident":
-            a, b = (find(e) for e in c.entities)
-            if a != b:
-                parent[b] = a
-    return set(parent)
-
-
-def _entities_coincide(model: Model, params: dict[str, tuple[float, ...]]) -> bool:
-    """True iff two entities of one kind and representation have parameter
-    vectors within ``COINCIDENCE_TOL`` of each other in every component.
-    Entities that ``coincident`` constraints tie together are one entity
-    here (:func:`_tied`): the projection puts them on one point.
-
-    Rows sorted by their first column are compared at offsets d = 1, 2, ...
-    while some first-column gap at offset d is below the tolerance; a pair
-    further apart in that order differs by at least as much in that column.
-    A NaN component never coincides.
-    """
-    tied = _tied(model)
-    by_kind: dict[tuple[str, str | None], list[tuple[float, ...]]] = {}
-    for e in model.entities:
-        if e.id in tied:
-            continue
-        key = (e.kind, e.spec.representation)
-        by_kind.setdefault(key, []).append(params[e.id])
-    for rows in by_kind.values():
-        vals = np.asarray(rows, dtype=float)
-        vals = vals[np.argsort(vals[:, 0])]
-        first = vals[:, 0]
-        for d in range(1, len(vals)):
-            if not np.any(first[d:] - first[:-d] < COINCIDENCE_TOL):
-                break
-            if np.any(np.all(np.abs(vals[d:] - vals[:-d]) < COINCIDENCE_TOL, axis=1)):
-                return True
-    return False
 
 
 def _projection(system: ResidualSystem, model: Model) -> ResidualSystem:
@@ -154,9 +107,9 @@ def generate_witness(system: ResidualSystem, model: Model, seed: int = 0,
     """Sample a witness: uniform in [-1, 1]^n projected onto the singular subsystem.
 
     The singular subsystem (incidences, parallels, normalizations) is usually
-    highly under-constrained and solves in one attempt; candidates where two
-    same-kind entities coincide are rejected as accidentally degenerate.  The
-    sample carries the Jacobian of ``system`` without anchors and the motion
+    highly under-constrained and solves in one attempt.  Any point the
+    projection reaches is the witness; after ``max_attempts`` projections that
+    do not converge, :class:`WitnessError` is raised.  The sample carries the Jacobian of ``system`` without anchors and the motion
     basis.  ``projection`` is the selection of singular rows that samples are
     projected onto, when the caller already has it (:func:`characterize`
     derives it once for all its votes, so they share one evaluation plan);
@@ -176,10 +129,6 @@ def generate_witness(system: ResidualSystem, model: Model, seed: int = 0,
                 last_error = f"singular subsystem projection: {result.status}"
                 continue
             x = result.assignment
-        params = params_from_assignment(model, base, x)
-        if _entities_coincide(model, params):
-            last_error = "coincident entities in sample"
-            continue
         return WitnessConfiguration(x, tuple(rows), seed, attempt, eval_jacobian(base, x),
                                     motion_basis(model, base, x))
     raise WitnessError(

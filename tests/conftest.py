@@ -132,12 +132,21 @@ def cross_product_models():
 
 
 def lines_through_two_points():
-    """Points P and Q both on lines L1 and L2: generic lines meet once, so
-    the projection forces P and Q together though no constraint says so."""
+    """Points P and Q both on lines L1 and L2.  The incidences have two
+    4-dimensional components, P = Q and L1 = L2, and a projected sample
+    lands on one of them; both read rows 4, rank 4, DOR 3: under by one
+    free motion."""
     return Model(2, (Entity("P", "point2"), Entity("Q", "point2"),
                      Entity("L1", "line2"), Entity("L2", "line2")),
                  tuple(Constraint(f"i{k}", "point-on-line", pair) for k, pair in enumerate(
                      (("P", "L1"), ("P", "L2"), ("Q", "L1"), ("Q", "L2")))))
+
+
+def parallel_and_perpendicular_lines():
+    """Two lines both parallel and perpendicular: no sample satisfies both."""
+    return Model(2, (Entity("L1", "line2"), Entity("L2", "line2")),
+                 (Constraint("p", "parallel", ("L1", "L2")),
+                  Constraint("q", "perpendicular", ("L1", "L2"))))
 
 
 def triangle_with_coincident_point():

@@ -8,9 +8,13 @@ import pytest
 
 from gcskernel import cli, decompose, detect, numeric, witness, zoo
 from gcskernel.cli import main
-from gcskernel.model import Constraint, Model, model_to_json_dict
+from gcskernel.model import Constraint, Entity, Model, model_to_json_dict
 
-from conftest import lines_through_two_points, triangle_with_coincident_point
+from conftest import (
+    lines_through_two_points,
+    parallel_and_perpendicular_lines,
+    triangle_with_coincident_point,
+)
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -114,6 +118,23 @@ def test_malformed_linear_system_exit_1(capsys, tmp_path, equations, names):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith(f"malformed model {path}: ")
+
+
+def test_detect_skips_the_well_part_oracle_above_its_cap(capsys, tmp_path):
+    # strip(9): 11 points and 19 rows, both above the oracles' caps
+    code, data = run_json(capsys, "detect", write_model(tmp_path, zoo.triangle_strip(9)))
+    assert code == 0
+    assert data["oracle"]["maxWellPart"] == "skipped: 11 entities exceeds the oracle cap of 10"
+
+
+@pytest.mark.parametrize("strategy", ["direct", "decomposed"])
+def test_solve_without_sketch_parameters_exits_1(strategy, capsys, tmp_path):
+    m = Model(2, (Entity("A", "point2"), Entity("B", "point2")),
+              (Constraint("d", "distance-pp", ("A", "B"), 1.0),))
+    code = main(["solve", "--strategy", strategy, write_model(tmp_path, m)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "entity 'A' has no parameters for an initial guess\n"
 
 
 def test_detect_lindep2(capsys, corpus_dir):
@@ -288,14 +309,33 @@ def test_a_thin_block_margin_falls_back_to_the_dense_rank(capsys, tmp_path, monk
 
 @pytest.mark.parametrize("command", ["check", "detect", "decompose"])
 def test_a_failed_witness_draw_exits_7_without_a_traceback(command, capsys, tmp_path):
-    # P and Q on both lines L1 and L2: every sample puts them on one point
-    path = write_model(tmp_path, lines_through_two_points())
+    # two lines both parallel and perpendicular: no projection converges
+    path = write_model(tmp_path, parallel_and_perpendicular_lines())
     code = main([command, path])
     captured = capsys.readouterr()
     assert code == 7
     assert captured.out == ""
     assert captured.err == ("witness generation failed after 10 attempts (seed 0): "
-                            "coincident entities in sample\n")
+                            "singular subsystem projection: inconsistent\n")
+
+
+@pytest.mark.parametrize("command, expected", [("check", 3), ("detect", 0), ("decompose", 3)])
+def test_two_lines_through_two_points_read_under_at_every_seed(command, expected, capsys,
+                                                               tmp_path):
+    # the samples put P and Q together or L1 and L2 together; both read
+    # rows 4, rank 4, DOR 3 and one free motion
+    path = write_model(tmp_path, lines_through_two_points())
+    for seed in range(20):
+        code = main(["--format", "json", "--seed", str(seed), command, path])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (expected, ""), seed
+        data = json.loads(captured.out)
+        assert data["verdict"] == "under", seed
+        if command == "check":
+            w = data["report"]["witness"]
+            assert (w["rows"], w["rank"], w["dor"], w["freeMotions"]) == (4, 4, 3, 1), seed
+        elif command == "detect":
+            assert data["freeMotions"] == 1, seed
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["agreed", "split"])

@@ -726,6 +726,44 @@ def test_solve_tree_matches_direct(strategy):
         assert dev <= 1e-7, (name, dev)
 
 
+def triangle_with_a_line_on_its_base():
+    """Triangle P0, P1, P2 (three distance-pp) and a line L through P1 and
+    P2, on a sketch off the solution: the root merge places L with its
+    child, as a non-point entity, and completes."""
+    sketch = {"P0": (0.9264, -3.6958), "P1": (4.1594, -0.2595), "P2": (0.8085, 1.0560)}
+    return Model(2, tuple(Entity(p, "point2", xy) for p, xy in sketch.items())
+                 + (Entity("L", "line2", (-1.9449, -1.2784)),), (
+        Constraint("d01", "distance-pp", ("P0", "P1"), 5.0),
+        Constraint("d02", "distance-pp", ("P0", "P2"), 5.0),
+        Constraint("d12", "distance-pp", ("P1", "P2"), 3.6),
+        Constraint("on1", "point-on-line", ("P1", "L")),
+        Constraint("on2", "point-on-line", ("P2", "L")),
+    ))
+
+
+def test_a_complete_merge_places_a_line(monkeypatch):
+    m = triangle_with_a_line_on_its_base()
+    tree = bottom_up(m)
+    assert tree.assembled
+    assembled = []
+    assemble = decompose._assemble_merge
+
+    def recording(model, merge, bodies, placements):
+        body = assemble(model, merge, bodies, placements)
+        assembled.append((merge, body))
+        return body
+
+    monkeypatch.setattr(decompose, "_assemble_merge", recording)
+    plan, solution, cert = solve_tree(m, tree)
+    # a complete merge's step carries L among its non-point entities, and
+    # its body keeps the coordinates the motion gave L
+    line = [(merge, body) for merge, body in assembled
+            if any(e.id == "L" for step in merge.steps for e in step[4])]
+    assert line and all(merge.complete and "L" in body.coords for merge, body in line)
+    assert cert.converged and cert.residual_norm <= numeric.RESIDUAL_TOL
+    assert aligned_max_deviation(m, direct_solution(m), solution) <= 1e-9
+
+
 def jittered(m, rel, seed):
     """The model with every sketch parameter moved by rel times its largest distance."""
     rng = np.random.default_rng(seed)
@@ -1071,6 +1109,86 @@ def test_every_cluster_slice_matches_submodel_solve(slice_trees, monkeypatch):
         assert sorted(solved + skipped) == sorted(n.node_id for n in all_nodes(root)), name
         if name in ("braced-quad", "strip-12"):
             assert skipped, name
+
+
+def leaf_model(lengths, extra=()):
+    """Points A, B, C sketched near a thin triangle, with a distance-pp on
+    each named pair (``lengths``: pair -> value) and the ``extra``
+    constraints."""
+    sketch = {"A": (0.0, 0.0), "B": (1.0, 0.0), "C": (0.5, 0.02)}
+    return Model(2, tuple(Entity(p, "point2", xy) for p, xy in sketch.items()), tuple(
+        Constraint(f"d{a}{b}".lower(), "distance-pp", (a, b), v)
+        for (a, b), v in lengths.items()) + tuple(extra))
+
+
+def solving_leaf(monkeypatch, m, node, bonds, tol=numeric.RESIDUAL_TOL):
+    """The recipe of a leaf ``node`` of ``m``, the nodes whose slice
+    ``_solve_leaf`` then solved, and what it returned (or raised)."""
+    s = compile_model(m)
+    leaf = decompose._leaf_recipe(m, s, node, frozenset(node.entities), None)
+    solved = []
+    real = decompose._solve_cluster
+
+    def cluster(system, solve_sys, node, *args):
+        solved.append(node)
+        return real(system, solve_sys, node, *args)
+
+    monkeypatch.setattr(decompose, "_solve_cluster", cluster)
+    try:
+        out = decompose._solve_leaf(m, s, assignment_from_params(m, s), leaf, bonds, 100, tol)
+    except DecompositionError as err:
+        out = err
+    return leaf, solved, out
+
+
+def test_a_leaf_with_a_zero_base_is_solved(monkeypatch):
+    # a bar whose virtual bond measured 0 has no base to construct on
+    m = leaf_model({})
+    node = ClusterNode(1, "split", frozenset("AB"), frozenset(), virtual_bonds=(("A", "B"),))
+    leaf, solved, coords = solving_leaf(monkeypatch, m, node, (0.0,))
+    assert leaf.points == ("A", "B") and leaf.lengths == (0.0,)
+    assert decompose._construct_leaf(leaf, (0.0,), numeric.RESIDUAL_TOL) is None
+    assert solved == [node]
+    assert math.dist(coords["A"], coords["B"]) ** 2 <= numeric.RESIDUAL_TOL
+
+
+def test_a_leaf_with_a_row_above_tol_falls_back_to_its_solve(monkeypatch):
+    # |AB| = |AC| + |BC| + 8e-10: the circles meet within their slack, but
+    # the constructed point leaves rows AC and BC 4e-10 off.  The slice has
+    # no exact solution either, so its solve is refused, not the
+    # construction returned
+    m = leaf_model({("A", "B"): 1.0, ("A", "C"): 0.5, ("B", "C"): 0.5 - 8e-10})
+    node = ClusterNode(1, "seed", frozenset("ABC"), frozenset({"dab", "dac", "dbc"}))
+    leaf, solved, err = solving_leaf(monkeypatch, m, node, (), tol=3e-10)
+    assert leaf.points == ("A", "B", "C")
+    assert decompose._construct_leaf(leaf, (), 3e-10) is None
+    assert decompose._construct_leaf(leaf, (), 1e-9) is not None
+    assert solved == [node]
+    assert isinstance(err, DecompositionError)
+    assert str(err) == "cluster ['A', 'B', 'C'] failed to solve: inconsistent"
+
+
+NEAR_ONE = 1.0 + 2.0**-40  # a length that agrees with 1.0 to rounding
+
+
+@pytest.mark.parametrize("lengths, extra, constraints, bonds", [
+    # a constraint that is not a distance-pp
+    ({}, (Constraint("c", "coincident", ("A", "B")),), ("c",), ()),
+    # two rows on one pair: two constraints, then a constraint and a bond
+    ({("A", "B"): 1.0, ("B", "C"): 0.5},
+     (Constraint("dab2", "distance-pp", ("A", "B"), NEAR_ONE),), ("dab", "dab2", "dbc"), ()),
+    ({("A", "B"): 1.0, ("B", "C"): 0.5}, (), ("dab", "dbc"), (("A", "B"),)),
+], ids=["coincident", "pair-twice", "pair-and-bond"])
+def test_a_leaf_the_recipe_refuses_solves_its_slice(lengths, extra, constraints, bonds,
+                                                    monkeypatch):
+    m = leaf_model(lengths, extra)
+    entities = frozenset(e for cid in constraints for e in m.constraint(cid).entities)
+    node = ClusterNode(1, "seed", entities, frozenset(constraints), virtual_bonds=bonds)
+    values = (NEAR_ONE,) * len(bonds)
+    leaf, solved, coords = solving_leaf(monkeypatch, m, node, values)
+    assert leaf.points == ()
+    assert solved == [node]
+    assert coords == reference_solve_leaf(m, node, dict(zip(bonds, values)))
 
 
 def strip_solve_counts(n, monkeypatch, batches=None):

@@ -300,6 +300,29 @@ def test_is_well_part_counts_before_any_svd(corpus_dir, monkeypatch):
     assert any(len(case[-1]) == 2 for case in cases)
 
 
+def test_greedy_well_parts_tests_each_set_once(corpus_dir, monkeypatch):
+    # a part that grew is the set its last addition tested; only a seed that
+    # took no entity is tested again, alone, after the pass
+    tested = []
+    real = detect.is_well_part
+
+    def counting(*args):
+        tested.append(frozenset(args[4]))
+        return real(*args)
+
+    monkeypatch.setattr(detect, "is_well_part", counting)
+    total = 0
+    for name, m, s, J, M in corpus_systems(corpus_dir):
+        if m is None:
+            continue
+        tested.clear()
+        for part in greedy_well_parts(m, s, J, M):
+            assert real(m, s, J, M, part.entities), (name, part)
+        assert len(tested) == len(set(tested)), name
+        total += len(tested)
+    assert total == 95  # 122 when every part was tested again
+
+
 def reference_min_dependent_sets(J):
     """The oracle's enumeration with one full rank analysis per subset."""
     found = []

@@ -19,90 +19,25 @@ from gcskernel import (
     full_cross,
     generate_witness,
     motion_basis,
+    params_from_assignment,
     rank_analyze,
     rank_of,
     representation_sensitivity,
 )
 from gcskernel import cli, geometry, numeric, witness, zoo
 from gcskernel.model import Constraint, Entity
-from gcskernel.witness import COINCIDENCE_TOL, SchemeRow, WcmReport, _entities_coincide, _tied
+from gcskernel.witness import SchemeRow, WcmReport
 
 from conftest import (
     CORPUS,
     cross_product_models,
     lines_through_two_points,
+    parallel_and_perpendicular_lines,
     triangle_with_coincident_point,
 )
 
 
 # --- witness generation -------------------------------------------------------
-
-def pairwise_coincide(model, params):
-    """Reference: some same-kind pair has max |difference| below the tolerance."""
-    by_kind = {}
-    for e in model.entities:
-        by_kind.setdefault((e.kind, e.spec.representation), []).append(
-            np.asarray(params[e.id]))
-    return any(np.max(np.abs(a - b)) < COINCIDENCE_TOL
-               for vals in by_kind.values() for a, b in combinations(vals, 2))
-
-
-KINDS = {
-    2: (("point2", None), ("line2", None)),
-    # plane3 without a representation is a hessian plane: both land in one group
-    3: (("point3", None), ("line3", None), ("plane3", None), ("plane3", "hessian"),
-        ("plane3", "point-normal")),
-}
-
-
-def near_coincident_case(rng, dimension):
-    """Entities placed near a few shared base vectors, with per-component
-    offsets of 0, just under, just over and well over the tolerance."""
-    steps = COINCIDENCE_TOL * np.array([0.0, 0.0, 0.5, 0.999, 1.001, 2.0, 1e3])
-    bases = rng.uniform(-1.0, 1.0, size=(3, 6))
-    bases[1, 0] = bases[0, 0]  # a first-column tie between different bases
-    entities, params = [], {}
-    for i in range(int(rng.integers(2, 14))):
-        kind, rep = KINDS[dimension][rng.integers(len(KINDS[dimension]))]
-        e = Entity(f"E{i}", kind, None, rep)
-        size = e.spec.raw_size
-        offsets = rng.choice(steps, size=size) * rng.choice([-1.0, 1.0], size=size)
-        vals = bases[rng.integers(3), :size] + offsets
-        if rng.random() < 0.1:
-            vals[rng.integers(size)] = np.nan
-        entities.append(e)
-        params[e.id] = tuple(vals)
-    return Model(dimension, tuple(entities), ()), params
-
-
-@pytest.mark.parametrize("dimension", [2, 3])
-def test_entities_coincide_matches_pairwise_reference(dimension):
-    rng = np.random.default_rng(dimension)
-    outcomes = set()
-    for _ in range(1500):
-        model, params = near_coincident_case(rng, dimension)
-        expected = pairwise_coincide(model, params)
-        assert _entities_coincide(model, params) == expected, params
-        outcomes.add(expected)
-    assert outcomes == {True, False}
-
-
-def test_entities_coincide_tolerance_edges_and_nan():
-    def coincide(*rows, kinds=("point2", "point2")):
-        model = Model(2, tuple(Entity(f"E{i}", k) for i, k in enumerate(kinds)), ())
-        return _entities_coincide(model, {f"E{i}": r for i, r in enumerate(rows)})
-
-    tol = COINCIDENCE_TOL
-    assert coincide((0.0, 0.0), (0.999 * tol, -0.999 * tol))
-    assert not coincide((0.0, 0.0), (1.001 * tol, 0.0))
-    assert not coincide((0.0, 0.0), (0.0, 1.001 * tol))   # first-column tie only
-    assert not coincide((0.0, 0.0), (0.0, 0.0), kinds=("point2", "line2"))
-    assert not coincide((np.nan, 0.0), (np.nan, 0.0))
-    assert not coincide((0.0, np.nan), (0.0, 0.0))
-    # the coincident pair is three apart in first-column order
-    assert coincide((0.0, 0.0), (0.2 * tol, 5.0), (0.4 * tol, 6.0), (0.6 * tol, 0.0),
-                    kinds=("point2",) * 4)
-
 
 def test_witness_satisfies_incidences():
     m = zoo.triangle_model()
@@ -284,11 +219,29 @@ def test_an_unstable_run_draws_and_keeps_every_vote(votes, monkeypatch):
 
 
 def test_witness_generation_failure():
-    # an implied coincidence: every projected sample is degenerate
+    # two lines both parallel and perpendicular: the projection never converges
+    m = parallel_and_perpendicular_lines()
+    s = compile_model(m)
+    with pytest.raises(WitnessError, match=r"after 3 attempts \(seed 0\): "
+                                           "singular subsystem projection: inconsistent"):
+        generate_witness(s, m, seed=0, max_attempts=3)
+
+
+def test_a_coincidence_the_incidences_force_is_a_witness():
+    # P and Q on both L1 and L2: a sample lands with P = Q or with L1 = L2,
+    # each at its first attempt, and both components rank alike
     m = lines_through_two_points()
     s = compile_model(m)
-    with pytest.raises(WitnessError, match="coincident entities in sample"):
-        generate_witness(s, m, seed=0, max_attempts=3)
+    landed = set()
+    for seed in range(20):
+        w = generate_witness(s, m, seed=seed)
+        p = params_from_assignment(m, s, w.assignment)
+        together = {pair for pair in (("P", "Q"), ("L1", "L2"))
+                    if np.allclose(p[pair[0]], p[pair[1]], rtol=0.0, atol=1e-6)}
+        assert w.attempts == 1 and len(together) == 1, (seed, p)
+        assert (rank_of(w.jacobian), rank_of(w.motions)) == (4, 3), seed
+        landed |= together
+    assert landed == {("P", "Q"), ("L1", "L2")}
 
 
 @pytest.mark.parametrize("m, rank, dor", [
@@ -300,29 +253,13 @@ def test_witness_generation_failure():
             Constraint("d", "distance-pp", ("B", "C"), 3.0))), 4, 5),
 ])
 def test_entities_tied_by_coincident_constraints_are_one_entity(m, rank, dor):
-    # the projection puts tied entities on one point: they are not a
-    # degenerate sample
+    # the projection puts tied entities on one point, at the first attempt,
+    # and they rank as one entity
     s = compile_model(m)
     for seed in range(5):
         assert generate_witness(s, m, seed=seed).attempts == 1
     report = characterize(s, m)
     assert (report.verdict, report.rank, report.dor) == ("well", rank, dor)
-
-
-def test_coincident_classes_are_transitive():
-    pts = tuple(Entity(f"P{i}", "point2") for i in range(5))
-    cons = (Constraint("a", "coincident", ("P3", "P1")),
-            Constraint("b", "coincident", ("P2", "P3")),
-            Constraint("c", "coincident", ("P4", "P0")))
-    m = Model(2, pts, cons)
-    tied = _tied(m)
-    assert len(tied) == 3
-    assert len({"P1", "P2", "P3"} - tied) == 1 and len({"P0", "P4"} - tied) == 1
-    # the two classes' representatives still may not coincide
-    same = {f"P{i}": (0.5, 0.5) for i in range(5)}
-    assert _entities_coincide(m, same)
-    first = next(iter({"P1", "P2", "P3"} - tied))
-    assert not _entities_coincide(m, {**same, first: (0.1, 0.2)})
 
 
 # --- degree of rigidity ---------------------------------------------------------
@@ -654,11 +591,11 @@ def test_plane_scheme_conversion_consistency():
 
 # --- rank decisions: margins on the corpus, an exact generic-rank oracle --------
 
-def default_run_matrices(path):
+def default_run_matrices(model, system):
     """The matrices a default ``gcs check`` ranks: per vote (seeds 0-2, one
     vote for a model without variables) the witness Jacobian and motion
-    basis; for a raw system, its Jacobian at the seed-0 sample."""
-    model, system = cli._load(str(path))
+    basis; for a raw system (``model`` None), its Jacobian at the seed-0
+    sample."""
     if model is None:
         return [("J", eval_jacobian(system, cli._raw_sample(system, 0)))]
     votes = 1 if system.without_anchors().n_variables == 0 else 3
@@ -669,13 +606,20 @@ def default_run_matrices(path):
     return out
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.json")))
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.json"))
+                         + ["lines_through_two_points"])
 def test_corpus_rank_decisions_sit_far_from_the_threshold(name, corpus_dir):
     # tau = RANK_REL_TOL * sigma_max: every kept singular value is at least
     # 10 tau and every dropped one at most tau / 10, so the values-only and
     # the full-SVD LAPACK drivers, which may differ in the last bits, decide
-    # the same rank
-    for label, X in default_run_matrices(corpus_dir / name):
+    # the same rank.  The corpus models, plus a probe whose samples land on
+    # either of two components of its incidence variety.
+    if name == "lines_through_two_points":
+        model = lines_through_two_points()
+        loaded = model, compile_model(model)
+    else:
+        loaded = cli._load(str(corpus_dir / name))
+    for label, X in default_run_matrices(*loaded):
         if X.size == 0:
             continue
         s = np.linalg.svd(X, compute_uv=False)
