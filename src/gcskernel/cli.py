@@ -76,9 +76,13 @@ def _emit(payload: dict, fmt: str) -> None:
                 else:
                     todo.append((f"{pad}{k}: {v}\n", 0))
         elif isinstance(obj, list):
+            # a container item opens with its own marker line, its contents
+            # indented under it
             for v in obj:
-                todo.append((v, indent + 1) if isinstance(v, (dict, list))
-                            else (f"{pad}- {v}\n", 0))
+                if isinstance(v, (dict, list)):
+                    todo += [(f"{pad}-\n", 0), (v, indent + 1)]
+                else:
+                    todo.append((f"{pad}- {v}\n", 0))
         stack.extend(reversed(todo))
 
 

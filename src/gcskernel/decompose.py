@@ -9,6 +9,19 @@ engine so non-rigid unions (three lines under three angles) are rejected:
 * two clusters sharing two or more elements merge into one,
 * three clusters pairwise sharing a geometric element merge into one.
 
+The rigidity decisions are those of :func:`detect.is_well_part` at the
+witness, made on bodies (:class:`bodies.Bodies`).  The seed candidates'
+slices of one shape are ranked in one stacked call.  Every cluster is well,
+so without a ``fix`` it moves only as one rigid body, and a candidate union
+is decided on its clusters' body coefficients: D per cluster, pinned
+together on the shared entities and held by the rows no cluster holds, a
+matrix of at most 3D columns whatever the union's size.  A union's rows,
+constraints and motion rank come from its clusters, kept per run by node,
+and from those extra rows, which each name an entity outside the largest
+cluster; so a check costs what the smaller clusters hold.  A union with a
+fixed cluster, or whose matrix has a singular value within ``RANK_GAP`` of
+the threshold, is decided by :func:`detect.is_well_part` itself.
+
 Candidate groups wait in a priority queue and are tested in a fixed order:
 smallest union first, then fewer clusters, then lexicographic (sorted union,
 then sorted member sets).  A rigidity check reads only the group's union,
@@ -27,10 +40,11 @@ regions as they were: a merge whose union holds an entity of a constraint
 whose witness Jacobian rows take part in a row dependency (a dependent row
 group that the witness vote names) retires nothing.  So bottom-up makes a
 linear number of rigidity checks on constructible sketches, and outside
-guarded regions every node has one parent.  A merge's children are ordered by
-the leaf their first-child descent reaches, earliest created first;
-recombination takes its frame from the first child, so that leaf fixes the
-frame.  The redundant or conflicting constraints
+guarded regions every node has one parent.  A merge finds the clusters it
+retires among those holding an entity outside its largest child.  A merge's
+children are ordered by the leaf their first-child descent reaches, earliest
+created first; recombination takes its frame from the first child, so that
+leaf fixes the frame.  The redundant or conflicting constraints
 are those whose rows take part in a row dependency of the witness Jacobian
 (the dependent groups that ``check`` reports), plus those no root holds.
 Every check reads one witness sample, and the dependent groups come only
@@ -117,6 +131,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import geometry, structural
+from .bodies import Bodies, Body
 from .compiler import (
     ResidualSystem,
     add_anchors,
@@ -125,12 +140,10 @@ from .compiler import (
     compile_model,
     eval_blocks,
     eval_residuals,
-    induced,
     params_from_assignment,
     points_of,
     rows_of,
 )
-from .detect import is_well_part
 from .model import Constraint, Entity, Model, POINT2
 from .numeric import RANK_REL_TOL, RESIDUAL_TOL, SolveResult, solve
 from .witness import WitnessConfiguration, WitnessError, characterize
@@ -249,7 +262,7 @@ def bottom_up_at(model: Model, system: ResidualSystem, witness: WitnessConfigura
     those no root holds, are flagged redundant or conflicting.
     ``rank_tol`` is the relative SVD threshold of every rank decision.
     """
-    J, M = witness.jacobian, witness.motions
+    bodies = Bodies(model, system, witness.jacobian, witness.motions, rank_tol)
     # the constraints whose rows take part in a row dependency of J; where
     # there is none, a rigid union stays rigid when a cluster it covers part
     # of is swapped for its cover, so covered clusters retire
@@ -258,17 +271,17 @@ def bottom_up_at(model: Model, system: ResidualSystem, witness: WitnessConfigura
     ids = sorted(e.id for e in model.entities)
     guarded = frozenset(e for cid in dependent for e in model.constraint(cid).entities)
 
-    counter = [0]
+    # per-run state of each live or retired node, by node id: its body and
+    # its sorted entities (the queue key's part)
+    body_of: dict[int, Body] = {}
+    names: dict[int, tuple[str, ...]] = {}
 
-    def new_node(kind, entities, children=(), shared=()):
-        counter[0] += 1
-        ents = frozenset(entities)
-        return ClusterNode(
-            counter[0], kind, ents, induced(model, system, ents)[0], tuple(children),
-            tuple(shared))
-
-    def rigid(entity_set: Iterable[str]) -> bool:
-        return is_well_part(model, system, J, M, entity_set, rank_tol)
+    def new_node(kind, body, children=(), shared=()):
+        node = ClusterNode(len(body_of) + 1, kind, body.entities, body.constraints,
+                           tuple(children), tuple(shared))
+        body_of[node.node_id] = body
+        names[node.node_id] = tuple(sorted(body.entities))
+        return node
 
     def lead(node: ClusterNode) -> int:
         # the leaf a decomposed solve takes the node's frame from
@@ -290,7 +303,7 @@ def bottom_up_at(model: Model, system: ResidualSystem, witness: WitnessConfigura
             return  # nothing new, now or later
         # no two clusters share an entity set, so the key orders groups totally
         key = (len(union), len(group), tuple(sorted(union)),
-               tuple(sorted(tuple(sorted(c.entities)) for c in group)))
+               tuple(sorted(names[c.node_id] for c in group)))
         heapq.heappush(queue, (key, union, group))
 
     def add(node: ClusterNode) -> None:
@@ -313,34 +326,43 @@ def bottom_up_at(model: Model, system: ResidualSystem, witness: WitnessConfigura
         for e in node.entities:
             del holders[e][node.node_id]
 
-    for single in ids:
-        if induced(model, system, (single,))[0] and rigid((single,)):
-            add(new_node("seed", (single,)))
-    # a pair seed needs its induced constraints to name both of its entities:
-    # one constraint on the pair, or one on each entity alone
+    # a single seed needs a constraint on its entity alone; a pair seed needs
+    # its induced constraints to name both of its entities: one constraint on
+    # the pair, or one on each entity alone
     spans = {frozenset(c.entities) for c in model.constraints}
     alone = [e for e in ids if frozenset((e,)) in spans]
     pairs = {tuple(sorted(s)) for s in spans if len(s) == 2}
-    for pair in sorted(pairs.union(combinations(alone, 2))):
-        if rigid(pair):
-            add(new_node("seed", pair))
+    candidates = [(e,) for e in alone] + sorted(pairs.union(combinations(alone, 2)))
+    for body in bodies.seeds(candidates):
+        if body is not None:
+            add(new_node("seed", body))
 
     while queue:
         _, union, group = heapq.heappop(queue)
         # a retired member's cover queued the group's successor when it was added
         if any(c.node_id not in active for c in group) or covered(union) or union in rejected:
             continue
-        if not rigid(union):
+        body = bodies.union([body_of[c.node_id] for c in group], union)
+        if body is None:
             rejected.add(union)
         else:
             children = sorted(group, key=lead)
             shared = tuple(
                 tuple(sorted(p.entities & q.entities))
                 for p, q in combinations(children, 2))
-            node = new_node("merge", union, children=children, shared=shared)
+            node = new_node("merge", body, children=children, shared=shared)
             if not union & guarded:
-                inside = {i: c for e in union for i, c in holders[e].items()
+                # a live cluster inside the union is its largest child or
+                # holds an entity outside it: a merge child retired every
+                # cluster inside it when it was built (its union is
+                # unguarded too), and none is built inside a live cluster
+                # later.  Seeds retire nothing, so a largest seed (a pair,
+                # which may hold a single seed) is scanned whole
+                largest = max(group, key=lambda c: len(c.entities))
+                scan = union - largest.entities if largest.children else union
+                inside = {i: c for e in scan for i, c in holders[e].items()
                           if c.entities <= union}
+                inside[largest.node_id] = largest
                 for c in inside.values():
                     retire(c)
             add(node)

@@ -15,7 +15,10 @@ its Jacobian, the well-part searches its Jacobian and rigid-motion basis.
 Well parts rest on one rigidity test, :func:`is_well_part`, which slices the
 two.  It counts before it computes: a part of r induced rows on c columns can
 be well only when c - k <= r <= c, with k the number of rigid motions, so any
-other part is refused without an SVD.
+other part is refused without an SVD.  It serves the searches here, the
+oracles and the bottom-up fallback: bottom-up makes the same decisions on
+clusters as rigid bodies (:mod:`.bodies`), and calls it only for a union
+with a ``fix`` or whose body matrix sits near the rank threshold.
 
 Every rank decision takes ``rank_tol`` and reads only the rank
 (:func:`numeric.rank_of`, singular values alone).  The minimal

@@ -3,10 +3,13 @@
 Rank decisions use a scale-invariant SVD threshold tau = 1e-8 * sigma_max
 (1e-12 absolute for an all-zero matrix), set in one place, `_rank_tolerance`,
 and made in one place, `rank_of`, from the singular values alone, for one
-matrix or a stack of them.  One rule decides full rank without ranking the
-whole matrix: a square matrix in block-triangular form along a solve plan
-(below) is nonsingular when every diagonal block's smallest singular value
-exceeds RANK_GAP times that block's own threshold (`_BlockStep.margins`).
+matrix or a stack of them; `gapped_rank` gives the same rank, or declines
+when a singular value sits within RANK_GAP of the threshold, for a matrix
+that stands in for another one (bottom-up's body test, `bodies`).  One
+rule decides full rank without ranking the whole matrix: a square matrix in
+block-triangular form along a solve plan (below) is nonsingular when every
+diagonal block's smallest singular value exceeds RANK_GAP times that
+block's own threshold (`_BlockStep.margins`).
 The witness votes certify full row rank with it (`witness.characterize`);
 where a block falls under that margin, `rank_of` of the whole matrix
 decides.  `cokernel_groups` names the dependent row groups of a ranked
@@ -99,6 +102,20 @@ def rank_of(matrix, rel_tol: float = RANK_REL_TOL):
     if J.ndim == 2:
         return int(np.count_nonzero(s > _rank_tolerance(s[0], rel_tol)))
     return (s > _rank_tolerance(s[..., :1], rel_tol)).sum(axis=-1)
+
+
+def gapped_rank(matrix, rel_tol: float = RANK_REL_TOL) -> int | None:
+    """The :func:`rank_of` rank of a 2D matrix, or None when a singular value
+    sits within a factor RANK_GAP of the threshold, where another matrix of
+    the same rank could be decided the other way."""
+    J = _finite_matrix(matrix)
+    if J.size == 0:
+        return 0
+    s = np.linalg.svd(J, compute_uv=False)
+    tol = _rank_tolerance(s[0], rel_tol)
+    if ((s > tol / RANK_GAP) & (s <= tol * RANK_GAP)).any():
+        return None
+    return int(np.count_nonzero(s > tol))
 
 
 def cokernel_groups(matrix, rank: int) -> tuple[tuple[int, ...], ...]:

@@ -418,11 +418,12 @@ def test_decompose_braced_quad_bottom_up(capsys, corpus_dir):
 
 def test_bottom_up_decompose_ranks_the_jacobian_of_vote_zero_once(capsys, corpus_dir,
                                                                    recording_svd):
-    # two votes, then the whole kite's rigidity check; the retirement guard
-    # reads the report's dependent groups
+    # two votes; the whole kite's rigidity check ranks its children's body
+    # coefficients, and the retirement guard reads the report's dependent
+    # groups
     calls = recording_svd
     run_cli(capsys, "decompose", str(corpus_dir / "solve-kite.json"), "--strategy", "bottom-up")
-    assert calls.count(((5, 8), False)) == 3
+    assert calls.count(((5, 8), False)) == 2
 
 
 @pytest.mark.parametrize("keys", [
@@ -512,7 +513,7 @@ def test_solve_decomposed_refuses_3d_model_before_decomposing(capsys, corpus_dir
         raise AssertionError("a refused model was decomposed")
 
     monkeypatch.setattr(witness, "generate_witness", fail)
-    monkeypatch.setattr(decompose, "is_well_part", fail)
+    monkeypatch.setattr(decompose, "Bodies", fail)
     code = main(["solve", "--strategy", "decomposed", str(corpus_dir / "tetrahedron.json")])
     captured = capsys.readouterr()
     assert code == 7
@@ -619,6 +620,41 @@ def test_deep_reports_are_written_without_recursion():
               "c": [[], [float("inf")]]}
     assert cli._json_text_deep(report) == json.dumps(report, sort_keys=True,
                                                      separators=(",", ":"))
+
+
+def test_text_report_marks_each_nested_list_item(capsys, corpus_dir):
+    # the greedy groups [0, 1, 2, 3] and [0, 1, 2, 4] are two items, each
+    # opened by its own marker line
+    code, text = run_cli(capsys, "detect", str(corpus_dir / "lindep1.json"))
+    assert code == 0
+    assert ("greedy:\n  dependencyGroups:\n"
+            "    -\n      - 0\n      - 1\n      - 2\n      - 3\n"
+            "    -\n      - 0\n      - 1\n      - 2\n      - 4\n"
+            "  method: greedy\n") in text
+
+
+def test_text_report_marks_each_child_of_a_cluster(capsys, corpus_dir):
+    # the first root's three seed children are three items, not one run of keys
+    _, data = run_json(capsys, "decompose", str(corpus_dir / "two-triangles-bridge.json"))
+    _, text = run_cli(capsys, "decompose", str(corpus_dir / "two-triangles-bridge.json"))
+    children = data["tree"]["roots"][0]["children"]
+    assert len(children) == 3
+    expected = "".join(
+        f"        -\n          constraints:\n"
+        + "".join(f"            - {c}\n" for c in child["constraints"])
+        + "          entities:\n"
+        + "".join(f"            - {e}\n" for e in child["entities"])
+        + f"          id: {child['id']}\n          kind: {child['kind']}\n"
+        for child in children)
+    assert "  roots:\n    -\n      children:\n" + expected + "      constraints:\n" in text
+    deep: list = []
+    inner = deep
+    for _ in range(3 * sys.getrecursionlimit()):  # deeper than the recursion limit
+        inner.append([])
+        inner = inner[0]
+    cli._emit({"a": deep}, "text")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "a:" and lines[-1] == "  " * len(lines[1:]) + "-"
 
 
 def test_json_reports_are_byte_identical(capsys, corpus_dir):

@@ -25,6 +25,7 @@ from gcskernel import (
     top_down,
 )
 from gcskernel import cli, compiler, decompose, expr, geometry, numeric, structural, witness, zoo
+from gcskernel.bodies import Bodies
 from gcskernel.compiler import induced
 from gcskernel.decompose import ClusterNode, ClusterTree, _fit
 from gcskernel.detect import is_well_part
@@ -212,22 +213,22 @@ def test_bottom_up_at_the_verdicts_witness_is_bottom_up(seed, corpus_dir):
 
 def test_bottom_up_of_a_certified_strip_ranks_no_whole_jacobian(tmp_path, capsys, monkeypatch,
                                                                recording_svd):
-    # strip(48)'s vote is certified from its blocks, so its 97 x 100
-    # Jacobian is never ranked: the one SVD of that shape is the root's
-    # rigidity check of its slice.  A dense vote ranks it once more.
+    # strip(48)'s vote is certified from its blocks, and its unions are
+    # decided on their children's body coefficients, so its 97 x 100
+    # Jacobian is never ranked.  A dense vote ranks it once.
     m = zoo.triangle_strip(48)
     path = tmp_path / "strip48.json"
     path.write_text(json.dumps(model_to_json_dict(m)), encoding="utf-8")
     tree = bottom_up(m).to_json_dict()
-    assert recording_svd.count(((97, 100), False)) == 1
+    assert recording_svd.count(((97, 100), False)) == 0
     recording_svd.clear()
     assert cli.main(["solve", "--strategy", "decomposed", str(path)]) == 0
     capsys.readouterr()
-    assert recording_svd.count(((97, 100), False)) == 1
+    assert recording_svd.count(((97, 100), False)) == 0
     recording_svd.clear()
     monkeypatch.setattr(witness, "BLOCK_STEP_MIN_ROWS", math.inf)
     assert bottom_up(m).to_json_dict() == tree
-    assert recording_svd.count(((97, 100), False)) == 2
+    assert recording_svd.count(((97, 100), False)) == 1
 
 
 def test_no_decomposition_path_calls_rank_analyze(capsys, corpus_dir, monkeypatch):
@@ -317,13 +318,20 @@ def test_bottom_up_strip_is_a_tree(n):
 
 
 def rigidity_checks(model, monkeypatch):
+    """Bottom-up's rigidity decisions: one per seed candidate, one per union."""
     calls = [0]
+    seeds, union = Bodies.seeds, Bodies.union
 
-    def counting(*args, **kwargs):
+    def counting_seeds(self, candidates):
+        calls[0] += len(candidates)
+        return seeds(self, candidates)
+
+    def counting_union(self, *args):
         calls[0] += 1
-        return is_well_part(*args, **kwargs)
+        return union(self, *args)
 
-    monkeypatch.setattr(decompose, "is_well_part", counting)
+    monkeypatch.setattr(Bodies, "seeds", counting_seeds)
+    monkeypatch.setattr(Bodies, "union", counting_union)
     bottom_up(model)
     return calls[0]
 
@@ -643,6 +651,17 @@ def test_top_down_strip_400_tree_is_unchanged():
     tree = top_down(zoo.triangle_strip(400)).to_json_dict()
     digest = hashlib.sha256(json.dumps(tree, sort_keys=True).encode()).hexdigest()
     assert digest == STRIP_400_TREE_SHA256
+
+
+# bottom_up(zoo.triangle_strip(400)) as is_well_part decided every union
+BOTTOM_UP_STRIP_400_TREE_SHA256 = (
+    "ce2589ec8b3309f0fdf6ea07a1c3a265156ec011dd06f7167e6387682fb007dc")
+
+
+def test_bottom_up_strip_400_tree_is_unchanged():
+    tree = bottom_up(zoo.triangle_strip(400)).to_json_dict()
+    digest = hashlib.sha256(json.dumps(tree, sort_keys=True).encode()).hexdigest()
+    assert digest == BOTTOM_UP_STRIP_400_TREE_SHA256
 
 
 def infinitesimally_rigid(model):

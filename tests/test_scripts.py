@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -77,3 +78,17 @@ def test_golden_drift_fails_on_large_moves_and_other_changes(tmp_path, edit):
     runs = drift_pair(tmp_path, edit)
     assert any(r.returncode == 1 for r in runs)
     assert all(r.returncode in (0, 1) for r in runs)
+
+
+def test_readme_python_examples_run():
+    """Every ```python block of README.md runs, in order, in one fresh
+    interpreter with ``src`` on the path (a later block reads the names an
+    earlier one defined)."""
+    root = SCRIPTS.parent
+    text = (root / "README.md").read_text(encoding="utf-8")
+    blocks = [b.split("```", 1)[0] for b in text.split("```python\n")[1:]]
+    assert len(blocks) >= 2
+    proc = subprocess.run([sys.executable, "-c", "\n".join(blocks)],
+                          capture_output=True, text=True, timeout=120, cwd=root,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stderr
