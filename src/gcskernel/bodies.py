@@ -1,6 +1,6 @@
 """Well clusters as rigid bodies at one witness sample.
 
-A part of a model is well at the witness (:func:`detect.is_well_part`) when
+A part of a model is well at the witness (:func:`detect.well_parts`) when
 its induced Jacobian block has full row rank and a kernel no larger than
 the rank of the motion basis M on its columns.  Rigid motions satisfy every
 row but a ``fix``'s, so the kernel of a well part without a ``fix`` is
@@ -31,38 +31,22 @@ bodies and its extra rows, without a scan of its entities.
 
 A body that holds a ``fix`` moves less than rigidly, and B can be decided
 the other way than the union's own block where one of its singular values
-sits within ``RANK_GAP`` of the threshold; such a union falls back to
-:func:`detect.is_well_part`, and :attr:`Bodies.fallbacks` counts it.  Seeds
-(single entities and pairs) are decided as :func:`detect.is_well_part`
-decides them, from the same slices and threshold, with the slices of one
-shape ranked in one stacked call.
+sits within ``RANK_GAP`` of the threshold; such a union falls back to the
+dense test, :func:`detect.well_parts`, and :attr:`Bodies.fallbacks` counts
+it.  A body is that test's :class:`detect.WellPart` record, and so are the
+seeds (single entities and pairs), which bottom-up decides in one call.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from . import detect
-from .compiler import ResidualSystem, induced, rows_of
+from .compiler import ResidualSystem, rows_of
+from .detect import WellPart, well_parts
 from .model import Model
 from .numeric import RANK_REL_TOL, gapped_rank, rank_of
-
-
-@dataclass(frozen=True)
-class Body:
-    """A well part: its induced constraints, the count of its induced rows
-    and of its columns, the rank of the motion basis on its columns, and
-    whether it holds a ``fix``."""
-    entities: frozenset[str]
-    constraints: frozenset[str]
-    rows: int
-    columns: int
-    motion_rank: int
-    fixed: bool
 
 
 class Bodies:
@@ -70,7 +54,7 @@ class Bodies:
     and its motion basis ``motions``), with its state for one run: each
     entity's motion block, each constraint's rows projected through its
     entities' blocks, and the count of fallbacks to
-    :func:`detect.is_well_part`.  ``rank_tol`` is the relative SVD threshold
+    :func:`detect.well_parts`.  ``rank_tol`` is the relative SVD threshold
     of every rank decision."""
 
     def __init__(self, model: Model, system: ResidualSystem, jacobian: np.ndarray,
@@ -101,40 +85,11 @@ class Bodies:
                 for e in self.model.constraint(constraint).entities]
         return p
 
-    def seeds(self, candidates: Sequence[Sequence[str]]) -> list[Body | None]:
-        """The body of each candidate entity set that is well, None for the
-        others.  A candidate without induced constraints, or whose rows r and
-        columns c miss c - D <= r <= c, is refused by counting; the others'
-        Jacobian slices, and then the motion slices of those of full row
-        rank, are ranked in one stacked call per shape."""
-        D = self.motions.shape[0]
-        survivors = defaultdict(list)
-        for i, cand in enumerate(candidates):
-            constraints, rows = induced(self.model, self.system, cand)
-            cols = self.system.columns_of(cand)
-            if constraints and 0 <= len(cols) - len(rows) <= D:
-                survivors[len(rows), len(cols)].append((i, cand, constraints, rows, cols))
-        full = defaultdict(list)
-        for (r, c), group in survivors.items():
-            rows = np.array([s[3] for s in group])[:, :, None]
-            cols = np.array([s[4] for s in group])[:, None, :]
-            for s, rank in zip(group, rank_of(self.jacobian[rows, cols], self.rank_tol)):
-                if rank == r:
-                    full[c].append(s)
-        out: list[Body | None] = [None] * len(candidates)
-        for c, group in full.items():
-            cols = np.array([s[4] for s in group])
-            ranks = rank_of(self.motions[:, cols].transpose(1, 0, 2), self.rank_tol)
-            for (i, cand, constraints, rows, _), rank in zip(group, ranks):
-                if c - len(rows) <= rank:
-                    out[i] = Body(frozenset(cand), constraints, len(rows), c, int(rank),
-                                  any(self.model.constraint(k).kind == "fix"
-                                      for k in constraints))
-        return out
-
-    def union(self, bodies: Sequence[Body], entities: frozenset[str]) -> Body | None:
+    def union(self, bodies: Sequence[WellPart], entities: frozenset[str]) -> WellPart | None:
         """The body of the union ``entities`` of ``bodies`` (each well at
         the witness) when the union is well, else None."""
+        if any(b.fixed for b in bodies):
+            return self._fallback(entities)
         D = self.motions.shape[0]
         columns = self.system.columns
         big = max(range(len(bodies)), key=lambda i: len(bodies[i].entities))
@@ -151,11 +106,9 @@ class Bodies:
                 + sum(self._norms[e] for e in outside))
         motion_rank = D if any(b.motion_rank == D for b in bodies) else int(
             rank_of(self.motions[:, self.system.columns_of(entities)], self.rank_tol))
-        body = Body(entities, largest.constraints | added, rows,
-                    largest.columns + sum(len(columns[e]) for e in outside),
-                    motion_rank, any(b.fixed for b in bodies))
-        if body.fixed:
-            return self._fallback(body)
+        body = WellPart(entities, largest.constraints | added, rows,
+                        largest.columns + sum(len(columns[e]) for e in outside),
+                        motion_rank, fixed=False)
         slack = body.columns - rows
         if not 0 <= slack <= motion_rank:
             return None
@@ -186,14 +139,13 @@ class Bodies:
             r += len(self._rows[c])
         rank = gapped_rank(B, self.rank_tol)
         if rank is None:
-            return self._fallback(body)
+            return self._fallback(entities)
         kernel = B.shape[1] - rank - sum(D - b.motion_rank for b in bodies)
         if kernel < slack:  # no block of r rows has a kernel below c - r
-            return self._fallback(body)
+            return self._fallback(entities)
         return body if kernel == slack else None
 
-    def _fallback(self, body: Body) -> Body | None:
+    def _fallback(self, entities: frozenset[str]) -> WellPart | None:
         self.fallbacks += 1
-        return body if detect.is_well_part(self.model, self.system, self.jacobian,
-                                           self.motions, body.entities,
-                                           self.rank_tol) else None
+        return well_parts(self.model, self.system, self.jacobian, self.motions,
+                          [entities], self.rank_tol)[0]

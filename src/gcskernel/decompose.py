@@ -9,18 +9,18 @@ engine so non-rigid unions (three lines under three angles) are rejected:
 * two clusters sharing two or more elements merge into one,
 * three clusters pairwise sharing a geometric element merge into one.
 
-The rigidity decisions are those of :func:`detect.is_well_part` at the
-witness, made on bodies (:class:`bodies.Bodies`).  The seed candidates'
-slices of one shape are ranked in one stacked call.  Every cluster is well,
-so without a ``fix`` it moves only as one rigid body, and a candidate union
-is decided on its clusters' body coefficients: D per cluster, pinned
-together on the shared entities and held by the rows no cluster holds, a
-matrix of at most 3D columns whatever the union's size.  A union's rows,
-constraints and motion rank come from its clusters, kept per run by node,
-and from those extra rows, which each name an entity outside the largest
-cluster; so a check costs what the smaller clusters hold.  A union with a
-fixed cluster, or whose matrix has a singular value within ``RANK_GAP`` of
-the threshold, is decided by :func:`detect.is_well_part` itself.
+The rigidity decisions are those of :func:`detect.well_parts` at the
+witness, whose records are the clusters' bodies (:class:`bodies.Bodies`);
+one call of it decides the seeds.  Every cluster is well, so without a
+``fix`` it moves only as one rigid body, and a candidate union is decided
+on its clusters' body coefficients: D per cluster, pinned together on the
+shared entities and held by the rows no cluster holds, a matrix of at most
+3D columns whatever the union's size.  A union's rows, constraints and
+motion rank come from its clusters, kept per run by node, and from those
+extra rows, which each name an entity outside the largest cluster; so a
+check costs what the smaller clusters hold.  A union with a fixed cluster,
+or whose matrix has a singular value within ``RANK_GAP`` of the threshold,
+is decided by :func:`detect.well_parts` itself.
 
 Candidate groups wait in a priority queue and are tested in a fixed order:
 smallest union first, then fewer clusters, then lexicographic (sorted union,
@@ -131,7 +131,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import geometry, structural
-from .bodies import Bodies, Body
+from .bodies import Bodies
 from .compiler import (
     ResidualSystem,
     add_anchors,
@@ -144,6 +144,7 @@ from .compiler import (
     points_of,
     rows_of,
 )
+from .detect import WellPart, well_parts
 from .model import Constraint, Entity, Model, POINT2
 from .numeric import RANK_REL_TOL, RESIDUAL_TOL, SolveResult, solve
 from .witness import WitnessConfiguration, WitnessError, characterize
@@ -273,7 +274,7 @@ def bottom_up_at(model: Model, system: ResidualSystem, witness: WitnessConfigura
 
     # per-run state of each live or retired node, by node id: its body and
     # its sorted entities (the queue key's part)
-    body_of: dict[int, Body] = {}
+    body_of: dict[int, WellPart] = {}
     names: dict[int, tuple[str, ...]] = {}
 
     def new_node(kind, body, children=(), shared=()):
@@ -333,7 +334,8 @@ def bottom_up_at(model: Model, system: ResidualSystem, witness: WitnessConfigura
     alone = [e for e in ids if frozenset((e,)) in spans]
     pairs = {tuple(sorted(s)) for s in spans if len(s) == 2}
     candidates = [(e,) for e in alone] + sorted(pairs.union(combinations(alone, 2)))
-    for body in bodies.seeds(candidates):
+    for body in well_parts(model, system, witness.jacobian, witness.motions, candidates,
+                           rank_tol):
         if body is not None:
             add(new_node("seed", body))
 
@@ -408,7 +410,7 @@ def top_down(model: Model) -> ClusterTree:
     cost of at most two linear searches.  A node of k <= 3 entities is a
     triangle when it holds at least 2k - 3 rows (constraints and virtual
     bonds), and under-constrained (kind ``under``) otherwise; a larger node
-    without a pair is irreducible.
+    without a pair is irreducible.  A model without entities has no roots.
     """
     if model.dimension != 2 or any(e.kind != POINT2 for e in model.entities):
         raise DecompositionError("top-down splitting covers the 2D point/distance scope")
@@ -417,6 +419,8 @@ def top_down(model: Model) -> ClusterTree:
             raise DecompositionError(
                 f"top-down splitting covers the 2D point/distance scope; "
                 f"{c.id!r} has kind {c.kind!r}")
+    if not model.entities:
+        return ClusterTree("top-down", (), (), ())
 
     motions = geometry.generator_count(model.dimension)
     counter = [0]

@@ -12,25 +12,25 @@ be strictly smaller than the maximal ones.
 Every procedure takes the matrices it reads, as one witness sample carries
 them (:class:`~.witness.WitnessConfiguration`): the dependency searches take
 its Jacobian, the well-part searches its Jacobian and rigid-motion basis.
-Well parts rest on one rigidity test, :func:`is_well_part`, which slices the
-two.  It counts before it computes: a part of r induced rows on c columns can
-be well only when c - k <= r <= c, with k the number of rigid motions, so any
-other part is refused without an SVD.  It serves the searches here, the
-oracles and the bottom-up fallback: bottom-up makes the same decisions on
-clusters as rigid bodies (:mod:`.bodies`), and calls it only for a union
-with a ``fix`` or whose body matrix sits near the rank threshold.
+Well parts rest on one rigidity test, :func:`well_parts`, which decides a
+batch of entity sets on slices of the two, those of one shape in one stacked
+call.  It counts first: a part of r induced rows on c columns can be well
+only when c - k <= r <= c (k rigid motions); no other part costs an SVD.
+It serves :func:`is_well_part`, the searches here, and bottom-up's seeds
+and its fallback from clusters as rigid bodies (:mod:`.bodies`).
 
 Every rank decision takes ``rank_tol`` and reads only the rank
-(:func:`numeric.rank_of`, singular values alone).  The minimal
-dependent set oracle ranks the unpruned row subsets of one size in stacked
-calls of at most ``ORACLE_CHUNK`` subsets.
+(:func:`numeric.rank_of`, singular values alone).  The oracles rank the
+candidates of one size in stacked calls of at most ``ORACLE_CHUNK``.
 """
 
 from __future__ import annotations
 
+import re
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -58,8 +58,14 @@ class DependencyGroup:
 
 @dataclass(frozen=True)
 class WellPart:
+    """A well part: its entities, induced constraints, row and column counts,
+    the motion basis's rank on its columns, and whether it holds a ``fix``."""
     entities: frozenset[str]
     constraints: frozenset[str]
+    rows: int = 0
+    columns: int = 0
+    motion_rank: int = 0
+    fixed: bool = False
 
     def sorted_entities(self) -> tuple[str, ...]:
         return tuple(sorted(self.entities))
@@ -133,34 +139,65 @@ def oracle_min_dependent_sets(jacobian: np.ndarray, size_cap: int = 12,
     return [DependencyGroup(rows=s, kind="oracle-minimal") for s in found]
 
 
+def well_parts(model: Model, system: ResidualSystem, jacobian: np.ndarray,
+               motions: np.ndarray, candidates: Sequence[Collection[str]],
+               rank_tol: float = RANK_REL_TOL) -> list[WellPart | None]:
+    """The well part on each candidate entity set, None where the set's
+    induced subsystem is not well-constrained at the witness: its Jacobian
+    block must have full row rank and a kernel no larger than the rank of
+    the motion block on its columns.  A set with no induced constraints is
+    never well (a lone free entity satisfies the rank equalities vacuously
+    but is not constrained at all).
+
+    The rank of r rows is at most r and the motion rank at most
+    k = ``motions.shape[0]``, so a set of r rows on c columns is refused by
+    counting alone unless c - k <= r <= c.  The others' Jacobian blocks are
+    ranked in one stacked call per shape, then the motion blocks of those of
+    full row rank.
+    """
+    k = motions.shape[0]
+    shapes = defaultdict(list)
+    for i, cand in enumerate(candidates):
+        constraints, rows = induced(model, system, cand)
+        cols = system.columns_of(cand)
+        if constraints and 0 <= len(cols) - len(rows) <= k:
+            shapes[len(rows), len(cols)].append((i, cand, constraints, rows, cols))
+    full = defaultdict(list)
+    for (r, c), group in shapes.items():
+        rows = np.array([g[3] for g in group])[:, :, None]
+        cols = np.array([g[4] for g in group])[:, None, :]
+        for g, rank in zip(group, _ranks(jacobian[rows, cols], rank_tol)):
+            if rank == r:
+                full[c].append(g)
+    out: list[WellPart | None] = [None] * len(candidates)
+    for c, group in full.items():
+        cols = np.array([g[4] for g in group])
+        ranks = _ranks(motions[:, cols].transpose(1, 0, 2), rank_tol)
+        for (i, cand, constraints, rows, _), rank in zip(group, ranks):
+            if c - len(rows) <= rank:
+                out[i] = WellPart(frozenset(cand), constraints, len(rows), c, int(rank),
+                                  any(model.constraint(n).kind == "fix" for n in constraints))
+    return out
+
+
+def _ranks(stack: np.ndarray, rank_tol: float):
+    """The ranks of a stack of matrices; one alone takes the cheaper 2D SVD."""
+    return [rank_of(stack[0], rank_tol)] if len(stack) == 1 else rank_of(stack, rank_tol)
+
+
 def is_well_part(model: Model, system: ResidualSystem, jacobian: np.ndarray,
                  motions: np.ndarray, entity_subset: Iterable[str],
                  rank_tol: float = RANK_REL_TOL) -> bool:
-    """Whether the induced subsystem is well-constrained at the witness.
+    """Whether the induced subsystem is well-constrained at the witness:
+    :func:`well_parts` on the one candidate ``entity_subset``."""
+    return well_parts(model, system, jacobian, motions, [frozenset(entity_subset)],
+                      rank_tol)[0] is not None
 
-    The induced Jacobian block must have full row rank and a kernel no larger
-    than the rank of the motion block on its columns.  A part with no induced
-    constraints is never well (a lone free entity satisfies the rank
-    equalities vacuously but is not constrained at all).
 
-    The rank of r rows is at most r and the motion rank at most
-    ``motions.shape[0]``, so unless c - motions.shape[0] <= r <= c for c
-    columns the part is refused by counting alone.  The motion block is ranked
-    only for a Jacobian block of full row rank with fewer rows than columns.
-    """
-    subset = set(entity_subset)
-    if not subset:
-        return False
-    constraints, rows = induced(model, system, subset)
-    if not constraints:
-        return False
-    columns = system.columns_of(subset)
-    slack = len(columns) - len(rows)  # the kernel dimension at full row rank
-    if not 0 <= slack <= motions.shape[0]:
-        return False
-    if rank_of(jacobian[np.ix_(rows, columns)], rank_tol) < len(rows):
-        return False
-    return slack == 0 or slack <= rank_of(motions[:, columns], rank_tol)
+def _natural(eid: str) -> tuple:
+    """An id's sort key with its digit runs compared as numbers (P2 < P10)."""
+    runs = re.split(r"(\d+)", eid)
+    return tuple(int(r) if i % 2 else r for i, r in enumerate(runs)), eid
 
 
 def greedy_well_parts(model: Model, system: ResidualSystem, jacobian: np.ndarray,
@@ -168,36 +205,37 @@ def greedy_well_parts(model: Model, system: ResidualSystem, jacobian: np.ndarray
                       rank_tol: float = RANK_REL_TOL) -> list[WellPart]:
     """Greedy maximal well-constrained parts, seed first, leftovers rescanned.
 
-    A single ascending-id pass grows each part, adding an entity iff the
-    induced subsystem stays well-constrained; a part that grew is kept, and
-    a seed that took no entity is kept iff it is well alone.  The procedure
-    repeats on the remaining entities until none are left.  Results are
-    seed-dependent by design (that is the documented limitation), but
-    deterministic for a fixed seed.  The first part grows from ``seed_entity`` (the smallest id by
-    default); an id the model lacks raises ``ValueError``.  ``jacobian`` and
-    ``motions`` are those of :func:`is_well_part`.
+    A single pass in natural id order (P2 before P10) grows each part,
+    adding an entity iff the induced subsystem stays well-constrained; a
+    part that grew is kept, and a seed that took no entity is kept iff it is
+    well alone.  The procedure repeats on the remaining entities until none
+    are left.  Results are seed-dependent by design (that is the documented
+    limitation), but deterministic for a fixed seed.  The first part grows
+    from ``seed_entity`` (the first id by default); an id the model lacks
+    raises ``ValueError``.  ``jacobian`` and ``motions`` are those of
+    :func:`well_parts`.
     """
-    remaining = [e.id for e in model.entities]
+    remaining = sorted((e.id for e in model.entities),
+                       key=lambda e: (e != seed_entity, _natural(e)))  # the seed first
     if seed_entity is not None and seed_entity not in remaining:
         raise ValueError(f"seed entity {seed_entity!r} is not an entity of the model")
+
+    def well(subset: set[str]) -> WellPart | None:
+        return well_parts(model, system, jacobian, motions, [subset], rank_tol)[0]
+
     parts: list[WellPart] = []
-    seed: str | None = seed_entity
     while remaining:
-        if seed is None:
-            seed = min(remaining)
-        current = {seed}
-        for eid in sorted(remaining):
-            if eid == seed:
-                continue
-            if is_well_part(model, system, jacobian, motions, current | {eid}, rank_tol):
+        current, part = {remaining[0]}, None
+        for eid in remaining[1:]:
+            if (grown := well(current | {eid})) is not None:
                 current.add(eid)
+                part = grown
         # a part that grew is the set its last addition tested well
-        if len(current) > 1 or is_well_part(model, system, jacobian, motions, current, rank_tol):
-            parts.append(WellPart(frozenset(current), induced(model, system, current)[0]))
-            remaining = [i for i in remaining if i not in current]
-        else:
-            remaining.remove(seed)
-        seed = None
+        if part is None:
+            part = well(current)
+        if part is not None:
+            parts.append(part)
+        remaining = [i for i in remaining if i not in current]
     return parts
 
 
@@ -207,16 +245,19 @@ def oracle_max_well_part(model: Model, system: ResidualSystem, jacobian: np.ndar
     """Largest well-constrained entity subset by exhaustive enumeration.
 
     Ties break by lexicographic entity-id order; when nothing qualifies the
-    returned part is empty.  ``jacobian`` and ``motions`` are those of
-    :func:`is_well_part`.
+    returned part is empty.  The subsets of one size are decided in stacks of
+    ``ORACLE_CHUNK`` (:func:`well_parts`, which takes ``jacobian`` and
+    ``motions``).
     """
     ids = sorted(e.id for e in model.entities)
     if len(ids) > entity_cap:
         raise CapExceeded(f"{len(ids)} entities exceeds the oracle cap of {entity_cap}")
     for k in range(len(ids), 0, -1):
-        for combo in combinations(ids, k):
-            if is_well_part(model, system, jacobian, motions, combo, rank_tol):
-                return WellPart(frozenset(combo), induced(model, system, combo)[0])
+        subsets = combinations(ids, k)
+        while chunk := list(islice(subsets, ORACLE_CHUNK)):
+            for part in well_parts(model, system, jacobian, motions, chunk, rank_tol):
+                if part is not None:
+                    return part
     return WellPart(frozenset(), frozenset())
 
 

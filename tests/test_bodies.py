@@ -9,39 +9,38 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gcskernel import bottom_up, bottom_up_at, characterize, compile_model, zoo
+from gcskernel import bodies, bottom_up, bottom_up_at, characterize, compile_model, decompose, zoo
 from gcskernel.bodies import Bodies
 from gcskernel.compiler import induced
-from gcskernel.detect import is_well_part
 from gcskernel.model import Constraint, Entity, Model, model_from_json_dict
 from gcskernel.numeric import RANK_GAP, RANK_REL_TOL, gapped_rank, rank_of
+
+from test_detect import reference_is_well_part
 
 
 def checked_bottom_up(model, seed=0):
     """``bottom_up`` with every seed and union decision checked against
-    :func:`is_well_part` on its entity set, and every well body's rows,
+    ``reference_is_well_part`` on its entity set, and every well body's rows,
     columns, constraints and motion rank against a scan of that set.
     Returns the tree, the union decisions and the fallbacks."""
-    seeds, union = Bodies.seeds, Bodies.union
+    seeds, union = decompose.well_parts, Bodies.union
     counts = {"unions": 0, "fallbacks": 0}
 
-    def check(self, entities, body):
-        J, M = self.jacobian, self.motions
-        assert (body is not None) == is_well_part(
-            self.model, self.system, J, M, entities), sorted(entities)
+    def check(model, system, J, M, entities, body):
+        assert (body is not None) == reference_is_well_part(
+            model, system, J, M, entities), sorted(entities)
         if body is not None:
-            constraints, rows = induced(self.model, self.system, entities)
-            columns = self.system.columns_of(entities)
+            constraints, rows = induced(model, system, entities)
+            columns = system.columns_of(entities)
             assert (body.entities, body.constraints) == (frozenset(entities), constraints)
             assert (body.rows, body.columns) == (len(rows), len(columns))
             assert body.motion_rank == rank_of(M[:, columns])
-            assert body.fixed == any(self.model.constraint(c).kind == "fix"
-                                     for c in constraints)
+            assert body.fixed == any(model.constraint(c).kind == "fix" for c in constraints)
 
-    def checking_seeds(self, candidates):
-        out = seeds(self, candidates)
+    def checking_seeds(model, system, J, M, candidates, rank_tol):
+        out = seeds(model, system, J, M, candidates, rank_tol)
         for cand, body in zip(candidates, out):
-            check(self, cand, body)
+            check(model, system, J, M, cand, body)
         return out
 
     def checking_union(self, group, entities):
@@ -49,10 +48,10 @@ def checked_bottom_up(model, seed=0):
         body = union(self, group, entities)
         counts["unions"] += 1
         counts["fallbacks"] += self.fallbacks - before
-        check(self, entities, body)
+        check(self.model, self.system, self.jacobian, self.motions, entities, body)
         return body
 
-    with mock.patch.object(Bodies, "seeds", checking_seeds), \
+    with mock.patch.object(decompose, "well_parts", checking_seeds), \
             mock.patch.object(Bodies, "union", checking_union):
         tree = bottom_up(model, seed=seed)
     return tree, counts["unions"], counts["fallbacks"]
@@ -130,8 +129,8 @@ def body_frameworks(draw):
 @example(zoo.double_banana_model())
 @example(zoo.k4_model())
 def test_body_decisions_match_is_well_part_on_drawn_frameworks(model):
-    # a union with a fixed child is decided by is_well_part itself; every
-    # other decision must agree with it, and none sits near the threshold
+    # a union with a fixed child is decided by detect.well_parts itself; every
+    # decision agrees with the dense reference, and none sits near the threshold
     _, _, fallbacks = checked_bottom_up(model)
     assert fallbacks == 0 or any(c.kind == "fix" for c in model.constraints)
 
@@ -156,21 +155,44 @@ def test_gapped_rank_declines_a_singular_value_near_the_threshold():
     assert gapped_rank(np.diag([1.0, edge * 0.99])) is None
 
 
+@pytest.mark.parametrize("rank", [lambda B: None, lambda B: B.shape[1] + 1],
+                         ids=["declined", "kernel-below-slack"])
+@pytest.mark.parametrize("make", [lambda: zoo.triangle_strip(6), zoo.k4_model,
+                                  zoo.double_banana_model])
+def test_a_union_the_bodies_cannot_decide_falls_back_to_the_dense_test(rank, make):
+    # gapped_rank declines (a singular value near the threshold), or B's
+    # kernel comes out below the union's slack: each such union is decided
+    # by detect.well_parts on its entities, counted as a fallback, and the
+    # tree is the one the body test builds
+    m = make()
+    expected = bottom_up(m).to_json_dict()
+    calls = [0]
+
+    def forced(B, rank_tol):
+        calls[0] += 1
+        return rank(B)
+
+    with mock.patch.object(bodies, "gapped_rank", forced):
+        tree, unions, fallbacks = checked_bottom_up(m)
+    assert 0 < calls[0] == fallbacks <= unions
+    assert tree.to_json_dict() == expected
+
+
 @pytest.mark.parametrize("make", [lambda: zoo.triangle_strip(48), zoo.double_banana_model])
 def test_after_the_seeds_no_rigidity_check_ranks_more_than_3d_columns(make, recording_svd):
     m = make()
     s = compile_model(m)
     report = characterize(s, m)
-    seeds = Bodies.seeds
+    seeds = decompose.well_parts
     mark = []
 
-    def marking(self, candidates):
-        out = seeds(self, candidates)
+    def marking(*args):
+        out = seeds(*args)
         mark.append(len(recording_svd))
         return out
 
     recording_svd.clear()
-    with mock.patch.object(Bodies, "seeds", marking):
+    with mock.patch.object(decompose, "well_parts", marking):
         bottom_up_at(m, s, report.witness, report.witness_groups())
     later = recording_svd[mark[0]:]
     assert later  # the unions were ranked

@@ -320,17 +320,17 @@ def test_bottom_up_strip_is_a_tree(n):
 def rigidity_checks(model, monkeypatch):
     """Bottom-up's rigidity decisions: one per seed candidate, one per union."""
     calls = [0]
-    seeds, union = Bodies.seeds, Bodies.union
+    seeds, union = decompose.well_parts, Bodies.union
 
-    def counting_seeds(self, candidates):
-        calls[0] += len(candidates)
-        return seeds(self, candidates)
+    def counting_seeds(*args):
+        calls[0] += len(args[4])
+        return seeds(*args)
 
     def counting_union(self, *args):
         calls[0] += 1
         return union(self, *args)
 
-    monkeypatch.setattr(Bodies, "seeds", counting_seeds)
+    monkeypatch.setattr(decompose, "well_parts", counting_seeds)
     monkeypatch.setattr(Bodies, "union", counting_union)
     bottom_up(model)
     return calls[0]
@@ -452,6 +452,16 @@ def test_top_down_triangle_base_case():
     tree = top_down(zoo.three_distances_model())
     assert tree.roots[0].kind == "triangle"
     assert not tree.roots[0].children
+
+
+def test_a_model_without_entities_has_no_roots_either_way():
+    # as bottom-up, top-down gives an empty model no node, so the
+    # decomposed solve refuses both trees alike
+    m = Model(2, (), ())
+    for tree in (top_down(m), bottom_up(m)):
+        assert tree.roots == () and not tree.assembled
+        with pytest.raises(DecompositionError, match="0 roots"):
+            solve_tree(m, tree)
 
 
 def test_top_down_k4_irreducible():

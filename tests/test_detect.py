@@ -17,6 +17,7 @@ from gcskernel import (
     oracle_max_well_part,
     oracle_min_dependent_sets,
     rank_analyze,
+    well_parts,
 )
 from gcskernel import detect, zoo
 from gcskernel.compiler import induced
@@ -171,6 +172,18 @@ def test_seed_dependence_demo():
     assert len(best.entities) > worst
 
 
+@pytest.mark.parametrize("n", [9, 20])
+def test_greedy_grows_in_natural_id_order_on_a_strip(n):
+    # P10 comes after P9: in string order a part seeded at P1 tried P10 and
+    # P11 first, before it could hold them, and the rigid strip(9) split
+    # into parts of 9 and 2 entities
+    m = zoo.triangle_strip(n)
+    s, J, M = witness_for(m)
+    parts = greedy_well_parts(m, s, J, M)
+    assert [p.entities for p in parts] == [frozenset(e.id for e in m.entities)]
+    assert parts[0].constraints == frozenset(c.id for c in m.constraints)
+
+
 def test_parts_disjoint_and_well():
     m = zoo.two_triangles_shared_vertex()
     s, J, M = witness_for(m)
@@ -262,10 +275,39 @@ def test_is_well_part_matches_full_rank_analyses_on_corpus(corpus_dir):
     assert 0 < sum(verdicts) < len(verdicts)
 
 
+def test_well_parts_in_one_batch_match_full_rank_analyses_on_corpus(corpus_dir,
+                                                                    recording_svd):
+    # every entity subset of a model decided in one call, each record's counts
+    # against a scan of its subset; the Jacobian blocks of one shape (r, c)
+    # take one SVD, and so do the motion blocks of c columns
+    verdicts = []
+    for name, m, s, (J, M) in small_corpus_models(corpus_dir):
+        subsets = list(entity_subsets(m))
+        recording_svd.clear()
+        parts = well_parts(m, s, J, M, subsets)
+        k = M.shape[0]
+        shapes = {(len(rows), len(s.columns_of(subset))) for subset in subsets
+                  for constraints, rows in [induced(m, s, subset)] if constraints}
+        shapes = {(r, c) for r, c in shapes if c - k <= r <= c}
+        assert len(recording_svd) <= len(shapes) + len({c for _, c in shapes}), name
+        for subset, part in zip(subsets, parts):
+            verdicts.append(part is not None)
+            assert verdicts[-1] == reference_is_well_part(m, s, J, M, subset), (name, subset)
+            if part is not None:
+                constraints, rows = induced(m, s, subset)
+                columns = s.columns_of(subset)
+                assert (part.entities, part.constraints) == (frozenset(subset), constraints)
+                assert (part.rows, part.columns) == (len(rows), len(columns))
+                assert part.motion_rank == rank_analyze(M[:, columns]).rank
+                assert part.fixed == any(m.constraint(c).kind == "fix" for c in constraints)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 def test_is_well_part_counts_before_any_svd(corpus_dir, monkeypatch):
     # a part of r rows on c columns is refused without an SVD unless
     # c - k <= r <= c (k rigid motions); the motion block of c columns is
-    # ranked only after an r x c Jacobian block of full row rank, r < c
+    # ranked only after an r x c Jacobian block of full row rank, r == c
+    # too, since the part's record carries its motion rank
     cases = []  # (model, system, J, M, subset, expected SVD shapes)
     refused_by_count = 0
     for name, m, s, (J, M) in small_corpus_models(corpus_dir):
@@ -279,7 +321,7 @@ def test_is_well_part_counts_before_any_svd(corpus_dir, monkeypatch):
             elif not c - k <= r <= c:
                 shapes = []
                 refused_by_count += 1
-            elif rank_analyze(J[np.ix_(rows, columns)]).rank < r or r == c:
+            elif rank_analyze(J[np.ix_(rows, columns)]).rank < r:
                 shapes = [(r, c)]
             else:
                 shapes = [(r, c), (k, c)]
@@ -304,23 +346,43 @@ def test_greedy_well_parts_tests_each_set_once(corpus_dir, monkeypatch):
     # a part that grew is the set its last addition tested; only a seed that
     # took no entity is tested again, alone, after the pass
     tested = []
-    real = detect.is_well_part
+    real = detect.well_parts
 
     def counting(*args):
-        tested.append(frozenset(args[4]))
+        tested.extend(frozenset(c) for c in args[4])
         return real(*args)
 
-    monkeypatch.setattr(detect, "is_well_part", counting)
+    monkeypatch.setattr(detect, "well_parts", counting)
     total = 0
     for name, m, s, J, M in corpus_systems(corpus_dir):
         if m is None:
             continue
         tested.clear()
         for part in greedy_well_parts(m, s, J, M):
-            assert real(m, s, J, M, part.entities), (name, part)
+            assert reference_is_well_part(m, s, J, M, part.entities), (name, part)
+            assert part.constraints == induced(m, s, part.entities)[0], (name, part)
         assert len(tested) == len(set(tested)), name
         total += len(tested)
     assert total == 95  # 122 when every part was tested again
+
+
+@pytest.mark.parametrize("chunk", [1, 3, detect.ORACLE_CHUNK])
+def test_stacked_max_well_part_is_the_first_well_subset_on_corpus(chunk, corpus_dir,
+                                                                  monkeypatch):
+    # the largest subsets first, each size in lexicographic order, whatever
+    # the stacks it is decided in
+    monkeypatch.setattr(detect, "ORACLE_CHUNK", chunk)
+    checked = 0
+    for name, m, s, (J, M) in small_corpus_models(corpus_dir):
+        ids = sorted(e.id for e in m.entities)
+        expected = next((frozenset(combo) for k in range(len(ids), 0, -1)
+                         for combo in combinations(ids, k)
+                         if reference_is_well_part(m, s, J, M, combo)), frozenset())
+        best = oracle_max_well_part(m, s, J, M)
+        assert best.entities == expected, name
+        assert best.constraints == induced(m, s, expected)[0], name
+        checked += len(expected) < len(ids)
+    assert checked >= 3  # some models are not well as a whole
 
 
 def reference_min_dependent_sets(J):
