@@ -78,7 +78,7 @@ def dor_table():
         2, tuple(Entity(f"P{i}", "point2", (0.5, -0.25)) for i in range(3)), ())
     for name, m in cases.items():
         s = compile_model(m)
-        d = compute_dor(m, s, assignment_from_params(m, s)).dor
+        d = compute_dor(m, s, assignment_from_params(m, s))
         print(f"{name:32s} -> {d}")
 
 

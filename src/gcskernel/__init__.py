@@ -58,12 +58,10 @@ from .model import (
     validate,
 )
 from .numeric import (
-    RankAnalysis,
     SolveResult,
     cokernel_groups,
     newton_solve,
     optimize_solve,
-    rank_analyze,
     rank_of,
     solve,
 )
@@ -80,7 +78,6 @@ from .structural import (
     scc_plan,
 )
 from .witness import (
-    DorResult,
     SchemeRow,
     WcmReport,
     WitnessConfiguration,

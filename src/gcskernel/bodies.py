@@ -31,9 +31,10 @@ bodies and its extra rows, without a scan of its entities.
 
 A body that holds a ``fix`` moves less than rigidly, and B can be decided
 the other way than the union's own block where one of its singular values
-sits within ``RANK_GAP`` of the threshold; such a union falls back to the
-dense test, :func:`detect.well_parts`, and :attr:`Bodies.fallbacks` counts
-it.  A body is that test's :class:`detect.WellPart` record, and so are the
+sits within ``RANK_GAP`` of the threshold, where ``rank_of`` with that gap
+declines it; such a union falls back to the dense test,
+:func:`detect.well_parts`, and :attr:`Bodies.fallbacks` counts it.  A body
+is that test's :class:`detect.WellPart` record, and so are the
 seeds (single entities and pairs), which bottom-up decides in one call.
 """
 
@@ -46,7 +47,7 @@ import numpy as np
 from .compiler import ResidualSystem, rows_of
 from .detect import WellPart, well_parts
 from .model import Model
-from .numeric import RANK_REL_TOL, gapped_rank, rank_of
+from .numeric import RANK_GAP, RANK_REL_TOL, rank_of
 
 
 class Bodies:
@@ -137,8 +138,8 @@ class Bodies:
                 i = first.get(e, big)
                 B[r:r + len(part), i * D:(i + 1) * D] += part
             r += len(self._rows[c])
-        rank = gapped_rank(B, self.rank_tol)
-        if rank is None:
+        rank = rank_of(B, self.rank_tol, RANK_GAP)
+        if rank < 0:  # declined
             return self._fallback(entities)
         kernel = B.shape[1] - rank - sum(D - b.motion_rank for b in bodies)
         if kernel < slack:  # no block of r rows has a kernel below c - r

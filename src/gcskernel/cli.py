@@ -207,23 +207,21 @@ def cmd_detect(args) -> int:
         J, M = wr.witness.jacobian, wr.witness.motions
     try:
         greedy = greedy_dependency_groups(J, seed_row=args.seed_row, rank_tol=args.rank_tol)
-        parts = None if model is None else greedy_well_parts(
+        parts = [] if model is None else greedy_well_parts(
             model, system, J, M, seed_entity=args.seed_entity, rank_tol=args.rank_tol)
     except ValueError as err:  # a seed row or seed entity the system does not have
         raise SystemExitError(1, str(err))
     payload = {
         "command": "detect",
         "model": args.model,
-        "greedy": detection_report(greedy, [], "greedy", args.seed),
+        "greedy": detection_report(greedy, "greedy", args.seed, parts),
     }
     try:
         oracle = oracle_min_dependent_sets(J, rank_tol=args.rank_tol)
-        payload["oracle"] = detection_report(oracle, [], "oracle", args.seed)
+        payload["oracle"] = detection_report(oracle, "oracle", args.seed)
     except CapExceeded as err:
         payload["oracle"] = {"skipped": str(err)}
     if model is not None:
-        payload["greedy"]["wellParts"] = sorted(
-            list(p.sorted_entities()) for p in parts)
         try:
             best = oracle_max_well_part(model, system, J, M, rank_tol=args.rank_tol)
             payload["oracle"]["maxWellPart"] = sorted(best.entities)

@@ -588,14 +588,19 @@ def induced(model: Model, system: ResidualSystem,
             entity_ids: Iterable[str]) -> tuple[frozenset[str], list[int]]:
     """Constraint ids and residual rows induced by an entity subset.
 
-    A constraint is induced when all of its entities are in the subset; its
-    rows are induced with it, as are the normalization rows of the subset's
-    entities.  Anchor rows never are.
+    A constraint is induced when all of its entities are in the subset
+    (:func:`induced_constraints`); its rows are induced with it, as are the
+    normalization rows of the subset's entities.  Anchor rows never are.
     """
     keep = set(entity_ids)
-    cids = frozenset(c.id for eid in keep for c in model.constraints_on(eid)
-                     if keep.issuperset(c.entities))
+    cids = induced_constraints(model, keep)
     return cids, rows_of(system, cids, keep)
+
+
+def induced_constraints(model: Model, entity_ids: set[str]) -> frozenset[str]:
+    """The ids of the constraints all of whose entities are in ``entity_ids``."""
+    return frozenset(c.id for eid in entity_ids for c in model.constraints_on(eid)
+                     if entity_ids.issuperset(c.entities))
 
 
 def rows_of(system: ResidualSystem, constraint_ids: Collection[str],
@@ -607,6 +612,15 @@ def rows_of(system: ResidualSystem, constraint_ids: Collection[str],
     picked += [i for eid in set(entity_ids) for i in rows.get(("normalization", eid), ())]
     picked.sort()
     return picked
+
+
+def row_count(system: ResidualSystem, constraint_ids: Collection[str],
+              entity_ids: Collection[str]) -> int:
+    """The length of :func:`rows_of` for distinct ids, without building the
+    list."""
+    rows = system._rows
+    return (sum([len(rows.get(("constraint", cid), ())) for cid in constraint_ids])
+            + sum([len(rows.get(("normalization", eid), ())) for eid in entity_ids]))
 
 
 def linear_system(coefficients, rhs, variable_names: Sequence[str] | None = None) -> ResidualSystem:

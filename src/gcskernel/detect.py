@@ -34,7 +34,7 @@ from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
-from .compiler import ResidualSystem, induced
+from .compiler import ResidualSystem, induced_constraints, row_count, rows_of
 from .model import Model
 from .numeric import RANK_REL_TOL, SUPPORT_TOL, rank_of
 
@@ -151,38 +151,39 @@ def well_parts(model: Model, system: ResidualSystem, jacobian: np.ndarray,
 
     The rank of r rows is at most r and the motion rank at most
     k = ``motions.shape[0]``, so a set of r rows on c columns is refused by
-    counting alone unless c - k <= r <= c.  The others' Jacobian blocks are
-    ranked in one stacked call per shape, then the motion blocks of those of
-    full row rank.
+    counting alone unless c - k <= r <= c, with r and c summed from its
+    constraints' and entities' row and column counts.  Only the others get
+    row and column lists: their Jacobian blocks are ranked in one stacked
+    call per shape, then the motion blocks of those of full row rank.
     """
     k = motions.shape[0]
+    columns = system.columns
     shapes = defaultdict(list)
     for i, cand in enumerate(candidates):
-        constraints, rows = induced(model, system, cand)
-        cols = system.columns_of(cand)
-        if constraints and 0 <= len(cols) - len(rows) <= k:
-            shapes[len(rows), len(cols)].append((i, cand, constraints, rows, cols))
+        keep = set(cand)
+        constraints = induced_constraints(model, keep)
+        if not constraints:
+            continue
+        r, c = row_count(system, constraints, keep), sum([len(columns[e]) for e in keep])
+        if 0 <= c - r <= k:
+            shapes[r, c].append((i, keep, constraints))
+    # index lists only for the sets that counting keeps
     full = defaultdict(list)
     for (r, c), group in shapes.items():
-        rows = np.array([g[3] for g in group])[:, :, None]
-        cols = np.array([g[4] for g in group])[:, None, :]
-        for g, rank in zip(group, _ranks(jacobian[rows, cols], rank_tol)):
+        rows = np.array([rows_of(system, cons, keep) for _, keep, cons in group])
+        cols = [system.columns_of(keep) for _, keep, _ in group]
+        ranks = rank_of(jacobian[rows[:, :, None], np.array(cols)[:, None, :]], rank_tol)
+        for g, col, rank in zip(group, cols, ranks):
             if rank == r:
-                full[c].append(g)
+                full[c].append((g, r, col))
     out: list[WellPart | None] = [None] * len(candidates)
     for c, group in full.items():
-        cols = np.array([g[4] for g in group])
-        ranks = _ranks(motions[:, cols].transpose(1, 0, 2), rank_tol)
-        for (i, cand, constraints, rows, _), rank in zip(group, ranks):
-            if c - len(rows) <= rank:
-                out[i] = WellPart(frozenset(cand), constraints, len(rows), c, int(rank),
+        ranks = rank_of(motions[:, np.array([g[2] for g in group])].transpose(1, 0, 2), rank_tol)
+        for ((i, keep, constraints), r, _), rank in zip(group, ranks):
+            if c - r <= rank:
+                out[i] = WellPart(frozenset(keep), constraints, r, c, int(rank),
                                   any(model.constraint(n).kind == "fix" for n in constraints))
     return out
-
-
-def _ranks(stack: np.ndarray, rank_tol: float):
-    """The ranks of a stack of matrices; one alone takes the cheaper 2D SVD."""
-    return [rank_of(stack[0], rank_tol)] if len(stack) == 1 else rank_of(stack, rank_tol)
 
 
 def is_well_part(model: Model, system: ResidualSystem, jacobian: np.ndarray,
@@ -261,9 +262,8 @@ def oracle_max_well_part(model: Model, system: ResidualSystem, jacobian: np.ndar
     return WellPart(frozenset(), frozenset())
 
 
-def detection_report(dependency_groups: Sequence[DependencyGroup],
-                     well_parts: Sequence[WellPart],
-                     method: str, seed: int) -> dict:
+def detection_report(dependency_groups: Sequence[DependencyGroup], method: str, seed: int,
+                     well_parts: Iterable[WellPart] = ()) -> dict:
     return {
         "dependencyGroups": sorted(list(g.sorted_rows()) for g in dependency_groups),
         "wellParts": sorted(list(p.sorted_entities()) for p in well_parts),

@@ -1,23 +1,22 @@
 """Dense rank analysis and nonlinear solving.
 
-Rank decisions use a scale-invariant SVD threshold tau = 1e-8 * sigma_max
-(1e-12 absolute for an all-zero matrix), set in one place, `_rank_tolerance`,
-and made in one place, `rank_of`, from the singular values alone, for one
-matrix or a stack of them; `gapped_rank` gives the same rank, or declines
-when a singular value sits within RANK_GAP of the threshold, for a matrix
-that stands in for another one (bottom-up's body test, `bodies`).  One
-rule decides full rank without ranking the whole matrix: a square matrix in
-block-triangular form along a solve plan (below) is nonsingular when every
-diagonal block's smallest singular value exceeds RANK_GAP times that
-block's own threshold (`_BlockStep.margins`).
+Every rank decision is made in one place, `rank_of`, from the singular values
+alone, for one matrix or a stack of them, against a scale-invariant
+threshold tau = 1e-8 * sigma_max (1e-12 absolute for an all-zero matrix),
+set in `_rank_tolerance`.  Given a gap factor g > 1, `rank_of` declines
+(rank -1) a matrix with a singular value in (tau / g, tau * g], where a
+matrix that stands in for another one could be decided the other way:
+bottom-up's body test (`bodies`) and the block certificate ask for RANK_GAP.
+The certificate decides full rank without ranking the whole matrix: a
+square matrix in block-triangular form along a solve plan (below) is
+nonsingular when every diagonal block has its full rank under that gap.
 The witness votes certify full row rank with it (`witness.characterize`);
-where a block falls under that margin, `rank_of` of the whole matrix
+where a block is declined or deficient, `rank_of` of the whole matrix
 decides.  `cokernel_groups` names the dependent row groups of a ranked
 matrix, the rows each cokernel basis vector touches, for the witness
 report, whose groups bottom-up's retirement guard reads too; it asks for
 singular vectors only when the rank falls below the row count, and it is
-the only code that asks for them.  `rank_analyze`, which ranks and names
-at once, has no production caller: it is the tests' dense reference.
+the only code that asks for them.
 
 The Newton solver's step solves
 J step = -r by block back-substitution in the order of the structural solve
@@ -44,6 +43,7 @@ decomposed solve's clusters).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
@@ -65,24 +65,11 @@ SUPPORT_TOL = 1e-10  # a row dependency coefficient above it puts its row in the
 # +0.0 to +1.6 ms.  So the corpus and strip(12) (28 rows) take lstsq steps,
 # and strip(24) (52 rows) and larger take block steps.
 BLOCK_STEP_MIN_ROWS = 48
-# A diagonal block certifies its own nonsingularity only when its smallest
-# singular value exceeds its rank_of threshold by this factor: the margin
-# that keeps a block decision clear of the threshold's last-bit drift.
+# The rank_of gap of a matrix that stands in for another one (a diagonal
+# block for the whole Jacobian, a union's body matrix for its induced block):
+# its rank counts only when no singular value lies within this factor of the
+# threshold, which keeps the decision clear of the threshold's last-bit drift.
 RANK_GAP = 100.0
-
-
-@dataclass(frozen=True)
-class RankAnalysis:
-    shape: tuple[int, int]
-    rank: int
-    dependent_groups: tuple[tuple[int, ...], ...]  # see cokernel_groups; () at full row rank
-
-
-def _finite_matrix(matrix) -> np.ndarray:
-    J = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if not np.isfinite(J).all():
-        raise ValueError("matrix has non-finite entries")
-    return J
 
 
 def _rank_tolerance(smax, rel_tol: float):
@@ -91,31 +78,38 @@ def _rank_tolerance(smax, rel_tol: float):
     return rel_tol * smax + 1e-12 * (smax <= 0.0)
 
 
-def rank_of(matrix, rel_tol: float = RANK_REL_TOL):
+def rank_of(matrix, rel_tol: float = RANK_REL_TOL, gap: float = 1.0):
     """Numerical rank of a matrix, or an array of the ranks of a stack of
     matrices (..., m, n), by the threshold of :func:`_rank_tolerance`, from
-    the singular values alone; 0 for an empty shape."""
-    J = _finite_matrix(matrix)
-    if J.size == 0:
-        return 0 if J.ndim == 2 else np.zeros(J.shape[:-2], dtype=int)
-    s = np.linalg.svd(J, compute_uv=False)
-    if J.ndim == 2:
-        return int(np.count_nonzero(s > _rank_tolerance(s[0], rel_tol)))
-    return (s > _rank_tolerance(s[..., :1], rel_tol)).sum(axis=-1)
+    the singular values alone; 0 for an empty shape.  With a ``gap`` above 1,
+    a matrix with a singular value in (threshold / gap, threshold * gap] is
+    declined: its rank reads -1.  A non-finite entry raises ``ValueError``.
 
-
-def gapped_rank(matrix, rel_tol: float = RANK_REL_TOL) -> int | None:
-    """The :func:`rank_of` rank of a 2D matrix, or None when a singular value
-    sits within a factor RANK_GAP of the threshold, where another matrix of
-    the same rank could be decided the other way."""
-    J = _finite_matrix(matrix)
+    A stack is ranked on arrays; one matrix, and a stack of one, whose 2D
+    SVD costs less than the stacked call, on scalars.  A matrix of full rank
+    at threshold * gap has no value in the band, so the band is looked at
+    only below full rank."""
+    J = np.asarray(matrix, dtype=float)
+    if J.ndim < 2:  # a vector is one row
+        J = J.reshape(1, -1)
+    if not np.isfinite(J).all():
+        raise ValueError("matrix has non-finite entries")
+    lead = J.shape[:-2]
     if J.size == 0:
-        return 0
-    s = np.linalg.svd(J, compute_uv=False)
+        return np.zeros(lead, dtype=int) if lead else 0
+    if lead and math.prod(lead) > 1:
+        s = np.linalg.svd(J, compute_uv=False)
+        tol = _rank_tolerance(s[..., :1], rel_tol)
+        ranks = (s > tol * gap).sum(axis=-1)
+        if gap != 1.0 and (ranks < s.shape[-1]).any():
+            ranks[(s > tol / gap).sum(axis=-1) != ranks] = -1
+        return ranks
+    s = np.linalg.svd(J.reshape(J.shape[-2:]) if lead else J, compute_uv=False)
     tol = _rank_tolerance(s[0], rel_tol)
-    if ((s > tol / RANK_GAP) & (s <= tol * RANK_GAP)).any():
-        return None
-    return int(np.count_nonzero(s > tol))
+    rank = np.count_nonzero(s > tol * gap)
+    if gap != 1.0 and rank < len(s) and np.count_nonzero(s > tol / gap) != rank:
+        rank = -1
+    return np.array(rank, ndmin=len(lead)) if lead else int(rank)
 
 
 def cokernel_groups(matrix, rank: int) -> tuple[tuple[int, ...], ...]:
@@ -131,15 +125,6 @@ def cokernel_groups(matrix, rank: int) -> tuple[tuple[int, ...], ...]:
     U = np.linalg.svd(J)[0] if n else np.eye(m)
     support = np.abs(U[:, rank:].T) > SUPPORT_TOL
     return tuple(tuple(np.flatnonzero(rows).tolist()) for rows in support if rows.any())
-
-
-def rank_analyze(matrix, rel_tol: float = RANK_REL_TOL) -> RankAnalysis:
-    """The :func:`rank_of` rank of a dense matrix and its
-    :func:`cokernel_groups`: the dense reference of the tests; no
-    production path calls it."""
-    J = _finite_matrix(matrix)
-    rank = rank_of(J, rel_tol)
-    return RankAnalysis(J.shape, rank, cokernel_groups(J, rank))
 
 
 @dataclass(frozen=True)
@@ -206,20 +191,6 @@ class _BlockStep:
             plan.append((vs, spans))
         return plan, np.array([dep_rows, dep_cols], dtype=np.intp), dep_cols
 
-    def margins(self, J: np.ndarray, cols: np.ndarray,
-                rel_tol: float = RANK_REL_TOL) -> np.ndarray:
-        """Each diagonal block's smallest singular value over its own
-        :func:`rank_of` threshold, gathered by size group, for the plan's
-        columns at ``J``'s columns ``cols`` (gathered without copying the
-        slice); all 0 when ``J`` has a non-finite entry."""
-        if not np.isfinite(J).all():
-            return np.zeros(len(self.blocks))
-        out = [np.zeros(0)]
-        for _, _, E, V in self.groups:
-            s = np.linalg.svd(J[E, cols[V]], compute_uv=False)
-            out.append(s[:, -1] / _rank_tolerance(s[:, 0], rel_tol))
-        return np.concatenate(out)
-
     def __call__(self, J: np.ndarray, r: np.ndarray) -> np.ndarray | None:
         """The step s with J s = -r, or None when a diagonal block is not
         finite or rank-deficient (:func:`rank_of`), or the step is not
@@ -262,7 +233,7 @@ def _block_step(system: ResidualSystem, cols) -> _BlockStep | None:
     """The block step of a column slice, from the perfect matching of its
     equation graph and the SCC solve plan; None when there is no perfect
     matching (a non-square or structurally singular slice).  Its diagonal
-    blocks also certify full row rank (:meth:`_BlockStep.margins`)."""
+    blocks also certify full row rank (:func:`witness.full_row_rank_certificate`)."""
     adjacency = system.adjacency
     col_ids = np.arange(system.n_variables)[cols].tolist()
     if len(adjacency) != len(col_ids):

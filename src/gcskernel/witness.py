@@ -35,10 +35,10 @@ A large rigid vote ranks no dense J.  When J has at least
 ``numeric.BLOCK_STEP_MIN_ROWS`` rows and rows + dor = columns, a frame of
 dor columns on which the motion basis has rank dor is set aside; the square
 rest of J is nonsingular, so J is of full row rank with no free motion,
-when every diagonal block of its block-triangular form clears its own rank
-threshold by ``RANK_GAP`` (:func:`full_row_rank_certificate`).  A vote that
-fails it, a smaller one, and one with rows + dor != columns are ranked by
-``rank_of`` of the whole J.
+when every diagonal block of its block-triangular form has full rank with
+``rank_of``'s gap ``RANK_GAP`` (:func:`full_row_rank_certificate`).  A vote
+that fails it, a smaller one, and one with rows + dor != columns are ranked
+by ``rank_of`` of the whole J.
 
 A witness carries J and the motion basis at its sample, and every consumer
 reads them from there: the report keeps the sample of its first vote, drawn
@@ -135,11 +135,6 @@ def generate_witness(system: ResidualSystem, model: Model, seed: int = 0,
         f"witness generation failed after {max_attempts} attempts (seed {seed}): {last_error}")
 
 
-@dataclass(frozen=True)
-class DorResult:
-    dor: int
-
-
 def motion_basis(model: Model, system: ResidualSystem, assignment) -> np.ndarray:
     """Rigid-motion generator velocities in the system's variable coordinates:
     row i is the parameter velocity of generator i (the translations, then
@@ -171,12 +166,12 @@ def motion_basis(model: Model, system: ResidualSystem, assignment) -> np.ndarray
 
 
 def compute_dor(model: Model, system: ResidualSystem, assignment,
-                rank_tol: float = RANK_REL_TOL) -> DorResult:
+                rank_tol: float = RANK_REL_TOL) -> int:
     """Degree of rigidity: numerical rank of the rigid-motion basis of the
     whole system; ``rank_tol`` is the relative SVD threshold of
     :func:`rank_of`.
     """
-    return DorResult(rank_of(motion_basis(model, system, assignment), rank_tol))
+    return rank_of(motion_basis(model, system, assignment), rank_tol)
 
 
 @dataclass(frozen=True)
@@ -294,11 +289,11 @@ def full_row_rank_certificate(system: ResidualSystem, motions: np.ndarray, dor: 
     A frame F of ``dor`` columns (:func:`_frame`) is set aside and the square
     rest J[:, not F] is put in block-triangular form along the solve plan of
     its equation graph (:func:`numeric._block_step`: a perfect matching and
-    its strongly connected components).  A Jacobian passes when every
-    diagonal block's smallest singular value exceeds ``RANK_GAP`` times the
-    block's own rank threshold (``rank_tol`` times its largest): then
-    J[:, not F] is nonsingular, so rank J = m.  Every Jacobian fails when
-    there is no frame or no perfect matching.
+    its strongly connected components).  A finite Jacobian passes when
+    every diagonal block has full rank with the gap ``RANK_GAP``
+    (:func:`rank_of`, the blocks of one size in one call): then J[:, not F]
+    is nonsingular, so rank J = m.  Every Jacobian fails when there is no
+    frame or no perfect matching.
     """
     frame = _frame(system, motions, dor, rank_tol)
     if frame is None:
@@ -307,7 +302,9 @@ def full_row_rank_certificate(system: ResidualSystem, motions: np.ndarray, dor: 
     plan = _block_step(system, cols)
     if plan is None:
         return lambda jacobian: False
-    return lambda jacobian: bool((plan.margins(jacobian, cols, rank_tol) > RANK_GAP).all())
+    blocks = [(size, E, cols[V]) for size, _, E, V in plan.groups]
+    return lambda jacobian: bool(np.isfinite(jacobian).all()) and all(
+        rank_of(jacobian[E, V], rank_tol, RANK_GAP).min() == size for size, E, V in blocks)
 
 
 def characterize(system: ResidualSystem, model: Model, seed: int = 0,

@@ -13,7 +13,7 @@ from gcskernel import bodies, bottom_up, bottom_up_at, characterize, compile_mod
 from gcskernel.bodies import Bodies
 from gcskernel.compiler import induced
 from gcskernel.model import Constraint, Entity, Model, model_from_json_dict
-from gcskernel.numeric import RANK_GAP, RANK_REL_TOL, gapped_rank, rank_of
+from gcskernel.numeric import RANK_GAP, RANK_REL_TOL, rank_of
 
 from test_detect import reference_is_well_part
 
@@ -145,22 +145,23 @@ def test_a_fixed_child_falls_back_to_is_well_part():
 
 
 def test_gapped_rank_declines_a_singular_value_near_the_threshold():
-    for s, rank in [(1e-5, 2), (1e-7, None), (1e-8, None), (1e-9, None), (1e-11, 1)]:
-        assert gapped_rank(np.diag([1.0, s])) == rank, s
-    assert gapped_rank(np.zeros((0, 4))) == 0
-    assert gapped_rank(np.zeros((2, 2))) == 0
+    # the body test's rank: rank_of with the gap RANK_GAP, -1 where declined
+    for s, rank in [(1e-5, 2), (1e-7, -1), (1e-8, -1), (1e-9, -1), (1e-11, 1)]:
+        assert rank_of(np.diag([1.0, s]), RANK_REL_TOL, RANK_GAP) == rank, s
+    assert rank_of(np.zeros((0, 4)), RANK_REL_TOL, RANK_GAP) == 0
+    assert rank_of(np.zeros((2, 2)), RANK_REL_TOL, RANK_GAP) == 0
     # the band is RANK_GAP either side of the rank_of threshold
     edge = RANK_REL_TOL * RANK_GAP
-    assert gapped_rank(np.diag([1.0, edge * 1.01])) == 2
-    assert gapped_rank(np.diag([1.0, edge * 0.99])) is None
+    assert rank_of(np.diag([1.0, edge * 1.01]), RANK_REL_TOL, RANK_GAP) == 2
+    assert rank_of(np.diag([1.0, edge * 0.99]), RANK_REL_TOL, RANK_GAP) == -1
 
 
-@pytest.mark.parametrize("rank", [lambda B: None, lambda B: B.shape[1] + 1],
+@pytest.mark.parametrize("rank", [lambda B: -1, lambda B: B.shape[1] + 1],
                          ids=["declined", "kernel-below-slack"])
 @pytest.mark.parametrize("make", [lambda: zoo.triangle_strip(6), zoo.k4_model,
                                   zoo.double_banana_model])
 def test_a_union_the_bodies_cannot_decide_falls_back_to_the_dense_test(rank, make):
-    # gapped_rank declines (a singular value near the threshold), or B's
+    # B's gapped rank is declined (a singular value near the threshold), or B's
     # kernel comes out below the union's slack: each such union is decided
     # by detect.well_parts on its entities, counted as a fallback, and the
     # tree is the one the body test builds
@@ -168,11 +169,13 @@ def test_a_union_the_bodies_cannot_decide_falls_back_to_the_dense_test(rank, mak
     expected = bottom_up(m).to_json_dict()
     calls = [0]
 
-    def forced(B, rank_tol):
+    def forced(B, rank_tol, gap=1.0):
+        if gap == 1.0:  # a union's motion rank
+            return rank_of(B, rank_tol)
         calls[0] += 1
         return rank(B)
 
-    with mock.patch.object(bodies, "gapped_rank", forced):
+    with mock.patch.object(bodies, "rank_of", forced):
         tree, unions, fallbacks = checked_bottom_up(m)
     assert 0 < calls[0] == fallbacks <= unions
     assert tree.to_json_dict() == expected

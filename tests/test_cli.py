@@ -4,6 +4,7 @@ import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from gcskernel import cli, decompose, detect, numeric, witness, zoo
@@ -295,14 +296,19 @@ def test_a_thin_block_margin_falls_back_to_the_dense_rank(capsys, tmp_path, monk
     expected = run_cli(capsys, "--format", "json", "check", path)
     calls = recording_svd
     calls.clear()
-    margins = numeric._BlockStep.margins
+    rank_of = witness.rank_of
 
-    def one_thin_block(self, *args):
-        out = margins(self, *args)
-        out[len(out) // 2] = numeric.RANK_GAP / 2
-        return out
+    def one_thin_block(A, rel_tol, gap=1.0):
+        # the middle 2 x 2 diagonal block, its smallest singular value at
+        # RANK_GAP / 2 times its threshold
+        if gap != 1.0 and A.shape[-1] == 2:
+            A = A.copy()
+            U, s, Vt = np.linalg.svd(A[len(A) // 2])
+            s[-1] = s[0] * rel_tol * numeric.RANK_GAP / 2
+            A[len(A) // 2] = (U * s) @ Vt
+        return rank_of(A, rel_tol, gap)
 
-    monkeypatch.setattr(numeric._BlockStep, "margins", one_thin_block)
+    monkeypatch.setattr(witness, "rank_of", one_thin_block)
     assert run_cli(capsys, "--format", "json", "check", path) == expected
     assert calls.count(((97, 100), False)) == 2
 

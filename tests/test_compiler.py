@@ -18,7 +18,7 @@ from gcskernel import (
     eval_residuals,
     full_cross,
     linear_system,
-    rank_analyze,
+    rank_of,
 )
 from gcskernel import compiler, expr as ex
 from gcskernel.compiler import Residual, ResidualSystem, Variable, add_constraints
@@ -91,8 +91,7 @@ def test_anchored_3d_rigid_model_has_full_column_rank():
     s = add_anchors(compile_model(m), m)
     assert len(s.anchor_rows()) == 6
     x = assignment_from_params(m, s)
-    analysis = rank_analyze(eval_jacobian(s, x))
-    assert analysis.rank == s.n_variables == 12
+    assert rank_of(eval_jacobian(s, x)) == s.n_variables == 12
 
 
 def test_triangle_residuals_vanish_at_construction():

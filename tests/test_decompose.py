@@ -231,23 +231,6 @@ def test_bottom_up_of_a_certified_strip_ranks_no_whole_jacobian(tmp_path, capsys
     assert recording_svd.count(((97, 100), False)) == 1
 
 
-def test_no_decomposition_path_calls_rank_analyze(capsys, corpus_dir, monkeypatch):
-    # bottom-up's dependent rows come from the witness vote alone
-    def fail(*args, **kwargs):
-        raise AssertionError("rank_analyze called")
-
-    for module in (numeric, decompose):
-        monkeypatch.setattr(module, "rank_analyze", fail, raising=False)
-    models = dict(corpus_2d_models(corpus_dir))
-    assert "k4.json" in models  # over-constrained: its vote names dependent rows
-    for name, m in models.items():
-        bottom_up(m)
-    for argv in (["decompose", "--strategy", "bottom-up"], ["solve", "--strategy", "decomposed"]):
-        for name in ("k4.json", "solve-kite.json"):
-            cli.main([argv[0], str(corpus_dir / name), *argv[1:]])
-            capsys.readouterr()
-
-
 def roots_and_free(tree):
     return sorted(sorted(r.entities) for r in tree.roots), tree.free_entities
 
@@ -284,7 +267,7 @@ def is_independent(model, seed=0):
     """Whether no row of the model's witness Jacobian takes part in a dependency."""
     system = compile_model(model)
     J = generate_witness(system, model, seed=seed).jacobian
-    return not numeric.rank_analyze(J).dependent_groups
+    return not numeric.cokernel_groups(J, numeric.rank_of(J))
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

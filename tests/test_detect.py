@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from gcskernel import (
     CapExceeded,
+    WellPart,
     compile_model,
     eval_jacobian,
     generate_witness,
@@ -16,11 +18,11 @@ from gcskernel import (
     motion_basis,
     oracle_max_well_part,
     oracle_min_dependent_sets,
-    rank_analyze,
+    rank_of,
     well_parts,
 )
 from gcskernel import detect, zoo
-from gcskernel.compiler import induced
+from gcskernel.compiler import induced, rows_of
 from gcskernel.detect import detection_report
 from gcskernel.model import Entity, Model, model_from_json_dict
 
@@ -35,7 +37,7 @@ def jacobian(system):
 
 
 def rank_of_rows(J, rows):
-    return rank_analyze(J[sorted(rows)]).rank
+    return rank_of(J[sorted(rows)])
 
 
 # --- dependency groups -----------------------------------------------------
@@ -220,10 +222,13 @@ def test_oracle_entity_cap():
 
 
 def test_detection_report_shape():
-    rep = detection_report(
-        greedy_dependency_groups(jacobian(zoo.lindep2_system())), [], "greedy", seed=0)
+    groups = greedy_dependency_groups(jacobian(zoo.lindep2_system()))
+    rep = detection_report(groups, "greedy", seed=0)
     assert rep["method"] == "greedy" and rep["seed"] == 0
     assert rep["dependencyGroups"] == [[0, 1, 2, 3], [0, 1, 2, 4]]
+    assert rep["wellParts"] == []
+    parts = [WellPart(frozenset({"P3"}), frozenset()), WellPart(frozenset({"P2", "P1"}), frozenset())]
+    assert detection_report(groups, "greedy", 0, parts)["wellParts"] == [["P1", "P2"], ["P3"]]
 
 
 # --- rank-only decisions against full rank analyses ---------------------------
@@ -255,8 +260,8 @@ def reference_is_well_part(model, system, J, M, subset):
     if not constraints:
         return False
     columns = system.columns_of(subset)
-    rank = rank_analyze(J[np.ix_(rows, columns)]).rank
-    dor = rank_analyze(M[:, columns]).rank
+    rank = rank_of(J[np.ix_(rows, columns)])
+    dor = rank_of(M[:, columns])
     return rank == len(rows) and len(columns) - rank <= dor
 
 
@@ -298,9 +303,28 @@ def test_well_parts_in_one_batch_match_full_rank_analyses_on_corpus(corpus_dir,
                 columns = s.columns_of(subset)
                 assert (part.entities, part.constraints) == (frozenset(subset), constraints)
                 assert (part.rows, part.columns) == (len(rows), len(columns))
-                assert part.motion_rank == rank_analyze(M[:, columns]).rank
+                assert part.motion_rank == rank_of(M[:, columns])
                 assert part.fixed == any(m.constraint(c).kind == "fix" for c in constraints)
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_well_parts_builds_index_lists_only_for_the_sets_counting_keeps(corpus_dir,
+                                                                       monkeypatch):
+    # a set of r rows on c columns is counted from its constraints' and
+    # entities' row and column counts; only a set with c - k <= r <= c gets
+    # its row list built
+    built = []
+    monkeypatch.setattr(detect, "rows_of", lambda system, constraints, entities: (
+        built.append(frozenset(entities)) or rows_of(system, constraints, entities)))
+    for name, m, s, (J, M) in small_corpus_models(corpus_dir):
+        subsets = [frozenset(subset) for subset in entity_subsets(m)]
+        built.clear()
+        well_parts(m, s, J, M, subsets)
+        k = M.shape[0]
+        kept = [subset for subset in subsets for constraints, rows in [induced(m, s, subset)]
+                if constraints and 0 <= len(s.columns_of(subset)) - len(rows) <= k]
+        assert Counter(built) == Counter(kept), name
+        assert len(kept) < len(subsets), name
 
 
 def test_is_well_part_counts_before_any_svd(corpus_dir, monkeypatch):
@@ -321,7 +345,7 @@ def test_is_well_part_counts_before_any_svd(corpus_dir, monkeypatch):
             elif not c - k <= r <= c:
                 shapes = []
                 refused_by_count += 1
-            elif rank_analyze(J[np.ix_(rows, columns)]).rank < r:
+            elif rank_of(J[np.ix_(rows, columns)]) < r:
                 shapes = [(r, c)]
             else:
                 shapes = [(r, c), (k, c)]
@@ -393,7 +417,7 @@ def reference_min_dependent_sets(J):
             s = frozenset(combo)
             if any(prev <= s for prev in found):
                 continue
-            if rank_analyze(J[list(combo)]).rank < k:
+            if rank_of(J[list(combo)]) < k:
                 found.append(s)
     return found
 

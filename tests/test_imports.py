@@ -8,7 +8,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in [*(ROOT / "src" / "gcskernel").glob("*.py"),
-                             *(ROOT / "scripts").glob("*.py")]
+                             *(ROOT / "scripts").glob("*.py"),
+                             *(ROOT / "tests").glob("*.py")]
                  if p.name != "__init__.py")
 
 

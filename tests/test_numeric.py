@@ -11,16 +11,18 @@ from hypothesis import given, settings, strategies as st
 from gcskernel import (
     add_anchors,
     assignment_from_params,
+    cokernel_groups,
     compile_model,
     eval_jacobian,
     eval_residuals,
+    generate_witness,
     linear_system,
     newton_solve,
     numeric,
     optimize_solve,
-    rank_analyze,
     rank_of,
     solve,
+    witness,
 )
 from gcskernel import zoo
 from gcskernel.cli import main as gcs_main
@@ -33,27 +35,25 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_identity_rank():
-    a = rank_analyze(np.eye(6))
-    assert a.shape == (6, 6)
-    assert a.rank == 6
-    assert a.dependent_groups == ()
+    assert rank_of(np.eye(6)) == 6
+    assert cokernel_groups(np.eye(6), 6) == ()
 
 
 def test_collinear_three_distance_rank_five():
     m = zoo.three_distances_model()
     s = add_anchors(compile_model(m), m)
     collinear = np.array([0.0, 0.0, 10.0, 0.0, 20.0, 0.0])
-    assert rank_analyze(eval_jacobian(s, collinear)).rank == 5
+    assert rank_of(eval_jacobian(s, collinear)) == 5
 
 
 def test_lindep2_rank_and_cokernel():
     s = zoo.lindep2_system()
     J = eval_jacobian(s, np.zeros(3))
-    a = rank_analyze(J)
-    assert a.shape == (5, 3)
-    assert a.rank == 3
-    assert len(a.dependent_groups) == 2  # one per cokernel basis vector
-    for group in a.dependent_groups:
+    assert J.shape == (5, 3)
+    assert rank_of(J) == 3
+    groups = cokernel_groups(J, 3)
+    assert len(groups) == 2  # one per cokernel basis vector
+    for group in groups:
         assert rank_of(J[list(group)]) < len(group)
 
 
@@ -61,19 +61,17 @@ def test_dependent_group_rows_are_dependent():
     rng = np.random.default_rng(0)
     J = rng.normal(size=(4, 7))
     J[3] = J[0] + 2 * J[1]  # force a row dependency
-    a = rank_analyze(J)
-    assert a.rank == 3
-    assert a.dependent_groups == ((0, 1, 3),)
+    assert rank_of(J) == 3
+    assert cokernel_groups(J, 3) == ((0, 1, 3),)
 
 
 def test_empty_and_nonfinite():
-    a = rank_analyze(np.zeros((0, 3)))
-    assert a.rank == 0 and a.dependent_groups == ()
+    assert rank_of(np.zeros((0, 3))) == 0 and cokernel_groups(np.zeros((0, 3)), 0) == ()
     # a matrix without columns: every row is dependent on its own
-    a = rank_analyze(np.zeros((2, 0)))
-    assert a.rank == 0 and a.dependent_groups == ((0,), (1,))
+    assert rank_of(np.zeros((2, 0))) == 0
+    assert cokernel_groups(np.zeros((2, 0)), 0) == ((0,), (1,))
     with pytest.raises(ValueError):
-        rank_analyze(np.array([[np.inf, 1.0]]))
+        rank_of(np.array([[np.inf, 1.0]]))
 
 
 @settings(max_examples=40)
@@ -81,12 +79,12 @@ def test_empty_and_nonfinite():
 def test_rank_invariances(seed, m, n):
     rng = np.random.default_rng(seed)
     J = rng.normal(size=(m, n))
-    base = rank_analyze(J).rank
+    base = rank_of(J)
     P = rng.permutation(np.eye(m))
     Q = rng.permutation(np.eye(n))
-    assert rank_analyze(P @ J @ Q).rank == base
+    assert rank_of(P @ J @ Q) == base
     c = float(rng.uniform(0.1, 50.0))
-    assert rank_analyze(c * J).rank == base
+    assert rank_of(c * J) == base
 
 
 @settings(max_examples=40)
@@ -95,7 +93,7 @@ def test_constructed_rank(seed, m, n, k):
     k = min(k, m, n)
     rng = np.random.default_rng(seed)
     J = rng.normal(size=(m, k)) @ rng.normal(size=(k, n))
-    assert rank_analyze(J).rank == k
+    assert rank_of(J) == k
 
 
 @st.composite
@@ -114,9 +112,9 @@ def planted_rank_stacks(draw):
 
 @settings(max_examples=60)
 @given(planted_rank_stacks())
-def test_rank_of_matches_rank_analyze(stack):
+def test_rank_of_matches_one_full_svd_per_matrix(stack):
     ranks = [rank_of(J) for J in stack]
-    assert ranks == [rank_analyze(J).rank for J in stack]
+    assert ranks == [reference_rank_analysis(J)[0] for J in stack]
     assert rank_of(stack).tolist() == ranks
 
 
@@ -150,10 +148,9 @@ def gapped_matrices(draw):
 
 @settings(max_examples=80)
 @given(gapped_matrices())
-def test_rank_analyze_matches_one_full_svd(J):
-    a = rank_analyze(J)
-    assert a.shape == J.shape
-    assert (a.rank, a.dependent_groups) == reference_rank_analysis(J)
+def test_rank_of_and_cokernel_groups_match_one_full_svd(J):
+    rank = rank_of(J)
+    assert (rank, cokernel_groups(J, rank)) == reference_rank_analysis(J)
 
 
 def test_rank_of_empty_zero_and_nonfinite():
@@ -161,12 +158,98 @@ def test_rank_of_empty_zero_and_nonfinite():
     assert rank_of(np.zeros((3, 0))) == 0
     assert rank_of(np.zeros((4, 0, 3))).tolist() == [0, 0, 0, 0]
     assert rank_of(np.zeros((2, 2))) == 0
-    assert rank_of([1.0, 2.0]) == 1  # a vector is one row, as in rank_analyze
+    assert rank_of([1.0, 2.0]) == 1  # a vector is one row
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError):
             rank_of(np.array([[bad, 1.0]]))
         with pytest.raises(ValueError):
             rank_of(np.array([np.eye(2), [[1.0, bad], [0.0, 1.0]]]))
+
+
+# --- rank_of's gap: singular values designed on either side of the band edges ----
+
+# multiples of the threshold tau around the band (tau / gap, tau * gap]: each
+# edge from just inside and just outside, tau itself, and clear values
+TAU_MULTIPLES = ["zero", 1e-3, "0.99/gap", "1.01/gap", 0.99, 1.01, "0.99*gap", "1.01*gap",
+                 1e3, 1e6]
+
+
+def designed_singular_values(draw, k, gap):
+    """k singular values: the largest 1, the rest multiples of its threshold
+    1e-8 drawn from TAU_MULTIPLES, sorted descending."""
+    tau = numeric.RANK_REL_TOL
+    values = {"zero": 0.0, "0.99/gap": 0.99 / gap, "1.01/gap": 1.01 / gap,
+              "0.99*gap": 0.99 * gap, "1.01*gap": 1.01 * gap}
+    rest = [tau * values.get(t, t) for t in draw(st.lists(st.sampled_from(TAU_MULTIPLES),
+                                                          min_size=k - 1, max_size=k - 1))]
+    return np.array(sorted([1.0] + rest, reverse=True))
+
+
+def designed_matrix(s, m, n, scale, rng):
+    """U diag(scale * s) V^T for random orthogonal U (m x m) and V (n x n)."""
+    U = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    V = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    return (U[:, :len(s)] * (scale * s)) @ V[:, :len(s)].T
+
+
+def reference_gapped_rank(s, gap):
+    """The rank the singular values s (descending) give: -1 when one lies in
+    (tau / gap, tau * gap], else the count above tau = 1e-8 * s[0]."""
+    tau = numeric.RANK_REL_TOL * s[0]
+    if any(tau / gap < v <= tau * gap for v in s):
+        return -1
+    return sum(1 for v in s if v > tau)
+
+
+@st.composite
+def designed_stacks(draw):
+    """(gap, a stack of 1-4 m x n matrices of designed singular values with
+    one scale, the reference rank of each)."""
+    gap = draw(st.sampled_from([1.0, 10.0, numeric.RANK_GAP]))
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    stack, ranks = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        s = designed_singular_values(draw, min(m, n), gap)
+        stack.append(designed_matrix(s, m, n, scale, rng))
+        ranks.append(reference_gapped_rank(s, gap))
+    return gap, np.array(stack), ranks
+
+
+@settings(max_examples=300)
+@given(designed_stacks())
+def test_rank_of_with_a_gap_matches_designed_singular_values(case):
+    # a 2D matrix, a stack and a stack of one decide alike; with no gap
+    # (gap 1) nothing is declined
+    gap, stack, ranks = case
+    one_by_one = [rank_of(J, numeric.RANK_REL_TOL, gap) for J in stack]
+    assert one_by_one == ranks and all(type(rank) is int for rank in one_by_one)
+    assert rank_of(stack, numeric.RANK_REL_TOL, gap).tolist() == ranks
+    if gap == 1.0:
+        assert min(ranks) >= 0
+
+
+def test_rank_of_with_a_gap_on_empty_and_zero_shapes():
+    gap = numeric.RANK_GAP
+    assert rank_of(np.zeros((0, 3)), numeric.RANK_REL_TOL, gap) == 0
+    assert rank_of(np.zeros((3, 0)), numeric.RANK_REL_TOL, gap) == 0
+    assert rank_of(np.zeros((4, 0, 3)), numeric.RANK_REL_TOL, gap).tolist() == [0] * 4
+    assert rank_of(np.zeros((0, 3, 3)), numeric.RANK_REL_TOL, gap).shape == (0,)
+    assert rank_of(np.zeros((2, 2)), numeric.RANK_REL_TOL, gap) == 0
+    assert rank_of(np.zeros((1, 2, 2)), numeric.RANK_REL_TOL, gap).tolist() == [0]
+
+
+def test_a_stack_of_one_takes_the_2d_svd(recording_svd):
+    J = np.random.default_rng(0).normal(size=(1, 3, 4))
+    for gap in (1.0, numeric.RANK_GAP):
+        recording_svd.clear()
+        ranks = rank_of(J, numeric.RANK_REL_TOL, gap)
+        assert recording_svd == [((3, 4), False)]
+        assert ranks.shape == (1,) and ranks.tolist() == [3]
+    recording_svd.clear()
+    assert rank_of(np.concatenate([J, J])).tolist() == [3, 3]
+    assert recording_svd == [((2, 3, 4), False)]
 
 
 def _anchored_triangle():
@@ -518,17 +601,21 @@ def test_block_newton_matches_lstsq_newton_on_jittered_strips(n, monkeypatch):
     assert len(plans) == 1
 
 
-def test_margins_leave_the_substitution_arrays_to_the_first_step():
+def test_margins_leave_the_substitution_arrays_to_the_first_step(monkeypatch):
     # a witness certificate reads only the diagonal blocks
+    plans = []
+    monkeypatch.setattr(witness, "_block_step",
+                        lambda *args: plans.append(numeric._block_step(*args)) or plans[-1])
     model = zoo.triangle_strip(24)
-    system = anchored(model)
-    x = jittered_start(model, system, seed=1)
-    cols = np.arange(system.n_variables)
-    block_step = numeric._block_step(system, cols)
-    J = eval_jacobian(system, x)
-    assert (block_step.margins(J, cols) > numeric.RANK_GAP).all()
+    system = compile_model(model)
+    w = generate_witness(system, model, seed=1)
+    dor = rank_of(w.motions)
+    assert witness.full_row_rank_certificate(system, w.motions, dor)(w.jacobian)
+    [block_step] = plans
     assert "_substitution" not in vars(block_step)
-    assert block_step(J, eval_residuals(system, x)) is not None
+    cols = np.setdiff1d(np.arange(system.n_variables), witness._frame(system, w.motions, dor))
+    r = eval_residuals(system, w.assignment)
+    assert block_step(w.jacobian[:, cols], r) is not None
     assert "_substitution" in vars(block_step)
 
 

@@ -12,6 +12,7 @@ from gcskernel import (
     add_anchors,
     assignment_from_params,
     characterize,
+    cokernel_groups,
     compile_model,
     compute_dor,
     eval_jacobian,
@@ -20,7 +21,6 @@ from gcskernel import (
     generate_witness,
     motion_basis,
     params_from_assignment,
-    rank_analyze,
     rank_of,
     representation_sensitivity,
 )
@@ -124,10 +124,11 @@ def reference_characterize(system, model, seed, votes, witnesses):
     seeds = tuple(range(seed, seed + votes))
     reports = []
     for s in seeds:
-        a = rank_analyze(witnesses[s].jacobian)
-        m, n = a.shape
-        reports.append(WcmReport(n, m, a.rank, rank_of(witnesses[s].motions),
-                                 a.dependent_groups, (s,)))
+        J = witnesses[s].jacobian
+        m, n = J.shape
+        rank = rank_of(J)
+        reports.append(WcmReport(n, m, rank, rank_of(witnesses[s].motions),
+                                 cokernel_groups(J, rank), (s,)))
     keys = [(r.rank, r.dor) for r in reports]
     needed = 1 if votes == 1 else max(2, votes // 2 + 1)
     for i, key in enumerate(keys):
@@ -267,7 +268,7 @@ def test_entities_tied_by_coincident_constraints_are_one_entity(m, rank, dor):
 def dor_of(model) -> int:
     s = compile_model(model)
     x = assignment_from_params(model, s)
-    return compute_dor(model, s, x).dor
+    return compute_dor(model, s, x)
 
 
 def test_dor_values():
@@ -375,7 +376,7 @@ def test_dor_pivot_independence():
         shifted = M.copy()
         # velocity about pivot p = velocity about origin - rotation of p
         shifted[2] = M[2] + pivot[1] * M[0] - pivot[0] * M[1]
-        assert rank_analyze(shifted).rank == rank_analyze(M).rank
+        assert rank_of(shifted) == rank_of(M)
 
 
 # --- characterization -----------------------------------------------------------
@@ -412,7 +413,7 @@ def test_dependency_certificate_quality():
     s = compile_model(m)
     wit = generate_witness(s, m, seed=0)
     J = eval_jacobian(s, wit.assignment)
-    groups = rank_analyze(J).dependent_groups
+    groups = cokernel_groups(J, rank_of(J))
     assert groups
     for g in groups:  # each group is a dependent row set
         assert rank_of(J[list(g)]) < len(g)
@@ -442,7 +443,7 @@ def test_anchored_vs_unanchored_kernel_crosscheck():
     for m in [zoo.triangle_model(), zoo.braced_quad_model()]:
         s = compile_model(m)
         wit = generate_witness(s, m, seed=0)
-        dor = compute_dor(m, s, wit.assignment).dor
+        dor = compute_dor(m, s, wit.assignment)
         free = s.n_variables - rank_of(eval_jacobian(s, wit.assignment))
         assert free == dor
         anchored = add_anchors(s, m)
@@ -766,3 +767,56 @@ def test_strips_are_certified():
         model = zoo.triangle_strip(n)
         for seed in range(20):
             assert certificate_at(model, seed)[0], (n, seed)
+
+
+def reference_certificate(system, motions, dor, J) -> bool:
+    """The block certificate's decision by one np.linalg.svd per diagonal
+    block: J finite, and every block's smallest singular value above RANK_GAP
+    times its threshold 1e-8 * sigma_max."""
+    cols = np.setdiff1d(np.arange(system.n_variables), witness._frame(system, motions, dor))
+    if not np.isfinite(J).all():
+        return False
+    for eqs, vs in numeric._block_step(system, cols).blocks:
+        s = np.linalg.svd(J[np.ix_(eqs, cols[list(vs)])], compute_uv=False)
+        if not s[-1] > numeric.RANK_GAP * (numeric.RANK_REL_TOL * s[0]):
+            return False
+    return True
+
+
+def thinned(system, motions, dor, J, multiple):
+    """J with its middle 2 x 2 diagonal block's smallest singular value set
+    at ``multiple`` times that block's threshold."""
+    cols = np.setdiff1d(np.arange(system.n_variables), witness._frame(system, motions, dor))
+    pairs = [(eqs, vs) for eqs, vs in numeric._block_step(system, cols).blocks if len(vs) == 2]
+    eqs, vs = pairs[len(pairs) // 2]
+    where = np.ix_(eqs, cols[list(vs)])
+    U, s, Vt = np.linalg.svd(J[where])
+    s[-1] = multiple * numeric.RANK_REL_TOL * s[0]
+    out = J.copy()
+    out[where] = (U * s) @ Vt
+    return out
+
+
+@pytest.mark.parametrize("n", [24, 48, 100, 200])
+def test_the_certificate_decides_as_a_per_block_reference(n):
+    # each witness Jacobian, copies with one block's smallest singular value
+    # just inside and just outside both edges of the gap band, and copies
+    # with a non-finite entry on a block and off every block (a frame column)
+    model = zoo.triangle_strip(n)
+    system = compile_model(model)
+    gap = numeric.RANK_GAP
+    decisions = []
+    for seed in range(6):
+        w = generate_witness(system, model, seed=seed)
+        dor = rank_of(w.motions)
+        certificate = witness.full_row_rank_certificate(system, w.motions, dor)
+        variants = [w.jacobian] + [thinned(system, w.motions, dor, w.jacobian, f)
+                                   for f in (1.01 * gap, 0.99 * gap, 1.01 / gap, 0.99 / gap)]
+        frame = witness._frame(system, w.motions, dor)
+        for row, col, bad in ((0, 0, np.nan), (0, frame[0], np.inf)):
+            variants.append(w.jacobian.copy())
+            variants[-1][row, col] = bad
+        for J in variants:
+            decisions.append(certificate(J))
+            assert decisions[-1] == reference_certificate(system, w.motions, dor, J), seed
+    assert decisions.count(True) == 2 * 6  # the witness and the thin block outside the band
