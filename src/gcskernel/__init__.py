@@ -42,6 +42,7 @@ from .detect import (
     is_well_part,
     oracle_max_well_part,
     oracle_min_dependent_sets,
+    rows_independent,
     well_parts,
 )
 from .model import (

@@ -29,6 +29,14 @@ characterize under-, over- and well-constrained geometric constraint
 systems", 2011).  A union's rows, constraints and motion rank come from its
 bodies and its extra rows, without a scan of its entities.
 
+Most Jacobians have rows that are independent with margin: their rank
+with the gap ``RANK_GAP`` is their row count (:func:`detect.rows_independent`;
+a witness vote that ranks J densely records it in
+:attr:`witness.WitnessConfiguration.independent`).  Then every induced
+block has full row rank too, by Cauchy interlacing, so its kernel is its
+columns minus its rows, and a union is decided by that count and its motion
+rank alone, without B.
+
 A body that holds a ``fix`` moves less than rigidly, and B can be decided
 the other way than the union's own block where one of its singular values
 sits within ``RANK_GAP`` of the threshold, where ``rank_of`` with that gap
@@ -56,12 +64,16 @@ class Bodies:
     entity's motion block, each constraint's rows projected through its
     entities' blocks, and the count of fallbacks to
     :func:`detect.well_parts`.  ``rank_tol`` is the relative SVD threshold
-    of every rank decision."""
+    of every rank decision; ``independent`` says that the rows of
+    ``jacobian`` are independent with margin (:func:`detect.rows_independent`),
+    so that every union is decided by counting."""
 
     def __init__(self, model: Model, system: ResidualSystem, jacobian: np.ndarray,
-                 motions: np.ndarray, rank_tol: float = RANK_REL_TOL):
+                 motions: np.ndarray, rank_tol: float = RANK_REL_TOL,
+                 independent: bool = False):
         self.model, self.system = model, system
         self.jacobian, self.motions, self.rank_tol = jacobian, motions, rank_tol
+        self.independent = independent
         self.fallbacks = 0
         self._rows = {c.id: rows_of(system, (c.id,), ()) for c in model.constraints}
         self._norms = {e.id: len(rows_of(system, (), (e.id,))) for e in model.entities}
@@ -88,7 +100,9 @@ class Bodies:
 
     def union(self, bodies: Sequence[WellPart], entities: frozenset[str]) -> WellPart | None:
         """The body of the union ``entities`` of ``bodies`` (each well at
-        the witness) when the union is well, else None."""
+        the witness) when the union is well, else None.  Where the rows of
+        the Jacobian are independent with margin, so are the union's, and
+        it is well exactly when 0 <= columns - rows <= its motion rank."""
         if any(b.fixed for b in bodies):
             return self._fallback(entities)
         D = self.motions.shape[0]
@@ -113,6 +127,8 @@ class Bodies:
         slack = body.columns - rows
         if not 0 <= slack <= motion_rank:
             return None
+        if self.independent:  # the union's block has full row rank: its kernel is the slack
+            return body
         # the first body holding each entity that a smaller body holds, and
         # the pins that make each later holder move it alike
         first: dict[str, int] = {}
@@ -149,4 +165,4 @@ class Bodies:
     def _fallback(self, entities: frozenset[str]) -> WellPart | None:
         self.fallbacks += 1
         return well_parts(self.model, self.system, self.jacobian, self.motions,
-                          [entities], self.rank_tol)[0]
+                          [entities], self.rank_tol, self.independent)[0]

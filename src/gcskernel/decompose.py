@@ -20,7 +20,10 @@ motion rank come from its clusters, kept per run by node, and from those
 extra rows, which each name an entity outside the largest cluster; so a
 check costs what the smaller clusters hold.  A union with a fixed cluster,
 or whose matrix has a singular value within ``RANK_GAP`` of the threshold,
-is decided by :func:`detect.well_parts` itself.
+is decided by :func:`detect.well_parts` itself.  Where the witness vote
+found the Jacobian's rows independent with margin, every induced block has
+full row rank, and the seeds and unions are decided by counting rows and
+columns against motion ranks, without that matrix.
 
 Candidate groups wait in a priority queue and are tested in a fixed order:
 smallest union first, then fewer clusters, then lexicographic (sorted union,
@@ -262,8 +265,12 @@ def bottom_up_at(model: Model, system: ResidualSystem, witness: WitnessConfigura
     witness Jacobian (as the vote that drew ``witness`` names them), and
     those no root holds, are flagged redundant or conflicting.
     ``rank_tol`` is the relative SVD threshold of every rank decision.
+    Where the vote found the rows of the witness Jacobian independent with
+    margin (``witness.independent``), the seeds and unions are decided by
+    counting and motion ranks alone.
     """
-    bodies = Bodies(model, system, witness.jacobian, witness.motions, rank_tol)
+    bodies = Bodies(model, system, witness.jacobian, witness.motions, rank_tol,
+                    witness.independent)
     # the constraints whose rows take part in a row dependency of J; where
     # there is none, a rigid union stays rigid when a cluster it covers part
     # of is swapped for its cover, so covered clusters retire
@@ -335,7 +342,7 @@ def bottom_up_at(model: Model, system: ResidualSystem, witness: WitnessConfigura
     pairs = {tuple(sorted(s)) for s in spans if len(s) == 2}
     candidates = [(e,) for e in alone] + sorted(pairs.union(combinations(alone, 2)))
     for body in well_parts(model, system, witness.jacobian, witness.motions, candidates,
-                           rank_tol):
+                           rank_tol, independent=witness.independent):
         if body is not None:
             add(new_node("seed", body))
 

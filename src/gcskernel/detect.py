@@ -19,6 +19,15 @@ only when c - k <= r <= c (k rigid motions); no other part costs an SVD.
 It serves :func:`is_well_part`, the searches here, and bottom-up's seeds
 and its fallback from clusters as rigid bodies (:mod:`.bodies`).
 
+Most Jacobians have independent rows.  Each search first ranks its whole
+Jacobian once with the gap ``RANK_GAP`` (:func:`rows_independent`); when
+that rank is the row count, the smallest singular value clears the
+threshold by that factor, and by Cauchy interlacing so does every row
+subset and every induced block.  Then the dependency searches return no
+group without ranking a subset, and :func:`well_parts` ranks only motion
+blocks.  Any other Jacobian, dependent
+or declined within the gap, is searched subset by subset.
+
 Every rank decision takes ``rank_tol`` and reads only the rank
 (:func:`numeric.rank_of`, singular values alone).  The oracles rank the
 candidates of one size in stacked calls of at most ``ORACLE_CHUNK``.
@@ -29,14 +38,14 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
 from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
 from .compiler import ResidualSystem, induced_constraints, row_count, rows_of
 from .model import Model
-from .numeric import RANK_REL_TOL, SUPPORT_TOL, rank_of
+from .numeric import RANK_GAP, RANK_REL_TOL, SUPPORT_TOL, rank_of
 
 ORACLE_CHUNK = 256  # row subsets per stacked SVD call: bounds the stack's memory
 
@@ -71,6 +80,15 @@ class WellPart:
         return tuple(sorted(self.entities))
 
 
+def rows_independent(jacobian: np.ndarray, rank_tol: float = RANK_REL_TOL) -> bool:
+    """Whether the rows of ``jacobian`` are independent with margin: its
+    rank with the gap ``RANK_GAP`` (:func:`numeric.rank_of`, one SVD) is its
+    row count.  Then by Cauchy interlacing every row subset, and every
+    induced block J[rows(S), cols(S)] (its rows vanish outside cols(S)), has
+    full row rank with that margin too."""
+    return rank_of(jacobian, rank_tol, RANK_GAP) == jacobian.shape[0]
+
+
 def greedy_dependency_groups(jacobian: np.ndarray, seed_row: int = 0,
                              rank_tol: float = RANK_REL_TOL) -> list[DependencyGroup]:
     """Dependency groups of the rows of ``jacobian`` from a greedily grown
@@ -79,13 +97,16 @@ def greedy_dependency_groups(jacobian: np.ndarray, seed_row: int = 0,
     Rows are scanned in ascending index order starting from ``seed_row``; each
     row that keeps the set independent joins it.  Every excluded row r yields
     the group {r} union the independent set; ``support`` records the rows with
-    nonzero coefficients in r's (unique) expansion over the set.
+    nonzero coefficients in r's (unique) expansion over the set.  Rows that
+    are independent with margin (:func:`rows_independent`) have no group.
     """
     m = jacobian.shape[0]
     if m == 0:
         return []
     if not 0 <= seed_row < m:
         raise ValueError(f"seed row {seed_row} out of range")
+    if rows_independent(jacobian, rank_tol):
+        return []
     order = [seed_row] + [i for i in range(m) if i != seed_row]
 
     independent: list[int] = []
@@ -124,11 +145,15 @@ def oracle_min_dependent_sets(jacobian: np.ndarray, size_cap: int = 12,
     emitted set is minimal: each proper subset is independent.  The unpruned
     subsets of one cardinality are ranked in stacks of ``ORACLE_CHUNK``; no set
     of that cardinality contains another, so ranking them together leaves the
-    pruning and the output order as they are.
+    pruning and the output order as they are.  Rows that are independent
+    with margin (:func:`rows_independent`) have no dependent set, so only a
+    ``jacobian`` without that margin is enumerated.
     """
     m = jacobian.shape[0]
     if m > size_cap:
         raise CapExceeded(f"{m} rows exceeds the oracle cap of {size_cap}")
+    if rows_independent(jacobian, rank_tol):
+        return []
     found: list[frozenset[int]] = []
     for k in range(1, m + 1):
         unpruned = (combo for combo in combinations(range(m), k)
@@ -141,7 +166,8 @@ def oracle_min_dependent_sets(jacobian: np.ndarray, size_cap: int = 12,
 
 def well_parts(model: Model, system: ResidualSystem, jacobian: np.ndarray,
                motions: np.ndarray, candidates: Sequence[Collection[str]],
-               rank_tol: float = RANK_REL_TOL) -> list[WellPart | None]:
+               rank_tol: float = RANK_REL_TOL,
+               independent: bool = False) -> list[WellPart | None]:
     """The well part on each candidate entity set, None where the set's
     induced subsystem is not well-constrained at the witness: its Jacobian
     block must have full row rank and a kernel no larger than the rank of
@@ -155,6 +181,9 @@ def well_parts(model: Model, system: ResidualSystem, jacobian: np.ndarray,
     constraints' and entities' row and column counts.  Only the others get
     row and column lists: their Jacobian blocks are ranked in one stacked
     call per shape, then the motion blocks of those of full row rank.
+    ``independent`` says that the rows of ``jacobian`` are independent with
+    margin (:func:`rows_independent`): every block then has full row rank,
+    so no row list is built and only the motion blocks are ranked.
     """
     k = motions.shape[0]
     columns = system.columns
@@ -170,9 +199,12 @@ def well_parts(model: Model, system: ResidualSystem, jacobian: np.ndarray,
     # index lists only for the sets that counting keeps
     full = defaultdict(list)
     for (r, c), group in shapes.items():
-        rows = np.array([rows_of(system, cons, keep) for _, keep, cons in group])
         cols = [system.columns_of(keep) for _, keep, _ in group]
-        ranks = rank_of(jacobian[rows[:, :, None], np.array(cols)[:, None, :]], rank_tol)
+        if independent:
+            ranks = repeat(r)
+        else:
+            rows = np.array([rows_of(system, cons, keep) for _, keep, cons in group])
+            ranks = rank_of(jacobian[rows[:, :, None], np.array(cols)[:, None, :]], rank_tol)
         for g, col, rank in zip(group, cols, ranks):
             if rank == r:
                 full[c].append((g, r, col))
@@ -214,15 +246,17 @@ def greedy_well_parts(model: Model, system: ResidualSystem, jacobian: np.ndarray
     limitation), but deterministic for a fixed seed.  The first part grows
     from ``seed_entity`` (the first id by default); an id the model lacks
     raises ``ValueError``.  ``jacobian`` and ``motions`` are those of
-    :func:`well_parts`.
+    :func:`well_parts`, which is told once per call whether the rows of
+    ``jacobian`` are independent with margin (:func:`rows_independent`).
     """
     remaining = sorted((e.id for e in model.entities),
                        key=lambda e: (e != seed_entity, _natural(e)))  # the seed first
     if seed_entity is not None and seed_entity not in remaining:
         raise ValueError(f"seed entity {seed_entity!r} is not an entity of the model")
+    independent = rows_independent(jacobian, rank_tol)
 
     def well(subset: set[str]) -> WellPart | None:
-        return well_parts(model, system, jacobian, motions, [subset], rank_tol)[0]
+        return well_parts(model, system, jacobian, motions, [subset], rank_tol, independent)[0]
 
     parts: list[WellPart] = []
     while remaining:
@@ -248,15 +282,18 @@ def oracle_max_well_part(model: Model, system: ResidualSystem, jacobian: np.ndar
     Ties break by lexicographic entity-id order; when nothing qualifies the
     returned part is empty.  The subsets of one size are decided in stacks of
     ``ORACLE_CHUNK`` (:func:`well_parts`, which takes ``jacobian`` and
-    ``motions``).
+    ``motions`` and is told once whether the rows of ``jacobian`` are
+    independent with margin, :func:`rows_independent`).
     """
     ids = sorted(e.id for e in model.entities)
     if len(ids) > entity_cap:
         raise CapExceeded(f"{len(ids)} entities exceeds the oracle cap of {entity_cap}")
+    independent = rows_independent(jacobian, rank_tol)
     for k in range(len(ids), 0, -1):
         subsets = combinations(ids, k)
         while chunk := list(islice(subsets, ORACLE_CHUNK)):
-            for part in well_parts(model, system, jacobian, motions, chunk, rank_tol):
+            for part in well_parts(model, system, jacobian, motions, chunk, rank_tol,
+                                   independent):
                 if part is not None:
                     return part
     return WellPart(frozenset(), frozenset())

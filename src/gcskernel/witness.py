@@ -29,7 +29,13 @@ when no two agree on (rank, dor).  Votes are drawn in seed order and stop at
 the majority: when the first two agree, the third is never drawn, since it
 cannot change the result.  Every vote is ranked from singular values alone,
 of J or of its diagonal blocks (below), and only the reported vote names its
-dependent rows.
+dependent rows.  A dense J is ranked with ``rank_of``'s gap ``RANK_GAP``,
+which gives the plain rank unless it declines J, and J is ranked again
+without the gap only then.  So the vote learns without another SVD whether
+J's rows are independent with that margin, and its witness records it
+(``WitnessConfiguration.independent``): every row subset and induced block
+of such a J has full row rank, which bottom-up reads.  A certified vote
+(below) ranks no dense J and leaves the flag False.
 
 A large rigid vote ranks no dense J.  When J has at least
 ``numeric.BLOCK_STEP_MIN_ROWS`` rows and rows + dor = columns, a frame of
@@ -90,6 +96,10 @@ class WitnessConfiguration:
     attempts: int
     jacobian: np.ndarray  # the unanchored Jacobian at the sample
     motions: np.ndarray  # the rigid-motion basis at the sample (motion_basis)
+    # whether the rows of jacobian are independent with the margin RANK_GAP
+    # (detect.rows_independent), as a vote that ranked it densely found;
+    # False where no vote did (a certified vote ranks no dense J)
+    independent: bool = False
 
 
 def _projection(system: ResidualSystem, model: Model) -> ResidualSystem:
@@ -307,6 +317,18 @@ def full_row_rank_certificate(system: ResidualSystem, motions: np.ndarray, dor: 
         rank_of(jacobian[E, V], rank_tol, RANK_GAP).min() == size for size, E, V in blocks)
 
 
+def _dense_rank(w: WitnessConfiguration,
+                rank_tol: float) -> tuple[WitnessConfiguration, int]:
+    """The rank of the witness's Jacobian, and the witness with its
+    ``independent`` flag: the rank with the gap ``RANK_GAP``, which is the
+    plain rank unless declined, and the plain rank only when it is declined
+    (the flag is then False)."""
+    rank = rank_of(w.jacobian, rank_tol, RANK_GAP)
+    if rank < 0:
+        return w, rank_of(w.jacobian, rank_tol)
+    return replace(w, independent=rank == w.jacobian.shape[0]), rank
+
+
 def characterize(system: ResidualSystem, model: Model, seed: int = 0,
                  votes: int = 3, rank_tol: float = RANK_REL_TOL) -> WcmReport:
     """Majority-vote characterization over independently seeded witnesses.
@@ -318,8 +340,10 @@ def characterize(system: ResidualSystem, model: Model, seed: int = 0,
     and degree of rigidity add up to its columns is first offered to
     :func:`full_row_rank_certificate`, built at the first such vote and
     shared by the later ones; when its blocks pass, the vote's rank is its
-    row count without an SVD of J, and otherwise J is ranked as any other.
-    Votes are drawn and ranked one at a time, and drawing stops as
+    row count without an SVD of J, and otherwise J is ranked as any other:
+    with the gap ``RANK_GAP``, and again without it only when that rank is
+    declined.  The witness of such a vote records whether the gapped rank
+    is its row count (``independent``).  Votes are drawn and ranked one at a time, and drawing stops as
     soon as one (rank, dor) key has a majority of ``votes``, which no later
     vote can take from it.  The report is the first vote with that key, and
     only it names its dependent rows; it keeps the first vote's witness and
@@ -348,10 +372,14 @@ def characterize(system: ResidualSystem, model: Model, seed: int = 0,
             dor = rank_of(w.motions, rank_tol)
             if m + dor == n and certificate is None:
                 certificate = full_row_rank_certificate(base, w.motions, dor, rank_tol)
-            certified = m + dor == n and certificate(w.jacobian)
-            key = (m if certified else rank_of(w.jacobian, rank_tol), dor)
+            if m + dor == n and certificate(w.jacobian):
+                key = (m, dor)
+            else:
+                w, rank = _dense_rank(w, rank_tol)
+                key = (rank, dor)
         else:
-            key = (rank_of(w.jacobian, rank_tol), rank_of(w.motions, rank_tol))
+            w, rank = _dense_rank(w, rank_tol)
+            key = (rank, rank_of(w.motions, rank_tol))
         drawn.append((w, key))
         if sum(k == key for _, k in drawn) == needed:
             winner = next(v for v, k in drawn if k == key)

@@ -37,8 +37,8 @@ def checked_bottom_up(model, seed=0):
             assert body.motion_rank == rank_of(M[:, columns])
             assert body.fixed == any(model.constraint(c).kind == "fix" for c in constraints)
 
-    def checking_seeds(model, system, J, M, candidates, rank_tol):
-        out = seeds(model, system, J, M, candidates, rank_tol)
+    def checking_seeds(model, system, J, M, candidates, rank_tol, independent=False):
+        out = seeds(model, system, J, M, candidates, rank_tol, independent)
         for cand, body in zip(candidates, out):
             check(model, system, J, M, cand, body)
         return out
@@ -156,9 +156,19 @@ def test_gapped_rank_declines_a_singular_value_near_the_threshold():
     assert rank_of(np.diag([1.0, edge * 0.99]), RANK_REL_TOL, RANK_GAP) == -1
 
 
+def strip_with_redundant_bar(n):
+    """``zoo.triangle_strip(n)`` with one bar more, from its first point to
+    its last: its Jacobian's rows are dependent."""
+    m = zoo.triangle_strip(n)
+    first, last = m.entities[0], m.entities[-1]
+    bar = Constraint("extra", "distance-pp", (first.id, last.id),
+                     math.dist(first.params, last.params))
+    return Model(2, m.entities, m.constraints + (bar,))
+
+
 @pytest.mark.parametrize("rank", [lambda B: -1, lambda B: B.shape[1] + 1],
                          ids=["declined", "kernel-below-slack"])
-@pytest.mark.parametrize("make", [lambda: zoo.triangle_strip(6), zoo.k4_model,
+@pytest.mark.parametrize("make", [lambda: strip_with_redundant_bar(6), zoo.k4_model,
                                   zoo.double_banana_model])
 def test_a_union_the_bodies_cannot_decide_falls_back_to_the_dense_test(rank, make):
     # B's gapped rank is declined (a singular value near the threshold), or B's
@@ -189,8 +199,8 @@ def test_after_the_seeds_no_rigidity_check_ranks_more_than_3d_columns(make, reco
     seeds = decompose.well_parts
     mark = []
 
-    def marking(*args):
-        out = seeds(*args)
+    def marking(*args, **kwargs):
+        out = seeds(*args, **kwargs)
         mark.append(len(recording_svd))
         return out
 

@@ -305,9 +305,9 @@ def rigidity_checks(model, monkeypatch):
     calls = [0]
     seeds, union = decompose.well_parts, Bodies.union
 
-    def counting_seeds(*args):
+    def counting_seeds(*args, **kwargs):
         calls[0] += len(args[4])
-        return seeds(*args)
+        return seeds(*args, **kwargs)
 
     def counting_union(self, *args):
         calls[0] += 1
