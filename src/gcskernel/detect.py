@@ -300,10 +300,15 @@ def oracle_max_well_part(model: Model, system: ResidualSystem, jacobian: np.ndar
 
 
 def detection_report(dependency_groups: Sequence[DependencyGroup], method: str, seed: int,
-                     well_parts: Iterable[WellPart] = ()) -> dict:
-    return {
+                     well_parts: Iterable[WellPart] | None = None) -> dict:
+    """A search's report: its dependency groups, and its ``well_parts`` when
+    it has any to report (the greedy search; the oracle reports one maximal
+    part, ``maxWellPart``, on its own)."""
+    report = {
         "dependencyGroups": sorted(list(g.sorted_rows()) for g in dependency_groups),
-        "wellParts": sorted(list(p.sorted_entities()) for p in well_parts),
         "method": method,
         "seed": seed,
     }
+    if well_parts is not None:
+        report["wellParts"] = sorted(list(p.sorted_entities()) for p in well_parts)
+    return report
