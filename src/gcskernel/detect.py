@@ -25,8 +25,8 @@ that rank is the row count, the smallest singular value clears the
 threshold by that factor, and by Cauchy interlacing so does every row
 subset and every induced block.  Then the dependency searches return no
 group without ranking a subset, and :func:`well_parts` ranks only motion
-blocks.  Any other Jacobian, dependent
-or declined within the gap, is searched subset by subset.
+blocks.  Any other Jacobian, dependent or declined within the gap, is
+searched subset by subset.
 
 Every rank decision takes ``rank_tol`` and reads only the rank
 (:func:`numeric.rank_of`, singular values alone).  The oracles rank the

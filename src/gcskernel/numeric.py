@@ -7,6 +7,11 @@ set in `_rank_tolerance`.  Given a gap factor g > 1, `rank_of` declines
 (rank -1) a matrix with a singular value in (tau / g, tau * g], where a
 matrix that stands in for another one could be decided the other way:
 bottom-up's body test (`bodies`) and the block certificate ask for RANK_GAP.
+So do a witness vote's dense rank of the Jacobian (`witness.characterize`,
+which ranks it again without the gap only when declined) and detection's
+`rows_independent`: a Jacobian whose gapped rank is its row count has every
+row subset and induced block of full row rank, which the dependency and
+well-part searches and bottom-up read instead of ranking them.
 The certificate decides full rank without ranking the whole matrix: a
 square matrix in block-triangular form along a solve plan (below) is
 nonsingular when every diagonal block has its full rank under that gap.
@@ -66,7 +71,8 @@ SUPPORT_TOL = 1e-10  # a row dependency coefficient above it puts its row in the
 # and strip(24) (52 rows) and larger take block steps.
 BLOCK_STEP_MIN_ROWS = 48
 # The rank_of gap of a matrix that stands in for another one (a diagonal
-# block for the whole Jacobian, a union's body matrix for its induced block):
+# block for the whole Jacobian, a union's body matrix for its induced block,
+# a whole Jacobian for its row subsets and induced blocks):
 # its rank counts only when no singular value lies within this factor of the
 # threshold, which keeps the decision clear of the threshold's last-bit drift.
 RANK_GAP = 100.0

@@ -32,10 +32,11 @@ of J or of its diagonal blocks (below), and only the reported vote names its
 dependent rows.  A dense J is ranked with ``rank_of``'s gap ``RANK_GAP``,
 which gives the plain rank unless it declines J, and J is ranked again
 without the gap only then.  So the vote learns without another SVD whether
-J's rows are independent with that margin, and its witness records it
-(``WitnessConfiguration.independent``): every row subset and induced block
-of such a J has full row rank, which bottom-up reads.  A certified vote
-(below) ranks no dense J and leaves the flag False.
+J's rows are independent with that margin, and the first vote's witness,
+which the report keeps, records it (``WitnessConfiguration.independent``):
+every row subset and induced block of such a J has full row rank, which
+bottom-up reads.  A certified vote (below) ranks no dense J and leaves the
+flag False.
 
 A large rigid vote ranks no dense J.  When J has at least
 ``numeric.BLOCK_STEP_MIN_ROWS`` rows and rows + dor = columns, a frame of
@@ -97,8 +98,9 @@ class WitnessConfiguration:
     jacobian: np.ndarray  # the unanchored Jacobian at the sample
     motions: np.ndarray  # the rigid-motion basis at the sample (motion_basis)
     # whether the rows of jacobian are independent with the margin RANK_GAP
-    # (detect.rows_independent), as a vote that ranked it densely found;
-    # False where no vote did (a certified vote ranks no dense J)
+    # (detect.rows_independent), as the vote that ranked it densely found
+    # (characterize sets it on the witness its report keeps); False where
+    # no vote did, as for a certified vote, which ranks no dense J
     independent: bool = False
 
 
@@ -317,16 +319,14 @@ def full_row_rank_certificate(system: ResidualSystem, motions: np.ndarray, dor: 
         rank_of(jacobian[E, V], rank_tol, RANK_GAP).min() == size for size, E, V in blocks)
 
 
-def _dense_rank(w: WitnessConfiguration,
-                rank_tol: float) -> tuple[WitnessConfiguration, int]:
-    """The rank of the witness's Jacobian, and the witness with its
-    ``independent`` flag: the rank with the gap ``RANK_GAP``, which is the
-    plain rank unless declined, and the plain rank only when it is declined
-    (the flag is then False)."""
-    rank = rank_of(w.jacobian, rank_tol, RANK_GAP)
+def _dense_rank(jacobian: np.ndarray, rank_tol: float) -> tuple[int, bool]:
+    """The rank of ``jacobian`` and whether its rows are independent with
+    margin: its rank with the gap ``RANK_GAP``, which is the plain rank
+    unless declined, and the plain rank only when it is declined."""
+    rank = rank_of(jacobian, rank_tol, RANK_GAP)
     if rank < 0:
-        return w, rank_of(w.jacobian, rank_tol)
-    return replace(w, independent=rank == w.jacobian.shape[0]), rank
+        return rank_of(jacobian, rank_tol), False
+    return rank, rank == jacobian.shape[0]
 
 
 def characterize(system: ResidualSystem, model: Model, seed: int = 0,
@@ -342,13 +342,14 @@ def characterize(system: ResidualSystem, model: Model, seed: int = 0,
     shared by the later ones; when its blocks pass, the vote's rank is its
     row count without an SVD of J, and otherwise J is ranked as any other:
     with the gap ``RANK_GAP``, and again without it only when that rank is
-    declined.  The witness of such a vote records whether the gapped rank
-    is its row count (``independent``).  Votes are drawn and ranked one at a time, and drawing stops as
-    soon as one (rank, dor) key has a majority of ``votes``, which no later
-    vote can take from it.  The report is the first vote with that key, and
-    only it names its dependent rows; it keeps the first vote's witness and
-    (rank, dor) in ``witness`` and ``witness_key``, and the whole ballot,
-    ``seed`` to ``seed + votes - 1``, in ``seeds``.  A system without
+    declined.  Votes are drawn and ranked one at a time, and drawing stops
+    as soon as one (rank, dor) key has a majority of ``votes``, which no
+    later vote can take from it.  The report is the first vote with that
+    key, and only it names its dependent rows; it keeps the first vote's
+    witness and (rank, dor) in ``witness`` and ``witness_key``, and the
+    whole ballot, ``seed`` to ``seed + votes - 1``, in ``seeds``.  That
+    witness records whether its vote's gapped rank of J is its row count
+    (``independent``; False for a certified vote).  A system without
     variables has one configuration, so it takes one vote; ``votes`` below
     1 raise ``ValueError``.  If no key reaches a majority, every vote has
     been drawn, the verdict is "unstable" and the individual reports are
@@ -364,10 +365,12 @@ def characterize(system: ResidualSystem, model: Model, seed: int = 0,
     seeds = tuple(range(seed, seed + votes))
     needed = 1 if votes == 1 else max(2, votes // 2 + 1)
     drawn: list[tuple[WitnessConfiguration, tuple[int, int]]] = []
+    kept = None  # the first vote's witness, with its independence flag
     certificate = None  # built at the first vote it can serve, then shared
     for s in seeds:
         w = generate_witness(base, model, seed=s, projection=projection)
         m, n = w.jacobian.shape
+        independent = False
         if m >= BLOCK_STEP_MIN_ROWS:
             dor = rank_of(w.motions, rank_tol)
             if m + dor == n and certificate is None:
@@ -375,19 +378,21 @@ def characterize(system: ResidualSystem, model: Model, seed: int = 0,
             if m + dor == n and certificate(w.jacobian):
                 key = (m, dor)
             else:
-                w, rank = _dense_rank(w, rank_tol)
+                rank, independent = _dense_rank(w.jacobian, rank_tol)
                 key = (rank, dor)
         else:
-            w, rank = _dense_rank(w, rank_tol)
+            rank, independent = _dense_rank(w.jacobian, rank_tol)
             key = (rank, rank_of(w.motions, rank_tol))
+        if kept is None:
+            kept = replace(w, independent=True) if independent else w
         drawn.append((w, key))
         if sum(k == key for _, k in drawn) == needed:
             winner = next(v for v, k in drawn if k == key)
-            return replace(_report(winner.jacobian, *key, seeds), witness=drawn[0][0],
+            return replace(_report(winner.jacobian, *key, seeds), witness=kept,
                            witness_key=drawn[0][1])
     votes_cast = tuple(_report(w.jacobian, *key, (w.seed,)) for w, key in drawn)
     m, n = drawn[0][0].jacobian.shape
-    return WcmReport(n, m, -1, -1, (), seeds, votes_cast, drawn[0][0])
+    return WcmReport(n, m, -1, -1, (), seeds, votes_cast, kept)
 
 
 _SCHEME_TAGS = {HESSIAN: PLANE3, POINT_NORMAL: PLANE3, "point-direction": LINE3}

@@ -191,6 +191,26 @@ def test_a_union_the_bodies_cannot_decide_falls_back_to_the_dense_test(rank, mak
     assert tree.to_json_dict() == expected
 
 
+@pytest.mark.parametrize("n", [6, 12])
+def test_an_independent_strip_decides_its_unions_by_counting(n):
+    # the vote finds strip(n)'s rows independent with margin, so no union
+    # builds or ranks a coefficient matrix B (the only gapped rank in
+    # bodies), and every decision is still the dense reference's
+    m = zoo.triangle_strip(n)
+    assert characterize(compile_model(m), m, votes=1).witness.independent
+    gapped = []
+
+    def recording(B, rank_tol, gap=1.0):
+        if gap != 1.0:
+            gapped.append(B.shape)
+        return rank_of(B, rank_tol, gap)
+
+    with mock.patch.object(bodies, "rank_of", recording):
+        tree, unions, fallbacks = checked_bottom_up(m)
+    assert tree.assembled and unions > 0
+    assert gapped == [] and fallbacks == 0
+
+
 @pytest.mark.parametrize("make", [lambda: zoo.triangle_strip(48), zoo.double_banana_model])
 def test_after_the_seeds_no_rigidity_check_ranks_more_than_3d_columns(make, recording_svd):
     m = make()

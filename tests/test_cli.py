@@ -422,6 +422,54 @@ def test_decompose_braced_quad_bottom_up(capsys, corpus_dir):
     assert kids == [("P1", "P2", "P4"), ("P2", "P3"), ("P3", "P4")]
 
 
+SEARCHES = ("greedy_dependency_groups", "greedy_well_parts", "oracle_min_dependent_sets",
+            "oracle_max_well_part")
+
+
+def test_detect_ranks_an_independent_jacobian_at_most_once_per_search(capsys, tmp_path,
+                                                                     monkeypatch,
+                                                                     recording_svd):
+    # strip(48)'s votes are certified, so they rank no 97 x 100 J.  After
+    # them each search ranks J at most once (with the gap: its rows are
+    # independent), the oracles none (their caps refuse first), and every
+    # other SVD is of a motion block of at most D = 3 rows.  The report is
+    # the one the subset searches give.
+    path = write_model(tmp_path, zoo.triangle_strip(48))
+    expected = run_cli(capsys, "--format", "json", "detect", path)
+    J = (97, 100)
+    votes, per_search = [], {}
+    real_characterize = cli.characterize
+
+    def characterize(*args, **kwargs):
+        report = real_characterize(*args, **kwargs)
+        votes.append(len(recording_svd))
+        return report
+
+    def spy(name, real):
+        def search(*args, **kwargs):
+            start = len(recording_svd)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                per_search[name] = [shape for shape, _ in recording_svd[start:]]
+        return search
+
+    monkeypatch.setattr(cli, "characterize", characterize)
+    for name in SEARCHES:
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    recording_svd.clear()
+    assert run_cli(capsys, "--format", "json", "detect", path) == expected
+    assert [shape for shape, _ in recording_svd[:votes[0]]].count(J) == 0
+    after = [shape for shape, _ in recording_svd[votes[0]:]]
+    assert after == [shape for name in SEARCHES for shape in per_search[name]]
+    assert {name: shapes.count(J) for name, shapes in per_search.items()} == {
+        "greedy_dependency_groups": 1, "greedy_well_parts": 1,
+        "oracle_min_dependent_sets": 0, "oracle_max_well_part": 0}
+    assert all(shape == J or shape[-2] <= 3 for shape in after)
+    monkeypatch.setattr(detect, "rows_independent", lambda *args: False)
+    assert run_cli(capsys, "--format", "json", "detect", path) == expected
+
+
 def test_bottom_up_decompose_ranks_the_jacobian_of_vote_zero_once(capsys, corpus_dir,
                                                                    recording_svd):
     # two votes; the whole kite's rigidity check ranks its children's body
@@ -713,7 +761,9 @@ def test_invalid_global_options_exit_1(capsys, corpus_dir, flags, message):
     ("lindep2.json", ["--seed-row", "9"], "seed row 9 out of range"),
     ("k4.json", ["--seed-entity", "ZZZ"], "seed entity 'ZZZ' is not an entity of the model"),
     ("lindep2.json", ["--seed-entity", "ZZZ"], "--seed-entity needs a geometric model"),
-], ids=["row-99", "row-minus-1", "raw-row-9", "entity", "raw-entity"])
+    # independent rows: the seed row is checked before the one gapped rank
+    ("braced-quad.json", ["--seed-row", "99"], "seed row 99 out of range"),
+], ids=["row-99", "row-minus-1", "raw-row-9", "entity", "raw-entity", "independent-row-99"])
 def test_detect_refuses_a_seed_the_system_lacks(capsys, corpus_dir, model, flags, message):
     assert main(["detect", *flags, str(corpus_dir / model)]) == 1
     assert_one_line_refusal(capsys, message)

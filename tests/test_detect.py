@@ -1,9 +1,11 @@
 import json
 from collections import Counter
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gcskernel import (
     CapExceeded,
@@ -25,6 +27,7 @@ from gcskernel import detect, zoo
 from gcskernel.compiler import induced, rows_of
 from gcskernel.detect import detection_report
 from gcskernel.model import Entity, Model, model_from_json_dict
+from gcskernel.numeric import RANK_GAP, RANK_REL_TOL
 
 
 def names(system, rows):
@@ -455,3 +458,107 @@ def test_stacked_oracle_crosses_chunks_on_a_drawn_system(monkeypatch):
     assert len({len(g) for g in got}) > 1
     assert max(count for count, _ in stacks) == detect.ORACLE_CHUNK
     assert len(stacks) > len({k for _, k in stacks})  # some size took several stacks
+
+
+# --- rows independent with margin ----------------------------------------------
+
+def reference_greedy_groups(J):
+    """The greedy search's groups (as row sets) by a plain scan from row 0,
+    one rank per row."""
+    independent, excluded = [], []
+    for i in range(J.shape[0]):
+        if rank_of(J[independent + [i]]) == len(independent) + 1:
+            independent.append(i)
+        else:
+            excluded.append(i)
+    return [frozenset(independent) | {r} for r in excluded]
+
+
+def singular_ratio(J):
+    s = np.linalg.svd(J, compute_uv=False)
+    return s[-1] / s[0]
+
+
+def row_scaled_to_ratio(J, row, target):
+    """``J`` with ``row`` scaled so that sigma_min / sigma_max is ``target``
+    or just above it (bisection on the factor's log, from 1e-30 to 1)."""
+    def scaled(log_t):
+        A = J.copy()
+        A[row] *= 10.0 ** log_t
+        return A
+
+    lo, hi = -30.0, 0.0
+    for _ in range(80):
+        mid = (lo + hi) / 2
+        if singular_ratio(scaled(mid)) < target:
+            lo = mid
+        else:
+            hi = mid
+    return scaled(hi)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(1, 10), st.integers(0, 2), st.integers(0, 2**16), st.data())
+def test_dependency_searches_on_rows_near_the_gap_match_plain_enumeration(m, extra, seed,
+                                                                           data):
+    # m independent rows, and copies with one row scaled so that
+    # sigma_min / sigma_max sits just above and just below RANK_GAP times the
+    # rank threshold: above, one gapped rank settles both searches; below,
+    # the gap declines J and both enumerate their subsets.  Each answer is
+    # the plain enumeration's.
+    J = np.random.default_rng(seed).normal(size=(m, m + extra))
+    edge = RANK_GAP * RANK_REL_TOL
+    assume(singular_ratio(J) > 2 * edge)
+    row = data.draw(st.integers(0, m - 1))
+    cases = [(J, True)]
+    if m > 1:  # one row has no ratio below 1 to set
+        for factor, independent in ((1.01, True), (0.99, False)):
+            A = row_scaled_to_ratio(J, row, factor * edge)
+            assert factor * edge <= singular_ratio(A) <= factor * edge * (1 + 1e-9)
+            cases.append((A, independent))
+    for A, independent in cases:
+        assert detect.rows_independent(A) is independent
+        with mock.patch.object(detect, "rank_of", wraps=detect.rank_of) as ranks:
+            greedy = greedy_dependency_groups(A)
+            greedy_calls = ranks.call_count
+            ranks.reset_mock()
+            oracle = oracle_min_dependent_sets(A)
+            oracle_calls = ranks.call_count
+        assert [g.rows for g in greedy] == reference_greedy_groups(A) == []
+        assert [g.rows for g in oracle] == reference_min_dependent_sets(A) == []
+        # the gapped rank of J, then (declined) one rank per row and one
+        # stack per subset size (no size has more than ORACLE_CHUNK subsets)
+        assert (greedy_calls, oracle_calls) == ((1, 1) if independent else (1 + m, 1 + m))
+
+
+def test_dependent_rows_take_the_subset_searches():
+    # a row that is the sum of two others: the gapped rank is below the row
+    # count, and both searches find that row's dependency as before
+    J = np.random.default_rng(3).normal(size=(6, 8))
+    J[5] = J[1] + J[3]
+    assert not detect.rows_independent(J)
+    assert [g.rows for g in greedy_dependency_groups(J)] == reference_greedy_groups(J) \
+        == [frozenset(range(6))]
+    assert [g.rows for g in oracle_min_dependent_sets(J)] == reference_min_dependent_sets(J) \
+        == [frozenset({1, 3, 5})]
+
+
+def test_well_part_searches_on_independent_rows_rank_only_motion_blocks(corpus_dir):
+    # on a Jacobian independent with margin, each well-part search ranks J
+    # once with the gap and then only motion blocks (k rows); its parts are
+    # those it finds when it ranks the Jacobian blocks too
+    checked = 0
+    for name, m, s, (J, M) in small_corpus_models(corpus_dir):
+        if not detect.rows_independent(J):
+            continue
+        k = M.shape[0]
+        for search in (greedy_well_parts, oracle_max_well_part):
+            with mock.patch.object(detect, "rank_of", wraps=detect.rank_of) as ranks:
+                parts = search(m, s, J, M)
+            ranked = [call.args[0] for call in ranks.call_args_list]
+            assert [a is J for a in ranked].count(True) == 1, name
+            assert all(a is J or a.shape[-2] == k for a in ranked), name
+            with mock.patch.object(detect, "rows_independent", return_value=False):
+                assert parts == search(m, s, J, M), name
+        checked += 1
+    assert checked >= 10

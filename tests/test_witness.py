@@ -548,6 +548,30 @@ def test_reports_store_no_judgment():
     assert fields(SchemeRow) == ["scheme", "columns", "rank", "dor", "verdict"]
 
 
+def test_a_dense_vote_records_whether_its_rows_are_independent_with_margin(monkeypatch):
+    # the gapped rank is the plain one unless declined; the witness records
+    # whether it is the row count.  A certified vote ranks no dense J and
+    # leaves the flag False; a declined J is ranked again without the gap.
+    for model, independent in [(zoo.triangle_strip(6), True), (zoo.k4_model(), False),
+                               (zoo.triangle_strip(48), False)]:
+        report = characterize(compile_model(model), model)
+        assert report.witness.independent is independent
+    m = zoo.triangle_strip(6)
+    expected = characterize(compile_model(m), m)
+    ranks = []
+    real = witness.rank_of
+
+    def declining(A, rel_tol, gap=1.0):
+        ranks.append(gap)
+        return -1 if gap != 1.0 else real(A, rel_tol)
+
+    monkeypatch.setattr(witness, "rank_of", declining)
+    report = characterize(compile_model(m), m)
+    assert report == expected and not report.witness.independent
+    # two votes, each: the declined gapped rank of J, J again, the motions
+    assert ranks == [numeric.RANK_GAP, 1.0, 1.0] * 2
+
+
 # --- representation sensitivity ----------------------------------------------
 
 def test_line_example_row():
