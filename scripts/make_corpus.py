@@ -1,5 +1,11 @@
 #!/usr/bin/env python3
-"""Regenerate the JSON model corpus under corpus/ from the built-in zoo."""
+"""Regenerate the JSON model corpus under corpus/ from the built-in zoo.
+
+Usage: python3 scripts/make_corpus.py
+
+It takes no argument; any argument is refused with a usage line and exit
+code 2, before anything is written.
+"""
 
 import json
 import sys
@@ -11,7 +17,10 @@ from gcskernel import save_model  # noqa: E402
 from gcskernel import zoo  # noqa: E402
 
 
-def main() -> None:
+def main(argv: list[str]) -> int:
+    if argv:
+        print("usage: python3 scripts/make_corpus.py", file=sys.stderr)
+        return 2
     out = Path(__file__).resolve().parents[1] / "corpus"
     out.mkdir(exist_ok=True)
     models = {
@@ -41,7 +50,8 @@ def main() -> None:
             json.dump(zoo.lindep_json_dict(which), fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote corpus/lindep{which}.json")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

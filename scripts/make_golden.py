@@ -4,7 +4,9 @@ Usage, from the root of the repository:
 
     PYTHONPATH=src python scripts/make_golden.py [DIR]
 
-DIR defaults to tests/golden.  Four files are written there.
+DIR defaults to tests/golden.  Four files are written there.  A second
+argument, or a DIR that starts with ``-``, is refused with a usage line and
+exit code 2, before anything is written.
 
 ``cli.json``: each case runs ``gcs --format json <command> corpus/<name>.json``
 in-process, with GCS_SEED unset, and records its standard output and exit
@@ -230,6 +232,9 @@ def tables() -> str:
 
 
 def main(argv: list[str]) -> int:
+    if len(argv) > 1 or argv and argv[0].startswith("-"):
+        print("usage: PYTHONPATH=src python scripts/make_golden.py [DIR]", file=sys.stderr)
+        return 2
     directory = argv[0] if argv else DEFAULT_DIR
     if "GCS_SEED" in os.environ:
         print("unset GCS_SEED: the golden reports use the default seed", file=sys.stderr)

@@ -6,7 +6,10 @@ degree-of-rigidity examples, the representation-sensitivity table for the
 line/plane examples, greedy-vs-exhaustive dependency groups on the two linear
 systems, and the seed dependence of greedy well-part detection.
 
-Usage: python3 scripts/run_tables.py [seed]
+Usage: python3 scripts/run_tables.py [SEED]
+
+SEED, a non-negative integer, defaults to 0; any other argument is refused
+with a usage line and exit code 2.
 """
 
 import sys
@@ -118,21 +121,25 @@ def well_part_table(seed):
     s = compile_model(m)
     w = generate_witness(s, m, seed=seed)
     for entity in sorted(e.id for e in m.entities):
-        parts = greedy_well_parts(m, s, w.jacobian, w.motions, seed_entity=entity)
+        parts = greedy_well_parts(m, s, w, seed_entity=entity)
         shown = " + ".join("{" + ",".join(sorted(p.entities)) + "}" for p in parts)
         print(f"seed {entity}: {shown}")
-    best = oracle_max_well_part(m, s, w.jacobian, w.motions)
+    best = oracle_max_well_part(m, s, w)
     print("exhaustive maximum part: {" + ",".join(sorted(best.entities)) + "}")
 
 
-def main():
-    seed = int(sys.argv[1]) if len(sys.argv) > 1 else 0
+def main(argv):
+    if len(argv) > 1 or argv and not argv[0].isdecimal():
+        print("usage: python3 scripts/run_tables.py [SEED]", file=sys.stderr)
+        return 2
+    seed = int(argv[0]) if argv else 0
     verdict_table(seed)
     dor_table()
     representation_table(seed)
     dependency_tables()
     well_part_table(seed)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

@@ -30,12 +30,12 @@ systems", 2011).  A union's rows, constraints and motion rank come from its
 bodies and its extra rows, without a scan of its entities.
 
 Most Jacobians have rows that are independent with margin: their rank
-with the gap ``RANK_GAP`` is their row count (:func:`detect.rows_independent`;
-a witness vote that ranks J densely records it in
-:attr:`witness.WitnessConfiguration.independent`).  Then every induced
-block has full row rank too, by Cauchy interlacing, so its kernel is its
-columns minus its rows, and a union is decided by that count and its motion
-rank alone, without B.
+with the gap ``RANK_GAP`` is their row count (:func:`detect.rows_independent`),
+which a witness vote that ranks J densely records on its sample
+(:attr:`witness.WitnessConfiguration.independent`).  Where that flag is
+True, every induced block has full row rank too, by Cauchy interlacing, so
+its kernel is its columns minus its rows, and a union is decided by that
+count and its motion rank alone, without B; an undecided flag (None) takes B.
 
 A body that holds a ``fix`` moves less than rigidly, and B can be decided
 the other way than the union's own block where one of its singular values
@@ -52,31 +52,26 @@ from typing import Sequence
 
 import numpy as np
 
-from .compiler import ResidualSystem, rows_of
+from .compiler import ResidualSystem, row_count, rows_of
 from .detect import WellPart, well_parts
 from .model import Model
 from .numeric import RANK_GAP, RANK_REL_TOL, rank_of
+from .witness import WitnessConfiguration
 
 
 class Bodies:
-    """The body algebra at one witness sample (its unanchored ``jacobian``
-    and its motion basis ``motions``), with its state for one run: each
-    entity's motion block, each constraint's rows projected through its
-    entities' blocks, and the count of fallbacks to
+    """The body algebra at one ``witness`` sample (its unanchored Jacobian,
+    its motion basis and its flag ``independent``), with its state for one
+    run: each entity's motion block, each constraint's rows projected
+    through its entities' blocks, and the count of fallbacks to
     :func:`detect.well_parts`.  ``rank_tol`` is the relative SVD threshold
-    of every rank decision; ``independent`` says that the rows of
-    ``jacobian`` are independent with margin (:func:`detect.rows_independent`),
-    so that every union is decided by counting."""
+    of every rank decision.  Where the flag is True, every union is decided
+    by counting."""
 
-    def __init__(self, model: Model, system: ResidualSystem, jacobian: np.ndarray,
-                 motions: np.ndarray, rank_tol: float = RANK_REL_TOL,
-                 independent: bool = False):
-        self.model, self.system = model, system
-        self.jacobian, self.motions, self.rank_tol = jacobian, motions, rank_tol
-        self.independent = independent
+    def __init__(self, model: Model, system: ResidualSystem, witness: WitnessConfiguration,
+                 rank_tol: float = RANK_REL_TOL):
+        self.model, self.system, self.witness, self.rank_tol = model, system, witness, rank_tol
         self.fallbacks = 0
-        self._rows = {c.id: rows_of(system, (c.id,), ()) for c in model.constraints}
-        self._norms = {e.id: len(rows_of(system, (), (e.id,))) for e in model.entities}
         self._blocks: dict[str, np.ndarray] = {}
         self._projected: dict[str, list[tuple[str, np.ndarray]]] = {}
 
@@ -84,7 +79,7 @@ class Bodies:
         """M^T on the entity's columns: its velocity is ``block @ a``."""
         b = self._blocks.get(entity)
         if b is None:
-            b = self._blocks[entity] = self.motions[:, self.system.entity_slice(entity)].T
+            b = self._blocks[entity] = self.witness.motions[:, self.system.entity_slice(entity)].T
         return b
 
     def projected(self, constraint: str) -> list[tuple[str, np.ndarray]]:
@@ -92,20 +87,21 @@ class Bodies:
         blocks, by entity."""
         p = self._projected.get(constraint)
         if p is None:
-            rows = self._rows[constraint]
+            rows = rows_of(self.system, (constraint,), ())
             p = self._projected[constraint] = [
-                (e, self.jacobian[rows, self.system.entity_slice(e)] @ self.block(e))
+                (e, self.witness.jacobian[rows, self.system.entity_slice(e)] @ self.block(e))
                 for e in self.model.constraint(constraint).entities]
         return p
 
     def union(self, bodies: Sequence[WellPart], entities: frozenset[str]) -> WellPart | None:
         """The body of the union ``entities`` of ``bodies`` (each well at
         the witness) when the union is well, else None.  Where the rows of
-        the Jacobian are independent with margin, so are the union's, and
-        it is well exactly when 0 <= columns - rows <= its motion rank."""
+        the Jacobian are independent with margin (the sample's flag is
+        True), so are the union's, and it is well exactly when
+        0 <= columns - rows <= its motion rank."""
         if any(b.fixed for b in bodies):
             return self._fallback(entities)
-        D = self.motions.shape[0]
+        D = self.witness.motions.shape[0]
         columns = self.system.columns
         big = max(range(len(bodies)), key=lambda i: len(bodies[i].entities))
         largest = bodies[big]
@@ -117,18 +113,17 @@ class Bodies:
                         if entities.issuperset(c.entities)
                         and not any(c.id in b.constraints for b in others)})
         added = set().union(*(b.constraints for b in others), extra) - largest.constraints
-        rows = (largest.rows + sum(len(self._rows[c]) for c in added)
-                + sum(self._norms[e] for e in outside))
+        rows = largest.rows + row_count(self.system, added, outside)
         motion_rank = D if any(b.motion_rank == D for b in bodies) else int(
-            rank_of(self.motions[:, self.system.columns_of(entities)], self.rank_tol))
+            rank_of(self.witness.motions[:, self.system.columns_of(entities)], self.rank_tol))
         body = WellPart(entities, largest.constraints | added, rows,
                         largest.columns + sum(len(columns[e]) for e in outside),
                         motion_rank, fixed=False)
         slack = body.columns - rows
         if not 0 <= slack <= motion_rank:
             return None
-        if self.independent:  # the union's block has full row rank: its kernel is the slack
-            return body
+        if self.witness.independent:
+            return body  # the union's block has full row rank: its kernel is the slack
         # the first body holding each entity that a smaller body holds, and
         # the pins that make each later holder move it alike
         first: dict[str, int] = {}
@@ -142,7 +137,7 @@ class Bodies:
                     first[e] = holding[0]
                     pins += [(e, p, q) for p, q in zip(holding, holding[1:])]
         B = np.zeros((sum(len(columns[e]) for e, _, _ in pins)
-                      + sum(len(self._rows[c]) for c in extra), len(bodies) * D))
+                      + row_count(self.system, extra, ()), len(bodies) * D))
         r = 0
         for e, p, q in pins:
             block = self.block(e)
@@ -153,7 +148,7 @@ class Bodies:
             for e, part in self.projected(c):
                 i = first.get(e, big)
                 B[r:r + len(part), i * D:(i + 1) * D] += part
-            r += len(self._rows[c])
+            r += row_count(self.system, (c,), ())
         rank = rank_of(B, self.rank_tol, RANK_GAP)
         if rank < 0:  # declined
             return self._fallback(entities)
@@ -164,5 +159,4 @@ class Bodies:
 
     def _fallback(self, entities: frozenset[str]) -> WellPart | None:
         self.fallbacks += 1
-        return well_parts(self.model, self.system, self.jacobian, self.motions,
-                          [entities], self.rank_tol, self.independent)[0]
+        return well_parts(self.model, self.system, self.witness, [entities], self.rank_tol)[0]

@@ -195,8 +195,8 @@ def cmd_check(args) -> int:
 
 def cmd_detect(args) -> int:
     model, system = _load(args.model)
-    # the searches read the Jacobian (and, for a model, the motion basis) at
-    # the witness of the verdict's first vote, which is drawn at --seed
+    # the searches take the witness of the verdict's first vote, drawn at
+    # --seed; the dependency searches read only its Jacobian
     if model is None:
         if args.seed_entity is not None:
             raise SystemExitError(1, "--seed-entity needs a geometric model")
@@ -204,11 +204,11 @@ def cmd_detect(args) -> int:
     else:
         wr = characterize(system, model, seed=args.seed, votes=args.witnesses,
                           rank_tol=args.rank_tol)
-        J, M = wr.witness.jacobian, wr.witness.motions
+        J = wr.witness.jacobian
     try:
         greedy = greedy_dependency_groups(J, seed_row=args.seed_row, rank_tol=args.rank_tol)
         parts = [] if model is None else greedy_well_parts(
-            model, system, J, M, seed_entity=args.seed_entity, rank_tol=args.rank_tol)
+            model, system, wr.witness, seed_entity=args.seed_entity, rank_tol=args.rank_tol)
     except ValueError as err:  # a seed row or seed entity the system does not have
         raise SystemExitError(1, str(err))
     payload = {
@@ -223,7 +223,7 @@ def cmd_detect(args) -> int:
         payload["oracle"] = {"skipped": str(err)}
     if model is not None:
         try:
-            best = oracle_max_well_part(model, system, J, M, rank_tol=args.rank_tol)
+            best = oracle_max_well_part(model, system, wr.witness, rank_tol=args.rank_tol)
             payload["oracle"]["maxWellPart"] = sorted(best.entities)
         except CapExceeded as err:
             payload["oracle"]["maxWellPart"] = f"skipped: {err}"

@@ -20,10 +20,10 @@ motion rank come from its clusters, kept per run by node, and from those
 extra rows, which each name an entity outside the largest cluster; so a
 check costs what the smaller clusters hold.  A union with a fixed cluster,
 or whose matrix has a singular value within ``RANK_GAP`` of the threshold,
-is decided by :func:`detect.well_parts` itself.  Where the witness vote
-found the Jacobian's rows independent with margin, every induced block has
-full row rank, and the seeds and unions are decided by counting rows and
-columns against motion ranks, without that matrix.
+is decided by :func:`detect.well_parts` itself.  Where the witness sample
+records that its vote found the Jacobian's rows independent with margin,
+every induced block has full row rank, and the seeds and unions are decided
+by counting rows and columns against motion ranks, without that matrix.
 
 Candidate groups wait in a priority queue and are tested in a fixed order:
 smallest union first, then fewer clusters, then lexicographic (sorted union,
@@ -145,6 +145,7 @@ from .compiler import (
     eval_residuals,
     params_from_assignment,
     points_of,
+    row_count,
     rows_of,
 )
 from .detect import WellPart, well_parts
@@ -252,8 +253,8 @@ def bottom_up_at(model: Model, system: ResidualSystem, witness: WitnessConfigura
                  rank_tol: float = RANK_REL_TOL) -> ClusterTree:
     """Merge rigid seed clusters into a cluster forest (partial trees allowed).
 
-    Every rigidity check reads the Jacobian and motion basis that
-    ``witness``, a sample of the compiled ``model`` ``system``, carries.
+    Every rigidity check takes ``witness``, a sample of the compiled
+    ``model`` ``system``, as it is.
     Merge candidates are tested smallest union first, then fewer clusters,
     then lexicographically; each union is tested at most once.  A merged
     cluster retires the clusters its union covers and queues the candidate
@@ -266,11 +267,10 @@ def bottom_up_at(model: Model, system: ResidualSystem, witness: WitnessConfigura
     those no root holds, are flagged redundant or conflicting.
     ``rank_tol`` is the relative SVD threshold of every rank decision.
     Where the vote found the rows of the witness Jacobian independent with
-    margin (``witness.independent``), the seeds and unions are decided by
-    counting and motion ranks alone.
+    margin (the flag is True), the seeds and unions are decided by counting
+    and motion ranks alone.
     """
-    bodies = Bodies(model, system, witness.jacobian, witness.motions, rank_tol,
-                    witness.independent)
+    bodies = Bodies(model, system, witness, rank_tol)
     # the constraints whose rows take part in a row dependency of J; where
     # there is none, a rigid union stays rigid when a cluster it covers part
     # of is swapped for its cover, so covered clusters retire
@@ -341,8 +341,7 @@ def bottom_up_at(model: Model, system: ResidualSystem, witness: WitnessConfigura
     alone = [e for e in ids if frozenset((e,)) in spans]
     pairs = {tuple(sorted(s)) for s in spans if len(s) == 2}
     candidates = [(e,) for e in alone] + sorted(pairs.union(combinations(alone, 2)))
-    for body in well_parts(model, system, witness.jacobian, witness.motions, candidates,
-                           rank_tol, independent=witness.independent):
+    for body in well_parts(model, system, witness, candidates, rank_tol):
         if body is not None:
             add(new_node("seed", body))
 
@@ -896,7 +895,7 @@ def _schedule(model: Model, system: ResidualSystem, root: ClusterNode) -> list:
         if not node.children:
             leaf = _leaf_recipe(model, system, node, point_ids, measures)
             # a constructible leaf has as many rows as columns minus motions
-            if not leaf.points and len(rows_of(system, node.constraints, node.entities)) + len(
+            if not leaf.points and row_count(system, node.constraints, node.entities) + len(
                     node.virtual_bonds) < len(system.columns_of(node.entities)) - motions:
                 thin.add(id(node))
             recipes.append(leaf)
@@ -911,7 +910,7 @@ def _schedule(model: Model, system: ResidualSystem, root: ClusterNode) -> list:
         node = next(node for node in nodes if id(node) in thin)
         raise DecompositionError(
             f"cluster {sorted(node.entities)} cannot be rigid: "
-            f"{len(rows_of(system, node.constraints, node.entities)) + len(node.virtual_bonds)}"
+            f"{row_count(system, node.constraints, node.entities) + len(node.virtual_bonds)}"
             f" rows for {len(system.columns_of(node.entities))} columns")
     recipes.reverse()
     return recipes

@@ -9,24 +9,25 @@ what exposes the documented greedy failures: greedy groups can be strictly
 larger than the true minimal dependent sets, and badly seeded well parts can
 be strictly smaller than the maximal ones.
 
-Every procedure takes the matrices it reads, as one witness sample carries
-them (:class:`~.witness.WitnessConfiguration`): the dependency searches take
-its Jacobian, the well-part searches its Jacobian and rigid-motion basis.
-Well parts rest on one rigidity test, :func:`well_parts`, which decides a
-batch of entity sets on slices of the two, those of one shape in one stacked
-call.  It counts first: a part of r induced rows on c columns can be well
-only when c - k <= r <= c (k rigid motions); no other part costs an SVD.
-It serves :func:`is_well_part`, the searches here, and bottom-up's seeds
-and its fallback from clusters as rigid bodies (:mod:`.bodies`).
+The dependency searches take a Jacobian (a raw equation system has no
+witness); the well-part tests take a witness sample
+(:class:`~.witness.WitnessConfiguration`) as it is.  Well parts rest on one
+rigidity test, :func:`well_parts`, which decides a batch of entity sets on
+slices of the sample's Jacobian and motion basis, those of one shape in one
+stacked call.  It counts first: a part of r induced rows on c columns can
+be well only when c - k <= r <= c (k rigid motions); no other part costs an
+SVD.  It serves :func:`is_well_part`, the searches here, and bottom-up's
+seeds and its fallback from clusters as rigid bodies (:mod:`.bodies`).
 
-Most Jacobians have independent rows.  Each search first ranks its whole
-Jacobian once with the gap ``RANK_GAP`` (:func:`rows_independent`); when
-that rank is the row count, the smallest singular value clears the
-threshold by that factor, and by Cauchy interlacing so does every row
-subset and every induced block.  Then the dependency searches return no
-group without ranking a subset, and :func:`well_parts` ranks only motion
-blocks.  Any other Jacobian, dependent or declined within the gap, is
-searched subset by subset.
+Most Jacobians have independent rows.  When the rank of J with the gap
+``RANK_GAP`` is its row count (:func:`rows_independent`), the smallest
+singular value clears the threshold by that factor, and by Cauchy
+interlacing so does every row subset and every induced block.  Each
+dependency search ranks J so once, and then needs no subset; a sample
+records the answer of the vote that ranked its J (``independent``), the
+well-part searches decide it once where no vote did (None), and where it is
+True :func:`well_parts` ranks only motion blocks.  Any other Jacobian,
+dependent or declined within the gap, is searched subset by subset.
 
 Every rank decision takes ``rank_tol`` and reads only the rank
 (:func:`numeric.rank_of`, singular values alone).  The oracles rank the
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, islice, repeat
 from typing import Collection, Iterable, Sequence
 
@@ -46,6 +47,7 @@ import numpy as np
 from .compiler import ResidualSystem, induced_constraints, row_count, rows_of
 from .model import Model
 from .numeric import RANK_GAP, RANK_REL_TOL, SUPPORT_TOL, rank_of
+from .witness import WitnessConfiguration
 
 ORACLE_CHUNK = 256  # row subsets per stacked SVD call: bounds the stack's memory
 
@@ -164,27 +166,28 @@ def oracle_min_dependent_sets(jacobian: np.ndarray, size_cap: int = 12,
     return [DependencyGroup(rows=s, kind="oracle-minimal") for s in found]
 
 
-def well_parts(model: Model, system: ResidualSystem, jacobian: np.ndarray,
-               motions: np.ndarray, candidates: Sequence[Collection[str]],
-               rank_tol: float = RANK_REL_TOL,
-               independent: bool = False) -> list[WellPart | None]:
+def well_parts(model: Model, system: ResidualSystem, witness: WitnessConfiguration,
+               candidates: Sequence[Collection[str]],
+               rank_tol: float = RANK_REL_TOL) -> list[WellPart | None]:
     """The well part on each candidate entity set, None where the set's
-    induced subsystem is not well-constrained at the witness: its Jacobian
-    block must have full row rank and a kernel no larger than the rank of
-    the motion block on its columns.  A set with no induced constraints is
-    never well (a lone free entity satisfies the rank equalities vacuously
-    but is not constrained at all).
+    induced subsystem is not well-constrained at the ``witness`` sample: its
+    Jacobian block must have full row rank and a kernel no larger than the
+    rank of the motion block on its columns.  A set with no induced
+    constraints is never well (a lone free entity satisfies the rank
+    equalities vacuously but is not constrained at all).
 
-    The rank of r rows is at most r and the motion rank at most
-    k = ``motions.shape[0]``, so a set of r rows on c columns is refused by
+    The rank of r rows is at most r and the motion rank at most k, the rows
+    of the motion basis, so a set of r rows on c columns is refused by
     counting alone unless c - k <= r <= c, with r and c summed from its
     constraints' and entities' row and column counts.  Only the others get
     row and column lists: their Jacobian blocks are ranked in one stacked
     call per shape, then the motion blocks of those of full row rank.
-    ``independent`` says that the rows of ``jacobian`` are independent with
-    margin (:func:`rows_independent`): every block then has full row rank,
-    so no row list is built and only the motion blocks are ranked.
+    Where the sample's flag ``independent`` is True, the rows of its
+    Jacobian are independent with margin (:func:`rows_independent`): every
+    block then has full row rank, so no row list is built and only the
+    motion blocks are ranked.
     """
+    jacobian, motions = witness.jacobian, witness.motions
     k = motions.shape[0]
     columns = system.columns
     shapes = defaultdict(list)
@@ -200,7 +203,7 @@ def well_parts(model: Model, system: ResidualSystem, jacobian: np.ndarray,
     full = defaultdict(list)
     for (r, c), group in shapes.items():
         cols = [system.columns_of(keep) for _, keep, _ in group]
-        if independent:
+        if witness.independent:
             ranks = repeat(r)
         else:
             rows = np.array([rows_of(system, cons, keep) for _, keep, cons in group])
@@ -218,13 +221,11 @@ def well_parts(model: Model, system: ResidualSystem, jacobian: np.ndarray,
     return out
 
 
-def is_well_part(model: Model, system: ResidualSystem, jacobian: np.ndarray,
-                 motions: np.ndarray, entity_subset: Iterable[str],
-                 rank_tol: float = RANK_REL_TOL) -> bool:
+def is_well_part(model: Model, system: ResidualSystem, witness: WitnessConfiguration,
+                 entity_subset: Iterable[str], rank_tol: float = RANK_REL_TOL) -> bool:
     """Whether the induced subsystem is well-constrained at the witness:
     :func:`well_parts` on the one candidate ``entity_subset``."""
-    return well_parts(model, system, jacobian, motions, [frozenset(entity_subset)],
-                      rank_tol)[0] is not None
+    return well_parts(model, system, witness, [frozenset(entity_subset)], rank_tol)[0] is not None
 
 
 def _natural(eid: str) -> tuple:
@@ -233,8 +234,8 @@ def _natural(eid: str) -> tuple:
     return tuple(int(r) if i % 2 else r for i, r in enumerate(runs)), eid
 
 
-def greedy_well_parts(model: Model, system: ResidualSystem, jacobian: np.ndarray,
-                      motions: np.ndarray, seed_entity: str | None = None,
+def greedy_well_parts(model: Model, system: ResidualSystem, witness: WitnessConfiguration,
+                      seed_entity: str | None = None,
                       rank_tol: float = RANK_REL_TOL) -> list[WellPart]:
     """Greedy maximal well-constrained parts, seed first, leftovers rescanned.
 
@@ -245,18 +246,19 @@ def greedy_well_parts(model: Model, system: ResidualSystem, jacobian: np.ndarray
     are left.  Results are seed-dependent by design (that is the documented
     limitation), but deterministic for a fixed seed.  The first part grows
     from ``seed_entity`` (the first id by default); an id the model lacks
-    raises ``ValueError``.  ``jacobian`` and ``motions`` are those of
-    :func:`well_parts`, which is told once per call whether the rows of
-    ``jacobian`` are independent with margin (:func:`rows_independent`).
+    raises ``ValueError``.  Every set is decided by :func:`well_parts` at
+    the ``witness`` sample, whose flag is decided first (an undecided one
+    by one gapped rank of its Jacobian).
     """
     remaining = sorted((e.id for e in model.entities),
                        key=lambda e: (e != seed_entity, _natural(e)))  # the seed first
     if seed_entity is not None and seed_entity not in remaining:
         raise ValueError(f"seed entity {seed_entity!r} is not an entity of the model")
-    independent = rows_independent(jacobian, rank_tol)
+    if witness.independent is None:  # undecided: one gapped rank of J decides it
+        witness = replace(witness, independent=rows_independent(witness.jacobian, rank_tol))
 
     def well(subset: set[str]) -> WellPart | None:
-        return well_parts(model, system, jacobian, motions, [subset], rank_tol, independent)[0]
+        return well_parts(model, system, witness, [subset], rank_tol)[0]
 
     parts: list[WellPart] = []
     while remaining:
@@ -274,26 +276,25 @@ def greedy_well_parts(model: Model, system: ResidualSystem, jacobian: np.ndarray
     return parts
 
 
-def oracle_max_well_part(model: Model, system: ResidualSystem, jacobian: np.ndarray,
-                         motions: np.ndarray, entity_cap: int = 10,
-                         rank_tol: float = RANK_REL_TOL) -> WellPart:
+def oracle_max_well_part(model: Model, system: ResidualSystem, witness: WitnessConfiguration,
+                         entity_cap: int = 10, rank_tol: float = RANK_REL_TOL) -> WellPart:
     """Largest well-constrained entity subset by exhaustive enumeration.
 
     Ties break by lexicographic entity-id order; when nothing qualifies the
     returned part is empty.  The subsets of one size are decided in stacks of
-    ``ORACLE_CHUNK`` (:func:`well_parts`, which takes ``jacobian`` and
-    ``motions`` and is told once whether the rows of ``jacobian`` are
-    independent with margin, :func:`rows_independent`).
+    ``ORACLE_CHUNK`` by :func:`well_parts` at the ``witness`` sample, whose
+    flag is decided first, after the cap (an undecided one by one gapped
+    rank of its Jacobian).
     """
     ids = sorted(e.id for e in model.entities)
     if len(ids) > entity_cap:
         raise CapExceeded(f"{len(ids)} entities exceeds the oracle cap of {entity_cap}")
-    independent = rows_independent(jacobian, rank_tol)
+    if witness.independent is None:  # undecided: one gapped rank of J decides it
+        witness = replace(witness, independent=rows_independent(witness.jacobian, rank_tol))
     for k in range(len(ids), 0, -1):
         subsets = combinations(ids, k)
         while chunk := list(islice(subsets, ORACLE_CHUNK)):
-            for part in well_parts(model, system, jacobian, motions, chunk, rank_tol,
-                                   independent):
+            for part in well_parts(model, system, witness, chunk, rank_tol):
                 if part is not None:
                     return part
     return WellPart(frozenset(), frozenset())

@@ -8,10 +8,11 @@ set in `_rank_tolerance`.  Given a gap factor g > 1, `rank_of` declines
 matrix that stands in for another one could be decided the other way:
 bottom-up's body test (`bodies`) and the block certificate ask for RANK_GAP.
 So do a witness vote's dense rank of the Jacobian (`witness.characterize`,
-which ranks it again without the gap only when declined) and detection's
-`rows_independent`: a Jacobian whose gapped rank is its row count has every
-row subset and induced block of full row rank, which the dependency and
-well-part searches and bottom-up read instead of ranking them.
+which ranks it again without the gap only when declined and records the
+answer on its sample) and detection's `rows_independent`: a Jacobian whose
+gapped rank is its row count has every row subset and induced block of full
+row rank, which the dependency and well-part searches and bottom-up read
+instead of ranking them.
 The certificate decides full rank without ranking the whole matrix: a
 square matrix in block-triangular form along a solve plan (below) is
 nonsingular when every diagonal block has its full rank under that gap.

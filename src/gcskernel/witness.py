@@ -35,8 +35,8 @@ without the gap only then.  So the vote learns without another SVD whether
 J's rows are independent with that margin, and the first vote's witness,
 which the report keeps, records it (``WitnessConfiguration.independent``):
 every row subset and induced block of such a J has full row rank, which
-bottom-up reads.  A certified vote (below) ranks no dense J and leaves the
-flag False.
+the well-part tests read.  A certified vote (below) and a bare draw
+(:func:`generate_witness`) rank no dense J and leave the flag None.
 
 A large rigid vote ranks no dense J.  When J has at least
 ``numeric.BLOCK_STEP_MIN_ROWS`` rows and rows + dor = columns, a frame of
@@ -47,12 +47,12 @@ when every diagonal block of its block-triangular form has full rank with
 that fails it, a smaller one, and one with rows + dor != columns are ranked
 by ``rank_of`` of the whole J.
 
-A witness carries J and the motion basis at its sample, and every consumer
-reads them from there: the report keeps the sample of its first vote, drawn
-at the run's seed, which detection and the bottom-up merge checks read, so
-a run draws each seed at most once.  Bottom-up's dependent rows come from
-the vote too: those of the first vote's J (:meth:`WcmReport.witness_groups`),
-or of a one-vote :func:`characterize`.
+A witness carries J, the motion basis and that flag at its sample, and
+every consumer takes the sample: the report keeps that of its first vote,
+drawn at the run's seed, which detection and the bottom-up merge checks
+read, so a run draws each seed at most once.  Bottom-up's dependent rows
+come from the vote too: those of the first vote's J
+(:meth:`WcmReport.witness_groups`), or of a one-vote :func:`characterize`.
 """
 
 from __future__ import annotations
@@ -99,9 +99,9 @@ class WitnessConfiguration:
     motions: np.ndarray  # the rigid-motion basis at the sample (motion_basis)
     # whether the rows of jacobian are independent with the margin RANK_GAP
     # (detect.rows_independent), as the vote that ranked it densely found
-    # (characterize sets it on the witness its report keeps); False where
-    # no vote did, as for a certified vote, which ranks no dense J
-    independent: bool = False
+    # (characterize sets it on the witness its report keeps); None where no
+    # vote did: a bare draw, or a certified vote, which ranks no dense J
+    independent: bool | None = None
 
 
 def _projection(system: ResidualSystem, model: Model) -> ResidualSystem:
@@ -121,11 +121,12 @@ def generate_witness(system: ResidualSystem, model: Model, seed: int = 0,
     The singular subsystem (incidences, parallels, normalizations) is usually
     highly under-constrained and solves in one attempt.  Any point the
     projection reaches is the witness; after ``max_attempts`` projections that
-    do not converge, :class:`WitnessError` is raised.  The sample carries the Jacobian of ``system`` without anchors and the motion
-    basis.  ``projection`` is the selection of singular rows that samples are
-    projected onto, when the caller already has it (:func:`characterize`
-    derives it once for all its votes, so they share one evaluation plan);
-    it is derived here otherwise.
+    do not converge, :class:`WitnessError` is raised.  The sample carries the
+    Jacobian of ``system`` without anchors and the motion basis, and leaves
+    the flag ``independent`` undecided (None).  ``projection`` is the
+    selection of singular rows that samples are projected onto, when the
+    caller already has it (:func:`characterize` derives it once for all its
+    votes, so they share one evaluation plan); it is derived here otherwise.
     """
     base = system.without_anchors()
     rows = base.singular_rows()
@@ -349,7 +350,7 @@ def characterize(system: ResidualSystem, model: Model, seed: int = 0,
     witness and (rank, dor) in ``witness`` and ``witness_key``, and the
     whole ballot, ``seed`` to ``seed + votes - 1``, in ``seeds``.  That
     witness records whether its vote's gapped rank of J is its row count
-    (``independent``; False for a certified vote).  A system without
+    (``independent``; None for a certified vote).  A system without
     variables has one configuration, so it takes one vote; ``votes`` below
     1 raise ``ValueError``.  If no key reaches a majority, every vote has
     been drawn, the verdict is "unstable" and the individual reports are
@@ -370,7 +371,7 @@ def characterize(system: ResidualSystem, model: Model, seed: int = 0,
     for s in seeds:
         w = generate_witness(base, model, seed=s, projection=projection)
         m, n = w.jacobian.shape
-        independent = False
+        independent = None
         if m >= BLOCK_STEP_MIN_ROWS:
             dor = rank_of(w.motions, rank_tol)
             if m + dor == n and certificate is None:
@@ -384,7 +385,7 @@ def characterize(system: ResidualSystem, model: Model, seed: int = 0,
             rank, independent = _dense_rank(w.jacobian, rank_tol)
             key = (rank, rank_of(w.motions, rank_tol))
         if kept is None:
-            kept = replace(w, independent=True) if independent else w
+            kept = replace(w, independent=independent)
         drawn.append((w, key))
         if sum(k == key for _, k in drawn) == needed:
             winner = next(v for v, k in drawn if k == key)

@@ -26,7 +26,8 @@ def checked_bottom_up(model, seed=0):
     seeds, union = decompose.well_parts, Bodies.union
     counts = {"unions": 0, "fallbacks": 0}
 
-    def check(model, system, J, M, entities, body):
+    def check(model, system, witness, entities, body):
+        J, M = witness.jacobian, witness.motions
         assert (body is not None) == reference_is_well_part(
             model, system, J, M, entities), sorted(entities)
         if body is not None:
@@ -37,10 +38,10 @@ def checked_bottom_up(model, seed=0):
             assert body.motion_rank == rank_of(M[:, columns])
             assert body.fixed == any(model.constraint(c).kind == "fix" for c in constraints)
 
-    def checking_seeds(model, system, J, M, candidates, rank_tol, independent=False):
-        out = seeds(model, system, J, M, candidates, rank_tol, independent)
+    def checking_seeds(model, system, witness, candidates, rank_tol):
+        out = seeds(model, system, witness, candidates, rank_tol)
         for cand, body in zip(candidates, out):
-            check(model, system, J, M, cand, body)
+            check(model, system, witness, cand, body)
         return out
 
     def checking_union(self, group, entities):
@@ -48,7 +49,7 @@ def checked_bottom_up(model, seed=0):
         body = union(self, group, entities)
         counts["unions"] += 1
         counts["fallbacks"] += self.fallbacks - before
-        check(self.model, self.system, self.jacobian, self.motions, entities, body)
+        check(self.model, self.system, self.witness, entities, body)
         return body
 
     with mock.patch.object(decompose, "well_parts", checking_seeds), \

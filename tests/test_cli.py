@@ -470,6 +470,25 @@ def test_detect_ranks_an_independent_jacobian_at_most_once_per_search(capsys, tm
     assert run_cli(capsys, "--format", "json", "detect", path) == expected
 
 
+@pytest.mark.parametrize("model, shape, ranks", [
+    ("solve-strip5.json", (11, 14), 4), ("triangle.json", (7, 10), 4), ("k4.json", (6, 8), 9),
+    (None, (97, 100), 2)])
+def test_detect_ranks_the_jacobian_in_the_votes_and_once_per_dependency_search(
+        capsys, corpus_dir, tmp_path, recording_svd, model, shape, ranks):
+    # the SVDs of J's shape: a dense vote ranks J and records on the sample
+    # it keeps whether J's rows are independent with margin, so neither
+    # well-part search ranks J; each dependency search ranks it once with
+    # the gap (k4's dependent J adds the reported vote's cokernel and the
+    # greedy search's row sets as large as J).  strip(48) (None) takes
+    # certified votes, which rank no dense J and leave the flag undecided:
+    # the greedy well-part search decides it with one rank of J, and both
+    # oracles refuse at their caps first
+    path = str(corpus_dir / model) if model else write_model(tmp_path, zoo.triangle_strip(48))
+    code, _ = run_cli(capsys, "detect", path)
+    assert code == 0
+    assert [s for s, _ in recording_svd].count(shape) == ranks
+
+
 def test_bottom_up_decompose_ranks_the_jacobian_of_vote_zero_once(capsys, corpus_dir,
                                                                    recording_svd):
     # two votes; the whole kite's rigidity check ranks its children's body

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 from unittest import mock
 
@@ -28,6 +29,7 @@ from gcskernel.compiler import induced, rows_of
 from gcskernel.detect import detection_report
 from gcskernel.model import Entity, Model, model_from_json_dict
 from gcskernel.numeric import RANK_GAP, RANK_REL_TOL
+from gcskernel.witness import WitnessConfiguration
 
 
 def names(system, rows):
@@ -125,16 +127,16 @@ def test_determinism():
 # --- well parts ---------------------------------------------------------------
 
 def witness_for(m):
-    """The compiled model and the Jacobian and motion basis of its seed-0 witness."""
+    """The compiled model and its seed-0 witness sample, whose flag
+    ``independent`` no vote has decided."""
     s = compile_model(m)
-    w = generate_witness(s, m, seed=0)
-    return s, w.jacobian, w.motions
+    return s, generate_witness(s, m, seed=0)
 
 
 def test_two_triangle_bridge_parts():
     m = zoo.two_triangles_bridge()
-    s, J, M = witness_for(m)
-    parts = greedy_well_parts(m, s, J, M, seed_entity="P1")
+    s, w = witness_for(m)
+    parts = greedy_well_parts(m, s, w, seed_entity="P1")
     assert sorted(sorted(p.entities) for p in parts) == [
         ["P1", "P2", "P3"], ["P4", "P5", "P6"]]
     # the bridge constraint belongs to neither part
@@ -144,8 +146,8 @@ def test_two_triangle_bridge_parts():
 
 def test_well_whole_single_part():
     m = zoo.three_distances_model()
-    s, J, M = witness_for(m)
-    parts = greedy_well_parts(m, s, J, M)
+    s, w = witness_for(m)
+    parts = greedy_well_parts(m, s, w)
     assert len(parts) == 1
     assert parts[0].entities == frozenset({"P1", "P2", "P3"})
 
@@ -154,26 +156,26 @@ def test_single_pass_order_dependence_on_braced_quad():
     # the ascending scan meets P3 before P4 and can never come back: the
     # classical greedy blind spot
     m = zoo.braced_quad_model()
-    s, J, M = witness_for(m)
-    parts = greedy_well_parts(m, s, J, M, seed_entity="P1")
+    s, w = witness_for(m)
+    parts = greedy_well_parts(m, s, w, seed_entity="P1")
     assert sorted(sorted(p.entities) for p in parts) == [["P1", "P2", "P4"]]
-    best = oracle_max_well_part(m, s, J, M)
+    best = oracle_max_well_part(m, s, w)
     assert best.entities == frozenset({"P1", "P2", "P3", "P4"})
 
 
 def test_seed_dependence_demo():
     m = zoo.seed_demo_model()
-    s, J, M = witness_for(m)
+    s, w = witness_for(m)
     sizes = {}
     for seed in ["A", "B", "C", "D", "E"]:
-        parts = greedy_well_parts(m, s, J, M, seed_entity=seed)
+        parts = greedy_well_parts(m, s, w, seed_entity=seed)
         sizes[seed] = sorted(len(p.entities) for p in parts)
     assert sizes["B"] == [5]
     assert sizes["E"] == [2, 3]
     assert len(set(map(tuple, sizes.values()))) > 1
-    best = oracle_max_well_part(m, s, J, M)
+    best = oracle_max_well_part(m, s, w)
     assert len(best.entities) == 5
-    worst = max(len(p.entities) for p in greedy_well_parts(m, s, J, M, seed_entity="E"))
+    worst = max(len(p.entities) for p in greedy_well_parts(m, s, w, seed_entity="E"))
     assert len(best.entities) > worst
 
 
@@ -183,45 +185,45 @@ def test_greedy_grows_in_natural_id_order_on_a_strip(n):
     # P11 first, before it could hold them, and the rigid strip(9) split
     # into parts of 9 and 2 entities
     m = zoo.triangle_strip(n)
-    s, J, M = witness_for(m)
-    parts = greedy_well_parts(m, s, J, M)
+    s, w = witness_for(m)
+    parts = greedy_well_parts(m, s, w)
     assert [p.entities for p in parts] == [frozenset(e.id for e in m.entities)]
     assert parts[0].constraints == frozenset(c.id for c in m.constraints)
 
 
 def test_parts_disjoint_and_well():
     m = zoo.two_triangles_shared_vertex()
-    s, J, M = witness_for(m)
-    parts = greedy_well_parts(m, s, J, M)
+    s, w = witness_for(m)
+    parts = greedy_well_parts(m, s, w)
     seen = set()
     for p in parts:
         assert not (p.entities & seen)
         seen |= p.entities
-        assert is_well_part(m, s, J, M, p.entities)
+        assert is_well_part(m, s, w, p.entities)
 
 
 def test_lone_entity_is_not_well():
     m = Model(2, (Entity("P1", "point2", (0.0, 0.0)),), ())
     s = compile_model(m)
     x = np.zeros(2)
-    J, M = eval_jacobian(s, x), motion_basis(m, s, x)
-    assert not is_well_part(m, s, J, M, {"P1"})
-    best = oracle_max_well_part(m, s, J, M)
+    w = WitnessConfiguration(x, (), 0, 1, eval_jacobian(s, x), motion_basis(m, s, x))
+    assert not is_well_part(m, s, w, {"P1"})
+    best = oracle_max_well_part(m, s, w)
     assert best.entities == frozenset()
 
 
 def test_oracle_full_set_when_well():
     m = zoo.braced_quad_model()
-    s, J, M = witness_for(m)
-    best = oracle_max_well_part(m, s, J, M)
+    s, w = witness_for(m)
+    best = oracle_max_well_part(m, s, w)
     assert best.entities == frozenset({"P1", "P2", "P3", "P4"})
 
 
 def test_oracle_entity_cap():
     m = zoo.seed_demo_model()
-    s, J, M = witness_for(m)
+    s, w = witness_for(m)
     with pytest.raises(CapExceeded):
-        oracle_max_well_part(m, s, J, M, entity_cap=3)
+        oracle_max_well_part(m, s, w, entity_cap=3)
 
 
 def test_detection_report_shape():
@@ -237,9 +239,9 @@ def test_detection_report_shape():
 # --- rank-only decisions against full rank analyses ---------------------------
 
 def corpus_systems(corpus_dir):
-    """(name, model or None, system, Jacobian, motion basis or None) per corpus
-    file: at the seed-0 witness for a model, for a raw linear system its
-    Jacobian and no motion basis."""
+    """(name, model or None, system, Jacobian, witness or None) per corpus
+    file: the seed-0 witness sample and its Jacobian for a model, for a raw
+    linear system its Jacobian and no witness."""
     for path in sorted(corpus_dir.glob("*.json")):
         data = json.loads(path.read_text(encoding="utf-8"))
         if "equations" in data:
@@ -248,7 +250,8 @@ def corpus_systems(corpus_dir):
             yield path.stem, None, s, jacobian(s), None
         else:
             m = model_from_json_dict(data)
-            yield path.stem, m, *witness_for(m)
+            s, w = witness_for(m)
+            yield path.stem, m, s, w.jacobian, w
 
 
 def entity_subsets(model):
@@ -269,16 +272,17 @@ def reference_is_well_part(model, system, J, M, subset):
 
 
 def small_corpus_models(corpus_dir, max_entities=8):
-    for name, m, s, J, M in corpus_systems(corpus_dir):
+    for name, m, s, _, w in corpus_systems(corpus_dir):
         if m is not None and len(m.entities) <= max_entities:
-            yield name, m, s, (J, M)
+            yield name, m, s, w
 
 
 def test_is_well_part_matches_full_rank_analyses_on_corpus(corpus_dir):
     verdicts = []
-    for name, m, s, (J, M) in small_corpus_models(corpus_dir):
+    for name, m, s, w in small_corpus_models(corpus_dir):
+        J, M = w.jacobian, w.motions
         for subset in entity_subsets(m):
-            verdicts.append(is_well_part(m, s, J, M, subset))
+            verdicts.append(is_well_part(m, s, w, subset))
             assert verdicts[-1] == reference_is_well_part(m, s, J, M, subset), (name, subset)
     assert 0 < sum(verdicts) < len(verdicts)
 
@@ -289,10 +293,11 @@ def test_well_parts_in_one_batch_match_full_rank_analyses_on_corpus(corpus_dir,
     # against a scan of its subset; the Jacobian blocks of one shape (r, c)
     # take one SVD, and so do the motion blocks of c columns
     verdicts = []
-    for name, m, s, (J, M) in small_corpus_models(corpus_dir):
+    for name, m, s, w in small_corpus_models(corpus_dir):
+        J, M = w.jacobian, w.motions
         subsets = list(entity_subsets(m))
         recording_svd.clear()
-        parts = well_parts(m, s, J, M, subsets)
+        parts = well_parts(m, s, w, subsets)
         k = M.shape[0]
         shapes = {(len(rows), len(s.columns_of(subset))) for subset in subsets
                   for constraints, rows in [induced(m, s, subset)] if constraints}
@@ -319,11 +324,11 @@ def test_well_parts_builds_index_lists_only_for_the_sets_counting_keeps(corpus_d
     built = []
     monkeypatch.setattr(detect, "rows_of", lambda system, constraints, entities: (
         built.append(frozenset(entities)) or rows_of(system, constraints, entities)))
-    for name, m, s, (J, M) in small_corpus_models(corpus_dir):
+    for name, m, s, w in small_corpus_models(corpus_dir):
         subsets = [frozenset(subset) for subset in entity_subsets(m)]
         built.clear()
-        well_parts(m, s, J, M, subsets)
-        k = M.shape[0]
+        well_parts(m, s, w, subsets)
+        k = w.motions.shape[0]
         kept = [subset for subset in subsets for constraints, rows in [induced(m, s, subset)]
                 if constraints and 0 <= len(s.columns_of(subset)) - len(rows) <= k]
         assert Counter(built) == Counter(kept), name
@@ -335,9 +340,10 @@ def test_is_well_part_counts_before_any_svd(corpus_dir, monkeypatch):
     # c - k <= r <= c (k rigid motions); the motion block of c columns is
     # ranked only after an r x c Jacobian block of full row rank, r == c
     # too, since the part's record carries its motion rank
-    cases = []  # (model, system, J, M, subset, expected SVD shapes)
+    cases = []  # (model, system, witness, subset, expected SVD shapes)
     refused_by_count = 0
-    for name, m, s, (J, M) in small_corpus_models(corpus_dir):
+    for name, m, s, w in small_corpus_models(corpus_dir):
+        J, M = w.jacobian, w.motions
         k = M.shape[0]
         for subset in entity_subsets(m):
             constraints, rows = induced(m, s, subset)
@@ -352,7 +358,7 @@ def test_is_well_part_counts_before_any_svd(corpus_dir, monkeypatch):
                 shapes = [(r, c)]
             else:
                 shapes = [(r, c), (k, c)]
-            cases.append((m, s, J, M, subset, shapes))
+            cases.append((m, s, w, subset, shapes))
     svd = np.linalg.svd
     seen = []
 
@@ -361,9 +367,9 @@ def test_is_well_part_counts_before_any_svd(corpus_dir, monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    for m, s, J, M, subset, shapes in cases:
+    for m, s, w, subset, shapes in cases:
         seen.clear()
-        is_well_part(m, s, J, M, subset)
+        is_well_part(m, s, w, subset)
         assert seen == shapes, subset
     assert 0 < refused_by_count < len(cases)
     assert any(len(case[-1]) == 2 for case in cases)
@@ -376,16 +382,17 @@ def test_greedy_well_parts_tests_each_set_once(corpus_dir, monkeypatch):
     real = detect.well_parts
 
     def counting(*args):
-        tested.extend(frozenset(c) for c in args[4])
+        tested.extend(frozenset(c) for c in args[3])
         return real(*args)
 
     monkeypatch.setattr(detect, "well_parts", counting)
     total = 0
-    for name, m, s, J, M in corpus_systems(corpus_dir):
+    for name, m, s, J, w in corpus_systems(corpus_dir):
         if m is None:
             continue
+        M = w.motions
         tested.clear()
-        for part in greedy_well_parts(m, s, J, M):
+        for part in greedy_well_parts(m, s, w):
             assert reference_is_well_part(m, s, J, M, part.entities), (name, part)
             assert part.constraints == induced(m, s, part.entities)[0], (name, part)
         assert len(tested) == len(set(tested)), name
@@ -400,12 +407,13 @@ def test_stacked_max_well_part_is_the_first_well_subset_on_corpus(chunk, corpus_
     # the stacks it is decided in
     monkeypatch.setattr(detect, "ORACLE_CHUNK", chunk)
     checked = 0
-    for name, m, s, (J, M) in small_corpus_models(corpus_dir):
+    for name, m, s, w in small_corpus_models(corpus_dir):
+        J, M = w.jacobian, w.motions
         ids = sorted(e.id for e in m.entities)
         expected = next((frozenset(combo) for k in range(len(ids), 0, -1)
                          for combo in combinations(ids, k)
                          if reference_is_well_part(m, s, J, M, combo)), frozenset())
-        best = oracle_max_well_part(m, s, J, M)
+        best = oracle_max_well_part(m, s, w)
         assert best.entities == expected, name
         assert best.constraints == induced(m, s, expected)[0], name
         checked += len(expected) < len(ids)
@@ -544,21 +552,27 @@ def test_dependent_rows_take_the_subset_searches():
 
 
 def test_well_part_searches_on_independent_rows_rank_only_motion_blocks(corpus_dir):
-    # on a Jacobian independent with margin, each well-part search ranks J
-    # once with the gap and then only motion blocks (k rows); its parts are
-    # those it finds when it ranks the Jacobian blocks too
+    # on a sample whose flag says its Jacobian is independent with margin,
+    # each well-part search ranks only motion blocks (k rows); handed the
+    # undecided sample, it ranks J once with the gap first; either way its
+    # parts are those it finds when the flag is forced False and it ranks
+    # the Jacobian blocks too
     checked = 0
-    for name, m, s, (J, M) in small_corpus_models(corpus_dir):
+    for name, m, s, w in small_corpus_models(corpus_dir):
+        J, k = w.jacobian, w.motions.shape[0]
+        assert w.independent is None
         if not detect.rows_independent(J):
             continue
-        k = M.shape[0]
         for search in (greedy_well_parts, oracle_max_well_part):
-            with mock.patch.object(detect, "rank_of", wraps=detect.rank_of) as ranks:
-                parts = search(m, s, J, M)
-            ranked = [call.args[0] for call in ranks.call_args_list]
-            assert [a is J for a in ranked].count(True) == 1, name
-            assert all(a is J or a.shape[-2] == k for a in ranked), name
-            with mock.patch.object(detect, "rows_independent", return_value=False):
-                assert parts == search(m, s, J, M), name
+            found = {}
+            for flag in (True, None):
+                with mock.patch.object(detect, "rank_of", wraps=detect.rank_of) as ranks:
+                    found[flag] = search(m, s, replace(w, independent=flag))
+                calls = ranks.call_args_list
+                of_j = [call.args for call in calls if call.args[0] is J]
+                assert of_j == ([] if flag else [(J, RANK_REL_TOL, RANK_GAP)]), name
+                assert all(call.args[0].shape[-2] == k for call in calls
+                           if call.args[0] is not J), name
+            assert found[True] == found[None] == search(m, s, replace(w, independent=False)), name
         checked += 1
     assert checked >= 10

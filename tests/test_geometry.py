@@ -110,7 +110,6 @@ def test_every_bottom_up_cluster_is_well_constrained():
     for m in [zoo.braced_quad_model(), zoo.triangle_model(), zoo.seed_demo_model()]:
         s = compile_model(m)
         w = generate_witness(s, m, seed=0)
-        J, M = w.jacobian, w.motions
         tree = bottom_up(m)
 
         def nodes(n):
@@ -120,7 +119,7 @@ def test_every_bottom_up_cluster_is_well_constrained():
 
         for root in tree.roots:
             for node in nodes(root):
-                assert is_well_part(m, s, J, M, node.entities), sorted(node.entities)
+                assert is_well_part(m, s, w, node.entities), sorted(node.entities)
 
 
 def test_rotation_matrices():

@@ -18,6 +18,29 @@ def test_run_tables_prints_every_table():
     assert proc.stdout == golden.read_text(encoding="utf-8")
 
 
+def tree_bytes(directory):
+    """Every file under ``directory`` by its relative path, with its bytes."""
+    return {p.relative_to(directory): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))
+def test_every_script_refuses_an_argument_it_does_not_take(script, tmp_path):
+    """``--help`` is no argument any script takes: each prints a usage line
+    on stderr and exits 2, without a traceback, before it writes anything,
+    in the working directory or under corpus/ and tests/golden/."""
+    root = SCRIPTS.parent
+    kept = {d: tree_bytes(root / d) for d in ("corpus", "tests/golden")}
+    proc = subprocess.run([sys.executable, str(SCRIPTS / script), "--help"],
+                          capture_output=True, text=True, timeout=120, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 2, proc.stderr
+    assert any(line.startswith("usage:") for line in proc.stderr.splitlines()), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+    assert {d: tree_bytes(root / d) for d in kept} == kept
+
+
 def drift_pair(tmp_path, edit):
     """Run golden_drift.py on the recorded cli and solve_tree goldens against
     copies changed by ``edit(cli_cases, tree_cases)``."""

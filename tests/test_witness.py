@@ -550,12 +550,14 @@ def test_reports_store_no_judgment():
 
 def test_a_dense_vote_records_whether_its_rows_are_independent_with_margin(monkeypatch):
     # the gapped rank is the plain one unless declined; the witness records
-    # whether it is the row count.  A certified vote ranks no dense J and
-    # leaves the flag False; a declined J is ranked again without the gap.
+    # whether it is the row count.  A certified vote ranks no dense J and a
+    # bare draw ranks nothing, so both leave the flag undecided (None); a
+    # declined J is ranked again without the gap.
     for model, independent in [(zoo.triangle_strip(6), True), (zoo.k4_model(), False),
-                               (zoo.triangle_strip(48), False)]:
-        report = characterize(compile_model(model), model)
-        assert report.witness.independent is independent
+                               (zoo.triangle_strip(48), None)]:
+        s = compile_model(model)
+        assert characterize(s, model).witness.independent is independent
+        assert generate_witness(s, model).independent is None
     m = zoo.triangle_strip(6)
     expected = characterize(compile_model(m), m)
     ranks = []
@@ -567,7 +569,7 @@ def test_a_dense_vote_records_whether_its_rows_are_independent_with_margin(monke
 
     monkeypatch.setattr(witness, "rank_of", declining)
     report = characterize(compile_model(m), m)
-    assert report == expected and not report.witness.independent
+    assert report == expected and report.witness.independent is False
     # two votes, each: the declined gapped rank of J, J again, the motions
     assert ranks == [numeric.RANK_GAP, 1.0, 1.0] * 2
 
